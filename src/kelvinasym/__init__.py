@@ -17,7 +17,8 @@ expand
     Asymptotic expansion corrections and least-squares recovery of the
     expansion from samples.
 radial
-    Exterior radial ODE integration (compiled kernel with pure fallback).
+    Exterior radial ODE integration (RK4 in log r with a step-doubling
+    error estimate).
 cli
     Command-line entry points.
 """

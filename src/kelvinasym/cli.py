@@ -18,9 +18,7 @@ an optional --config JSON supplies values that flags override; exact
 numeric inputs accept rationals written as "p/q"; reports are UTF-8
 JSON with sorted keys; exit code 0 means success, 1 means a
 verification check failed (the report names the first violated check
-and its inputs), 2 means a usage error (synopsis goes to stderr).  The
-environment variable KELVINASYM_THREADS caps the worker threads used
-for independent trials; results are identical at any setting.
+and its inputs), 2 means a usage error (synopsis goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,9 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -216,30 +212,6 @@ def _check_in(path_text: str) -> Path:
     return path
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("KELVINASYM_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_trials(fn, items):
-    """Evaluate independent trials, optionally on a thread pool.
-
-    Inputs are pre-generated sequentially, so results (returned in
-    input order) are identical at any thread count.
-    """
-    items = list(items)
-    cap = _thread_cap()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))
-
-
 # ── JSON helpers ─────────────────────────────────────────────────────────
 
 
@@ -342,7 +314,7 @@ def _run_lemmas(merged: dict) -> int:
                     )
         return reports
 
-    per_trial = _map_trials(run_one, inputs)
+    per_trial = [run_one(item) for item in inputs]
     counts: dict[str, dict[str, int]] = {}
     first_failure = None
     for reports in per_trial:
@@ -514,7 +486,7 @@ def _run_poisson(merged: dict) -> int:
         residual = lhs - RadPoly(n, {n - 4: h})
         return (degree, trial, h, residual.is_zero, "residual not zero")
 
-    results = _map_trials(run_one, inputs)
+    results = [run_one(item) for item in inputs]
     first_failure = None
     checks = 0
     for degree, trial, h, ok, note in results:
@@ -689,6 +661,8 @@ def _run_radial(merged: dict) -> int:
             file=sys.stderr,
         )
         return 1
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     write_trajectory(out, states)
     if samples_path is not None:
@@ -701,10 +675,10 @@ def _run_radial(merged: dict) -> int:
             r_max=None if sample_rmax is None else float(sample_rmax),
         )
         write_samples(samples_path, samples)
-    max_cons = max(s.conservation for s in states)
+    max_error = max(s.error for s in states)
     print(
         f"radial: {len(states)} nodes to r = {states[-1].r:g}, "
-        f"max conservation residual {max_cons:.3e}; trajectory written to {out}"
+        f"max error estimate {max_error:.3e}; trajectory written to {out}"
     )
     return 0
 

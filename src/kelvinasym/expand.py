@@ -241,9 +241,13 @@ class ExpansionFit:
 def _split_samples(samples) -> tuple[np.ndarray, np.ndarray]:
     pts = []
     vals = []
-    for x, u in samples:
-        pts.append([float(c) for c in x])
-        vals.append(float(u))
+    for index, (x, u) in enumerate(samples):
+        point = [float(c) for c in x]
+        value = float(u)
+        if not all(map(math.isfinite, point)) or not math.isfinite(value):
+            raise ValueError(f"sample {index} is not finite: x = {tuple(point)}, u = {value!r}")
+        pts.append(point)
+        vals.append(value)
     if not pts:
         raise InsufficientDataError("no samples given")
     return np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)
@@ -358,9 +362,11 @@ def fit_expansion(
     column (it defaults to ``n == 2``), which lets callers measure how
     much of the residual that column explains.
 
-    Raises InsufficientDataError when fewer than four samples per
-    parameter are given or fewer than three annuli are populated, and
-    ConditioningError when the normal system is effectively singular.
+    Raises ValueError naming the first sample with a non-finite
+    coordinate or value, InsufficientDataError when fewer than four
+    samples per parameter are given or fewer than three annuli are
+    populated, and ConditioningError when the normal system is
+    effectively singular.
     """
     pts, vals = _split_samples(samples)
     if pts.ndim != 2 or pts.shape[1] != n:
@@ -479,7 +485,11 @@ def write_samples(path, samples) -> None:
 
 
 def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
-    """Read exterior samples from CSV with header ``x1,...,xn,u``."""
+    """Read exterior samples from CSV with header ``x1,...,xn,u``.
+
+    ValueError on a malformed header, a row of the wrong width, or a
+    non-finite value, naming the file row.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -493,12 +503,15 @@ def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
             )
         n = len(header) - 1
         samples = []
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != n + 1:
-                raise ValueError(f"{path}: row {len(samples) + 2} has {len(row)} fields")
-            samples.append((tuple(float(v) for v in row[:n]), float(row[n])))
+                raise ValueError(f"{path}: row {line_no} has {len(row)} fields")
+            values = [float(v) for v in row]
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: row {line_no} is not finite: {','.join(row)}")
+            samples.append((tuple(values[:n]), values[n]))
     if not samples:
         raise ValueError(f"{path}: no sample rows")
     return samples

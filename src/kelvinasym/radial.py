@@ -1,4 +1,4 @@
-"""Radial exterior solutions by fourth-order integration.
+"""Radial exterior solutions by fourth-order integration in log r.
 
 For a radial function u(|x|) the Hessian spectrum is u''(r) once and
 u'(r)/r with multiplicity n - 1, so the fully nonlinear equation
@@ -7,17 +7,26 @@ sum_j g(lambda_j) = theta reduces to the scalar relation
     g(u'') + (n - 1) g(u'/r) = theta.
 
 `radial_rhs` solves that relation for u'' through the branch's monotone
-scalar map; `integrate_exterior` advances (u, u', u'') from r = 1 by
-classic fixed-step RK4, treating the relation itself as a conserved
-quantity whose residual is recorded at every node.  Because the scheme
-is deterministic and fixed-step, trajectories and their CSV renderings
-are reproducible byte for byte.
+scalar map.  In s = log r the slope lambda = u'/r obeys the autonomous
+scalar equation
 
-The integration loop lives in a compiled extension when the build
-produced one, with a pure-Python fallback selected automatically at
-import time; the two kernels share their arithmetic line for line, so
-they agree bitwise and `kernel_name` only reports which one is active.
-The environment variable KELVINASYM_KERNEL=python forces the fallback.
+    d lambda / ds = g^{-1}(theta - (n - 1) g(lambda)) - lambda,
+
+whose fixed point a = g^{-1}(theta / n) is the asymptotic quadratic
+u ~ a r^2 / 2.  `integrate_exterior` advances mu = lambda - a and the
+remainder v = u - a r^2 / 2 (dv/ds = r^2 mu) by classic RK4 on a uniform
+grid in s, so the decaying remainder is integrated directly instead of
+being recovered as the difference of two numbers of size r^2.  A second
+solution advanced alongside with doubled steps gives every recorded
+node a step-doubling (Richardson) estimate of its global error.  The
+scheme is deterministic and fixed-step, so trajectories and their CSV
+renderings are reproducible byte for byte.
+
+The right-hand side is decreasing in lambda and vanishes at a, so the
+exact flow moves the slope monotonically toward a and never leaves the
+admissible slopes.  A DomainError therefore means an inadmissible start
+or an RK4 stage that overshot the edge of the admissible slope interval
+(a step too coarse for a start next to that edge).
 
 Trajectories convert to full-dimensional scattered samples with
 `trajectory_samples`, feeding the quadratic-fit and decay experiments.
@@ -27,7 +36,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,6 +46,7 @@ from .kelvin import PhaseBranch
 
 __all__ = [
     "DomainError",
+    "MAX_PLANNED_WORK",
     "RadialState",
     "integrate_exterior",
     "kernel_name",
@@ -47,33 +56,16 @@ __all__ = [
     "write_trajectory",
 ]
 
-from . import _radial_py
+# log steps plus recorded nodes that one call to `integrate_exterior` may
+# plan; about a minute of work and a few GB of recorded states
+MAX_PLANNED_WORK = 10_000_000
 
-if os.environ.get("KELVINASYM_KERNEL", "").strip().lower() == "python":
-    _kernel = _radial_py
-    _KERNEL_NAME = "python"
-else:
-    try:
-        from . import _radial_rk4 as _kernel  # type: ignore[attr-defined]
-
-        _KERNEL_NAME = "compiled"
-    except ImportError:
-        _kernel = _radial_py
-        _KERNEL_NAME = "python"
-
-_KIND_CODES = {
-    "SLAG": _radial_py.KIND_SLAG,
-    "RECIP": _radial_py.KIND_RECIP,
-    "ATAN2": _radial_py.KIND_ATAN2,
-    "LOG": _radial_py.KIND_LOG,
-}
-
-_TRAJECTORY_HEADER = ["r", "u", "du", "conservation_residual"]
+_TRAJECTORY_HEADER = ["r", "u", "du", "error_estimate"]
 
 
 def kernel_name() -> str:
-    """Which integration kernel is active: "compiled" or "python"."""
-    return _KERNEL_NAME
+    """The integration kernel; there is one, written in Python."""
+    return "python"
 
 
 @dataclass(frozen=True)
@@ -81,17 +73,18 @@ class RadialState:
     """One recorded node of a radial trajectory.
 
     `r` is the radius, `u` the value, `p` the first derivative u'(r),
-    `w` the second derivative u''(r), and `conservation` the largest
-    residual |g(w) + (n-1) g(p/r) - theta| seen over the integration
-    steps since the previous recorded node (so coarse output strides
-    cannot hide drift between rows).
+    `w` the second derivative u''(r), and `error` the step-doubling
+    estimate of the global error of (u, u'): the largest one at the
+    doubled-step boundaries from the one closing the previous node's
+    doubled step to the one closing this node's (so coarse output
+    strides cannot hide error growth between rows).
     """
 
     r: float
     u: float
     p: float
     w: float
-    conservation: float
+    error: float
 
 
 def radial_rhs(branch: PhaseBranch, n: int, theta: float, r: float, p: float) -> float:
@@ -111,18 +104,51 @@ def radial_rhs(branch: PhaseBranch, n: int, theta: float, r: float, p: float) ->
     return branch.g_inverse(t)
 
 
-def _failure_message(branch: PhaseBranch, status: int, radius: float, value: float) -> str:
-    if status == _radial_py.SLOPE_BOUND:
-        return (
-            f"radial slope u'/r = {value!r} fell to the {branch.kind} "
-            f"eigenvalue bound {branch.admissible_lower()!r} near r = {radius!r}"
+def _failure(branch: PhaseBranch, a: float, lam: float, radius: float, trajectory) -> DomainError:
+    """DomainError for a slope lam with no admissible curvature root."""
+    kind = branch.kind
+    lower = branch.admissible_lower()
+    if lower is None:
+        lower = -math.inf
+    at = f"at radial slope u'/r = {lam!r} near r = {radius!r}"
+    if not math.isfinite(lam):
+        message = f"trajectory state became non-finite near r = {radius!r}"
+    elif lam <= lower:
+        message = (
+            f"radial slope u'/r = {lam!r} fell to the {kind} eigenvalue bound {lower!r} "
+            f"near r = {radius!r}"
         )
-    if status == _radial_py.CURVATURE_BOUND:
-        return (
-            f"second derivative u'' = {value!r} fell to the {branch.kind} "
-            f"eigenvalue bound {branch.admissible_lower()!r} near r = {radius!r}"
-        )
-    return f"trajectory state became non-finite near r = {radius!r}"
+    elif lam < a:
+        # g(lam) < theta / n, so the phase left to u'' is above the range of g
+        message = f"second derivative u'' grew without bound on the {kind} branch {at}"
+    else:
+        message = f"second derivative u'' fell to the {kind} eigenvalue bound {lower!r} {at}"
+    return DomainError(message, radius=radius, trajectory=trajectory)
+
+
+def _hermite(y0: float, y1: float, d0: float, d1: float, t: float) -> float:
+    """Cubic Hermite interpolant at fraction t of a step; d0, d1 are step * slope."""
+    cubic = (1.0 - 2.0 * t) * (y1 - y0) + (t - 1.0) * d0 + t * d1
+    return (1.0 - t) * y0 + t * y1 + t * (t - 1.0) * cubic
+
+
+def _rk4(rate, mu, v, f0, s0, h, r2_0, r2_m, r2_1):
+    """One RK4 step of (mu, v) over [s0, s0 + h]; f0 is rate(mu) at s0.
+
+    r2_0, r2_m and r2_1 are r^2 at the step's start, middle and end.
+    Returns (mu, v, rate at the end), the last reused by the next step.
+    """
+    half = 0.5 * h
+    mu2 = mu + half * f0
+    k2 = rate(mu2, s0 + half)
+    mu3 = mu + half * k2
+    k3 = rate(mu3, s0 + half)
+    mu4 = mu + h * k3
+    k4 = rate(mu4, s0 + h)
+    sixth = h / 6.0
+    mu_end = mu + sixth * (f0 + 2.0 * k2 + 2.0 * k3 + k4)
+    v_end = v + sixth * (r2_0 * mu + 2.0 * r2_m * (mu2 + mu3) + r2_1 * mu4)
+    return mu_end, v_end, rate(mu_end, s0 + h)
 
 
 def integrate_exterior(
@@ -135,17 +161,23 @@ def integrate_exterior(
     step: float,
     stride: int = 1,
 ) -> list[RadialState]:
-    """Integrate (u, u', u'') from r = 1 to r_max with fixed step.
+    """Integrate the radial relation from r = 1 to r_max.
 
-    The starting curvature u''(1) is solved from the scalar relation,
-    after which the whole state advances by classic RK4; the relation's
-    residual is folded into each recorded node's `conservation`.  Node
-    0 (r = 1) and every stride-th node are recorded, the final node
-    always included.
+    Records node 0 (r = 1) and the nodes r = 1 + k * step for every k
+    that is a multiple of `stride`, the final node r = 1 + K * step with
+    K = round((r_max - 1) / step) always included.  The solution is
+    advanced by RK4 in s = log r on a uniform grid of an even number of
+    steps no longer than `step`, which depends on (step, r_max) only, so
+    states at shared radii agree bitwise across strides.  Each node is
+    read off the step that contains it by cubic Hermite interpolation,
+    and its `error` compares against a second solution advanced alongside
+    with doubled steps.
 
-    DomainError if p1 or any later stage leaves the branch's admissible
-    ray (or the state overflows); the exception carries the failure
-    radius as `radius` and the nodes recorded before it as `trajectory`.
+    ValueError if the planned log steps plus recorded nodes exceed
+    MAX_PLANNED_WORK.  DomainError if p1 or any later stage leaves the
+    slopes that admit a curvature root on the branch (or the state
+    overflows); the exception carries the failing stage's radius as
+    `radius` and the nodes recorded before it as `trajectory`.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
@@ -158,41 +190,96 @@ def integrate_exterior(
     stride = int(stride)
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
+    r_steps = (r_max - 1.0) / step
+    planned = math.log(r_max) / step + r_steps / stride
+    if not planned <= MAX_PLANNED_WORK:
+        raise ValueError(
+            f"rmax={r_max!r}, step={step!r}, stride={stride} plans {planned:.4g} "
+            f"log steps and recorded nodes, more than {MAX_PLANNED_WORK}"
+        )
 
     theta = float(theta)
     u1 = float(u1)
     p1 = float(p1)
-    w1 = radial_rhs(branch, n, theta, 1.0, p1)
-    n_steps = max(1, int(round((r_max - 1.0) / step)))
+    nm1 = n - 1
+    g = branch.g
+    g_inverse = branch.g_inverse
+    states: list[RadialState] = []
 
-    rs, us, ps, ws, cons, status, fail_radius, fail_value = _kernel.run_kernel(
-        _KIND_CODES[branch.kind],
-        branch.a,
-        branch.b,
-        n,
-        theta,
-        u1,
-        p1,
-        w1,
-        step,
-        n_steps,
-        stride,
-    )
-    states = [
-        RadialState(r=rs[i], u=us[i], p=ps[i], w=ws[i], conservation=cons[i])
-        for i in range(len(rs))
-    ]
-    if status != _radial_py.OK:
-        raise DomainError(
-            _failure_message(branch, status, fail_radius, fail_value),
-            radius=fail_radius,
-            trajectory=states,
-        )
+    a = g_inverse(theta / n)
+
+    def rate(mu: float, s: float) -> float:
+        try:
+            return (g_inverse(theta - nm1 * g(a + mu)) - a) - mu
+        except DomainError:
+            raise _failure(branch, a, a + mu, math.exp(s), states) from None
+
+    try:
+        w1 = g_inverse(theta - nm1 * g(p1))
+    except DomainError:
+        raise _failure(branch, a, p1, 1.0, states) from None
+
+    n_steps = max(1, int(round(r_steps)))
+    s_end = math.log(1.0 + n_steps * step)
+    n_log = 2 * max(1, math.ceil(s_end / (2.0 * step)))
+    h = s_end / n_log
+
+    states.append(RadialState(r=1.0, u=u1, p=p1, w=w1, error=0.0))
+    k = min(stride, n_steps)
+    r_node = 1.0 + k * step
+    s_node = math.log(r_node)
+
+    mu0 = p1 - a
+    v0 = u1 - 0.5 * a
+    f0 = rate(mu0, 0.0)
+    mu_c, v_c, f_c = mu0, v0, f0
+    r2_0 = 1.0
+    block = 0.0
+    for j in range(0, n_log, 2):
+        s0 = j * h
+        s1 = (j + 1) * h
+        s2 = s_end if j + 2 == n_log else (j + 2) * h
+        r2_a = math.exp(2.0 * (s0 + 0.5 * h))
+        r2_1 = math.exp(2.0 * s1)
+        r2_b = math.exp(2.0 * (s1 + 0.5 * h))
+        r2_2 = math.exp(2.0 * s2)
+        mu1, v1, f1 = _rk4(rate, mu0, v0, f0, s0, h, r2_0, r2_a, r2_1)
+        mu2, v2, f2 = _rk4(rate, mu1, v1, f1, s1, h, r2_1, r2_b, r2_2)
+        mu_c, v_c, f_c = _rk4(rate, mu_c, v_c, f_c, s0, 2.0 * h, r2_0, r2_1, r2_2)
+        if not all(map(math.isfinite, (mu2, v2, mu_c, v_c))):
+            raise _failure(branch, a, math.nan, math.exp(s2), states)
+        estimate = max(abs(v2 - v_c), math.sqrt(r2_2) * abs(mu2 - mu_c)) / 15.0
+        block = max(block, estimate)
+
+        while s_node <= s2:
+            if s_node <= s1:
+                t = (s_node - s0) / h
+                mu = _hermite(mu0, mu1, h * f0, h * f1, t)
+                v = _hermite(v0, v1, h * r2_0 * mu0, h * r2_1 * mu1, t)
+            else:
+                t = (s_node - s1) / h
+                mu = _hermite(mu1, mu2, h * f1, h * f2, t)
+                v = _hermite(v1, v2, h * r2_1 * mu1, h * r2_2 * mu2, t)
+            p = r_node * (a + mu)
+            try:
+                w = g_inverse(theta - nm1 * g(p / r_node))
+            except DomainError:
+                raise _failure(branch, a, p / r_node, r_node, states) from None
+            u = 0.5 * a * r_node * r_node + v
+            states.append(RadialState(r=r_node, u=u, p=p, w=w, error=block))
+            block = estimate
+            if k == n_steps:
+                s_node = math.inf
+            else:
+                k = min(k + stride, n_steps)
+                r_node = 1.0 + k * step
+                s_node = math.log(r_node)
+        mu0, v0, f0, r2_0 = mu2, v2, f2, r2_2
     return states
 
 
 def write_trajectory(path, states: Sequence[RadialState]) -> None:
-    """Write recorded nodes as CSV: r,u,du,conservation_residual.
+    """Write recorded nodes as CSV: r,u,du,error_estimate.
 
     Floats are rendered with repr so equal trajectories give byte-equal
     files and `read_trajectory` restores the exact values.
@@ -202,12 +289,12 @@ def write_trajectory(path, states: Sequence[RadialState]) -> None:
         writer.writerow(_TRAJECTORY_HEADER)
         for state in states:
             writer.writerow(
-                [repr(state.r), repr(state.u), repr(state.p), repr(state.conservation)]
+                [repr(state.r), repr(state.u), repr(state.p), repr(state.error)]
             )
 
 
 def read_trajectory(path) -> list[tuple[float, float, float, float]]:
-    """Read a trajectory CSV back as (r, u, du, conservation) tuples.
+    """Read a trajectory CSV back as (r, u, du, error) tuples.
 
     The CSV stores no second-derivative column, so the result is plain
     tuples rather than RadialState records.  ValueError on a malformed

@@ -100,16 +100,6 @@ def test_lemmas_artifact_is_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_lemmas_thread_cap_does_not_change_bytes(tmp_path, capsys, monkeypatch):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    argv = ["lemmas", "--n", "3", "--trials", "3", "--seed", "5"]
-    assert dispatch(argv + ["--out", str(a)]) == 0
-    monkeypatch.setenv("KELVINASYM_THREADS", "4")
-    assert dispatch(argv + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
-    capsys.readouterr()
-
-
 # ── kelvin-check ─────────────────────────────────────────────────────────
 
 
@@ -291,7 +281,7 @@ def test_radial_domain_failure_exits_1_with_partial_csv(tmp_path, capsys):
             "--u1",
             "0.0",
             "--p1",
-            "-0.32",
+            "-0.333",
             "--rmax",
             "20",
             "--step",
@@ -305,6 +295,29 @@ def test_radial_domain_failure_exits_1_with_partial_csv(tmp_path, capsys):
     assert "bound" in err and "r =" in err
     rows = read_trajectory(out)
     assert len(rows) >= 1 and rows[0][0] == 1.0
+
+
+def test_radial_work_cap_exits_2(tmp_path, capsys):
+    out = tmp_path / "huge.csv"
+    argv = [
+        "radial",
+        "--theta",
+        repr(THETA3_FULL),
+        "--u1",
+        "0.5",
+        "--p1",
+        "1.0",
+        "--rmax",
+        "1e9",
+        "--step",
+        "1e-9",
+        "--out",
+        str(out),
+    ]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "rmax=1000000000.0" in err and "step=1e-09" in err and "plans" in err
+    assert not out.exists()
 
 
 def test_radial_csv_deterministic(tmp_path, capsys):
@@ -409,6 +422,19 @@ def test_fit_insufficient_data_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "adequacy" in err
+
+
+def test_fit_non_finite_sample_exits_2(tmp_path, capsys):
+    samples_csv = tmp_path / "nan.csv"
+    rows = [f"{r}.0,0.0,0.0,{r * r / 2}" for r in range(1, 60)]
+    rows[16] = "17.0,0.0,0.0,nan"
+    samples_csv.write_text("x1,x2,x3,u\n" + "\n".join(rows) + "\n")
+    code = dispatch(
+        ["fit", "--samples", str(samples_csv), "--n", "3", "--out", str(tmp_path / "f.json")]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "row 18" in err and "finite" in err
 
 
 def test_fit_missing_input_exits_2(tmp_path, capsys):

@@ -285,6 +285,21 @@ def test_fit_needs_enough_samples():
         fit_expansion(samples, 3, None)
 
 
+def test_fit_rejects_non_finite_samples_by_index():
+    rng = np.random.default_rng(1)
+    samples = sphere_samples(rng, np.linspace(5, 20, 40), 10, lambda x: float(x @ x))
+    for bad in (math.nan, math.inf):
+        broken = list(samples)
+        broken[17] = (broken[17][0], bad)
+        with pytest.raises(ValueError, match="sample 17 is not finite") as info:
+            fit_expansion(broken, 3)
+        assert not isinstance(info.value, InsufficientDataError)
+    broken = list(samples)
+    broken[250] = ((1.0, math.nan, 2.0), 3.0)
+    with pytest.raises(ValueError, match="sample 250 is not finite"):
+        fit_expansion(broken, 3)
+
+
 def test_fit_needs_three_populated_annuli():
     rng = np.random.default_rng(2)
     samples = sphere_samples(rng, np.linspace(5, 20, 30), 4, lambda x: float(x @ x))
@@ -542,6 +557,14 @@ def test_read_samples_rejects_bad_header(tmp_path):
     path2.write_text("x1,x2,u\n1,2\n")
     with pytest.raises(ValueError):
         read_samples(path2)
+
+
+def test_read_samples_rejects_non_finite_rows(tmp_path):
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{bad}.csv"
+        path.write_text(f"x1,x2,u\n1,2,3\n4,5,6\n7,{bad},9\n")
+        with pytest.raises(ValueError, match="row 4 is not finite"):
+            read_samples(path)
 
 
 def test_sample_exterior_is_deterministic():
