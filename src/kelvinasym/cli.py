@@ -27,7 +27,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -63,39 +62,7 @@ from .kelvin import (
 )
 from .radial import integrate_exterior, trajectory_samples, write_trajectory
 
-__all__ = ["RunConfig", "dispatch", "main"]
-
-_COMMANDS = (
-    "lemmas",
-    "kelvin-check",
-    "poisson",
-    "residual-n3",
-    "expand3",
-    "radial",
-    "fit",
-    "residual-scaling",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged execution parameters of one subcommand invocation.
-
-    Precedence when building: command-line flags override --config
-    entries, which override built-in defaults.  `params` holds the
-    remaining per-command numeric and path parameters.
-    """
-
-    command: str
-    seed: int = 0
-    out: str | None = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.command not in _COMMANDS:
-            raise ValueError(f"unknown command {self.command!r}")
-        if not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+__all__ = ["dispatch", "main"]
 
 
 class _UsageError(Exception):
@@ -131,7 +98,10 @@ def _parse_annuli(value) -> list[tuple[float, float]]:
         for item in value:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
                 raise _UsageError(f"annulus entries need two radii, got {item!r}")
-            pairs.append((float(item[0]), float(item[1])))
+            try:
+                pairs.append((float(str(item[0])), float(str(item[1]))))
+            except ValueError as exc:
+                raise _UsageError(f"annulus {item!r} is not numeric: {exc}") from exc
         return pairs
     pairs = []
     for chunk in str(value).split(","):
@@ -152,8 +122,9 @@ def _parse_annuli(value) -> list[tuple[float, float]]:
 
 def _parse_int_list(value) -> tuple[int, ...]:
     if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    parts = [p.strip() for p in str(value).split(",") if p.strip()]
+        parts = [str(v) for v in value]
+    else:
+        parts = [p.strip() for p in str(value).split(",") if p.strip()]
     if not parts:
         raise _UsageError(f"empty integer list: {value!r}")
     try:
@@ -165,8 +136,14 @@ def _parse_int_list(value) -> tuple[int, ...]:
 # ── config merge and path checks ─────────────────────────────────────────
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """flags > --config entries > built-in defaults; unknown keys fail."""
+# config values for these untyped flags may also be JSON arrays, which their
+# parsers read item by item
+_LIST_FLAGS = ("spectrum", "annuli", "exponents")
+
+
+def _merge_config(args: argparse.Namespace, defaults: dict, types: dict) -> dict:
+    """flags > --config entries > built-in defaults; unknown keys fail, and
+    a value must parse with its flag's argparse converter in ``types``."""
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path is not None:
@@ -183,6 +160,16 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
             name = key.replace("-", "_")
             if name not in defaults:
                 raise _UsageError(f"config key {key!r} unknown for this command")
+            convert = types.get(name)
+            if convert is not None:
+                try:
+                    value = convert(str(value))
+                except ValueError:
+                    raise _UsageError(
+                        f"config key {key!r}: {json.dumps(value)} is not a valid {convert.__name__}"
+                    ) from None
+            elif not (isinstance(value, str) or (name in _LIST_FLAGS and isinstance(value, list))):
+                raise _UsageError(f"config key {key!r}: {json.dumps(value)} is not text")
             merged[name] = value
     for name in defaults:
         flag_value = getattr(args, name, None)
@@ -202,6 +189,8 @@ def _check_out(path_text: str) -> Path:
     parent = path.parent if str(path.parent) else Path(".")
     if not parent.is_dir():
         raise _UsageError(f"output directory does not exist: {parent}")
+    if path.is_dir():
+        raise _UsageError(f"output path is a directory: {path}")
     return path
 
 
@@ -233,7 +222,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _finish(report: dict, out: Path, command: str) -> int:
-    _write_json(out, report)
+    try:
+        _write_json(out, report)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot write report to {out}: {exc}") from exc
     if report.get("all_pass", True):
         print(f"{command}: all checks passed; report written to {out}")
         return 0
@@ -925,6 +917,12 @@ _RUNNERS = {
 }
 
 
+def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
+    """The argparse converter of each typed flag of one subcommand."""
+    (commands,) = [a for a in parser._actions if a.dest == "command"]
+    return {a.dest: a.type for a in commands.choices[command]._actions if a.type is not None}
+
+
 def _default_spectrum_text(merged: dict) -> None:
     if merged.get("spectrum") is None:
         merged["spectrum"] = ",".join(["1"] * int(merged["n"]))
@@ -941,21 +939,14 @@ def dispatch(argv: list[str]) -> int:
 
     command = args.command
     try:
-        merged = _merge_config(args, _DEFAULTS[command])
+        merged = _merge_config(args, _DEFAULTS[command], _flag_types(parser, command))
         if command == "kelvin-check":
             _default_spectrum_text(merged)
         _require(merged, *_REQUIRED[command])
-        config = RunConfig(
-            command=command,
-            seed=int(merged["seed"]),
-            out=merged.get("out"),
-            params={k: v for k, v in merged.items() if k not in ("seed", "out")},
-        )
-        return _RUNNERS[command](dict(merged, seed=config.seed))
+        return _RUNNERS[command](merged)
     except _UsageError as exc:
-        sub = command if command in _COMMANDS else None
         print(f"usage error: {exc}", file=sys.stderr)
-        print(f"run `kelvinasym {sub or ''} --help` for the synopsis".strip(), file=sys.stderr)
+        print(f"run `kelvinasym {command} --help` for the synopsis", file=sys.stderr)
         return 2
 
 

@@ -29,8 +29,24 @@ from typing import Sequence, Union
 import numpy as np
 
 from .exactalg import DimensionError, MultiPoly, RadPoly
-from .kelvin import Jet2, KelvinFrame, PhaseBranch, matrices_MNKL, scaling_matrix
-from .symfun import MismatchError, Spectrum, char_sigmas, random_spectrum
+from .kelvin import (
+    Jet2,
+    KelvinFrame,
+    PhaseBranch,
+    identity_parts,
+    jet_indeterminates,
+    matrices_MNKL,
+    scaling_matrix,
+)
+from .symfun import (
+    MismatchError,
+    Spectrum,
+    _alternating,
+    _pencil_sigmas,
+    _sigmas,
+    char_sigmas,
+    random_spectrum,
+)
 
 __all__ = [
     "AlgebraicForm",
@@ -81,51 +97,17 @@ def _require_symmetric(rows) -> None:
                 raise ValueError("floating-point evaluation needs a symmetric matrix")
 
 
-def _sigmas_values(values: Sequence[Scalar]) -> list[Scalar]:
-    """Elementary symmetric functions sigma_0..sigma_n of a value list,
-    exact when every value is rational."""
-    exact = all(_is_exact(v) for v in values)
-    one: Scalar = Fraction(1) if exact else 1.0
-    out = [one]
-    for v in values:
-        v = Fraction(v) if exact else float(v)
-        out = [out[0]] + [out[c] + v * out[c - 1] for c in range(1, len(out))] + [v * out[-1]]
-    return out
-
-
 def _sigmas_matrix(rows, exact: bool) -> list[Scalar]:
     if exact:
         return char_sigmas([[Fraction(v) for v in row] for row in rows])
     eigs = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
-    return _sigmas_values([float(v) for v in eigs])
-
-
-def _alternating(sig: Sequence[Scalar]) -> tuple[Scalar, Scalar]:
-    """(E, O): alternating even and odd sums of a sigma list."""
-    e = 0 * sig[0]
-    o = 0 * sig[0]
-    for k, val in enumerate(sig):
-        sign = -1 if (k // 2) % 2 else 1
-        if k % 2 == 0:
-            e = e + sign * val
-        else:
-            o = o + sign * val
-    return e, o
+    return _sigmas([float(v) for v in eigs], 1.0)
 
 
 def _sigma_bar_values(values, a: float, b: float) -> list[float]:
     """Shifted symmetric functions: coefficients of
     prod((v + a + b) + t (v + a - b)) as a polynomial in t."""
-    out = [1.0]
-    for v in values:
-        plus = float(v) + a + b
-        minus = float(v) + a - b
-        out = (
-            [out[0] * plus]
-            + [out[c] * plus + out[c - 1] * minus for c in range(1, len(out))]
-            + [out[-1] * minus]
-        )
-    return out
+    return _pencil_sigmas([(float(v) + a + b, float(v) + a - b) for v in values], 1.0)
 
 
 def _shifted(rows, shift):
@@ -187,15 +169,15 @@ class AlgebraicForm:
         vals, exact = _spectrum_values(s, exact_wanted=exactable)
         if len(vals) != n:
             raise ValueError("spectrum size must match the form dimension")
+        one: Scalar = Fraction(1) if exact else 1.0
         if kind == "SLAG":
-            e, o = _alternating(_sigmas_values(vals))
+            e, o = _alternating(_sigmas(vals, one))
             coeff = {"E": e, "O": o}
         elif kind == "ATAN2":
             e, o = _alternating(_sigma_bar_values(vals, a, b))
             coeff = {"E": e, "O": o}
         elif kind == "RECIP":
-            one: Scalar = Fraction(1) if exact else 1.0
-            sig = _sigmas_values([v + one for v in vals])
+            sig = _sigmas([v + one for v in vals], one)
             coeff = {"det": sig[n], "subdet": sig[n - 1]}
         else:  # LOG
             coeff = {
@@ -386,27 +368,14 @@ def transformed_residual_exact(
     norm = _exact_norm(yv)
     norm_sq = norm * norm
 
-    ydotg = sum((p * q for p, q in zip(yv, gv)), Fraction(0))
-    hy = [sum((hv[i][j] * yv[j] for j in range(n)), Fraction(0)) for i in range(n)]
-    yhy = sum((yv[i] * hy[i] for i in range(n)), Fraction(0))
-    big_l = n * (n - 2) * val + 4 * n * ydotg + 4 * yhy
-    m = [
-        [
-            -((n - 2) * val + 2 * ydotg) * (1 if i == j else 0)
-            - n * (yv[i] * gv[j] + yv[j] * gv[i])
-            - 2 * (yv[i] * hy[j] + yv[j] * hy[i])
-            + norm_sq * hv[i][j]
-            + big_l * yv[i] * yv[j] / norm_sq
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    K, L = identity_parts(yv, val, gv, hv, norm_sq)
 
     rho = [1 + v * v for v in vals]
     weight = norm**n
     similar = [
         [
-            (vals[i] if i == j else Fraction(0)) + weight * m[i][j] * rho[j]
+            (vals[i] if i == j else Fraction(0))
+            + weight * (K[i][j] + L * yv[i] * yv[j] / norm_sq) * rho[j]
             for j in range(n)
         ]
         for i in range(n)
@@ -439,31 +408,13 @@ def symbolic_residual_n3(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
     vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
     if len(vals) != 3:
         raise DimensionError("need a spectrum of size 3")
-    n = 3
     yvars = [MultiPoly.variable(3, i) for i in range(3)]
     v = RadPoly(3, {0: P, 1: Q})
     grad = [v.partial(i) for i in range(3)]
     hess = [[grad[i].partial(j) for j in range(3)] for i in range(3)]
-
-    ydotg = sum((grad[i] * yvars[i] for i in range(3)), RadPoly.zero(3))
-    hy = [sum((hess[i][j] * yvars[j] for j in range(3)), RadPoly.zero(3)) for i in range(3)]
-    yhy = sum((hy[i] * yvars[i] for i in range(3)), RadPoly.zero(3))
-    big_l = n * (n - 2) * v + 4 * n * ydotg + 4 * yhy
-
-    inv_sq = RadPoly(3, {-2: MultiPoly.const(3, 1)})
-    diag_part = (n - 2) * v + 2 * ydotg
-    m = [[None] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(i, 3):
-            entry = (
-                -n * (grad[j] * yvars[i] + grad[i] * yvars[j])
-                - 2 * (hy[j] * yvars[i] + hy[i] * yvars[j])
-                + hess[i][j].shift(2)
-                + big_l * inv_sq * (yvars[i] * yvars[j])
-            )
-            if i == j:
-                entry = entry - diag_part
-            m[i][j] = m[j][i] = entry
+    K, L = identity_parts(yvars, v, grad, hess, RadPoly(3, {2: MultiPoly.const(3, 1)}))
+    radial = L * RadPoly(3, {-2: MultiPoly.const(3, 1)})
+    m = [[K[i][j] + radial * (yvars[i] * yvars[j]) for j in range(3)] for i in range(3)]
 
     i2 = RadPoly.zero(3)
     for j, k in ((1, 2), (2, 0), (0, 1)):
@@ -495,42 +446,12 @@ def linear_part_defect_n3(s) -> RadPoly:
     if len(vals) != 3:
         raise DimensionError("need a spectrum of size 3")
     n = 3
-    total = 14  # y1..y3, v, g1..g3, h11 h12 h13 h22 h23 h33, w
-
-    yvar = [MultiPoly.variable(total, i) for i in range(3)]
-    vvar = MultiPoly.variable(total, 3)
-    gvar = [MultiPoly.variable(total, 4 + i) for i in range(3)]
-    hslot = {(0, 0): 7, (0, 1): 8, (0, 2): 9, (1, 1): 10, (1, 2): 11, (2, 2): 12}
-
-    def hvar(i, j):
-        return MultiPoly.variable(total, hslot[(min(i, j), max(i, j))])
-
-    wvar = MultiPoly.variable(total, 13)
-
-    ysq = sum((yvar[i] * yvar[i] for i in range(n)), MultiPoly.zero(total))
-    ydotg = sum((yvar[i] * gvar[i] for i in range(n)), MultiPoly.zero(total))
-    hy = [
-        sum((hvar(i, j) * yvar[j] for j in range(n)), MultiPoly.zero(total))
-        for i in range(n)
-    ]
-    yhy = sum((yvar[i] * hy[i] for i in range(n)), MultiPoly.zero(total))
-    big_l = n * (n - 2) * vvar + 4 * n * ydotg + 4 * yhy
-
-    # |y|^2 M_ij, entirely polynomial in the jet indeterminates
-    scaled_m = [
-        [
-            ysq
-            * (
-                -((n - 2) * vvar + 2 * ydotg) * (1 if i == j else 0)
-                - n * (yvar[i] * gvar[j] + yvar[j] * gvar[i])
-                - 2 * (yvar[i] * hy[j] + yvar[j] * hy[i])
-                + ysq * hvar(i, j)
-            )
-            + big_l * (yvar[i] * yvar[j])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    yvar, vvar, gvar, hvar, (wvar,) = jet_indeterminates(n, extra=1)
+    total = wvar.n_vars
+    ysq = sum((c * c for c in yvar), MultiPoly.zero(total))
+    K, L = identity_parts(yvar, vvar, gvar, hvar, ysq)
+    # |y|^2 M = |y|^2 K + L y y^T, entirely polynomial in the jet indeterminates
+    scaled_m = [[K[i][j] * ysq + L * (yvar[i] * yvar[j]) for j in range(n)] for i in range(n)]
 
     rho = [1 + v * v for v in vals]
     pencil = [[wvar * scaled_m[i][j] * rho[j] for j in range(n)] for i in range(n)]
@@ -551,17 +472,13 @@ def linear_part_defect_n3(s) -> RadPoly:
         - pencil[0][1] * (pencil[1][0] * pencil[2][2] - pencil[1][2] * pencil[2][0])
         + pencil[0][2] * (pencil[1][0] * pencil[2][1] - pencil[1][1] * pencil[2][0])
     )
-    e_h = MultiPoly.const(total, 1) - s2
-    o_h = s1 - s3
-
-    sig = _sigmas_values(vals)
-    e_a = sig[0] - sig[2]
-    o_a = sig[1] - sig[3]
+    e_h, o_h = _alternating([MultiPoly.const(total, 1), s1, s2, s3])
+    e_a, o_a = _alternating(_sigmas(vals, Fraction(1)))
     g_form = e_a * o_h - o_a * e_h
 
-    linear = MultiPoly(total, {e: c for e, c in g_form.terms.items() if e[13] == 1})
+    linear = MultiPoly(total, {e: c for e, c in g_form.terms.items() if e[-1] == 1})
     gamma = math.prod(rho, start=Fraction(1))
-    trace_h = hvar(0, 0) + hvar(1, 1) + hvar(2, 2)
+    trace_h = hvar[0][0] + hvar[1][1] + hvar[2][2]
     want = gamma * (ysq * ysq * trace_h * wvar)
     return RadPoly.from_poly(linear - want)
 

@@ -335,7 +335,6 @@ def _annulus_masks(
 def fit_expansion(
     samples,
     n: int,
-    branch=None,
     *,
     num_annuli: int = 6,
     annuli: Sequence[tuple[float, float]] | None = None,
@@ -356,11 +355,9 @@ def fit_expansion(
     place the outermost annulus well beyond the annuli that probe the
     decay: the constant column absorbs the remainder's local mean on the
     fit annulus, which floors the believable remainder at roughly
-    |u - quadratic| there.  The ``branch`` argument is accepted for
-    interface symmetry with the sample generators and does not alter the
-    fit.  ``with_log`` overrides the dimension rule for the logarithmic
-    column (it defaults to ``n == 2``), which lets callers measure how
-    much of the residual that column explains.
+    |u - quadratic| there.  ``with_log`` overrides the dimension rule for
+    the logarithmic column (it defaults to ``n == 2``), which lets callers
+    measure how much of the residual that column explains.
 
     Raises ValueError naming the first sample with a non-finite
     coordinate or value, InsufficientDataError when fewer than four
@@ -488,7 +485,7 @@ def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
     """Read exterior samples from CSV with header ``x1,...,xn,u``.
 
     ValueError on a malformed header, a row of the wrong width, or a
-    non-finite value, naming the file row.
+    non-numeric or non-finite value, naming the file row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -508,7 +505,10 @@ def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
                 continue
             if len(row) != n + 1:
                 raise ValueError(f"{path}: row {line_no} has {len(row)} fields")
-            values = [float(v) for v in row]
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                raise ValueError(f"{path}: row {line_no} is not numeric: {','.join(row)}") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: row {line_no} is not finite: {','.join(row)}")
             samples.append((tuple(values[:n]), values[n]))

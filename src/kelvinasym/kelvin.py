@@ -14,9 +14,10 @@ exact Hessian identity
 
 with M assembled from the second-order jet of v at y alone.  This module
 holds the branch/frame containers, the forward and backward point maps, the
-M/N/K/L matrix assembly, and the finite-difference verification of the
-Hessian identity, plus the symbolic trace identity that pins the linear
-part of the transformed operator.
+one ring-generic builder of the identity's K and L (every float, exact and
+symbolic route assembles M from it), the finite-difference verification
+of the Hessian identity, and the symbolic trace identity that pins the
+linear part of the transformed operator.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ __all__ = [
     "PhaseBranch",
     "ZeroPointError",
     "hessian_identity_check",
+    "identity_parts",
+    "jet_indeterminates",
     "kelvin_map",
     "matrices_MNKL",
     "poly_jet",
@@ -320,6 +323,55 @@ def poly_jet(v: MultiPoly, y: Sequence[float]) -> Jet2:
     )
 
 
+def identity_parts(y, value, grad, hess, ysq):
+    """K and L of the Hessian identity at the 2-jet (value, grad, hess) of
+    v at the ball point y, where ysq is |y|^2:
+
+        L    = n (n-2) v + 4n y.g + 4 y^T h y
+        K_ij = -((n-2) v + 2 y.g) delta_ij - n (y_i g_j + y_j g_i)
+               - 2 (y_i (hy)_j + y_j (hy)_i) + |y|^2 h_ij
+
+    so that M = K + (L / |y|^2) y y^T.  Returns (K, L) with K as nested
+    lists; hess must be symmetric, and K is built for i <= j and mirrored.
+    Only +, -, * and integer scalars are used, and in a product of a jet
+    entry with a coordinate or ysq the jet entry is the left operand, so
+    the same code runs over floats, Fractions, MultiPoly and RadPoly (a
+    RadPoly jet over MultiPoly coordinates, with ysq a RadPoly)."""
+    n = len(y)
+    zero = 0 * value
+    ydotg = sum((grad[i] * y[i] for i in range(n)), zero)
+    hy = [sum((hess[i][j] * y[j] for j in range(n)), zero) for i in range(n)]
+    yhy = sum((hy[i] * y[i] for i in range(n)), zero)
+    L = n * (n - 2) * value + 4 * n * ydotg + 4 * yhy
+    diag = (n - 2) * value + 2 * ydotg
+    K = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            K[i][j] = K[j][i] = (
+                hess[i][j] * ysq
+                - n * (grad[j] * y[i] + grad[i] * y[j])
+                - 2 * (hy[j] * y[i] + hy[i] * y[j])
+            )
+        K[i][i] = K[i][i] - diag
+    return K, L
+
+
+def jet_indeterminates(n: int, extra: int = 0):
+    """Polynomial indeterminates (y, v, g, h, extras) for a 2-jet in n
+    variables.  The variable space is y_1..y_n, v, g_1..g_n, the Hessian
+    entries h_11, h_12, .., h_nn upper-triangular row-major, then ``extra``
+    further variables; h comes back as a symmetric n x n nested list."""
+    total = 2 * n + 1 + n * (n + 1) // 2 + extra
+    var = [MultiPoly.variable(total, k) for k in range(total)]
+    h = [[None] * n for _ in range(n)]
+    slot = 2 * n + 1
+    for i in range(n):
+        for j in range(i, n):
+            h[i][j] = h[j][i] = var[slot]
+            slot += 1
+    return var[:n], var[n], var[n + 1 : 2 * n + 1], h, var[slot:]
+
+
 def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
     """The matrices of the Hessian identity at one jet:
 
@@ -333,20 +385,9 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
     if jet.n != n:
         raise ValueError(f"jet dimension {jet.n} does not match frame dimension {n}")
     y = jet.y
-    grad = jet.grad
-    hess = jet.hess
     norm_sq = float(np.dot(y, y))
-    ydotg = float(np.dot(y, grad))
-    hy = hess @ y
-    yhy = float(np.dot(y, hy))
-
-    L = n * (n - 2) * jet.value + 4 * n * ydotg + 4 * yhy
-    K = (
-        -((n - 2) * jet.value + 2 * ydotg) * np.eye(n)
-        - n * (np.outer(y, grad) + np.outer(grad, y))
-        - 2 * (np.outer(y, hy) + np.outer(hy, y))
-        + norm_sq * hess
-    )
+    K, L = identity_parts(y, jet.value, jet.grad, jet.hess, norm_sq)
+    K = np.asarray(K)
     M = K + (L / norm_sq) * np.outer(y, y)
     r = np.asarray(frame.R)
     N = np.outer(r, r) * M
@@ -431,8 +472,7 @@ def hessian_identity_check(
 def trace_identity_defect(n: int) -> RadPoly:
     """trace(M) - |y|^2 lap(v), with the jet entries as indeterminates.
 
-    The variable space is (y_1..y_n, v, g_1..g_n, h_11, h_12, .., h_nn)
-    with the Hessian entries taken upper-triangular row-major.  The only
+    The variable space is that of `jet_indeterminates(n)`.  The only
     inverse power in trace(M) is the (L / |y|^2) y y^T part, whose trace is
     exactly L, so the defect is an ordinary polynomial; it is returned as a
     radical polynomial, which is identically zero precisely when the trace
@@ -440,39 +480,9 @@ def trace_identity_defect(n: int) -> RadPoly:
     """
     if n < 2:
         raise ValueError("the trace identity needs n >= 2")
-    total = 2 * n + 1 + n * (n + 1) // 2
-
-    def yvar(i: int) -> MultiPoly:
-        return MultiPoly.variable(total, i)
-
-    def gvar(i: int) -> MultiPoly:
-        return MultiPoly.variable(total, n + 1 + i)
-
-    def hvar(i: int, j: int) -> MultiPoly:
-        if j < i:
-            i, j = j, i
-        offset = 2 * n + 1 + i * n - i * (i - 1) // 2 + (j - i)
-        return MultiPoly.variable(total, offset)
-
-    vvar = MultiPoly.variable(total, n)
-    ysq = sum((yvar(i) * yvar(i) for i in range(n)), MultiPoly.zero(total))
-    ydotg = sum((yvar(i) * gvar(i) for i in range(n)), MultiPoly.zero(total))
-    hy = [
-        sum((hvar(i, j) * yvar(j) for j in range(n)), MultiPoly.zero(total))
-        for i in range(n)
-    ]
-    yhy = sum((yvar(i) * hy[i] for i in range(n)), MultiPoly.zero(total))
-    trace_h = sum((hvar(i, i) for i in range(n)), MultiPoly.zero(total))
-
-    L = n * (n - 2) * vvar + 4 * n * ydotg + 4 * yhy
-    trace_m = L  # the rank-one radial part contributes exactly L to the trace
-    for i in range(n):
-        k_ii = (
-            -((n - 2) * vvar + 2 * ydotg)
-            - 2 * n * (yvar(i) * gvar(i))
-            - 4 * (yvar(i) * hy[i])
-            + ysq * hvar(i, i)
-        )
-        trace_m = trace_m + k_ii
-    defect = trace_m - ysq * trace_h
-    return RadPoly.from_poly(defect)
+    y, v, g, h, _ = jet_indeterminates(n)
+    zero = MultiPoly.zero(v.n_vars)
+    ysq = sum((c * c for c in y), zero)
+    K, L = identity_parts(y, v, g, h, ysq)
+    trace_m = sum((K[i][i] for i in range(n)), L)
+    return RadPoly.from_poly(trace_m - ysq * sum((h[i][i] for i in range(n)), zero))

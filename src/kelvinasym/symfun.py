@@ -2,8 +2,10 @@
 two-sided-shifted variants, and exact verification of the determinant
 identities behind the linearized transform.
 
-Everything here is Fraction arithmetic; floats are rejected on input so a
-verification can never silently lose exactness.
+Every public function here is Fraction arithmetic; floats are rejected on
+input so a verification can never silently lose exactness.  The private
+sigma kernels are ring-generic and are shared with the residual forms of
+the equations module.
 
 Identity ids
 ------------
@@ -164,12 +166,43 @@ def _symmetric_matrix(mat: MatrixLike, n: int) -> list[list[Fraction]]:
 # ── the symmetric-function kernels ───────────────────────────────────────
 
 
-def sigma_all(s: SpectrumLike) -> list[Fraction]:
-    """All elementary symmetric functions sigma_0 .. sigma_n."""
-    out = [Fraction(1)]
-    for v in _values(s):
+def _sigmas(values, one) -> list:
+    """sigma_0 .. sigma_n of a value list: the coefficients of
+    prod (1 + t v) in powers of t, in the ring whose unit is ``one``."""
+    out = [one]
+    for v in values:
         out = [out[0]] + [out[c] + v * out[c - 1] for c in range(1, len(out))] + [v * out[-1]]
     return out
+
+
+def _pencil_sigmas(pairs, one) -> list:
+    """Coefficients of prod (plus + t minus) in powers of t, over the
+    (plus, minus) pairs, in the ring whose unit is ``one``."""
+    out = [one]
+    for plus, minus in pairs:
+        out = (
+            [out[0] * plus]
+            + [out[c] * plus + out[c - 1] * minus for c in range(1, len(out))]
+            + [out[-1] * minus]
+        )
+    return out
+
+
+def _alternating(sig) -> tuple:
+    """(E, O): E = sum (-1)^j sig_2j and O = sum (-1)^j sig_{2j+1}."""
+    e = 0 * sig[0]
+    o = 0 * sig[0]
+    for k, val in enumerate(sig):
+        if k % 2 == 0:
+            e = e - val if (k // 2) % 2 else e + val
+        else:
+            o = o - val if (k // 2) % 2 else o + val
+    return e, o
+
+
+def sigma_all(s: SpectrumLike) -> list[Fraction]:
+    """All elementary symmetric functions sigma_0 .. sigma_n."""
+    return _sigmas(_values(s), Fraction(1))
 
 
 def sigma(k: int, s: SpectrumLike) -> Fraction:
@@ -193,16 +226,8 @@ def sigma_bar_all(s: SpectrumLike, params: BranchParams) -> list[Fraction]:
     prod_j ((lambda_j + a + b) + t (lambda_j + a - b)) in powers of t."""
     plus_shift = params.a + params.b
     minus_shift = params.a - params.b
-    out = [Fraction(1)]
-    for v in _values(s):
-        plus = v + plus_shift
-        minus = v + minus_shift
-        out = (
-            [out[0] * plus]
-            + [out[c] * plus + out[c - 1] * minus for c in range(1, len(out))]
-            + [out[-1] * minus]
-        )
-    return out
+    pairs = [(v + plus_shift, v + minus_shift) for v in _values(s)]
+    return _pencil_sigmas(pairs, Fraction(1))
 
 
 def sigma_bar(k: int, s: SpectrumLike, params: BranchParams) -> Fraction:
@@ -216,29 +241,13 @@ def sigma_bar(k: int, s: SpectrumLike, params: BranchParams) -> Fraction:
 def alternating_sums(s: SpectrumLike) -> tuple[Fraction, Fraction]:
     """(E, O) with E = sum (-1)^j sigma_2j, O = sum (-1)^j sigma_{2j+1};
     these are the real and imaginary parts of prod (1 + i lambda_j)."""
-    e = Fraction(0)
-    o = Fraction(0)
-    for k, val in enumerate(sigma_all(s)):
-        sign = -1 if (k // 2) % 2 else 1
-        if k % 2 == 0:
-            e += sign * val
-        else:
-            o += sign * val
-    return e, o
+    return _alternating(sigma_all(s))
 
 
 def alternating_sums_bar(s: SpectrumLike, params: BranchParams) -> tuple[Fraction, Fraction]:
     """Shifted alternating sums: real and imaginary parts of
     prod ((lambda_j + a + b) + i (lambda_j + a - b))."""
-    e = Fraction(0)
-    o = Fraction(0)
-    for k, val in enumerate(sigma_bar_all(s, params)):
-        sign = -1 if (k // 2) % 2 else 1
-        if k % 2 == 0:
-            e += sign * val
-        else:
-            o += sign * val
-    return e, o
+    return _alternating(sigma_bar_all(s, params))
 
 
 # ── sigma_k of an exact matrix ───────────────────────────────────────────

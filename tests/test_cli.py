@@ -6,13 +6,19 @@ through the library readers to close the loop."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from kelvinasym import cli
 from kelvinasym.cli import dispatch
+from kelvinasym.exactalg import RadPoly
 from kelvinasym.expand import read_fit, read_samples
 from kelvinasym.radial import read_trajectory
 
@@ -476,6 +482,112 @@ def test_config_unknown_key_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_data, shown",
+    [({"seed": "x"}, '"x"'), ({"trials": None}, "null"), ({"trials": 2.5}, "2.5")],
+)
+def test_config_bad_value_exits_2_naming_key_and_value(tmp_path, capsys, config_data, shown):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_data))
+    out = tmp_path / "r.json"
+    code = dispatch(["residual-n3", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    (key,) = config_data
+    assert f"config key {key!r}: {shown} is not a valid int" in err
+    assert not out.exists()
+
+
+def test_config_path_value_must_be_text(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 3, "trials": 1, "out": 5}))
+    assert dispatch(["lemmas", "--config", str(config)]) == 2
+    assert "config key 'out': 5 is not text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config_data",
+    [{"exponents": ["x", 4]}, {"exponents": [3.7, 5.2]}, {"annuli": [[1, "x"], [2, 3]]}],
+)
+def test_config_bad_list_item_exits_2(tmp_path, capsys, config_data):
+    command = "fit" if "annuli" in config_data else "residual-scaling"
+    samples = tmp_path / "s.csv"
+    samples.write_text("x1,x2,x3,u\n1,0,0,0.5\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_data))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "r.json")]
+    if command == "fit":
+        argv += ["--samples", str(samples), "--n", "3"]
+    assert dispatch(argv) == 2
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_directory_out_exits_2_before_running(tmp_path, capsys):
+    radial = ["radial", "--theta", str(THETA3_FULL), "--u1", "0.5", "--p1", "1.1", "--rmax", "3"]
+    for argv in (["lemmas", "--n", "2", "--trials", "1"], radial):
+        assert dispatch(argv + ["--out", str(tmp_path)]) == 2
+        assert "output path is a directory" in capsys.readouterr().err
+
+
+def test_unwritable_report_path_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "nul\x00byte.json")
+    assert dispatch(["lemmas", "--n", "2", "--trials", "1", "--out", out]) == 2
+    assert "cannot write report" in capsys.readouterr().err
+
+
+_FUZZ_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-3, 3).map(str),
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+def _fuzz_config(required: tuple[str, ...], optional: tuple[str, ...]):
+    """Config objects that always set the keys in ``required``, maybe other
+    flags, maybe junk keys."""
+    known = st.fixed_dictionaries(
+        {key: _FUZZ_VALUES for key in required},
+        optional={key: _FUZZ_VALUES for key in optional},
+    )
+    junk = st.dictionaries(st.text(max_size=5), _FUZZ_VALUES, max_size=2)
+    return st.tuples(known, junk).map(lambda pair: {**pair[1], **pair[0]})
+
+
+def _dispatch_in_scratch_dir(argv: list[str], config_data: dict) -> int:
+    """dispatch with the config written to, and relative paths resolved in,
+    a fresh directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with open("config.json", "w", encoding="utf-8") as fh:
+                json.dump(config_data, fh)
+            return dispatch(argv + ["--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+
+
+# lemmas always gets n and trials from the config: the default of 50 trials
+# would make each example slow
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_config(("n", "trials"), ("seed", "out", "config", "tau")))
+def test_fuzzed_config_lemmas_exits_cleanly(config_data):
+    assert _dispatch_in_scratch_dir(["lemmas"], config_data) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_config(("seed",), ("trials", "out", "n")))
+def test_fuzzed_config_residual_n3_exits_cleanly(config_data):
+    # the symbolic check itself is replaced by a cheap stand-in: the
+    # config boundary is under test, and each real trial takes ~0.5 s
+    with mock.patch.object(cli, "linear_part_defect_n3", lambda s: RadPoly.zero(3)):
+        assert _dispatch_in_scratch_dir(["residual-n3"], config_data) in (0, 1, 2)
 
 
 # ── module entry point ───────────────────────────────────────────────────

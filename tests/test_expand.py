@@ -1,11 +1,14 @@
 """Tests for the correction recursion, asymptotic fitting, and recovery."""
 
 import math
+import os
 import random
+import tempfile
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.equations import symbolic_residual_n3
@@ -254,7 +257,7 @@ def test_fit_pure_quadratic_is_exact():
     samples = sphere_samples(
         rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x)
     )
-    fit = fit_expansion(samples, 3, None)
+    fit = fit_expansion(samples, 3)
     assert np.abs(fit.A - np.eye(3)).max() < 1e-8
     assert np.abs(fit.b).max() < 1e-8
     assert abs(fit.c) < 1e-8
@@ -271,7 +274,7 @@ def test_fit_recovers_inverse_radius_decay():
         rng, radii, 20, lambda x: 0.5 * float(x @ x) + 1.0 / np.linalg.norm(x)
     )
     annuli = [(10, 17), (17, 29), (29, 50), (50, 85), (85, 105), (1500, 2000)]
-    fit = fit_expansion(samples, 3, None, annuli=annuli)
+    fit = fit_expansion(samples, 3, annuli=annuli)
     assert np.abs(fit.A - np.eye(3)).max() < 1e-6
     assert np.abs(fit.b).max() < 1e-6
     assert abs(fit.decay_slope + 1.0) < 0.05
@@ -282,7 +285,7 @@ def test_fit_needs_enough_samples():
     rng = np.random.default_rng(1)
     samples = sphere_samples(rng, [5.0, 9.0, 14.0], 3, lambda x: float(x @ x))
     with pytest.raises(InsufficientDataError):
-        fit_expansion(samples, 3, None)
+        fit_expansion(samples, 3)
 
 
 def test_fit_rejects_non_finite_samples_by_index():
@@ -304,14 +307,14 @@ def test_fit_needs_three_populated_annuli():
     rng = np.random.default_rng(2)
     samples = sphere_samples(rng, np.linspace(5, 20, 30), 4, lambda x: float(x @ x))
     with pytest.raises(InsufficientDataError):
-        fit_expansion(samples, 3, None, annuli=[(5, 10), (10, 21)])
+        fit_expansion(samples, 3, annuli=[(5, 10), (10, 21)])
 
 
 def test_fit_rejects_single_radius():
     rng = np.random.default_rng(4)
     samples = sphere_samples(rng, [10.0] * 15, 4, lambda x: float(x @ x))
     with pytest.raises(InsufficientDataError):
-        fit_expansion(samples, 3, None)
+        fit_expansion(samples, 3)
 
 
 def test_fit_conditioning_guard():
@@ -319,7 +322,7 @@ def test_fit_conditioning_guard():
     for r in np.geomspace(5, 50, 60):
         samples.append(((float(r), 0.0, 0.0), float(0.5 * r * r)))
     with pytest.raises(ConditioningError):
-        fit_expansion(samples, 3, None)
+        fit_expansion(samples, 3)
 
 
 def test_fit_two_dimensional_log_recovery():
@@ -341,7 +344,7 @@ def test_fit_two_dimensional_log_recovery():
     radii = list(np.geomspace(10, 100, 25)) + list(np.geomspace(1500, 2000, 8))
     samples = sphere_samples(rng, radii, 30, field, n=2)
     annuli = [(10, 18), (18, 32), (32, 56), (56, 105), (1500, 2000)]
-    fit = fit_expansion(samples, 2, None, annuli=annuli)
+    fit = fit_expansion(samples, 2, annuli=annuli)
     assert np.abs(fit.A - A).max() < 1e-5
     assert abs(fit.d - d) < 1e-4
     assert abs(fit.c - c) < 1e-3
@@ -358,8 +361,8 @@ def test_fit_log_basis_reduces_outer_rms():
 
     rng = np.random.default_rng(13)
     samples = sphere_samples(rng, np.geomspace(20, 200, 30), 25, field, n=2)
-    with_log = fit_expansion(samples, 2, None)
-    without_log = fit_expansion(samples, 2, None, with_log=False)
+    with_log = fit_expansion(samples, 2)
+    without_log = fit_expansion(samples, 2, with_log=False)
     pts = np.asarray([x for x, _ in samples])
     vals = np.asarray([u for _, u in samples])
     radii = np.linalg.norm(pts, axis=1)
@@ -565,6 +568,46 @@ def test_read_samples_rejects_non_finite_rows(tmp_path):
         path.write_text(f"x1,x2,u\n1,2,3\n4,5,6\n7,{bad},9\n")
         with pytest.raises(ValueError, match="row 4 is not finite"):
             read_samples(path)
+
+
+def test_read_samples_names_non_numeric_rows(tmp_path):
+    path = tmp_path / "abc.csv"
+    path.write_text("x1,x2,u\n1,2,3\n\n4,abc,6\n")
+    with pytest.raises(ValueError, match="row 4 is not numeric: 4,abc,6"):
+        read_samples(path)
+
+
+_CSV_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "abc", "1e400", " 2 ", '"3"', "x1", "u", "1_0"]),
+    st.text(max_size=4),
+)
+_CSV_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.lists(_CSV_CELLS, max_size=4), max_size=5).map(
+        lambda rows: "\n".join(",".join(row) for row in rows)
+    ),
+    st.tuples(
+        st.sampled_from(["x1,u", "x1,x2,u", "x1,x2,x3,u", "u", "x2,x1,u"]),
+        st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=4), max_size=5),
+    ).map(lambda hr: hr[0] + "\n" + "\n".join(",".join(row) for row in hr[1])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CSV_TEXT)
+def test_read_samples_fuzzed_text_raises_only_value_error(text):
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "samples.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            samples = read_samples(path)
+        except ValueError:
+            return
+    assert samples and all(
+        math.isfinite(v) and all(map(math.isfinite, x)) for x, v in samples
+    )
 
 
 def test_sample_exterior_is_deterministic():
