@@ -5,20 +5,28 @@ pipelines:
 
   lemmas            exact identity sweeps over seeded random spectra
   kelvin-check      finite-difference audit of the transformed Hessian
-  poisson           exact radical Poisson solves with residual audit
+  poisson           exact radical Poisson solves, each re-verified by
+                    the solver's own residual check
   residual-n3       three-variable linear-factorization audit
   expand3           correction recursion through a requested order
   radial            exterior trajectory integration to CSV
   fit               quadratic(+log) expansion fit of scattered samples
   residual-scaling  decay order of the non-linear residual part
 
+Each flag is declared once, as a row of ``_COMMANDS`` (or one of the
+shared rows --seed, --config, --out): its argparse type, its default or
+that it is required, and its help text, which shows the default.  The
+parser and the --config merge both read that table.
+
 Conventions shared by every subcommand: all randomness flows from
 --seed (default 0), so identical argv produce byte-identical artifacts;
-an optional --config JSON supplies values that flags override; exact
-numeric inputs accept rationals written as "p/q"; reports are UTF-8
-JSON with sorted keys; exit code 0 means success, 1 means a
+an optional --config JSON object supplies values that flags override,
+keyed by flag name with "-" or "_" and parsed as the flag would parse
+them; exact numeric inputs accept rationals written as "p/q"; reports
+are UTF-8 JSON with sorted keys; exit code 0 means success, 1 means a
 verification check failed (the report names the first violated check
-and its inputs), 2 means a usage error (synopsis goes to stderr).
+and its inputs), 2 means a usage error, including an output file that
+cannot be written (synopsis goes to stderr).
 """
 
 from __future__ import annotations
@@ -33,12 +41,7 @@ from random import Random
 
 from . import symfun
 from ._branches import DomainError
-from .exactalg import (
-    MultiPoly,
-    RadPoly,
-    SolveError,
-    solve_radical_poisson,
-)
+from .exactalg import MultiPoly, SolveError, _monomials, solve_radical_poisson
 from .equations import (
     linear_part_defect_n3,
     residual_scaling_slopes,
@@ -73,10 +76,6 @@ class _UsageError(Exception):
 
 
 def _parse_fraction(text) -> Fraction:
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -141,11 +140,13 @@ def _parse_int_list(value) -> tuple[int, ...]:
 _LIST_FLAGS = ("spectrum", "annuli", "exponents")
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict, types: dict) -> dict:
-    """flags > --config entries > built-in defaults; unknown keys fail, and
-    a value must parse with its flag's argparse converter in ``types``."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
+def _merge_config(args: argparse.Namespace, rows) -> dict:
+    """flags > --config entries > the table defaults in ``rows``; unknown
+    keys fail, a value must parse with its flag's argparse converter, and
+    every flag whose default is ``_NO_DEFAULT`` must end up set."""
+    merged = {name: default for name, _, default, _ in rows}
+    types = {name: convert for name, convert, _, _ in rows}
+    config_path = args.config
     if config_path is not None:
         path = Path(config_path)
         if not path.is_file():
@@ -158,9 +159,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict, types: dict) -> dict
             raise _UsageError("config must be a JSON object of flag values")
         for key, value in data.items():
             name = key.replace("-", "_")
-            if name not in defaults:
+            if name not in merged:
                 raise _UsageError(f"config key {key!r} unknown for this command")
-            convert = types.get(name)
+            convert = types[name]
             if convert is not None:
                 try:
                     value = convert(str(value))
@@ -171,17 +172,13 @@ def _merge_config(args: argparse.Namespace, defaults: dict, types: dict) -> dict
             elif not (isinstance(value, str) or (name in _LIST_FLAGS and isinstance(value, list))):
                 raise _UsageError(f"config key {key!r}: {json.dumps(value)} is not text")
             merged[name] = value
-    for name in defaults:
-        flag_value = getattr(args, name, None)
+    for name, value in merged.items():
+        flag_value = getattr(args, name)
         if flag_value is not None:
-            merged[name] = flag_value
-    return merged
-
-
-def _require(merged: dict, *names: str) -> None:
-    for name in names:
-        if merged.get(name) is None:
+            merged[name] = value = flag_value
+        if value is _NO_DEFAULT:
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
+    return merged
 
 
 def _check_out(path_text: str) -> Path:
@@ -221,11 +218,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(text + "\n", encoding="utf-8")
 
 
-def _finish(report: dict, out: Path, command: str) -> int:
+def _write(what: str, path: Path, writer, payload) -> None:
+    """``writer(path, payload)``, with a failed write turned into a usage error."""
     try:
-        _write_json(out, report)
+        writer(path, payload)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot write report to {out}: {exc}") from exc
+        raise _UsageError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def _finish(report: dict, out: Path, command: str) -> int:
+    _write("report", out, _write_json, report)
     if report.get("all_pass", True):
         print(f"{command}: all checks passed; report written to {out}")
         return 0
@@ -253,7 +255,8 @@ def _run_lemmas(merged: dict) -> int:
     out = _check_out(merged["out"])
 
     rng = Random(seed)
-    inputs = []
+    counts: dict[str, dict[str, int]] = {}
+    first_failure = None
     for trial in range(trials):
         spectrum = symfun.random_spectrum(rng, n)
         matrix = symfun.random_symmetric_matrix(rng, n)
@@ -261,56 +264,27 @@ def _run_lemmas(merged: dict) -> int:
         pairs_nonzero = [
             symfun.random_branch_params(rng, nonzero_b=True) for _ in range(5)
         ]
-        inputs.append((trial, spectrum, matrix, pairs, pairs_nonzero))
-
-    def run_one(item):
-        trial, spectrum, matrix, pairs, pairs_nonzero = item
-        reports = []
-        for k in range(1, n + 1):
-            rep = symfun.verify_linear_coefficient(k, spectrum, matrix)
-            reports.append((rep, {"trial": trial, "k": k, "spectrum": spectrum}))
+        checks = [
+            (symfun.verify_linear_coefficient(k, spectrum, matrix), {"k": k})
+            for k in range(1, n + 1)
+        ]
         if n >= 3:
-            for i in range(1, n + 1):
-                rep = symfun.verify_identity("L32", spectrum, i=i)
-                reports.append((rep, {"trial": trial, "i": i, "spectrum": spectrum}))
-        for params in pairs:
-            for k in range(0, n + 1):
-                rep = symfun.verify_identity("L33", spectrum, p=params, k=k)
-                reports.append(
-                    (
-                        rep,
-                        {
-                            "trial": trial,
-                            "k": k,
-                            "a": params.a,
-                            "b": params.b,
-                            "spectrum": spectrum,
-                        },
-                    )
-                )
+            checks += [
+                (symfun.verify_identity("L32", spectrum, i=i), {"i": i})
+                for i in range(1, n + 1)
+            ]
+        checks += [
+            (symfun.verify_identity("L33", spectrum, p=p, k=k), {"k": k, "a": p.a, "b": p.b})
+            for p in pairs
+            for k in range(0, n + 1)
+        ]
         if n >= 3:
-            for params in pairs_nonzero:
-                for i in range(1, n + 1):
-                    rep = symfun.verify_identity("L34", spectrum, p=params, i=i)
-                    reports.append(
-                        (
-                            rep,
-                            {
-                                "trial": trial,
-                                "i": i,
-                                "a": params.a,
-                                "b": params.b,
-                                "spectrum": spectrum,
-                            },
-                        )
-                    )
-        return reports
-
-    per_trial = [run_one(item) for item in inputs]
-    counts: dict[str, dict[str, int]] = {}
-    first_failure = None
-    for reports in per_trial:
-        for rep, detail in reports:
+            checks += [
+                (symfun.verify_identity("L34", spectrum, p=p, i=i), {"i": i, "a": p.a, "b": p.b})
+                for p in pairs_nonzero
+                for i in range(1, n + 1)
+            ]
+        for rep, detail in checks:
             bucket = counts.setdefault(rep.lemma, {"checks": 0, "failures": 0})
             bucket["checks"] += 1
             if not rep.equal:
@@ -318,7 +292,7 @@ def _run_lemmas(merged: dict) -> int:
                 if first_failure is None:
                     first_failure = {
                         "check": rep.lemma,
-                        "inputs": dict(detail),
+                        "inputs": {"trial": trial, **detail, "spectrum": spectrum},
                         "lhs": rep.lhs,
                         "rhs": rep.rhs,
                     }
@@ -372,7 +346,10 @@ def _run_kelvin_check(merged: dict) -> int:
     tolerance = float(merged["tolerance"])
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
-    spectrum = tuple(float(v) for v in _parse_fraction_list(merged["spectrum"]))
+    spectrum_text = merged["spectrum"]
+    if spectrum_text is None:
+        spectrum_text = ",".join(["1"] * n)
+    spectrum = tuple(float(v) for v in _parse_fraction_list(spectrum_text))
     if len(spectrum) != n:
         raise _UsageError(
             f"--spectrum has {len(spectrum)} entries but --n is {n}"
@@ -430,16 +407,8 @@ def _run_kelvin_check(merged: dict) -> int:
 
 
 def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
-    def monomials(nv, total):
-        if nv == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in monomials(nv - 1, total - head):
-                yield (head,) + rest
-
     terms = {}
-    for exponent in monomials(n, degree):
+    for exponent in sorted(_monomials(n, degree)):
         if rng.random() < 0.5:
             continue
         terms[exponent] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
@@ -463,44 +432,33 @@ def _run_poisson(merged: dict) -> int:
     out = _check_out(merged["out"])
 
     rng = Random(seed)
-    inputs = []
+    first_failure = None
     for degree in range(0, max_degree + 1):
         for trial in range(trials):
-            inputs.append((degree, trial, _random_homogeneous(rng, n, degree)))
-
-    def run_one(item):
-        degree, trial, h = item
-        try:
-            solution = solve_radical_poisson(h, n)
-        except SolveError as exc:
-            return (degree, trial, h, False, f"solver: {exc}")
-        lhs = RadPoly(n, {n - 2: solution.base}).laplacian()
-        residual = lhs - RadPoly(n, {n - 4: h})
-        return (degree, trial, h, residual.is_zero, "residual not zero")
-
-    results = [run_one(item) for item in inputs]
-    first_failure = None
-    checks = 0
-    for degree, trial, h, ok, note in results:
-        checks += 1
-        if not ok and first_failure is None:
-            first_failure = {
-                "check": f"radical Poisson residual (degree {degree})",
-                "inputs": {
-                    "degree": degree,
-                    "trial": trial,
-                    "n": n,
-                    "h": h,
-                    "note": note,
-                },
-            }
+            h = _random_homogeneous(rng, n, degree)
+            # the solver re-verifies its solution in radical-polynomial form
+            # and raises SolveError when the residual is not zero
+            try:
+                solve_radical_poisson(h, n)
+            except SolveError as exc:
+                if first_failure is None:
+                    first_failure = {
+                        "check": f"radical Poisson residual (degree {degree})",
+                        "inputs": {
+                            "degree": degree,
+                            "trial": trial,
+                            "n": n,
+                            "h": h,
+                            "note": f"solver: {exc}",
+                        },
+                    }
     report = {
         "command": "poisson",
         "n": n,
         "max_degree": max_degree,
         "trials_per_degree": trials,
         "seed": seed,
-        "checks_run": checks,
+        "checks_run": (max_degree + 1) * trials,
         "all_pass": first_failure is None,
         "first_failure": first_failure,
     }
@@ -646,7 +604,7 @@ def _run_radial(merged: dict) -> int:
     except DomainError as exc:
         partial = exc.trajectory or []
         if partial:
-            write_trajectory(out, partial)
+            _write("partial trajectory", out, write_trajectory, partial)
         print(
             f"radial: FAILED, {exc} "
             f"({len(partial)} nodes written to {out})",
@@ -656,7 +614,7 @@ def _run_radial(merged: dict) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    write_trajectory(out, states)
+    _write("trajectory", out, write_trajectory, states)
     if samples_path is not None:
         samples = trajectory_samples(
             states,
@@ -666,7 +624,7 @@ def _run_radial(merged: dict) -> int:
             r_min=None if sample_rmin is None else float(sample_rmin),
             r_max=None if sample_rmax is None else float(sample_rmax),
         )
-        write_samples(samples_path, samples)
+        _write("samples", samples_path, write_samples, samples)
     max_error = max(s.error for s in states)
     print(
         f"radial: {len(states)} nodes to r = {states[-1].r:g}, "
@@ -711,7 +669,7 @@ def _run_fit(merged: dict) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
-    write_fit(out, fit)
+    _write("fit", out, write_fit, fit)
     print(
         f"fit: decay slope {fit.decay_slope:.4f} "
         f"(stderr {fit.decay_slope_stderr:.4f}); fit written to {out}"
@@ -757,152 +715,97 @@ def _run_residual_scaling(merged: dict) -> int:
     return _finish(report, out, "residual-scaling")
 
 
-# ── parser assembly and dispatch ─────────────────────────────────────────
+# ── flag tables, parser assembly and dispatch ────────────────────────────
 
+# Each flag is one row (name, argparse type or None for text, default, help).
+# The name is the config key and, with "_" written as "-", the flag.  A row
+# whose default is _NO_DEFAULT is a flag that must be given.
+_NO_DEFAULT = object()
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None, help="random seed (default 0)")
-    sub.add_argument("--config", default=None, help="JSON file of flag values (flags override)")
-    sub.add_argument("--out", default=None, help="output artifact path")
+_SEED = ("seed", int, 0, "random seed")
+_CONFIG = ("config", None, None, "JSON file of flag values (flags override)")
+_OUT = ("out", None, _NO_DEFAULT, "output artifact path")
+_BRANCH = ("branch", None, "slag", "slag, recip, atan2, or log")
+_TAU = ("tau", float, None, "slope parameter for atan2/log")
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="kelvinasym",
-        description="Exact-identity sweeps and exterior-solution experiments.",
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("lemmas", help="exact identity sweeps over random spectra")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, default=None, help="spectrum size (at least 2)")
-    sub.add_argument("--trials", type=int, default=None, help="random spectra per identity")
-
-    sub = commands.add_parser("kelvin-check", help="finite-difference Hessian identity audit")
-    _add_common(sub)
-    sub.add_argument("--branch", default=None, help="slag, recip, atan2, or log")
-    sub.add_argument("--tau", type=float, default=None, help="slope parameter for atan2/log")
-    sub.add_argument("--theta", type=float, default=None, help="phase value of the branch")
-    sub.add_argument("--n", type=int, default=None, help="dimension")
-    sub.add_argument("--spectrum", default=None, help="comma-separated eigenvalues")
-    sub.add_argument("--samples", type=int, default=None, help="sample points")
-    sub.add_argument("--fd-step", type=float, default=None, help="finite-difference step")
-    sub.add_argument("--tolerance", type=float, default=None, help="max relative deviation")
-
-    sub = commands.add_parser("poisson", help="exact radical Poisson solves with audit")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, default=None, help="number of variables (at least 3)")
-    sub.add_argument("--degree", type=int, default=None, help="largest right-hand degree")
-    sub.add_argument("--trials", type=int, default=None, help="random solves per degree")
-
-    sub = commands.add_parser("residual-n3", help="three-variable linear factorization audit")
-    _add_common(sub)
-    sub.add_argument("--trials", type=int, default=None, help="random spectra")
-
-    sub = commands.add_parser("expand3", help="correction recursion through an order")
-    _add_common(sub)
-    sub.add_argument("--order", type=int, default=None, help="final expansion order")
-    sub.add_argument("--p0", default=None, help="leading profile constant, rational p/q")
-    sub.add_argument("--spectrum", default=None, help="three comma-separated rationals")
-
-    sub = commands.add_parser("radial", help="integrate an exterior radial trajectory")
-    _add_common(sub)
-    sub.add_argument("--branch", default=None, help="slag, recip, atan2, or log")
-    sub.add_argument("--tau", type=float, default=None, help="slope parameter for atan2/log")
-    sub.add_argument("--n", type=int, default=None, help="dimension")
-    sub.add_argument("--theta", type=float, default=None, help="phase value")
-    sub.add_argument("--u1", type=float, default=None, help="value at r = 1")
-    sub.add_argument("--p1", type=float, default=None, help="slope at r = 1")
-    sub.add_argument("--rmax", type=float, default=None, help="final radius")
-    sub.add_argument("--step", type=float, default=None, help="integration step")
-    sub.add_argument("--stride", type=int, default=None, help="output every k-th node")
-    sub.add_argument("--samples-out", default=None, help="also scatter samples to this CSV")
-    sub.add_argument("--per-radius", type=int, default=None, help="sample directions per node")
-    sub.add_argument("--sample-rmin", type=float, default=None, help="sample window lower radius")
-    sub.add_argument("--sample-rmax", type=float, default=None, help="sample window upper radius")
-
-    sub = commands.add_parser("fit", help="fit the asymptotic expansion to samples")
-    _add_common(sub)
-    sub.add_argument("--samples", default=None, help="input samples CSV")
-    sub.add_argument("--n", type=int, default=None, help="dimension of the samples")
-    sub.add_argument("--annuli", default=None, help="explicit annuli lo:hi,lo:hi,...")
-    sub.add_argument("--num-annuli", type=int, default=None, help="geometric annuli count")
-    sub.add_argument("--with-log", default=None, help="auto, on, or off")
-
-    sub = commands.add_parser("residual-scaling", help="decay order of the residual tail")
-    _add_common(sub)
-    sub.add_argument("--n", type=int, default=None, help="dimension (at least 3)")
-    sub.add_argument("--exponents", default=None, help="comma-separated dyadic exponents")
-
-    return parser
-
-
-_DEFAULTS = {
-    "lemmas": {"seed": 0, "out": None, "n": None, "trials": 50},
-    "kelvin-check": {
-        "seed": 0,
-        "out": None,
-        "branch": "slag",
-        "tau": None,
-        "theta": 3 * math.pi / 4,
-        "n": 3,
-        "spectrum": None,
-        "samples": 100,
-        "fd_step": 1e-4,
-        "tolerance": 1e-5,
-    },
-    "poisson": {"seed": 0, "out": None, "n": 3, "degree": 6, "trials": 20},
-    "residual-n3": {"seed": 0, "out": None, "trials": 20},
-    "expand3": {
-        "seed": 0,
-        "out": None,
-        "order": 5,
-        "p0": "1",
-        "spectrum": "1,1,1",
-    },
-    "radial": {
-        "seed": 0,
-        "out": None,
-        "branch": "slag",
-        "tau": None,
-        "n": 3,
-        "theta": None,
-        "u1": None,
-        "p1": None,
-        "rmax": None,
-        "step": 1e-3,
-        "stride": 1,
-        "samples_out": None,
-        "per_radius": 6,
-        "sample_rmin": None,
-        "sample_rmax": None,
-    },
-    "fit": {
-        "seed": 0,
-        "out": None,
-        "samples": None,
-        "n": None,
-        "annuli": None,
-        "num_annuli": 6,
-        "with_log": "auto",
-    },
-    "residual-scaling": {
-        "seed": 0,
-        "out": None,
-        "n": 3,
-        "exponents": "3,4,5,6,7,8,9,10",
-    },
-}
-
-_REQUIRED = {
-    "lemmas": ("n", "out"),
-    "kelvin-check": ("out",),
-    "poisson": ("out",),
-    "residual-n3": ("out",),
-    "expand3": ("out",),
-    "radial": ("theta", "u1", "p1", "rmax", "out"),
-    "fit": ("samples", "n", "out"),
-    "residual-scaling": ("out",),
+# subcommand -> (summary, its own flags); every subcommand also takes
+# --seed, --config and --out
+_COMMANDS = {
+    "lemmas": (
+        "exact identity sweeps over random spectra",
+        (
+            ("n", int, _NO_DEFAULT, "spectrum size (at least 2)"),
+            ("trials", int, 50, "random spectra per identity"),
+        ),
+    ),
+    "kelvin-check": (
+        "finite-difference Hessian identity audit",
+        (
+            _BRANCH,
+            _TAU,
+            ("theta", float, 3 * math.pi / 4, "phase value of the branch"),
+            ("n", int, 3, "dimension"),
+            ("spectrum", None, None, "comma-separated eigenvalues (default all ones)"),
+            ("samples", int, 100, "sample points"),
+            ("fd_step", float, 1e-4, "finite-difference step"),
+            ("tolerance", float, 1e-5, "max relative deviation"),
+        ),
+    ),
+    "poisson": (
+        "exact radical Poisson solves with audit",
+        (
+            ("n", int, 3, "number of variables (at least 3)"),
+            ("degree", int, 6, "largest right-hand degree"),
+            ("trials", int, 20, "random solves per degree"),
+        ),
+    ),
+    "residual-n3": (
+        "three-variable linear factorization audit",
+        (("trials", int, 20, "random spectra"),),
+    ),
+    "expand3": (
+        "correction recursion through an order",
+        (
+            ("order", int, 5, "final expansion order"),
+            ("p0", None, "1", "leading profile constant, rational p/q"),
+            ("spectrum", None, "1,1,1", "three comma-separated rationals"),
+        ),
+    ),
+    "radial": (
+        "integrate an exterior radial trajectory",
+        (
+            _BRANCH,
+            _TAU,
+            ("n", int, 3, "dimension"),
+            ("theta", float, _NO_DEFAULT, "phase value"),
+            ("u1", float, _NO_DEFAULT, "value at r = 1"),
+            ("p1", float, _NO_DEFAULT, "slope at r = 1"),
+            ("rmax", float, _NO_DEFAULT, "final radius"),
+            ("step", float, 1e-3, "integration step"),
+            ("stride", int, 1, "output every k-th node"),
+            ("samples_out", None, None, "also scatter samples to this CSV"),
+            ("per_radius", int, 6, "sample directions per node"),
+            ("sample_rmin", float, None, "sample window lower radius"),
+            ("sample_rmax", float, None, "sample window upper radius"),
+        ),
+    ),
+    "fit": (
+        "fit the asymptotic expansion to samples",
+        (
+            ("samples", None, _NO_DEFAULT, "input samples CSV"),
+            ("n", int, _NO_DEFAULT, "dimension of the samples"),
+            ("annuli", None, None, "explicit annuli lo:hi,lo:hi,..."),
+            ("num_annuli", int, 6, "geometric annuli count"),
+            ("with_log", None, "auto", "auto, on, or off"),
+        ),
+    ),
+    "residual-scaling": (
+        "decay order of the residual tail",
+        (
+            ("n", int, 3, "dimension (at least 3)"),
+            ("exponents", None, "3,4,5,6,7,8,9,10", "comma-separated dyadic exponents"),
+        ),
+    ),
 }
 
 _RUNNERS = {
@@ -917,32 +820,36 @@ _RUNNERS = {
 }
 
 
-def _flag_types(parser: argparse.ArgumentParser, command: str) -> dict:
-    """The argparse converter of each typed flag of one subcommand."""
-    (commands,) = [a for a in parser._actions if a.dest == "command"]
-    return {a.dest: a.type for a in commands.choices[command]._actions if a.type is not None}
-
-
-def _default_spectrum_text(merged: dict) -> None:
-    if merged.get("spectrum") is None:
-        merged["spectrum"] = ",".join(["1"] * int(merged["n"]))
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="kelvinasym",
+        description="Exact-identity sweeps and exterior-solution experiments.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, rows) in _COMMANDS.items():
+        sub = commands.add_parser(command, help=summary)
+        # argparse keeps None as every default, so that _merge_config can
+        # tell a flag that was given from one that was not
+        for name, convert, default, text in (_SEED, _CONFIG, _OUT, *rows):
+            if default is _NO_DEFAULT:
+                text += " (required)"
+            elif default is not None:
+                text += f" (default {default})"
+            sub.add_argument("--" + name.replace("_", "-"), type=convert, help=text)
+    return parser
 
 
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code (0, 1, or 2)."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return 2 if code is None else int(code)
 
     command = args.command
     try:
-        merged = _merge_config(args, _DEFAULTS[command], _flag_types(parser, command))
-        if command == "kelvin-check":
-            _default_spectrum_text(merged)
-        _require(merged, *_REQUIRED[command])
+        merged = _merge_config(args, (*_COMMANDS[command][1], _SEED, _OUT))
         return _RUNNERS[command](merged)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -51,6 +51,13 @@ def _as_fraction(value: Scalar | Fraction) -> Fraction:
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
 
+def _json_int(value) -> int:
+    """An integer read from a JSON record; bools, floats and text are refused."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _check_same_dims(a: "MultiPoly | RadPoly", b: "MultiPoly | RadPoly") -> None:
     if a.n_vars != b.n_vars:
         raise DimensionError(f"operands have {a.n_vars} and {b.n_vars} variables")
@@ -272,12 +279,17 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "MultiPoly":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             n_vars = int(data["n_vars"])
-            terms = {tuple(t["exp"]): Fraction(t["coef"]) for t in data["terms"]}
-        except (KeyError, TypeError) as exc:
+            terms = {}
+            for t in data["terms"]:
+                # integrality is checked here, not in __init__, which every
+                # product passes through
+                terms[tuple(_json_int(e) for e in t["exp"])] = Fraction(t["coef"])
+            return cls(n_vars, terms)
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
-        return cls(n_vars, terms)
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -335,7 +347,6 @@ class RadPoly:
                 raise DimensionError(f"slot polynomial has {p.n_vars} variables, expected {n_vars}")
             if not p.is_zero:
                 by_parity[k & 1].append((int(k), p))
-        r2 = MultiPoly.r_squared(n_vars)
         normal: dict[int, MultiPoly] = {}
         for items in by_parity.values():
             if not items:
@@ -343,7 +354,9 @@ class RadPoly:
             k_min = min(k for k, _ in items)
             merged = MultiPoly.zero(n_vars)
             for k, p in items:
-                merged = merged + p * r2 ** ((k - k_min) // 2)
+                if k != k_min:
+                    p = p * MultiPoly.r_squared(n_vars) ** ((k - k_min) // 2)
+                merged = merged + p
             if merged.is_zero:
                 continue
             while True:
@@ -490,12 +503,13 @@ class RadPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RadPoly":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             n_vars = int(data["n_vars"])
-            slots = {int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
-        except (KeyError, TypeError) as exc:
+            slots = {_json_int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
+            return cls(n_vars, slots)
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed radical polynomial record: {exc}") from exc
-        return cls(n_vars, slots)
 
     def __repr__(self) -> str:
         if self.is_zero:

@@ -224,6 +224,7 @@ class ExpansionFit:
 
     @classmethod
     def from_json(cls, data) -> "ExpansionFit":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             return cls(
                 A=np.asarray(data["A"], dtype=float),
@@ -234,7 +235,7 @@ class ExpansionFit:
                 decay_slope_stderr=float(data["decay_slope_stderr"]),
                 annuli=tuple((float(lo), float(hi)) for lo, hi in data.get("annuli", ())),
             )
-        except (KeyError, TypeError) as exc:
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed fit record: {exc}") from exc
 
 

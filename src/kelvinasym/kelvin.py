@@ -146,13 +146,14 @@ class PhaseBranch:
 
     @classmethod
     def from_json(cls, data) -> "PhaseBranch":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             kind = str(data["kind"]).upper()
             theta = float(data["theta"])
-        except (KeyError, TypeError) as exc:
+            tau = data.get("tau")
+            return cls.make(kind, theta, None if tau is None else float(tau))
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed branch record: {exc}") from exc
-        tau = data.get("tau")
-        return cls.make(kind, theta, None if tau is None else float(tau))
 
 
 def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
@@ -221,17 +222,16 @@ class KelvinFrame:
 
     @classmethod
     def from_json(cls, data) -> "KelvinFrame":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             branch = PhaseBranch.from_json(data["branch"])
             lambdas = [float(v) for v in data["lambda"]]
-        except (KeyError, TypeError) as exc:
+            n = int(data.get("n", len(lambdas)))
+            if n != len(lambdas):
+                raise ValueError(f"record claims n={n} but lists {len(lambdas)} eigenvalues")
+            return cls(branch, lambdas, data.get("b"), float(data.get("c", 0.0)))
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed frame record: {exc}") from exc
-        n = int(data.get("n", len(lambdas)))
-        if n != len(lambdas):
-            raise ValueError(f"frame record claims n={n} but lists {len(lambdas)} eigenvalues")
-        linear = data.get("b")
-        constant = float(data.get("c", 0.0))
-        return cls(branch, lambdas, linear, constant)
 
 
 def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "forward") -> np.ndarray:

@@ -102,10 +102,11 @@ class Spectrum:
 
     @classmethod
     def from_json(cls, data) -> "Spectrum":
+        """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             values = [Fraction(v) for v in data["lambda"]]
             n = int(data["n"])
-        except (KeyError, TypeError) as exc:
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed spectrum record: {exc}") from exc
         if n != len(values):
             raise ValueError(f"spectrum record claims n={n} but lists {len(values)} values")

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import cli
 from kelvinasym.cli import dispatch
-from kelvinasym.exactalg import RadPoly
+from kelvinasym.exactalg import RadPoly, SolveError
 from kelvinasym.expand import read_fit, read_samples
 from kelvinasym.radial import read_trajectory
 
@@ -142,6 +142,22 @@ def test_poisson_counts_and_passes(tmp_path, capsys):
     assert report["checks_run"] == 10  # degrees 0..4, 2 trials each
     assert report["all_pass"] is True
     capsys.readouterr()
+
+
+def test_poisson_reports_a_solver_failure(tmp_path, capsys):
+    def failing_solve(h, n):
+        raise SolveError("exact solve failed verification")
+
+    out = tmp_path / "p.json"
+    argv = ["poisson", "--n", "3", "--degree", "1", "--trials", "1", "--out", str(out)]
+    with mock.patch.object(cli, "solve_radical_poisson", failing_solve):
+        assert dispatch(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False and report["checks_run"] == 2
+    failure = report["first_failure"]
+    assert failure["check"] == "radical Poisson residual (degree 0)"
+    assert failure["inputs"]["note"].startswith("solver:")
+    assert "FAILED at radical Poisson residual (degree 0)" in capsys.readouterr().err
 
 
 def test_residual_n3_passes(tmp_path, capsys):
@@ -509,10 +525,19 @@ def test_config_path_value_must_be_text(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "config_data",
-    [{"exponents": ["x", 4]}, {"exponents": [3.7, 5.2]}, {"annuli": [[1, "x"], [2, 3]]}],
+    [
+        {"exponents": ["x", 4]},
+        {"exponents": [3.7, 5.2]},
+        {"annuli": [[1, "x"], [2, 3]]},
+        {"spectrum": [True, 1, 1], "n": 3},
+    ],
 )
 def test_config_bad_list_item_exits_2(tmp_path, capsys, config_data):
-    command = "fit" if "annuli" in config_data else "residual-scaling"
+    command = (
+        "fit"
+        if "annuli" in config_data
+        else "kelvin-check" if "spectrum" in config_data else "residual-scaling"
+    )
     samples = tmp_path / "s.csv"
     samples.write_text("x1,x2,x3,u\n1,0,0,0.5\n")
     config = tmp_path / "config.json"
@@ -535,6 +560,22 @@ def test_unwritable_report_path_exits_2(tmp_path, capsys):
     out = str(tmp_path / "nul\x00byte.json")
     assert dispatch(["lemmas", "--n", "2", "--trials", "1", "--out", out]) == 2
     assert "cannot write report" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("radial", "--out"), ("radial", "--samples-out"), ("fit", "--out")])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
+    bad = str(tmp_path / "nul\x00byte")
+    traj, samples = str(tmp_path / "traj.csv"), str(tmp_path / "samples.csv")
+    radial = ["radial", "--theta", repr(THETA3_FULL), "--u1", "0.5", "--p1", "1.0", "--rmax", "60"]
+    radial += ["--stride", "500", "--per-radius", "8", "--sample-rmin", "5"]
+    radial += ["--out", traj, "--samples-out", samples]
+    if command == "fit":
+        assert dispatch(radial) == 0
+        argv = ["fit", "--samples", samples, "--n", "3", "--num-annuli", "4", "--out", bad]
+    else:
+        argv = radial + [flag, bad]  # the later flag wins
+    assert dispatch(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 _FUZZ_VALUES = st.one_of(

@@ -5,10 +5,12 @@ oracle."""
 import json
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kelvinasym import exactalg
 from kelvinasym.exactalg import (
     DimensionError,
     HomoPoly,
@@ -443,6 +445,21 @@ def test_poisson_input_validation():
     with pytest.raises(ValueError):
         solve_radical_poisson(mixed, 3)
     assert solve_radical_poisson(MultiPoly.zero(3), 3).base.is_zero
+
+
+def test_poisson_verification_rejects_a_wrong_solution():
+    # the CLI's poisson audit relies on this re-check of every solution
+    exact_lu_solve = exactalg._lu_solve
+
+    def perturbed(lu, perm, rhs):
+        x = exact_lu_solve(lu, perm, rhs)
+        x[0] += fr(1, 7)
+        return x
+
+    h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + MultiPoly.r_squared(3)
+    with mock.patch.object(exactalg, "_lu_solve", perturbed):
+        with pytest.raises(SolveError, match="exact solve failed verification"):
+            solve_radical_poisson(h, 3)
 
 
 # ── harmonic decomposition ───────────────────────────────────────────────
