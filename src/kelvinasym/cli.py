@@ -41,7 +41,7 @@ from random import Random
 
 from . import symfun
 from ._branches import DomainError
-from .exactalg import MultiPoly, SolveError, _monomials, solve_radical_poisson
+from .exactalg import MultiPoly, SolveError, _monomials, parse_rational, solve_radical_poisson
 from .equations import (
     linear_part_defect_n3,
     residual_scaling_slopes,
@@ -77,9 +77,9 @@ class _UsageError(Exception):
 
 def _parse_fraction(text) -> Fraction:
     try:
-        return Fraction(str(text).strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _UsageError(f"not a rational number: {text!r} ({exc})") from exc
+        return parse_rational(str(text).strip())
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _parse_fraction_list(text) -> tuple[Fraction, ...]:
@@ -265,8 +265,8 @@ def _run_lemmas(merged: dict) -> int:
             symfun.random_branch_params(rng, nonzero_b=True) for _ in range(5)
         ]
         checks = [
-            (symfun.verify_linear_coefficient(k, spectrum, matrix), {"k": k})
-            for k in range(1, n + 1)
+            (rep, {"k": k})
+            for k, rep in enumerate(symfun.verify_linear_coefficient(spectrum, matrix), start=1)
         ]
         if n >= 3:
             checks += [

@@ -42,6 +42,7 @@ from .symfun import (
     MismatchError,
     Spectrum,
     _alternating,
+    _Dual,
     _pencil_sigmas,
     _sigmas,
     char_sigmas,
@@ -99,7 +100,7 @@ def _require_symmetric(rows) -> None:
 
 def _sigmas_matrix(rows, exact: bool) -> list[Scalar]:
     if exact:
-        return char_sigmas([[Fraction(v) for v in row] for row in rows])
+        return char_sigmas([[Fraction(v) for v in row] for row in rows], Fraction(1))
     eigs = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
     return _sigmas([float(v) for v in eigs], 1.0)
 
@@ -436,50 +437,34 @@ def linear_part_defect_n3(s) -> RadPoly:
     """The flat-phase linear-part identity in three variables, symbolically.
 
     With jet indeterminates (y, v, g, h) and the radial weight treated as a
-    formal expansion variable w, the w-linear coefficient of the theta-free
-    form along H = A + w (|y|^2 M) R^2 must equal gamma |y|^4 trace(h) w,
-    gamma = prod(1 + lambda_i^2).  Returns the difference over the extended
-    variable space (y1..y3, v, g1..g3, h11..h33 upper-triangular, w); it is
-    identically zero precisely when the linear part of the residual factors
-    as gamma |y|^(n+2) lap(v)."""
+    formal first-order variable w (a dual number, w^2 = 0), the w-linear
+    coefficient of the theta-free form along H = A + w (|y|^2 M) R^2 must
+    equal gamma |y|^4 trace(h), gamma = prod(1 + lambda_i^2).  Returns the
+    difference over the 13 jet variables (y1..y3, v, g1..g3, h11..h33
+    upper-triangular); it is identically zero precisely when the linear
+    part of the residual factors as gamma |y|^(n+2) lap(v)."""
     vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
     if len(vals) != 3:
         raise DimensionError("need a spectrum of size 3")
     n = 3
-    yvar, vvar, gvar, hvar, (wvar,) = jet_indeterminates(n, extra=1)
-    total = wvar.n_vars
-    ysq = sum((c * c for c in yvar), MultiPoly.zero(total))
+    yvar, vvar, gvar, hvar = jet_indeterminates(n)
+    zero = MultiPoly.zero(yvar[0].n_vars)
+    ysq = sum((c * c for c in yvar), zero)
     K, L = identity_parts(yvar, vvar, gvar, hvar, ysq)
     # |y|^2 M = |y|^2 K + L y y^T, entirely polynomial in the jet indeterminates
     scaled_m = [[K[i][j] * ysq + L * (yvar[i] * yvar[j]) for j in range(n)] for i in range(n)]
 
     rho = [1 + v * v for v in vals]
-    pencil = [[wvar * scaled_m[i][j] * rho[j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        pencil[i][i] = pencil[i][i] + MultiPoly.const(total, vals[i])
-
-    s1 = pencil[0][0] + pencil[1][1] + pencil[2][2]
-    s2 = (
-        pencil[0][0] * pencil[1][1]
-        - pencil[0][1] * pencil[1][0]
-        + pencil[0][0] * pencil[2][2]
-        - pencil[0][2] * pencil[2][0]
-        + pencil[1][1] * pencil[2][2]
-        - pencil[1][2] * pencil[2][1]
-    )
-    s3 = (
-        pencil[0][0] * (pencil[1][1] * pencil[2][2] - pencil[1][2] * pencil[2][1])
-        - pencil[0][1] * (pencil[1][0] * pencil[2][2] - pencil[1][2] * pencil[2][0])
-        + pencil[0][2] * (pencil[1][0] * pencil[2][1] - pencil[1][1] * pencil[2][0])
-    )
-    e_h, o_h = _alternating([MultiPoly.const(total, 1), s1, s2, s3])
+    # entries lambda_i delta_ij + w (|y|^2 M)_ij rho_j: a rational constant part
+    pencil = [
+        [_Dual(vals[i] if i == j else 0, scaled_m[i][j] * rho[j]) for j in range(n)] for i in range(n)
+    ]
+    e_h, o_h = _alternating(char_sigmas(pencil, _Dual(Fraction(1), zero)))
     e_a, o_a = _alternating(_sigmas(vals, Fraction(1)))
-    g_form = e_a * o_h - o_a * e_h
-
-    linear = MultiPoly(total, {e: c for e, c in g_form.terms.items() if e[-1] == 1})
+    linear = (e_a * o_h - o_a * e_h).b
     gamma = math.prod(rho, start=Fraction(1))
     trace_h = hvar[0][0] + hvar[1][1] + hvar[2][2]
-    want = gamma * (ysq * ysq * trace_h * wvar)
+    want = gamma * (ysq * ysq * trace_h)
     return RadPoly.from_poly(linear - want)
 
 

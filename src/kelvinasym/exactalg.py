@@ -43,10 +43,43 @@ class SolveError(ArithmeticError):
     exist."""
 
 
+# Rational text with more digits, or a larger decimal exponent, is refused:
+# Fraction expands the exponent, so "1e300000" alone builds a 300001-digit
+# integer.  Every float's repr and every coefficient the library writes fit.
+_MAX_RATIONAL_DIGITS = 4000
+_MAX_DECIMAL_EXPONENT = 1000
+
+
+def parse_rational(value) -> Fraction:
+    """A rational from a finite JSON number or from text such as "3/2",
+    "-0.25" or "1e-3" with at most 4000 digits and a decimal exponent of at
+    most 1000 in size; otherwise ValueError naming the value."""
+    if isinstance(value, float) and math.isfinite(value):
+        return Fraction(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not a rational number: {value!r}")
+    text = str(value).strip()
+    mantissa, _, exponent = text.lower().replace("_", "").partition("e")
+    size = exponent.lstrip("+-")
+    if sum(map(str.isdecimal, mantissa)) > _MAX_RATIONAL_DIGITS or (
+        size.isdecimal() and (len(size.lstrip("0")) > 4 or int(size) > _MAX_DECIMAL_EXPONENT)
+    ):
+        raise ValueError(
+            f"rational {text[:40]!r} is too large: more than {_MAX_RATIONAL_DIGITS} digits"
+            f" or a decimal exponent beyond +-{_MAX_DECIMAL_EXPONENT}"
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational number: {text[:40]!r} ({exc})") from None
+
+
 def _as_fraction(value: Scalar | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
 
@@ -286,7 +319,7 @@ class MultiPoly:
             for t in data["terms"]:
                 # integrality is checked here, not in __init__, which every
                 # product passes through
-                terms[tuple(_json_int(e) for e in t["exp"])] = Fraction(t["coef"])
+                terms[tuple(_json_int(e) for e in t["exp"])] = parse_rational(t["coef"])
             return cls(n_vars, terms)
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
@@ -313,13 +346,6 @@ class HomoPoly:
     def __post_init__(self) -> None:
         if not self.base.is_homogeneous(self.degree):
             raise ValueError(f"polynomial is not homogeneous of degree {self.degree}")
-
-
-def poly_laplacian(p: MultiPoly, n_vars: int) -> MultiPoly:
-    """Laplacian of a polynomial in ``n_vars`` variables."""
-    if p.n_vars != n_vars:
-        raise DimensionError(f"polynomial has {p.n_vars} variables, expected {n_vars}")
-    return p.laplacian()
 
 
 # ── radical polynomials ──────────────────────────────────────────────────
@@ -503,10 +529,17 @@ class RadPoly:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RadPoly":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
+        """Inverse of ``to_json``; ValueError names a malformed record.
+        Merging two same-parity slots k apart multiplies by (|y|^2)^(k/2),
+        so k is capped at 40 and that factor at 300 terms (k <= 4 in 13
+        variables); ``to_json`` writes one slot per parity."""
         try:
             n_vars = int(data["n_vars"])
             slots = {_json_int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
+            for ks in ([k for k in slots if k % 2 == 0], [k for k in slots if k % 2]):
+                half = (max(ks) - min(ks)) // 2 if ks else 0
+                if half and (half > 20 or math.comb(half + n_vars - 1, half) > 300):
+                    raise ValueError(f"slots {min(ks)} and {max(ks)} are too far apart to merge")
             return cls(n_vars, slots)
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed radical polynomial record: {exc}") from exc
@@ -515,15 +548,6 @@ class RadPoly:
         if self.is_zero:
             return "0"
         return " + ".join(f"|y|^{k}*({p!r})" for k, p in sorted(self._slots.items()))
-
-
-def radpoly_laplacian(e: RadPoly, n: int) -> RadPoly:
-    """Laplacian of a radical polynomial in ``n >= 2`` ambient variables."""
-    if n < 2:
-        raise DimensionError("the radical Laplacian needs n >= 2")
-    if e.n_vars != n:
-        raise DimensionError(f"radical polynomial lives in {e.n_vars} variables, expected {n}")
-    return e.laplacian()
 
 
 # ── the radial-weight Poisson equation ───────────────────────────────────
@@ -626,7 +650,7 @@ def solve_radical_poisson(h: HomoPoly | MultiPoly, n: int) -> HomoPoly:
     Raises DimensionError when n <= 2 or the variable counts disagree, and
     ValueError for an inhomogeneous right-hand side.  Before returning, the
     solution is re-verified in radical-polynomial form:
-    ``radpoly_laplacian(|y|^(n-2) u) - |y|^(n-4) h`` must be identically zero.
+    ``lap(|y|^(n-2) u) - |y|^(n-4) h`` must be identically zero.
     """
     p = h.base if isinstance(h, HomoPoly) else h
     if n < 3:
@@ -655,7 +679,7 @@ def solve_radical_poisson(h: HomoPoly | MultiPoly, n: int) -> HomoPoly:
                 u_terms[e] = c
     u = MultiPoly(n, u_terms)
 
-    residual = radpoly_laplacian(RadPoly(n, {n - 2: u}), n) - RadPoly(n, {n - 4: p})
+    residual = RadPoly(n, {n - 2: u}).laplacian() - RadPoly(n, {n - 4: p})
     if not residual.is_zero:
         raise SolveError("exact solve failed verification")
     return HomoPoly(u, m)

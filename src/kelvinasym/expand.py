@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -529,26 +529,3 @@ def read_fit(path) -> ExpansionFit:
     """Read a fit record from JSON."""
     with open(path) as fh:
         return ExpansionFit.from_json(json.load(fh))
-
-
-def sample_exterior(
-    frame: KelvinFrame,
-    v: Callable[[np.ndarray], float],
-    radii: Iterable[float],
-    per_radius: int,
-    seed: int = 0,
-) -> list[tuple[tuple[float, ...], float]]:
-    """Synthesize exterior samples of the solution carried by ``frame`` and
-    ball-side profile ``v``: for each radius, ``per_radius`` points drawn
-    uniformly on the sphere of that radius."""
-    from .kelvin import u_from_v
-
-    rng = np.random.default_rng(seed)
-    out = []
-    for r in radii:
-        for _ in range(per_radius):
-            direction = rng.normal(size=frame.n)
-            direction /= np.linalg.norm(direction)
-            x = r * direction
-            out.append((tuple(float(c) for c in x), float(u_from_v(frame, v, x))))
-    return out

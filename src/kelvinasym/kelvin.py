@@ -197,13 +197,16 @@ class KelvinFrame:
         self.n = len(lambdas)
         self.spectrum = lambdas
         self.branch = branch
-        self.R = scaling_matrix(branch, lambdas)
         if linear is None:
             linear = [0.0] * self.n
         self.linear = tuple(float(v) for v in linear)
         if len(self.linear) != self.n:
             raise ValueError("linear coefficient must have length n")
         self.constant = float(constant)
+        for v in (*lambdas, *self.linear, self.constant):
+            if not math.isfinite(v):
+                raise ValueError(f"frame value {v} is not finite (eigenvalues, b and c must be)")
+        self.R = scaling_matrix(branch, lambdas)
 
     def __repr__(self) -> str:
         return (
@@ -356,12 +359,12 @@ def identity_parts(y, value, grad, hess, ysq):
     return K, L
 
 
-def jet_indeterminates(n: int, extra: int = 0):
-    """Polynomial indeterminates (y, v, g, h, extras) for a 2-jet in n
-    variables.  The variable space is y_1..y_n, v, g_1..g_n, the Hessian
-    entries h_11, h_12, .., h_nn upper-triangular row-major, then ``extra``
-    further variables; h comes back as a symmetric n x n nested list."""
-    total = 2 * n + 1 + n * (n + 1) // 2 + extra
+def jet_indeterminates(n: int):
+    """Polynomial indeterminates (y, v, g, h) for a 2-jet in n variables.
+    The variable space is y_1..y_n, v, g_1..g_n, then the Hessian entries
+    h_11, h_12, .., h_nn upper-triangular row-major; h comes back as a
+    symmetric n x n nested list."""
+    total = 2 * n + 1 + n * (n + 1) // 2
     var = [MultiPoly.variable(total, k) for k in range(total)]
     h = [[None] * n for _ in range(n)]
     slot = 2 * n + 1
@@ -369,7 +372,7 @@ def jet_indeterminates(n: int, extra: int = 0):
         for j in range(i, n):
             h[i][j] = h[j][i] = var[slot]
             slot += 1
-    return var[:n], var[n], var[n + 1 : 2 * n + 1], h, var[slot:]
+    return var[:n], var[n], var[n + 1 : 2 * n + 1], h
 
 
 def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
@@ -480,7 +483,7 @@ def trace_identity_defect(n: int) -> RadPoly:
     """
     if n < 2:
         raise ValueError("the trace identity needs n >= 2")
-    y, v, g, h, _ = jet_indeterminates(n)
+    y, v, g, h = jet_indeterminates(n)
     zero = MultiPoly.zero(v.n_vars)
     ysq = sum((c * c for c in y), zero)
     K, L = identity_parts(y, v, g, h, ysq)

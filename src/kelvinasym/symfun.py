@@ -3,17 +3,19 @@ two-sided-shifted variants, and exact verification of the determinant
 identities behind the linearized transform.
 
 Every public function here is Fraction arithmetic; floats are rejected on
-input so a verification can never silently lose exactness.  The private
-sigma kernels are ring-generic and are shared with the residual forms of
-the equations module.
+input so a verification can never silently lose exactness.  The sigma
+kernels (`char_sigmas` and the private value-list ones) are ring-generic
+and are shared with the residual forms of the equations module.
 
 Identity ids
 ------------
 The short ids used throughout the tool chain (reports, command line):
 
 L31  the t-coefficient of sigma_k(diag(lambda) + t B) equals
-     sum_i sigma_{k-1}(spectrum with i removed) * B_ii; checked by
-     `linear_coefficient_sigma` / `verify_linear_coefficient`.
+     sum_i sigma_{k-1}(spectrum with i removed) * B_ii; checked for every k
+     by `verify_linear_coefficient`, whose left side is one `char_sigmas`
+     pass over dual numbers a + t b (t^2 = 0), and per k by
+     `linear_coefficient_sigma`.
 L32  with E = sum_j (-1)^j sigma_{2j} and O = sum_j (-1)^j sigma_{2j+1},
      and hatted sums taken over the spectrum with index i removed:
      E*E_i + O*O_i = prod_{j != i} (1 + lambda_j^2).
@@ -36,6 +38,8 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence, Union
 
+from .exactalg import parse_rational
+
 
 class ArityError(ValueError):
     """A verification was called with missing or unusable arguments."""
@@ -51,7 +55,7 @@ ExactScalar = Union[int, str, Fraction]
 def _exact(value: ExactScalar) -> Fraction:
     if isinstance(value, float):
         raise TypeError("exact routines take rationals, not floats")
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 class Spectrum:
@@ -104,7 +108,7 @@ class Spectrum:
     def from_json(cls, data) -> "Spectrum":
         """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
-            values = [Fraction(v) for v in data["lambda"]]
+            values = [parse_rational(v) for v in data["lambda"]]
             n = int(data["n"])
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed spectrum record: {exc}") from exc
@@ -251,110 +255,113 @@ def alternating_sums_bar(s: SpectrumLike, params: BranchParams) -> tuple[Fractio
     return _alternating(sigma_bar_all(s, params))
 
 
-# ── sigma_k of an exact matrix ───────────────────────────────────────────
+# ── sigma_k of a matrix over any ring ────────────────────────────────────
 
 
-def char_sigmas(mat: Sequence[Sequence[Fraction]]) -> list[Fraction]:
-    """sigma_0 .. sigma_n of a square matrix over exact rationals, via the
-    Faddeev-LeVerrier recursion (valid for any square matrix, so diagonal
-    similarity transforms may be applied freely before calling this)."""
+class _Dual:
+    """a + t b with t^2 = 0, so the t-part of a product is its first-order
+    coefficient.  a and b may lie in different rings (a Fraction and a
+    MultiPoly, say) as long as their products are defined."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    def __add__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.a + other.a, self.b + other.b)
+
+    def __sub__(self, other: "_Dual") -> "_Dual":
+        return _Dual(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other) -> "_Dual":
+        if isinstance(other, _Dual):
+            return _Dual(self.a * other.a, self.a * other.b + self.b * other.a)
+        return _Dual(self.a * other, self.b * other)
+
+    __rmul__ = __mul__
+
+
+def _dot(xs, ys):
+    """sum x * y over the paired entries of two nonempty sequences."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def char_sigmas(mat, one) -> list:
+    """sigma_0 .. sigma_n of a square matrix (the coefficients of
+    det(I + t mat) in powers of t) in the ring whose unit is ``one``, by
+    Berkowitz's division-free recursion.  Only +, * and integer signs
+    touch the entries, so it runs over Fraction, MultiPoly, RadPoly or
+    `_Dual` entries, and it holds for any square matrix (diagonal similarity
+    transforms may be applied freely first).  Floats take eigenvalues
+    instead (`equations._sigmas_matrix`)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArityError("matrix must be square")
-    sigmas = [Fraction(1)]
-    work = [row[:] for row in mat]
-    c = Fraction(0)
-    for k in range(1, n + 1):
-        if k > 1:
-            for d in range(n):
-                work[d][d] += c
-            work = [
-                [sum(mat[r][m] * work[m][col] for m in range(n)) for col in range(n)]
-                for r in range(n)
-            ]
-        trace = sum(work[d][d] for d in range(n))
-        c = -trace / k
-        sigmas.append((-1) ** k * c)
-    return sigmas
+    sig = [one]
+    for r in range(n):
+        # bordering the leading block A by row R, column C and corner a multiplies
+        # det(I + tA) by 1 + t a + sum_m (-1)^(m+1) t^(m+2) R A^m C, m < r
+        block = [line[:r] for line in mat[:r]]
+        row, col = mat[r][:r], [line[r] for line in mat[:r]]
+        weights = [mat[r][r]]
+        for m in range(r):
+            col = [_dot(line, col) for line in block] if m else col
+            weights.append(_dot(row, col) * (1 if m % 2 else -1))
+        sig = (
+            [sig[0]]
+            + [sig[i] + _dot(weights[:i], sig[i - 1 :: -1]) for i in range(1, r + 1)]
+            + [_dot(weights, sig[::-1])]
+        )
+    return sig
 
 
 # ── the linear coefficient along a matrix direction ──────────────────────
 
 
-def _interp_coefficients(xs: list[Fraction], ys: list[Fraction]) -> list[Fraction]:
-    """Exact coefficients (ascending) of the unique degree < len(xs)
-    polynomial through the given points, by Lagrange accumulation."""
-    size = len(xs)
-    coeffs = [Fraction(0)] * size
-    for i in range(size):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(size):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis
-            for c in range(len(basis) - 1):
-                basis[c] -= xs[j] * basis[c + 1]
-            denom *= xs[i] - xs[j]
-        w = ys[i] / denom
-        for c, b in enumerate(basis):
-            coeffs[c] += w * b
-    return coeffs
-
-
-def _linear_coefficient_by_interpolation(values, mat, k) -> Fraction:
-    if k <= 0:
-        return Fraction(0)
+def verify_linear_coefficient(s: SpectrumLike, B: MatrixLike) -> list[ExactReport]:
+    """Both routes of the linear-coefficient identity (id L31) for every
+    k = 1 .. n, as n reports, without raising on disagreement: one
+    `char_sigmas` pass over the dual entries of diag(lambda) + t B against
+    the deleted-spectrum diagonal sum."""
+    values = _values(s)
+    if not values:
+        raise ArityError("need at least one eigenvalue")
     n = len(values)
-    xs = [Fraction(t) for t in range(k + 1)]
-    ys = []
-    for t in xs:
-        shifted = [[t * mat[r][c] for c in range(n)] for r in range(n)]
-        for d in range(n):
-            shifted[d][d] += values[d]
-        ys.append(char_sigmas(shifted)[k] if k <= n else Fraction(0))
-    return _interp_coefficients(xs, ys)[1]
+    mat = _symmetric_matrix(B, n)
+    pencil = [[_Dual(values[r] if r == c else 0, mat[r][c]) for c in range(n)] for r in range(n)]
+    lhs = [sig.b for sig in char_sigmas(pencil, _Dual(Fraction(1), Fraction(0)))[1:]]
+    rhs = _linear_coefficients_by_deleted_sum(values, [mat[i][i] for i in range(n)])
+    return [ExactReport(lemma="L31", lhs=a, rhs=b, equal=a == b) for a, b in zip(lhs, rhs)]
 
 
-def _linear_coefficient_by_deleted_sum(values, mat, k) -> Fraction:
-    total = Fraction(0)
-    for i in range(len(values)):
-        total += sigma_hat(k - 1, i + 1, values) * mat[i][i]
-    return total
+def _linear_coefficients_by_deleted_sum(values, diagonal) -> list[Fraction]:
+    """sum_i sigma_{k-1}(spectrum with i removed) * diagonal_i, k = 1 .. n."""
+    out = [Fraction(0)] * len(values)
+    for i, d in enumerate(diagonal):
+        for k, sig in enumerate(_sigmas(values[:i] + values[i + 1 :], Fraction(1))):
+            out[k] += sig * d
+    return out
 
 
 def linear_coefficient_sigma(k: int, s: SpectrumLike, B: MatrixLike) -> Fraction:
     """The t-coefficient of sigma_k(diag(lambda) + t B) for a symmetric
-    matrix B of exact rationals.
+    matrix B of exact rationals (0 outside 1 <= k <= n).
 
-    Computed by exact polynomial interpolation at k + 1 nodes (sigma_k of a
-    matrix pencil has degree at most k in t) and cross-checked against the
-    deleted-spectrum diagonal sum; MismatchError if the routes disagree
-    (they cannot, unless one of them is miscoded -- this is a self-checking
-    operation)."""
-    values = _values(s)
-    if not values:
-        raise ArityError("need at least one eigenvalue")
-    mat = _symmetric_matrix(B, len(values))
-    via_interp = _linear_coefficient_by_interpolation(values, mat, k)
-    via_deleted = _linear_coefficient_by_deleted_sum(values, mat, k)
-    if via_interp != via_deleted:
-        raise MismatchError(
-            f"linear coefficient routes disagree: {via_interp} vs {via_deleted}"
-        )
-    return via_interp
-
-
-def verify_linear_coefficient(k: int, s: SpectrumLike, B: MatrixLike) -> ExactReport:
-    """Both routes of the linear-coefficient identity as a report (id L31),
-    without raising on disagreement."""
-    values = _values(s)
-    if not values:
-        raise ArityError("need at least one eigenvalue")
-    mat = _symmetric_matrix(B, len(values))
-    lhs = _linear_coefficient_by_interpolation(values, mat, k)
-    rhs = _linear_coefficient_by_deleted_sum(values, mat, k)
-    return ExactReport(lemma="L31", lhs=lhs, rhs=rhs, equal=lhs == rhs)
+    Computed by `char_sigmas` over dual numbers a + t b (t^2 = 0) and
+    cross-checked against the deleted-spectrum diagonal sum; MismatchError
+    if the routes disagree (they cannot, unless one of them is miscoded --
+    this is a self-checking operation)."""
+    reports = verify_linear_coefficient(s, B)
+    if not 1 <= k <= len(reports):
+        return Fraction(0)
+    report = reports[k - 1]
+    if not report.equal:
+        raise MismatchError(f"linear coefficient routes disagree: {report.lhs} vs {report.rhs}")
+    return report.lhs
 
 
 # ── identity verification ────────────────────────────────────────────────

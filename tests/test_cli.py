@@ -626,12 +626,34 @@ def test_fuzzed_config_lemmas_exits_cleanly(config_data):
 @given(_fuzz_config(("seed",), ("trials", "out", "n")))
 def test_fuzzed_config_residual_n3_exits_cleanly(config_data):
     # the symbolic check itself is replaced by a cheap stand-in: the
-    # config boundary is under test, and each real trial takes ~0.5 s
+    # config boundary is under test
     with mock.patch.object(cli, "linear_part_defect_n3", lambda s: RadPoly.zero(3)):
         assert _dispatch_in_scratch_dir(["residual-n3"], config_data) in (0, 1, 2)
 
 
 # ── module entry point ───────────────────────────────────────────────────
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["expand3", "--p0", "1e300000"], "'1e300000'"),
+        (["expand3", "--spectrum", "1,1,1e300000"], "'1e300000'"),
+        (["expand3", "--p0", "1" * 5000], "'1111111111"),
+    ],
+    ids=["p0-exponent", "spectrum-exponent", "p0-digits"],
+)
+def test_unbounded_rational_exits_2_naming_it(tmp_path, argv, named):
+    # a subprocess with a timeout: without the caps the run never ends
+    proc = subprocess.run(
+        [sys.executable, "-m", "kelvinasym.cli", *argv, "--out", str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert "usage error: rational" in proc.stderr and "is too large" in proc.stderr
+    assert named in proc.stderr
 
 
 def test_module_entry_point_usage_error_prints_synopsis():

@@ -11,10 +11,12 @@ each other.
 import math
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kelvinasym import equations
 from kelvinasym.equations import (
     AlgebraicForm,
     ResidualBreakdown,
@@ -530,6 +532,21 @@ def test_linear_part_identity_holds_symbolically():
         else:
             s = Spectrum(values)
         assert linear_part_defect_n3(s).is_zero
+
+
+def test_linear_part_defect_detects_a_perturbed_L():
+    # negative control: adding v to the radial weight L changes the
+    # w-linear coefficient, so the defect must not vanish
+    real = equations.identity_parts
+
+    def perturbed(y, value, grad, hess, ysq):
+        K, L = real(y, value, grad, hess, ysq)
+        return K, L + value
+
+    s = Spectrum(["1", "1/2", "2"])
+    assert linear_part_defect_n3(s).is_zero
+    with mock.patch.object(equations, "identity_parts", perturbed):
+        assert not linear_part_defect_n3(s).is_zero
 
 
 def test_linear_part_defect_needs_three_eigenvalues():

@@ -18,8 +18,6 @@ from kelvinasym.exactalg import (
     RadPoly,
     SolveError,
     harmonic_decomposition,
-    poly_laplacian,
-    radpoly_laplacian,
     solve_radical_poisson,
 )
 
@@ -99,6 +97,23 @@ def test_laplacian_product_rule(p, q):
     assert (p * q).laplacian() == p.laplacian() * q + q.laplacian() * p + 2 * cross
 
 
+def test_parse_rational_bounds_text_and_keeps_numbers_exact():
+    parse = exactalg.parse_rational
+    assert parse("3/2") == fr(3, 2)
+    assert parse(" -0.25 ") == fr(-1, 4)
+    assert parse("1e-3") == fr(1, 1000)
+    assert parse("1E+1_000") == 10**1000
+    assert parse("9" * 4000) == int("9" * 4000)
+    assert parse(0.1) == Fraction(0.1)
+    assert parse(7) == 7
+    for bad in ("1e1001", "1e300000", "-1E-1_001", "1e0000000000000002000", "2" * 4001):
+        with pytest.raises(ValueError, match=f"rational '{bad[:10]}.* is too large"):
+            parse(bad)
+    for bad, named in [(True, "True"), (float("nan"), "nan"), ("1/0", "1/0"), ([1], r"\[1\]")]:
+        with pytest.raises(ValueError, match=f"not a rational number: .*{named}"):
+            parse(bad)
+
+
 def test_known_laplacians():
     y1 = MultiPoly.variable(3, 0)
     y2 = MultiPoly.variable(3, 1)
@@ -106,9 +121,7 @@ def test_known_laplacians():
     assert MultiPoly.r_squared(5).laplacian() == MultiPoly.const(5, 10)
     assert (y1 * y2).laplacian().is_zero
     assert (y1**2 - y2**2).laplacian().is_zero
-    assert poly_laplacian(y1**2, 3) == MultiPoly.const(3, 2)
-    with pytest.raises(DimensionError):
-        poly_laplacian(y1**2, 4)
+    assert (y1**2).laplacian() == MultiPoly.const(3, 2)
 
 
 @given(p=homogeneous(3, 4))
@@ -238,7 +251,6 @@ def test_radpoly_laplacian_matches_polynomial_route(p):
     via_rad = RadPoly(3, {4: p}).laplacian()
     via_poly = RadPoly.from_poly((r2 * r2 * p).laplacian())
     assert via_rad == via_poly
-    assert radpoly_laplacian(RadPoly(3, {4: p}), 3) == via_rad
 
 
 @given(p=homogeneous(4, 3, max_terms=5), k=st.integers(-3, 3))
@@ -296,7 +308,7 @@ def test_radpoly_canonical_form_is_idempotent_and_derivation_invariant():
 
 def test_radical_weight_half_pinned():
     # lap(|y| * 1/2) = |y|^(-1) in three variables
-    got = radpoly_laplacian(RadPoly(3, {1: MultiPoly.const(3, fr(1, 2))}), 3)
+    got = RadPoly(3, {1: MultiPoly.const(3, fr(1, 2))}).laplacian()
     assert got == RadPoly(3, {-1: MultiPoly.const(3, 1)})
 
 
@@ -311,7 +323,7 @@ def test_quadratic_correction_weight_identity():
         weighted = weighted + li * MultiPoly.variable(3, i) ** 2
     q2 = fr(1, 3) * s1 * r2 + fr(1, 2) * weighted
     q2bar = 5 * s1 * r2 + 3 * weighted
-    assert radpoly_laplacian(RadPoly(3, {1: q2}), 3) == RadPoly(3, {-1: q2bar})
+    assert RadPoly(3, {1: q2}).laplacian() == RadPoly(3, {-1: q2bar})
 
 
 def test_radpoly_laplacian_matches_central_differences():
@@ -403,7 +415,7 @@ def test_poisson_defining_property_exact(n, m):
         if h.is_zero:
             continue
         u = solve_radical_poisson(h, n).base
-        lhs = radpoly_laplacian(RadPoly(n, {n - 2: u}), n)
+        lhs = RadPoly(n, {n - 2: u}).laplacian()
         assert lhs == RadPoly(n, {n - 4: h})
 
 

@@ -23,7 +23,6 @@ from kelvinasym.expand import (
     read_fit,
     read_samples,
     recover_v,
-    sample_exterior,
     write_fit,
     write_samples,
 )
@@ -608,11 +607,3 @@ def test_read_samples_fuzzed_text_raises_only_value_error(text):
     assert samples and all(
         math.isfinite(v) and all(map(math.isfinite, x)) for x, v in samples
     )
-
-
-def test_sample_exterior_is_deterministic():
-    frame = KelvinFrame(PhaseBranch.slag(2.0), [1.0, 1.0, 1.0])
-    a = sample_exterior(frame, lambda y: 1.0, [5.0, 10.0], 4, seed=3)
-    b = sample_exterior(frame, lambda y: 1.0, [5.0, 10.0], 4, seed=3)
-    assert a == b
-    assert len(a) == 8

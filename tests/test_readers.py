@@ -3,8 +3,9 @@ and the message names the record kind.
 
 Fuzzed records keep the expected keys and put arbitrary JSON values under
 them, since a random JSON object rarely reaches past the first key lookup.
-Integers are drawn from a small range: a large RadPoly slot exponent only
-costs time (the canonical form multiplies by powers of |y|^2)."""
+Slot exponents are drawn from a range wider than the slot-spread cap of
+RadPoly.from_json, and rational text includes exponents and digit counts
+beyond the caps of the rational parser."""
 
 import json
 import os
@@ -24,7 +25,9 @@ _SCALARS = st.one_of(
     st.booleans(),
     st.integers(-3, 3),
     st.floats(),
-    st.sampled_from(["1/0", "1/2", "-3", "2.5", "x", "", "Infinity", "slag", "recip"]),
+    st.sampled_from(
+        ["1/0", "1/2", "-3", "2.5", "x", "", "Infinity", "slag", "recip", "1e300000", "-1E-1_001", "7" * 4001]
+    ),
     st.text(max_size=4),
 )
 _JSON = st.recursive(
@@ -56,7 +59,7 @@ _RADPOLY = _record(
         "n_vars": st.one_of(st.integers(-1, 3), _SCALARS),
         "slots": st.one_of(
             _JSON,
-            st.lists(_record({"k": st.one_of(st.integers(-4, 4), _SCALARS), "poly": _POLY}), max_size=2),
+            st.lists(_record({"k": st.one_of(st.integers(-60, 60), _SCALARS), "poly": _POLY}), max_size=3),
         ),
     }
 )
@@ -96,11 +99,18 @@ def _poly_term(coef, exp):
         (MultiPoly.from_json, _poly_term(float("inf"), [1]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1", ["a"]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1", [1.5]), "polynomial"),
+        (MultiPoly.from_json, _poly_term("1e300000", [1]), "polynomial"),
         (Spectrum.from_json, {"n": 1, "lambda": ["1/0"]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": [float("inf")]}, "spectrum"),
+        (Spectrum.from_json, {"n": 1, "lambda": ["2e300000"]}, "spectrum"),
         (
             KelvinFrame.from_json,
             {"branch": {"kind": "SLAG", "theta": 1.0}, "lambda": [1.0, 2.0], "b": 5},
+            "frame",
+        ),
+        (
+            KelvinFrame.from_json,
+            {"branch": {"kind": "SLAG", "theta": 1.0}, "lambda": [float("nan"), 1.0]},
             "frame",
         ),
     ],
@@ -109,14 +119,43 @@ def _poly_term(coef, exp):
         "poly-infinite-coef",
         "poly-text-exponent",
         "poly-fractional-exponent",
+        "poly-exponent-beyond-cap",
         "spectrum-zero-denominator",
         "spectrum-infinite",
+        "spectrum-exponent-beyond-cap",
         "frame-scalar-b",
+        "frame-nan-eigenvalue",
     ],
 )
 def test_malformed_record_raises_value_error_naming_it(reader, record, kind):
     with pytest.raises(ValueError, match=f"malformed {kind} record"):
         reader(json.loads(json.dumps(record)))
+
+
+def test_frame_rejects_non_finite_values_naming_them():
+    branch = PhaseBranch.slag(1.0)
+    with pytest.raises(ValueError, match="frame value nan is not finite"):
+        KelvinFrame(branch, [float("nan"), 1.0])
+    with pytest.raises(ValueError, match="frame value inf is not finite"):
+        KelvinFrame(branch, [float("inf"), 1.0])
+    with pytest.raises(ValueError, match="frame value -inf is not finite"):
+        KelvinFrame(branch, [1.0, 1.0], linear=[0.0, float("-inf")])
+    with pytest.raises(ValueError, match="frame value nan is not finite"):
+        KelvinFrame(branch, [1.0, 1.0], constant=float("nan"))
+
+
+def test_radpoly_slot_spread_cap_names_the_slots():
+    one = {"n_vars": 3, "terms": [{"coef": "1", "exp": [0, 0, 0]}]}
+    wide = {"n_vars": 3, "slots": [{"k": 0, "poly": one}, {"k": 80, "poly": one}]}
+    with pytest.raises(ValueError, match="malformed radical polynomial record: slots 0 and 80 are too far"):
+        RadPoly.from_json(wide)
+    one13 = {"n_vars": 13, "terms": [{"coef": "1", "exp": [0] * 13}]}
+    with pytest.raises(ValueError, match="slots 1 and 7 are too far apart"):
+        RadPoly.from_json({"n_vars": 13, "slots": [{"k": 1, "poly": one13}, {"k": 7, "poly": one13}]})
+    # a spread at the cap still merges: |y|^40 + 1 in canonical form
+    near = {"n_vars": 3, "slots": [{"k": 0, "poly": one}, {"k": 40, "poly": one}]}
+    merged = RadPoly.from_json(near)
+    assert merged.slots.keys() == {0} and merged.evaluate([1, 0, 0]) == 2
 
 
 # ── fuzzed records ───────────────────────────────────────────────────────

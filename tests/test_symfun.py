@@ -3,12 +3,15 @@ against brute-force subset enumeration and independent difference routes."""
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kelvinasym import symfun
+from kelvinasym.exactalg import MultiPoly
 from kelvinasym.symfun import (
     ArityError,
     BranchParams,
@@ -220,7 +223,7 @@ def test_char_sigmas_on_diagonal_matches_sigma():
     mat = [[Fraction(0)] * 4 for _ in range(4)]
     for d, v in enumerate(vals):
         mat[d][d] = v
-    assert char_sigmas(mat) == sigma_all(vals)
+    assert char_sigmas(mat, Fraction(1)) == sigma_all(vals)
 
 
 def test_char_sigmas_matches_float_eigenvalues():
@@ -230,7 +233,7 @@ def test_char_sigmas_matches_float_eigenvalues():
     for _ in range(10):
         n = rng.randint(2, 5)
         mat = random_symmetric_matrix(rng, n)
-        exact = char_sigmas(mat)
+        exact = char_sigmas(mat, Fraction(1))
         eig = np.linalg.eigvalsh(np.array([[float(v) for v in row] for row in mat]))
         approx = [1.0]
         for lam in eig:
@@ -241,6 +244,48 @@ def test_char_sigmas_matches_float_eigenvalues():
             )
         for a, b in zip(exact, approx):
             assert abs(float(a) - b) < 1e-9 * max(1.0, abs(b))
+
+
+def test_char_sigmas_is_one_kernel_over_fraction_dual_and_multipoly():
+    # the same pass over Fraction entries, over dual numbers with a zero
+    # t-part, and over constant polynomials gives the same sigma_k
+    rng = Random(11)
+    zero = Fraction(0)
+    for n in range(1, 6):
+        mat = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        want = char_sigmas(mat, Fraction(1))
+        duals = [[symfun._Dual(v, zero) for v in row] for row in mat]
+        got = char_sigmas(duals, symfun._Dual(Fraction(1), zero))
+        assert [d.a for d in got] == want and all(d.b == 0 for d in got)
+        polys = [[MultiPoly.const(2, v) for v in row] for row in mat]
+        got = char_sigmas(polys, MultiPoly.const(2, 1))
+        assert got == [MultiPoly.const(2, v) for v in want]
+
+
+def _leibniz_det(mat, rows):
+    total = Fraction(0)
+    for perm in permutations(rows):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        entries = (mat[r][c] for r, c in zip(rows, perm))
+        total += (-1) ** inversions * math.prod(entries, start=Fraction(1))
+    return total
+
+
+def test_char_sigmas_matches_principal_minor_sums_on_nonsymmetric_matrices():
+    # sigma_k is the sum of the k x k principal minors, each a Leibniz sum
+    rng = Random(12)
+    for n in range(1, 6):
+        mat = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        want = [
+            sum((_leibniz_det(mat, rows) for rows in combinations(range(n), k)), Fraction(0))
+            for k in range(n + 1)
+        ]
+        assert char_sigmas(mat, Fraction(1)) == want
+
+
+def test_char_sigmas_rejects_a_ragged_matrix():
+    with pytest.raises(ArityError):
+        char_sigmas([[1, 2], [3]], Fraction(1))
 
 
 # ── linear coefficient along a matrix direction ──────────────────────────
@@ -264,8 +309,29 @@ def test_linear_coefficient_pinned():
 def test_linear_coefficient_random_matrix_routes_agree(vals, k, seed):
     mat = random_symmetric_matrix(Random(seed), len(vals))
     got = linear_coefficient_sigma(k, vals, mat)
-    report = verify_linear_coefficient(k, vals, mat)
-    assert report.equal and report.lhs == got and report.lemma == "L31"
+    reports = verify_linear_coefficient(vals, mat)
+    assert len(reports) == len(vals)
+    assert all(report.equal and report.lemma == "L31" for report in reports)
+    assert got == (reports[k - 1].lhs if 1 <= k <= len(vals) else 0)
+
+
+def test_linear_coefficient_routes_disagree_on_a_wrong_diagonal():
+    # negative control: the deleted-sum route sees every diagonal entry
+    # off by one, so at least the k = 1 report (the trace) must fail
+    real = symfun._linear_coefficients_by_deleted_sum
+
+    def off_by_one(values, diagonal):
+        return real(values, [d + 1 for d in diagonal])
+
+    s = (fr(1), fr(-2, 3), fr(5, 2))
+    mat = random_symmetric_matrix(Random(3), 3)
+    assert all(report.equal for report in verify_linear_coefficient(s, mat))
+    with mock.patch.object(symfun, "_linear_coefficients_by_deleted_sum", off_by_one):
+        reports = verify_linear_coefficient(s, mat)
+        assert not reports[0].equal
+        assert reports[0].rhs - reports[0].lhs == 3
+        with pytest.raises(MismatchError):
+            linear_coefficient_sigma(1, s, mat)
 
 
 def test_linear_coefficient_matches_symbolic_oracle():
