@@ -43,8 +43,10 @@ from . import symfun
 from ._branches import DomainError
 from .exactalg import MultiPoly, SolveError, _monomials, parse_rational, solve_radical_poisson
 from .equations import (
+    _check_ladder,
     linear_part_defect_n3,
     residual_scaling_slopes,
+    symbolic_residual_n3,
 )
 from .expand import (
     ConditioningError,
@@ -204,6 +206,8 @@ def _check_in(path_text: str) -> Path:
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)  # "inf" or "nan": JSON has no such numbers
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -326,9 +330,18 @@ def _random_test_poly(rng: Random, n: int, max_degree: int = 3, terms: int = 6) 
     return poly
 
 
+def _finite(flag: str, value: float, positive: bool = False) -> float:
+    """``value`` if it is finite (and positive when asked), else a usage
+    error naming the flag and the value."""
+    if not math.isfinite(value) or (positive and not value > 0.0):
+        kind = "positive and finite" if positive else "finite"
+        raise _UsageError(f"--{flag} must be {kind}, got {value}")
+    return value
+
+
 def _make_branch(merged: dict) -> PhaseBranch:
     kind = str(merged["branch"]).upper()
-    theta = float(merged["theta"])
+    theta = _finite("theta", float(merged["theta"]))
     tau = merged.get("tau")
     try:
         return PhaseBranch.make(kind, theta, None if tau is None else float(tau))
@@ -342,17 +355,19 @@ def _run_kelvin_check(merged: dict) -> int:
         raise _UsageError("kelvin-check needs --n of at least 2")
     seed = int(merged["seed"])
     samples = int(merged["samples"])
-    fd_step = float(merged["fd_step"])
-    tolerance = float(merged["tolerance"])
+    if samples < 1:
+        raise _UsageError(f"--samples must be at least 1, got {samples}")
+    fd_step = _finite("fd-step", float(merged["fd_step"]), positive=True)
+    tolerance = _finite("tolerance", float(merged["tolerance"]), positive=True)
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
     spectrum_text = merged["spectrum"]
     if spectrum_text is None:
         spectrum_text = ",".join(["1"] * n)
-    spectrum = tuple(float(v) for v in _parse_fraction_list(spectrum_text))
-    if len(spectrum) != n:
+    exact_spectrum = _parse_fraction_list(spectrum_text)
+    if len(exact_spectrum) != n:
         raise _UsageError(
-            f"--spectrum has {len(spectrum)} entries but --n is {n}"
+            f"--spectrum has {len(exact_spectrum)} entries but --n is {n}"
         )
 
     rng = Random(seed)
@@ -362,12 +377,15 @@ def _run_kelvin_check(merged: dict) -> int:
     )
     constant = Fraction(rng.randint(-2, 2), rng.randint(1, 4))
     try:
+        spectrum = tuple(float(v) for v in exact_spectrum)
         frame = KelvinFrame(
             branch,
             spectrum,
             linear=tuple(float(x) for x in linear),
             constant=float(constant),
         )
+    except OverflowError as exc:
+        raise _UsageError(f"--spectrum {spectrum_text} does not fit in floats: {exc}") from exc
     except (AdmissibilityError, ValueError) as exc:
         raise _UsageError(str(exc)) from exc
 
@@ -528,8 +546,6 @@ def _run_expand3(merged: dict) -> int:
         )
         steps.append({"order": state.order, "q_component_degrees": degrees})
 
-    from .equations import symbolic_residual_n3
-
     sector = symbolic_residual_n3(state.P, state.Q, state.spectrum).collect_odd(-1)
     leftover_degrees = sorted(sector.homogeneous_components())
     audit_pass = all(d > order - 1 for d in leftover_degrees)
@@ -576,9 +592,9 @@ def _run_radial(merged: dict) -> int:
     seed = int(merged["seed"])
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
-    theta = float(merged["theta"])
-    u1 = float(merged["u1"])
-    p1 = float(merged["p1"])
+    theta = branch.theta
+    u1 = _finite("u1", float(merged["u1"]))
+    p1 = _finite("p1", float(merged["p1"]))
     r_max = float(merged["rmax"])
     step = float(merged["step"])
     stride = int(merged["stride"])
@@ -687,8 +703,10 @@ def _run_residual_scaling(merged: dict) -> int:
     seed = int(merged["seed"])
     out = _check_out(merged["out"])
     exponents = _parse_int_list(merged["exponents"])
-    if len(exponents) < 2:
-        raise _UsageError("--exponents needs at least two entries")
+    try:
+        _check_ladder(n, exponents)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
     data = residual_scaling_slopes(n, seed=seed, exponents=exponents)
     threshold = n - 2 - 0.1

@@ -12,9 +12,18 @@ On the ball side, H = A + |y|^n N(jet) and the theta-free form divides by
 gamma |y|^(n+2), where gamma is the linear-part factor: the residual then
 splits into the Laplacian of the profile plus a superlinearly small
 remainder.  The split is produced in floating point by
-`transformed_residual`, in exact rational arithmetic (flat-phase branch,
-rational radius) by `transformed_residual_exact`, and fully symbolically
-for n = 3 by `symbolic_residual_n3`.
+`transformed_residual`, and on the flat-phase branch exactly, in one
+formula (`_flat_residual`), by `transformed_residual_exact` (rational
+jets, rational radius) and fully symbolically for n = 3 by
+`symbolic_residual_n3`.  Since E_H + i O_H = det(I + iH) and
+|det(I + iA)|^2 = gamma, the flat-phase residual along
+H = A + |y|^n M R^2 is a weighted sum of the principal minors of M:
+
+    sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S,
+    w_S = Im prod_{l in S} (lambda_l + i),
+
+whose |S| = 1 part is trace(M) / |y|^2 = lap(v); for n = 3 the weights
+are 1, lambda_j + lambda_k and -(1 - sigma_2).
 """
 
 from __future__ import annotations
@@ -44,6 +53,7 @@ from .symfun import (
     _alternating,
     _Dual,
     _pencil_sigmas,
+    _principal_minors,
     _sigmas,
     char_sigmas,
     random_spectrum,
@@ -342,6 +352,42 @@ def _exact_norm(y: Sequence[Fraction]) -> Fraction:
     return Fraction(num, den)
 
 
+def _flat_weight(vals, subset) -> Fraction:
+    """w_S = Im prod_{l in S} (lambda_l + i)."""
+    re, im = Fraction(1), Fraction(0)
+    for l in subset:
+        re, im = re * vals[l] - im, re + im * vals[l]
+    return im
+
+
+def _flat_residual(y, value, grad, hess, vals, rpow):
+    """The flat-phase theta-free residual along H = A + |y|^n M R^2,
+    normalized by gamma |y|^(n+2), from the 2-jet (value, grad, hess) of v
+    at y and the rational spectrum vals of A:
+
+        sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S,
+        w_S = Im prod_{l in S} (lambda_l + i).
+
+    It follows from E_H + i O_H = det(I + iH), R^2 = diag(1 + lambda^2) and
+    conj(det(I + iA)) det(I + iA) = gamma.  The |S| = 1 part is
+    trace(M) / |y|^2, which is lap(v) by the trace identity.  rpow(k)
+    is |y|^k in the ring of the jet; only +, - and * touch the entries, so
+    the same code runs over Fraction and RadPoly jets."""
+    n = len(y)
+    zero = 0 * value
+    K, L = identity_parts(y, value, grad, hess, rpow(2))
+    radial = L * rpow(-2)
+    m = [[K[i][j] + radial * (y[i] * y[j]) for j in range(n)] for i in range(n)]
+    minors = _principal_minors(m)
+    total = zero
+    for size in range(1, n + 1):
+        part = sum(
+            (_flat_weight(vals, S) * det for S, det in minors.items() if len(S) == size), zero
+        )
+        total = total + part * rpow(n * (size - 1) - 2)
+    return total
+
+
 def transformed_residual_exact(
     y: Sequence,
     value,
@@ -353,10 +399,12 @@ def transformed_residual_exact(
 
     Same contract as `transformed_residual` but every input is rational and
     |y| itself must be rational (e.g. points t * unit rational vector).
-    The diagonal similarity H ~ A + |y|^n M R^2 replaces the irrational
-    scaling conjugation, so all arithmetic stays inside the rationals and
-    the split is exact down to radii far below where floating-point
-    cancellation destroys the remainder term.
+    The total is the weighted principal-minor sum of M (`_flat_residual`),
+    sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S with
+    w_S = Im prod_{l in S} (lambda_l + i), so the irrational scaling R
+    never appears, all arithmetic stays inside the rationals, and the split
+    is exact down to radii far below where floating-point cancellation
+    destroys the remainder term.
     """
     yv = [Fraction(c) for c in y]
     n = len(yv)
@@ -365,31 +413,15 @@ def transformed_residual_exact(
         raise ValueError("spectrum size must match the point dimension")
     gv = [Fraction(c) for c in grad]
     hv = [[Fraction(c) for c in row] for row in hess]
-    val = Fraction(value)
     norm = _exact_norm(yv)
-    norm_sq = norm * norm
 
-    K, L = identity_parts(yv, val, gv, hv, norm_sq)
-
-    rho = [1 + v * v for v in vals]
-    weight = norm**n
-    similar = [
-        [
-            (vals[i] if i == j else Fraction(0))
-            + weight * (K[i][j] + L * yv[i] * yv[j] / norm_sq) * rho[j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    raw = notheta_residual(PhaseBranch.slag(0.0), vals, similar)
-    gamma = math.prod(rho, start=Fraction(1))
-    total = raw / (gamma * norm ** (n + 2))
+    total = _flat_residual(yv, Fraction(value), gv, hv, vals, lambda k: norm**k)
     laplace = sum((hv[i][i] for i in range(n)), Fraction(0))
     return ResidualBreakdown(
         laplace_term=laplace,
         nonlinear_term=total - laplace,
         total=total,
-        linear_factor=gamma,
+        linear_factor=math.prod((1 + v * v for v in vals), start=Fraction(1)),
     )
 
 
@@ -398,8 +430,11 @@ def transformed_residual_exact(
 
 def symbolic_residual_n3(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
     """The exact normalized flat-phase residual of v = P + |y| Q in three
-    variables: lap(v) + |y| I2 + |y|^4 I3, where I2 is the pair-weighted
-    sum of 2x2 principal minors of M and I3 = -(1 - sigma_2(A)) det(M).
+    variables: sum over nonempty S of w_S |y|^(3|S|-5) det M_S with
+    w_S = Im prod_{l in S} (lambda_l + i), that is
+
+        lap(v) + |y| sum_{j<k} (lambda_j + lambda_k) det M_{jk}
+               - |y|^4 (1 - sigma_2(A)) det M.
 
     P and Q are polynomials in the three ball variables with rational
     coefficients; the result is a radical polynomial in the same variables
@@ -413,24 +448,8 @@ def symbolic_residual_n3(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
     v = RadPoly(3, {0: P, 1: Q})
     grad = [v.partial(i) for i in range(3)]
     hess = [[grad[i].partial(j) for j in range(3)] for i in range(3)]
-    K, L = identity_parts(yvars, v, grad, hess, RadPoly(3, {2: MultiPoly.const(3, 1)}))
-    radial = L * RadPoly(3, {-2: MultiPoly.const(3, 1)})
-    m = [[K[i][j] + radial * (yvars[i] * yvars[j]) for j in range(3)] for i in range(3)]
-
-    i2 = RadPoly.zero(3)
-    for j, k in ((1, 2), (2, 0), (0, 1)):
-        weight = vals[j] + vals[k]
-        i2 = i2 + weight * (m[j][j] * m[k][k] - m[j][k] * m[j][k])
-
-    det_m = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[1][2])
-        - m[0][1] * (m[0][1] * m[2][2] - m[1][2] * m[0][2])
-        + m[0][2] * (m[0][1] * m[1][2] - m[1][1] * m[0][2])
-    )
-    sigma2 = vals[0] * vals[1] + vals[0] * vals[2] + vals[1] * vals[2]
-    i3 = -(1 - sigma2) * det_m
-
-    return v.laplacian() + i2.shift(1) + i3.shift(4)
+    one = MultiPoly.const(3, 1)
+    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(3, {k: one}))
 
 
 def linear_part_defect_n3(s) -> RadPoly:
@@ -477,6 +496,27 @@ _UNIT_VECTORS = {
 }
 
 
+# 2^-200 keeps the n = 5 remainder near 2^-593, far inside float range
+_MAX_EXPONENT = 200
+
+
+def _check_ladder(n: int, exponents: Sequence[int]) -> None:
+    """ValueError naming the first bad input of a scaling ladder: n must
+    have a unit vector, and the exponents must be at least two distinct
+    integers in 1..200."""
+    if n not in _UNIT_VECTORS:
+        raise ValueError(f"scaling ladder supports n in {sorted(_UNIT_VECTORS)}, not {n}")
+    if len(exponents) < 2:
+        raise ValueError(f"the ladder needs at least two exponents, got {list(exponents)}")
+    seen = set()
+    for k in exponents:
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= _MAX_EXPONENT:
+            raise ValueError(f"exponent {k!r} is not an integer in 1..{_MAX_EXPONENT}")
+        if k in seen:
+            raise ValueError(f"exponent {k} is repeated")
+        seen.add(k)
+
+
 def residual_scaling_slopes(
     n: int,
     seed: int = 0,
@@ -487,9 +527,9 @@ def residual_scaling_slopes(
     Fixes a deterministic rational spectrum and polynomial profile from the
     seed, evaluates the exact residual split at each radius, and returns
     the log2 magnitudes with their least-squares slope (which approaches
-    n - 2 as t -> 0 when the remainder is genuinely superlinear)."""
-    if n not in _UNIT_VECTORS:
-        raise ValueError(f"scaling ladder supports n in {sorted(_UNIT_VECTORS)}")
+    n - 2 as t -> 0 when the remainder is genuinely superlinear).
+    ValueError (`_check_ladder`) names an unsupported n or exponent."""
+    _check_ladder(n, exponents)
     unit = [Fraction(c) for c in _UNIT_VECTORS[n]]
     rng = Random(seed)
     # positive eigenvalues keep the pair weights of the leading remainder

@@ -160,7 +160,9 @@ def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
     """Diagonal entries of the positive scaling matrix R.
 
     Every branch uses the same rule R_ii = g'(lambda_i)^(-1/2); eigenvalues
-    must sit strictly inside the admissible ray (AdmissibilityError if not).
+    must sit strictly inside the admissible ray, and g'(lambda_i) must be a
+    positive finite float (it underflows to 0 for a huge eigenvalue), else
+    AdmissibilityError names the eigenvalue.
     """
     lambdas = _lambda_floats(s)
     lower = branch.admissible_lower()
@@ -170,7 +172,12 @@ def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
             raise AdmissibilityError(
                 f"eigenvalue {lam} is not above the {branch.kind} bound {lower}"
             )
-        out.append(1.0 / math.sqrt(branch.g_prime(lam)))
+        slope = branch.g_prime(lam)
+        if not (math.isfinite(slope) and slope > 0.0):
+            raise AdmissibilityError(
+                f"eigenvalue {lam} gives g'(lambda) = {slope}, not a positive finite float"
+            )
+        out.append(1.0 / math.sqrt(slope))
     return out
 
 
@@ -416,9 +423,16 @@ def hessian_identity_check(
     seed: int = 0,
 ) -> HessianReport:
     """Compare central finite differences of u against A + |y|^n N at random
-    exterior points; reports deviations, never raises on a bad match."""
+    exterior points; reports deviations, never raises on a bad match.  A
+    sample whose deviation is not finite (an overflow, or inf - inf) counts
+    as an infinite deviation, so it cannot pass any tolerance.  ValueError
+    unless samples >= 1 and fd_step is a positive finite number."""
     if v.n_vars != frame.n:
         raise ValueError("profile polynomial dimension does not match the frame")
+    if samples < 1:
+        raise ValueError(f"need at least one sample, got {samples}")
+    if not (math.isfinite(fd_step) and fd_step > 0.0):
+        raise ValueError(f"finite-difference step must be positive and finite, got {fd_step}")
     rng = np.random.default_rng(seed)
     n = frame.n
     lam = np.asarray(frame.spectrum)
@@ -458,9 +472,10 @@ def hessian_identity_check(
                 ) / (4.0 * h * h)
 
         abs_dev = float(np.max(np.abs(fd - exact)))
-        scale = max(float(np.max(np.abs(exact))), 1e-8)
-        max_abs = max(max_abs, abs_dev)
-        max_rel = max(max_rel, abs_dev / scale)
+        rel_dev = abs_dev / max(float(np.max(np.abs(exact))), 1e-8)
+        # max() would drop a NaN, so a non-finite deviation enters as inf
+        max_abs = max(max_abs, abs_dev if math.isfinite(abs_dev) else math.inf)
+        max_rel = max(max_rel, rel_dev if math.isfinite(rel_dev) else math.inf)
     return HessianReport(
         max_abs_deviation=max_abs,
         max_rel_deviation=max_rel,

@@ -32,6 +32,7 @@ L34  the shifted analogue of L32:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -317,6 +318,36 @@ def char_sigmas(mat, one) -> list:
             + [_dot(weights, sig[::-1])]
         )
     return sig
+
+
+def _principal_minors(mat) -> dict:
+    """{S: det mat_S} over every nonempty index tuple S (increasing) of a
+    square matrix.  Each minor is a Laplace expansion along its first row,
+    and every minor met on the way (principal or not) is kept, so a
+    principal minor reuses the smaller ones.  Only +, - and * touch the
+    entries, so it runs over Fraction, MultiPoly or RadPoly entries; the
+    size-k minors sum to sigma_k (`char_sigmas`)."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ArityError("matrix must be square")
+    minors: dict = {}
+
+    def minor(rows: tuple, cols: tuple):
+        key = (rows, cols)
+        if key not in minors:
+            top = mat[rows[0]]
+            if len(rows) == 1:
+                minors[key] = top[cols[0]]
+            else:
+                acc = None
+                for j, c in enumerate(cols):
+                    term = top[c] * minor(rows[1:], cols[:j] + cols[j + 1 :])
+                    acc = term if acc is None else (acc - term if j % 2 else acc + term)
+                minors[key] = acc
+        return minors[key]
+
+    subsets = (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
+    return {s: minor(s, s) for s in subsets}
 
 
 # ── the linear coefficient along a matrix direction ──────────────────────

@@ -4,6 +4,7 @@ Each subcommand is driven through `dispatch` (in-process) plus one
 subprocess run for the module entry point; artifacts are re-read
 through the library readers to close the loop."""
 
+import hashlib
 import json
 import math
 import os
@@ -97,6 +98,29 @@ def test_lemmas_n2_skips_the_size3_identities(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["expand3", "--order", "8", "--p0", "3/2", "--spectrum", "1,1/2,2"],
+            "5843aaf2b404c8055431fd01c217b52c2bcc663eac6d68db576adc589468a7b5",
+        ),
+        (
+            ["residual-n3", "--trials", "2"],
+            "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
+        ),
+    ],
+    ids=["expand3", "residual-n3"],
+)
+def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    # these reports hold only exact values, so no platform libm can move
+    # them, and a rewrite of the exact residual must leave them byte for byte
+    out = tmp_path / "r.json"
+    assert dispatch([*argv, "--seed", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
 def test_lemmas_artifact_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["lemmas", "--n", "3", "--trials", "3", "--seed", "5"]
@@ -127,6 +151,57 @@ def test_kelvin_check_fails_at_impossible_tolerance(tmp_path, capsys):
     assert "deviation" in report["first_failure"]["check"]
     err = capsys.readouterr().err
     assert "FAILED" in err and "deviation" in err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--fd-step", "0"], "--fd-step must be positive and finite, got 0.0"),
+        (["--fd-step", "nan"], "--fd-step must be positive and finite, got nan"),
+        (["--fd-step", "inf"], "--fd-step must be positive and finite, got inf"),
+        (["--samples", "0"], "--samples must be at least 1, got 0"),
+        (["--samples", "-1"], "--samples must be at least 1, got -1"),
+        (["--tolerance", "0"], "--tolerance must be positive and finite, got 0.0"),
+        (["--tolerance", "nan"], "--tolerance must be positive and finite, got nan"),
+        (["--theta", "inf"], "--theta must be finite, got inf"),
+        (["--spectrum", "1e400,1,1"], "--spectrum 1e400,1,1 does not fit in floats"),
+        (["--spectrum", "1e300,1,1"], "eigenvalue 1e+300"),
+    ],
+)
+def test_kelvin_check_unmeasurable_input_exits_2(tmp_path, capsys, flags, named):
+    # each of these used to measure nothing and pass, or end in a traceback
+    out = tmp_path / "kc.json"
+    assert dispatch(["kelvin-check", "--samples", "2", *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_kelvin_check_non_finite_deviation_fails_with_valid_json(tmp_path, capsys):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    out = tmp_path / "kc.json"
+    with np.errstate(all="ignore"):
+        code = dispatch(["kelvin-check", "--samples", "2", "--fd-step", "1e300", "--out", str(out)])
+    assert code == 1
+    report = json.loads(out.read_text(), parse_constant=reject)
+    assert report["all_pass"] is False
+    assert report["max_rel_deviation"] == "inf"
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("theta", "inf"), ("theta", "-inf"), ("theta", "nan"), ("u1", "nan"), ("p1", "inf")],
+)
+def test_radial_non_finite_value_exits_2(tmp_path, capsys, flag, value):
+    # a non-finite start used to integrate one node and report a failed run
+    out = tmp_path / "t.csv"
+    flags = {"theta": "2.3", "u1": "0.5", "p1": "1", flag: value}
+    argv = ["radial", *(f"--{k}={v}" for k, v in flags.items()), "--rmax", "3"]
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert f"--{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ── poisson / residual-n3 / residual-scaling ─────────────────────────────
@@ -177,6 +252,23 @@ def test_residual_scaling_slope_meets_threshold(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["slope"] >= report["threshold"] == pytest.approx(0.9)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--exponents", "3,3"], "exponent 3 is repeated"),
+        (["--exponents", "0,-3"], "exponent 0 is not an integer in 1..200"),
+        (["--exponents", "3,100000"], "exponent 100000 is not an integer in 1..200"),
+        (["--exponents", "3"], "at least two exponents"),
+        (["--n", "6"], "not 6"),
+    ],
+)
+def test_residual_scaling_bad_ladder_exits_2(tmp_path, capsys, flags, named):
+    out = tmp_path / "rs.json"
+    assert dispatch(["residual-scaling", *flags, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ── expand3 ──────────────────────────────────────────────────────────────

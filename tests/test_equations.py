@@ -30,7 +30,7 @@ from kelvinasym.equations import (
     transformed_residual_exact,
 )
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
-from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch
+from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch, identity_parts
 from kelvinasym.symfun import Spectrum, random_spectrum
 
 
@@ -362,16 +362,26 @@ def test_exact_route_constant_profile_pinned():
     assert out.linear_factor == 1
 
 
-def test_exact_route_agrees_with_float_route():
-    rnd = Random(41)
-    spec = Spectrum(["1/2", "-1/3", "1"])
-    unit = [fr(2, 3), fr(2, 3), fr(1, 3)]
+def random_rational_jet(rnd: Random, n: int):
+    """(spectrum, value, grad, hess): a seeded rational 2-jet in n variables
+    with a symmetric Hessian."""
+    def q():
+        return fr(rnd.randint(-3, 3), rnd.randint(1, 4))
+
+    hess = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            hess[i][j] = hess[j][i] = q()
+    return Spectrum([q() for _ in range(n)]), q(), [q() for _ in range(n)], hess
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_route_agrees_with_float_route(n):
+    spec, value, grad, hess = random_rational_jet(Random(41 + n), n)
+    unit = [Fraction(c) for c in equations._UNIT_VECTORS[n]]
     for k in (1, 2, 3):
         t = fr(1, 2**k)
         y = [t * u for u in unit]
-        value = fr(1, 2)
-        grad = [fr(1, 3), fr(-1, 5), fr(2, 7)]
-        hess = [[fr(1), fr(1, 2), 0], [fr(1, 2), fr(-1, 3), fr(1, 4)], [0, fr(1, 4), fr(2)]]
         exact = transformed_residual_exact(y, value, grad, hess, spec)
         frame = flat_frame([float(v) for v in spec.values])
         jet = Jet2(
@@ -386,6 +396,41 @@ def test_exact_route_agrees_with_float_route():
             1.0, abs(split.nonlinear_term)
         )
         assert isinstance(exact.total, Fraction)
+
+
+def similarity_route_total(y, value, grad, hess, vals, norm):
+    """The exact normalized residual the long way: the theta-free form on
+    the similarity image diag(lambda) + |y|^n M R^2 (R^2 = diag(1 +
+    lambda^2)), divided by gamma |y|^(n+2)."""
+    n = len(y)
+    K, L = identity_parts(y, value, grad, hess, norm * norm)
+    rho = [1 + v * v for v in vals]
+    similar = [
+        [
+            (vals[i] if i == j else 0) + norm**n * (K[i][j] + L * y[i] * y[j] / norm**2) * rho[j]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    raw = notheta_residual(PhaseBranch.slag(0), vals, similar)
+    return raw / (math.prod(rho) * norm ** (n + 2))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exact_route_equals_the_similarity_matrix_route(n):
+    # the weighted principal-minor sum is exactly the theta-free form on the
+    # similarity matrix, divided by gamma |y|^(n+2)
+    rnd = Random(61 + n)
+    unit = [Fraction(c) for c in equations._UNIT_VECTORS[n]]
+    for k in (1, 3, 6):
+        spec, value, grad, hess = random_rational_jet(rnd, n)
+        t = fr(1, 2**k)
+        y = [t * u for u in unit]
+        want = similarity_route_total(y, value, grad, hess, list(spec.values), t)
+        got = transformed_residual_exact(y, value, grad, hess, spec)
+        assert isinstance(want, Fraction)
+        assert got.total == want
+        assert got.linear_factor == math.prod(1 + v * v for v in spec.values)
 
 
 def test_exact_route_needs_rational_radius():
@@ -572,6 +617,28 @@ def test_scaling_ladder_is_deterministic():
 def test_scaling_ladder_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         residual_scaling_slopes(6)
+
+
+@pytest.mark.parametrize(
+    "exponents,named",
+    [
+        ((3, 3), "exponent 3 is repeated"),
+        ((0, -3), "exponent 0 "),
+        ((3, 100000), "exponent 100000 "),
+        ((3, 201), "exponent 201 "),
+        ((3, 4.0), "exponent 4.0 "),
+        ((3,), "at least two"),
+    ],
+)
+def test_scaling_ladder_rejects_bad_exponents(exponents, named):
+    with pytest.raises(ValueError, match=named):
+        residual_scaling_slopes(3, exponents=exponents)
+
+
+def test_scaling_ladder_reaches_the_exponent_cap():
+    out = residual_scaling_slopes(5, exponents=(1, 200))
+    assert out["log2_t"] == [-1, -200]
+    assert math.isfinite(out["slope"]) and out["log2_remainder"][1] > -1000
 
 
 # ── breakdown dataclass ──────────────────────────────────────────────────

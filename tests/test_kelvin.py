@@ -171,6 +171,12 @@ def test_scaling_matrix_admissibility():
     with pytest.raises(AdmissibilityError):
         scaling_matrix(lg, [lg.b - lg.a - 0.5, 1.0])
 
+    # g'(lambda) = 1 / (1 + lambda^2) underflows to 0 at 1e300
+    with pytest.raises(AdmissibilityError, match="eigenvalue 1e\\+300"):
+        scaling_matrix(PhaseBranch.slag(1.0), [1e300, 1.0])
+    with pytest.raises(AdmissibilityError):
+        KelvinFrame(PhaseBranch.slag(1.0), [1e300, 1.0])
+
 
 # ── point maps ───────────────────────────────────────────────────────────
 
@@ -390,6 +396,28 @@ def test_hessian_identity_check_other_branches(branch, lams):
     v = random_profile(rng, 3)
     report = hessian_identity_check(frame, v, samples=15, fd_step=1e-4, seed=2)
     assert report.max_rel_deviation < 1e-5
+
+
+@pytest.mark.parametrize(
+    "samples,fd_step",
+    [(0, 1e-4), (-1, 1e-4), (5, 0.0), (5, -1e-4), (5, math.nan), (5, math.inf)],
+)
+def test_hessian_identity_check_rejects_unmeasurable_settings(samples, fd_step):
+    frame = KelvinFrame(PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7])
+    v = random_profile(Random(5), 3)
+    with pytest.raises(ValueError):
+        hessian_identity_check(frame, v, samples=samples, fd_step=fd_step)
+
+
+def test_hessian_identity_check_reports_non_finite_deviation_as_infinite():
+    # a huge step overflows u, and the inf - inf differences are NaN, which
+    # max() would silently drop
+    frame = KelvinFrame(PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7])
+    v = random_profile(Random(5), 3)
+    with np.errstate(all="ignore"):
+        report = hessian_identity_check(frame, v, samples=2, fd_step=1e300)
+    assert report.max_abs_deviation == math.inf
+    assert report.max_rel_deviation == math.inf
 
 
 # ── symbolic trace identity ──────────────────────────────────────────────

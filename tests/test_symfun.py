@@ -283,6 +283,30 @@ def test_char_sigmas_matches_principal_minor_sums_on_nonsymmetric_matrices():
         assert char_sigmas(mat, Fraction(1)) == want
 
 
+def test_principal_minors_sum_to_char_sigmas_on_nonsymmetric_matrices():
+    # the size-k principal minors are the terms of sigma_k, each also a
+    # Leibniz sum
+    rng = Random(13)
+    for n in range(1, 6):
+        mat = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
+        minors = symfun._principal_minors(mat)
+        assert set(minors) == {
+            rows for k in range(1, n + 1) for rows in combinations(range(n), k)
+        }
+        for rows, det in minors.items():
+            assert det == _leibniz_det(mat, rows)
+        sums = [
+            sum((det for rows, det in minors.items() if len(rows) == k), Fraction(0))
+            for k in range(1, n + 1)
+        ]
+        assert [Fraction(1), *sums] == char_sigmas(mat, Fraction(1))
+
+
+def test_principal_minors_reject_a_ragged_matrix():
+    with pytest.raises(ArityError):
+        symfun._principal_minors([[1, 2], [3]])
+
+
 def test_char_sigmas_rejects_a_ragged_matrix():
     with pytest.raises(ArityError):
         char_sigmas([[1, 2], [3]], Fraction(1))
