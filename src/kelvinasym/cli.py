@@ -596,19 +596,19 @@ def _run_radial(merged: dict) -> int:
     u1 = _finite("u1", float(merged["u1"]))
     p1 = _finite("p1", float(merged["p1"]))
     r_max = float(merged["rmax"])
-    step = float(merged["step"])
     stride = int(merged["stride"])
     if not r_max > 1.0:
         raise _UsageError(f"--rmax must exceed 1, got {r_max}")
-    if not step > 0.0:
-        raise _UsageError(f"--step must be positive, got {step}")
+    step = _finite("step", float(merged["step"]), positive=True)
     if stride < 1:
         raise _UsageError(f"--stride must be a positive integer, got {stride}")
 
     samples_out = merged.get("samples_out")
     per_radius = int(merged["per_radius"])
-    sample_rmin = merged.get("sample_rmin")
-    sample_rmax = merged.get("sample_rmax")
+    sample_rmin, sample_rmax = (
+        None if merged.get(key) is None else _finite(flag, float(merged[key]))
+        for key, flag in (("sample_rmin", "sample-rmin"), ("sample_rmax", "sample-rmax"))
+    )
     samples_path = None
     if samples_out is not None:
         samples_path = _check_out(samples_out)
@@ -637,8 +637,8 @@ def _run_radial(merged: dict) -> int:
             n,
             per_radius=per_radius,
             seed=seed,
-            r_min=None if sample_rmin is None else float(sample_rmin),
-            r_max=None if sample_rmax is None else float(sample_rmax),
+            r_min=sample_rmin,
+            r_max=sample_rmax,
         )
         _write("samples", samples_path, write_samples, samples)
     max_error = max(s.error for s in states)

@@ -8,6 +8,24 @@ into two determinant-style forms evaluated on a Hessian matrix H:
                    the asymptotic model A = diag(lambda), with theta
                    eliminated through the model.
 
+Both come from one determinant.  Each kind is a row of the plane algebra
+x + u y, u^2 = eps, with g(lambda) = kappa arg(alpha + beta lambda)
+(`_branches.phase_row`):
+
+  kind   eps  alpha             beta   kappa
+  SLAG   -1   1                 u      1
+  ATAN2  -1   (a+b) + u (a-b)   1 + u  sqrt(a^2 + 1) / b
+  RECIP   0   1 + u             1      -sqrt(2)
+  LOG    +1   a + u b           1      -sqrt(a^2 + 1) / b
+
+With P(H) = det(alpha + beta H) = sum_k sigma_k(H) beta^k alpha^(n-k) and
+cross(Z, P) = x_Z y_P - y_Z x_P, the theta-free form is
+s_free cross(P(A), P(H)), the theta-carrying form s_carry cross(Z_theta,
+P(H)), and the linear-part factor gamma = s_free N(P(A)) / kappa with
+N(x + u y) = x^2 - eps y^2.  Exact matrices take the sigma_k from
+`char_sigmas`; spectra and float matrices take P as prod (alpha + beta mu)
+over the eigenvalues.  Integer rows (SLAG, RECIP) keep rational input exact.
+
 On the ball side, H = A + |y|^n N(jet) and the theta-free form divides by
 gamma |y|^(n+2), where gamma is the linear-part factor: the residual then
 splits into the Laplacian of the profile plus a superlinearly small
@@ -37,6 +55,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from ._branches import PhaseRow, phase_row
 from .exactalg import DimensionError, MultiPoly, RadPoly
 from .kelvin import (
     Jet2,
@@ -50,11 +69,8 @@ from .kelvin import (
 from .symfun import (
     MismatchError,
     Spectrum,
-    _alternating,
     _Dual,
-    _pencil_sigmas,
     _principal_minors,
-    _sigmas,
     char_sigmas,
     random_spectrum,
 )
@@ -84,68 +100,75 @@ def _is_exact(x) -> bool:
 
 
 def _matrix_rows(H, n: int):
-    """Normalize a matrix argument; returns (rows, exact) where rows are
-    nested lists and `exact` says every entry is a rational number."""
+    """Normalize a matrix argument; returns (rows, exact) where `exact` says
+    H is nested lists whose every entry is a rational number."""
     if isinstance(H, np.ndarray):
         if H.shape != (n, n):
             raise ValueError(f"matrix must be {n} x {n}")
-        return [[float(v) for v in row] for row in H], False
+        return H, False
     rows = [list(row) for row in H]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"matrix must be {n} x {n}")
-    exact = all(_is_exact(v) for row in rows for v in row)
-    if not exact:
-        rows = [[float(v) for v in row] for row in rows]
-    return rows, exact
+    return rows, all(_is_exact(v) for row in rows for v in row)
 
 
-def _require_symmetric(rows) -> None:
-    n = len(rows)
-    scale = max(1.0, max(abs(float(v)) for row in rows for v in row))
-    for i in range(n):
-        for j in range(i):
-            if abs(float(rows[i][j]) - float(rows[j][i])) > 1e-9 * scale:
-                raise ValueError("floating-point evaluation needs a symmetric matrix")
+def _require_symmetric(mat: np.ndarray) -> None:
+    if np.abs(mat - mat.T).max() > 1e-9 * max(1.0, np.abs(mat).max()):
+        raise ValueError("floating-point evaluation needs a symmetric matrix")
 
 
-def _sigmas_matrix(rows, exact: bool) -> list[Scalar]:
-    if exact:
-        return char_sigmas([[Fraction(v) for v in row] for row in rows], Fraction(1))
-    eigs = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
-    return _sigmas([float(v) for v in eigs], 1.0)
-
-
-def _sigma_bar_values(values, a: float, b: float) -> list[float]:
-    """Shifted symmetric functions: coefficients of
-    prod((v + a + b) + t (v + a - b)) as a polynomial in t."""
-    return _pencil_sigmas([(float(v) + a + b, float(v) + a - b) for v in values], 1.0)
-
-
-def _shifted(rows, shift):
-    out = [list(row) for row in rows]
-    for d in range(len(rows)):
-        out[d][d] = out[d][d] + shift
-    return out
-
-
-def _spectrum_values(s, exact_wanted: bool):
+def _spectrum_values(s) -> list:
+    """Fractions when every value is rational, else floats."""
     vals = list(s.values) if isinstance(s, Spectrum) else list(s)
-    if exact_wanted and all(_is_exact(v) for v in vals):
-        return [Fraction(v) for v in vals], True
-    return [float(v) for v in vals], False
+    if all(_is_exact(v) for v in vals):
+        return [Fraction(v) for v in vals]
+    return [float(v) for v in vals]
 
 
 # ── the two residual forms ───────────────────────────────────────────────
 
 
+def _row(branch: PhaseBranch) -> PhaseRow:
+    return phase_row(branch.kind, branch.a, branch.b)
+
+
+def _det_by_sigmas(row: PhaseRow, sig) -> tuple:
+    """P = det(alpha + beta H) = sum_k sigma_k(H) beta^k alpha^(n-k) from
+    sigma_0 .. sigma_n of H in any exact ring (`char_sigmas`)."""
+    alpha_pow, beta_pow = [row.unit], [row.unit]
+    for _ in sig[1:]:
+        alpha_pow.append(row.mul(alpha_pow[-1], row.alpha))
+        beta_pow.append(row.mul(beta_pow[-1], row.beta))
+    x = y = 0 * sig[0]
+    for s, b_pow, a_pow in zip(sig, beta_pow, reversed(alpha_pow)):
+        cx, cy = row.mul(b_pow, a_pow)
+        # a zero part would still cost a ring product (MultiPoly duals)
+        if cx:
+            x = x + s * cx
+        if cy:
+            y = y + s * cy
+    return x, y
+
+
+def _det_by_values(row: PhaseRow, values) -> tuple:
+    """P = prod (alpha + beta v) over the eigenvalues v: the same det, for
+    spectra and floating-point matrices.  Expanding in sigma_k there would
+    round away small factors, such as 1 + lambda near the RECIP bound."""
+    out = row.unit
+    for v in values:
+        out = row.mul(out, (row.alpha[0] + row.beta[0] * v, row.alpha[1] + row.beta[1] * v))
+    return out
+
+
 @dataclass(frozen=True)
 class AlgebraicForm:
-    """A polynomialized residual of one branch: the weights multiplying the
-    sigma/sigma-bar data of the evaluated matrix are fixed at construction,
-    so evaluation is pure determinant algebra.
+    """A polynomialized residual of one branch, scale * cross(Z, P(H)) with
+    P(H) = det(alpha + beta H) in the branch's plane algebra (row table in
+    `_branches`): Z and scale are fixed at construction, so evaluation is
+    pure determinant algebra.
 
-    `coefficients` carries those weights: phase weights for the
-    theta-carrying form, model weights for the theta-free form.
+    `coefficients` carries {x, y, scale}: Z = x + u y is Z_theta for the
+    theta-carrying form and P(A) for the theta-free form.
     """
 
     branch: PhaseBranch
@@ -156,45 +179,21 @@ class AlgebraicForm:
     @classmethod
     def theta_carrying(cls, branch: PhaseBranch, n: int, theta: float) -> "AlgebraicForm":
         """The form that vanishes exactly on matrices of phase theta."""
-        kind = branch.kind
-        a, b = branch.a, branch.b
-        theta = float(theta)
-        if kind == "SLAG":
-            coeff = {"cos": math.cos(theta), "sin": math.sin(theta)}
-        elif kind == "ATAN2":
-            reduced = theta * b / math.sqrt(a * a + 1.0)
-            coeff = {"cos": math.cos(reduced), "sin": math.sin(reduced)}
-        elif kind == "RECIP":
-            coeff = {"theta": theta}
-        else:  # LOG
-            coeff = {"growth": math.exp(2.0 * b * theta / math.sqrt(a * a + 1.0))}
+        row = _row(branch)
+        x, y = row.carrier(float(theta))
+        coeff = {"x": x, "y": y, "scale": row.s_carry}
         return cls(branch=branch, n=n, theta_free=False, coefficients=coeff)
 
     @classmethod
     def eliminated(cls, branch: PhaseBranch, n: int, s) -> "AlgebraicForm":
         """The theta-free form, with theta eliminated through the phase of
         the asymptotic model spectrum s."""
-        kind = branch.kind
-        a, b = branch.a, branch.b
-        exactable = kind in ("SLAG", "RECIP")
-        vals, exact = _spectrum_values(s, exact_wanted=exactable)
+        row = _row(branch)
+        vals = _spectrum_values(s)
         if len(vals) != n:
             raise ValueError("spectrum size must match the form dimension")
-        one: Scalar = Fraction(1) if exact else 1.0
-        if kind == "SLAG":
-            e, o = _alternating(_sigmas(vals, one))
-            coeff = {"E": e, "O": o}
-        elif kind == "ATAN2":
-            e, o = _alternating(_sigma_bar_values(vals, a, b))
-            coeff = {"E": e, "O": o}
-        elif kind == "RECIP":
-            sig = _sigmas([v + one for v in vals], one)
-            coeff = {"det": sig[n], "subdet": sig[n - 1]}
-        else:  # LOG
-            coeff = {
-                "plus": math.prod(float(v) + a + b for v in vals),
-                "minus": math.prod(float(v) + a - b for v in vals),
-            }
+        x, y = _det_by_values(row, vals)
+        coeff = {"x": x, "y": y, "scale": row.s_free}
         return cls(branch=branch, n=n, theta_free=True, coefficients=coeff)
 
     def residual(self, H) -> Scalar:
@@ -205,77 +204,36 @@ class AlgebraicForm:
         matrices are fine) and keep the evaluation exact whenever the
         stored weights are exact."""
         rows, exact = _matrix_rows(H, self.n)
-        exact = exact and all(_is_exact(v) for v in self.coefficients.values())
-        kind = self.branch.kind
-        a, b = self.branch.a, self.branch.b
+        row = _row(self.branch)
+        if exact and all(_is_exact(v) for v in self.coefficients.values()):
+            sig = char_sigmas([[Fraction(v) for v in line] for line in rows], Fraction(1))
+            p = _det_by_sigmas(row, sig)
+        else:
+            floats = np.asarray(rows, dtype=float)
+            _require_symmetric(floats)
+            p = _det_by_values(row, (float(v) for v in np.linalg.eigvalsh(floats)))
+        return self._at_det(p)
+
+    def _at_det(self, p):
+        """The form at P(H) = p: scale * cross(Z, p), in the ring of p."""
         c = self.coefficients
-
-        if not exact:
-            rows = [[float(v) for v in row] for row in rows]
-            _require_symmetric(rows)
-
-        if kind == "SLAG":
-            e_h, o_h = _alternating(_sigmas_matrix(rows, exact))
-            if self.theta_free:
-                return c["E"] * o_h - c["O"] * e_h
-            return c["cos"] * o_h - c["sin"] * e_h
-
-        if kind == "ATAN2":
-            eigs = np.linalg.eigvalsh(np.asarray(rows, dtype=float))
-            e_h, o_h = _alternating(_sigma_bar_values([float(v) for v in eigs], a, b))
-            if self.theta_free:
-                return c["E"] * o_h - c["O"] * e_h
-            return c["sin"] * e_h - c["cos"] * o_h
-
-        if kind == "RECIP":
-            shifted = _shifted(rows, Fraction(1) if exact else 1.0)
-            sig = _sigmas_matrix(shifted, exact)
-            det, subdet = sig[self.n], sig[self.n - 1]
-            if self.theta_free:
-                return c["det"] * subdet - c["subdet"] * det
-            return -math.sqrt(2.0) * subdet - c["theta"] * det
-
-        # LOG
-        det_lower = float(np.linalg.det(np.asarray(_shifted(rows, a - b), dtype=float)))
-        det_upper = float(np.linalg.det(np.asarray(_shifted(rows, a + b), dtype=float)))
-        if self.theta_free:
-            return c["plus"] * det_lower - c["minus"] * det_upper
-        return det_lower - c["growth"] * det_upper
+        return c["scale"] * _row(self.branch).cross((c["x"], c["y"]), p)
 
 
 def algebraic_residual(branch: PhaseBranch, H, theta: float) -> float:
     """theta-carrying residual of a symmetric matrix; zero (to rounding)
     exactly when the branch phase of H equals theta, modulo the period of
     the branch's arctangent form."""
-    rows, _ = _matrix_rows(H, len(H))
-    return float(AlgebraicForm.theta_carrying(branch, len(rows), theta).residual(H))
+    return float(AlgebraicForm.theta_carrying(branch, len(H), theta).residual(H))
 
 
 def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
     """theta-free residual of H against the asymptotic model spectrum s;
     exact when the branch weights and every entry of H are rational."""
-    rows, _ = _matrix_rows(H, len(H))
-    return AlgebraicForm.eliminated(branch, len(rows), s).residual(H)
+    return AlgebraicForm.eliminated(branch, len(H), s).residual(H)
 
 
 # ── the linear-part factor ───────────────────────────────────────────────
-
-
-def _linear_factor_formula(branch: PhaseBranch, vals) -> Scalar:
-    kind = branch.kind
-    a, b = branch.a, branch.b
-    if kind == "SLAG":
-        out = vals[0] ** 0  # 1 in the arithmetic of the values
-        for v in vals:
-            out = out * (1 + v * v)
-        return out
-    if kind == "ATAN2":
-        scale = 2.0 ** len(vals) * b / math.sqrt(a * a + 1.0)
-        return scale * math.prod((float(v) + a) ** 2 + b * b for v in vals)
-    if kind == "RECIP":
-        return -math.prod((1.0 + float(v)) ** 2 for v in vals) / math.sqrt(2.0)
-    scale = 2.0 * b / math.sqrt(a * a + 1.0)
-    return scale * math.prod((float(v) + a) ** 2 - b * b for v in vals)
 
 
 def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
@@ -287,12 +245,14 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
     direct t-interpolation of the theta-free residual along H = A + t N
     with N the image of a canonical unit-Hessian jet; MismatchError if the
     two routes disagree beyond 1e-9 relative."""
-    vals, _ = _spectrum_values(s, exact_wanted=branch.kind == "SLAG")
-    gamma = _linear_factor_formula(branch, vals)
+    vals = _spectrum_values(s)
+    n = len(vals)
+    row = _row(branch)
+    c = AlgebraicForm.eliminated(branch, n, vals).coefficients
+    gamma = c["scale"] * row.norm((c["x"], c["y"])) / row.kappa  # s_free N(P(A)) / kappa
 
     # interpolation route: a jet with hess = I, value 0, gradient 0 maps to
     # N = |y|^2 R^2, so the t-slope of the residual equals n |y|^2 gamma
-    n = len(vals)
     floats = [float(v) for v in vals]
     rsq = [float(r) ** 2 for r in scaling_matrix(branch, floats)]
     norm_sq = 0.25
@@ -478,9 +438,9 @@ def linear_part_defect_n3(s) -> RadPoly:
     pencil = [
         [_Dual(vals[i] if i == j else 0, scaled_m[i][j] * rho[j]) for j in range(n)] for i in range(n)
     ]
-    e_h, o_h = _alternating(char_sigmas(pencil, _Dual(Fraction(1), zero)))
-    e_a, o_a = _alternating(_sigmas(vals, Fraction(1)))
-    linear = (e_a * o_h - o_a * e_h).b
+    form = AlgebraicForm.eliminated(PhaseBranch.slag(0.0), n, vals)
+    p_h = _det_by_sigmas(_row(form.branch), char_sigmas(pencil, _Dual(Fraction(1), zero)))
+    linear = form._at_det(p_h).b
     gamma = math.prod(rho, start=Fraction(1))
     trace_h = hvar[0][0] + hvar[1][1] + hvar[2][2]
     want = gamma * (ysq * ysq * trace_h)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -305,6 +306,18 @@ def _unpack_quadratic(coef: np.ndarray, n: int, scale: float):
     return A / scale**2, b / scale, c
 
 
+# annuli one fit may scan: each is a pass over every sample, and the decay
+# slope needs a handful, so the cap bounds the work far above any useful fit
+MAX_ANNULI = 1000
+
+
+def _check_annuli(num_annuli, annuli) -> None:
+    if not isinstance(num_annuli, numbers.Integral) or not 3 <= num_annuli <= MAX_ANNULI:
+        raise ValueError(f"num_annuli must be an integer in 3..{MAX_ANNULI}, got {num_annuli!r}")
+    if annuli is not None and len(annuli) > MAX_ANNULI:
+        raise ValueError(f"{len(annuli)} annuli given, more than {MAX_ANNULI}")
+
+
 def _make_annuli(radii: np.ndarray, annuli, num_annuli: int) -> list[tuple[float, float]]:
     if annuli is not None:
         out = sorted((float(lo), float(hi)) for lo, hi in annuli)
@@ -361,11 +374,13 @@ def fit_expansion(
     measure how much of the residual that column explains.
 
     Raises ValueError naming the first sample with a non-finite
-    coordinate or value, InsufficientDataError when fewer than four
+    coordinate or value, a num_annuli outside 3..MAX_ANNULI, or more than
+    MAX_ANNULI explicit annuli; InsufficientDataError when fewer than four
     samples per parameter are given or fewer than three annuli are
-    populated, and ConditioningError when the normal system is
+    populated; and ConditioningError when the normal system is
     effectively singular.
     """
+    _check_annuli(num_annuli, annuli)
     pts, vals = _split_samples(samples)
     if pts.ndim != 2 or pts.shape[1] != n:
         raise DimensionError(f"samples have {pts.shape[1]} coordinates, expected {n}")

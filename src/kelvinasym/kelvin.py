@@ -91,6 +91,8 @@ class PhaseBranch:
     b: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise ValueError(f"phase theta={self.theta} is not finite")
         _branches.check_tau(self.kind, self.tau)
         a, b = _branches.shift_params(self.kind, self.tau)
         if abs(a - self.a) > 1e-12 or abs(b - self.b) > 1e-12:

@@ -182,8 +182,8 @@ def integrate_exterior(
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     step = float(step)
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     r_max = float(r_max)
     if not r_max > 1.0:
         raise ValueError(f"r_max must exceed the unit starting radius, got {r_max}")
@@ -334,12 +334,16 @@ def trajectory_samples(
     the unit sphere with the seeded generator and emits (x, u(|x|))
     pairs at x = r * direction — exact values at the recorded radii, no
     interpolation.  The output feeds the quadratic-fit machinery.
+    A NaN bound is a ValueError.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     per_radius = int(per_radius)
     if per_radius < 1:
         raise ValueError(f"per_radius must be a positive integer, got {per_radius}")
+    for name, bound in (("r_min", r_min), ("r_max", r_max)):
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"{name} must not be NaN, got {bound}")
     rng = np.random.default_rng(seed)
     samples: list[tuple[tuple[float, ...], float]] = []
     for state in states:

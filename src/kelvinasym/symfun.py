@@ -298,7 +298,7 @@ def char_sigmas(mat, one) -> list:
     touch the entries, so it runs over Fraction, MultiPoly, RadPoly or
     `_Dual` entries, and it holds for any square matrix (diagonal similarity
     transforms may be applied freely first).  Floats take eigenvalues
-    instead (`equations._sigmas_matrix`)."""
+    instead (`equations.AlgebraicForm.residual`)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArityError("matrix must be square")

@@ -192,15 +192,34 @@ def test_kelvin_check_non_finite_deviation_fails_with_valid_json(tmp_path, capsy
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("theta", "inf"), ("theta", "-inf"), ("theta", "nan"), ("u1", "nan"), ("p1", "inf")],
+    [
+        ("theta", "inf"),
+        ("theta", "-inf"),
+        ("theta", "nan"),
+        ("u1", "nan"),
+        ("p1", "inf"),
+        ("sample-rmin", "nan"),
+        ("sample-rmax", "nan"),
+    ],
 )
 def test_radial_non_finite_value_exits_2(tmp_path, capsys, flag, value):
-    # a non-finite start used to integrate one node and report a failed run
+    # a non-finite start used to integrate one node and report a failed run,
+    # and a NaN sample bound was ignored
     out = tmp_path / "t.csv"
     flags = {"theta": "2.3", "u1": "0.5", "p1": "1", flag: value}
     argv = ["radial", *(f"--{k}={v}" for k, v in flags.items()), "--rmax", "3"]
     assert dispatch([*argv, "--out", str(out)]) == 2
     assert f"--{flag} must be finite, got {float(value)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_radial_non_finite_step_exits_2(tmp_path, capsys, value):
+    # an infinite step used to end in an unrelated integer-conversion error
+    out = tmp_path / "t.csv"
+    argv = ["radial", "--theta", "2.3", "--u1", "0.5", "--p1", "1", "--rmax", "3", "--step", value]
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert f"--step must be positive and finite, got {float(value)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -536,6 +555,25 @@ def test_fit_insufficient_data_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "FAILED" in err and "adequacy" in err
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--num-annuli", "0"], "num_annuli must be an integer in 3..1000, got 0"),
+        (["--num-annuli", "-2"], "num_annuli must be an integer in 3..1000, got -2"),
+        (["--num-annuli", "1000000"], "num_annuli must be an integer in 3..1000, got 1000000"),
+        (["--annuli", ",".join(["1:2"] * 1001)], "1001 annuli given, more than 1000"),
+    ],
+)
+def test_fit_unbounded_annuli_exits_2(tmp_path, capsys, flags, named):
+    samples_csv = tmp_path / "few.csv"
+    samples_csv.write_text("x1,x2,x3,u\n1.0,0.0,0.0,0.5\n0.0,1.0,0.0,0.5\n")
+    out = tmp_path / "f.json"
+    argv = ["fit", "--samples", str(samples_csv), "--n", "3", "--out", str(out), *flags]
+    assert dispatch(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_non_finite_sample_exits_2(tmp_path, capsys):

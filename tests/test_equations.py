@@ -29,9 +29,10 @@ from kelvinasym.equations import (
     transformed_residual,
     transformed_residual_exact,
 )
+from kelvinasym._branches import phase_row
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch, identity_parts
-from kelvinasym.symfun import Spectrum, random_spectrum
+from kelvinasym.symfun import Spectrum, alternating_sums, char_sigmas, random_spectrum, sigma_all
 
 
 def fr(a, b=1):
@@ -250,6 +251,159 @@ def test_spectrum_size_must_match_matrix():
     branch = PhaseBranch.slag(0.0)
     with pytest.raises(ValueError):
         notheta_residual(branch, [0.0, 0.0], np.zeros((3, 3)))
+
+
+# ── one plane-algebra row per kind, and the routes it replaced ───────────
+
+
+def row_of(branch: PhaseBranch):
+    return phase_row(branch.kind, branch.a, branch.b)
+
+
+def plane_arg(row, z) -> float:
+    """arg(x + u y): atan2(y, x), y / x, or artanh(y / x) = log(p / m) / 2
+    from the null coordinates (p, m) = (x + y, x - y) that eps = +1 stores."""
+    if row.eps < 0:
+        return math.atan2(z[1], z[0])
+    if row.eps == 0:
+        return z[1] / z[0]
+    return 0.5 * math.log(z[0] / z[1])
+
+
+ROW_BRANCHES = [
+    PhaseBranch.slag(0.0),
+    PhaseBranch.recip(-1.0),
+    PhaseBranch.make("ATAN2", theta=0.0, tau=0.9),
+    PhaseBranch.make("ATAN2", theta=0.0, tau=1.4),
+    PhaseBranch.make("LOG", theta=-0.1, tau=0.1),
+    PhaseBranch.make("LOG", theta=-0.1, tau=0.6),
+]
+
+
+@pytest.mark.parametrize("branch", ROW_BRANCHES, ids=lambda b: f"{b.kind}-{b.tau:.2f}")
+def test_row_reproduces_the_scalar_map_and_its_derivative(branch):
+    # g(lambda) = kappa arg(alpha + beta lambda); the derivative of arg z
+    # along dz = beta is cross(z, beta) / N(z) in every plane algebra
+    row = row_of(branch)
+    rng = np.random.default_rng(67)
+    lower = branch.admissible_lower()
+    lams = rng.uniform(-3.0, 3.0, 500) if lower is None else lower + rng.uniform(0.05, 3.0, 500)
+    for lam in lams:
+        z = (row.alpha[0] + row.beta[0] * lam, row.alpha[1] + row.beta[1] * lam)
+        assert math.isclose(row.kappa * plane_arg(row, z), branch.g(lam), rel_tol=1e-12)
+        slope = row.kappa * row.cross(z, row.beta) / row.norm(z)
+        assert math.isclose(slope, branch.g_prime(lam), rel_tol=1e-12)
+
+
+def shifted_det(h, shift) -> float:
+    return float(np.linalg.det(h + shift * np.eye(len(h))))
+
+
+def reference_terms(branch: PhaseBranch, s, h, theta):
+    """Per-kind reference routes for the two forms, each as the terms
+    (t1, t2) whose difference is the form: theta-free, then theta-carrying.
+    LOG by np.linalg.det of the shifted matrices; ATAN2 and SLAG by the
+    complex product of the shifted pencil over eigvalsh; RECIP by det and
+    subdet of H + I over eigvalsh."""
+    a, b = branch.a, branch.b
+    mu = np.linalg.eigvalsh(h)
+    if branch.kind == "LOG":
+        plus = math.prod(v + a + b for v in s)
+        minus = math.prod(v + a - b for v in s)
+        lower, upper = shifted_det(h, a - b), shifted_det(h, a + b)
+        growth = math.exp(2.0 * b * theta / math.sqrt(a * a + 1.0))
+        return (plus * lower, minus * upper), (lower, growth * upper)
+    if branch.kind == "RECIP":
+        det_a, det_h = math.prod(1 + v for v in s), math.prod(1 + m for m in mu)
+        sub_a = sum(math.prod(1 + w for j, w in enumerate(s) if j != i) for i in range(len(s)))
+        sub_h = sum(math.prod(1 + w for j, w in enumerate(mu) if j != i) for i in range(len(mu)))
+        return (det_a * sub_h, sub_a * det_h), (-math.sqrt(2.0) * sub_h, theta * det_h)
+    if branch.kind == "ATAN2":
+        zh, za = (math.prod(complex(v + a + b, v + a - b) for v in vals) for vals in (mu, s))
+        reduced = theta * b / math.sqrt(a * a + 1.0)
+        return (
+            (za.real * zh.imag, za.imag * zh.real),
+            (math.sin(reduced) * zh.real, math.cos(reduced) * zh.imag),
+        )
+    zh, za = math.prod(complex(1.0, m) for m in mu), math.prod(complex(1.0, v) for v in s)
+    return (za.real * zh.imag, za.imag * zh.real), (math.cos(theta) * zh.imag, math.sin(theta) * zh.real)
+
+
+@pytest.mark.parametrize("branch", ROW_BRANCHES, ids=lambda b: f"{b.kind}-{b.tau:.2f}")
+def test_forms_match_the_deleted_per_kind_routes(branch):
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4, 5):
+        for _ in range(40):
+            s = admissible_eigs(rng, branch, n)
+            h = rotated(admissible_eigs(rng, branch, n), random_orthogonal(rng, n))
+            theta = branch.phase(admissible_eigs(rng, branch, n))
+            free, carrying = reference_terms(branch, s, h, theta)
+            got = (notheta_residual(branch, list(s), h), algebraic_residual(branch, h, theta))
+            for value, (t1, t2) in zip(got, (free, carrying)):
+                assert abs(float(value) - (t1 - t2)) <= 1e-12 * (abs(t1) + abs(t2))
+
+
+def exact_reference_free(branch: PhaseBranch, s, h):
+    """Exact reference routes for the theta-free form: SLAG by the
+    alternating sums of char_sigmas, RECIP by det and subdet of H + I."""
+    n = len(s)
+    if branch.kind == "SLAG":
+        e_a, o_a = alternating_sums(s)
+        sig = char_sigmas(h, fr(1))
+        e_h = sum(sig[k] * (-1) ** (k // 2) for k in range(0, n + 1, 2))
+        o_h = sum(sig[k] * (-1) ** (k // 2) for k in range(1, n + 1, 2))
+        return e_a * o_h - o_a * e_h
+    sig_a = sigma_all([v + 1 for v in s])
+    sig_h = char_sigmas([[v + (i == j) for j, v in enumerate(line)] for i, line in enumerate(h)], fr(1))
+    return sig_a[n] * sig_h[n - 1] - sig_a[n - 1] * sig_h[n]
+
+
+@pytest.mark.parametrize("kind", ["SLAG", "RECIP"])
+def test_integer_rows_match_the_deleted_exact_routes_exactly(kind):
+    branch = PhaseBranch.make(kind, theta=0.0)
+    rnd = Random(73)
+    for n in (2, 3, 4, 5):
+        for _ in range(10):
+            s = random_spectrum(rnd, n, lower=-1 if kind == "RECIP" else None)
+            # not symmetric: exact matrices may be diagonal-similarity images
+            h = [[fr(rnd.randint(-4, 4), rnd.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            got = notheta_residual(branch, s, h)
+            assert isinstance(got, Fraction)
+            assert got == exact_reference_free(branch, list(s.values), h)
+
+
+def test_factor_keeps_small_factors_near_the_recip_bound():
+    # P(A) as a product keeps 1 + lambda = 1e-5; a sigma_k expansion of the
+    # same det rounds it away against terms of size one
+    branch = PhaseBranch.recip(-1.0)
+    for vals in ([-0.999] * 3, [-0.99999] * 4, [-0.9, 3.0, -0.99, 0.5, 7.0]):
+        want = -math.prod((1.0 + v) ** 2 for v in vals) / math.sqrt(2.0)
+        assert math.isclose(linear_part_factor(branch, vals), want, rel_tol=1e-12)
+
+
+def test_factor_and_forms_hold_near_the_log_bound():
+    # null coordinates keep det(H + a - b) next to the much larger
+    # det(H + a + b); in (x, y) their difference would round away
+    branch = PhaseBranch.make("LOG", theta=-0.1, tau=0.1)
+    a, b = branch.a, branch.b
+    vals = [b - a + gap for gap in (1e-3, 2e-3, 5e-3, 1e-2)]
+    want = 2.0 * b / math.sqrt(a * a + 1.0) * math.prod((v + a + b) * (v + a - b) for v in vals)
+    assert math.isclose(linear_part_factor(branch, vals), want, rel_tol=1e-12)
+    rng = np.random.default_rng(79)
+    h = rotated([b - a + gap for gap in (4e-3, 1e-2, 3e-3, 2e-3)], random_orthogonal(rng, 4))
+    (t1, t2), _ = reference_terms(branch, vals, h, 0.0)
+    assert abs(float(notheta_residual(branch, vals, h)) - (t1 - t2)) <= 1e-9 * abs(t1 - t2)
+
+
+def test_form_coefficients_are_the_row_points():
+    # theta-free: Z = P(A) with the row's s_free; theta-carrying: Z_theta
+    for branch in ROW_BRANCHES:
+        row = row_of(branch)
+        free = AlgebraicForm.eliminated(branch, 2, [0.5, 1.5]).coefficients
+        carrying = AlgebraicForm.theta_carrying(branch, 2, -0.2).coefficients
+        assert set(free) == set(carrying) == {"x", "y", "scale"}
+        assert free["scale"] == row.s_free and carrying["scale"] == row.s_carry
+        assert (carrying["x"], carrying["y"]) == row.carrier(-0.2)
 
 
 # ── linear-part factor ───────────────────────────────────────────────────

@@ -316,6 +316,39 @@ def test_fit_rejects_single_radius():
         fit_expansion(samples, 3)
 
 
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"num_annuli": 0}, "num_annuli must be an integer in 3..1000, got 0"),
+        ({"num_annuli": -2}, "got -2"),
+        ({"num_annuli": 2}, "got 2"),
+        ({"num_annuli": 1001}, "got 1001"),
+        ({"num_annuli": 10**6}, "got 1000000"),
+        ({"num_annuli": 6.0}, "got 6.0"),
+        ({"num_annuli": True}, "got True"),
+        ({"annuli": [(k + 1.0, k + 2.0) for k in range(1001)]}, "1001 annuli given, more than 1000"),
+    ],
+)
+def test_fit_rejects_unbounded_annuli_naming_the_value(kwargs, named):
+    # the annulus count is checked before any sample is touched
+    rng = np.random.default_rng(3)
+    samples = sphere_samples(rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x))
+    with pytest.raises(ValueError, match=named) as info:
+        fit_expansion(samples, 3, **kwargs)
+    assert not isinstance(info.value, InsufficientDataError)
+
+
+def test_fit_accepts_the_annulus_count_bounds():
+    rng = np.random.default_rng(3)
+    samples = sphere_samples(rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x))
+    fit = fit_expansion(samples, 3, num_annuli=3)
+    assert np.abs(fit.A - np.eye(3)).max() < 1e-8
+    # 1000 annuli leave the outermost one too thin to fit, which is a data
+    # failure, not a rejected count
+    with pytest.raises(ConditioningError):
+        fit_expansion(samples, 3, num_annuli=1000)
+
+
 def test_fit_conditioning_guard():
     samples = []
     for r in np.geomspace(5, 50, 60):

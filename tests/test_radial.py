@@ -234,6 +234,14 @@ def test_integrate_argument_validation():
         integrate_exterior(br, 3, THETA3, 0.5, 1.0, 10.0, 1e-2, stride=0)
 
 
+def test_integrate_rejects_a_non_finite_step_naming_it():
+    # an infinite step used to plan zero work and fail later converting NaN
+    br = PhaseBranch.slag(THETA3)
+    for step in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"step must be positive and finite, got {step}"):
+            integrate_exterior(br, 3, THETA3, 0.5, 1.0, 10.0, step)
+
+
 def test_planned_work_cap():
     br = PhaseBranch.slag(THETA3)
     for r_max, step, stride in ((1e9, 1e-9, 1), (1e9, 1e-9, 10**12), (math.inf, 1e-3, 1)):
@@ -343,6 +351,16 @@ def test_trajectory_samples_window_and_determinism():
         trajectory_samples(states, 3, per_radius=0, seed=0)
     with pytest.raises(ValueError, match="dimension"):
         trajectory_samples(states, 1, per_radius=2, seed=0)
+
+
+def test_trajectory_samples_reject_a_nan_bound():
+    # a NaN bound compares false, so it used to sample every node
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=100)
+    with pytest.raises(ValueError, match="r_min must not be NaN, got nan"):
+        trajectory_samples(states, 3, per_radius=2, seed=0, r_min=math.nan)
+    with pytest.raises(ValueError, match="r_max must not be NaN, got nan"):
+        trajectory_samples(states, 3, per_radius=2, seed=0, r_max=math.nan)
 
 
 def test_trajectory_samples_feed_the_quadratic_fit():

@@ -113,6 +113,12 @@ def _poly_term(coef, exp):
             {"branch": {"kind": "SLAG", "theta": 1.0}, "lambda": [float("nan"), 1.0]},
             "frame",
         ),
+        (PhaseBranch.from_json, {"kind": "SLAG", "theta": float("nan")}, "branch"),
+        (
+            KelvinFrame.from_json,
+            {"branch": {"kind": "SLAG", "theta": float("inf")}, "lambda": [1.0, 2.0]},
+            "frame",
+        ),
     ],
     ids=[
         "poly-zero-denominator",
@@ -125,6 +131,8 @@ def _poly_term(coef, exp):
         "spectrum-exponent-beyond-cap",
         "frame-scalar-b",
         "frame-nan-eigenvalue",
+        "branch-nan-theta",
+        "frame-inf-theta",
     ],
 )
 def test_malformed_record_raises_value_error_naming_it(reader, record, kind):
