@@ -4,9 +4,15 @@
 Representation
 --------------
 A polynomial in ``n_vars`` variables is a sparse mapping from exponent
-tuples to nonzero rational coefficients::
+tuples to nonzero integer numerators, over one positive common
+denominator::
 
-    3/2 * y1^2 * y3   <->   {(2, 0, 1): Fraction(3, 2)}
+    3/2 * y1^2 * y3 - 1/3 * y2   <->   {(2, 0, 1): 9, (0, 1, 0): -2} / 6
+
+The form is canonical (the denominator and the numerators share no factor),
+so equality compares the stored integers, and arithmetic is integer
+arithmetic followed by one gcd reduction.  ``MultiPoly.terms`` gives the
+coefficients as Fractions in lowest terms.
 
 ``RadPoly`` extends this with integer powers of ``r = |y|``: a finite sum
 ``sum_k r^k * p_k`` stored as a mapping from the integer exponent ``k`` to
@@ -27,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
+import numbers
+import operator
 from typing import Iterable, Iterator, Mapping, Union
 
 Exponent = tuple[int, ...]
@@ -100,9 +108,19 @@ def _check_same_dims(a: "MultiPoly | RadPoly", b: "MultiPoly | RadPoly") -> None
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with Fraction coefficients."""
+    """Sparse multivariate polynomial with rational coefficients, stored as
+    integer numerators over one common denominator.
 
-    __slots__ = ("n_vars", "terms")
+    ``_num`` maps exponent tuples to nonzero integers and ``_den`` is a
+    positive integer; the coefficient of ``y^e`` is ``_num[e] / _den``.  The
+    stored form is canonical: ``gcd(_den, *_num.values()) == 1`` and the zero
+    polynomial has ``_den == 1``, so equal polynomials have equal fields.
+
+    ``MultiPoly(n_vars, terms)`` and ``from_json`` validate their input;
+    every other result is built by the trusted ``_make`` from integers.
+    """
+
+    __slots__ = ("n_vars", "_num", "_den")
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Scalar] | None = None):
         if n_vars < 1:
@@ -117,8 +135,27 @@ class MultiPoly:
                 clean[exp] = clean.get(exp, Fraction(0)) + c
                 if not clean[exp]:
                     del clean[exp]
+        # over the lcm of reduced denominators, no prime divides every numerator
+        den = math.lcm(*(c.denominator for c in clean.values()))
         self.n_vars = n_vars
-        self.terms = clean
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
+
+    @classmethod
+    def _make(cls, n_vars: int, num: Mapping[Exponent, int], den: int = 1) -> "MultiPoly":
+        """Trusted constructor: ``num / den`` with ``den > 0`` and well-formed
+        exponents, brought to canonical form."""
+        num = {e: c for e, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        p = cls.__new__(cls)
+        p.n_vars, p._num, p._den = n_vars, num, den
+        return p
 
     # construction ---------------------------------------------------------
 
@@ -147,56 +184,61 @@ class MultiPoly:
             terms[exp] = Fraction(1)
         return cls(n_vars, terms)
 
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """The coefficients as ``{exponent: Fraction}`` in lowest terms (a copy)."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
     # arithmetic -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
+        return (self.n_vars, self._den, self._num) == (other.n_vars, other._den, other._num)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.n_vars, {e: -c for e, c in self._num.items()}, self._den)
+
+    def _add_scaled(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """``self + sign * other`` over the lcm of the two denominators."""
+        _check_same_dims(self, other)
+        g = math.gcd(self._den, other._den)
+        f_self, f_other = other._den // g, sign * (self._den // g)
+        out = {e: c * f_self for e, c in self._num.items()}
+        for e, c in other._num.items():
+            out[e] = out.get(e, 0) + c * f_other
+        return MultiPoly._make(self.n_vars, out, self._den * f_self)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        _check_same_dims(self, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = MultiPoly.__new__(MultiPoly)
-        p.n_vars, p.terms = self.n_vars, out
-        return p
+        return self._add_scaled(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
+        return self._add_scaled(other, -1)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, MultiPoly):
             _check_same_dims(self, other)
-            out: dict[Exponent, Fraction] = defaultdict(Fraction)
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    out[tuple(a + b for a, b in zip(e1, e2))] += c1 * c2
-            return MultiPoly(self.n_vars, out)
+            out: dict[Exponent, int] = defaultdict(int)
+            right = other._num.items()
+            for e1, c1 in self._num.items():
+                for e2, c2 in right:
+                    out[tuple(map(operator.add, e1, e2))] += c1 * c2
+            return MultiPoly._make(self.n_vars, out, self._den * other._den)
         c = _as_fraction(other)
-        if not c:
-            return MultiPoly.zero(self.n_vars)
-        p = MultiPoly.__new__(MultiPoly)
-        p.n_vars = self.n_vars
-        p.terms = {e: v * c for e, v in self.terms.items()}
-        return p
+        scaled = {e: v * c.numerator for e, v in self._num.items()}
+        return MultiPoly._make(self.n_vars, scaled, self._den * c.denominator)
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self * other
@@ -217,41 +259,41 @@ class MultiPoly:
 
     def partial(self, i: int) -> "MultiPoly":
         """Partial derivative with respect to the 0-based coordinate ``i``."""
-        out: dict[Exponent, Fraction] = {}
-        for e, c in self.terms.items():
+        out: dict[Exponent, int] = {}
+        for e, c in self._num.items():
             if e[i]:
-                e2 = e[:i] + (e[i] - 1,) + e[i + 1 :]
-                out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return MultiPoly(self.n_vars, out)
+                out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+        return MultiPoly._make(self.n_vars, out, self._den)
 
     def laplacian(self) -> "MultiPoly":
-        out: dict[Exponent, Fraction] = defaultdict(Fraction)
-        for e, c in self.terms.items():
+        out: dict[Exponent, int] = defaultdict(int)
+        for e, c in self._num.items():
             for i, ei in enumerate(e):
                 if ei >= 2:
-                    e2 = e[:i] + (ei - 2,) + e[i + 1 :]
-                    out[e2] += c * ei * (ei - 1)
-        return MultiPoly(self.n_vars, out)
+                    out[e[:i] + (ei - 2,) + e[i + 1 :]] += c * ei * (ei - 1)
+        return MultiPoly._make(self.n_vars, out, self._den)
 
     def euler(self) -> "MultiPoly":
         """``sum_i y_i * d/dy_i`` applied to the polynomial."""
-        out = {e: c * sum(e) for e, c in self.terms.items()}
-        return MultiPoly(self.n_vars, out)
+        out = {e: c * sum(e) for e, c in self._num.items()}
+        return MultiPoly._make(self.n_vars, out, self._den)
 
     # structure ------------------------------------------------------------
 
     def total_degree(self) -> int:
         """Largest total degree among terms (0 for the zero polynomial)."""
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self._num), default=0)
 
     def homogeneous_components(self) -> dict[int, "MultiPoly"]:
-        buckets: dict[int, dict[Exponent, Fraction]] = defaultdict(dict)
-        for e, c in self.terms.items():
+        buckets: dict[int, dict[Exponent, int]] = defaultdict(dict)
+        for e, c in self._num.items():
             buckets[sum(e)][e] = c
-        return {d: MultiPoly(self.n_vars, t) for d, t in sorted(buckets.items())}
+        return {
+            d: MultiPoly._make(self.n_vars, t, self._den) for d, t in sorted(buckets.items())
+        }
 
     def is_homogeneous(self, degree: int | None = None) -> bool:
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self._num}
         if not degrees:
             return True
         if len(degrees) > 1:
@@ -259,46 +301,52 @@ class MultiPoly:
         return degree is None or degrees == {degree}
 
     def evaluate(self, point: Iterable) -> Fraction | float:
+        """The value at ``point``: a Fraction when every coordinate is
+        rational, else a float summed term by term in storage order, each
+        coefficient entering as the correctly rounded ``numerator / _den``
+        (the same float as ``float(Fraction(numerator, _den))``)."""
         pt = list(point)
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
+        den = self._den
+        exact = all(isinstance(x, numbers.Rational) for x in pt)
+        total = 0 if exact else 0.0
+        for e, c in self._num.items():
+            term = c if exact else c / den
             for x, k in zip(pt, e):
                 if k:
                     term = term * x**k
             total = total + term
-        return total
+        return Fraction(total, den) if exact else total
 
     def try_divide_r2(self) -> "MultiPoly | None":
         """Exact quotient by ``|y|^2`` if it divides this polynomial, else None.
 
         Long division in the first variable: the divisor is monic of degree 2
         in ``y_1`` over the ring of polynomials in the remaining variables,
-        so quotient and remainder are unique and divisibility is equivalent
-        to a vanishing remainder.
+        so quotient and remainder are unique, the quotient's numerators stay
+        over this polynomial's denominator, and divisibility is equivalent to
+        a vanishing remainder.
         """
         if self.is_zero:
             return MultiPoly.zero(self.n_vars)
-        by_deg: dict[int, dict[Exponent, Fraction]] = defaultdict(dict)
-        for e, c in self.terms.items():
+        by_deg: dict[int, dict[Exponent, int]] = defaultdict(dict)
+        for e, c in self._num.items():
             by_deg[e[0]][e] = c
-        quot: dict[Exponent, Fraction] = {}
+        quot: dict[Exponent, int] = {}
         for d in range(max(by_deg), 1, -1):
             for e, c in by_deg.pop(d, {}).items():
                 if not c:
                     continue
-                qe = (e[0] - 2,) + e[1:]
-                quot[qe] = quot.get(qe, Fraction(0)) + c
+                quot[(e[0] - 2,) + e[1:]] = c
                 for j in range(1, self.n_vars):
                     e2 = (e[0] - 2,) + e[1:j] + (e[j] + 2,) + e[j + 1 :]
                     blk = by_deg[d - 2]
-                    blk[e2] = blk.get(e2, Fraction(0)) - c
+                    blk[e2] = blk.get(e2, 0) - c
         for d in (0, 1):
             if any(by_deg.get(d, {}).values()):
                 return None
-        return MultiPoly(self.n_vars, quot)
+        return MultiPoly._make(self.n_vars, quot, self._den)
 
     # serialization --------------------------------------------------------
 
@@ -314,11 +362,10 @@ class MultiPoly:
     def from_json(cls, data: Mapping) -> "MultiPoly":
         """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
-            n_vars = int(data["n_vars"])
+            n_vars = _json_int(data["n_vars"])
             terms = {}
             for t in data["terms"]:
-                # integrality is checked here, not in __init__, which every
-                # product passes through
+                # integrality is checked here; __init__ checks length and sign
                 terms[tuple(_json_int(e) for e in t["exp"])] = parse_rational(t["coef"])
             return cls(n_vars, terms)
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
@@ -534,7 +581,7 @@ class RadPoly:
         so k is capped at 40 and that factor at 300 terms (k <= 4 in 13
         variables); ``to_json`` writes one slot per parity."""
         try:
-            n_vars = int(data["n_vars"])
+            n_vars = _json_int(data["n_vars"])
             slots = {_json_int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
             for ks in ([k for k in slots if k % 2 == 0], [k for k in slots if k % 2]):
                 half = (max(ks) - min(ks)) // 2 if ks else 0

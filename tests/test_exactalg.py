@@ -190,6 +190,193 @@ def test_homopoly_validates():
         HomoPoly(y1**2 + y1, 2)
 
 
+# ── MultiPoly against a plain {exponent: Fraction} model ─────────────────
+#
+# Each operation is recomputed on dictionaries of Fractions, and every
+# result is checked for the canonical stored form: a positive denominator
+# sharing no factor with the nonzero integer numerators, and denominator 1
+# for the zero polynomial.
+
+wide_coefs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+term_dicts = st.dictionaries(st.tuples(*(st.integers(0, 3) for _ in range(3))), wide_coefs, max_size=5)
+scalars = st.one_of(st.integers(-6, 6), wide_coefs)
+
+
+def _clean(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _model_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return _clean(out)
+
+
+def _model_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return _clean(out)
+
+
+def _model_scale(a, s):
+    return _clean({e: c * s for e, c in a.items()})
+
+
+def _model_pow(a, k):
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(k):
+        out = _model_mul(out, a)
+    return out
+
+
+def _model_partial(a, i):
+    out = {}
+    for e, c in a.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1 :]] = c * e[i]
+    return _clean(out)
+
+
+def _model_laplacian(a):
+    out = {}
+    for i in range(3):
+        for e, c in _model_partial(_model_partial(a, i), i).items():
+            out[e] = out.get(e, 0) + c
+    return _clean(out)
+
+
+def _model_components(a):
+    out = {}
+    for e, c in a.items():
+        out.setdefault(sum(e), {})[e] = c
+    return dict(sorted(out.items()))
+
+
+_MODEL_R2 = {(2, 0, 0): Fraction(1), (0, 2, 0): Fraction(1), (0, 0, 2): Fraction(1)}
+
+
+def _model_divide_r2(a):
+    """Quotient by |y|^2 by repeatedly cancelling a term of y1-degree >= 2."""
+    rem, quot = dict(a), {}
+    while any(e[0] >= 2 for e in rem):
+        e = max(e for e in rem if e[0] >= 2)
+        step = {(e[0] - 2,) + e[1:]: rem[e]}
+        quot = _model_add(quot, step)
+        rem = _model_add(rem, _model_mul(step, _MODEL_R2), sign=-1)
+    return None if rem else quot
+
+
+def _assert_canonical(p):
+    assert type(p._den) is int and p._den > 0
+    assert all(type(c) is int and c != 0 for c in p._num.values())
+    assert math.gcd(p._den, *p._num.values()) == 1
+    assert p._num or p._den == 1
+
+
+@given(a=term_dicts, b=term_dicts, s=scalars, k=st.integers(0, 3), i=st.integers(0, 2))
+@settings(max_examples=80, deadline=None)
+def test_operations_match_fraction_dict_model(a, b, s, k, i):
+    p, q = MultiPoly(3, a), MultiPoly(3, b)
+    A, B = _clean(a), _clean(b)
+    r2 = MultiPoly.r_squared(3)
+    results = [
+        (p, A),
+        (p + q, _model_add(A, B)),
+        (p - q, _model_add(A, B, sign=-1)),
+        (-p, _model_scale(A, -1)),
+        (p * q, _model_mul(A, B)),
+        (p * s, _model_scale(A, s)),
+        (s * p, _model_scale(A, s)),
+        (p**k, _model_pow(A, k)),
+        (p.partial(i), _model_partial(A, i)),
+        (p.laplacian(), _model_laplacian(A)),
+        (p.euler(), _clean({e: c * sum(e) for e, c in A.items()})),
+        ((r2 * q).try_divide_r2(), B),
+    ]
+    comps = p.homogeneous_components()
+    assert list(comps) == list(_model_components(A))
+    results += [(comps[d], t) for d, t in _model_components(A).items()]
+    quotient, want = p.try_divide_r2(), _model_divide_r2(A)
+    assert (quotient is None) == (want is None)
+    if quotient is not None:
+        results.append((quotient, want))
+    for got, want in results:
+        _assert_canonical(got)
+        assert got.terms == want
+        assert got == MultiPoly(3, want)
+    third = Fraction(1, 3)
+    assert (p * q) * third == p * (q * third)
+    assert (p + q) * s == p * s + q * s
+    assert (p - q) + q == p
+
+
+# ── evaluation: floats bit-identical to the Fraction sum, exact stays exact
+
+
+def _fraction_sum(terms, point):
+    """The value as a sum over terms, in order, of Fraction coef * prod x**k."""
+    total = Fraction(0)
+    for e, c in terms.items():
+        term = c
+        for x, k in zip(point, e):
+            if k:
+                term = term * x**k
+        total = total + term
+    return total
+
+
+# large numerators and denominators make the rounding of each coefficient
+# to a float visible
+big_coefs = st.fractions(min_value=-(2**70), max_value=2**70, max_denominator=10**9)
+big_term_dicts = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(3))), big_coefs, max_size=6
+)
+float_coords = st.one_of(st.floats(-2.0, -0.125), st.floats(0.125, 2.0))
+float_points = st.lists(float_coords, min_size=3, max_size=3)
+
+
+@given(a=big_term_dicts, pt=float_points)
+@settings(max_examples=100, deadline=None)
+def test_float_evaluation_equals_the_fraction_sum(a, pt):
+    p = MultiPoly(3, a)
+    got = p.evaluate(pt)
+    assert isinstance(got, float)
+    # a constant polynomial's Fraction sum is its coefficient; otherwise the
+    # Fraction sum is already a float and float() leaves it unchanged
+    assert got == float(_fraction_sum(p.terms, pt))
+
+
+@given(
+    a=big_term_dicts,
+    pt=st.lists(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=9)), min_size=3, max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_rational_evaluation_is_exact(a, pt):
+    p = MultiPoly(3, a)
+    got = p.evaluate(pt)
+    assert isinstance(got, Fraction)
+    assert got == _fraction_sum(p.terms, pt)
+
+
+@given(
+    slots=st.dictionaries(st.integers(-3, 3), big_term_dicts, max_size=3),
+    pt=float_points,
+)
+@settings(max_examples=60, deadline=None)
+def test_radpoly_float_evaluation_equals_the_fraction_sum(slots, pt):
+    e = RadPoly(3, {k: MultiPoly(3, t) for k, t in slots.items()})
+    r2 = sum(x * x for x in pt)
+    want = Fraction(0)
+    for k, p in e.slots.items():
+        rk = r2 ** (k // 2) if k % 2 == 0 else math.sqrt(r2) ** k
+        want = want + rk * _fraction_sum(p.terms, pt)
+    assert e.evaluate(pt) == want
+
+
 # ── RadPoly canonical form ───────────────────────────────────────────────
 
 

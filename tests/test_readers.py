@@ -92,6 +92,16 @@ def _poly_term(coef, exp):
     return {"n_vars": 1, "terms": [{"coef": coef, "exp": exp}]}
 
 
+def _poly_n_vars(n_vars):
+    """A record whose exponents have as many entries as int(n_vars)."""
+    exp = [1] + [0] * (int(n_vars) - 1)
+    return {"n_vars": n_vars, "terms": [{"coef": "1", "exp": exp}]}
+
+
+def _radpoly_n_vars(n_vars):
+    return {"n_vars": n_vars, "slots": [{"k": 1, "poly": _poly_n_vars(int(n_vars))}]}
+
+
 @pytest.mark.parametrize(
     "reader, record, kind",
     [
@@ -100,6 +110,12 @@ def _poly_term(coef, exp):
         (MultiPoly.from_json, _poly_term("1", ["a"]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1", [1.5]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1e300000", [1]), "polynomial"),
+        (MultiPoly.from_json, _poly_n_vars(2.9), "polynomial"),
+        (MultiPoly.from_json, _poly_n_vars(True), "polynomial"),
+        (MultiPoly.from_json, _poly_n_vars("3"), "polynomial"),
+        (RadPoly.from_json, _radpoly_n_vars(2.9), "radical polynomial"),
+        (RadPoly.from_json, _radpoly_n_vars(True), "radical polynomial"),
+        (RadPoly.from_json, _radpoly_n_vars("3"), "radical polynomial"),
         (Spectrum.from_json, {"n": 1, "lambda": ["1/0"]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": [float("inf")]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": ["2e300000"]}, "spectrum"),
@@ -126,6 +142,12 @@ def _poly_term(coef, exp):
         "poly-text-exponent",
         "poly-fractional-exponent",
         "poly-exponent-beyond-cap",
+        "poly-float-n-vars",
+        "poly-bool-n-vars",
+        "poly-text-n-vars",
+        "radpoly-float-n-vars",
+        "radpoly-bool-n-vars",
+        "radpoly-text-n-vars",
         "spectrum-zero-denominator",
         "spectrum-infinite",
         "spectrum-exponent-beyond-cap",
