@@ -247,11 +247,16 @@ def _finish(report: dict, out: Path, command: str) -> int:
 
 # ── subcommand: lemmas ───────────────────────────────────────────────────
 
+# one lemmas trial takes about 2 s at n = 20 and 18 s at n = 40
+MAX_LEMMAS_N = 20
+
 
 def _run_lemmas(merged: dict) -> int:
     n = int(merged["n"])
     if n < 2:
         raise _UsageError("lemmas needs --n of at least 2 (identity hypothesis)")
+    if n > MAX_LEMMAS_N:
+        raise _UsageError(f"lemmas needs --n of at most {MAX_LEMMAS_N}, got {n}")
     trials = int(merged["trials"])
     if trials < 1:
         raise _UsageError("lemmas needs --trials of at least 1")
@@ -268,38 +273,30 @@ def _run_lemmas(merged: dict) -> int:
         pairs_nonzero = [
             symfun.random_branch_params(rng, nonzero_b=True) for _ in range(5)
         ]
-        checks = [
-            (rep, {"k": k})
-            for k, rep in enumerate(symfun.verify_linear_coefficient(spectrum, matrix), start=1)
-        ]
+        # one row per verifier call, in check order: its reports run over the
+        # index named in the row, from the row's first value
+        rows = [("k", 1, {}, symfun.verify_linear_coefficient(spectrum, matrix))]
         if n >= 3:
-            checks += [
-                (symfun.verify_identity("L32", spectrum, i=i), {"i": i})
-                for i in range(1, n + 1)
-            ]
-        checks += [
-            (symfun.verify_identity("L33", spectrum, p=p, k=k), {"k": k, "a": p.a, "b": p.b})
-            for p in pairs
-            for k in range(0, n + 1)
-        ]
+            rows.append(("i", 1, {}, symfun.verify_identity("L32", spectrum)))
+        rows += [("k", 0, {"a": p.a, "b": p.b}, symfun.verify_identity("L33", spectrum, p)) for p in pairs]
         if n >= 3:
-            checks += [
-                (symfun.verify_identity("L34", spectrum, p=p, i=i), {"i": i, "a": p.a, "b": p.b})
+            rows += [
+                ("i", 1, {"a": p.a, "b": p.b}, symfun.verify_identity("L34", spectrum, p))
                 for p in pairs_nonzero
-                for i in range(1, n + 1)
             ]
-        for rep, detail in checks:
-            bucket = counts.setdefault(rep.lemma, {"checks": 0, "failures": 0})
-            bucket["checks"] += 1
-            if not rep.equal:
-                bucket["failures"] += 1
-                if first_failure is None:
-                    first_failure = {
-                        "check": rep.lemma,
-                        "inputs": {"trial": trial, **detail, "spectrum": spectrum},
-                        "lhs": rep.lhs,
-                        "rhs": rep.rhs,
-                    }
+        for index, first, params, reports in rows:
+            for at, rep in enumerate(reports, start=first):
+                bucket = counts.setdefault(rep.lemma, {"checks": 0, "failures": 0})
+                bucket["checks"] += 1
+                if not rep.equal:
+                    bucket["failures"] += 1
+                    if first_failure is None:
+                        first_failure = {
+                            "check": rep.lemma,
+                            "inputs": {"trial": trial, index: at, **params, "spectrum": spectrum},
+                            "lhs": rep.lhs,
+                            "rhs": rep.rhs,
+                        }
 
     report = {
         "command": "lemmas",
@@ -423,6 +420,14 @@ def _run_kelvin_check(merged: dict) -> int:
 
 # ── subcommand: poisson ──────────────────────────────────────────────────
 
+# Each solve factors dense exact blocks of the top degree's monomials, so
+# the work grows about as the cube of their count: at about 1000 of them
+# one trial takes 5 s at n = 5 and nearly a minute at n = 3.  The monomial
+# enumeration recurses once per variable, and every parity block scans all
+# the monomials, so n itself is bounded too.
+MAX_POISSON_MONOMIALS = 1000
+MAX_POISSON_N = 100
+
 
 def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
     terms = {}
@@ -440,9 +445,17 @@ def _run_poisson(merged: dict) -> int:
     n = int(merged["n"])
     if n < 3:
         raise _UsageError("poisson needs --n of at least 3")
+    if n > MAX_POISSON_N:
+        raise _UsageError(f"poisson needs --n of at most {MAX_POISSON_N}, got {n}")
     max_degree = int(merged["degree"])
     if max_degree < 0:
         raise _UsageError("poisson needs a nonnegative --degree")
+    top_monomials = math.comb(max_degree + n - 1, n - 1)
+    if top_monomials > MAX_POISSON_MONOMIALS:
+        raise _UsageError(
+            f"poisson --n {n} --degree {max_degree} solves on {top_monomials} monomials "
+            f"of the top degree, more than {MAX_POISSON_MONOMIALS}"
+        )
     trials = int(merged["trials"])
     if trials < 1:
         raise _UsageError("poisson needs --trials of at least 1")

@@ -27,7 +27,9 @@ L34  the shifted analogue of L32:
      where the barred/hatted sums alternate sigma_bar over the full and
      deleted spectra.
 
-`verify_identity` addresses L32, L33 and L34; spectrum indices are 1-based.
+`verify_identity` checks L32, L33 or L34 at every index in one call, one
+report per index: i = 1 .. n (the deleted entry) for L32 and L34, k = 0 .. n
+for L33.
 """
 
 from __future__ import annotations
@@ -398,82 +400,59 @@ def linear_coefficient_sigma(k: int, s: SpectrumLike, B: MatrixLike) -> Fraction
 # ── identity verification ────────────────────────────────────────────────
 
 
-def verify_identity(
-    lemma: str,
-    s: SpectrumLike,
-    p: BranchParams | None = None,
-    i: int | None = None,
-    k: int | None = None,
-) -> ExactReport:
-    """Evaluate both sides of one of the L32/L33/L34 identities exactly.
+def verify_identity(lemma: str, s: SpectrumLike, p: BranchParams | None = None) -> list[ExactReport]:
+    """Both sides of one of the L32/L33/L34 identities at every index, as
+    one report per index without raising on disagreement: i = 1 .. n (the
+    deleted entry) for L32 and L34, k = 0 .. n for L33.  The full-spectrum
+    sums are computed once per call.
 
-    Which arguments are required depends on the identity: L32 takes ``i``,
-    L33 takes ``p`` and ``k``, L34 takes ``p`` and ``i``.  Indices are
-    1-based.  Missing or unusable auxiliary arguments raise ArityError;
-    an out-of-range index raises IndexError.  L32 and L34 need a spectrum
-    of size at least 3.
+    L33 and L34 need the branch parameters ``p``, and L32 and L34 a
+    spectrum of size at least 3 (ArityError otherwise); an unknown id
+    raises ValueError.
     """
     lemma = lemma.upper()
     values = _values(s)
     n = len(values)
+    if lemma not in ("L32", "L33", "L34"):
+        raise ValueError(f"unknown identity id {lemma!r}")
+    if p is None and lemma != "L32":
+        raise ArityError(f"{lemma} needs branch parameters")
+    if n < 3 and lemma != "L33":
+        raise ArityError(f"{lemma} needs a spectrum of size at least 3")
 
-    if lemma == "L32":
-        if i is None:
-            raise ArityError("L32 needs an index i")
-        if n < 3:
-            raise ArityError("L32 needs a spectrum of size at least 3")
-        _check_index(i, n)
-        deleted = values[: i - 1] + values[i:]
-        e_full, o_full = alternating_sums(values)
-        e_hat, o_hat = alternating_sums(deleted)
-        lhs = e_full * e_hat + o_full * o_hat
-        rhs = math.prod((1 + v * v for v in deleted), start=Fraction(1))
-
-    elif lemma == "L33":
-        if p is None or k is None:
-            raise ArityError("L33 needs branch parameters and k")
-        if not 0 <= k <= n:
-            raise ArityError(f"k={k} out of range for spectrum of size {n}")
-        lhs = sigma_bar(k, values, p)
+    if lemma == "L33":
         a, b = p.a, p.b
-        rhs = Fraction(0)
         sig = sigma_all(values)
-        for m in range(n + 1):
-            for j in range(max(0, k - (n - m)), min(m, k) + 1):
-                rhs += (
-                    math.comb(m, j)
-                    * math.comb(n - m, k - j)
-                    * (a - b) ** (k - j)
-                    * (a + b) ** (n - m - k + j)
-                    * sig[m]
-                )
-
-    elif lemma == "L34":
-        if p is None or i is None:
-            raise ArityError("L34 needs branch parameters and an index i")
-        if n < 3:
-            raise ArityError("L34 needs a spectrum of size at least 3")
-        _check_index(i, n)
-        deleted = values[: i - 1] + values[i:]
-        e_bar, o_bar = alternating_sums_bar(values, p)
-        e_hat, o_hat = alternating_sums_bar(deleted, p)
-        lhs = e_bar * (e_hat + o_hat) - o_bar * (e_hat - o_hat)
-        a, b = p.a, p.b
-        rhs = (
-            Fraction(2) ** n
-            * b
-            * math.prod(((v + a) ** 2 + b * b for v in deleted), start=Fraction(1))
-        )
+        minus = [(a - b) ** e for e in range(n + 1)]
+        plus = [(a + b) ** e for e in range(n + 1)]
+        lhs = sigma_bar_all(values, p)
+        rhs = [
+            sum(
+                (
+                    math.comb(m, j) * math.comb(n - m, k - j) * minus[k - j] * plus[n - m - k + j] * sig[m]
+                    for m in range(n + 1)
+                    for j in range(max(0, k - (n - m)), min(m, k) + 1)
+                ),
+                start=Fraction(0),
+            )
+            for k in range(n + 1)
+        ]
 
     else:
-        raise ValueError(f"unknown identity id {lemma!r}")
+        deleted = [values[:i] + values[i + 1 :] for i in range(n)]
+        if lemma == "L32":
+            e, o = alternating_sums(values)
+            hats = [alternating_sums(d) for d in deleted]
+            lhs = [e * e_hat + o * o_hat for e_hat, o_hat in hats]
+            rhs = [math.prod((1 + v * v for v in d), start=Fraction(1)) for d in deleted]
+        else:
+            a, b = p.a, p.b
+            e, o = alternating_sums_bar(values, p)
+            hats = [alternating_sums_bar(d, p) for d in deleted]
+            lhs = [e * (e_hat + o_hat) - o * (e_hat - o_hat) for e_hat, o_hat in hats]
+            rhs = [2**n * b * math.prod(((v + a) ** 2 + b * b for v in d), start=Fraction(1)) for d in deleted]
 
-    return ExactReport(lemma=lemma, lhs=lhs, rhs=rhs, equal=lhs == rhs)
-
-
-def _check_index(i: int, n: int) -> None:
-    if not 1 <= i <= n:
-        raise IndexError(f"index {i} out of range for spectrum of size {n}")
+    return [ExactReport(lemma=lemma, lhs=x, rhs=y, equal=x == y) for x, y in zip(lhs, rhs)]
 
 
 # ── random exact inputs ──────────────────────────────────────────────────

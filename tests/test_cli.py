@@ -11,13 +11,14 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kelvinasym import cli
+from kelvinasym import cli, symfun
 from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import RadPoly, SolveError
 from kelvinasym.expand import read_fit, read_samples
@@ -109,8 +110,16 @@ def test_lemmas_n2_skips_the_size3_identities(tmp_path, capsys):
             ["residual-n3", "--trials", "2"],
             "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
         ),
+        (
+            ["lemmas", "--n", "5", "--trials", "2"],
+            "88ce1eec37d2e5e47581f3b80722aa5f4bd5ce3d18965c7c73c1d0f6882c4118",
+        ),
+        (
+            ["lemmas", "--n", "2", "--trials", "2"],
+            "1f651e23e7c3e406abfc3374df754c49fc400898a86483524ffc5f4155709967",
+        ),
     ],
-    ids=["expand3", "residual-n3"],
+    ids=["expand3", "residual-n3", "lemmas-n5", "lemmas-n2"],
 )
 def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     # these reports hold only exact values, so no platform libm can move
@@ -119,6 +128,41 @@ def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     assert dispatch([*argv, "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+def test_lemmas_failure_names_the_check_and_its_inputs(tmp_path, capsys):
+    # one L33 index (k = 2 for the first pair of the second trial) disagrees
+    real = symfun.verify_identity
+    calls = []
+
+    def tampered(lemma, s, p=None):
+        reports = real(lemma, s, p)
+        if lemma == "L33":
+            calls.append(p)
+            if len(calls) == 6:
+                bad = reports[2]
+                reports[2] = symfun.ExactReport(bad.lemma, bad.lhs, bad.rhs + 1, False)
+        return reports
+
+    out = tmp_path / "r.json"
+    argv = ["lemmas", "--n", "3", "--trials", "2", "--seed", "4", "--out", str(out)]
+    with mock.patch.object(symfun, "verify_identity", tampered):
+        assert dispatch(argv) == 1
+    assert "FAILED at L33" in capsys.readouterr().err
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    assert report["identities"]["L33"] == {"checks": 40, "failures": 1}
+    failure = report["first_failure"]
+    p = calls[5]
+    assert failure["check"] == "L33"
+    assert {k: v for k, v in failure["inputs"].items() if k != "spectrum"} == {
+        "trial": 1,
+        "k": 2,
+        "a": str(p.a),
+        "b": str(p.b),
+    }
+    assert Fraction(failure["rhs"]) == Fraction(failure["lhs"]) + 1
+    assert failure["inputs"]["spectrum"]["n"] == 3
 
 
 def test_lemmas_artifact_is_deterministic(tmp_path, capsys):
@@ -784,6 +828,29 @@ def test_unbounded_rational_exits_2_naming_it(tmp_path, argv, named):
     assert proc.returncode == 2
     assert "usage error: rational" in proc.stderr and "is too large" in proc.stderr
     assert named in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["lemmas", "--n", "1000"], "at most 20, got 1000"),
+        (["poisson", "--n", "1000", "--degree", "0"], "at most 100, got 1000"),
+        (["poisson", "--n", "12", "--degree", "12"], "--n 12 --degree 12 solves on 1352078 monomials"),
+    ],
+    ids=["lemmas-n", "poisson-n", "poisson-monomials"],
+)
+def test_work_cap_exits_2_naming_the_value(tmp_path, argv, named):
+    # a subprocess with a timeout: without the caps these runs take minutes
+    # or end in an unrelated error
+    proc = subprocess.run(
+        [sys.executable, "-m", "kelvinasym.cli", *argv, "--trials", "1", "--out", str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2
+    assert named in proc.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_module_entry_point_usage_error_prints_synopsis():

@@ -401,42 +401,63 @@ def test_linear_coefficient_validates_input():
 
 
 def test_l32_pinned_example():
-    report = verify_identity("L32", (1, 2, 3), i=2)
-    assert report.equal and report.lhs == 20 and report.rhs == 20
+    reports = verify_identity("L32", (1, 2, 3))
+    assert [(r.lhs, r.rhs) for r in reports] == [(50, 50), (20, 20), (10, 10)]
+    assert all(r.equal and r.lemma == "L32" for r in reports)
 
 
 def test_l33_pinned_example():
-    report = verify_identity("L33", (1, 1), p=BranchParams(fr(2), fr(1)), k=1)
-    assert report.equal and report.lhs == 16
+    reports = verify_identity("L33", (1, 1), p=BranchParams(fr(2), fr(1)))
+    assert [r.lhs for r in reports] == [16, 16, 4]
+    assert all(r.equal and r.lemma == "L33" for r in reports)
 
 
 def test_l34_pinned_example():
-    report = verify_identity("L34", (1, 0, -1), p=BranchParams(fr(1), fr(1, 2)), i=1)
-    assert report.equal and report.lhs == fr(5, 4)
+    reports = verify_identity("L34", (1, 0, -1), p=BranchParams(fr(1), fr(1, 2)))
+    assert [r.lhs for r in reports] == [fr(5, 4), fr(17, 4), fr(85, 4)]
+    assert all(r.equal and r.lemma == "L34" for r in reports)
 
 
-@given(vals=st.lists(rationals, min_size=3, max_size=7), data=st.data())
+def test_verify_identity_reports_every_index_in_order():
+    # one report per i = 1 .. n (L32, L34) or k = 0 .. n (L33), each equal
+    # to the identity's closed right side at that index
+    s = (fr(1, 2), -2, 3, fr(-1, 3))
+    p = BranchParams(fr(1, 3), fr(-2))
+    rhs32 = [math.prod((1 + v * v for v in s[:i] + s[i + 1 :]), start=fr(1)) for i in range(4)]
+    rhs34 = [
+        2**4 * p.b * math.prod(((v + p.a) ** 2 + p.b**2 for v in s[:i] + s[i + 1 :]), start=fr(1))
+        for i in range(4)
+    ]
+    assert [r.rhs for r in verify_identity("L32", s)] == rhs32
+    assert [r.lhs for r in verify_identity("L33", s, p)] == sigma_bar_all(s, p)
+    assert [r.rhs for r in verify_identity("L34", s, p)] == rhs34
+
+
+@given(vals=st.lists(rationals, min_size=3, max_size=7))
 @settings(max_examples=50, deadline=None)
-def test_l32_random(vals, data):
-    i = data.draw(st.integers(1, len(vals)))
-    report = verify_identity("L32", vals, i=i)
-    assert report.equal, f"{report.lhs} != {report.rhs}"
+def test_l32_random(vals):
+    reports = verify_identity("L32", vals)
+    assert len(reports) == len(vals)
+    for r in reports:
+        assert r.equal, f"{r.lhs} != {r.rhs}"
 
 
-@given(vals=st.lists(rationals, min_size=1, max_size=6), p=params_st, data=st.data())
+@given(vals=st.lists(rationals, min_size=1, max_size=6), p=params_st)
 @settings(max_examples=50, deadline=None)
-def test_l33_random(vals, p, data):
-    k = data.draw(st.integers(0, len(vals)))
-    report = verify_identity("L33", vals, p=p, k=k)
-    assert report.equal, f"{report.lhs} != {report.rhs}"
+def test_l33_random(vals, p):
+    reports = verify_identity("L33", vals, p=p)
+    assert len(reports) == len(vals) + 1
+    for r in reports:
+        assert r.equal, f"{r.lhs} != {r.rhs}"
 
 
-@given(vals=st.lists(rationals, min_size=3, max_size=6), p=params_st, data=st.data())
+@given(vals=st.lists(rationals, min_size=3, max_size=6), p=params_st)
 @settings(max_examples=50, deadline=None)
-def test_l34_random(vals, p, data):
-    i = data.draw(st.integers(1, len(vals)))
-    report = verify_identity("L34", vals, p=p, i=i)
-    assert report.equal, f"{report.lhs} != {report.rhs}"
+def test_l34_random(vals, p):
+    reports = verify_identity("L34", vals, p=p)
+    assert len(reports) == len(vals)
+    for r in reports:
+        assert r.equal, f"{r.lhs} != {r.rhs}"
 
 
 def test_l32_left_side_is_directional_derivative():
@@ -446,12 +467,11 @@ def test_l32_left_side_is_directional_derivative():
     rng = Random(23)
     for _ in range(15):
         s = random_spectrum(rng, rng.randint(3, 6))
-        i = rng.randint(1, s.n)
         e0, o0 = alternating_sums(s)
-        eb, ob = alternating_sums(s.replaced(i, s.values[i - 1] + 1))
-        slope = e0 * (ob - o0) - o0 * (eb - e0)
-        report = verify_identity("L32", s, i=i)
-        assert slope == report.lhs == report.rhs
+        for i, report in enumerate(verify_identity("L32", s), start=1):
+            eb, ob = alternating_sums(s.replaced(i, s.values[i - 1] + 1))
+            slope = e0 * (ob - o0) - o0 * (eb - e0)
+            assert slope == report.lhs == report.rhs
 
 
 def test_l34_left_side_is_directional_derivative():
@@ -459,12 +479,11 @@ def test_l34_left_side_is_directional_derivative():
     for _ in range(15):
         s = random_spectrum(rng, rng.randint(3, 6))
         p = random_branch_params(rng, nonzero_b=True)
-        i = rng.randint(1, s.n)
         e0, o0 = alternating_sums_bar(s, p)
-        eb, ob = alternating_sums_bar(s.replaced(i, s.values[i - 1] + 1), p)
-        slope = e0 * (ob - o0) - o0 * (eb - e0)
-        report = verify_identity("L34", s, p=p, i=i)
-        assert slope == report.lhs == report.rhs
+        for i, report in enumerate(verify_identity("L34", s, p=p), start=1):
+            eb, ob = alternating_sums_bar(s.replaced(i, s.values[i - 1] + 1), p)
+            slope = e0 * (ob - o0) - o0 * (eb - e0)
+            assert slope == report.lhs == report.rhs
 
 
 def test_l34_matches_raised_lowered_form():
@@ -474,35 +493,26 @@ def test_l34_matches_raised_lowered_form():
     for _ in range(15):
         s = random_spectrum(rng, rng.randint(3, 6))
         p = random_branch_params(rng, nonzero_b=True)
-        i = rng.randint(1, s.n)
         e0, o0 = alternating_sums_bar(s, p)
-        er, orr = alternating_sums_bar(s.replaced(i, 1), p)
-        el, ol = alternating_sums_bar(s.replaced(i, 0), p)
-        lhs2 = e0 * (orr - ol) - o0 * (er - el)
-        assert lhs2 == verify_identity("L34", s, p=p, i=i).lhs
+        for i, report in enumerate(verify_identity("L34", s, p=p), start=1):
+            er, orr = alternating_sums_bar(s.replaced(i, 1), p)
+            el, ol = alternating_sums_bar(s.replaced(i, 0), p)
+            assert e0 * (orr - ol) - o0 * (er - el) == report.lhs
 
 
 def test_verify_identity_argument_checks():
     with pytest.raises(ArityError):
-        verify_identity("L32", (1, 2, 3))
+        verify_identity("L32", (1, 2))
     with pytest.raises(ArityError):
-        verify_identity("L32", (1, 2), i=1)
-    with pytest.raises(IndexError):
-        verify_identity("L32", (1, 2, 3), i=4)
-    with pytest.raises(IndexError):
-        verify_identity("L32", (1, 2, 3), i=0)
+        verify_identity("L33", (1, 2))
     with pytest.raises(ArityError):
-        verify_identity("L33", (1, 2), k=1)
+        verify_identity("L34", (1, 2, 3))
     with pytest.raises(ArityError):
-        verify_identity("L33", (1, 2), p=BranchParams(1, 1), k=5)
-    with pytest.raises(ArityError):
-        verify_identity("L34", (1, 2, 3), p=BranchParams(1, 1))
-    with pytest.raises(ArityError):
-        verify_identity("L34", (1, 2), p=BranchParams(1, 1), i=1)
+        verify_identity("L34", (1, 2), p=BranchParams(1, 1))
     with pytest.raises(ValueError):
-        verify_identity("L99", (1, 2, 3), i=1)
+        verify_identity("L99", (1, 2, 3))
     with pytest.raises(TypeError):
-        verify_identity("L32", (0.5, 1, 2), i=1)
+        verify_identity("L32", (0.5, 1, 2))
 
 
 # ── containers and serialization ─────────────────────────────────────────
@@ -534,7 +544,7 @@ def test_spectrum_json_roundtrip():
 
 
 def test_exact_report_json_shape():
-    report = verify_identity("L34", (1, 0, -1), p=BranchParams(fr(1), fr(1, 2)), i=1)
+    report = verify_identity("L34", (1, 0, -1), p=BranchParams(fr(1), fr(1, 2)))[0]
     assert report.to_json() == {
         "lemma": "L34",
         "lhs": "5/4",
