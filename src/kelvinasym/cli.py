@@ -36,12 +36,13 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 from random import Random
 
 from . import symfun
 from ._branches import DomainError
-from .exactalg import MultiPoly, SolveError, _monomials, parse_rational, solve_radical_poisson
+from .exactalg import MultiPoly, SolveError, parse_rational, solve_radical_poisson
 from .equations import (
     _check_ladder,
     linear_part_defect_n3,
@@ -420,18 +421,25 @@ def _run_kelvin_check(merged: dict) -> int:
 
 # ── subcommand: poisson ──────────────────────────────────────────────────
 
-# Each solve factors dense exact blocks of the top degree's monomials, so
-# the work grows about as the cube of their count: at about 1000 of them
-# one trial takes 5 s at n = 5 and nearly a minute at n = 3.  The monomial
-# enumeration recurses once per variable, and every parity block scans all
-# the monomials, so n itself is bounded too.
+# Each solve runs the Laplacian ladder and re-verifies its solution exactly.
+# At about 1000 monomials of the top degree one trial per degree takes 1.4 s
+# at n = 3 (degree 43) and 0.3 s at n = 44 (degree 2), start-up included, on
+# 2 CPUs.  Every solve also builds |y|^2, n terms of n entries each, so the
+# cost grows with n even at degree 1: 0.003 s per solve in 100 variables and
+# 0.26 s in 1000.  So n itself is bounded too.
 MAX_POISSON_MONOMIALS = 1000
 MAX_POISSON_N = 100
 
 
 def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
+    # every exponent tuple of the degree, sorted so the draws below keep a
+    # fixed monomial order
+    exponents = sorted(
+        tuple(picks.count(i) for i in range(n))
+        for picks in combinations_with_replacement(range(n), degree)
+    )
     terms = {}
-    for exponent in sorted(_monomials(n, degree)):
+    for exponent in exponents:
         if rng.random() < 0.5:
             continue
         terms[exponent] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))

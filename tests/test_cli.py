@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from random import Random
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import cli, symfun
 from kelvinasym.cli import dispatch
-from kelvinasym.exactalg import RadPoly, SolveError
+from kelvinasym.exactalg import RadPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
 from kelvinasym.radial import read_trajectory
 
@@ -280,6 +281,19 @@ def test_poisson_counts_and_passes(tmp_path, capsys):
     assert report["checks_run"] == 10  # degrees 0..4, 2 trials each
     assert report["all_pass"] is True
     capsys.readouterr()
+
+
+def test_poisson_solutions_are_pinned():
+    # the poisson report holds no solution, so pin the solutions of the
+    # CLI's own draws (n = 5, degrees 0..6, 20 each, seed 1) by digest
+    rng = Random(1)
+    hasher = hashlib.sha256()
+    for degree in range(7):
+        for _ in range(20):
+            h = cli._random_homogeneous(rng, 5, degree)
+            u = solve_radical_poisson(h, 5).base
+            hasher.update(json.dumps(u.to_json(), sort_keys=True).encode() + b"\n")
+    assert hasher.hexdigest() == "b2afaf3c8cab68a68edc63076e409d09da4f7b9c850e034f1f7e1ae64254e1dd"
 
 
 def test_poisson_reports_a_solver_failure(tmp_path, capsys):

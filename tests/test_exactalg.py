@@ -1,9 +1,11 @@
 """Exact polynomial layer: arithmetic laws, radical canonical form, and the
-radial-weight Poisson solve checked against an independent harmonic-ladder
-oracle."""
+radial-weight Poisson solve checked against a harmonic-ladder oracle and a
+dense Gaussian-elimination oracle."""
 
+import itertools
 import json
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -514,8 +516,6 @@ def test_quadratic_correction_weight_identity():
 
 
 def test_radpoly_laplacian_matches_central_differences():
-    import random
-
     rng = random.Random(7)
     step = 1e-4
     for trial in range(20):
@@ -591,8 +591,6 @@ def test_poisson_harmonic_right_hand_side_divides_by_ladder_constant():
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (4, 3), (5, 3)])
 def test_poisson_defining_property_exact(n, m):
-    import random
-
     rng = random.Random(n * 100 + m)
     for _ in range(5):
         terms = {}
@@ -608,8 +606,6 @@ def test_poisson_defining_property_exact(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2), (5, 4)])
 def test_poisson_matches_harmonic_oracle(n, m):
-    import random
-
     rng = random.Random(17 + 10 * n + m)
     for _ in range(5):
         terms = {}
@@ -648,17 +644,66 @@ def test_poisson_input_validation():
 
 def test_poisson_verification_rejects_a_wrong_solution():
     # the CLI's poisson audit relies on this re-check of every solution
-    exact_lu_solve = exactalg._lu_solve
+    ladder = exactalg._poisson_block
 
-    def perturbed(lu, perm, rhs):
-        x = exact_lu_solve(lu, perm, rhs)
-        x[0] += fr(1, 7)
-        return x
+    def perturbed(n_vars, degree):
+        a = ladder(n_vars, degree)
+        return (a[0] + fr(1, 7),) + a[1:]
 
     h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + MultiPoly.r_squared(3)
-    with mock.patch.object(exactalg, "_lu_solve", perturbed):
+    with mock.patch.object(exactalg, "_poisson_block", perturbed):
         with pytest.raises(SolveError, match="exact solve failed verification"):
             solve_radical_poisson(h, 3)
+
+
+def dense_oracle_solutions(n, m, rhs):
+    """Independent route: Gauss-Jordan elimination over Fraction on the
+    matrix of ``c + |y|^2 lap`` in the basis of every monomial of degree m,
+    for all right-hand sides at once."""
+    basis = sorted(e for e in itertools.product(range(m + 1), repeat=n) if sum(e) == m)
+    index = {e: i for i, e in enumerate(basis)}
+    s = len(basis)
+    c = (n - 2) * (2 * n - 4 + 2 * m)
+    rows = [[Fraction(0)] * (s + len(rhs)) for _ in range(s)]
+    for j, alpha in enumerate(basis):
+        rows[j][j] += c
+        for i, ai in enumerate(alpha):
+            for k in range(n):
+                beta = list(alpha)
+                beta[i] -= 2
+                beta[k] += 2
+                if beta[i] >= 0:
+                    rows[index[tuple(beta)]][j] += ai * (ai - 1)
+    for col, h in enumerate(rhs, start=s):
+        for e, coef in h.terms.items():
+            rows[index[e]][col] = coef
+    for col in range(s):
+        pivot = next(r for r in range(col, s) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col]
+        lead[:] = [x / lead[col] for x in lead]
+        for r in range(s):
+            f = rows[r][col]
+            if r != col and f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], lead)]
+    return [
+        MultiPoly(n, {e: rows[i][col] for i, e in enumerate(basis)})
+        for col in range(s, s + len(rhs))
+    ]
+
+
+def test_poisson_matches_dense_elimination_oracle():
+    rng = random.Random(7)
+    for n in (3, 4, 5):
+        for m in range(6):
+            basis = [e for e in itertools.product(range(m + 1), repeat=n) if sum(e) == m]
+            rhs = []
+            for _ in range(3):
+                terms = {e: fr(rng.randint(-5, 5), rng.randint(1, 7)) for e in basis if rng.random() < 0.5}
+                rhs.append(MultiPoly(n, terms or {basis[0]: 1}))
+            expected = dense_oracle_solutions(n, m, rhs)
+            for h, u in zip(rhs, expected):
+                assert solve_radical_poisson(h, n).base == u
 
 
 # ── harmonic decomposition ───────────────────────────────────────────────
@@ -674,8 +719,6 @@ def test_harmonic_decomposition_pinned():
 
 @pytest.mark.parametrize("n,m", [(2, 4), (3, 5), (4, 4), (5, 3)])
 def test_harmonic_decomposition_properties(n, m):
-    import random
-
     rng = random.Random(1000 * n + m)
     terms = {e: fr(rng.randint(-5, 5), rng.randint(1, 7)) for e in _random_exponents(rng, n, m, 6)}
     p = MultiPoly(n, terms)
