@@ -51,9 +51,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ._branches import PhaseRow, phase_row
 from .exactalg import DimensionError, MultiPoly, RadPoly
@@ -74,6 +72,9 @@ from .symfun import (
     char_sigmas,
     random_spectrum,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AlgebraicForm",
@@ -102,10 +103,13 @@ def _is_exact(x) -> bool:
 def _matrix_rows(H, n: int):
     """Normalize a matrix argument; returns (rows, exact) where `exact` says
     H is nested lists whose every entry is a rational number."""
-    if isinstance(H, np.ndarray):
-        if H.shape != (n, n):
-            raise ValueError(f"matrix must be {n} x {n}")
-        return H, False
+    if not isinstance(H, (list, tuple)):
+        import numpy as np
+
+        if isinstance(H, np.ndarray):
+            if H.shape != (n, n):
+                raise ValueError(f"matrix must be {n} x {n}")
+            return H, False
     rows = [list(row) for row in H]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"matrix must be {n} x {n}")
@@ -113,6 +117,8 @@ def _matrix_rows(H, n: int):
 
 
 def _require_symmetric(mat: np.ndarray) -> None:
+    import numpy as np
+
     if np.abs(mat - mat.T).max() > 1e-9 * max(1.0, np.abs(mat).max()):
         raise ValueError("floating-point evaluation needs a symmetric matrix")
 
@@ -209,6 +215,8 @@ class AlgebraicForm:
             sig = char_sigmas([[Fraction(v) for v in line] for line in rows], Fraction(1))
             p = _det_by_sigmas(row, sig)
         else:
+            import numpy as np
+
             floats = np.asarray(rows, dtype=float)
             _require_symmetric(floats)
             p = _det_by_values(row, (float(v) for v in np.linalg.eigvalsh(floats)))
@@ -235,38 +243,44 @@ def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
 
 # ── the linear-part factor ───────────────────────────────────────────────
 
+# relative bound of the slope self-check in `linear_part_factor`.  Over the
+# factor tests the two routes differ by at most 1.3e-14 relative; admissible
+# spectra within 1e-6 of the LOG bound reach 3.6e-10, because R there
+# divides by lambda + a - b, a difference that rounding in lambda + a moves
+_FACTOR_RTOL = 1e-9
+
 
 def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
     """The constant gamma multiplying |y|^(n+2) lap(v) in the linear part
     of the theta-free residual along H = A + |y|^n N.
 
     Exact for the flat-phase branch with rational spectrum, floating point
-    otherwise.  Before returning, the closed form is verified against a
-    direct t-interpolation of the theta-free residual along H = A + t N
-    with N the image of a canonical unit-Hessian jet; MismatchError if the
-    two routes disagree beyond 1e-9 relative."""
+    otherwise.  Before returning, the row norm s_free N(P(A)) / kappa is
+    checked against the t-slope of the theta-free residual along
+    H(t) = diag(lambda + t c), c = R^2 / 4, the image of a canonical
+    unit-Hessian jet; MismatchError if the two disagree beyond
+    `_FACTOR_RTOL` relative."""
     vals = _spectrum_values(s)
     n = len(vals)
     row = _row(branch)
-    c = AlgebraicForm.eliminated(branch, n, vals).coefficients
+    form = AlgebraicForm.eliminated(branch, n, vals)
+    c = form.coefficients
     gamma = c["scale"] * row.norm((c["x"], c["y"])) / row.kappa  # s_free N(P(A)) / kappa
 
-    # interpolation route: a jet with hess = I, value 0, gradient 0 maps to
-    # N = |y|^2 R^2, so the t-slope of the residual equals n |y|^2 gamma
+    # slope route: a jet with hess = I, value 0, gradient 0 at |y|^2 = 1/4
+    # maps to N = R^2 / 4, so the t-slope of the residual equals n gamma / 4.
+    # H(t) is diagonal, so P(H(t)) = prod (alpha + beta (lambda_i + t c_i))
+    # over dual numbers carries the exact slope of P, and the form is linear
+    # in P
     floats = [float(v) for v in vals]
-    rsq = [float(r) ** 2 for r in scaling_matrix(branch, floats)]
-    norm_sq = 0.25
-    form = AlgebraicForm.eliminated(branch, n, floats)
-    nodes = np.arange(n + 1, dtype=float)
-    samples = [
-        float(form.residual(np.diag(floats) + t * norm_sq * np.diag(rsq)))
-        for t in nodes
-    ]
-    slope = np.polynomial.polynomial.polyfit(nodes, samples, n)[1]
-    interp = slope / (n * norm_sq)
-    if abs(interp - float(gamma)) > 1e-9 * max(1.0, abs(interp), abs(float(gamma))):
+    p = row.unit
+    for lam, r in zip(floats, scaling_matrix(branch, floats)):
+        c_i = 0.25 * r * r
+        p = row.mul(p, tuple(_Dual(a + b * lam, b * c_i) for a, b in zip(row.alpha, row.beta)))
+    slope = float(form._at_det((p[0].b, p[1].b))) / (0.25 * n)
+    if abs(slope - float(gamma)) > _FACTOR_RTOL * abs(float(gamma)):
         raise MismatchError(
-            f"linear-part factor routes disagree: {gamma} vs interpolated {interp}"
+            f"linear-part factor routes disagree: {gamma} vs path slope {slope}"
         )
     return gamma
 
@@ -287,6 +301,8 @@ class ResidualBreakdown:
 
 def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     """Floating-point residual split at one jet of the ball-side profile."""
+    import numpy as np
+
     n = frame.n
     _, N, _, _ = matrices_MNKL(jet, frame)
     norm = float(np.dot(jet.y, jet.y)) ** 0.5

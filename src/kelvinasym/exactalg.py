@@ -328,9 +328,20 @@ class MultiPoly:
         so quotient and remainder are unique, the quotient's numerators stay
         over this polynomial's denominator, and divisibility is equivalent to
         a vanishing remainder.
+
+        In two or more variables |y|^2, and so every multiple of it,
+        vanishes at (1, i, 0, ..., 0); a nonzero value there, summed in
+        Gaussian integers by the power of i, rejects before the division.
         """
         if self.is_zero:
             return MultiPoly.zero(self.n_vars)
+        if self.n_vars >= 2:
+            by_power = [0, 0, 0, 0]  # numerator sums at i^0 .. i^3
+            for e, c in self._num.items():
+                if not any(e[2:]):
+                    by_power[e[1] & 3] += c
+            if by_power[0] != by_power[2] or by_power[1] != by_power[3]:
+                return None
         by_deg: dict[int, dict[Exponent, int]] = defaultdict(dict)
         for e, c in self._num.items():
             by_deg[e[0]][e] = c

@@ -18,9 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .equations import symbolic_residual_n3
 from .exactalg import (
@@ -31,6 +29,9 @@ from .exactalg import (
 )
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ConditioningError",
@@ -176,6 +177,8 @@ class ExpansionFit:
     annuli: tuple
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         a = np.asarray(self.A, dtype=float)
         bv = np.asarray(self.b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -207,6 +210,8 @@ class ExpansionFit:
 
     def predict(self, points: Sequence[Sequence[float]]) -> np.ndarray:
         """Model values at the given exterior points."""
+        import numpy as np
+
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return _model_values(pts, self.A, self.b, self.c, self.d)
 
@@ -226,6 +231,8 @@ class ExpansionFit:
     @classmethod
     def from_json(cls, data) -> "ExpansionFit":
         """Inverse of ``to_json``; ValueError names a malformed record."""
+        import numpy as np
+
         try:
             return cls(
                 A=np.asarray(data["A"], dtype=float),
@@ -241,6 +248,8 @@ class ExpansionFit:
 
 
 def _split_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     pts = []
     vals = []
     for index, (x, u) in enumerate(samples):
@@ -258,6 +267,8 @@ def _split_samples(samples) -> tuple[np.ndarray, np.ndarray]:
 def _model_values(
     pts: np.ndarray, A: np.ndarray, b: np.ndarray, c: float, d: float | None
 ) -> np.ndarray:
+    import numpy as np
+
     out = 0.5 * np.einsum("ki,ij,kj->k", pts, A, pts) + pts @ b + c
     if d is not None:
         out = out + 0.5 * d * np.log(_log_argument(pts, A))
@@ -265,11 +276,15 @@ def _model_values(
 
 
 def _log_argument(pts: np.ndarray, A: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     frame = np.eye(A.shape[0]) + A @ A
     return np.einsum("ki,ij,kj->k", pts, frame, pts)
 
 
 def _quadratic_design(pts: np.ndarray, n: int) -> np.ndarray:
+    import numpy as np
+
     cols = []
     for i in range(n):
         for j in range(i, n):
@@ -284,6 +299,8 @@ def _quadratic_design(pts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _solve_least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     singular = np.linalg.svd(design, compute_uv=False)
     if singular[-1] == 0.0 or (singular[0] / singular[-1]) ** 2 > 1e12:
         cond = math.inf if singular[-1] == 0.0 else (singular[0] / singular[-1]) ** 2
@@ -295,6 +312,8 @@ def _solve_least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _unpack_quadratic(coef: np.ndarray, n: int, scale: float):
+    import numpy as np
+
     A = np.zeros((n, n))
     pos = 0
     for i in range(n):
@@ -319,6 +338,8 @@ def _check_annuli(num_annuli, annuli) -> None:
 
 
 def _make_annuli(radii: np.ndarray, annuli, num_annuli: int) -> list[tuple[float, float]]:
+    import numpy as np
+
     if annuli is not None:
         out = sorted((float(lo), float(hi)) for lo, hi in annuli)
         if any(hi <= lo for lo, hi in out):
@@ -380,6 +401,8 @@ def fit_expansion(
     populated; and ConditioningError when the normal system is
     effectively singular.
     """
+    import numpy as np
+
     _check_annuli(num_annuli, annuli)
     pts, vals = _split_samples(samples)
     if pts.ndim != 2 or pts.shape[1] != n:
@@ -466,6 +489,8 @@ def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
     ``v0_estimate`` averages v over the tenth of the samples with the
     smallest |y|.
     """
+    import numpy as np
+
     pts, vals = _split_samples(samples)
     n = frame.n
     if pts.shape[1] != n:

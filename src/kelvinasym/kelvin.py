@@ -25,14 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from . import _branches
 from ._branches import DomainError
 from .exactalg import MultiPoly, RadPoly
 from .symfun import Spectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AdmissibilityError",
@@ -254,6 +255,8 @@ def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "for
     ``R`` is the diagonal of the scaling matrix.  The two directions are
     mutually inverse; mapping the origin raises ZeroPointError.
     """
+    import numpy as np
+
     p = np.asarray(point, dtype=float)
     r = np.asarray(R, dtype=float)
     if p.shape != r.shape:
@@ -273,6 +276,8 @@ def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "for
 
 def u_from_v(frame: KelvinFrame, v: Callable[[np.ndarray], float], x: Sequence[float]) -> float:
     """Exterior solution value at x from the ball-side profile v."""
+    import numpy as np
+
     xv = np.asarray(x, dtype=float)
     y = kelvin_map(xv, frame.R, "forward")
     quad = 0.5 * sum(l * c * c for l, c in zip(frame.spectrum, xv))
@@ -295,6 +300,8 @@ class Jet2:
     hess: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         y = np.asarray(self.y, dtype=float)
         grad = np.asarray(self.grad, dtype=float)
         hess = np.asarray(self.hess, dtype=float)
@@ -318,6 +325,8 @@ class Jet2:
 
 def poly_jet(v: MultiPoly, y: Sequence[float]) -> Jet2:
     """The second-order jet of a polynomial profile at a ball point."""
+    import numpy as np
+
     yv = [float(c) for c in y]
     n = v.n_vars
     if len(yv) != n:
@@ -393,6 +402,8 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
         N    = R M R
 
     so that D^2 u = A + |y|^n N at the exterior point behind y."""
+    import numpy as np
+
     n = frame.n
     if jet.n != n:
         raise ValueError(f"jet dimension {jet.n} does not match frame dimension {n}")
@@ -429,6 +440,8 @@ def hessian_identity_check(
     sample whose deviation is not finite (an overflow, or inf - inf) counts
     as an infinite deviation, so it cannot pass any tolerance.  ValueError
     unless samples >= 1 and fd_step is a positive finite number."""
+    import numpy as np
+
     if v.n_vars != frame.n:
         raise ValueError("profile polynomial dimension does not match the frame")
     if samples < 1:

@@ -39,8 +39,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ._branches import DomainError
 from .kelvin import PhaseBranch
 
@@ -336,6 +334,8 @@ def trajectory_samples(
     interpolation.  The output feeds the quadratic-fit machinery.
     A NaN bound is a ValueError.
     """
+    import numpy as np
+
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     per_radius = int(per_radius)

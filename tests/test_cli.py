@@ -100,35 +100,70 @@ def test_lemmas_n2_skips_the_size3_identities(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "argv,digest",
-    [
-        (
-            ["expand3", "--order", "8", "--p0", "3/2", "--spectrum", "1,1/2,2"],
-            "5843aaf2b404c8055431fd01c217b52c2bcc663eac6d68db576adc589468a7b5",
-        ),
-        (
-            ["residual-n3", "--trials", "2"],
-            "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
-        ),
-        (
-            ["lemmas", "--n", "5", "--trials", "2"],
-            "88ce1eec37d2e5e47581f3b80722aa5f4bd5ce3d18965c7c73c1d0f6882c4118",
-        ),
-        (
-            ["lemmas", "--n", "2", "--trials", "2"],
-            "1f651e23e7c3e406abfc3374df754c49fc400898a86483524ffc5f4155709967",
-        ),
-    ],
-    ids=["expand3", "residual-n3", "lemmas-n5", "lemmas-n2"],
-)
+# reports that hold only exact values, so no platform libm can move them,
+# and a rewrite of the exact residual must leave them byte for byte
+EXACT_REPORTS = {
+    "expand3": (
+        ["expand3", "--order", "8", "--p0", "3/2", "--spectrum", "1,1/2,2"],
+        "5843aaf2b404c8055431fd01c217b52c2bcc663eac6d68db576adc589468a7b5",
+    ),
+    "residual-n3": (
+        ["residual-n3", "--trials", "2"],
+        "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
+    ),
+    "lemmas-n5": (
+        ["lemmas", "--n", "5", "--trials", "2"],
+        "88ce1eec37d2e5e47581f3b80722aa5f4bd5ce3d18965c7c73c1d0f6882c4118",
+    ),
+    "lemmas-n2": (
+        ["lemmas", "--n", "2", "--trials", "2"],
+        "1f651e23e7c3e406abfc3374df754c49fc400898a86483524ffc5f4155709967",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,digest", list(EXACT_REPORTS.values()), ids=list(EXACT_REPORTS))
 def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
-    # these reports hold only exact values, so no platform libm can move
-    # them, and a rewrite of the exact residual must leave them byte for byte
     out = tmp_path / "r.json"
     assert dispatch([*argv, "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+_WITHOUT_NUMPY = """
+import hashlib, json, sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+from kelvinasym.cli import dispatch
+cases, out = json.loads(sys.argv[1]), sys.argv[2]
+digests = {}
+for name, argv in cases.items():
+    code = dispatch([*argv, "--seed", "1", "--out", out])
+    with open(out, "rb") as fh:
+        digests[name] = (code, hashlib.sha256(fh.read()).hexdigest())
+print(json.dumps(digests))
+"""
+
+
+def test_exact_subcommands_run_without_numpy(tmp_path):
+    # numpy serves only the float routines: importing the CLI leaves it
+    # unloaded, and the exact reports come out the same when it cannot load
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, kelvinasym.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+    cases = {name: argv for name, (argv, _) in EXACT_REPORTS.items()}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY, json.dumps(cases), str(tmp_path / "r.json")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want = {name: [0, digest] for name, (_, digest) in EXACT_REPORTS.items()}
+    assert json.loads(proc.stdout.splitlines()[-1]) == want
 
 
 def test_lemmas_failure_names_the_check_and_its_inputs(tmp_path, capsys):

@@ -32,7 +32,14 @@ from kelvinasym.equations import (
 from kelvinasym._branches import phase_row
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch, identity_parts
-from kelvinasym.symfun import Spectrum, alternating_sums, char_sigmas, random_spectrum, sigma_all
+from kelvinasym.symfun import (
+    MismatchError,
+    Spectrum,
+    alternating_sums,
+    char_sigmas,
+    random_spectrum,
+    sigma_all,
+)
 
 
 def fr(a, b=1):
@@ -461,6 +468,50 @@ def test_factor_tilted_and_doubling_branches_match_formulas():
 def test_factor_rejects_inadmissible_spectrum():
     with pytest.raises(AdmissibilityError):
         linear_part_factor(PhaseBranch.recip(-1.0), [-2.0, 0.0, 0.0])
+
+
+def test_factor_self_check_catches_a_wrong_small_gamma():
+    # P(A) expanded in sigma_k rounds the factors 1 + lambda = 1e-5 away, so
+    # gamma comes out -1.39e-31 in place of -7.07e-41: inside an absolute
+    # 1e-9 bound, far outside the relative one
+    branch = PhaseBranch.recip(-1.0)
+    vals = [-0.99999] * 4
+    right = linear_part_factor(branch, vals)
+    assert math.isclose(right, -7.07106781160803e-41, rel_tol=1e-12)
+
+    def by_sigmas(row, values):
+        values = list(values)
+        diag = [[v if i == j else 0.0 for j in range(len(values))] for i, v in enumerate(values)]
+        return equations._det_by_sigmas(row, char_sigmas(diag, 1.0))
+
+    with mock.patch.object(equations, "_det_by_values", by_sigmas):
+        c = AlgebraicForm.eliminated(branch, 4, vals).coefficients
+        wrong = c["scale"] * row_of(branch).norm((c["x"], c["y"])) / row_of(branch).kappa
+        assert math.isclose(wrong, -1.39e-31, rel_tol=1e-2)
+        assert abs(wrong - right) < 1e-9
+        with pytest.raises(MismatchError, match="routes disagree"):
+            linear_part_factor(branch, vals)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_three_spellings_of_the_flat_gamma_agree(n):
+    # the row norm s_free N(P(A)) / kappa, prod(1 + lambda^2) as
+    # transformed_residual_exact's linear_factor, and prod(rho) in
+    # linear_part_defect_n3
+    branch = PhaseBranch.slag(0.0)
+    rnd = Random(89 + n)
+    for _ in range(5):
+        s = random_spectrum(rnd, n)
+        gamma = linear_part_factor(branch, s)
+        assert isinstance(gamma, Fraction)
+        y = [fr(3, 5), fr(4, 5)] + [fr(0)] * (n - 2)
+        hess = [[fr(int(i == j)) for j in range(n)] for i in range(n)]
+        split = transformed_residual_exact(y, fr(1), [fr(0)] * n, hess, s)
+        assert split.linear_factor == gamma
+        if n == 3:
+            # its own gamma makes the defect vanish only if it is the slope
+            # of the same eliminated form that linear_part_factor checks
+            assert linear_part_defect_n3(s).is_zero
 
 
 # ── transformed residual: float and exact routes ─────────────────────────

@@ -154,14 +154,6 @@ def test_homogeneous_components():
     assert comps[2].is_homogeneous()
 
 
-@given(q=polys(3, max_deg=3, max_terms=5))
-@settings(max_examples=40, deadline=None)
-def test_divide_r2_roundtrip(q):
-    r2 = MultiPoly.r_squared(3)
-    got = (r2 * q).try_divide_r2()
-    assert got == q
-
-
 def test_divide_r2_rejects_nondivisible():
     y1 = MultiPoly.variable(3, 0)
     y2 = MultiPoly.variable(3, 1)
@@ -169,6 +161,53 @@ def test_divide_r2_rejects_nondivisible():
     assert (y1**4).try_divide_r2() is None
     assert MultiPoly.const(3, 1).try_divide_r2() is None
     assert MultiPoly.zero(3).try_divide_r2() == MultiPoly.zero(3)
+
+
+def _at_one_i(p):
+    """p at (1, i, 0, ..., 0), exactly, as (real part, imaginary part)."""
+    unit = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+    re = im = Fraction(0)
+    for e, c in p.terms.items():
+        if not any(e[2:]):
+            re += c * unit[e[1] % 4][0]
+            im += c * unit[e[1] % 4][1]
+    return re, im
+
+
+@given(n=st.integers(2, 4), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_divide_r2_roundtrip(n, data):
+    # |y|^2 vanishes at (1, i, 0, ..., 0), so the quick reject keeps every
+    # multiple
+    p = data.draw(polys(n, max_deg=3, max_terms=5))
+    multiple = p * MultiPoly.r_squared(n)
+    assert _at_one_i(multiple) == (0, 0)
+    assert multiple.try_divide_r2() == p
+    # any quotient is exact, and so only for a zero at (1, i, 0, ..., 0)
+    q = data.draw(polys(n, max_deg=4, max_terms=6))
+    got = q.try_divide_r2()
+    if got is not None:
+        assert got * MultiPoly.r_squared(n) == q
+        assert _at_one_i(q) == (0, 0)
+
+
+@given(n=st.integers(3, 4), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_divide_r2_undecided_cases_reach_the_long_division(n, data):
+    # q |y|^2 + y_n^2 s vanishes at (1, i, 0, ..., 0) for every q and s, and
+    # |y|^2 (irreducible for n >= 3) divides it exactly when it divides s
+    r2 = MultiPoly.r_squared(n)
+    last = MultiPoly.variable(n, n - 1)
+    q = data.draw(polys(n, max_deg=2, max_terms=4))
+    s = data.draw(polys(n, max_deg=2, max_terms=4))
+    mixed = q * r2 + last * last * s
+    assert _at_one_i(mixed) == (0, 0)
+    got = mixed.try_divide_r2()
+    if s.try_divide_r2() is None:
+        assert got is None
+    else:
+        assert got * r2 == mixed
+    assert (last * last).try_divide_r2() is None
 
 
 def test_poly_json_roundtrip_and_shape():
