@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -880,6 +881,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code (0, 1, or 2)."""
+    # One OpenBLAS thread unless the caller chose otherwise.  numpy loads
+    # lazily, after this line, and reads the variable when it loads.  The
+    # largest BLAS call of any subcommand is fit's SVD-based lstsq on an
+    # N x 10 design, N the samples in the outermost annulus (1501 in the
+    # benchmark's fit).  Measured on 2 cores with OpenBLAS 0.3.31,
+    # threaded -> one thread: `import numpy` 150-170 -> 80-100 ms, and the
+    # first lstsq on a 1501 x 10 design in a fresh process 28-36 -> 0.3-0.5
+    # ms.  Warm medians of lstsq: 1.5 -> 1.6 ms at N = 12,000, 21 -> 20 ms
+    # at 120,000; threads win only near 1.2M rows (351 -> 377 ms), a
+    # 96 MB design from a samples file of about 5M rows.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -301,13 +301,12 @@ def _quadratic_design(pts: np.ndarray, n: int) -> np.ndarray:
 def _solve_least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     import numpy as np
 
-    singular = np.linalg.svd(design, compute_uv=False)
+    coef, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
     if singular[-1] == 0.0 or (singular[0] / singular[-1]) ** 2 > 1e12:
         cond = math.inf if singular[-1] == 0.0 else (singular[0] / singular[-1]) ** 2
         raise ConditioningError(
             f"normal-system condition {cond:.3e} exceeds the 1e12 budget"
         )
-    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     return coef
 
 
@@ -498,7 +497,7 @@ def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
     if fit.n != n:
         raise DimensionError(f"fit is {fit.n}-dimensional, frame is {n}-dimensional")
     stripped = vals - _model_values(pts, fit.A, fit.b, fit.c, fit.d)
-    ys = np.asarray([kelvin_map(x, frame.R, "forward") for x in pts])
+    ys = kelvin_map(pts, frame.R, "forward")
     ynorm = np.linalg.norm(ys, axis=1)
     profile = stripped * ynorm ** (2 - n)
     order = np.argsort(ynorm)

@@ -252,38 +252,58 @@ def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "for
 
     forward:  y = Rx / |Rx|^2        backward:  x = R^(-1) y / |y|^2
 
-    ``R`` is the diagonal of the scaling matrix.  The two directions are
-    mutually inverse; mapping the origin raises ZeroPointError.
+    ``R`` is the diagonal of the scaling matrix.  ``point`` is one point
+    or a stack of points, one per row: the coordinates lie on the last
+    axis, and each point maps on its own.  The two directions are
+    mutually inverse; mapping the origin (any stacked row of it) raises
+    ZeroPointError.
     """
     import numpy as np
 
     p = np.asarray(point, dtype=float)
     r = np.asarray(R, dtype=float)
-    if p.shape != r.shape:
+    if r.ndim != 1 or p.shape[-1:] != r.shape:
         raise ValueError("point and scaling diagonal must have the same length")
     if not np.all(r > 0.0):
         raise ValueError("scaling diagonal must be positive")
-    norm_sq = float(np.dot(p, p))
-    if norm_sq == 0.0:
+    norm_sq = np.vecdot(p, p)
+    if np.any(norm_sq == 0.0):
         raise ZeroPointError("the inversion map is singular at the origin")
     if direction == "forward":
         z = r * p
-        return z / float(np.dot(z, z))
+        return z / np.vecdot(z, z)[..., None]
     if direction == "backward":
-        return (p / norm_sq) / r
+        return (p / norm_sq[..., None]) / r
     raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
 
 
-def u_from_v(frame: KelvinFrame, v: Callable[[np.ndarray], float], x: Sequence[float]) -> float:
-    """Exterior solution value at x from the ball-side profile v."""
+def _libm_pow(base, exponent: float) -> np.ndarray:
+    """``base ** exponent`` for each entry, rounded as Python's float power
+    rounds a single value (the C library's pow).  numpy's vectorised power
+    rounds differently in the last place at a few percent of entries, and
+    the finite-difference quotients of `hessian_identity_check` magnify an
+    ulp of u by 1/h^2."""
+    import numpy as np
+
+    return np.asarray(np.power(base, exponent, dtype=object), dtype=float)
+
+
+def u_from_v(
+    frame: KelvinFrame, v: Callable[[np.ndarray], float], x: Sequence[float]
+) -> float | np.ndarray:
+    """Exterior solution value at x from the ball-side profile v.
+
+    ``x`` may stack points one per row, as `kelvin_map` takes them; ``v``
+    then gets their images stacked the same way and returns one value per
+    row, and so does this function."""
     import numpy as np
 
     xv = np.asarray(x, dtype=float)
     y = kelvin_map(xv, frame.R, "forward")
-    quad = 0.5 * sum(l * c * c for l, c in zip(frame.spectrum, xv))
-    affine = float(np.dot(frame.linear, xv)) + frame.constant
-    weight = float(np.dot(y, y)) ** ((frame.n - 2) / 2.0)
-    return quad + affine + weight * float(v(y))
+    quad = 0.5 * sum(l * c * c for l, c in zip(frame.spectrum, np.moveaxis(xv, -1, 0)))
+    affine = np.vecdot(frame.linear, xv) + frame.constant
+    weight = _libm_pow(np.vecdot(y, y), (frame.n - 2) / 2.0)
+    return quad + affine + weight * np.asarray(v(y), dtype=float)
 
 
 # ── second-order jets and the Hessian identity ───────────────────────────
@@ -428,6 +448,11 @@ class HessianReport:
     fd_step: float
 
 
+# stencil points one batch of `hessian_identity_check` evaluates at most;
+# bounds its arrays to a few tens of MB whatever the samples and dimension
+_FD_BATCH_POINTS = 1 << 16
+
+
 def hessian_identity_check(
     frame: KelvinFrame,
     v: MultiPoly,
@@ -436,10 +461,18 @@ def hessian_identity_check(
     seed: int = 0,
 ) -> HessianReport:
     """Compare central finite differences of u against A + |y|^n N at random
-    exterior points; reports deviations, never raises on a bad match.  A
-    sample whose deviation is not finite (an overflow, or inf - inf) counts
-    as an infinite deviation, so it cannot pass any tolerance.  ValueError
-    unless samples >= 1 and fd_step is a positive finite number."""
+    exterior points; reports deviations, never raises on a bad match.
+
+    Each sample draws its direction, then its radius, from the seeded
+    generator, in sample order.  The samples are then checked in batches:
+    u is evaluated at every stencil point of a batch at once, and the
+    exact side is assembled for the whole batch by `identity_parts` with
+    numpy columns as the ring.  Every float operation is the one the
+    per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs,
+    so the report equals that route's.  A sample whose deviation is not
+    finite (an overflow, or inf - inf) counts as an infinite deviation, so
+    it cannot pass any tolerance.  ValueError unless samples >= 1 and
+    fd_step is a positive finite number."""
     import numpy as np
 
     if v.n_vars != frame.n:
@@ -450,47 +483,60 @@ def hessian_identity_check(
         raise ValueError(f"finite-difference step must be positive and finite, got {fd_step}")
     rng = np.random.default_rng(seed)
     n = frame.n
-    lam = np.asarray(frame.spectrum)
+    r = np.asarray(frame.R)
+    h = fd_step
+    grads = [v.partial(i) for i in range(n)]
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    second = {(i, j): grads[i].partial(j) for i, j in upper}
 
-    def u(x: np.ndarray) -> float:
-        return u_from_v(frame, lambda yy: float(v.evaluate(list(yy))), x)
+    def values(p: MultiPoly, points: np.ndarray) -> np.ndarray:
+        # object columns: every power rounds as the per-point route's does
+        return np.asarray(p.evaluate(np.moveaxis(points, -1, 0).astype(object)), dtype=float)
+
+    # the stencil as offsets: the centre, x +- h e_i, then x +- h e_i +- h e_j
+    step = np.eye(n) * h
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    stencil = [np.zeros(n)] + [e for i in range(n) for e in (step[i], -step[i])]
+    for i, j in pairs:
+        stencil += [step[i] + step[j], step[i] - step[j], -step[i] + step[j], -step[i] - step[j]]
+    offsets = np.asarray(stencil)[:, None, :]
+    batch = max(1, _FD_BATCH_POINTS // len(stencil))
 
     max_abs = 0.0
     max_rel = 0.0
-    h = fd_step
-    for _ in range(samples):
-        direction = rng.normal(size=n)
-        direction /= float(np.dot(direction, direction)) ** 0.5
-        x = direction * rng.uniform(1.2, 3.0)
-        # keep the image strictly inside the unit ball
-        z = np.asarray(frame.R) * x
-        image_norm = float(np.dot(z, z)) ** 0.5
-        if image_norm < 1.05:
-            x = x * (1.05 / image_norm)
+    for start in range(0, samples, batch):
+        draws = [(rng.normal(size=n), rng.uniform(1.2, 3.0)) for _ in range(min(batch, samples - start))]
+        directions = np.array([d for d, _ in draws])
+        radii = np.array([s for _, s in draws])
+        x = directions / _libm_pow(np.vecdot(directions, directions), 0.5)[:, None] * radii[:, None]
+        # keep the images strictly inside the unit ball: |Rx| >= 1.05
+        z = r * x
+        x = x * np.maximum(1.05 / _libm_pow(np.vecdot(z, z), 0.5), 1.0)[:, None]
 
-        y = kelvin_map(x, frame.R, "forward")
-        jet = poly_jet(v, y)
-        _, N, _, _ = matrices_MNKL(jet, frame)
-        exact = np.diag(lam) + float(np.dot(y, y)) ** (n / 2.0) * N
+        y = kelvin_map(x, r, "forward")
+        ysq = np.vecdot(y, y)
+        hess = [[None] * n for _ in range(n)]
+        for i, j in upper:
+            hess[i][j] = hess[j][i] = values(second[i, j], y)
+        K, L = identity_parts(list(y.T), values(v, y), [values(g, y) for g in grads], hess, ysq)
+        # M and N as matrices_MNKL assembles them, one sample per last index
+        M = np.asarray(K) + (L / ysq) * (y.T[:, None] * y.T[None, :])
+        exact = _libm_pow(ysq, n / 2.0) * (np.outer(r, r)[:, :, None] * M)
+        exact[range(n), range(n)] += np.asarray(frame.spectrum)[:, None]
 
-        fd = np.zeros((n, n))
-        u0 = u(x)
+        u = u_from_v(frame, lambda images: values(v, images), x + offsets)
+        fd = np.empty_like(exact)
         for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = h
-            fd[i, i] = (u(x + ei) - 2.0 * u0 + u(x - ei)) / (h * h)
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = h
-                fd[i, j] = fd[j, i] = (
-                    u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
-                ) / (4.0 * h * h)
+            fd[i, i] = (u[1 + 2 * i] - 2.0 * u[0] + u[2 + 2 * i]) / (h * h)
+        for k, (i, j) in enumerate(pairs):
+            pp, pm, mp, mm = u[1 + 2 * n + 4 * k : 5 + 2 * n + 4 * k]
+            fd[i, j] = fd[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
 
-        abs_dev = float(np.max(np.abs(fd - exact)))
-        rel_dev = abs_dev / max(float(np.max(np.abs(exact))), 1e-8)
+        abs_dev = np.max(np.abs(fd - exact), axis=(0, 1))
+        rel_dev = abs_dev / np.maximum(np.max(np.abs(exact), axis=(0, 1)), 1e-8)
         # max() would drop a NaN, so a non-finite deviation enters as inf
-        max_abs = max(max_abs, abs_dev if math.isfinite(abs_dev) else math.inf)
-        max_rel = max(max_rel, rel_dev if math.isfinite(rel_dev) else math.inf)
+        max_abs = max(max_abs, float(np.max(np.where(np.isfinite(abs_dev), abs_dev, np.inf))))
+        max_rel = max(max_rel, float(np.max(np.where(np.isfinite(rel_dev), rel_dev, np.inf))))
     return HessianReport(
         max_abs_deviation=max_abs,
         max_rel_deviation=max_rel,

@@ -328,11 +328,14 @@ def trajectory_samples(
     """Scatter a radial trajectory into full-dimensional samples.
 
     For each recorded node with r_min <= r <= r_max (inclusive bounds;
-    None means unbounded), draws `per_radius` directions uniformly on
-    the unit sphere with the seeded generator and emits (x, u(|x|))
-    pairs at x = r * direction — exact values at the recorded radii, no
-    interpolation.  The output feeds the quadratic-fit machinery.
-    A NaN bound is a ValueError.
+    None means unbounded), takes `per_radius` directions uniformly on
+    the unit sphere and emits (x, u(|x|)) pairs at x = r * direction —
+    exact values at the recorded radii, no interpolation.  The
+    directions of all nodes are drawn from the seeded generator in one
+    call, node after node, which gives the same stream as one draw per
+    node; a direction shorter than 1e-12 is redrawn after that call.
+    The output feeds the quadratic-fit machinery.  A NaN bound is a
+    ValueError.
     """
     import numpy as np
 
@@ -344,22 +347,21 @@ def trajectory_samples(
     for name, bound in (("r_min", r_min), ("r_max", r_max)):
         if bound is not None and math.isnan(bound):
             raise ValueError(f"{name} must not be NaN, got {bound}")
-    rng = np.random.default_rng(seed)
-    samples: list[tuple[tuple[float, ...], float]] = []
-    for state in states:
-        if r_min is not None and state.r < r_min:
-            continue
-        if r_max is not None and state.r > r_max:
-            continue
-        directions = rng.normal(size=(per_radius, n))
-        norms = np.linalg.norm(directions, axis=1)
-        while np.any(norms < 1e-12):
-            bad = norms < 1e-12
-            directions[bad] = rng.normal(size=(int(np.count_nonzero(bad)), n))
-            norms = np.linalg.norm(directions, axis=1)
-        points = directions * (state.r / norms)[:, None]
-        for row in points:
-            samples.append((tuple(float(v) for v in row), state.u))
-    if not samples:
+    kept = [
+        state
+        for state in states
+        if (r_min is None or state.r >= r_min) and (r_max is None or state.r <= r_max)
+    ]
+    if not kept:
         raise ValueError("no trajectory nodes fall inside the requested radius window")
-    return samples
+    rng = np.random.default_rng(seed)
+    directions = rng.normal(size=(len(kept) * per_radius, n))
+    norms = np.linalg.norm(directions, axis=1)
+    while np.any(norms < 1e-12):
+        bad = norms < 1e-12
+        directions[bad] = rng.normal(size=(int(np.count_nonzero(bad)), n))
+        norms = np.linalg.norm(directions, axis=1)
+    radii = np.repeat([state.r for state in kept], per_radius)
+    points = directions * (radii / norms)[:, None]
+    values = [state.u for state in kept for _ in range(per_radius)]
+    return [(tuple(row), u) for row, u in zip(points.tolist(), values)]

@@ -166,6 +166,27 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == want
 
 
+_PRINT_BLAS_THREADS = """
+import os
+from kelvinasym.cli import dispatch
+dispatch(["no-such-command"])
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
+def test_dispatch_runs_openblas_on_one_thread_unless_told_otherwise(preset, want):
+    # the child's environment is built here because the in-process dispatch
+    # calls of this module have already set the variable in this process
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRINT_BLAS_THREADS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.strip() == want, proc.stderr
+
+
 def test_lemmas_failure_names_the_check_and_its_inputs(tmp_path, capsys):
     # one L33 index (k = 2 for the first pair of the second trial) disagrees
     real = symfun.verify_identity

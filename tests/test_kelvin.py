@@ -199,6 +199,16 @@ def test_kelvin_map_roundtrips():
         back = kelvin_map(y, R, "backward")
         assert np.allclose(back, x, atol=1e-12)
         assert np.allclose(kelvin_map(back, R, "forward"), y, atol=1e-12)
+    # a stack of points, one per row, maps row by row
+    rng = np.random.default_rng(4)
+    for n in range(2, 6):
+        xs = rng.uniform(-3.0, 3.0, size=(7, n))
+        R = rng.uniform(0.5, 2.0, size=n)
+        for direction in ("forward", "backward"):
+            stacked = kelvin_map(xs, R, direction)
+            assert stacked.shape == xs.shape
+            for x, row in zip(xs, stacked):
+                assert np.array_equal(row, kelvin_map(x, R, direction))
 
 
 def test_kelvin_map_errors():
@@ -210,6 +220,11 @@ def test_kelvin_map_errors():
         kelvin_map([1.0, 0.0], [1.0, -1.0])
     with pytest.raises(ValueError):
         kelvin_map([1.0, 0.0], [1.0, 1.0, 1.0])
+    # one origin row among stacked points
+    with pytest.raises(ZeroPointError):
+        kelvin_map([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0]], [1.0, 1.0])
+    with pytest.raises(ValueError):
+        kelvin_map([[1.0, 2.0], [3.0, -1.0]], [1.0, 1.0, 1.0])
 
 
 # ── frames ───────────────────────────────────────────────────────────────
@@ -256,6 +271,18 @@ def test_u_from_v_with_affine_tail():
     got = u_from_v(frame, lambda y: 0.0, x)
     want = 0.5 * (1.4**2 + 2 * 0.6**2 + 0.5 * 4.0) + (1.4 - 4.0) + 4.0
     assert abs(got - want) < 1e-12
+
+
+def test_u_from_v_takes_stacked_points():
+    frame = KelvinFrame(
+        PhaseBranch.make("LOG", -2.0, tau=0.5), [1.0, 2.0, 0.5], linear=[1.0, 0.0, -2.0], constant=4.0
+    )
+    v = random_profile(Random(3), 3)
+    xs = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4, 5, 3))
+    stacked = u_from_v(frame, lambda ys: v.evaluate(np.moveaxis(ys, -1, 0).astype(object)), xs)
+    assert stacked.shape == (4, 5)
+    for index in np.ndindex(4, 5):
+        assert stacked[index] == u_from_v(frame, lambda y: float(v.evaluate(list(y))), xs[index])
 
 
 # ── jets ─────────────────────────────────────────────────────────────────
@@ -396,6 +423,76 @@ def test_hessian_identity_check_other_branches(branch, lams):
     v = random_profile(rng, 3)
     report = hessian_identity_check(frame, v, samples=15, fd_step=1e-4, seed=2)
     assert report.max_rel_deviation < 1e-5
+
+
+def hessian_check_per_sample(frame, v, samples, fd_step, seed):
+    """The check one sample at a time, through poly_jet, matrices_MNKL and
+    u_from_v at single points, drawing as hessian_identity_check does."""
+    rng = np.random.default_rng(seed)
+    n = frame.n
+    h = fd_step
+
+    def u(x):
+        return u_from_v(frame, lambda yy: float(v.evaluate(list(yy))), x)
+
+    max_abs = max_rel = 0.0
+    for _ in range(samples):
+        direction = rng.normal(size=n)
+        direction /= float(np.dot(direction, direction)) ** 0.5
+        x = direction * rng.uniform(1.2, 3.0)
+        z = np.asarray(frame.R) * x
+        image_norm = float(np.dot(z, z)) ** 0.5
+        if image_norm < 1.05:
+            x = x * (1.05 / image_norm)
+        y = kelvin_map(x, frame.R, "forward")
+        _, N, _, _ = matrices_MNKL(poly_jet(v, y), frame)
+        exact = np.diag(frame.spectrum) + float(np.dot(y, y)) ** (n / 2.0) * N
+        fd = np.zeros((n, n))
+        u0 = u(x)
+        for i in range(n):
+            ei = np.zeros(n)
+            ei[i] = h
+            fd[i, i] = (u(x + ei) - 2.0 * u0 + u(x - ei)) / (h * h)
+            for j in range(i + 1, n):
+                ej = np.zeros(n)
+                ej[j] = h
+                fd[i, j] = fd[j, i] = (
+                    u(x + ei + ej) - u(x + ei - ej) - u(x - ei + ej) + u(x - ei - ej)
+                ) / (4.0 * h * h)
+        abs_dev = float(np.max(np.abs(fd - exact)))
+        max_abs = max(max_abs, abs_dev)
+        max_rel = max(max_rel, abs_dev / max(float(np.max(np.abs(exact))), 1e-8))
+    return max_abs, max_rel
+
+
+@pytest.mark.parametrize(
+    "branch,lams",
+    [
+        (PhaseBranch.slag(THETA3), [1.0, -0.3]),
+        (PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7]),
+        (PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7, 2.0]),
+        (PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7, 2.0, 0.4]),
+        (PhaseBranch.make("LOG", -3.0, tau=0.6), [1.5, 2.0, 1.1, 0.9]),
+    ],
+    ids=["SLAG-2", "SLAG-3", "SLAG-4", "SLAG-5", "LOG-4"],
+)
+@pytest.mark.parametrize("batch_points", [None, 100], ids=["one-batch", "small-batches"])
+def test_hessian_identity_check_equals_the_per_sample_route(branch, lams, batch_points, monkeypatch):
+    # the batched check performs the per-sample route's float operations in
+    # the same order, so the deviations agree exactly; small batches split
+    # the samples (one to eleven per batch here) without moving a draw
+    import kelvinasym.kelvin as kelvin_module
+
+    if batch_points is not None:
+        monkeypatch.setattr(kelvin_module, "_FD_BATCH_POINTS", batch_points, raising=False)
+    n = len(lams)
+    rng = Random(20 + n)
+    linear = [rng.uniform(-1.0, 1.0) for _ in range(n)]
+    frame = KelvinFrame(branch, lams, linear=linear, constant=rng.uniform(-1.0, 1.0))
+    v = random_profile(rng, n)
+    report = hessian_identity_check(frame, v, samples=23, fd_step=1e-4, seed=n)
+    want = hessian_check_per_sample(frame, v, 23, 1e-4, n)
+    assert (report.max_abs_deviation, report.max_rel_deviation) == want
 
 
 @pytest.mark.parametrize(

@@ -353,6 +353,24 @@ def test_trajectory_samples_window_and_determinism():
         trajectory_samples(states, 1, per_radius=2, seed=0)
 
 
+def test_trajectory_samples_equal_the_per_node_draws():
+    # one draw for all nodes gives the stream of one draw per node
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=50)
+    rng = np.random.default_rng(4)
+    want = []
+    for state in states:
+        if not 2.0 <= state.r <= 8.0:
+            continue
+        directions = rng.normal(size=(3, 3))
+        norms = np.linalg.norm(directions, axis=1)
+        assert np.all(norms >= 1e-12)
+        for row in directions * (state.r / norms)[:, None]:
+            want.append((tuple(float(c) for c in row), state.u))
+    assert len(want) == 3 * 13
+    assert trajectory_samples(states, 3, per_radius=3, seed=4, r_min=2.0, r_max=8.0) == want
+
+
 def test_trajectory_samples_reject_a_nan_bound():
     # a NaN bound compares false, so it used to sample every node
     br = PhaseBranch.slag(THETA3)
