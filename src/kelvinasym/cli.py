@@ -15,8 +15,13 @@ pipelines:
 
 Each flag is declared once, as a row of ``_COMMANDS`` (or one of the
 shared rows --seed, --config, --out): its argparse type, its default or
-that it is required, and its help text, which shows the default.  The
-parser and the --config merge both read that table.
+that it is required, its help text, and its accepted range.  An int row
+may end with an inclusive lower bound and an inclusive upper bound after
+it; a float must be finite, and its row may end with an exclusive lower
+bound (0 means positive).  The parser and the --config merge both read
+that table: --help shows each range and default, and the merge refuses a
+value outside its range, whether it came from a flag, from --config or
+from the table.
 
 Conventions shared by every subcommand: all randomness flows from
 --seed (default 0), so identical argv produce byte-identical artifacts;
@@ -86,52 +91,38 @@ def _parse_fraction(text) -> Fraction:
         raise _UsageError(str(exc)) from exc
 
 
-def _parse_fraction_list(text) -> tuple[Fraction, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(_parse_fraction(v) for v in text)
-    parts = [p for p in str(text).split(",") if p.strip()]
-    if not parts:
-        raise _UsageError(f"empty rational list: {text!r}")
-    return tuple(_parse_fraction(p) for p in parts)
+def _split_list(value, what: str) -> list:
+    """The items of a JSON array, or of comma-separated text without its
+    blank items; a usage error when there are none."""
+    if isinstance(value, (list, tuple)):
+        items = list(value)
+    else:
+        items = [p.strip() for p in str(value).split(",") if p.strip()]
+    if not items:
+        raise _UsageError(f"empty {what} list: {value!r}")
+    return items
+
+
+def _parse_fraction_list(value) -> tuple[Fraction, ...]:
+    return tuple(_parse_fraction(v) for v in _split_list(value, "rational"))
 
 
 def _parse_annuli(value) -> list[tuple[float, float]]:
-    if isinstance(value, (list, tuple)):
-        pairs = []
-        for item in value:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise _UsageError(f"annulus entries need two radii, got {item!r}")
-            try:
-                pairs.append((float(str(item[0])), float(str(item[1]))))
-            except ValueError as exc:
-                raise _UsageError(f"annulus {item!r} is not numeric: {exc}") from exc
-        return pairs
-    pairs = []
-    for chunk in str(value).split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        lo, sep, hi = chunk.partition(":")
-        if not sep:
-            raise _UsageError(f"annulus {chunk!r} is not of the form lo:hi")
+    pairs, text = [], not isinstance(value, (list, tuple))
+    for item in _split_list(value, "annuli"):
+        pair = item.split(":") if text else item
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise _UsageError(f"annulus {item!r} is not of the form lo:hi")
         try:
-            pairs.append((float(lo), float(hi)))
+            pairs.append((float(str(pair[0])), float(str(pair[1]))))
         except ValueError as exc:
-            raise _UsageError(f"annulus {chunk!r} is not numeric: {exc}") from exc
-    if not pairs:
-        raise _UsageError(f"empty annuli list: {value!r}")
+            raise _UsageError(f"annulus {item!r} is not numeric: {exc}") from exc
     return pairs
 
 
 def _parse_int_list(value) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        parts = [str(v) for v in value]
-    else:
-        parts = [p.strip() for p in str(value).split(",") if p.strip()]
-    if not parts:
-        raise _UsageError(f"empty integer list: {value!r}")
     try:
-        return tuple(int(p) for p in parts)
+        return tuple(int(str(p)) for p in _split_list(value, "integer"))
     except ValueError as exc:
         raise _UsageError(f"not an integer list: {value!r} ({exc})") from exc
 
@@ -146,10 +137,11 @@ _LIST_FLAGS = ("spectrum", "annuli", "exponents")
 
 def _merge_config(args: argparse.Namespace, rows) -> dict:
     """flags > --config entries > the table defaults in ``rows``; unknown
-    keys fail, a value must parse with its flag's argparse converter, and
-    every flag whose default is ``_NO_DEFAULT`` must end up set."""
-    merged = {name: default for name, _, default, _ in rows}
-    types = {name: convert for name, convert, _, _ in rows}
+    keys fail, a value must parse with its flag's argparse converter and
+    lie in its row's range, and every flag whose default is
+    ``_NO_DEFAULT`` must end up set."""
+    merged = {name: default for name, _, default, *_ in rows}
+    types = {name: convert for name, convert, *_ in rows}
     config_path = args.config
     if config_path is not None:
         path = Path(config_path)
@@ -182,7 +174,29 @@ def _merge_config(args: argparse.Namespace, rows) -> dict:
             merged[name] = value = flag_value
         if value is _NO_DEFAULT:
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
+    for name, convert, _, _, *bounds in rows:
+        value = merged[name]
+        for phrase, admits in _range(convert, bounds):
+            if value is not None and not admits(value):
+                raise _UsageError(f"--{name.replace('_', '-')} must be {phrase}, got {value}")
     return merged
+
+
+def _range(convert, bounds) -> list[tuple]:
+    """A row's range as (phrase, test) pairs: a value must pass every test,
+    and each phrase, read after "must be", says what its test asks."""
+    if convert is float:
+        if not bounds:
+            return [("finite", math.isfinite)]
+        lo = bounds[0]
+        phrase = "positive and finite" if lo == 0 else f"finite and greater than {lo}"
+        return [(phrase, lambda v: math.isfinite(v) and v > lo)]
+    pairs = []
+    if bounds:
+        pairs.append((f"at least {bounds[0]}", lambda v: v >= bounds[0]))
+    if len(bounds) > 1:
+        pairs.append((f"at most {bounds[1]}", lambda v: v <= bounds[1]))
+    return pairs
 
 
 def _check_out(path_text: str) -> Path:
@@ -232,18 +246,18 @@ def _write(what: str, path: Path, writer, payload) -> None:
         raise _UsageError(f"cannot write {what} to {path}: {exc}") from exc
 
 
-def _finish(report: dict, out: Path, command: str) -> int:
+def _finish(command: str, out: Path, report: dict, failure: dict | None) -> int:
+    """Write ``report`` to ``out`` with its verdict: the command, all_pass,
+    and first_failure, the first failed check and its inputs or None.
+    Returns the exit code, 1 with the failure on stderr when a check
+    failed."""
+    report.update(command=command, all_pass=failure is None, first_failure=failure)
     _write("report", out, _write_json, report)
-    if report.get("all_pass", True):
+    if failure is None:
         print(f"{command}: all checks passed; report written to {out}")
         return 0
-    failure = report.get("first_failure") or {}
-    name = failure.get("check", "unnamed check")
-    print(
-        f"{command}: FAILED at {name}; inputs {json.dumps(_jsonable(failure.get('inputs', {})), sort_keys=True)}; "
-        f"report written to {out}",
-        file=sys.stderr,
-    )
+    inputs = json.dumps(_jsonable(failure["inputs"]), sort_keys=True)
+    print(f"{command}: FAILED at {failure['check']}; inputs {inputs}; report written to {out}", file=sys.stderr)
     return 1
 
 
@@ -254,15 +268,7 @@ MAX_LEMMAS_N = 20
 
 
 def _run_lemmas(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 2:
-        raise _UsageError("lemmas needs --n of at least 2 (identity hypothesis)")
-    if n > MAX_LEMMAS_N:
-        raise _UsageError(f"lemmas needs --n of at most {MAX_LEMMAS_N}, got {n}")
-    trials = int(merged["trials"])
-    if trials < 1:
-        raise _UsageError("lemmas needs --trials of at least 1")
-    seed = int(merged["seed"])
+    n, trials, seed = merged["n"], merged["trials"], merged["seed"]
     out = _check_out(merged["out"])
 
     rng = Random(seed)
@@ -301,16 +307,13 @@ def _run_lemmas(merged: dict) -> int:
                         }
 
     report = {
-        "command": "lemmas",
         "n": n,
         "trials": trials,
         "seed": seed,
         "identities": counts,
         "checks_run": sum(b["checks"] for b in counts.values()),
-        "all_pass": first_failure is None,
-        "first_failure": first_failure,
     }
-    return _finish(report, out, "lemmas")
+    return _finish("lemmas", out, report, first_failure)
 
 
 # ── subcommand: kelvin-check ─────────────────────────────────────────────
@@ -329,35 +332,15 @@ def _random_test_poly(rng: Random, n: int, max_degree: int = 3, terms: int = 6) 
     return poly
 
 
-def _finite(flag: str, value: float, positive: bool = False) -> float:
-    """``value`` if it is finite (and positive when asked), else a usage
-    error naming the flag and the value."""
-    if not math.isfinite(value) or (positive and not value > 0.0):
-        kind = "positive and finite" if positive else "finite"
-        raise _UsageError(f"--{flag} must be {kind}, got {value}")
-    return value
-
-
 def _make_branch(merged: dict) -> PhaseBranch:
-    kind = str(merged["branch"]).upper()
-    theta = _finite("theta", float(merged["theta"]))
-    tau = merged.get("tau")
     try:
-        return PhaseBranch.make(kind, theta, None if tau is None else float(tau))
+        return PhaseBranch.make(str(merged["branch"]).upper(), merged["theta"], merged["tau"])
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
 
 def _run_kelvin_check(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 2:
-        raise _UsageError("kelvin-check needs --n of at least 2")
-    seed = int(merged["seed"])
-    samples = int(merged["samples"])
-    if samples < 1:
-        raise _UsageError(f"--samples must be at least 1, got {samples}")
-    fd_step = _finite("fd-step", float(merged["fd_step"]), positive=True)
-    tolerance = _finite("tolerance", float(merged["tolerance"]), positive=True)
+    n, seed, tolerance = merged["n"], merged["seed"], merged["tolerance"]
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
     spectrum_text = merged["spectrum"]
@@ -389,11 +372,21 @@ def _run_kelvin_check(merged: dict) -> int:
         raise _UsageError(str(exc)) from exc
 
     result = hessian_identity_check(
-        frame, v, samples=samples, fd_step=fd_step, seed=seed
+        frame, v, samples=merged["samples"], fd_step=merged["fd_step"], seed=seed
     )
-    passed = result.max_rel_deviation < tolerance
+    failure = None
+    if not result.max_rel_deviation < tolerance:
+        failure = {
+            "check": "hessian-identity relative deviation",
+            "inputs": {
+                "branch": branch.kind,
+                "n": n,
+                "seed": seed,
+                "max_rel_deviation": result.max_rel_deviation,
+                "tolerance": tolerance,
+            },
+        }
     report = {
-        "command": "kelvin-check",
         "branch": branch.to_json(),
         "n": n,
         "seed": seed,
@@ -403,21 +396,8 @@ def _run_kelvin_check(merged: dict) -> int:
         "max_abs_deviation": result.max_abs_deviation,
         "max_rel_deviation": result.max_rel_deviation,
         "tolerance": tolerance,
-        "all_pass": passed,
-        "first_failure": None
-        if passed
-        else {
-            "check": "hessian-identity relative deviation",
-            "inputs": {
-                "branch": branch.kind,
-                "n": n,
-                "seed": seed,
-                "max_rel_deviation": result.max_rel_deviation,
-                "tolerance": tolerance,
-            },
-        },
     }
-    return _finish(report, out, "kelvin-check")
+    return _finish("kelvin-check", out, report, failure)
 
 
 # ── subcommand: poisson ──────────────────────────────────────────────────
@@ -451,24 +431,13 @@ def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
 
 
 def _run_poisson(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 3:
-        raise _UsageError("poisson needs --n of at least 3")
-    if n > MAX_POISSON_N:
-        raise _UsageError(f"poisson needs --n of at most {MAX_POISSON_N}, got {n}")
-    max_degree = int(merged["degree"])
-    if max_degree < 0:
-        raise _UsageError("poisson needs a nonnegative --degree")
+    n, max_degree, trials, seed = merged["n"], merged["degree"], merged["trials"], merged["seed"]
     top_monomials = math.comb(max_degree + n - 1, n - 1)
     if top_monomials > MAX_POISSON_MONOMIALS:
         raise _UsageError(
             f"poisson --n {n} --degree {max_degree} solves on {top_monomials} monomials "
             f"of the top degree, more than {MAX_POISSON_MONOMIALS}"
         )
-    trials = int(merged["trials"])
-    if trials < 1:
-        raise _UsageError("poisson needs --trials of at least 1")
-    seed = int(merged["seed"])
     out = _check_out(merged["out"])
 
     rng = Random(seed)
@@ -493,26 +462,20 @@ def _run_poisson(merged: dict) -> int:
                         },
                     }
     report = {
-        "command": "poisson",
         "n": n,
         "max_degree": max_degree,
         "trials_per_degree": trials,
         "seed": seed,
         "checks_run": (max_degree + 1) * trials,
-        "all_pass": first_failure is None,
-        "first_failure": first_failure,
     }
-    return _finish(report, out, "poisson")
+    return _finish("poisson", out, report, first_failure)
 
 
 # ── subcommand: residual-n3 ──────────────────────────────────────────────
 
 
 def _run_residual_n3(merged: dict) -> int:
-    trials = int(merged["trials"])
-    if trials < 1:
-        raise _UsageError("residual-n3 needs --trials of at least 1")
-    seed = int(merged["seed"])
+    trials, seed = merged["trials"], merged["seed"]
     out = _check_out(merged["out"])
 
     rng = Random(seed)
@@ -525,25 +488,15 @@ def _run_residual_n3(merged: dict) -> int:
                 "check": "three-variable linear-part factorization",
                 "inputs": {"trial": trial, "spectrum": spectrum},
             }
-    report = {
-        "command": "residual-n3",
-        "trials": trials,
-        "seed": seed,
-        "checks_run": trials,
-        "all_pass": first_failure is None,
-        "first_failure": first_failure,
-    }
-    return _finish(report, out, "residual-n3")
+    report = {"trials": trials, "seed": seed, "checks_run": trials}
+    return _finish("residual-n3", out, report, first_failure)
 
 
 # ── subcommand: expand3 ──────────────────────────────────────────────────
 
 
 def _run_expand3(merged: dict) -> int:
-    order = int(merged["order"])
-    if order < 3:
-        raise _UsageError("expand3 needs --order of at least 3")
-    seed = int(merged["seed"])
+    order, seed = merged["order"], merged["seed"]
     out = _check_out(merged["out"])
     p0 = _parse_fraction(merged["p0"])
     spectrum = _parse_fraction_list(merged["spectrum"])
@@ -575,8 +528,16 @@ def _run_expand3(merged: dict) -> int:
     closed_form = leading_correction_Q2(p0, spectrum)
     first_q = first_state.Q if first_state is not None else MultiPoly.zero(3)
     difference = closed_form.base - first_q
+    failure = None
+    if not audit_pass:
+        failure = {
+            "check": "left-over obstruction degree audit",
+            "inputs": {
+                "order": order,
+                "degrees_at_or_below_threshold": [d for d in leftover_degrees if d <= order - 1],
+            },
+        }
     report = {
-        "command": "expand3",
         "order": order,
         "seed": seed,
         "p0": p0,
@@ -588,57 +549,29 @@ def _run_expand3(merged: dict) -> int:
         "closed_form_leading_correction": closed_form.base,
         "first_correction_matches_closed_form": difference.is_zero,
         "closed_form_minus_first_correction": difference,
-        "all_pass": audit_pass,
-        "first_failure": None
-        if audit_pass
-        else {
-            "check": "left-over obstruction degree audit",
-            "inputs": {
-                "order": order,
-                "degrees_at_or_below_threshold": [
-                    d for d in leftover_degrees if d <= order - 1
-                ],
-            },
-        },
     }
-    return _finish(report, out, "expand3")
+    return _finish("expand3", out, report, failure)
 
 
 # ── subcommand: radial ───────────────────────────────────────────────────
 
 
 def _run_radial(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 2:
-        raise _UsageError("radial needs --n of at least 2")
-    seed = int(merged["seed"])
+    n, seed, r_max = merged["n"], merged["seed"], merged["rmax"]
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
-    theta = branch.theta
-    u1 = _finite("u1", float(merged["u1"]))
-    p1 = _finite("p1", float(merged["p1"]))
-    r_max = float(merged["rmax"])
-    stride = int(merged["stride"])
-    if not r_max > 1.0:
-        raise _UsageError(f"--rmax must exceed 1, got {r_max}")
-    step = _finite("step", float(merged["step"]), positive=True)
-    if stride < 1:
-        raise _UsageError(f"--stride must be a positive integer, got {stride}")
-
-    samples_out = merged.get("samples_out")
-    per_radius = int(merged["per_radius"])
-    sample_rmin, sample_rmax = (
-        None if merged.get(key) is None else _finite(flag, float(merged[key]))
-        for key, flag in (("sample_rmin", "sample-rmin"), ("sample_rmax", "sample-rmax"))
-    )
+    sample_rmin, sample_rmax = merged["sample_rmin"], merged["sample_rmax"]
     samples_path = None
-    if samples_out is not None:
-        samples_path = _check_out(samples_out)
-        if per_radius < 1:
-            raise _UsageError("--per-radius must be a positive integer")
+    if merged["samples_out"] is not None:
+        samples_path = _check_out(merged["samples_out"])
+        for flag, top in (("sample-rmax", sample_rmax), ("rmax", r_max)):
+            if sample_rmin is not None and top is not None and sample_rmin > top:
+                raise _UsageError(f"--sample-rmin {sample_rmin} exceeds --{flag} {top}: no node can be sampled")
 
     try:
-        states = integrate_exterior(branch, n, theta, u1, p1, r_max, step, stride)
+        states = integrate_exterior(
+            branch, n, branch.theta, merged["u1"], merged["p1"], r_max, merged["step"], merged["stride"]
+        )
     except DomainError as exc:
         partial = exc.trajectory or []
         if partial:
@@ -652,16 +585,16 @@ def _run_radial(merged: dict) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 
+    if samples_path is not None:
+        # drawn before anything is written, so a window without nodes leaves no file
+        try:
+            samples = trajectory_samples(
+                states, n, per_radius=merged["per_radius"], seed=seed, r_min=sample_rmin, r_max=sample_rmax
+            )
+        except ValueError as exc:
+            raise _UsageError(f"--sample-rmin {sample_rmin} --sample-rmax {sample_rmax}: {exc}") from exc
     _write("trajectory", out, write_trajectory, states)
     if samples_path is not None:
-        samples = trajectory_samples(
-            states,
-            n,
-            per_radius=per_radius,
-            seed=seed,
-            r_min=sample_rmin,
-            r_max=sample_rmax,
-        )
         _write("samples", samples_path, write_samples, samples)
     max_error = max(s.error for s in states)
     print(
@@ -675,19 +608,16 @@ def _run_radial(merged: dict) -> int:
 
 
 def _run_fit(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 2:
-        raise _UsageError("fit needs --n of at least 2")
+    n = merged["n"]
     out = _check_out(merged["out"])
     samples_path = _check_in(merged["samples"])
     with_log_text = str(merged["with_log"]).lower()
     if with_log_text not in ("auto", "on", "off"):
         raise _UsageError("--with-log must be auto, on, or off")
     with_log = None if with_log_text == "auto" else (with_log_text == "on")
-    annuli = merged.get("annuli")
+    annuli = merged["annuli"]
     if annuli is not None:
         annuli = _parse_annuli(annuli)
-    num_annuli = int(merged["num_annuli"])
 
     try:
         samples = read_samples(samples_path)
@@ -695,7 +625,7 @@ def _run_fit(merged: dict) -> int:
         raise _UsageError(f"cannot read samples: {exc}") from exc
     try:
         fit = fit_expansion(
-            samples, n, num_annuli=num_annuli, annuli=annuli, with_log=with_log
+            samples, n, num_annuli=merged["num_annuli"], annuli=annuli, with_log=with_log
         )
     except (InsufficientDataError, ConditioningError) as exc:
         print(
@@ -719,10 +649,7 @@ def _run_fit(merged: dict) -> int:
 
 
 def _run_residual_scaling(merged: dict) -> int:
-    n = int(merged["n"])
-    if n < 3:
-        raise _UsageError("residual-scaling needs --n of at least 3")
-    seed = int(merged["seed"])
+    n, seed = merged["n"], merged["seed"]
     out = _check_out(merged["out"])
     exponents = _parse_int_list(merged["exponents"])
     try:
@@ -732,34 +659,22 @@ def _run_residual_scaling(merged: dict) -> int:
 
     data = residual_scaling_slopes(n, seed=seed, exponents=exponents)
     threshold = n - 2 - 0.1
-    passed = data["slope"] >= threshold
-    report = dict(data)
-    report.update(
-        {
-            "command": "residual-scaling",
-            "threshold": threshold,
-            "all_pass": passed,
-            "first_failure": None
-            if passed
-            else {
-                "check": "non-linear residual decay order",
-                "inputs": {
-                    "n": n,
-                    "seed": seed,
-                    "slope": data["slope"],
-                    "threshold": threshold,
-                },
-            },
+    failure = None
+    if not data["slope"] >= threshold:
+        failure = {
+            "check": "non-linear residual decay order",
+            "inputs": {"n": n, "seed": seed, "slope": data["slope"], "threshold": threshold},
         }
-    )
-    return _finish(report, out, "residual-scaling")
+    return _finish("residual-scaling", out, {**data, "threshold": threshold}, failure)
 
 
 # ── flag tables, parser assembly and dispatch ────────────────────────────
 
-# Each flag is one row (name, argparse type or None for text, default, help).
-# The name is the config key and, with "_" written as "-", the flag.  A row
-# whose default is _NO_DEFAULT is a flag that must be given.
+# Each flag is one row (name, argparse type or None for text, default, help,
+# *range).  The name is the config key and, with "_" written as "-", the
+# flag.  A row whose default is _NO_DEFAULT is a flag that must be given.
+# The range is an int's inclusive lower and upper bounds, or a float's
+# exclusive lower bound; a float must be finite with or without one.
 _NO_DEFAULT = object()
 
 _SEED = ("seed", int, 0, "random seed")
@@ -774,8 +689,8 @@ _COMMANDS = {
     "lemmas": (
         "exact identity sweeps over random spectra",
         (
-            ("n", int, _NO_DEFAULT, "spectrum size (at least 2)"),
-            ("trials", int, 50, "random spectra per identity"),
+            ("n", int, _NO_DEFAULT, "spectrum size", 2, MAX_LEMMAS_N),
+            ("trials", int, 50, "random spectra per identity", 1),
         ),
     ),
     "kelvin-check": (
@@ -784,29 +699,29 @@ _COMMANDS = {
             _BRANCH,
             _TAU,
             ("theta", float, 3 * math.pi / 4, "phase value of the branch"),
-            ("n", int, 3, "dimension"),
+            ("n", int, 3, "dimension", 2),
             ("spectrum", None, None, "comma-separated eigenvalues (default all ones)"),
-            ("samples", int, 100, "sample points"),
-            ("fd_step", float, 1e-4, "finite-difference step"),
-            ("tolerance", float, 1e-5, "max relative deviation"),
+            ("samples", int, 100, "sample points", 1),
+            ("fd_step", float, 1e-4, "finite-difference step", 0),
+            ("tolerance", float, 1e-5, "max relative deviation", 0),
         ),
     ),
     "poisson": (
         "exact radical Poisson solves with audit",
         (
-            ("n", int, 3, "number of variables (at least 3)"),
-            ("degree", int, 6, "largest right-hand degree"),
-            ("trials", int, 20, "random solves per degree"),
+            ("n", int, 3, "number of variables", 3, MAX_POISSON_N),
+            ("degree", int, 6, "largest right-hand degree", 0),
+            ("trials", int, 20, "random solves per degree", 1),
         ),
     ),
     "residual-n3": (
         "three-variable linear factorization audit",
-        (("trials", int, 20, "random spectra"),),
+        (("trials", int, 20, "random spectra", 1),),
     ),
     "expand3": (
         "correction recursion through an order",
         (
-            ("order", int, 5, "final expansion order"),
+            ("order", int, 5, "final expansion order", 3),
             ("p0", None, "1", "leading profile constant, rational p/q"),
             ("spectrum", None, "1,1,1", "three comma-separated rationals"),
         ),
@@ -816,15 +731,15 @@ _COMMANDS = {
         (
             _BRANCH,
             _TAU,
-            ("n", int, 3, "dimension"),
+            ("n", int, 3, "dimension", 2),
             ("theta", float, _NO_DEFAULT, "phase value"),
             ("u1", float, _NO_DEFAULT, "value at r = 1"),
             ("p1", float, _NO_DEFAULT, "slope at r = 1"),
-            ("rmax", float, _NO_DEFAULT, "final radius"),
-            ("step", float, 1e-3, "integration step"),
-            ("stride", int, 1, "output every k-th node"),
+            ("rmax", float, _NO_DEFAULT, "final radius", 1),
+            ("step", float, 1e-3, "integration step", 0),
+            ("stride", int, 1, "output every k-th node", 1),
             ("samples_out", None, None, "also scatter samples to this CSV"),
-            ("per_radius", int, 6, "sample directions per node"),
+            ("per_radius", int, 6, "sample directions per node", 1),
             ("sample_rmin", float, None, "sample window lower radius"),
             ("sample_rmax", float, None, "sample window upper radius"),
         ),
@@ -833,7 +748,7 @@ _COMMANDS = {
         "fit the asymptotic expansion to samples",
         (
             ("samples", None, _NO_DEFAULT, "input samples CSV"),
-            ("n", int, _NO_DEFAULT, "dimension of the samples"),
+            ("n", int, _NO_DEFAULT, "dimension of the samples", 2),
             ("annuli", None, None, "explicit annuli lo:hi,lo:hi,..."),
             ("num_annuli", int, 6, "geometric annuli count"),
             ("with_log", None, "auto", "auto, on, or off"),
@@ -842,7 +757,7 @@ _COMMANDS = {
     "residual-scaling": (
         "decay order of the residual tail",
         (
-            ("n", int, 3, "dimension (at least 3)"),
+            ("n", int, 3, "dimension", 3),
             ("exponents", None, "3,4,5,6,7,8,9,10", "comma-separated dyadic exponents"),
         ),
     ),
@@ -870,11 +785,14 @@ def _build_parser() -> argparse.ArgumentParser:
         sub = commands.add_parser(command, help=summary)
         # argparse keeps None as every default, so that _merge_config can
         # tell a flag that was given from one that was not
-        for name, convert, default, text in (_SEED, _CONFIG, _OUT, *rows):
+        for name, convert, default, text, *bounds in (_SEED, _CONFIG, _OUT, *rows):
+            notes = [phrase for phrase, _ in _range(convert, bounds)]
             if default is _NO_DEFAULT:
-                text += " (required)"
+                notes.append("required")
             elif default is not None:
-                text += f" (default {default})"
+                notes.append(f"default {default}")
+            if notes:
+                text += f" ({'; '.join(notes)})"
             sub.add_argument("--" + name.replace("_", "-"), type=convert, help=text)
     return parser
 

@@ -592,6 +592,36 @@ def test_radial_csv_deterministic(tmp_path, capsys):
     capsys.readouterr()
 
 
+_WINDOW_RADIAL = ["radial", "--theta", repr(THETA3_FULL), "--u1", "0.5", "--p1", "1.1", "--step", "1e-2"]
+
+
+@pytest.mark.parametrize(
+    "flags,named",
+    [
+        (["--rmax", "50", "--sample-rmin", "30", "--sample-rmax", "20"], "--sample-rmin 30.0 exceeds --sample-rmax 20.0"),
+        (["--rmax", "50", "--sample-rmin", "5000"], "--sample-rmin 5000.0 exceeds --rmax 50.0"),
+    ],
+)
+def test_radial_empty_sample_window_exits_2_before_integrating(tmp_path, capsys, flags, named):
+    # both used to integrate, write the trajectory and end in a traceback
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    argv = [*_WINDOW_RADIAL, *flags, "--samples-out", str(samples), "--out", str(traj)]
+    with mock.patch.object(cli, "integrate_exterior", side_effect=AssertionError("integrated")):
+        assert dispatch(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not traj.exists() and not samples.exists()
+
+
+def test_radial_window_between_nodes_exits_2(tmp_path, capsys):
+    # nodes sit at r = 1, 2, ..., 5; the window [2.5, 2.6] holds none of them
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    argv = [*_WINDOW_RADIAL, "--rmax", "5", "--stride", "100", "--sample-rmin", "2.5", "--sample-rmax", "2.6"]
+    assert dispatch([*argv, "--samples-out", str(samples), "--out", str(traj)]) == 2
+    err = capsys.readouterr().err
+    assert "usage error: --sample-rmin 2.5 --sample-rmax 2.6: no trajectory nodes" in err
+    assert not traj.exists() and not samples.exists()
+
+
 # ── radial -> fit pipeline ───────────────────────────────────────────────
 
 
@@ -820,6 +850,105 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
         argv = radial + [flag, bad]  # the later flag wins
     assert dispatch(argv) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+def _valid(row):
+    """A value inside a row's range, on its bound where the bound is
+    inclusive (text rows get a word)."""
+    _, convert, _, _, *bounds = row
+    if convert is int:
+        return bounds[0] if bounds else 0
+    if convert is float:
+        return math.nextafter(bounds[0], math.inf) if bounds else sys.float_info.max
+    return "x"
+
+
+def _range_cases():
+    """(command, row, value one step outside the range, value at its edge)."""
+    for command, (_, rows) in cli._COMMANDS.items():
+        for row in rows:
+            _, convert, _, _, *bounds = row
+            if convert is float:
+                edge = _valid(row)
+                yield command, row, bounds[0] if bounds else math.inf, edge
+                if not bounds:
+                    yield command, row, -math.inf, -edge
+            elif convert is int and bounds:
+                yield command, row, bounds[0] - 1, bounds[0]
+                if len(bounds) > 1:
+                    yield command, row, bounds[1] + 1, bounds[1]
+
+
+_RANGE_CASES = list(_range_cases())
+
+
+def _required_argv(command: str, skip: str) -> list[str]:
+    """Flags with in-range values for every required row of ``command``
+    but ``skip``."""
+    argv = []
+    for row in cli._COMMANDS[command][1]:
+        if row[2] is cli._NO_DEFAULT and row[0] != skip:
+            argv += [f"--{row[0].replace('_', '-')}", repr(_valid(row))]
+    return argv
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command,row,outside,edge",
+    _RANGE_CASES,
+    ids=[f"{c}-{row[0]}-{outside}" for c, row, outside, _ in _RANGE_CASES],
+)
+def test_each_range_row_refuses_one_step_outside_and_admits_its_edge(
+    tmp_path, capsys, source, command, row, outside, edge
+):
+    name, convert = row[0], row[1]
+    flag = "--" + name.replace("_", "-")
+    out = tmp_path / "out"
+    argv = [command, *_required_argv(command, name), "--out", str(out)]
+    if source == "flag":
+        argv += [f"{flag}={outside!r}"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({name: outside if math.isfinite(outside) else repr(outside)}))
+        argv += ["--config", str(config)]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"usage error: {flag} must be " in err and f", got {convert(repr(outside))}" in err
+    assert not out.exists()
+
+    # the value at the edge of the range passes the merge
+    if source == "flag":
+        argv[-1] = f"{flag}={edge!r}"
+    else:
+        config.write_text(json.dumps({name: edge}))
+    args = cli._build_parser().parse_args(argv)
+    rows = (*cli._COMMANDS[command][1], cli._SEED, cli._OUT)
+    assert cli._merge_config(args, rows)[name] == edge
+
+
+def test_range_rows_cover_every_bounded_flag():
+    # every float row is at least finite; these int rows carry bounds
+    bounded = {(c, row[0]) for c, row, *_ in _RANGE_CASES}
+    assert ("lemmas", "n") in bounded and ("poisson", "n") in bounded
+    assert ("radial", "per_radius") in bounded and ("kelvin-check", "fd_step") in bounded
+    assert ("fit", "num_annuli") not in bounded  # the fit library checks it
+
+
+def test_radial_per_radius_is_checked_without_samples_out(tmp_path, capsys):
+    # the value used to be ignored when no samples file was asked for
+    out = tmp_path / "t.csv"
+    argv = ["radial", "--theta", "2.3", "--u1", "0.5", "--p1", "1", "--rmax", "3", "--per-radius", "0"]
+    assert dispatch([*argv, "--out", str(out)]) == 2
+    assert "--per-radius must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_shows_each_range(capsys):
+    with pytest.raises(SystemExit):
+        cli._build_parser().parse_args(["lemmas", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "spectrum size (at least 2; at most 20; required)" in text
+    assert "random spectra per identity (at least 1; default 50)" in text
 
 
 _FUZZ_VALUES = st.one_of(

@@ -493,6 +493,29 @@ def test_factor_self_check_catches_a_wrong_small_gamma():
             linear_part_factor(branch, vals)
 
 
+def test_factor_self_check_accepts_spread_recip_spectrum():
+    # 1 + lambda spans nine decades; a slope taken as the difference of two
+    # nearly equal products missed gamma by 3e-8 relative here
+    vals = [e - 1.0 for e in (3.118, 1.145e-4, 321.7, 129.7, 1.885e-6, 1.694e-6)]
+    want = -math.prod((1.0 + v) ** 2 for v in vals) / math.sqrt(2.0)
+    assert math.isclose(linear_part_factor(PhaseBranch.recip(-1.0), vals), want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["RECIP", "SLAG", "ATAN2", "LOG"])
+def test_factor_self_check_accepts_random_admissible_spectra(kind):
+    # eigenvalue gaps to the branch bound (or, for SLAG, magnitudes) from
+    # 1e-6 to 1e3, so the factors of P(A) span up to nine decades
+    rnd = Random(1)
+    for _ in range(500):
+        tau = {"ATAN2": rnd.uniform(0.84, 1.52), "LOG": rnd.uniform(0.05, 0.73)}.get(kind)
+        branch = PhaseBranch.make(kind, 0.0, tau)
+        lower = branch.admissible_lower()
+        gaps = [10 ** rnd.uniform(-6, 3) for _ in range(rnd.randint(2, 12))]
+        vals = [g + lower if lower is not None else rnd.choice((-1, 1)) * g for g in gaps]
+        gamma = linear_part_factor(branch, vals)
+        assert math.isfinite(gamma) and gamma != 0
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_three_spellings_of_the_flat_gamma_agree(n):
     # the row norm s_free N(P(A)) / kappa, prod(1 + lambda^2) as
