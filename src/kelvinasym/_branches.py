@@ -196,8 +196,8 @@ def g_prime(kind: str, a: float, b: float, lam: float) -> float:
         lo = lam + a - b
         hi = lam + a + b
         return 2.0 * math.sqrt(a * a + 1.0) / (hi * hi + lo * lo)
-    shifted = lam + a
-    return math.sqrt(a * a + 1.0) / (shifted * shifted - b * b)
+    # summed as the row sums alpha + beta lambda: lambda + (a - b) is exact near the bound
+    return math.sqrt(a * a + 1.0) / ((lam + (a - b)) * (lam + (a + b)))
 
 
 def g_inverse(kind: str, a: float, b: float, t: float) -> float:

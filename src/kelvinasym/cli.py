@@ -51,17 +51,17 @@ from ._branches import DomainError
 from .exactalg import MultiPoly, SolveError, parse_rational, solve_radical_poisson
 from .equations import (
     _check_ladder,
-    linear_part_defect_n3,
+    linear_part_defect,
     residual_scaling_slopes,
-    symbolic_residual_n3,
+    symbolic_residual,
 )
 from .expand import (
     ConditioningError,
     ExpansionState,
     InsufficientDataError,
     fit_expansion,
-    leading_correction_Q2,
-    next_correction_n3,
+    leading_correction,
+    next_correction,
     read_samples,
     write_fit,
     write_samples,
@@ -482,7 +482,7 @@ def _run_residual_n3(merged: dict) -> int:
     spectra = [symfun.random_spectrum(rng, 3) for _ in range(trials)]
     first_failure = None
     for trial, spectrum in enumerate(spectra):
-        defect = linear_part_defect_n3(spectrum)
+        defect = linear_part_defect(spectrum)
         if not defect.is_zero and first_failure is None:
             first_failure = {
                 "check": "three-variable linear-part factorization",
@@ -513,7 +513,7 @@ def _run_expand3(merged: dict) -> int:
     steps = []
     first_state = None
     while state.order < order:
-        state = next_correction_n3(state)
+        state = next_correction(state)
         if first_state is None:
             first_state = state
         degrees = sorted(
@@ -521,11 +521,11 @@ def _run_expand3(merged: dict) -> int:
         )
         steps.append({"order": state.order, "q_component_degrees": degrees})
 
-    sector = symbolic_residual_n3(state.P, state.Q, state.spectrum).collect_odd(-1)
+    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(-1)
     leftover_degrees = sorted(sector.homogeneous_components())
     audit_pass = all(d > order - 1 for d in leftover_degrees)
 
-    closed_form = leading_correction_Q2(p0, spectrum)
+    closed_form = leading_correction(p0, spectrum)
     first_q = first_state.Q if first_state is not None else MultiPoly.zero(3)
     difference = closed_form.base - first_q
     failure = None

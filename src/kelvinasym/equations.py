@@ -32,8 +32,8 @@ splits into the Laplacian of the profile plus a superlinearly small
 remainder.  The split is produced in floating point by
 `transformed_residual`, and on the flat-phase branch exactly, in one
 formula (`_flat_residual`), by `transformed_residual_exact` (rational
-jets, rational radius) and fully symbolically for n = 3 by
-`symbolic_residual_n3`.  Since E_H + i O_H = det(I + iH) and
+jets, rational radius) and fully symbolically, in any n >= 3, by
+`symbolic_residual`.  Since E_H + i O_H = det(I + iH) and
 |det(I + iA)|^2 = gamma, the flat-phase residual along
 H = A + |y|^n M R^2 is a weighted sum of the principal minors of M:
 
@@ -84,8 +84,8 @@ __all__ = [
     "linear_part_factor",
     "transformed_residual",
     "transformed_residual_exact",
-    "symbolic_residual_n3",
-    "linear_part_defect_n3",
+    "symbolic_residual",
+    "linear_part_defect",
     "residual_scaling_slopes",
 ]
 
@@ -245,10 +245,10 @@ def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
 
 # relative bound of the slope self-check in `linear_part_factor`.  Over 3000
 # random admissible spectra per kind (n = 2..12, each eigenvalue's gap to
-# the bound log-uniform in [1e-6, 1e3], seed 1) the two routes differ by at
-# most 1.2e-15 relative on RECIP, 1.4e-15 on SLAG, 3.0e-14 on ATAN2 and
-# 2.8e-10 on LOG: near the LOG bound R divides by lambda + a - b, a
-# difference that rounding in lambda + a moves
+# the bound log-uniform in [1e-6, 1e3], for LOG also [1e-9, 1e3], seed 1)
+# the two routes differ by at most 1.2e-15 relative on RECIP, 1.4e-15 on
+# SLAG, 3.4e-14 on ATAN2 and 4.1e-14 on LOG, whose R sums lambda + (a - b)
+# exactly near the bound (`_branches.g_prime`)
 _FACTOR_RTOL = 1e-9
 
 
@@ -408,47 +408,45 @@ def transformed_residual_exact(
     )
 
 
-# ── fully symbolic n = 3 residual ────────────────────────────────────────
+# ── the fully symbolic residual ──────────────────────────────────────────
 
 
-def symbolic_residual_n3(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
-    """The exact normalized flat-phase residual of v = P + |y| Q in three
-    variables: sum over nonempty S of w_S |y|^(3|S|-5) det M_S with
-    w_S = Im prod_{l in S} (lambda_l + i), that is
+def symbolic_residual(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
+    """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
+    n = P.n_vars >= 3 variables (`_flat_residual`); for n = 3 that is
 
         lap(v) + |y| sum_{j<k} (lambda_j + lambda_k) det M_{jk}
                - |y|^4 (1 - sigma_2(A)) det M.
 
-    P and Q are polynomials in the three ball variables with rational
+    P and Q are polynomials in the n ball variables with rational
     coefficients; the result is a radical polynomial in the same variables
-    and every coefficient is exact."""
-    if P.n_vars != 3 or Q.n_vars != 3:
-        raise DimensionError("the symbolic residual is three-dimensional")
+    and every coefficient is exact; in even n it has no odd slot."""
+    n = P.n_vars
     vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
-    if len(vals) != 3:
-        raise DimensionError("need a spectrum of size 3")
-    yvars = [MultiPoly.variable(3, i) for i in range(3)]
-    v = RadPoly(3, {0: P, 1: Q})
-    grad = [v.partial(i) for i in range(3)]
-    hess = [[grad[i].partial(j) for j in range(3)] for i in range(3)]
-    one = MultiPoly.const(3, 1)
-    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(3, {k: one}))
+    if n < 3 or Q.n_vars != n or len(vals) != n:
+        raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
+    yvars = [MultiPoly.variable(n, i) for i in range(n)]
+    v = RadPoly(n, {0: P, n - 2: Q})
+    grad = [v.partial(i) for i in range(n)]
+    hess = [[grad[i].partial(j) for j in range(n)] for i in range(n)]
+    one = MultiPoly.const(n, 1)
+    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(n, {k: one}))
 
 
-def linear_part_defect_n3(s) -> RadPoly:
-    """The flat-phase linear-part identity in three variables, symbolically.
+def linear_part_defect(s) -> RadPoly:
+    """The flat-phase linear-part identity in n = len(s) >= 2 variables.
 
     With jet indeterminates (y, v, g, h) and the radial weight treated as a
     formal first-order variable w (a dual number, w^2 = 0), the w-linear
     coefficient of the theta-free form along H = A + w (|y|^2 M) R^2 must
     equal gamma |y|^4 trace(h), gamma = prod(1 + lambda_i^2).  Returns the
-    difference over the 13 jet variables (y1..y3, v, g1..g3, h11..h33
-    upper-triangular); it is identically zero precisely when the linear
-    part of the residual factors as gamma |y|^(n+2) lap(v)."""
+    difference over the jet variables (y, v, g and the upper triangle of
+    h; 13 of them for n = 3); it is identically zero precisely when the
+    linear part of the residual factors as gamma |y|^(n+2) lap(v)."""
     vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
-    if len(vals) != 3:
-        raise DimensionError("need a spectrum of size 3")
-    n = 3
+    n = len(vals)
+    if n < 2:
+        raise DimensionError(f"the linear-part identity needs n >= 2, got {n}")
     yvar, vvar, gvar, hvar = jet_indeterminates(n)
     zero = MultiPoly.zero(yvar[0].n_vars)
     ysq = sum((c * c for c in yvar), zero)
@@ -465,7 +463,7 @@ def linear_part_defect_n3(s) -> RadPoly:
     p_h = _det_by_sigmas(_row(form.branch), char_sigmas(pencil, _Dual(Fraction(1), zero)))
     linear = form._at_det(p_h).b
     gamma = math.prod(rho, start=Fraction(1))
-    trace_h = hvar[0][0] + hvar[1][1] + hvar[2][2]
+    trace_h = sum((hvar[i][i] for i in range(n)), zero)
     want = gamma * (ysq * ysq * trace_h)
     return RadPoly.from_poly(linear - want)
 

@@ -546,17 +546,15 @@ class RadPoly:
 
     # extraction -----------------------------------------------------------
 
-    def collect_odd(self, base: int = -1) -> MultiPoly:
-        """The odd-exponent sector as a single polynomial ``W`` with
-        odd part equal to ``|y|^base * W`` (``base`` must be odd)."""
-        if base % 2 == 0:
-            raise ValueError("base exponent must be odd")
-        odd = [(k, p) for k, p in self._slots.items() if k % 2]
-        if not odd:
+    def collect(self, base: int) -> MultiPoly:
+        """The sector of ``base``'s parity as a single polynomial ``W``
+        with that part equal to ``|y|^base * W``."""
+        sector = [(k, p) for k, p in self._slots.items() if (k - base) % 2 == 0]
+        if not sector:
             return MultiPoly.zero(self.n_vars)
-        (k, p), = odd
+        (k, p), = sector
         if k < base:
-            raise SolveError(f"odd sector sits at |y|^{k}, below requested base {base}")
+            raise SolveError(f"sector sits at |y|^{k}, below requested base {base}")
         return p * MultiPoly.r_squared(self.n_vars) ** ((k - base) // 2)
 
     def evaluate(self, point: Iterable) -> Fraction | float:

@@ -1,8 +1,8 @@
 """Asymptotic expansion machinery for exterior solutions.
 
 Two halves live here.  The exact half is the degree-by-degree correction
-recursion in three variables: each step reads the forced obstruction off the
-``|y|^(-1)`` sector of the transformed residual and solves a radial-weight
+recursion in any n >= 3: each step reads the forced obstruction off the
+``|y|^(n-4)`` sector of the transformed residual and solves a radial-weight
 Poisson equation for the next radical correction, all in rational
 arithmetic.  The numerical half recovers the quadratic part, affine tail,
 and remainder decay rate of a sampled exterior solution by least squares
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .equations import symbolic_residual_n3
+from .equations import symbolic_residual
 from .exactalg import (
     DimensionError,
     HomoPoly,
@@ -39,8 +39,8 @@ __all__ = [
     "ExpansionState",
     "InsufficientDataError",
     "fit_expansion",
-    "leading_correction_Q2",
-    "next_correction_n3",
+    "leading_correction",
+    "next_correction",
     "read_fit",
     "read_samples",
     "recover_v",
@@ -107,55 +107,56 @@ class ExpansionState:
                 )
 
 
-def leading_correction_Q2(v0, s) -> HomoPoly:
+def leading_correction(v0, s) -> HomoPoly:
     """The closed-form quadratic radical correction for a constant leading
-    profile ``v0`` in three variables:
+    profile ``v0`` in n = len(s) >= 3 variables:
 
-        v0^2 * (1/2) sum_i lambda_i y_i^2.
+        (n - 2)^2 v0^2 (1/2) sum_i lambda_i y_i^2.
 
-    The returned polynomial q satisfies ``lap(|y| q) = |y|^(-1) qbar`` with
-    ``qbar = v0^2 [sigma_1 |y|^2 + 3 sum_i lambda_i y_i^2]`` exactly, the
-    negative of the ``|y|^(-1)`` sector of `symbolic_residual_n3` at
-    ``v = v0``: for a constant profile M = v0 (-I + 3 yhat yhat^T), so each
-    2x2 minor is ``v0^2 (1 - 3 (yhat_j^2 + yhat_k^2))``.  Adding the
-    correction to ``v`` makes the residual of the original equation decay
-    faster along rays (r^-9 against r^-6 for the uncorrected profile).
+    The returned polynomial q satisfies ``lap(|y|^(n-2) q) = |y|^(n-4) qbar``
+    with ``qbar = (n-2)^2 v0^2 [sigma_1 |y|^2 + n (n-2) sum_i lambda_i y_i^2]``
+    exactly.  For n = 3 that is the negative of the ``|y|^(-1)`` sector of
+    `symbolic_residual` at ``v = v0``, and adding the correction to ``v``
+    makes the residual of the original equation decay faster along rays
+    (r^-9 against r^-6 for the uncorrected profile).
     """
     spectrum = _as_spectrum(s)
-    if spectrum.n != 3:
-        raise DimensionError("the leading correction is three-dimensional")
-    weight = Fraction(v0) ** 2
-    base = MultiPoly.zero(3)
+    n = spectrum.n
+    if n < 3:
+        raise DimensionError(f"the leading correction needs n >= 3, got {n}")
+    weight = (n - 2) ** 2 * Fraction(v0) ** 2
+    base = MultiPoly.zero(n)
     for i, lam in enumerate(spectrum.values):
-        yi = MultiPoly.variable(3, i)
+        yi = MultiPoly.variable(n, i)
         base = base + yi * yi * (Fraction(1, 2) * lam)
     return HomoPoly(base * weight, 2)
 
 
-def next_correction_n3(state: ExpansionState) -> ExpansionState:
-    """One inductive step of the correction recursion in three variables.
+def next_correction(state: ExpansionState) -> ExpansionState:
+    """One inductive step of the correction recursion in n >= 3 variables.
 
-    Computes the exact residual of ``v = P + |y| Q``, collects its
-    odd-radical sector at base exponent -1, extracts the homogeneous
-    obstruction of degree equal to the current order, and solves the
-    radial-weight Poisson equation
+    Computes the exact residual of ``v = P + |y|^(n-2) Q``, collects its
+    sector at base exponent n - 4, extracts the homogeneous obstruction of
+    degree ``order + 3 - n``, and solves the radial-weight Poisson equation
 
-        lap(|y| delta) = -|y|^(-1) Qtilde
+        lap(|y|^(n-2) delta) = -|y|^(n-4) Qtilde
 
     for the forced correction ``delta``.  Returns the state with ``Q``
     augmented by ``delta`` and the order advanced by one; afterwards the
-    odd sector carries no component of degree <= the new order - 1.
+    sector carries no component of degree <= the new order + 2 - n.  In
+    even n, |y|^(n-2) is a polynomial, so v stays one too.
     """
-    if state.n != 3:
-        raise DimensionError("the correction recursion is implemented for n = 3")
-    residual = symbolic_residual_n3(state.P, state.Q, state.spectrum)
-    sector = residual.collect_odd(-1)
-    obstruction = sector.homogeneous_components().get(state.order)
+    n = state.n
+    if n < 3:
+        raise DimensionError(f"the correction recursion needs n >= 3, got {n}")
+    residual = symbolic_residual(state.P, state.Q, state.spectrum)
+    sector = residual.collect(n - 4)
+    obstruction = sector.homogeneous_components().get(state.order + 3 - n)
     if obstruction is None:
-        delta = MultiPoly.zero(3)
+        delta = MultiPoly.zero(n)
     else:
-        delta = solve_radical_poisson(-obstruction, 3).base
-    return ExpansionState(3, state.spectrum, state.P, state.Q + delta, state.order + 1)
+        delta = solve_radical_poisson(-obstruction, n).base
+    return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
 
 
 # ── sampling, fitting, and profile recovery ──────────────────────────────

@@ -21,9 +21,9 @@ import pytest
 
 from kelvinasym import radial
 from kelvinasym.equations import (
-    linear_part_defect_n3,
+    linear_part_defect,
     residual_scaling_slopes,
-    symbolic_residual_n3,
+    symbolic_residual,
 )
 from kelvinasym.exactalg import (
     HomoPoly,
@@ -35,8 +35,8 @@ from kelvinasym.exactalg import (
 from kelvinasym.expand import (
     ExpansionState,
     fit_expansion,
-    leading_correction_Q2,
-    next_correction_n3,
+    leading_correction,
+    next_correction,
 )
 from kelvinasym.kelvin import (
     KelvinFrame,
@@ -194,7 +194,7 @@ def test_06_leading_correction_closed_form(report):
             (lam[i] * MultiPoly.variable(3, i) * MultiPoly.variable(3, i) for i in range(3)),
             MultiPoly.zero(3),
         )
-        q2 = leading_correction_Q2(v0, s)
+        q2 = leading_correction(v0, s)
         expected_q2 = (v0 * v0) * (Fraction(1, 2) * weighted)
         qbar = (v0 * v0) * (sigma1 * r2 + Fraction(3) * weighted)
         identity = RadPoly(3, {1: q2.base}).laplacian() - RadPoly(3, {-1: qbar})
@@ -227,7 +227,7 @@ def test_07_radical_poisson_solver_vs_oracle(report):
 
 def test_08_three_variable_linear_factorization(report):
     rng = Random(108)
-    ok = all(linear_part_defect_n3(random_spectrum(rng, 3)).is_zero for _ in range(20))
+    ok = all(linear_part_defect(random_spectrum(rng, 3)).is_zero for _ in range(20))
     report(ok, "linear-part factorization defect vanishes symbolically in three variables (20 spectra)")
 
 
@@ -301,13 +301,13 @@ def test_13_correction_recursion_through_order_five(report):
                            Q=MultiPoly.zero(3), order=2)
     first = None
     while state.order < 5:
-        state = next_correction_n3(state)
+        state = next_correction(state)
         if first is None:
             first = state
-    sector = symbolic_residual_n3(state.P, state.Q, state.spectrum).collect_odd(-1)
+    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(-1)
     leftover = sorted(sector.homogeneous_components())
     audit_ok = all(d > 4 for d in leftover)
-    matches = (leading_correction_Q2(p0, spectrum).base - first.Q).is_zero
+    matches = (leading_correction(p0, spectrum).base - first.Q).is_zero
     ok = audit_ok and matches
     report(ok, "correction recursion through order 5: "
                f"low-degree obstruction audit {'clean' if audit_ok else 'FAILED'}; "

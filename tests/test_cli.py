@@ -1000,7 +1000,7 @@ def test_fuzzed_config_lemmas_exits_cleanly(config_data):
 def test_fuzzed_config_residual_n3_exits_cleanly(config_data):
     # the symbolic check itself is replaced by a cheap stand-in: the
     # config boundary is under test
-    with mock.patch.object(cli, "linear_part_defect_n3", lambda s: RadPoly.zero(3)):
+    with mock.patch.object(cli, "linear_part_defect", lambda s: RadPoly.zero(3)):
         assert _dispatch_in_scratch_dir(["residual-n3"], config_data) in (0, 1, 2)
 
 

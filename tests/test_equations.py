@@ -21,11 +21,11 @@ from kelvinasym.equations import (
     AlgebraicForm,
     ResidualBreakdown,
     algebraic_residual,
-    linear_part_defect_n3,
+    linear_part_defect,
     linear_part_factor,
     notheta_residual,
     residual_scaling_slopes,
-    symbolic_residual_n3,
+    symbolic_residual,
     transformed_residual,
     transformed_residual_exact,
 )
@@ -402,6 +402,17 @@ def test_factor_and_forms_hold_near_the_log_bound():
     assert abs(float(notheta_residual(branch, vals, h)) - (t1 - t2)) <= 1e-9 * abs(t1 - t2)
 
 
+@pytest.mark.parametrize("gap", [1e-7, 1e-8, 1e-9])
+def test_factor_self_check_accepts_gaps_next_to_the_log_bound(gap):
+    # R's g'(lambda) sums lambda + (a - b), exact there; (lambda + a)^2 - b^2
+    # cancelled and missed the slope by up to 5e-8 relative
+    branch = PhaseBranch.make("LOG", theta=-0.1, tau=0.1)
+    a, b = branch.a, branch.b
+    vals = [b - a + gap, 1.0, 2.0]
+    want = 2.0 * b / math.sqrt(a * a + 1.0) * math.prod((v + (a + b)) * (v + (a - b)) for v in vals)
+    assert math.isclose(linear_part_factor(branch, vals), want, rel_tol=1e-12)
+
+
 def test_form_coefficients_are_the_row_points():
     # theta-free: Z = P(A) with the row's s_free; theta-carrying: Z_theta
     for branch in ROW_BRANCHES:
@@ -504,13 +515,14 @@ def test_factor_self_check_accepts_spread_recip_spectrum():
 @pytest.mark.parametrize("kind", ["RECIP", "SLAG", "ATAN2", "LOG"])
 def test_factor_self_check_accepts_random_admissible_spectra(kind):
     # eigenvalue gaps to the branch bound (or, for SLAG, magnitudes) from
-    # 1e-6 to 1e3, so the factors of P(A) span up to nine decades
+    # 1e-6 (LOG: 1e-9) to 1e3, so the factors of P(A) span up to twelve decades
     rnd = Random(1)
+    smallest = -9 if kind == "LOG" else -6
     for _ in range(500):
         tau = {"ATAN2": rnd.uniform(0.84, 1.52), "LOG": rnd.uniform(0.05, 0.73)}.get(kind)
         branch = PhaseBranch.make(kind, 0.0, tau)
         lower = branch.admissible_lower()
-        gaps = [10 ** rnd.uniform(-6, 3) for _ in range(rnd.randint(2, 12))]
+        gaps = [10 ** rnd.uniform(smallest, 3) for _ in range(rnd.randint(2, 12))]
         vals = [g + lower if lower is not None else rnd.choice((-1, 1)) * g for g in gaps]
         gamma = linear_part_factor(branch, vals)
         assert math.isfinite(gamma) and gamma != 0
@@ -520,7 +532,7 @@ def test_factor_self_check_accepts_random_admissible_spectra(kind):
 def test_three_spellings_of_the_flat_gamma_agree(n):
     # the row norm s_free N(P(A)) / kappa, prod(1 + lambda^2) as
     # transformed_residual_exact's linear_factor, and prod(rho) in
-    # linear_part_defect_n3
+    # linear_part_defect
     branch = PhaseBranch.slag(0.0)
     rnd = Random(89 + n)
     for _ in range(5):
@@ -534,7 +546,7 @@ def test_three_spellings_of_the_flat_gamma_agree(n):
         if n == 3:
             # its own gamma makes the defect vanish only if it is the slope
             # of the same eliminated form that linear_part_factor checks
-            assert linear_part_defect_n3(s).is_zero
+            assert linear_part_defect(s).is_zero
 
 
 # ── transformed residual: float and exact routes ─────────────────────────
@@ -676,13 +688,13 @@ def test_exact_route_needs_rational_radius():
 
 
 def test_symbolic_zero_profile_is_zero():
-    out = symbolic_residual_n3(MultiPoly.zero(3), MultiPoly.zero(3), Spectrum(["1", "2", "3"]))
+    out = symbolic_residual(MultiPoly.zero(3), MultiPoly.zero(3), Spectrum(["1", "2", "3"]))
     assert out.is_zero
 
 
 def test_symbolic_constant_profile_flat_spectrum_pinned():
     p0 = fr(3, 2)
-    out = symbolic_residual_n3(
+    out = symbolic_residual(
         MultiPoly.const(3, p0), MultiPoly.zero(3), Spectrum(["0", "0", "0"])
     )
     slots = out.slots
@@ -694,7 +706,7 @@ def test_symbolic_constant_profile_general_spectrum_quadratic():
     # the inverse-radius slot carries -p0^2 (sigma_1 |y|^2 + 3 sum lambda_i y_i^2)
     p0 = fr(2)
     lams = [fr(1), fr(-2), fr(1, 2)]
-    out = symbolic_residual_n3(
+    out = symbolic_residual(
         MultiPoly.const(3, p0), MultiPoly.zero(3), Spectrum([str(v) for v in lams])
     )
     sigma1 = sum(lams)
@@ -711,9 +723,9 @@ def test_symbolic_constant_profile_general_spectrum_quadratic():
 
 def test_symbolic_needs_three_variables():
     with pytest.raises(DimensionError):
-        symbolic_residual_n3(MultiPoly.zero(2), MultiPoly.zero(2), Spectrum(["0", "0"]))
+        symbolic_residual(MultiPoly.zero(2), MultiPoly.zero(2), Spectrum(["0", "0"]))
     with pytest.raises(DimensionError):
-        symbolic_residual_n3(MultiPoly.zero(3), MultiPoly.zero(3), Spectrum(["0", "0"]))
+        symbolic_residual(MultiPoly.zero(3), MultiPoly.zero(3), Spectrum(["0", "0"]))
 
 
 def random_poly(rnd: Random, n_vars=3, max_degree=2) -> MultiPoly:
@@ -754,7 +766,7 @@ def test_symbolic_agrees_with_float_route_at_50_configurations():
         y = rng.uniform(-0.6, 0.6, size=3)
         if not 0.25 <= float(np.linalg.norm(y)) <= 0.85:
             continue
-        symbolic = symbolic_residual_n3(P, Q, s)
+        symbolic = symbolic_residual(P, Q, s)
         got = float(symbolic.evaluate([float(c) for c in y]))
         frame = flat_frame([float(v) for v in s.values])
         split = transformed_residual(radical_jet(P, Q, y), frame)
@@ -768,7 +780,7 @@ def test_symbolic_minimal_slot_structure():
         P = random_poly(rnd)
         Q = random_poly(rnd)
         s = random_spectrum(rnd, 3)
-        out = symbolic_residual_n3(P, Q, s)
+        out = symbolic_residual(P, Q, s)
         if out.is_zero:
             continue
         assert out.min_slot() >= -1
@@ -787,7 +799,7 @@ def test_residual_is_exactly_cubic_in_the_profile():
     P = random_poly(rnd)
     Q = random_poly(rnd)
     lap = RadPoly(3, {0: P, 1: Q}).laplacian()
-    r = {c: symbolic_residual_n3(c * P, c * Q, s) for c in (1, 2, 3, 5)}
+    r = {c: symbolic_residual(c * P, c * Q, s) for c in (1, 2, 3, 5)}
     u1 = r[1] - lap
     u2 = r[2] - 2 * lap
     cubic = fr(1, 4) * (u2 - 4 * u1)
@@ -804,7 +816,7 @@ def test_linear_part_identity_holds_symbolically():
             s = random_spectrum(rnd, 3)
         else:
             s = Spectrum(values)
-        assert linear_part_defect_n3(s).is_zero
+        assert linear_part_defect(s).is_zero
 
 
 def test_linear_part_defect_detects_a_perturbed_L():
@@ -817,14 +829,21 @@ def test_linear_part_defect_detects_a_perturbed_L():
         return K, L + value
 
     s = Spectrum(["1", "1/2", "2"])
-    assert linear_part_defect_n3(s).is_zero
+    assert linear_part_defect(s).is_zero
     with mock.patch.object(equations, "identity_parts", perturbed):
-        assert not linear_part_defect_n3(s).is_zero
+        assert not linear_part_defect(s).is_zero
+
+
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_linear_part_identity_holds_symbolically_in_n(n):
+    rnd = Random(67 + n)
+    assert linear_part_defect(random_spectrum(rnd, n)).is_zero
 
 
 def test_linear_part_defect_needs_three_eigenvalues():
     with pytest.raises(DimensionError):
-        linear_part_defect_n3(Spectrum(["1", "2"]))
+        linear_part_defect(Spectrum(["1"]))
+    assert linear_part_defect(Spectrum(["1", "2"])).is_zero
 
 
 # ── small-radius scaling ladder ──────────────────────────────────────────

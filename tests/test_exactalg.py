@@ -495,13 +495,31 @@ def test_collect_odd():
     one = MultiPoly.const(3, 1)
     s = MultiPoly.variable(3, 2)
     e = RadPoly(3, {-1: one, 0: s * s, 1: s})
-    w = e.collect_odd(base=-1)
+    w = e.collect(-1)
     assert w == one + MultiPoly.r_squared(3) * s
-    assert RadPoly.zero(3).collect_odd() == MultiPoly.zero(3)
-    with pytest.raises(ValueError):
-        e.collect_odd(base=0)
+    assert RadPoly.zero(3).collect(-1) == MultiPoly.zero(3)
+    # an even base takes the even sector
+    assert e.collect(0) == s * s
     with pytest.raises(SolveError):
-        RadPoly(3, {-3: one}).collect_odd(base=-1)
+        RadPoly(3, {-3: one}).collect(-1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_collect_takes_the_sector_of_the_base_parity(n):
+    one = MultiPoly.const(n, 1)
+    y1 = MultiPoly.variable(n, 0)
+    r2 = MultiPoly.r_squared(n)
+    e = RadPoly(n, {2: y1, 3: one, -2: one})
+    even, odd = e.slot(-2), e.slot(3)
+    assert e.collect(-2) == even
+    assert e.collect(-4) == r2 * even
+    assert e.collect(1) == r2 * odd
+    assert e.collect(3) == odd
+    # the sum of the two sectors rebuilds the radical polynomial
+    assert RadPoly(n, {-4: e.collect(-4), 1: e.collect(1)}) == e
+    for base in (0, 5):
+        with pytest.raises(SolveError):
+            e.collect(base)
 
 
 def test_radpoly_evaluate():

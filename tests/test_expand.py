@@ -10,16 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
-from kelvinasym.equations import symbolic_residual_n3
+from kelvinasym.equations import symbolic_residual
 from kelvinasym.expand import (
     ConditioningError,
     ExpansionFit,
     ExpansionState,
     InsufficientDataError,
     fit_expansion,
-    leading_correction_Q2,
-    next_correction_n3,
+    leading_correction,
+    next_correction,
     read_fit,
     read_samples,
     recover_v,
@@ -56,13 +57,13 @@ def sphere_samples(rng, radii, per_radius, field, n=3):
 
 
 def test_leading_correction_zero_profile_is_zero():
-    q = leading_correction_Q2(0, Spectrum([1, 2, 3]))
+    q = leading_correction(0, Spectrum([1, 2, 3]))
     assert q.base.is_zero
     assert q.degree == 2
 
 
 def test_leading_correction_pinned_spectrum():
-    q = leading_correction_Q2(1, Spectrum([1, 2, 3]))
+    q = leading_correction(1, Spectrum([1, 2, 3]))
     expected = (
         yvar(0) * yvar(0) * Fraction(1, 2)
         + yvar(1) * yvar(1) * 1
@@ -73,9 +74,14 @@ def test_leading_correction_pinned_spectrum():
 
 def test_leading_correction_needs_three_variables():
     with pytest.raises(DimensionError):
-        leading_correction_Q2(1, Spectrum([1, 2]))
-    with pytest.raises(DimensionError):
-        leading_correction_Q2(1, Spectrum([1, 2, 3, 4]))
+        leading_correction(1, Spectrum([1, 2]))
+    # n = 4: the weight is (n - 2)^2 v0^2 = 4
+    q = leading_correction(1, Spectrum([1, 2, 3, 4]))
+    want = MultiPoly.zero(4)
+    for i, lam in enumerate((1, 2, 3, 4)):
+        yi = MultiPoly.variable(4, i)
+        want = want + yi * yi * (2 * lam)
+    assert q.base == want
 
 
 def test_leading_correction_radial_poisson_identity():
@@ -83,7 +89,7 @@ def test_leading_correction_radial_poisson_identity():
     for _ in range(20):
         s = random_spectrum(rnd, 3)
         v0 = Fraction(rnd.randint(-5, 5), rnd.randint(1, 4))
-        q = leading_correction_Q2(v0, s)
+        q = leading_correction(v0, s)
         sigma1 = sum(s.values, Fraction(0))
         qbar = (
             MultiPoly.r_squared(3) * sigma1 + weighted_square_sum(s.values) * 3
@@ -115,7 +121,7 @@ def test_state_rejects_inconsistent_data():
 def test_zero_state_step_produces_no_correction():
     s = Spectrum([Fraction(1, 2), 1, 2])
     state = ExpansionState(3, s, MultiPoly.zero(3), MultiPoly.zero(3), 2)
-    stepped = next_correction_n3(state)
+    stepped = next_correction(state)
     assert stepped.Q.is_zero
     assert stepped.P.is_zero
     assert stepped.order == 3
@@ -127,7 +133,7 @@ def test_first_correction_from_constant_profile():
         s = random_spectrum(rnd, 3)
         p0 = Fraction(rnd.randint(1, 7), rnd.randint(1, 5))
         state = ExpansionState(3, s, MultiPoly.const(3, p0), MultiPoly.zero(3), 2)
-        stepped = next_correction_n3(state)
+        stepped = next_correction(state)
         assert stepped.order == 3
         assert stepped.Q == weighted_square_sum(s.values) * (Fraction(1, 2) * p0**2)
 
@@ -140,15 +146,15 @@ def test_first_correction_offset_from_closed_form():
         s = random_spectrum(rnd, 3)
         p0 = Fraction(rnd.randint(1, 5), rnd.randint(1, 4))
         state = ExpansionState(3, s, MultiPoly.const(3, p0), MultiPoly.zero(3), 2)
-        produced = next_correction_n3(state).Q
-        assert produced == leading_correction_Q2(p0, s).base
+        produced = next_correction(state).Q
+        assert produced == leading_correction(p0, s).base
 
 
 def test_step_clears_its_obstruction_degree():
     s = Spectrum([1, Fraction(1, 2), 2])
     state = ExpansionState(3, s, MultiPoly.const(3, 1), MultiPoly.zero(3), 2)
-    stepped = next_correction_n3(state)
-    sector = symbolic_residual_n3(stepped.P, stepped.Q, s).collect_odd(-1)
+    stepped = next_correction(state)
+    sector = symbolic_residual(stepped.P, stepped.Q, s).collect(-1)
     degrees = sorted(sector.homogeneous_components())
     assert all(d > stepped.order - 1 for d in degrees)
 
@@ -158,9 +164,9 @@ def test_two_steps_clear_degrees_through_order():
     profile = MultiPoly.const(3, 1) + yvar(0)
     state = ExpansionState(3, s, profile, MultiPoly.zero(3), 2)
     for _ in range(2):
-        state = next_correction_n3(state)
+        state = next_correction(state)
     assert state.order == 4
-    sector = symbolic_residual_n3(state.P, state.Q, s).collect_odd(-1)
+    sector = symbolic_residual(state.P, state.Q, s).collect(-1)
     assert all(d > state.order - 1 for d in sector.homogeneous_components())
 
 
@@ -169,17 +175,101 @@ def test_recursion_audit_through_order_five():
     profile = MultiPoly.const(3, 1) + yvar(1)
     state = ExpansionState(3, s, profile, MultiPoly.zero(3), 2)
     while state.order < 5:
-        state = next_correction_n3(state)
-    sector = symbolic_residual_n3(state.P, state.Q, s).collect_odd(-1)
+        state = next_correction(state)
+    sector = symbolic_residual(state.P, state.Q, s).collect(-1)
     assert all(d > 4 for d in sector.homogeneous_components())
 
 
 def test_recursion_rejects_other_dimensions():
     s = Spectrum([1, 2])
     with pytest.raises(DimensionError):
-        next_correction_n3(
+        next_correction(
             ExpansionState(2, s, MultiPoly.zero(2), MultiPoly.zero(2), 2)
         )
+
+
+# ── the recursion beyond three variables: the parity of n ───────────────
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_leading_correction_radial_poisson_identity_in_n(n):
+    # lap(|y|^(n-2) q) = |y|^(n-4) (n-2)^2 v0^2 [sigma_1 |y|^2 + n(n-2) sum lambda_i y_i^2]
+    rnd = random.Random(61 + n)
+    s = random_spectrum(rnd, n)
+    v0 = Fraction(rnd.randint(1, 5), rnd.randint(1, 4))
+    q = leading_correction(v0, s)
+    weighted = MultiPoly.zero(n)
+    for i, lam in enumerate(s.values):
+        weighted = weighted + MultiPoly.variable(n, i) ** 2 * lam
+    qbar = (MultiPoly.r_squared(n) * sum(s.values, Fraction(0)) + weighted * (n * (n - 2))) * (
+        (n - 2) ** 2 * v0**2
+    )
+    assert RadPoly(n, {n - 2: q.base}).laplacian() == RadPoly(n, {n - 4: qbar})
+
+
+def test_even_dimension_recursion_stays_polynomial():
+    # n = 4: |y|^2 is a polynomial, so v = P + |y|^2 Q and every residual
+    # have no odd slot, and the recursion closes with polynomial corrections
+    s = Spectrum([1, Fraction(1, 2), 2, Fraction(1, 3)])
+    p0 = Fraction(3, 2)
+    state = ExpansionState(4, s, MultiPoly.const(4, p0), MultiPoly.zero(4), 2)
+    first = None
+    while state.order <= 6:
+        residual = symbolic_residual(state.P, state.Q, s)
+        assert all(k % 2 == 0 for k in residual.slots)
+        state = next_correction(state)
+        if first is None and not state.Q.is_zero:
+            first = state
+    assert first.order == 4
+    assert first.Q == leading_correction(p0, s).base
+    v = RadPoly(4, {0: state.P, 2: state.Q})
+    assert all(k >= 0 and k % 2 == 0 for k in v.slots)
+    sector = symbolic_residual(state.P, state.Q, s).collect(0)
+    assert all(d > state.order - 2 for d in sector.homogeneous_components())
+
+
+def test_odd_dimension_forces_a_radical_cofactor():
+    # n = 5: no correction through order 3, then Q = the closed form != 0,
+    # so v - v0 = |y|^3 Q carries an odd power of |y| (the C^(n-1, alpha) witness)
+    s = Spectrum([1, Fraction(1, 2), 2, Fraction(1, 3), Fraction(3, 2)])
+    p0 = Fraction(3, 2)
+    state = ExpansionState(5, s, MultiPoly.const(5, p0), MultiPoly.zero(5), 2)
+    while state.order <= 3:
+        state = next_correction(state)
+        assert state.Q.is_zero
+    state = next_correction(state)
+    closed = leading_correction(p0, s).base
+    assert not closed.is_zero
+    assert state.Q == closed
+    assert RadPoly(5, {3: state.Q}).slots.keys() == {3}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_recursion_and_radial_harness_agree_on_the_second_coefficient(n):
+    # At A = I, R = sqrt(2) I maps v = v0 + kappa |y|^n to
+    # p - r = C r^(1-n) + K r^(1-2n) + ... with C = (2-n) v0 2^((2-n)/2)
+    # and K = 2 (1-n) kappa 2^(1-n), so K / C^2 = kappa (1-n) / (v0^2 (n-2)^2);
+    # expanding n arctan(p / r) = n pi / 4 about p = r gives -(n-1)/2
+    v0 = Fraction(3, 2)
+    state = ExpansionState(n, [1] * n, MultiPoly.const(n, v0), MultiPoly.zero(n), 2)
+    while state.Q.is_zero:
+        state = next_correction(state)
+    kappa = state.Q.terms[(2,) + (0,) * (n - 1)]
+    assert state.Q == MultiPoly.r_squared(n) * kappa
+    exact = kappa * (1 - n) / (v0**2 * (n - 2) ** 2)
+    assert exact == Fraction(1 - n, 2)
+
+    theta = n * math.atan(1.0)
+    states = radial.integrate_exterior(
+        PhaseBranch.slag(theta), n, theta, 0.5, 1.1, 30.0, 1e-4, stride=10
+    )
+    r = np.array([st_.r for st_ in states])
+    p = np.array([st_.p for st_ in states])
+    keep = r >= 4.0
+    design = np.column_stack([r[keep] ** (-(n - 1) - j * n) for j in range(5)])
+    c, *_ = np.linalg.lstsq(design, p[keep] - r[keep], rcond=None)
+    # measured: 1.5e-8, 6.0e-8 and 5.1e-7 relative at n = 3, 4, 5
+    assert abs(c[1] / c[0] ** 2 - float(exact)) <= 1e-5 * abs(float(exact))
 
 
 # ── the original equation as arbiter of the first correction ────────────
@@ -235,8 +325,8 @@ def original_equation_slope(mp, spectrum, p0, Q):
 def test_first_correction_speeds_up_decay_of_original_equation(spectrum, p0):
     mp = pytest.importorskip("mpmath")
     state = ExpansionState(3, spectrum, MultiPoly.const(3, p0), MultiPoly.zero(3), 2)
-    recursion_q = next_correction_n3(state).Q
-    closed_q = leading_correction_Q2(p0, spectrum).base
+    recursion_q = next_correction(state).Q
+    closed_q = leading_correction(p0, spectrum).base
     sigma1 = sum(spectrum, Fraction(0))
     refuted_q = closed_q + MultiPoly.r_squared(3) * (Fraction(1, 3) * sigma1 * p0**2)
 
