@@ -29,7 +29,6 @@ called with float coordinates.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -395,18 +394,6 @@ class MultiPoly:
         return " + ".join(bits)
 
 
-@dataclass(frozen=True)
-class HomoPoly:
-    """A polynomial certified homogeneous of a fixed total degree."""
-
-    base: MultiPoly
-    degree: int
-
-    def __post_init__(self) -> None:
-        if not self.base.is_homogeneous(self.degree):
-            raise ValueError(f"polynomial is not homogeneous of degree {self.degree}")
-
-
 # ── radical polynomials ──────────────────────────────────────────────────
 
 
@@ -518,10 +505,6 @@ class RadPoly:
     def __rmul__(self, other: Scalar) -> "RadPoly":
         return self * other
 
-    def shift(self, k: int) -> "RadPoly":
-        """Multiply by ``|y|^k``."""
-        return RadPoly(self.n_vars, {j + k: p for j, p in self._slots.items()})
-
     # calculus -------------------------------------------------------------
 
     def partial(self, i: int) -> "RadPoly":
@@ -609,103 +592,121 @@ class RadPoly:
 
 # ── the radial-weight Poisson equation ───────────────────────────────────
 #
-# For homogeneous h of degree m in n >= 3 variables, the unique homogeneous
-# polynomial solution u of
+# One Laplacian ladder serves every radial weight w.  For u homogeneous of
+# degree m in n variables,
 #
-#     lap(|y|^(n-2) u) = |y|^(n-4) h
+#     lap(|y|^w u) = |y|^(w-2) (c_0 u + |y|^2 lap u),   c_0 = w(w + n - 2 + 2m),
 #
-# satisfies  c u + |y|^2 lap u = h  with  c = (n-2)(2n-4+2m).  Since
-# lap(|y|^2 w) = (2n + 4(m-2)) w + |y|^2 lap w  for w of degree m - 2, the
-# solution is the Laplacian ladder
+# so lap(|y|^w u) = |y|^(w-2) h  is  c_0 u + |y|^2 lap u = h.  Since
+# lap(|y|^2 v) = (2n + 4(m-2)) v + |y|^2 lap v  for v of degree m - 2, the
+# solution is
 #
 #     u = sum_k a_k |y|^(2k) lap^k h,   a_k = (-1)^k / (c_0 c_1 ... c_k),
 #
-# over k = 0..floor(m/2), with c_0 = c and c_k = c_(k-1) + 2n + 4(m-2k):
-# one Laplacian and one |y|^2 product per rung, and no matrix.  On 2 CPUs
-# the 140 solves of `poisson --n 5 --degree 6 --trials 20` take 0.2 s:
-# 0.05 s in the ladder, the rest in the exact verification.
+# over k = 0..floor(m/2), with c_k = c_(k-1) + 2n + 4(m-2k): one Laplacian
+# and one |y|^2 product per rung, and no matrix.  The radical Poisson solve
+# is weight n - 2.  At weight 0, c_0 is 0 and the table drops that factor;
+# c_k is then the eigenvalue of |y|^2 lap on |y|^(2k) times a harmonic, so
+# the same pass gives the harmonic projection of h.
+#
+# The rungs are dense in the variables (|y|^(2k) has C(k+n-1, n-1) terms),
+# so before any |y|^2 product the ladder bounds its output by
+# sum_k C(k+n-1, n-1) |lap^k h| terms, at most the C(m+n-1, n-1) monomials
+# of degree m, each of n entries, and refuses a bound above the cap.  On 2
+# CPUs a solve costs about 0.65 us per bounded entry (h = y1^2 y2^2: 0.37 s
+# at n = 100, 2.6 s at n = 200), so the cap admits about 1.3 s; the CLI's
+# caps stay below 44,000 entries.
+_MAX_LADDER_ENTRIES = 2_000_000
 
 
 @lru_cache(maxsize=None)
-def _poisson_block(n_vars: int, degree: int) -> tuple[Fraction, ...]:
-    """The ladder coefficients ``a_0, ..., a_floor(m/2)`` of the degree-m
-    solve in ``n_vars`` variables.  The benchmark's tracer reads this
-    cache's hit and miss statistics under this name."""
-    c = (n_vars - 2) * (2 * n_vars - 4 + 2 * degree)
-    a = [Fraction(1, c)]
+def _poisson_block(n_vars: int, degree: int, weight: int) -> tuple[Fraction, ...]:
+    """The ladder coefficients ``a_0, ..., a_floor(m/2)`` at degree m and
+    radial weight ``weight``.  The benchmark's tracer reads this cache's
+    hit and miss statistics under this name."""
+    c = weight * (weight + n_vars - 2 + 2 * degree)
+    a = [Fraction(1, c) if c else Fraction(1)]
     for k in range(1, degree // 2 + 1):
         c += 2 * n_vars + 4 * (degree - 2 * k)
         a.append(-a[-1] / c)
     return tuple(a)
 
 
-def solve_radical_poisson(h: HomoPoly | MultiPoly, n: int) -> HomoPoly:
+def _ladder(h: MultiPoly, weight: int) -> MultiPoly:
+    """``sum_k a_k |y|^(2k) lap^k h`` for nonzero homogeneous ``h``, in one
+    Horner pass; ValueError when its size bound passes the cap."""
+    n, m = h.n_vars, h.total_degree()
+    rungs = [h]
+    for _ in range(m // 2):
+        lap = rungs[-1].laplacian()
+        if not lap:
+            break
+        rungs.append(lap)
+    terms = sum(math.comb(k + n - 1, n - 1) * len(r._num) for k, r in enumerate(rungs))
+    bound = min(terms, math.comb(m + n - 1, n - 1)) * n
+    if bound > _MAX_LADDER_ENTRIES:
+        raise ValueError(
+            f"the Laplacian ladder in n = {n} variables at degree {m} may build "
+            f"{bound} exponent entries, more than {_MAX_LADDER_ENTRIES}"
+        )
+    a = _poisson_block(n, m, weight)
+    r2 = MultiPoly.r_squared(n)
+    u = MultiPoly.zero(n)
+    for k in reversed(range(len(rungs))):
+        u = rungs[k] * a[k] + r2 * u
+    return u
+
+
+def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
     """Solve ``lap(|y|^(n-2) u) = |y|^(n-4) h`` exactly for homogeneous
     polynomial ``h`` in ``n >= 3`` variables; returns the unique homogeneous
     polynomial ``u`` of the same degree.
 
     Raises DimensionError when n <= 2 or the variable counts disagree, and
-    ValueError for an inhomogeneous right-hand side.  Before returning, the
-    solution is re-verified in radical-polynomial form:
-    ``lap(|y|^(n-2) u) - |y|^(n-4) h`` must be identically zero.
+    ValueError for an inhomogeneous right-hand side or a ladder past its
+    size cap.  Before returning, the solution is re-verified in
+    radical-polynomial form: ``lap(|y|^(n-2) u) - |y|^(n-4) h`` must be
+    identically zero.
     """
-    p = h.base if isinstance(h, HomoPoly) else h
     if n < 3:
         raise DimensionError("the radial-weight Poisson solve needs n >= 3")
-    if p.n_vars != n:
-        raise DimensionError(f"right-hand side has {p.n_vars} variables, expected {n}")
-    if p.is_zero:
-        return HomoPoly(MultiPoly.zero(n), h.degree if isinstance(h, HomoPoly) else 0)
-    if not p.is_homogeneous():
+    if h.n_vars != n:
+        raise DimensionError(f"right-hand side has {h.n_vars} variables, expected {n}")
+    if h.is_zero:
+        return h
+    if not h.is_homogeneous():
         raise ValueError("right-hand side must be homogeneous")
-    m = p.total_degree()
-
-    rungs = [p]
-    for _ in range(m // 2):
-        rungs.append(rungs[-1].laplacian())
-    a = _poisson_block(n, m)
-    r2 = MultiPoly.r_squared(n)
-    u = rungs[-1] * a[-1]
-    for k in range(m // 2 - 1, -1, -1):
-        u = rungs[k] * a[k] + r2 * u
-
-    residual = RadPoly(n, {n - 2: u}).laplacian() - RadPoly(n, {n - 4: p})
+    u = _ladder(h, n - 2)
+    residual = RadPoly(n, {n - 2: u}).laplacian() - RadPoly(n, {n - 4: h})
     if not residual.is_zero:
         raise SolveError("exact solve failed verification")
-    return HomoPoly(u, m)
+    return u
 
 
-def harmonic_decomposition(p: HomoPoly | MultiPoly) -> dict[int, MultiPoly]:
+def harmonic_decomposition(p: MultiPoly) -> dict[int, MultiPoly]:
     """Decompose a homogeneous polynomial as ``p = sum_j |y|^(2j) h_j`` with
     each ``h_j`` harmonic; returns ``{j: h_j}`` (nonzero components only).
 
-    Recursive: the Laplacian of the sum determines every ``h_j`` with
-    ``j >= 1`` through the exact ladder constants ``2j(2m - 2j + n - 2)``,
-    and the harmonic top is whatever remains.
+    Each ``h_j`` is the weight-0 ladder's harmonic projection of what
+    remains, which is then divided exactly by ``|y|^2``.  Raises
+    DimensionError when n < 2, ValueError for an inhomogeneous input or
+    one past the ladder's size cap, and SolveError when a projection is
+    not harmonic or a division is not exact.
     """
-    poly = p.base if isinstance(p, HomoPoly) else p
-    n = poly.n_vars
-    if n < 2:
+    if p.n_vars < 2:
         raise DimensionError("harmonic decomposition needs n >= 2")
-    if poly.is_zero:
-        return {}
-    if not poly.is_homogeneous():
+    if not p.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    m = poly.total_degree()
-    if m <= 1:
-        return {0: poly}
-    sub = harmonic_decomposition(poly.laplacian())
     comps: dict[int, MultiPoly] = {}
-    r2 = MultiPoly.r_squared(n)
-    tail = MultiPoly.zero(n)
-    for i, g in sub.items():
-        j = i + 1
-        mu = 2 * j * (2 * m - 2 * j + n - 2)
-        comps[j] = g * Fraction(1, mu)
-        tail = tail + r2**j * comps[j]
-    top = poly - tail
-    if not top.laplacian().is_zero:
-        raise SolveError("harmonic decomposition failed verification")
-    if not top.is_zero:
-        comps[0] = top
-    return dict(sorted(comps.items()))
+    j = 0
+    while p:
+        h = _ladder(p, 0)
+        if h.laplacian():
+            raise SolveError("harmonic projection failed verification")
+        if h:
+            comps[j] = h
+        p = (p - h).try_divide_r2()
+        if p is None:
+            raise SolveError(f"|y|^2 does not divide the remainder after component {j}")
+        j += 1
+    return comps

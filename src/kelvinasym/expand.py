@@ -21,12 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .equations import symbolic_residual
-from .exactalg import (
-    DimensionError,
-    HomoPoly,
-    MultiPoly,
-    solve_radical_poisson,
-)
+from .exactalg import DimensionError, MultiPoly, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
 
@@ -71,8 +66,11 @@ class ExpansionState:
     degree ``order`` and ``Q`` the forced radical cofactor.
 
     ``Q`` always vanishes to second order at the origin, and its degree
-    stays below ``order - n + 3``; ``P`` is free data (harmonic pieces are
-    not forced by the equation) and is only required to respect the order.
+    stays below ``order - n + 3``.  ``P`` must respect the order, and only
+    its harmonic pieces are free data: in odd n the even sector of the
+    residual (even powers of |y|) forces non-harmonic terms of ``P`` too.
+    `next_correction` solves only for ``Q``, so in odd n every correction
+    after the first is incomplete.
     """
 
     n: int
@@ -107,7 +105,7 @@ class ExpansionState:
                 )
 
 
-def leading_correction(v0, s) -> HomoPoly:
+def leading_correction(v0, s) -> MultiPoly:
     """The closed-form quadratic radical correction for a constant leading
     profile ``v0`` in n = len(s) >= 3 variables:
 
@@ -129,7 +127,7 @@ def leading_correction(v0, s) -> HomoPoly:
     for i, lam in enumerate(spectrum.values):
         yi = MultiPoly.variable(n, i)
         base = base + yi * yi * (Fraction(1, 2) * lam)
-    return HomoPoly(base * weight, 2)
+    return base * weight
 
 
 def next_correction(state: ExpansionState) -> ExpansionState:
@@ -155,7 +153,7 @@ def next_correction(state: ExpansionState) -> ExpansionState:
     if obstruction is None:
         delta = MultiPoly.zero(n)
     else:
-        delta = solve_radical_poisson(-obstruction, n).base
+        delta = solve_radical_poisson(-obstruction, n)
     return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
 
 

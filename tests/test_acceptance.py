@@ -26,7 +26,6 @@ from kelvinasym.equations import (
     symbolic_residual,
 )
 from kelvinasym.exactalg import (
-    HomoPoly,
     MultiPoly,
     RadPoly,
     harmonic_decomposition,
@@ -197,8 +196,8 @@ def test_06_leading_correction_closed_form(report):
         q2 = leading_correction(v0, s)
         expected_q2 = (v0 * v0) * (Fraction(1, 2) * weighted)
         qbar = (v0 * v0) * (sigma1 * r2 + Fraction(3) * weighted)
-        identity = RadPoly(3, {1: q2.base}).laplacian() - RadPoly(3, {-1: qbar})
-        ok = ok and q2.base == expected_q2 and identity.is_zero
+        identity = RadPoly(3, {1: q2}).laplacian() - RadPoly(3, {-1: qbar})
+        ok = ok and q2 == expected_q2 and identity.is_zero
     report(ok, "radial-weight Laplacian maps the 1/2-weighted correction to the 1,3 source exactly (20 trials)")
 
 
@@ -212,7 +211,7 @@ def test_07_radical_poisson_solver_vs_oracle(report):
             for _ in range(20):
                 h = _random_homogeneous(rng, n, m)
                 sol = solve_radical_poisson(h, n)
-                residual = RadPoly(n, {n - 2: sol.base}).laplacian() - RadPoly(n, {n - 4: h})
+                residual = RadPoly(n, {n - 2: sol}).laplacian() - RadPoly(n, {n - 4: h})
                 # brute-force route: invert the weighted Laplacian on each
                 # rung of the harmonic ladder separately
                 c_m = (n - 2) * (2 * n - 4 + 2 * m)
@@ -220,7 +219,7 @@ def test_07_radical_poisson_solver_vs_oracle(report):
                 for j, hj in harmonic_decomposition(h).items():
                     mu = 2 * j * (2 * m - 2 * j + n - 2)
                     oracle = oracle + r2**j * hj * Fraction(1, c_m + mu)
-                ok = ok and residual.is_zero and sol.base == oracle
+                ok = ok and residual.is_zero and sol == oracle
                 checks += 1
     report(ok, f"radical Poisson solves: residual zero and harmonic-ladder oracle agreement, n in 3,5,7, degrees <=6 ({checks} solves)")
 
@@ -307,7 +306,7 @@ def test_13_correction_recursion_through_order_five(report):
     sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(-1)
     leftover = sorted(sector.homogeneous_components())
     audit_ok = all(d > 4 for d in leftover)
-    matches = (leading_correction(p0, spectrum).base - first.Q).is_zero
+    matches = (leading_correction(p0, spectrum) - first.Q).is_zero
     ok = audit_ok and matches
     report(ok, "correction recursion through order 5: "
                f"low-degree obstruction audit {'clean' if audit_ok else 'FAILED'}; "

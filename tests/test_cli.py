@@ -347,7 +347,7 @@ def test_poisson_solutions_are_pinned():
     for degree in range(7):
         for _ in range(20):
             h = cli._random_homogeneous(rng, 5, degree)
-            u = solve_radical_poisson(h, 5).base
+            u = solve_radical_poisson(h, 5)
             hasher.update(json.dumps(u.to_json(), sort_keys=True).encode() + b"\n")
     assert hasher.hexdigest() == "b2afaf3c8cab68a68edc63076e409d09da4f7b9c850e034f1f7e1ae64254e1dd"
 
@@ -932,6 +932,7 @@ def test_range_rows_cover_every_bounded_flag():
     assert ("lemmas", "n") in bounded and ("poisson", "n") in bounded
     assert ("radial", "per_radius") in bounded and ("kelvin-check", "fd_step") in bounded
     assert ("fit", "num_annuli") not in bounded  # the fit library checks it
+    assert ("expand3", "order", cli.MAX_EXPAND3_ORDER + 1) in {(c, row[0], out) for c, row, out, _ in _RANGE_CASES}
 
 
 def test_radial_per_radius_is_checked_without_samples_out(tmp_path, capsys):

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 from kelvinasym import exactalg
 from kelvinasym.exactalg import (
     DimensionError,
-    HomoPoly,
     MultiPoly,
     RadPoly,
     SolveError,
@@ -221,14 +221,6 @@ def test_poly_json_roundtrip_and_shape():
     assert json.dumps(q.to_json(), sort_keys=True) == json.dumps(q2.to_json(), sort_keys=True)
     with pytest.raises(ValueError):
         MultiPoly.from_json({"n_vars": 2})
-
-
-def test_homopoly_validates():
-    y1 = MultiPoly.variable(2, 0)
-    hp = HomoPoly(y1**2, 2)
-    assert hp.base == y1**2 and hp.degree == 2
-    with pytest.raises(ValueError):
-        HomoPoly(y1**2 + y1, 2)
 
 
 # ── MultiPoly against a plain {exponent: Fraction} model ─────────────────
@@ -634,8 +626,7 @@ def oracle_solution(h):
 def test_poisson_constant_right_hand_side():
     h = MultiPoly.const(3, 1)
     u = solve_radical_poisson(h, 3)
-    assert isinstance(u, HomoPoly) and u.degree == 0
-    assert u.base == MultiPoly.const(3, fr(1, 2))
+    assert u == MultiPoly.const(3, fr(1, 2))
 
 
 def test_poisson_harmonic_right_hand_side_divides_by_ladder_constant():
@@ -643,7 +634,7 @@ def test_poisson_harmonic_right_hand_side_divides_by_ladder_constant():
     y1, y2, y3 = (MultiPoly.variable(3, i) for i in range(3))
     for h, m in [(y1 * y2, 2), (y1**2 - y3**2, 2), (y1**3 - 3 * y1 * y2**2, 3)]:
         assert h.laplacian().is_zero
-        assert solve_radical_poisson(h, 3).base == h * fr(1, 2 + 2 * m)
+        assert solve_radical_poisson(h, 3) == h * fr(1, 2 + 2 * m)
 
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 4), (4, 3), (5, 3)])
@@ -656,7 +647,7 @@ def test_poisson_defining_property_exact(n, m):
         h = MultiPoly(n, terms)
         if h.is_zero:
             continue
-        u = solve_radical_poisson(h, n).base
+        u = solve_radical_poisson(h, n)
         lhs = RadPoly(n, {n - 2: u}).laplacian()
         assert lhs == RadPoly(n, {n - 4: h})
 
@@ -671,7 +662,7 @@ def test_poisson_matches_harmonic_oracle(n, m):
         h = MultiPoly(n, terms)
         if h.is_zero:
             continue
-        assert solve_radical_poisson(h, n).base == oracle_solution(h)
+        assert solve_radical_poisson(h, n) == oracle_solution(h)
 
 
 def _random_exponents(rng, n, m, count):
@@ -683,11 +674,6 @@ def _random_exponents(rng, n, m, count):
     return out
 
 
-def test_poisson_accepts_homopoly_wrapper():
-    h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1)
-    assert solve_radical_poisson(HomoPoly(h, 2), 3) == solve_radical_poisson(h, 3)
-
-
 def test_poisson_input_validation():
     with pytest.raises(DimensionError):
         solve_radical_poisson(MultiPoly.const(2, 1), 2)
@@ -696,21 +682,54 @@ def test_poisson_input_validation():
     mixed = MultiPoly.const(3, 1) + MultiPoly.variable(3, 0)
     with pytest.raises(ValueError):
         solve_radical_poisson(mixed, 3)
-    assert solve_radical_poisson(MultiPoly.zero(3), 3).base.is_zero
+    assert solve_radical_poisson(MultiPoly.zero(3), 3).is_zero
 
 
 def test_poisson_verification_rejects_a_wrong_solution():
     # the CLI's poisson audit relies on this re-check of every solution
     ladder = exactalg._poisson_block
 
-    def perturbed(n_vars, degree):
-        a = ladder(n_vars, degree)
+    def perturbed(n_vars, degree, weight):
+        a = ladder(n_vars, degree, weight)
         return (a[0] + fr(1, 7),) + a[1:]
 
     h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + MultiPoly.r_squared(3)
     with mock.patch.object(exactalg, "_poisson_block", perturbed):
         with pytest.raises(SolveError, match="exact solve failed verification"):
             solve_radical_poisson(h, 3)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_one_ladder_solves_every_radial_weight(n):
+    # lap(|y|^w u) = |y|^(w-2) h for the weight-w ladder; weight n - 2 is
+    # the radical Poisson solve and weight n - 1 the smooth sector's
+    rng = random.Random(90 + n)
+    for w in range(1, 5):
+        for m in range(6):
+            terms = {e: fr(rng.randint(-5, 5), rng.randint(1, 7)) for e in _random_exponents(rng, n, m, 4)}
+            h = MultiPoly(n, terms) or MultiPoly.variable(n, 0) ** m
+            u = exactalg._ladder(h, w)
+            assert RadPoly(n, {w: u}).laplacian() == RadPoly(n, {w - 2: h})
+
+
+def test_ladder_runs_every_solve_the_cli_admits():
+    # every monomial of the poisson subcommand's largest top degrees
+    for n, m in [(100, 1), (44, 2), (3, 43)]:
+        picks = itertools.combinations_with_replacement(range(n), m)
+        h = MultiPoly(n, {tuple(c.count(i) for i in range(n)): 1 for c in picks})
+        assert len(h.terms) == math.comb(m + n - 1, n - 1) <= 1000
+        assert solve_radical_poisson(h, n).is_homogeneous(m)
+
+
+@pytest.mark.parametrize("solve", [lambda h: solve_radical_poisson(h, 1000), harmonic_decomposition])
+def test_ladder_refuses_a_dense_solve_at_once(solve):
+    # h = y1^2 y2^2 in 1000 variables would need 500,500 terms of 1000 entries
+    n = 1000
+    h = MultiPoly.variable(n, 0) ** 2 * MultiPoly.variable(n, 1) ** 2
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"n = 1000 variables at degree 4 may build 502501000 exponent entries, more than 2000000"):
+        solve(h)
+    assert time.perf_counter() - start < 1.0
 
 
 def dense_oracle_solutions(n, m, rhs):
@@ -760,7 +779,7 @@ def test_poisson_matches_dense_elimination_oracle():
                 rhs.append(MultiPoly(n, terms or {basis[0]: 1}))
             expected = dense_oracle_solutions(n, m, rhs)
             for h, u in zip(rhs, expected):
-                assert solve_radical_poisson(h, n).base == u
+                assert solve_radical_poisson(h, n) == u
 
 
 # ── harmonic decomposition ───────────────────────────────────────────────
@@ -791,7 +810,21 @@ def test_harmonic_decomposition_properties(n, m):
     assert total == p
 
 
+def test_harmonic_decomposition_rejects_a_projection_that_is_not_harmonic():
+    ladder = exactalg._poisson_block
+
+    def perturbed(n_vars, degree, weight):
+        a = ladder(n_vars, degree, weight)
+        return a[:-1] + (a[-1] + fr(1, 7),)
+
+    with mock.patch.object(exactalg, "_poisson_block", perturbed):
+        with pytest.raises(SolveError, match="harmonic projection failed verification"):
+            harmonic_decomposition(MultiPoly.variable(3, 0) ** 2)
+
+
 def test_harmonic_decomposition_validates():
     with pytest.raises(ValueError):
         harmonic_decomposition(MultiPoly.const(3, 1) + MultiPoly.variable(3, 0))
     assert harmonic_decomposition(MultiPoly.zero(3)) == {}
+    with pytest.raises(DimensionError):
+        harmonic_decomposition(MultiPoly.variable(1, 0) ** 2)

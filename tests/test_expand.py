@@ -58,8 +58,7 @@ def sphere_samples(rng, radii, per_radius, field, n=3):
 
 def test_leading_correction_zero_profile_is_zero():
     q = leading_correction(0, Spectrum([1, 2, 3]))
-    assert q.base.is_zero
-    assert q.degree == 2
+    assert q == MultiPoly.zero(3)
 
 
 def test_leading_correction_pinned_spectrum():
@@ -69,7 +68,7 @@ def test_leading_correction_pinned_spectrum():
         + yvar(1) * yvar(1) * 1
         + yvar(2) * yvar(2) * Fraction(3, 2)
     )
-    assert q.base == expected
+    assert q == expected
 
 
 def test_leading_correction_needs_three_variables():
@@ -81,7 +80,7 @@ def test_leading_correction_needs_three_variables():
     for i, lam in enumerate((1, 2, 3, 4)):
         yi = MultiPoly.variable(4, i)
         want = want + yi * yi * (2 * lam)
-    assert q.base == want
+    assert q == want
 
 
 def test_leading_correction_radial_poisson_identity():
@@ -94,7 +93,7 @@ def test_leading_correction_radial_poisson_identity():
         qbar = (
             MultiPoly.r_squared(3) * sigma1 + weighted_square_sum(s.values) * 3
         ) * v0**2
-        lhs = RadPoly(3, {1: q.base}).laplacian()
+        lhs = RadPoly(3, {1: q}).laplacian()
         assert lhs == RadPoly(3, {-1: qbar})
 
 
@@ -147,7 +146,7 @@ def test_first_correction_offset_from_closed_form():
         p0 = Fraction(rnd.randint(1, 5), rnd.randint(1, 4))
         state = ExpansionState(3, s, MultiPoly.const(3, p0), MultiPoly.zero(3), 2)
         produced = next_correction(state).Q
-        assert produced == leading_correction(p0, s).base
+        assert produced == leading_correction(p0, s)
 
 
 def test_step_clears_its_obstruction_degree():
@@ -204,7 +203,7 @@ def test_leading_correction_radial_poisson_identity_in_n(n):
     qbar = (MultiPoly.r_squared(n) * sum(s.values, Fraction(0)) + weighted * (n * (n - 2))) * (
         (n - 2) ** 2 * v0**2
     )
-    assert RadPoly(n, {n - 2: q.base}).laplacian() == RadPoly(n, {n - 4: qbar})
+    assert RadPoly(n, {n - 2: q}).laplacian() == RadPoly(n, {n - 4: qbar})
 
 
 def test_even_dimension_recursion_stays_polynomial():
@@ -221,7 +220,7 @@ def test_even_dimension_recursion_stays_polynomial():
         if first is None and not state.Q.is_zero:
             first = state
     assert first.order == 4
-    assert first.Q == leading_correction(p0, s).base
+    assert first.Q == leading_correction(p0, s)
     v = RadPoly(4, {0: state.P, 2: state.Q})
     assert all(k >= 0 and k % 2 == 0 for k in v.slots)
     sector = symbolic_residual(state.P, state.Q, s).collect(0)
@@ -238,10 +237,24 @@ def test_odd_dimension_forces_a_radical_cofactor():
         state = next_correction(state)
         assert state.Q.is_zero
     state = next_correction(state)
-    closed = leading_correction(p0, s).base
+    closed = leading_correction(p0, s)
     assert not closed.is_zero
     assert state.Q == closed
     assert RadPoly(5, {3: state.Q}).slots.keys() == {3}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open defect: in odd n the recursion solves only for Q, so the even "
+    "sector keeps the smooth part's forced obstructions (degrees 4 and 10 here)",
+)
+def test_odd_dimension_recursion_clears_the_even_sector():
+    s = Spectrum([1, Fraction(1, 2), 2])
+    state = ExpansionState(3, s, MultiPoly.const(3, Fraction(3, 2)), MultiPoly.zero(3), 2)
+    while state.order < 8:
+        state = next_correction(state)
+    sector = symbolic_residual(state.P, state.Q, s).collect(0)
+    assert all(d > state.order - 1 for d in sector.homogeneous_components())
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -326,7 +339,7 @@ def test_first_correction_speeds_up_decay_of_original_equation(spectrum, p0):
     mp = pytest.importorskip("mpmath")
     state = ExpansionState(3, spectrum, MultiPoly.const(3, p0), MultiPoly.zero(3), 2)
     recursion_q = next_correction(state).Q
-    closed_q = leading_correction(p0, spectrum).base
+    closed_q = leading_correction(p0, spectrum)
     sigma1 = sum(spectrum, Fraction(0))
     refuted_q = closed_q + MultiPoly.r_squared(3) * (Fraction(1, 3) * sigma1 * p0**2)
 
