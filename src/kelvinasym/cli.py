@@ -490,16 +490,38 @@ def _run_residual_n3(merged: dict) -> int:
 # ── subcommand: expand3 ──────────────────────────────────────────────────
 
 # The recursion's residual grows quickly with the order: with --p0 3/2
-# --spectrum 1,1/2,2 a run takes 0.42 s at order 12, 5.7 s at 24, 14.8 s
-# at 28, 26 s at 32 and 58 s at 36, start-up included, on 2 CPUs.
+# --spectrum 1,1/2,2 a run takes 0.27 s at order 12, 1.5-1.9 s at 24,
+# 4.0 s at 28, 5.3 s at 32 and 8-12 s at 36, start-up and the final
+# whole-residual audit included, on 2 shared CPUs.
 MAX_EXPAND3_ORDER = 36
+
+
+# The coefficients grow with the digits of --p0 and --spectrum too.  With
+# every numerator and denominator of the four entries d digits long, a
+# run at order 36 takes 1.3 times as long as with the inputs above at
+# d = 2, 1.7 times at 4, 2.1 at 6 and 2.7 at 8, so an entry keeps at most
+# 4 digits above and below the fraction bar.
+MAX_EXPAND3_DIGITS = 4
+_DIGITS_NOTE = f"p and q of at most {MAX_EXPAND3_DIGITS} digits"
+
+
+def _expand3_entry(flag: str, text) -> Fraction:
+    value = _parse_fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_EXPAND3_DIGITS:
+        shown = str(text).strip()
+        shown = shown if len(shown) <= 40 else f"{shown[:37]}..."
+        raise _UsageError(
+            f"--{flag} entry {shown!r} has more than {MAX_EXPAND3_DIGITS} digits"
+            " in its numerator or denominator"
+        )
+    return value
 
 
 def _run_expand3(merged: dict) -> int:
     order, seed = merged["order"], merged["seed"]
     out = _check_out(merged["out"])
-    p0 = _parse_fraction(merged["p0"])
-    spectrum = _parse_fraction_list(merged["spectrum"])
+    p0 = _expand3_entry("p0", merged["p0"])
+    spectrum = tuple(_expand3_entry("spectrum", v) for v in _split_list(merged["spectrum"], "rational"))
     if len(spectrum) != 3:
         raise _UsageError("expand3 works in three variables; --spectrum needs 3 entries")
 
@@ -720,8 +742,8 @@ _COMMANDS = {
         "correction recursion through an order",
         (
             ("order", int, 5, "final expansion order", 3, MAX_EXPAND3_ORDER),
-            ("p0", None, "1", "leading profile constant, rational p/q"),
-            ("spectrum", None, "1,1,1", "three comma-separated rationals"),
+            ("p0", None, "1", f"leading profile constant, rational p/q ({_DIGITS_NOTE})"),
+            ("spectrum", None, "1,1,1", f"three comma-separated rationals ({_DIGITS_NOTE})"),
         ),
     ),
     "radial": (

@@ -33,9 +33,10 @@ remainder.  The split is produced in floating point by
 `transformed_residual`, and on the flat-phase branch exactly, in one
 formula (`_flat_residual`), by `transformed_residual_exact` (rational
 jets, rational radius) and fully symbolically, in any n >= 3, by
-`symbolic_residual`.  Since E_H + i O_H = det(I + iH) and
-|det(I + iA)|^2 = gamma, the flat-phase residual along
-H = A + |y|^n M R^2 is a weighted sum of the principal minors of M:
+`symbolic_residual`, which can stop at a weight ceiling.  Since
+E_H + i O_H = det(I + iH) and |det(I + iA)|^2 = gamma, the flat-phase
+residual along H = A + |y|^n M R^2 is a weighted sum of the principal
+minors of M:
 
     sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S,
     w_S = Im prod_{l in S} (lambda_l + i),
@@ -343,7 +344,7 @@ def _flat_weight(vals, subset) -> Fraction:
     return im
 
 
-def _flat_residual(y, value, grad, hess, vals, rpow):
+def _flat_residual(y, value, grad, hess, vals, rpow, ceiling=None):
     """The flat-phase theta-free residual along H = A + |y|^n M R^2,
     normalized by gamma |y|^(n+2), from the 2-jet (value, grad, hess) of v
     at y and the rational spectrum vals of A:
@@ -355,13 +356,22 @@ def _flat_residual(y, value, grad, hess, vals, rpow):
     conj(det(I + iA)) det(I + iA) = gamma.  The |S| = 1 part is
     trace(M) / |y|^2, which is lap(v) by the trace identity.  rpow(k)
     is |y|^k in the ring of the jet; only +, - and * touch the entries, so
-    the same code runs over Fraction and RadPoly jets."""
+    the same code runs over Fraction and RadPoly jets.
+
+    A RadPoly jet of weights >= 0 gives entries of M with weights >= 0
+    (M is v's jet contracted with y and |y|^2 at matching weight), so with
+    a weight ``ceiling`` W a size-j minor, which enters at
+    |y|^(n(j-1)-2), is needed only through weight W - n(j-1) + 2, and the
+    sizes where that is negative are skipped."""
     n = len(y)
     zero = 0 * value
     K, L = identity_parts(y, value, grad, hess, rpow(2))
     radial = L * rpow(-2)
     m = [[K[i][j] + radial * (y[i] * y[j]) for j in range(n)] for i in range(n)]
-    minors = _principal_minors(m)
+    ceilings = None
+    if ceiling is not None:
+        ceilings = [c for c in (ceiling - n * (j - 1) + 2 for j in range(1, n + 1)) if c >= 0]
+    minors = _principal_minors(m, ceilings)
     total = zero
     for size in range(1, n + 1):
         part = sum(
@@ -411,7 +421,7 @@ def transformed_residual_exact(
 # ── the fully symbolic residual ──────────────────────────────────────────
 
 
-def symbolic_residual(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
+def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None) -> RadPoly:
     """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
     n = P.n_vars >= 3 variables (`_flat_residual`); for n = 3 that is
 
@@ -420,7 +430,13 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
 
     P and Q are polynomials in the n ball variables with rational
     coefficients; the result is a radical polynomial in the same variables
-    and every coefficient is exact; in even n it has no odd slot."""
+    and every coefficient is exact; in even n it has no odd slot.
+
+    With a weight ``ceiling`` W, the result is the residual's terms of
+    weight at most W, where |y|^k y^e has weight k + |e| (the full
+    residual's `RadPoly.truncate`): terms above W are dropped in the
+    entries of M, in each size of minor and inside every product, so they
+    are never formed.  None computes the whole residual."""
     n = P.n_vars
     vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
     if n < 3 or Q.n_vars != n or len(vals) != n:
@@ -430,7 +446,7 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s) -> RadPoly:
     grad = [v.partial(i) for i in range(n)]
     hess = [[grad[i].partial(j) for j in range(n)] for i in range(n)]
     one = MultiPoly.const(n, 1)
-    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(n, {k: one}))
+    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(n, {k: one}), ceiling)
 
 
 def linear_part_defect(s) -> RadPoly:

@@ -397,6 +397,15 @@ class MultiPoly:
 # ── radical polynomials ──────────────────────────────────────────────────
 
 
+def _by_degree(p: MultiPoly) -> list[tuple[int, list[tuple[Exponent, int]]]]:
+    """The terms of ``p`` as ``(degree, [(exponent, numerator), ...])``
+    groups in increasing degree."""
+    groups: dict[int, list[tuple[Exponent, int]]] = defaultdict(list)
+    for e, c in p._num.items():
+        groups[sum(e)].append((e, c))
+    return sorted(groups.items())
+
+
 class RadPoly:
     """Finite sum ``sum_k |y|^k p_k`` with integer ``k`` and polynomial
     ``p_k``, kept in canonical form.
@@ -489,14 +498,7 @@ class RadPoly:
 
     def __mul__(self, other: "RadPoly | MultiPoly | Scalar") -> "RadPoly":
         if isinstance(other, RadPoly):
-            _check_same_dims(self, other)
-            out: dict[int, MultiPoly] = {}
-            for k1, p1 in self._slots.items():
-                for k2, p2 in other._slots.items():
-                    k = k1 + k2
-                    prod = p1 * p2
-                    out[k] = out[k] + prod if k in out else prod
-            return RadPoly(self.n_vars, out)
+            return self.mul(other)
         if isinstance(other, MultiPoly):
             _check_same_dims(self, other)
             return RadPoly(self.n_vars, {k: p * other for k, p in self._slots.items()})
@@ -504,6 +506,48 @@ class RadPoly:
 
     def __rmul__(self, other: Scalar) -> "RadPoly":
         return self * other
+
+    def mul(self, other: "RadPoly", ceiling: int | None = None) -> "RadPoly":
+        """The product with another RadPoly; with ``ceiling``, only its
+        terms of weight at most ``ceiling``, where ``|y|^k y^e`` has weight
+        ``k + |e|``.  A pair of terms whose weights sum past the ceiling is
+        skipped before it is multiplied, so the result is exactly the sum
+        of the product's homogeneous components of degree <= ceiling."""
+        _check_same_dims(self, other)
+        cap = math.inf if ceiling is None else ceiling
+        right = [(k2, _by_degree(p2), p2._den) for k2, p2 in other._slots.items()]
+        out: dict[int, MultiPoly] = {}
+        for k1, p1 in self._slots.items():
+            left = _by_degree(p1)
+            for k2, buckets, den2 in right:
+                room = cap - k1 - k2
+                acc: dict[Exponent, int] = defaultdict(int)
+                for d1, terms1 in left:
+                    if d1 + buckets[0][0] > room:
+                        break
+                    for d2, terms2 in buckets:
+                        if d1 + d2 > room:
+                            break
+                        for e1, c1 in terms1:
+                            for e2, c2 in terms2:
+                                acc[tuple(map(operator.add, e1, e2))] += c1 * c2
+                prod = MultiPoly._make(self.n_vars, acc, p1._den * den2)
+                k = k1 + k2
+                out[k] = out[k] + prod if k in out else prod
+        return RadPoly(self.n_vars, out)
+
+    def truncate(self, ceiling: int) -> "RadPoly":
+        """The terms of weight ``k + |e|`` at most ``ceiling``: the sum of the
+        homogeneous components of degree <= ceiling."""
+        return RadPoly(
+            self.n_vars,
+            {
+                k: MultiPoly._make(
+                    self.n_vars, {e: c for e, c in p._num.items() if k + sum(e) <= ceiling}, p._den
+                )
+                for k, p in self._slots.items()
+            },
+        )
 
     # calculus -------------------------------------------------------------
 

@@ -133,9 +133,12 @@ def leading_correction(v0, s) -> MultiPoly:
 def next_correction(state: ExpansionState) -> ExpansionState:
     """One inductive step of the correction recursion in n >= 3 variables.
 
-    Computes the exact residual of ``v = P + |y|^(n-2) Q``, collects its
-    sector at base exponent n - 4, extracts the homogeneous obstruction of
-    degree ``order + 3 - n``, and solves the radial-weight Poisson equation
+    Computes the exact residual of ``v = P + |y|^(n-2) Q`` only through
+    weight ``order - 1`` (the ``ceiling`` of `symbolic_residual`, where
+    ``|y|^k y^e`` has weight ``k + |e|``), collects its sector at base
+    exponent n - 4, extracts the homogeneous obstruction of degree
+    ``order + 3 - n``, which is that sector's weight-(order - 1) part, and
+    solves the radial-weight Poisson equation
 
         lap(|y|^(n-2) delta) = -|y|^(n-4) Qtilde
 
@@ -147,7 +150,7 @@ def next_correction(state: ExpansionState) -> ExpansionState:
     n = state.n
     if n < 3:
         raise DimensionError(f"the correction recursion needs n >= 3, got {n}")
-    residual = symbolic_residual(state.P, state.Q, state.spectrum)
+    residual = symbolic_residual(state.P, state.Q, state.spectrum, state.order - 1)
     sector = residual.collect(n - 4)
     obstruction = sector.homogeneous_components().get(state.order + 3 - n)
     if obstruction is None:

@@ -322,16 +322,26 @@ def char_sigmas(mat, one) -> list:
     return sig
 
 
-def _principal_minors(mat) -> dict:
+def _principal_minors(mat, ceilings=None) -> dict:
     """{S: det mat_S} over every nonempty index tuple S (increasing) of a
     square matrix.  Each minor is a Laplace expansion along its first row,
     and every minor met on the way (principal or not) is kept, so a
     principal minor reuses the smaller ones.  Only +, - and * touch the
     entries, so it runs over Fraction, MultiPoly or RadPoly entries; the
-    size-k minors sum to sigma_k (`char_sigmas`)."""
+    size-k minors sum to sigma_k (`char_sigmas`).
+
+    With ``ceilings``, the entries are RadPoly with no term of negative
+    weight, and every minor of size k keeps only its terms of weight at
+    most ``ceilings[k - 1]`` (`RadPoly.truncate` on the entries,
+    `RadPoly.mul` in the expansion); sizes past the end of ``ceilings``
+    are not formed.  The ceilings must not increase with the size, so a
+    truncated minor still holds every term a larger minor reads from it."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArityError("matrix must be square")
+    top_size = n if ceilings is None else min(n, len(ceilings))
+    if ceilings:
+        mat = [[entry.truncate(ceilings[0]) for entry in row] for row in mat]
     minors: dict = {}
 
     def minor(rows: tuple, cols: tuple):
@@ -343,12 +353,13 @@ def _principal_minors(mat) -> dict:
             else:
                 acc = None
                 for j, c in enumerate(cols):
-                    term = top[c] * minor(rows[1:], cols[:j] + cols[j + 1 :])
+                    sub = minor(rows[1:], cols[:j] + cols[j + 1 :])
+                    term = top[c] * sub if ceilings is None else top[c].mul(sub, ceilings[len(rows) - 1])
                     acc = term if acc is None else (acc - term if j % 2 else acc + term)
                 minors[key] = acc
         return minors[key]
 
-    subsets = (s for k in range(1, n + 1) for s in itertools.combinations(range(n), k))
+    subsets = (s for k in range(1, top_size + 1) for s in itertools.combinations(range(n), k))
     return {s: minor(s, s) for s in subsets}
 
 

@@ -107,6 +107,11 @@ EXACT_REPORTS = {
         ["expand3", "--order", "8", "--p0", "3/2", "--spectrum", "1,1/2,2"],
         "5843aaf2b404c8055431fd01c217b52c2bcc663eac6d68db576adc589468a7b5",
     ),
+    # the benchmark's own report: Q grows from 3 to 18 terms over orders 9-12
+    "expand3-order12": (
+        ["expand3", "--order", "12", "--p0", "3/2", "--spectrum", "1,1/2,2"],
+        "0ce6a826071e993de7902270d7d5716a00eb0731fd24088249c02c9f17c624f9",
+    ),
     "residual-n3": (
         ["residual-n3", "--trials", "2"],
         "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
@@ -441,6 +446,35 @@ def test_expand3_rational_inputs(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["p0"] == "3/2"
     assert report["spectrum"] == ["1", "1/2", "2"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, shown",
+    [
+        ("--p0", "12345/2", "'12345/2'"),
+        ("--p0", "0.00001", "'0.00001'"),
+        ("--spectrum", "1,1/10000,2", "'1/10000'"),
+        ("--spectrum", "7" * 1000 + "/3,1/2,2", "'" + "7" * 37 + "...'"),
+    ],
+)
+def test_expand3_refuses_entries_past_the_digit_bound(tmp_path, capsys, flag, value, shown):
+    # the recursion's coefficients grow with the inputs' digits, so each
+    # entry keeps at most MAX_EXPAND3_DIGITS above and below the bar
+    out = tmp_path / "e3.json"
+    argv = ["expand3", "--order", "3", flag, value, "--out", str(out)]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} entry {shown} has more than {cli.MAX_EXPAND3_DIGITS} digits" in err
+    assert not out.exists()
+
+
+def test_expand3_admits_entries_at_the_digit_bound(tmp_path, capsys):
+    edge = "9" * cli.MAX_EXPAND3_DIGITS
+    out = tmp_path / "e3.json"
+    argv = ["expand3", "--order", "3", f"--p0=-{edge}/{edge[:-1]}8", "--spectrum", f"1/{edge},1,{edge}"]
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["spectrum"] == [f"1/{edge}", "1", edge]
     capsys.readouterr()
 
 

@@ -809,6 +809,34 @@ def test_residual_is_exactly_cubic_in_the_profile():
     assert not quad.slot(-1).is_zero
 
 
+_CEILING_SPECTRA = {
+    "graded": [1, fr(1, 2), 2, fr(1, 3), fr(3, 2)],
+    "negative": [fr(-1, 2), 1, 1, 1, 1],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CEILING_SPECTRA))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_weight_ceiling_equals_the_full_residual_through_it(n, kind):
+    # with a ceiling W the residual holds exactly the full residual's
+    # components of weight <= W, in both parity sectors; the radical
+    # cofactor puts odd slots into the entries of M in odd n
+    s = _CEILING_SPECTRA[kind][:n]
+    y = [MultiPoly.variable(n, i) for i in range(n)]
+    P = MultiPoly.const(n, fr(3, 2)) + (y[0] * y[1] * fr(1, 2) if n < 5 else MultiPoly.zero(n))
+    Q = y[0] * y[n - 1] * fr(2, 3)
+    full = symbolic_residual(P, Q, s)
+    assert {k % 2 for k in full.slots} == ({0, 1} if n % 2 else {0})
+    for ceiling in range(-3, 2 * n + 3):
+        cut = symbolic_residual(P, Q, s, ceiling)
+        assert cut == full.truncate(ceiling), ceiling
+        if n % 2 and ceiling >= 2 * n:
+            assert {k % 2 for k in cut.slots} == {0, 1}
+    if n < 5:  # at n = 5 this is another full residual, 2.5 s
+        top = max(k + p.total_degree() for k, p in full.slots.items())
+        assert symbolic_residual(P, Q, s, top) == full
+
+
 def test_linear_part_identity_holds_symbolically():
     rnd = Random(59)
     for values in (["0", "0", "0"], ["1", "2", "-1/2"], None, None):

@@ -454,6 +454,52 @@ def test_radpoly_product_matches_slot_sum(p, q):
     assert a * b == RadPoly(3, {1: p * q})
 
 
+def _components_through(e: RadPoly, ceiling: int) -> RadPoly:
+    """The homogeneous components of e of degree <= ceiling, read off each
+    parity sector's slot polynomial."""
+    out = RadPoly.zero(e.n_vars)
+    for k, p in e.slots.items():
+        for d, comp in p.homogeneous_components().items():
+            if k + d <= ceiling:
+                out = out + RadPoly(e.n_vars, {k: comp})
+    return out
+
+
+@given(
+    a=st.dictionaries(st.integers(-3, 3), polys(3, max_deg=2, max_terms=4), max_size=3),
+    b=st.dictionaries(st.integers(-3, 3), polys(3, max_deg=2, max_terms=4), max_size=3),
+    ceiling=st.integers(-8, 12),
+)
+@settings(max_examples=60, deadline=None)
+def test_radpoly_product_under_a_ceiling_keeps_the_components_through_it(a, b, ceiling):
+    # weight k + |e| of |y|^k y^e is the homogeneous degree, so a ceiling
+    # cuts whole components whatever slot layout the canonical form picks
+    x, y = RadPoly(3, a), RadPoly(3, b)
+    full = x * y
+    assert x.mul(y) == full
+    assert x.mul(y, ceiling) == _components_through(full, ceiling)
+    assert full.truncate(ceiling) == _components_through(full, ceiling)
+
+
+def test_radpoly_ceiling_skips_pairs_before_multiplying():
+    # a pair of terms whose weights sum past the ceiling is never formed:
+    # count the exponent additions, three per pair in three variables
+    calls = []
+
+    def add(a, b):
+        calls.append(1)
+        return a + b
+
+    high = RadPoly(3, {1: MultiPoly.variable(3, 0) ** 6})
+    low = RadPoly(3, {0: MultiPoly.const(3, 2)})
+    with mock.patch.object(exactalg, "operator", mock.Mock(add=add)):
+        assert high.mul(high, 13).is_zero
+        assert not calls
+        got = (high + low).mul(high + low, 7)
+    assert got == (high + low) * (high + low) - high * high
+    assert len(calls) == 3 * 3
+
+
 @given(p=polys(3, max_deg=2, max_terms=4))
 @settings(max_examples=25, deadline=None)
 def test_radpoly_partial_matches_polynomial_route(p):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kelvinasym import radial
-from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
+from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
 from kelvinasym.equations import symbolic_residual
 from kelvinasym.expand import (
     ConditioningError,
@@ -177,6 +177,36 @@ def test_recursion_audit_through_order_five():
         state = next_correction(state)
     sector = symbolic_residual(state.P, state.Q, s).collect(-1)
     assert all(d > 4 for d in sector.homogeneous_components())
+
+
+def _untruncated_step(state: ExpansionState) -> ExpansionState:
+    # the recursion step read off the whole residual, with no weight ceiling
+    n = state.n
+    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(n - 4)
+    obstruction = sector.homogeneous_components().get(state.order + 3 - n)
+    delta = MultiPoly.zero(n) if obstruction is None else solve_radical_poisson(-obstruction, n)
+    return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
+
+
+@pytest.mark.parametrize(
+    "n, top, spectrum",
+    [
+        (3, 12, (1, Fraction(1, 2), 2)),
+        (3, 12, (1, 1, 1)),
+        (4, 7, (1, Fraction(1, 2), 2, Fraction(1, 3))),
+        (4, 7, (1, 1, 1, 1)),
+        (5, 5, (1, Fraction(1, 2), 2, Fraction(1, 3), Fraction(3, 2))),
+        (5, 5, (1, 1, 1, 1, 1)),
+    ],
+)
+def test_step_under_the_weight_ceiling_matches_the_untruncated_step(n, top, spectrum):
+    # next_correction reads only weight order - 1, so it computes no more
+    state = ExpansionState(n, spectrum, MultiPoly.const(n, Fraction(3, 2)), MultiPoly.zero(n), 2)
+    reference = state
+    while state.order < top:
+        state, reference = next_correction(state), _untruncated_step(reference)
+        assert state == reference, state.order
+    assert not state.Q.is_zero
 
 
 def test_recursion_rejects_other_dimensions():
