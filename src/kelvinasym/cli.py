@@ -258,7 +258,7 @@ def _finish(command: str, out: Path, report: dict, failure: dict | None) -> int:
 
 # ── subcommand: lemmas ───────────────────────────────────────────────────
 
-# one lemmas trial takes about 2 s at n = 20 and 18 s at n = 40
+# one lemmas trial takes about 0.05 s at n = 20 and 0.6 s at n = 40 (2 CPUs)
 MAX_LEMMAS_N = 20
 
 

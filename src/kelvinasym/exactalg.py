@@ -450,6 +450,14 @@ class RadPoly:
         self._slots = normal
 
     @classmethod
+    def _make(cls, n_vars: int, slots: Mapping[int, MultiPoly]) -> "RadPoly":
+        """Trusted constructor: ``slots`` hold at most one exponent per parity
+        and no polynomial divisible by ``|y|^2``; zero slots are dropped."""
+        r = cls.__new__(cls)
+        r.n_vars, r._slots = n_vars, {k: p for k, p in slots.items() if not p.is_zero}
+        return r
+
+    @classmethod
     def from_poly(cls, p: MultiPoly, k: int = 0) -> "RadPoly":
         return cls(p.n_vars, {k: p})
 
@@ -482,7 +490,7 @@ class RadPoly:
     # arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "RadPoly":
-        return RadPoly(self.n_vars, {k: -p for k, p in self._slots.items()})
+        return RadPoly._make(self.n_vars, {k: -p for k, p in self._slots.items()})
 
     def __add__(self, other: "RadPoly") -> "RadPoly":
         if not isinstance(other, RadPoly):
@@ -501,8 +509,10 @@ class RadPoly:
             return self.mul(other)
         if isinstance(other, MultiPoly):
             _check_same_dims(self, other)
-            return RadPoly(self.n_vars, {k: p * other for k, p in self._slots.items()})
-        return RadPoly(self.n_vars, {k: p * other for k, p in self._slots.items()})
+            if any(map(any, other._num)):
+                return RadPoly(self.n_vars, {k: p * other for k, p in self._slots.items()})
+        # a constant factor keeps each slot canonical (or zeroes it)
+        return RadPoly._make(self.n_vars, {k: p * other for k, p in self._slots.items()})
 
     def __rmul__(self, other: Scalar) -> "RadPoly":
         return self * other

@@ -2,10 +2,14 @@
 two-sided-shifted variants, and exact verification of the determinant
 identities behind the linearized transform.
 
-Every public function here is Fraction arithmetic; floats are rejected on
-input so a verification can never silently lose exactness.  The sigma
-kernels (`char_sigmas` and the private value-list ones) are ring-generic
-and are shared with the residual forms of the equations module.
+Inputs are exact: floats are rejected so a verification can never silently
+lose exactness.  The public sigma functions return Fractions.  The
+verifiers scale every input by the lcm d of its denominators and compare
+integers: each identity is homogeneous in its inputs, so the integer sides
+equal d^degree times the rational ones, and the reports divide them back.
+The sigma kernels (`char_sigmas` and the private value-list ones) are
+ring-generic; the verifiers run them over ints, and the residual forms of
+the equations module over polynomials.
 
 Identity ids
 ------------
@@ -208,6 +212,13 @@ def _alternating(sig) -> tuple:
     return e, o
 
 
+def _over_common_denominator(*groups) -> tuple:
+    """(d, scaled): d is the lcm of the denominators of every Fraction in
+    ``groups``, and ``scaled`` holds each group as the integers d * v."""
+    d = math.lcm(*(v.denominator for group in groups for v in group))
+    return d, [[v.numerator * (d // v.denominator) for v in group] for group in groups]
+
+
 def sigma_all(s: SpectrumLike) -> list[Fraction]:
     """All elementary symmetric functions sigma_0 .. sigma_n."""
     return _sigmas(_values(s), Fraction(1))
@@ -370,23 +381,29 @@ def verify_linear_coefficient(s: SpectrumLike, B: MatrixLike) -> list[ExactRepor
     """Both routes of the linear-coefficient identity (id L31) for every
     k = 1 .. n, as n reports, without raising on disagreement: one
     `char_sigmas` pass over the dual entries of diag(lambda) + t B against
-    the deleted-spectrum diagonal sum."""
+    the deleted-spectrum diagonal sum.  Both routes run over the integers
+    d lambda and d B (`_over_common_denominator`); the k-th coefficient is
+    homogeneous of degree k in them."""
     values = _values(s)
     if not values:
         raise ArityError("need at least one eigenvalue")
     n = len(values)
     mat = _symmetric_matrix(B, n)
-    pencil = [[_Dual(values[r] if r == c else 0, mat[r][c]) for c in range(n)] for r in range(n)]
-    lhs = [sig.b for sig in char_sigmas(pencil, _Dual(Fraction(1), Fraction(0)))[1:]]
-    rhs = _linear_coefficients_by_deleted_sum(values, [mat[i][i] for i in range(n)])
-    return [ExactReport(lemma="L31", lhs=a, rhs=b, equal=a == b) for a, b in zip(lhs, rhs)]
+    d, (x, *m) = _over_common_denominator(values, *mat)
+    pencil = [[_Dual(x[r] if r == c else 0, m[r][c]) for c in range(n)] for r in range(n)]
+    lhs = [sig.b for sig in char_sigmas(pencil, _Dual(1, 0))[1:]]
+    rhs = _linear_coefficients_by_deleted_sum(x, [m[i][i] for i in range(n)])
+    return [
+        ExactReport(lemma="L31", lhs=Fraction(a, d**k), rhs=Fraction(b, d**k), equal=a == b)
+        for k, (a, b) in enumerate(zip(lhs, rhs), start=1)
+    ]
 
 
-def _linear_coefficients_by_deleted_sum(values, diagonal) -> list[Fraction]:
+def _linear_coefficients_by_deleted_sum(values, diagonal) -> list:
     """sum_i sigma_{k-1}(spectrum with i removed) * diagonal_i, k = 1 .. n."""
-    out = [Fraction(0)] * len(values)
+    out = [0] * len(values)
     for i, d in enumerate(diagonal):
-        for k, sig in enumerate(_sigmas(values[:i] + values[i + 1 :], Fraction(1))):
+        for k, sig in enumerate(_sigmas(values[:i] + values[i + 1 :], 1)):
             out[k] += sig * d
     return out
 
@@ -431,39 +448,48 @@ def verify_identity(lemma: str, s: SpectrumLike, p: BranchParams | None = None) 
     if n < 3 and lemma != "L33":
         raise ArityError(f"{lemma} needs a spectrum of size at least 3")
 
+    # every side is homogeneous in (lambda, a, b) once the constant 1 of L32
+    # is written as d / d, so both run over the integers d lambda, d a, d b
+    d, (x, shifts) = _over_common_denominator(values, [] if lemma == "L32" else [p.a, p.b])
     if lemma == "L33":
-        a, b = p.a, p.b
-        sig = sigma_all(values)
+        a, b = shifts
+        sig = _sigmas(x, 1)
         minus = [(a - b) ** e for e in range(n + 1)]
         plus = [(a + b) ** e for e in range(n + 1)]
-        lhs = sigma_bar_all(values, p)
+        lhs = _pencil_sigmas([(v + a + b, v + a - b) for v in x], 1)
         rhs = [
             sum(
-                (
-                    math.comb(m, j) * math.comb(n - m, k - j) * minus[k - j] * plus[n - m - k + j] * sig[m]
-                    for m in range(n + 1)
-                    for j in range(max(0, k - (n - m)), min(m, k) + 1)
-                ),
-                start=Fraction(0),
+                math.comb(m, j) * math.comb(n - m, k - j) * minus[k - j] * plus[n - m - k + j] * sig[m]
+                for m in range(n + 1)
+                for j in range(max(0, k - (n - m)), min(m, k) + 1)
             )
             for k in range(n + 1)
         ]
+        degree = n
 
     else:
-        deleted = [values[:i] + values[i + 1 :] for i in range(n)]
         if lemma == "L32":
-            e, o = alternating_sums(values)
-            hats = [alternating_sums(d) for d in deleted]
-            lhs = [e * e_hat + o * o_hat for e_hat, o_hat in hats]
-            rhs = [math.prod((1 + v * v for v in d), start=Fraction(1)) for d in deleted]
+            # d^n E and d^n O are the real and imaginary parts of prod (d + i x_j)
+            pairs = [(d, v) for v in x]
         else:
-            a, b = p.a, p.b
-            e, o = alternating_sums_bar(values, p)
-            hats = [alternating_sums_bar(d, p) for d in deleted]
+            a, b = shifts
+            pairs = [(v + a + b, v + a - b) for v in x]
+        e, o = _alternating(_pencil_sigmas(pairs, 1))
+        hats = [_alternating(_pencil_sigmas(pairs[:i] + pairs[i + 1 :], 1)) for i in range(n)]
+        deleted = [x[:i] + x[i + 1 :] for i in range(n)]
+        if lemma == "L32":
+            lhs = [e * e_hat + o * o_hat for e_hat, o_hat in hats]
+            rhs = [d * math.prod(d * d + v * v for v in rest) for rest in deleted]
+        else:
             lhs = [e * (e_hat + o_hat) - o * (e_hat - o_hat) for e_hat, o_hat in hats]
-            rhs = [2**n * b * math.prod(((v + a) ** 2 + b * b for v in d), start=Fraction(1)) for d in deleted]
+            rhs = [2**n * b * math.prod((v + a) ** 2 + b * b for v in rest) for rest in deleted]
+        degree = 2 * n - 1
 
-    return [ExactReport(lemma=lemma, lhs=x, rhs=y, equal=x == y) for x, y in zip(lhs, rhs)]
+    scale = d**degree
+    return [
+        ExactReport(lemma=lemma, lhs=Fraction(left, scale), rhs=Fraction(right, scale), equal=left == right)
+        for left, right in zip(lhs, rhs)
+    ]
 
 
 # ── random exact inputs ──────────────────────────────────────────────────

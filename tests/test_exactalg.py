@@ -590,6 +590,23 @@ def test_radpoly_canonical_form_is_idempotent_and_derivation_invariant():
     assert a.partial(2) == b.partial(2)
 
 
+@given(
+    slots=st.dictionaries(st.integers(-3, 3), polys(3, max_deg=3, max_terms=4), max_size=3),
+    c=st.fractions(-3, 3, max_denominator=5),
+)
+@settings(max_examples=40, deadline=None)
+def test_radpoly_negation_and_constant_products_stay_canonical(slots, c):
+    # these results skip re-canonicalization; each must equal the form that
+    # the validating constructor builds from the same slots
+    e = RadPoly(3, slots)
+    assert -e == RadPoly(3, {k: -p for k, p in e.slots.items()})
+    want = RadPoly(3, {k: c * p for k, p in e.slots.items()})
+    assert e * c == c * e == e * MultiPoly.const(3, c) == want
+    assert (e * 0).slots == {}
+    y1 = MultiPoly.variable(3, 0)
+    assert e * y1 == RadPoly(3, {k: p * y1 for k, p in e.slots.items()})
+
+
 def test_radical_weight_half_pinned():
     # lap(|y| * 1/2) = |y|^(-1) in three variables
     got = RadPoly(3, {1: MultiPoly.const(3, fr(1, 2))}).laplacian()

@@ -341,14 +341,17 @@ def test_linear_coefficient_random_matrix_routes_agree(vals, k, seed):
 
 def test_linear_coefficient_routes_disagree_on_a_wrong_diagonal():
     # negative control: the deleted-sum route sees every diagonal entry
-    # off by one, so at least the k = 1 report (the trace) must fail
+    # off by one, so at least the k = 1 report (the trace) must fail; both
+    # routes run over the entries times their common denominator, so one
+    # unit of the unscaled entries is that denominator
     real = symfun._linear_coefficients_by_deleted_sum
-
-    def off_by_one(values, diagonal):
-        return real(values, [d + 1 for d in diagonal])
-
     s = (fr(1), fr(-2, 3), fr(5, 2))
     mat = random_symmetric_matrix(Random(3), 3)
+    unit = math.lcm(*(v.denominator for v in [*s, *(v for row in mat for v in row)]))
+
+    def off_by_one(values, diagonal):
+        return real(values, [d + unit for d in diagonal])
+
     assert all(report.equal for report in verify_linear_coefficient(s, mat))
     with mock.patch.object(symfun, "_linear_coefficients_by_deleted_sum", off_by_one):
         reports = verify_linear_coefficient(s, mat)
@@ -431,6 +434,69 @@ def test_verify_identity_reports_every_index_in_order():
     assert [r.rhs for r in verify_identity("L32", s)] == rhs32
     assert [r.lhs for r in verify_identity("L33", s, p)] == sigma_bar_all(s, p)
     assert [r.rhs for r in verify_identity("L34", s, p)] == rhs34
+
+
+def test_every_side_of_every_identity_matches_the_fraction_route_under_large_coprime_denominators():
+    # the verifiers scale their inputs by the lcm of the denominators, here
+    # near 2^101, and divide each side by the right power of it; every side
+    # at every index must equal the plain Fraction value from the public
+    # functions, not only agree with the other side
+    big = (997, 10**9 + 7, 2**61 - 1)
+    s = Spectrum((fr(3, big[0]), fr(-5, big[1]), fr(7, big[2]), fr(2), fr(-1, big[0])))
+    n = len(s)
+    p = BranchParams(fr(1, big[2]), fr(-4, big[1]))
+    mat = [[fr(r + c + 1, big[(r * c) % 3]) * (-1) ** (r + c) for c in range(n)] for r in range(n)]
+
+    # L31: the t-coefficient of sigma_k(diag(lambda) + t B), with t a polynomial variable
+    pencil = [
+        [MultiPoly(1, {(0,): s.values[r] if r == c else 0, (1,): mat[r][c]}) for c in range(n)]
+        for r in range(n)
+    ]
+    lhs31 = [sig.terms.get((1,), 0) for sig in char_sigmas(pencil, MultiPoly.const(1, 1))[1:]]
+    rhs31 = [
+        sum((sigma_hat(k - 1, i, s) * mat[i - 1][i - 1] for i in range(1, n + 1)), start=fr(0))
+        for k in range(1, n + 1)
+    ]
+
+    e, o = alternating_sums(s)
+    hats = [alternating_sums(s.deleted(i)) for i in range(1, n + 1)]
+    lhs32 = [e * e_hat + o * o_hat for e_hat, o_hat in hats]
+    rhs32 = [math.prod((1 + v * v for v in s.deleted(i)), start=fr(1)) for i in range(1, n + 1)]
+
+    rhs33 = [
+        sum(
+            (
+                math.comb(m, j) * math.comb(n - m, k - j) * (p.a - p.b) ** (k - j)
+                * (p.a + p.b) ** (n - m - k + j) * sigma(m, s)
+                for m in range(n + 1)
+                for j in range(max(0, k - (n - m)), min(m, k) + 1)
+            ),
+            start=fr(0),
+        )
+        for k in range(n + 1)
+    ]
+
+    e, o = alternating_sums_bar(s, p)
+    hats = [alternating_sums_bar(s.deleted(i), p) for i in range(1, n + 1)]
+    lhs34 = [e * (e_hat + o_hat) - o * (e_hat - o_hat) for e_hat, o_hat in hats]
+    rhs34 = [
+        2**n * p.b * math.prod(((v + p.a) ** 2 + p.b**2 for v in s.deleted(i)), start=fr(1))
+        for i in range(1, n + 1)
+    ]
+
+    expected = {
+        "L31": (verify_linear_coefficient(s, mat), lhs31, rhs31),
+        "L32": (verify_identity("L32", s), lhs32, rhs32),
+        "L33": (verify_identity("L33", s, p), sigma_bar_all(s, p), rhs33),
+        "L34": (verify_identity("L34", s, p), lhs34, rhs34),
+    }
+    for lemma, (reports, lhs, rhs) in expected.items():
+        assert [r.lhs for r in reports] == lhs, lemma
+        assert [r.rhs for r in reports] == rhs, lemma
+        assert all(r.equal and r.lemma == lemma for r in reports)
+        assert all(type(r.lhs) is Fraction and type(r.rhs) is Fraction for r in reports)
+    # the sides are not all integers, so a missing or wrong division would show
+    assert all(max(r.lhs.denominator for r in reports) > 2**60 for reports, _, _ in expected.values())
 
 
 @given(vals=st.lists(rationals, min_size=3, max_size=7))
