@@ -37,6 +37,7 @@ cannot be written (synopsis goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -67,7 +68,7 @@ from .kelvin import (
     PhaseBranch,
     hessian_identity_check,
 )
-from .radial import integrate_exterior, trajectory_samples, write_trajectory
+from .radial import MAX_SAMPLES, count_nodes, integrate_exterior, trajectory_samples, write_trajectory
 
 __all__ = ["dispatch", "main"]
 
@@ -407,15 +408,21 @@ MAX_POISSON_MONOMIALS = 1000
 MAX_POISSON_N = 100
 
 
-def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
-    # every exponent tuple of the degree, sorted so the draws below keep a
-    # fixed monomial order
-    exponents = sorted(
-        tuple(picks.count(i) for i in range(n))
-        for picks in combinations_with_replacement(range(n), degree)
+@functools.cache
+def _exponents(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Every exponent tuple of the degree, sorted, so draws over them keep a
+    fixed monomial order; built once per (n, degree), not once per trial."""
+    return tuple(
+        sorted(
+            tuple(picks.count(i) for i in range(n))
+            for picks in combinations_with_replacement(range(n), degree)
+        )
     )
+
+
+def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
     terms = {}
-    for exponent in exponents:
+    for exponent in _exponents(n, degree):
         if rng.random() < 0.5:
             continue
         terms[exponent] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
@@ -589,6 +596,16 @@ def _run_radial(merged: dict) -> int:
         for flag, top in (("sample-rmax", sample_rmax), ("rmax", r_max)):
             if sample_rmin is not None and top is not None and sample_rmin > top:
                 raise _UsageError(f"--sample-rmin {sample_rmin} exceeds --{flag} {top}: no node can be sampled")
+        per_radius = merged["per_radius"]
+        try:
+            nodes = count_nodes(r_max, merged["step"], merged["stride"], sample_rmin, sample_rmax)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
+        if nodes * per_radius > MAX_SAMPLES:
+            raise _UsageError(
+                f"--per-radius {per_radius} scatters {nodes * per_radius} samples over the "
+                f"{nodes} nodes in the sample window, more than {MAX_SAMPLES}"
+            )
 
     try:
         states = integrate_exterior(

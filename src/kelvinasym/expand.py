@@ -513,13 +513,29 @@ def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
 
 
 def write_samples(path, samples) -> None:
-    """Write exterior samples as CSV with header ``x1,...,xn,u``."""
-    pts, vals = _split_samples(samples)
-    n = pts.shape[1]
+    """Write exterior samples as CSV with header ``x1,...,xn,u``.
+
+    Every sample is checked before the file is opened: ValueError on a
+    non-finite entry or a point of another dimension than the first,
+    InsufficientDataError on no samples.
+    """
+    samples = list(samples)
+    n = None
+    for index, (x, u) in enumerate(samples):
+        point = [float(c) for c in x]
+        value = float(u)
+        if not all(map(math.isfinite, point)) or not math.isfinite(value):
+            raise ValueError(f"sample {index} is not finite: x = {tuple(point)}, u = {value!r}")
+        if n is None:
+            n = len(point)
+        elif len(point) != n:
+            raise ValueError(f"sample {index} has {len(point)} coordinates, expected {n}")
+    if n is None:
+        raise InsufficientDataError("no samples given")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i + 1}" for i in range(n)] + ["u"])
-        for x, u in zip(pts, vals):
+        for x, u in samples:
             writer.writerow([repr(float(c)) for c in x] + [repr(float(u))])
 
 

@@ -30,12 +30,17 @@ or an RK4 stage that overshot the edge of the admissible slope interval
 
 Trajectories convert to full-dimensional scattered samples with
 `trajectory_samples`, feeding the quadratic-fit and decay experiments.
+Its directions are Gaussian draws from the standard library's
+`random.Random(seed)`, n per direction, node after node and sample
+after sample, so nothing in this module loads numpy.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,7 +50,9 @@ from .kelvin import PhaseBranch
 __all__ = [
     "DomainError",
     "MAX_PLANNED_WORK",
+    "MAX_SAMPLES",
     "RadialState",
+    "count_nodes",
     "integrate_exterior",
     "kernel_name",
     "radial_rhs",
@@ -57,6 +64,12 @@ __all__ = [
 # log steps plus recorded nodes that one call to `integrate_exterior` may
 # plan; about a minute of work and a few GB of recorded states
 MAX_PLANNED_WORK = 10_000_000
+
+# samples that one call to `trajectory_samples` may scatter.  At n = 3 on
+# 2 CPUs, 990,500 samples took 5.2 s to draw and 8.0 s to write with
+# `expand.write_samples`, at a peak RSS of 245 MB; so the cap is about a
+# minute of work and 1.2 GB
+MAX_SAMPLES = 5_000_000
 
 _TRAJECTORY_HEADER = ["r", "u", "du", "error_estimate"]
 
@@ -149,6 +162,32 @@ def _rk4(rate, mu, v, f0, s0, h, r2_0, r2_m, r2_1):
     return mu_end, v_end, rate(mu_end, s0 + h)
 
 
+def _plan(r_max: float, step: float, stride: int) -> tuple[float, float, int, int]:
+    """Check an integration plan; returns (r_max, step, stride, n_steps).
+
+    The nodes are r = 1 + k * step for k = 0, stride, 2 * stride, ...
+    below n_steps, then k = n_steps.  ValueError on a bad argument or a
+    plan over MAX_PLANNED_WORK.
+    """
+    step = float(step)
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    r_max = float(r_max)
+    if not r_max > 1.0:
+        raise ValueError(f"r_max must exceed the unit starting radius, got {r_max}")
+    stride = int(stride)
+    if stride < 1:
+        raise ValueError(f"stride must be a positive integer, got {stride}")
+    r_steps = (r_max - 1.0) / step
+    planned = math.log(r_max) / step + r_steps / stride
+    if not planned <= MAX_PLANNED_WORK:
+        raise ValueError(
+            f"rmax={r_max!r}, step={step!r}, stride={stride} plans {planned:.4g} "
+            f"log steps and recorded nodes, more than {MAX_PLANNED_WORK}"
+        )
+    return r_max, step, stride, max(1, int(round(r_steps)))
+
+
 def integrate_exterior(
     branch: PhaseBranch,
     n: int,
@@ -179,22 +218,7 @@ def integrate_exterior(
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    step = float(step)
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
-    r_max = float(r_max)
-    if not r_max > 1.0:
-        raise ValueError(f"r_max must exceed the unit starting radius, got {r_max}")
-    stride = int(stride)
-    if stride < 1:
-        raise ValueError(f"stride must be a positive integer, got {stride}")
-    r_steps = (r_max - 1.0) / step
-    planned = math.log(r_max) / step + r_steps / stride
-    if not planned <= MAX_PLANNED_WORK:
-        raise ValueError(
-            f"rmax={r_max!r}, step={step!r}, stride={stride} plans {planned:.4g} "
-            f"log steps and recorded nodes, more than {MAX_PLANNED_WORK}"
-        )
+    r_max, step, stride, n_steps = _plan(r_max, step, stride)
 
     theta = float(theta)
     u1 = float(u1)
@@ -217,7 +241,6 @@ def integrate_exterior(
     except DomainError:
         raise _failure(branch, a, p1, 1.0, states) from None
 
-    n_steps = max(1, int(round(r_steps)))
     s_end = math.log(1.0 + n_steps * step)
     n_log = 2 * max(1, math.ceil(s_end / (2.0 * step)))
     h = s_end / n_log
@@ -317,6 +340,38 @@ def read_trajectory(path) -> list[tuple[float, float, float, float]]:
     return rows
 
 
+def count_nodes(
+    r_max: float,
+    step: float,
+    stride: int = 1,
+    r_lo: float | None = None,
+    r_hi: float | None = None,
+) -> int:
+    """The nodes `integrate_exterior` records with r_lo <= r <= r_hi.
+
+    Counted from the plan alone, without integrating: node radii are
+    the same floats 1 + k * step and increase with k, so the window's
+    ends are found by bisection.  None means unbounded.  ValueError on a
+    NaN bound or on a plan `integrate_exterior` refuses.
+    """
+    _reject_nan(r_lo=r_lo, r_hi=r_hi)
+    r_max, step, stride, n_steps = _plan(r_max, step, stride)
+    nodes = range(-(-n_steps // stride) + 1)
+
+    def radius(j: int) -> float:
+        return 1.0 + min(j * stride, n_steps) * step
+
+    first = 0 if r_lo is None else bisect.bisect_left(nodes, r_lo, key=radius)
+    end = len(nodes) if r_hi is None else bisect.bisect_right(nodes, r_hi, key=radius)
+    return max(0, end - first)
+
+
+def _reject_nan(**bounds: float | None) -> None:
+    for name, bound in bounds.items():
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"{name} must not be NaN, got {bound}")
+
+
 def trajectory_samples(
     states: Sequence[RadialState],
     n: int,
@@ -330,23 +385,19 @@ def trajectory_samples(
     For each recorded node with r_min <= r <= r_max (inclusive bounds;
     None means unbounded), takes `per_radius` directions uniformly on
     the unit sphere and emits (x, u(|x|)) pairs at x = r * direction —
-    exact values at the recorded radii, no interpolation.  The
-    directions of all nodes are drawn from the seeded generator in one
-    call, node after node, which gives the same stream as one draw per
-    node; a direction shorter than 1e-12 is redrawn after that call.
-    The output feeds the quadratic-fit machinery.  A NaN bound is a
-    ValueError.
+    exact values at the recorded radii, no interpolation.  One
+    `random.Random(seed)` draws every direction as n `gauss(0.0, 1.0)`
+    values, node after node and, within a node, sample after sample; a
+    direction shorter than 1e-12 is redrawn at once, in stream order.
+    The output feeds the quadratic-fit machinery.  ValueError on a NaN
+    bound, an empty window, or more than MAX_SAMPLES samples.
     """
-    import numpy as np
-
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     per_radius = int(per_radius)
     if per_radius < 1:
         raise ValueError(f"per_radius must be a positive integer, got {per_radius}")
-    for name, bound in (("r_min", r_min), ("r_max", r_max)):
-        if bound is not None and math.isnan(bound):
-            raise ValueError(f"{name} must not be NaN, got {bound}")
+    _reject_nan(r_min=r_min, r_max=r_max)
     kept = [
         state
         for state in states
@@ -354,14 +405,20 @@ def trajectory_samples(
     ]
     if not kept:
         raise ValueError("no trajectory nodes fall inside the requested radius window")
-    rng = np.random.default_rng(seed)
-    directions = rng.normal(size=(len(kept) * per_radius, n))
-    norms = np.linalg.norm(directions, axis=1)
-    while np.any(norms < 1e-12):
-        bad = norms < 1e-12
-        directions[bad] = rng.normal(size=(int(np.count_nonzero(bad)), n))
-        norms = np.linalg.norm(directions, axis=1)
-    radii = np.repeat([state.r for state in kept], per_radius)
-    points = directions * (radii / norms)[:, None]
-    values = [state.u for state in kept for _ in range(per_radius)]
-    return [(tuple(row), u) for row, u in zip(points.tolist(), values)]
+    if len(kept) * per_radius > MAX_SAMPLES:
+        raise ValueError(
+            f"per_radius={per_radius} over {len(kept)} nodes scatters "
+            f"{len(kept) * per_radius} samples, more than {MAX_SAMPLES}"
+        )
+    gauss = random.Random(seed).gauss
+    samples = []
+    for state in kept:
+        for _ in range(per_radius):
+            norm = 0.0
+            while norm < 1e-12:
+                direction = [gauss(0.0, 1.0) for _ in range(n)]
+                norm = math.hypot(*direction)
+            scale = state.r / norm
+            samples.append((tuple(c * scale for c in direction), state.u))
+    return samples
+

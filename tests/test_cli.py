@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kelvinasym import cli, symfun
+from kelvinasym import cli, radial, symfun
 from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import RadPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
-from kelvinasym.radial import read_trajectory
+from kelvinasym.radial import MAX_SAMPLES, read_trajectory
 
 THETA3_FULL = 3 * math.pi / 4
 
@@ -169,6 +169,34 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     want = {name: [0, digest] for name, (_, digest) in EXACT_REPORTS.items()}
     assert json.loads(proc.stdout.splitlines()[-1]) == want
+
+
+_RADIAL_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now fails
+from kelvinasym.cli import dispatch
+sys.exit(dispatch(sys.argv[1:]))
+"""
+
+
+def test_radial_runs_without_numpy(tmp_path):
+    # the sample directions come from the standard library, so radial
+    # writes the same trajectory and samples when numpy cannot load
+    argv = ["radial", "--theta", repr(THETA3_FULL), "--u1", "0.5", "--p1", "1.1", "--rmax", "2000"]
+    argv += ["--step", "4e-2", "--stride", "25", "--per-radius", "3", "--sample-rmin", "20", "--sample-rmax", "2000"]
+    ours = [tmp_path / "t.csv", tmp_path / "s.csv"]
+    theirs = [tmp_path / "t-without.csv", tmp_path / "s-without.csv"]
+    assert dispatch([*argv, "--out", str(ours[0]), "--samples-out", str(ours[1])]) == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", _RADIAL_WITHOUT_NUMPY, *argv, "--out", str(theirs[0]), "--samples-out", str(theirs[1])],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for mine, other in zip(ours, theirs):
+        assert mine.read_bytes() == other.read_bytes()
+    assert len(ours[1].read_text().splitlines()) == 1 + 3 * 1981
 
 
 _PRINT_BLAS_THREADS = """
@@ -599,6 +627,39 @@ def test_radial_work_cap_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "rmax=1000000000.0" in err and "step=1e-09" in err and "plans" in err
     assert not out.exists()
+
+
+def test_radial_sample_cap_exits_2_before_integrating(tmp_path, capsys):
+    # three nodes, r = 1, 1.5, 2; one sample past the cap is refused
+    # before any work, naming the flag and the count
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    per_radius = MAX_SAMPLES // 3 + 1
+    argv = [*_WINDOW_RADIAL, "--rmax", "2", "--step", "0.5", "--per-radius", str(per_radius)]
+    argv += ["--samples-out", str(samples), "--out", str(traj)]
+    with mock.patch.object(cli, "integrate_exterior", side_effect=AssertionError("integrated")):
+        assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--per-radius {per_radius} scatters {3 * per_radius} samples over the 3 nodes" in err
+    assert f"more than {MAX_SAMPLES}" in err
+    assert not traj.exists() and not samples.exists()
+
+
+@pytest.mark.parametrize("per_radius,code", [(4, 0), (5, 2)])
+def test_radial_sample_cap_boundary(tmp_path, capsys, monkeypatch, per_radius, code):
+    # with the cap lowered to 12, the three nodes of the window take 4
+    # samples each but not 5
+    monkeypatch.setattr(cli, "MAX_SAMPLES", 12)
+    monkeypatch.setattr(radial, "MAX_SAMPLES", 12)
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    argv = [*_WINDOW_RADIAL, "--rmax", "10", "--stride", "100", "--sample-rmin", "2", "--sample-rmax", "4"]
+    argv += ["--per-radius", str(per_radius), "--samples-out", str(samples), "--out", str(traj)]
+    assert dispatch(argv) == code
+    if code == 0:
+        assert len(read_samples(samples)) == 12
+    else:
+        assert "--per-radius 5 scatters 15 samples over the 3 nodes" in capsys.readouterr().err
+        assert not traj.exists() and not samples.exists()
+    capsys.readouterr()
 
 
 def test_radial_csv_deterministic(tmp_path, capsys):

@@ -716,6 +716,21 @@ def test_samples_csv_roundtrip(tmp_path):
     assert back == samples
 
 
+def test_write_samples_checks_every_sample_before_writing(tmp_path):
+    path = tmp_path / "samples.csv"
+    good = ((1.0, 2.0, 3.0), 0.5)
+    with pytest.raises(ValueError, match=r"sample 1 is not finite: x = \(1.0, nan, 3.0\), u = 0.5") as info:
+        write_samples(path, [good, ((1.0, math.nan, 3.0), 0.5)])
+    assert not isinstance(info.value, InsufficientDataError)
+    with pytest.raises(ValueError, match=r"sample 2 is not finite: x = \(1.0, 2.0, 3.0\), u = inf"):
+        write_samples(path, [good, good, ((1.0, 2.0, 3.0), math.inf)])
+    with pytest.raises(ValueError, match="sample 1 has 2 coordinates, expected 3"):
+        write_samples(path, [good, ((1.0, 2.0), 0.5)])
+    with pytest.raises(InsufficientDataError, match="no samples given"):
+        write_samples(path, [])
+    assert not path.exists()
+
+
 def test_read_samples_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,u\n1,2,3\n")

@@ -5,15 +5,20 @@ every check: pinned closed-form roots, exactly stationary quadratic
 rays, and a step-doubling error estimate that converges at fourth order
 and bounds the change from halving the step."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
 
+from kelvinasym import radial
+from kelvinasym.expand import write_samples
 from kelvinasym.kelvin import PhaseBranch
 from kelvinasym.radial import (
     DomainError,
     RadialState,
+    count_nodes,
     integrate_exterior,
     kernel_name,
     radial_rhs,
@@ -353,22 +358,75 @@ def test_trajectory_samples_window_and_determinism():
         trajectory_samples(states, 1, per_radius=2, seed=0)
 
 
-def test_trajectory_samples_equal_the_per_node_draws():
-    # one draw for all nodes gives the stream of one draw per node
+def test_trajectory_samples_stream_is_pinned(tmp_path):
+    # one random.Random(4) draws 3 gauss values per direction, node after
+    # node and sample after sample; the written CSV is pinned by digest
     br = PhaseBranch.slag(THETA3)
     states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=50)
-    rng = np.random.default_rng(4)
+    samples = trajectory_samples(states, 3, per_radius=3, seed=4, r_min=2.0, r_max=8.0)
+    assert samples[0] == ((0.12458109084079588, 1.417503411765804, -1.405405147790922), 2.0525355858191676)
+    gauss = random.Random(4).gauss
     want = []
     for state in states:
-        if not 2.0 <= state.r <= 8.0:
-            continue
-        directions = rng.normal(size=(3, 3))
-        norms = np.linalg.norm(directions, axis=1)
-        assert np.all(norms >= 1e-12)
-        for row in directions * (state.r / norms)[:, None]:
-            want.append((tuple(float(c) for c in row), state.u))
-    assert len(want) == 3 * 13
-    assert trajectory_samples(states, 3, per_radius=3, seed=4, r_min=2.0, r_max=8.0) == want
+        if 2.0 <= state.r <= 8.0:
+            for _ in range(3):
+                direction = [gauss(0.0, 1.0) for _ in range(3)]
+                scale = state.r / math.hypot(*direction)
+                want.append((tuple(c * scale for c in direction), state.u))
+    assert len(want) == 3 * 13 and samples == want
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "76604b412186ebfe7499ff5318ce9623f5198746d6fa5079c46c090ee57231a0"
+
+
+def test_trajectory_samples_lie_on_their_spheres_with_centred_directions():
+    # |x| = r at every sample; each coordinate of a uniform unit direction
+    # in 3 dimensions has mean 0 and variance 1/3
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=100)
+    samples = trajectory_samples(states, 3, per_radius=400, seed=5)
+    assert len(samples) == 400 * len(states) >= 3000
+    radius = {s.u: s.r for s in states}
+    units = []
+    for x, u in samples:
+        r = radius[u]
+        assert abs(math.hypot(*x) - r) <= 1e-12 * r
+        units.append([c / r for c in x])
+    sigma = math.sqrt(1.0 / (3 * len(units)))
+    for i in range(3):
+        assert abs(sum(unit[i] for unit in units) / len(units)) < 4.0 * sigma
+
+
+def test_trajectory_samples_refuse_more_than_the_cap(monkeypatch):
+    # the cap is lowered so that both sides of it run in no time
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=100)
+    monkeypatch.setattr(radial, "MAX_SAMPLES", 4 * len(states))
+    assert len(trajectory_samples(states, 3, per_radius=4, seed=0)) == 4 * len(states)
+    with pytest.raises(ValueError, match=f"per_radius=5 over {len(states)} nodes scatters {5 * len(states)} samples"):
+        trajectory_samples(states, 3, per_radius=5, seed=0)
+
+
+@pytest.mark.parametrize(
+    "r_max,step,stride",
+    [(10.0, 1e-2, 100), (10.0, 1e-2, 7), (5.0, 0.3, 1), (2.0, 0.5, 1000), (60.0, 1e-3, 500)],
+)
+def test_count_nodes_matches_the_recorded_trajectory(r_max, step, stride):
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, r_max, step, stride=stride)
+    radii = [s.r for s in states]
+    # window ends on nodes, between nodes, outside the trajectory, and open
+    ends = sorted({*radii[:3], *radii[-2:], 0.5, 1.25, 3.3, r_max + 1.0, None}, key=lambda b: (b is not None, b))
+    for lo in ends:
+        for hi in ends:
+            want = sum(1 for r in radii if (lo is None or r >= lo) and (hi is None or r <= hi))
+            assert count_nodes(r_max, step, stride, lo, hi) == want, (lo, hi)
+    assert count_nodes(r_max, step, stride) == len(states)
+    with pytest.raises(ValueError, match="r_lo must not be NaN"):
+        count_nodes(r_max, step, stride, math.nan)
+    with pytest.raises(ValueError, match="plans"):
+        count_nodes(1e9, 1e-9)
 
 
 def test_trajectory_samples_reject_a_nan_bound():
