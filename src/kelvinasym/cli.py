@@ -40,7 +40,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -55,6 +54,7 @@ from .expand import (
     ConditioningError,
     ExpansionState,
     InsufficientDataError,
+    check_fit_work,
     fit_expansion,
     leading_correction,
     next_correction,
@@ -66,9 +66,17 @@ from .kelvin import (
     AdmissibilityError,
     KelvinFrame,
     PhaseBranch,
+    check_fd_work,
     hessian_identity_check,
 )
-from .radial import MAX_SAMPLES, count_nodes, integrate_exterior, trajectory_samples, write_trajectory
+from .radial import (
+    MAX_SAMPLE_COORDINATES,
+    MAX_SAMPLES,
+    count_nodes,
+    integrate_exterior,
+    trajectory_samples,
+    write_trajectory,
+)
 
 __all__ = ["dispatch", "main"]
 
@@ -337,6 +345,10 @@ def _make_branch(merged: dict) -> PhaseBranch:
 
 def _run_kelvin_check(merged: dict) -> int:
     n, seed, tolerance = merged["n"], merged["seed"], merged["tolerance"]
+    try:
+        check_fd_work(n, merged["samples"])
+    except ValueError as exc:
+        raise _UsageError(f"--n {n} --samples {merged['samples']}: {exc}") from exc
     out = _check_out(merged["out"])
     branch = _make_branch(merged)
     spectrum_text = merged["spectrum"]
@@ -606,6 +618,11 @@ def _run_radial(merged: dict) -> int:
                 f"--per-radius {per_radius} scatters {nodes * per_radius} samples over the "
                 f"{nodes} nodes in the sample window, more than {MAX_SAMPLES}"
             )
+        if nodes * per_radius * n > MAX_SAMPLE_COORDINATES:
+            raise _UsageError(
+                f"--n {n} --per-radius {per_radius} draws {nodes * per_radius * n} coordinates over "
+                f"the {nodes} nodes in the sample window, more than {MAX_SAMPLE_COORDINATES}"
+            )
 
     try:
         states = integrate_exterior(
@@ -657,6 +674,10 @@ def _run_fit(merged: dict) -> int:
     annuli = merged["annuli"]
     if annuli is not None:
         annuli = _parse_annuli(annuli)
+    try:
+        check_fit_work(n, None, with_log)
+    except ValueError as exc:
+        raise _UsageError(f"--n {n}: {exc}") from exc
 
     try:
         samples = read_samples(samples_path)
@@ -836,17 +857,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: list[str]) -> int:
     """Run one subcommand; returns the process exit code (0, 1, or 2)."""
-    # One OpenBLAS thread unless the caller chose otherwise.  numpy loads
-    # lazily, after this line, and reads the variable when it loads.  The
-    # largest BLAS call of any subcommand is fit's SVD-based lstsq on an
-    # N x 10 design, N the samples in the outermost annulus (1501 in the
-    # benchmark's fit).  Measured on 2 cores with OpenBLAS 0.3.31,
-    # threaded -> one thread: `import numpy` 150-170 -> 80-100 ms, and the
-    # first lstsq on a 1501 x 10 design in a fresh process 28-36 -> 0.3-0.5
-    # ms.  Warm medians of lstsq: 1.5 -> 1.6 ms at N = 12,000, 21 -> 20 ms
-    # at 120,000; threads win only near 1.2M rows (351 -> 377 ms), a
-    # 96 MB design from a samples file of about 5M rows.
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -7,26 +7,30 @@ Poisson equation for the next radical correction, all in rational
 arithmetic.  The numerical half recovers the quadratic part, affine tail,
 and remainder decay rate of a sampled exterior solution by least squares
 over annuli, and maps the stripped remainder back to ball-side profile
-samples through the scaled inversion.
+samples through the scaled inversion.  It runs on the standard library:
+the samples are sorted by radius once, each annulus is a bisected slice
+of them, the least squares is a Householder QR of the outermost
+annulus's design, and the conditioning budget reads the singular values
+of its R factor, found by one-sided Jacobi rotations.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
 import numbers
+import operator
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .equations import symbolic_residual
 from .exactalg import DimensionError, MultiPoly, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ConditioningError",
@@ -166,12 +170,13 @@ def next_correction(state: ExpansionState) -> ExpansionState:
 @dataclass(frozen=True)
 class ExpansionFit:
     """Fitted asymptotic data of an exterior solution: the quadratic part
-    ``A``, affine tail ``b`` and ``c``, the logarithmic coefficient ``d``
-    (two variables only, ``None`` otherwise), the remainder decay exponent
-    with its regression standard error, and the annuli used."""
+    ``A`` (a tuple of row tuples), affine tail ``b`` (a tuple) and ``c``,
+    the logarithmic coefficient ``d`` (two variables only, ``None``
+    otherwise), the remainder decay exponent with its regression standard
+    error, and the annuli used."""
 
-    A: np.ndarray
-    b: np.ndarray
+    A: tuple[tuple[float, ...], ...]
+    b: tuple[float, ...]
     c: float
     d: float | None
     decay_slope: float
@@ -179,22 +184,28 @@ class ExpansionFit:
     annuli: tuple
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        a = np.asarray(self.A, dtype=float)
-        bv = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        try:
+            a = [[float(v) for v in row] for row in self.A]
+        except TypeError:
+            raise ValueError("quadratic part must be a square matrix") from None
+        n = len(a)
+        if any(len(row) != n for row in a):
             raise ValueError("quadratic part must be a square matrix")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(a).max())):
+        atol = 1e-12 * (1.0 + max((abs(v) for row in a for v in row), default=0.0))
+        if not all(a[i][j] == a[j][i] or abs(a[i][j] - a[j][i]) <= atol for i in range(n) for j in range(n)):
             raise ValueError("quadratic part must be symmetric")
-        a = 0.5 * (a + a.T)
-        if bv.shape != (a.shape[0],):
+        try:
+            bv = tuple(float(v) for v in self.b)
+        except TypeError:
+            bv = None
+        if bv is None or len(bv) != n:
             raise ValueError("linear part must be a vector of matching dimension")
-        if a.shape[0] >= 3 and self.d is not None:
+        if n >= 3 and self.d is not None:
             raise ValueError("the logarithmic coefficient exists only in dimension 2")
         if not math.isfinite(self.decay_slope):
             raise ValueError("decay slope must be finite")
-        object.__setattr__(self, "A", a)
+        symmetric = tuple(tuple(0.5 * (a[i][j] + a[j][i]) for j in range(n)) for i in range(n))
+        object.__setattr__(self, "A", symmetric)
         object.__setattr__(self, "b", bv)
         object.__setattr__(self, "c", float(self.c))
         object.__setattr__(self, "d", None if self.d is None else float(self.d))
@@ -208,19 +219,23 @@ class ExpansionFit:
 
     @property
     def n(self) -> int:
-        return int(self.b.shape[0])
+        return len(self.b)
 
-    def predict(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        """Model values at the given exterior points."""
-        import numpy as np
-
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    def predict(self, points: Sequence[Sequence[float]]) -> list[float]:
+        """Model values at the given exterior points, one point or points
+        one per row; DimensionError on a point of another dimension."""
+        if len(points) and isinstance(points[0], numbers.Real):
+            points = [points]
+        pts = [tuple(map(float, p)) for p in points]
+        for point in pts:
+            if len(point) != self.n:
+                raise DimensionError(f"point has {len(point)} coordinates, expected {self.n}")
         return _model_values(pts, self.A, self.b, self.c, self.d)
 
     def to_json(self) -> dict:
         data = {
-            "A": [[float(v) for v in row] for row in self.A],
-            "b": [float(v) for v in self.b],
+            "A": [list(row) for row in self.A],
+            "b": list(self.b),
             "c": self.c,
             "decay_slope": self.decay_slope,
             "decay_slope_stderr": self.decay_slope_stderr,
@@ -233,12 +248,10 @@ class ExpansionFit:
     @classmethod
     def from_json(cls, data) -> "ExpansionFit":
         """Inverse of ``to_json``; ValueError names a malformed record."""
-        import numpy as np
-
         try:
             return cls(
-                A=np.asarray(data["A"], dtype=float),
-                b=np.asarray(data["b"], dtype=float),
+                A=data["A"],
+                b=data["b"],
                 c=float(data["c"]),
                 d=None if data.get("d") is None else float(data["d"]),
                 decay_slope=float(data["decay_slope"]),
@@ -249,86 +262,188 @@ class ExpansionFit:
             raise ValueError(f"malformed fit record: {exc}") from exc
 
 
-def _split_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
+def _split_samples(samples, n: int) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
+    """Points, values and radii |x| of the samples.  ValueError naming the
+    first sample with a non-finite entry, DimensionError on a point of
+    another dimension than n, InsufficientDataError on no samples."""
     pts = []
     vals = []
+    radii = []
     for index, (x, u) in enumerate(samples):
-        point = [float(c) for c in x]
+        point = tuple(map(float, x))
         value = float(u)
-        if not all(map(math.isfinite, point)) or not math.isfinite(value):
-            raise ValueError(f"sample {index} is not finite: x = {tuple(point)}, u = {value!r}")
+        radius = math.hypot(*point)
+        # a finite radius needs finite coordinates, and huge finite ones
+        # can overflow it, so only an infinite radius checks them one by one
+        if not math.isfinite(value) or not (math.isfinite(radius) or all(map(math.isfinite, point))):
+            raise ValueError(f"sample {index} is not finite: x = {point}, u = {value!r}")
+        if len(point) != n:
+            raise DimensionError(f"samples have {len(point)} coordinates, expected {n}")
         pts.append(point)
         vals.append(value)
+        radii.append(radius)
     if not pts:
         raise InsufficientDataError("no samples given")
-    return np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)
+    return pts, vals, radii
 
 
-def _model_values(
-    pts: np.ndarray, A: np.ndarray, b: np.ndarray, c: float, d: float | None
-) -> np.ndarray:
-    import numpy as np
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
 
-    out = 0.5 * np.einsum("ki,ij,kj->k", pts, A, pts) + pts @ b + c
-    if d is not None:
-        out = out + 0.5 * d * np.log(_log_argument(pts, A))
+
+def _form(M, p) -> float:
+    """p^T M p, with M a sequence of rows."""
+    return _dot(p, [_dot(row, p) for row in M])
+
+
+def _model_values(pts, A, b, c: float, d: float | None) -> list[float]:
+    """x^T A x / 2 + b.x + c at each point, plus (d / 2) log(x^T (I + A^2) x)
+    when d is given."""
+    frame = None if d is None else _log_frame(A)
+    out = []
+    for p in pts:
+        value = 0.5 * _form(A, p) + _dot(b, p) + c
+        if frame is not None:
+            value += 0.5 * d * math.log(_form(frame, p))
+        out.append(value)
     return out
 
 
-def _log_argument(pts: np.ndarray, A: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _log_frame(A) -> list[list[float]]:
+    """I + A^2, the matrix of the logarithmic column's quadratic form."""
+    n = len(A)
+    return [
+        [(1.0 if i == j else 0.0) + sum(A[i][k] * A[k][j] for k in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
 
-    frame = np.eye(A.shape[0]) + A @ A
-    return np.einsum("ki,ij,kj->k", pts, frame, pts)
+
+def _fit_columns(n: int, with_log: bool) -> int:
+    """Columns of the design: x_i x_j (i <= j), x_i, 1, and the log column."""
+    return n * (n + 1) // 2 + n + 1 + (1 if with_log else 0)
 
 
-def _quadratic_design(pts: np.ndarray, n: int) -> np.ndarray:
-    import numpy as np
-
+def _quadratic_design(coords) -> list[list[float]]:
+    """The design's columns for the basis {x_i x_j / (1 + [i = j]), x_i, 1},
+    built from the coordinates' columns; every column is a new list."""
+    mul = operator.mul
     cols = []
-    for i in range(n):
-        for j in range(i, n):
-            col = pts[:, i] * pts[:, j]
-            if i == j:
-                col = 0.5 * col
-            cols.append(col)
-    for i in range(n):
-        cols.append(pts[:, i])
-    cols.append(np.ones(pts.shape[0]))
-    return np.column_stack(cols)
+    for i, xi in enumerate(coords):
+        cols.append([0.5 * v for v in map(mul, xi, xi)])
+        cols += [list(map(mul, xi, xj)) for xj in coords[i + 1 :]]
+    cols += [list(xi) for xi in coords]
+    cols.append([1.0] * len(coords[0]))
+    return cols
 
 
-def _solve_least_squares(design: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _householder_qr(columns, rhs) -> tuple[list[list[float]], list[float]]:
+    """R and the first k entries of Q^T rhs for the m x k design given by its
+    k columns (m >= k), by Householder reflections applied column by
+    column.  Overwrites the columns and rhs; R comes back as its columns."""
+    k = len(columns)
+    work = [*columns, rhs]
+    R = [[0.0] * k for _ in range(k)]
+    for j in range(k):
+        x = work[j][j:]
+        norm = math.sqrt(_dot(x, x))
+        R[j][j] = alpha = -norm if x[0] >= 0.0 else norm
+        if norm != 0.0:
+            x[0] -= alpha  # the reflector H = I - 2 v v^T / v.v, with v = x
+            two_over = 2.0 / _dot(x, x)
+            for col in work[j + 1 :]:
+                seg = col[j:]
+                t = two_over * _dot(x, seg)
+                col[j:] = [s - t * w for s, w in zip(seg, x)]
+        for col, rest in zip(R[j + 1 :], work[j + 1 : k]):
+            col[j] = rest[j]
+    return R, rhs[:k]
 
-    coef, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
+
+def _singular_values(columns) -> list[float]:
+    """Singular values of a small square matrix given by its columns, largest
+    first, by one-sided (Hestenes) Jacobi rotations of the columns."""
+    cols = [list(col) for col in columns]
+    k = len(cols)
+    for _ in range(100):
+        rotated = False
+        for p in range(k - 1):
+            for q in range(p + 1, k):
+                a, b = cols[p], cols[q]
+                aa, bb, ab = _dot(a, a), _dot(b, b), _dot(a, b)
+                if abs(ab) <= 1e-15 * math.sqrt(aa * bb):
+                    continue
+                rotated = True
+                zeta = (bb - aa) / (2.0 * ab)
+                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+                cos = 1.0 / math.hypot(1.0, t)
+                sin = cos * t
+                cols[p] = [cos * u - sin * w for u, w in zip(a, b)]
+                cols[q] = [sin * u + cos * w for u, w in zip(a, b)]
+        if not rotated:
+            break
+    return sorted((math.sqrt(_dot(col, col)) for col in cols), reverse=True)
+
+
+def _solve_least_squares(columns, rhs) -> list[float]:
+    """min |D c - rhs| for the design D given by its columns, which it
+    overwrites, as it does rhs.  The squared condition number of D, from
+    the singular values of its QR factor R, must stay within 1e12, else
+    ConditioningError."""
+    R, qtb = _householder_qr(columns, rhs)
+    singular = _singular_values(R)
     if singular[-1] == 0.0 or (singular[0] / singular[-1]) ** 2 > 1e12:
         cond = math.inf if singular[-1] == 0.0 else (singular[0] / singular[-1]) ** 2
         raise ConditioningError(
             f"normal-system condition {cond:.3e} exceeds the 1e12 budget"
         )
+    k = len(R)
+    coef = [0.0] * k
+    for j in reversed(range(k)):
+        coef[j] = (qtb[j] - sum(R[l][j] * coef[l] for l in range(j + 1, k))) / R[j][j]
     return coef
 
 
-def _unpack_quadratic(coef: np.ndarray, n: int, scale: float):
-    import numpy as np
-
-    A = np.zeros((n, n))
+def _unpack_quadratic(coef, n: int, scale: float):
+    A = [[0.0] * n for _ in range(n)]
     pos = 0
     for i in range(n):
         for j in range(i, n):
-            A[i, j] = A[j, i] = coef[pos]
+            A[i][j] = A[j][i] = coef[pos] / scale**2
             pos += 1
-    b = np.array(coef[pos : pos + n], dtype=float)
+    b = [v / scale for v in coef[pos : pos + n]]
     c = float(coef[pos + n])
-    return A / scale**2, b / scale, c
+    return A, b, c
 
 
-# annuli one fit may scan: each is a pass over every sample, and the decay
-# slope needs a handful, so the cap bounds the work far above any useful fit
+# annuli one fit may scan.  Each annulus is a bisected slice of the sorted
+# radii plus a median over its samples, and the decay slope needs a
+# handful, so the cap bounds the bookkeeping far above any useful fit
 MAX_ANNULI = 1000
+
+# Work of one least-squares solve: columns^2 x rows for the Householder QR
+# of the outermost annulus's design, plus 25 columns^3 for the Jacobi SVD
+# of its R factor.  On 2 CPUs a unit took 90 ns at n = 3 on 50,100 rows
+# (the outer annulus of a 198,100-sample file, 5M units, 0.45 s) and
+# 42 ns at n = 12 and 16 on four rows per column, where the SVD dominates
+# (22M units in 0.9 s, 104M in 4.4 s).  So the cap is at most about 18 s;
+# the design it admits at n = 3 (2M rows of 10 columns) holds 0.65 GB.
+MAX_FIT_WORK = 200_000_000
+
+
+def check_fit_work(n: int, rows: int | None, with_log: bool | None = None) -> None:
+    """ValueError, naming the count, unless a fit in n dimensions over
+    ``rows`` samples of the outermost annulus stays within MAX_FIT_WORK.
+    ``rows = None`` counts the fewest rows a fit accepts, one per column,
+    so a dimension can be refused before any sample is read; ``with_log``
+    is as for `fit_expansion`."""
+    columns = _fit_columns(n, (n == 2) if with_log is None else bool(with_log))
+    rows = columns if rows is None else rows
+    work = columns * columns * (rows + 25 * columns)
+    if work > MAX_FIT_WORK:
+        raise ValueError(
+            f"a fit in dimension {n} solves for {columns} coefficients over {rows} samples, "
+            f"{work} units of work (columns^2 x (rows + 25 columns)), more than {MAX_FIT_WORK}"
+        )
 
 
 def _check_annuli(num_annuli, annuli) -> None:
@@ -338,33 +453,35 @@ def _check_annuli(num_annuli, annuli) -> None:
         raise ValueError(f"{len(annuli)} annuli given, more than {MAX_ANNULI}")
 
 
-def _make_annuli(radii: np.ndarray, annuli, num_annuli: int) -> list[tuple[float, float]]:
-    import numpy as np
-
+def _make_annuli(radii: list[float], annuli, num_annuli: int) -> list[tuple[float, float]]:
+    """The annuli, sorted; by default num_annuli geometric rings from the
+    smallest to the largest of the sorted radii, both ends exact."""
     if annuli is not None:
         out = sorted((float(lo), float(hi)) for lo, hi in annuli)
         if any(hi <= lo for lo, hi in out):
             raise ValueError("each annulus needs r_min < r_max")
         return out
-    r_lo = float(radii.min())
-    r_hi = float(radii.max())
+    r_lo = radii[0]
+    r_hi = radii[-1]
     if r_lo <= 0.0:
         raise InsufficientDataError("samples at the origin cannot be fitted")
     if r_hi <= r_lo:
         raise InsufficientDataError("samples must span a range of radii")
-    edges = np.geomspace(r_lo, r_hi, num_annuli + 1)
-    return [(float(edges[k]), float(edges[k + 1])) for k in range(num_annuli)]
+    ratio = r_hi / r_lo
+    edges = [r_lo] + [r_lo * ratio ** (k / num_annuli) for k in range(1, num_annuli)] + [r_hi]
+    return [(edges[k], edges[k + 1]) for k in range(num_annuli)]
 
 
-def _annulus_masks(
-    radii: np.ndarray, annuli: Sequence[tuple[float, float]]
-) -> list[tuple[tuple[float, float], np.ndarray]]:
+def _rings(radii: list[float], annuli) -> list[tuple[tuple[float, float], int, int]]:
+    """The populated annuli with the slice [start, end) of the sorted radii
+    each holds: r_min <= r < r_max, and r = r_max too for the outermost."""
     out = []
-    top = max(hi for _, hi in annuli)
+    top = max((hi for _, hi in annuli), default=None)
     for lo, hi in annuli:
-        mask = (radii >= lo) & ((radii < hi) | ((hi == top) & (radii <= hi)))
-        if mask.any():
-            out.append(((lo, hi), mask))
+        start = bisect.bisect_left(radii, lo)
+        end = (bisect.bisect_right if hi == top else bisect.bisect_left)(radii, hi)
+        if end > start:
+            out.append(((lo, hi), start, end))
     return out
 
 
@@ -380,91 +497,95 @@ def fit_expansion(
     solution.
 
     The quadratic basis {x_i x_j, x_i, 1} is fitted on the outermost
-    annulus with coordinates normalized by the outer radius; in two
-    variables the basis gains the term (1/2) log(x^T (I + A^2) x), with A
-    taken from a first quadratic-only pass and the log-augmented solve
-    iterated twice.  The remainder decay exponent is the slope of
-    log(median |u - fit|) against log(radius) across the annuli; the
-    outermost annulus anchors the fit, so its own remainder is regression
-    residue rather than decay signal and it is left out of the slope
-    whenever at least four annuli are populated.  For an unbiased slope,
-    place the outermost annulus well beyond the annuli that probe the
-    decay: the constant column absorbs the remainder's local mean on the
-    fit annulus, which floors the believable remainder at roughly
-    |u - quadratic| there.  ``with_log`` overrides the dimension rule for
-    the logarithmic column (it defaults to ``n == 2``), which lets callers
-    measure how much of the residual that column explains.
+    annulus with coordinates normalized by the outer radius, by Householder
+    QR; in two variables the basis gains the term (1/2) log(x^T (I + A^2)
+    x), with A taken from a first quadratic-only pass and the
+    log-augmented solve iterated twice.  The remainder decay exponent is
+    the slope of log(median |u - fit|) against log(median radius) across
+    the annuli; the outermost annulus anchors the fit, so its own
+    remainder is regression residue rather than decay signal and it is
+    left out of the slope whenever at least four annuli are populated.
+    For an unbiased slope, place the outermost annulus well beyond the
+    annuli that probe the decay: the constant column absorbs the
+    remainder's local mean on the fit annulus, which floors the believable
+    remainder at roughly |u - quadratic| there.  ``with_log`` overrides
+    the dimension rule for the logarithmic column (it defaults to
+    ``n == 2``), which lets callers measure how much of the residual that
+    column explains.  The samples are sorted by radius once, so each
+    annulus is a bisected slice of them.
 
     Raises ValueError naming the first sample with a non-finite
-    coordinate or value, a num_annuli outside 3..MAX_ANNULI, or more than
-    MAX_ANNULI explicit annuli; InsufficientDataError when fewer than four
+    coordinate or value, a num_annuli outside 3..MAX_ANNULI, more than
+    MAX_ANNULI explicit annuli, or a solve over MAX_FIT_WORK
+    (`check_fit_work`); InsufficientDataError when fewer than four
     samples per parameter are given or fewer than three annuli are
     populated; and ConditioningError when the normal system is
     effectively singular.
     """
-    import numpy as np
-
     _check_annuli(num_annuli, annuli)
-    pts, vals = _split_samples(samples)
-    if pts.ndim != 2 or pts.shape[1] != n:
-        raise DimensionError(f"samples have {pts.shape[1]} coordinates, expected {n}")
+    pts, vals, by_radius = _split_samples(samples, n)
     if n < 2:
         raise DimensionError("fitting needs dimension n >= 2")
-    radii = np.linalg.norm(pts, axis=1)
 
     use_log = (n == 2) if with_log is None else bool(with_log)
-    count_params = n * (n + 1) // 2 + n + 1 + (1 if use_log else 0)
-    if pts.shape[0] < 4 * count_params:
+    count_params = _fit_columns(n, use_log)
+    if len(pts) < 4 * count_params:
         raise InsufficientDataError(
             f"need at least {4 * count_params} samples to fit "
-            f"{count_params} parameters, got {pts.shape[0]}"
+            f"{count_params} parameters, got {len(pts)}"
         )
-    rings = _annulus_masks(radii, _make_annuli(radii, annuli, num_annuli))
+    order = sorted(range(len(pts)), key=by_radius.__getitem__)
+    radii = [by_radius[i] for i in order]
+    rings = _rings(radii, _make_annuli(radii, annuli, num_annuli))
     if len(rings) < 3:
         raise InsufficientDataError(
             f"samples populate only {len(rings)} annuli; need at least 3"
         )
-    (outer_lo, outer_hi), outer_mask = rings[-1]
-    if int(outer_mask.sum()) < count_params:
+    (outer_lo, outer_hi), start, end = rings[-1]
+    if end - start < count_params:
         raise InsufficientDataError(
             f"outermost annulus [{outer_lo:g}, {outer_hi:g}] holds "
-            f"{int(outer_mask.sum())} samples; need at least {count_params}"
+            f"{end - start} samples; need at least {count_params}"
         )
+    check_fit_work(n, end - start, use_log)
 
-    scale = float(radii.max())
-    x_out = pts[outer_mask] / scale
-    u_out = vals[outer_mask]
+    scale = radii[-1]
+    outer = order[start:end]
+    p_out = [pts[i] for i in outer]
+    u_out = [vals[i] for i in outer]
+    coords = [[p[i] / scale for p in p_out] for i in range(n)]
 
-    coef = _solve_least_squares(_quadratic_design(x_out, n), u_out)
+    coef = _solve_least_squares(_quadratic_design(coords), list(u_out))
     A, b, c = _unpack_quadratic(coef, n, scale)
     d: float | None = None
     if use_log:
         if n != 2:
             raise DimensionError("the logarithmic column exists only in dimension 2")
         for _ in range(2):
-            log_col = 0.5 * np.log(_log_argument(pts[outer_mask], A))
-            design = np.column_stack([_quadratic_design(x_out, n), log_col])
-            coef = _solve_least_squares(design, u_out)
+            frame = _log_frame(A)
+            log_col = [0.5 * math.log(_form(frame, p)) for p in p_out]
+            coef = _solve_least_squares(_quadratic_design(coords) + [log_col], list(u_out))
             A, b, c = _unpack_quadratic(coef[:-1], n, scale)
             d = float(coef[-1])
 
-    remainder = np.abs(vals - _model_values(pts, A, b, c, d))
     slope_rings = rings[:-1] if len(rings) >= 4 else rings
     log_r = []
     log_m = []
-    for _, mask in slope_rings:
-        median = float(np.median(remainder[mask]))
-        log_r.append(math.log(float(np.median(radii[mask]))))
-        log_m.append(math.log(max(median, 1e-300)))
-    xs = np.asarray(log_r)
-    ys = np.asarray(log_m)
-    xc = xs - xs.mean()
-    yc = ys - ys.mean()
-    sxx = float(xc @ xc)
-    slope = float(xc @ yc) / sxx
-    resid = yc - slope * xc
-    dof = max(len(xs) - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
+    for _, start, end in slope_rings:
+        members = order[start:end]
+        model = _model_values([pts[i] for i in members], A, b, c, d)
+        remainder = [abs(vals[i] - m) for i, m in zip(members, model)]
+        log_r.append(math.log(statistics.median(radii[start:end])))
+        log_m.append(math.log(max(statistics.median(remainder), 1e-300)))
+    mean_r = sum(log_r) / len(log_r)
+    mean_m = sum(log_m) / len(log_m)
+    xc = [x - mean_r for x in log_r]
+    yc = [y - mean_m for y in log_m]
+    sxx = _dot(xc, xc)
+    slope = _dot(xc, yc) / sxx
+    resid = [y - slope * x for x, y in zip(xc, yc)]
+    dof = max(len(xc) - 2, 1)
+    stderr = math.sqrt(_dot(resid, resid) / dof / sxx)
 
     return ExpansionFit(
         A=A,
@@ -473,7 +594,7 @@ def fit_expansion(
         d=d,
         decay_slope=slope,
         decay_slope_stderr=stderr,
-        annuli=tuple(ring for ring, _ in rings),
+        annuli=tuple(ring for ring, _, _ in rings),
     )
 
 
@@ -486,26 +607,20 @@ def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
         v(y) = (u - x^T A x / 2 - b . x - c) * |y|^(2-n),   y = R x / |Rx|^2,
 
     with the logarithmic term also removed first in dimension two.  Returns
-    ``(pairs, v0_estimate)`` where ``pairs`` is a list of (y, v) and
-    ``v0_estimate`` averages v over the tenth of the samples with the
-    smallest |y|.
+    ``(pairs, v0_estimate)`` where ``pairs`` is a list of (y, v), each y a
+    tuple, and ``v0_estimate`` averages v over the tenth of the samples
+    with the smallest |y|.
     """
-    import numpy as np
-
-    pts, vals = _split_samples(samples)
     n = frame.n
-    if pts.shape[1] != n:
-        raise DimensionError(f"samples have {pts.shape[1]} coordinates, expected {n}")
+    pts, vals, _ = _split_samples(samples, n)
     if fit.n != n:
         raise DimensionError(f"fit is {fit.n}-dimensional, frame is {n}-dimensional")
-    stripped = vals - _model_values(pts, fit.A, fit.b, fit.c, fit.d)
+    model = _model_values(pts, fit.A, fit.b, fit.c, fit.d)
     ys = kelvin_map(pts, frame.R, "forward")
-    ynorm = np.linalg.norm(ys, axis=1)
-    profile = stripped * ynorm ** (2 - n)
-    order = np.argsort(ynorm)
-    decile = order[: max(1, len(order) // 10)]
-    v0_estimate = float(np.mean(profile[decile]))
-    pairs = [(ys[k], float(profile[k])) for k in range(len(profile))]
+    ynorm = [math.sqrt(_dot(y, y)) for y in ys]
+    pairs = [(y, (u - m) * r ** (2 - n)) for y, u, m, r in zip(ys, vals, model, ynorm)]
+    nearest = sorted(range(len(pairs)), key=ynorm.__getitem__)[: max(1, len(pairs) // 10)]
+    v0_estimate = statistics.fmean(pairs[k][1] for k in nearest)
     return pairs, v0_estimate
 
 

@@ -18,11 +18,21 @@ one ring-generic builder of the identity's K and L (every float, exact and
 symbolic route assembles M from it), the finite-difference verification
 of the Hessian identity, and the symbolic trace identity that pins the
 linear part of the transformed operator.
+
+The point maps, `u_from_v` and `hessian_identity_check` run on Python
+floats one point at a time.  The check draws from one
+`random.Random(seed)`, sample after sample: the direction as n
+`gauss(0.0, 1.0)` values, then the radius as `uniform(1.2, 3.0)`.  Only
+`Jet2`, `poly_jet` and `matrices_MNKL`, the per-point route the check is
+tested against, load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Sequence, Union
@@ -247,63 +257,79 @@ class KelvinFrame:
             raise ValueError(f"malformed frame record: {exc}") from exc
 
 
-def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "forward") -> np.ndarray:
+def _norm_sq(point) -> float:
+    """|p|^2 summed in coordinate order.  Every float route of this module
+    squares norms here, so the per-point routes round alike."""
+    return sum(map(operator.mul, point, point))
+
+
+def _each_point(f, points):
+    """``f`` at one point, or at each point of a stack: points one per row,
+    nested to any depth, with the coordinates innermost.  The results keep
+    the stack's nesting; a numpy stack comes back as an array (its caller
+    has loaded numpy already)."""
+    if len(points) == 0 or isinstance(points[0], numbers.Real):
+        return f(points)
+    out = [_each_point(f, p) for p in points]
+    if hasattr(points, "shape"):
+        import numpy as np
+
+        return np.asarray(out)
+    return out
+
+
+def _invert(point: Sequence[float], r: Sequence[float], forward: bool) -> tuple[float, ...]:
+    """One point through the scaled inversion, ``r`` a checked diagonal."""
+    if len(point) != len(r):
+        raise ValueError("point and scaling diagonal must have the same length")
+    z = list(map(operator.mul, r, map(float, point))) if forward else list(map(float, point))
+    norm_sq = _norm_sq(z)
+    if norm_sq == 0.0:
+        raise ZeroPointError("the inversion map is singular at the origin")
+    if forward:
+        return tuple(c / norm_sq for c in z)
+    return tuple(c / norm_sq / ri for c, ri in zip(z, r))
+
+
+def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "forward"):
     """The scaled inversion between exterior points x and ball points y.
 
     forward:  y = Rx / |Rx|^2        backward:  x = R^(-1) y / |y|^2
 
-    ``R`` is the diagonal of the scaling matrix.  ``point`` is one point
-    or a stack of points, one per row: the coordinates lie on the last
-    axis, and each point maps on its own.  The two directions are
+    ``R`` is the diagonal of the scaling matrix.  One point maps to a
+    tuple of floats.  ``point`` may also stack points one per row (see
+    `_each_point`); each point maps on its own.  The two directions are
     mutually inverse; mapping the origin (any stacked row of it) raises
     ZeroPointError.
     """
-    import numpy as np
-
-    p = np.asarray(point, dtype=float)
-    r = np.asarray(R, dtype=float)
-    if r.ndim != 1 or p.shape[-1:] != r.shape:
-        raise ValueError("point and scaling diagonal must have the same length")
-    if not np.all(r > 0.0):
+    r = [float(c) for c in R]
+    if not all(c > 0.0 for c in r):
         raise ValueError("scaling diagonal must be positive")
-    norm_sq = np.vecdot(p, p)
-    if np.any(norm_sq == 0.0):
-        raise ZeroPointError("the inversion map is singular at the origin")
-    if direction == "forward":
-        z = r * p
-        return z / np.vecdot(z, z)[..., None]
-    if direction == "backward":
-        return (p / norm_sq[..., None]) / r
-    raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
+    if direction not in ("forward", "backward"):
+        raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
+    forward = direction == "forward"
+    return _each_point(lambda p: _invert(p, r, forward), point)
 
 
-def _libm_pow(base, exponent: float) -> np.ndarray:
-    """``base ** exponent`` for each entry, rounded as Python's float power
-    rounds a single value (the C library's pow).  numpy's vectorised power
-    rounds differently in the last place at a few percent of entries, and
-    the finite-difference quotients of `hessian_identity_check` magnify an
-    ulp of u by 1/h^2."""
-    import numpy as np
+def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Sequence[float]):
+    """Exterior solution value at x from the ball-side profile v:
 
-    return np.asarray(np.power(base, exponent, dtype=object), dtype=float)
+        u(x) = x^T A x / 2 + b.x + c + |y|^(n-2) v(y),   y = Rx / |Rx|^2.
 
+    ``v`` takes the image y as a tuple of floats.  ``x`` may stack points
+    one per row, as `kelvin_map` takes them; then v is called once per
+    point and one value comes back per row."""
+    mul = operator.mul
+    power = (frame.n - 2) / 2.0
 
-def u_from_v(
-    frame: KelvinFrame, v: Callable[[np.ndarray], float], x: Sequence[float]
-) -> float | np.ndarray:
-    """Exterior solution value at x from the ball-side profile v.
+    def value(p) -> float:
+        coords = list(map(float, p))
+        y = _invert(coords, frame.R, True)
+        quad = 0.5 * sum(map(mul, map(mul, frame.spectrum, coords), coords))
+        affine = sum(map(mul, frame.linear, coords)) + frame.constant
+        return quad + affine + _norm_sq(y) ** power * float(v(y))
 
-    ``x`` may stack points one per row, as `kelvin_map` takes them; ``v``
-    then gets their images stacked the same way and returns one value per
-    row, and so does this function."""
-    import numpy as np
-
-    xv = np.asarray(x, dtype=float)
-    y = kelvin_map(xv, frame.R, "forward")
-    quad = 0.5 * sum(l * c * c for l, c in zip(frame.spectrum, np.moveaxis(xv, -1, 0)))
-    affine = np.vecdot(frame.linear, xv) + frame.constant
-    weight = _libm_pow(np.vecdot(y, y), (frame.n - 2) / 2.0)
-    return quad + affine + weight * np.asarray(v(y), dtype=float)
+    return _each_point(value, x)
 
 
 # ── second-order jets and the Hessian identity ───────────────────────────
@@ -427,9 +453,10 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
     n = frame.n
     if jet.n != n:
         raise ValueError(f"jet dimension {jet.n} does not match frame dimension {n}")
-    y = jet.y
-    norm_sq = float(np.dot(y, y))
-    K, L = identity_parts(y, jet.value, jet.grad, jet.hess, norm_sq)
+    # K and L over Python floats, as `hessian_identity_check` builds them
+    y = jet.y.tolist()
+    norm_sq = _norm_sq(y)
+    K, L = identity_parts(y, jet.value, jet.grad.tolist(), jet.hess.tolist(), norm_sq)
     K = np.asarray(K)
     M = K + (L / norm_sq) * np.outer(y, y)
     r = np.asarray(frame.R)
@@ -448,9 +475,25 @@ class HessianReport:
     fd_step: float
 
 
-# stencil points one batch of `hessian_identity_check` evaluates at most;
-# bounds its arrays to a few tens of MB whatever the samples and dimension
-_FD_BATCH_POINTS = 1 << 16
+# Stencil coordinates one `hessian_identity_check` may visit: each sample
+# evaluates u at 2n^2 + 1 points of n coordinates, one point at a time.  On
+# 2 shared CPUs a unit took 6.7-9.9 us at n = 2, 3.2-5.9 us at n = 3,
+# 2.7-4.6 us at n = 4 and 0.5-0.8 us at n = 100 (per-point overhead
+# dominates small n), so the cap is 54-79 s at n = 2 and under 50 s from
+# n = 3 on.  The widest stencil it admits (one sample at n = 158)
+# took 5.2-5.6 s at a peak RSS of 24 MB.
+MAX_FD_WORK = 8_000_000
+
+
+def check_fd_work(n: int, samples: int) -> None:
+    """ValueError, naming the count, unless a check of ``samples`` points
+    in n dimensions stays within MAX_FD_WORK stencil coordinates."""
+    work = samples * (2 * n * n + 1) * n
+    if work > MAX_FD_WORK:
+        raise ValueError(
+            f"{samples} samples in dimension {n} visit {work} stencil coordinates "
+            f"(samples x (2n^2 + 1) x n), more than {MAX_FD_WORK}"
+        )
 
 
 def hessian_identity_check(
@@ -463,80 +506,88 @@ def hessian_identity_check(
     """Compare central finite differences of u against A + |y|^n N at random
     exterior points; reports deviations, never raises on a bad match.
 
-    Each sample draws its direction, then its radius, from the seeded
-    generator, in sample order.  The samples are then checked in batches:
-    u is evaluated at every stencil point of a batch at once, and the
-    exact side is assembled for the whole batch by `identity_parts` with
-    numpy columns as the ring.  Every float operation is the one the
-    per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs,
-    so the report equals that route's.  A sample whose deviation is not
+    One `random.Random(seed)` draws, sample after sample, the direction as
+    n `gauss(0.0, 1.0)` values and then the radius as `uniform(1.2, 3.0)`;
+    a point whose image would leave the ball (|Rx| < 1.05) is pushed out
+    to |Rx| = 1.05.  The exact side evaluates the jet of v at the image on
+    floats and assembles K and L with `identity_parts`; u comes from
+    `u_from_v` at each stencil point.  Every float operation is the one the
+    per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs, so
+    the report equals that route's.  A sample whose deviation is not
     finite (an overflow, or inf - inf) counts as an infinite deviation, so
-    it cannot pass any tolerance.  ValueError unless samples >= 1 and
-    fd_step is a positive finite number."""
-    import numpy as np
-
+    it cannot pass any tolerance.  ValueError unless samples >= 1, fd_step
+    is a positive finite number and the stencil stays within MAX_FD_WORK
+    (`check_fd_work`)."""
     if v.n_vars != frame.n:
         raise ValueError("profile polynomial dimension does not match the frame")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if not (math.isfinite(fd_step) and fd_step > 0.0):
         raise ValueError(f"finite-difference step must be positive and finite, got {fd_step}")
-    rng = np.random.default_rng(seed)
     n = frame.n
-    r = np.asarray(frame.R)
+    check_fd_work(n, samples)
+    rng = random.Random(seed)
+    r = frame.R
     h = fd_step
     grads = [v.partial(i) for i in range(n)]
-    upper = [(i, j) for i in range(n) for j in range(i, n)]
-    second = {(i, j): grads[i].partial(j) for i, j in upper}
-
-    def values(p: MultiPoly, points: np.ndarray) -> np.ndarray:
-        # object columns: every power rounds as the per-point route's does
-        return np.asarray(p.evaluate(np.moveaxis(points, -1, 0).astype(object)), dtype=float)
-
-    # the stencil as offsets: the centre, x +- h e_i, then x +- h e_i +- h e_j
-    step = np.eye(n) * h
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    stencil = [np.zeros(n)] + [e for i in range(n) for e in (step[i], -step[i])]
-    for i, j in pairs:
-        stencil += [step[i] + step[j], step[i] - step[j], -step[i] + step[j], -step[i] - step[j]]
-    offsets = np.asarray(stencil)[:, None, :]
-    batch = max(1, _FD_BATCH_POINTS // len(stencil))
+    second = {(i, j): grads[i].partial(j) for i in range(n) for j in range(i, n)}
 
     max_abs = 0.0
     max_rel = 0.0
-    for start in range(0, samples, batch):
-        draws = [(rng.normal(size=n), rng.uniform(1.2, 3.0)) for _ in range(min(batch, samples - start))]
-        directions = np.array([d for d, _ in draws])
-        radii = np.array([s for _, s in draws])
-        x = directions / _libm_pow(np.vecdot(directions, directions), 0.5)[:, None] * radii[:, None]
-        # keep the images strictly inside the unit ball: |Rx| >= 1.05
-        z = r * x
-        x = x * np.maximum(1.05 / _libm_pow(np.vecdot(z, z), 0.5), 1.0)[:, None]
+    for _ in range(samples):
+        direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        scale = rng.uniform(1.2, 3.0) / _norm_sq(direction) ** 0.5
+        x = [c * scale for c in direction]
+        # keep the image strictly inside the unit ball: |Rx| >= 1.05
+        image_norm = _norm_sq([ri * c for ri, c in zip(r, x)]) ** 0.5
+        if image_norm < 1.05:
+            x = [c * (1.05 / image_norm) for c in x]
 
         y = kelvin_map(x, r, "forward")
-        ysq = np.vecdot(y, y)
-        hess = [[None] * n for _ in range(n)]
-        for i, j in upper:
-            hess[i][j] = hess[j][i] = values(second[i, j], y)
-        K, L = identity_parts(list(y.T), values(v, y), [values(g, y) for g in grads], hess, ysq)
-        # M and N as matrices_MNKL assembles them, one sample per last index
-        M = np.asarray(K) + (L / ysq) * (y.T[:, None] * y.T[None, :])
-        exact = _libm_pow(ysq, n / 2.0) * (np.outer(r, r)[:, :, None] * M)
-        exact[range(n), range(n)] += np.asarray(frame.spectrum)[:, None]
+        ysq = _norm_sq(y)
+        hess = [[0.0] * n for _ in range(n)]
+        for (i, j), p in second.items():
+            hess[i][j] = hess[j][i] = p.evaluate(y)
+        K, L = identity_parts(y, v.evaluate(y), [g.evaluate(y) for g in grads], hess, ysq)
+        # A + |y|^n N with N = R M R and M = K + (L / |y|^2) y y^T, entry by
+        # entry as matrices_MNKL assembles them; upper triangle only
+        weight = ysq ** (n / 2.0)
+        ratio = L / ysq
+        exact = {
+            (i, j): weight * ((r[i] * r[j]) * (K[i][j] + ratio * (y[i] * y[j])))
+            for i in range(n)
+            for j in range(i, n)
+        }
+        for i, lam in enumerate(frame.spectrum):
+            exact[i, i] = exact[i, i] + lam
 
-        u = u_from_v(frame, lambda images: values(v, images), x + offsets)
-        fd = np.empty_like(exact)
+        def u_at(*steps):
+            """u at x moved by each (coordinate, step) pair."""
+            p = list(x)
+            for i, step in steps:
+                p[i] += step
+            return u_from_v(frame, v.evaluate, p)
+
+        u0 = u_at()
+        fd = {}
         for i in range(n):
-            fd[i, i] = (u[1 + 2 * i] - 2.0 * u[0] + u[2 + 2 * i]) / (h * h)
-        for k, (i, j) in enumerate(pairs):
-            pp, pm, mp, mm = u[1 + 2 * n + 4 * k : 5 + 2 * n + 4 * k]
-            fd[i, j] = fd[j, i] = (pp - pm - mp + mm) / (4.0 * h * h)
+            fd[i, i] = (u_at((i, h)) - 2.0 * u0 + u_at((i, -h))) / (h * h)
+            for j in range(i + 1, n):
+                pp = u_at((i, h), (j, h))
+                pm = u_at((i, h), (j, -h))
+                mp = u_at((i, -h), (j, h))
+                mm = u_at((i, -h), (j, -h))
+                fd[i, j] = (pp - pm - mp + mm) / (4.0 * h * h)
 
-        abs_dev = np.max(np.abs(fd - exact), axis=(0, 1))
-        rel_dev = abs_dev / np.maximum(np.max(np.abs(exact), axis=(0, 1)), 1e-8)
+        deviations = [abs(fd[key] - value) for key, value in exact.items()]
         # max() would drop a NaN, so a non-finite deviation enters as inf
-        max_abs = max(max_abs, float(np.max(np.where(np.isfinite(abs_dev), abs_dev, np.inf))))
-        max_rel = max(max_rel, float(np.max(np.where(np.isfinite(rel_dev), rel_dev, np.inf))))
+        if all(map(math.isfinite, deviations)):
+            abs_dev = max(deviations)
+            rel_dev = abs_dev / max(max(abs(value) for value in exact.values()), 1e-8)
+        else:
+            abs_dev = rel_dev = math.inf
+        max_abs = max(max_abs, abs_dev)
+        max_rel = max(max_rel, rel_dev)
     return HessianReport(
         max_abs_deviation=max_abs,
         max_rel_deviation=max_rel,

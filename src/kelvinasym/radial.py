@@ -51,6 +51,7 @@ __all__ = [
     "DomainError",
     "MAX_PLANNED_WORK",
     "MAX_SAMPLES",
+    "MAX_SAMPLE_COORDINATES",
     "RadialState",
     "count_nodes",
     "integrate_exterior",
@@ -70,6 +71,13 @@ MAX_PLANNED_WORK = 10_000_000
 # `expand.write_samples`, at a peak RSS of 245 MB; so the cap is about a
 # minute of work and 1.2 GB
 MAX_SAMPLES = 5_000_000
+
+# coordinates those samples may hold, samples x n: the cost grows with n,
+# not with the samples alone.  On 2 CPUs three samples at n = 200,000 took
+# 2.4 us per coordinate to draw and write (0.4 s and 1.1 s), and three at
+# n = 2,000,000 peaked at 337 MB, about 56 bytes per coordinate; so the cap
+# is about 40 s and 0.9 GB, what MAX_SAMPLES allows at n = 3
+MAX_SAMPLE_COORDINATES = 15_000_000
 
 _TRAJECTORY_HEADER = ["r", "u", "du", "error_estimate"]
 
@@ -390,7 +398,8 @@ def trajectory_samples(
     values, node after node and, within a node, sample after sample; a
     direction shorter than 1e-12 is redrawn at once, in stream order.
     The output feeds the quadratic-fit machinery.  ValueError on a NaN
-    bound, an empty window, or more than MAX_SAMPLES samples.
+    bound, an empty window, more than MAX_SAMPLES samples, or more than
+    MAX_SAMPLE_COORDINATES coordinates (samples x n).
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
@@ -409,6 +418,11 @@ def trajectory_samples(
         raise ValueError(
             f"per_radius={per_radius} over {len(kept)} nodes scatters "
             f"{len(kept) * per_radius} samples, more than {MAX_SAMPLES}"
+        )
+    if len(kept) * per_radius * n > MAX_SAMPLE_COORDINATES:
+        raise ValueError(
+            f"per_radius={per_radius} over {len(kept)} nodes in dimension {n} draws "
+            f"{len(kept) * per_radius * n} coordinates, more than {MAX_SAMPLE_COORDINATES}"
         )
     gauss = random.Random(seed).gauss
     samples = []

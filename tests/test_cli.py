@@ -19,11 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kelvinasym import cli, radial, symfun
+from kelvinasym import cli, expand, kelvin, radial, symfun
 from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import RadPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
-from kelvinasym.radial import MAX_SAMPLES, read_trajectory
+from kelvinasym.radial import MAX_SAMPLE_COORDINATES, MAX_SAMPLES, read_trajectory
 
 THETA3_FULL = 3 * math.pi / 4
 
@@ -171,53 +171,42 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == want
 
 
-_RADIAL_WITHOUT_NUMPY = """
-import sys
+_FLOAT_WITHOUT_NUMPY = """
+import json, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
 from kelvinasym.cli import dispatch
-sys.exit(dispatch(sys.argv[1:]))
+print(json.dumps([dispatch(argv) for argv in json.loads(sys.argv[1])]))
 """
 
 
-def test_radial_runs_without_numpy(tmp_path):
-    # the sample directions come from the standard library, so radial
-    # writes the same trajectory and samples when numpy cannot load
-    argv = ["radial", "--theta", repr(THETA3_FULL), "--u1", "0.5", "--p1", "1.1", "--rmax", "2000"]
-    argv += ["--step", "4e-2", "--stride", "25", "--per-radius", "3", "--sample-rmin", "20", "--sample-rmax", "2000"]
-    ours = [tmp_path / "t.csv", tmp_path / "s.csv"]
-    theirs = [tmp_path / "t-without.csv", tmp_path / "s-without.csv"]
-    assert dispatch([*argv, "--out", str(ours[0]), "--samples-out", str(ours[1])]) == 0
+def test_float_pipeline_runs_without_numpy(tmp_path):
+    # radial draws its directions from the standard library, and fit and
+    # kelvin-check run on floats alone, so the pipeline writes the same
+    # trajectory, samples, fit and report when numpy cannot load
+    def pipeline(tag):
+        files = [tmp_path / f"{name}-{tag}" for name in ("t.csv", "s.csv", "fit.json", "kelvin.json")]
+        radial = ["radial", "--theta", repr(THETA3_FULL), "--u1", "0.5", "--p1", "1.1", "--rmax", "2000"]
+        radial += ["--step", "4e-2", "--stride", "25", "--per-radius", "3", "--sample-rmin", "20"]
+        radial += ["--sample-rmax", "2000", "--out", str(files[0]), "--samples-out", str(files[1])]
+        fit = ["fit", "--samples", str(files[1]), "--n", "3", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"]
+        kelvin = ["kelvin-check", "--branch", "slag", "--n", "4", "--spectrum", "1,1,1,1", "--samples", "20"]
+        argvs = [radial, [*fit, "--out", str(files[2])], [*kelvin, "--out", str(files[3])]]
+        return files, [[*argv, "--seed", "1"] for argv in argvs]
+
+    ours, argvs = pipeline("with")
+    assert [dispatch(argv) for argv in argvs] == [0, 0, 0]
+    theirs, argvs = pipeline("without")
     proc = subprocess.run(
-        [sys.executable, "-c", _RADIAL_WITHOUT_NUMPY, *argv, "--out", str(theirs[0]), "--samples-out", str(theirs[1])],
+        [sys.executable, "-c", _FLOAT_WITHOUT_NUMPY, json.dumps(argvs)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0, 0]
     for mine, other in zip(ours, theirs):
         assert mine.read_bytes() == other.read_bytes()
     assert len(ours[1].read_text().splitlines()) == 1 + 3 * 1981
-
-
-_PRINT_BLAS_THREADS = """
-import os
-from kelvinasym.cli import dispatch
-dispatch(["no-such-command"])
-print(os.environ.get("OPENBLAS_NUM_THREADS"))
-"""
-
-
-@pytest.mark.parametrize("preset,want", [(None, "1"), ("2", "2")])
-def test_dispatch_runs_openblas_on_one_thread_unless_told_otherwise(preset, want):
-    # the child's environment is built here because the in-process dispatch
-    # calls of this module have already set the variable in this process
-    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    if preset is not None:
-        env["OPENBLAS_NUM_THREADS"] = preset
-    proc = subprocess.run(
-        [sys.executable, "-c", _PRINT_BLAS_THREADS], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.stdout.strip() == want, proc.stderr
 
 
 def test_lemmas_failure_names_the_check_and_its_inputs(tmp_path, capsys):
@@ -307,6 +296,21 @@ def test_kelvin_check_unmeasurable_input_exits_2(tmp_path, capsys, flags, named)
     out = tmp_path / "kc.json"
     assert dispatch(["kelvin-check", "--samples", "2", *flags, "--out", str(out)]) == 2
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n,samples", [(10**6, 1), (4, kelvin.MAX_FD_WORK // 132 + 1)])
+def test_kelvin_check_stencil_cap_exits_2_before_any_work(tmp_path, capsys, n, samples):
+    # samples x (2n^2 + 1) x n stencil coordinates are bounded; the refusal
+    # comes before the spectrum, the profile or any sample is built
+    out = tmp_path / "kc.json"
+    argv = ["kelvin-check", "--n", str(n), "--samples", str(samples), "--out", str(out)]
+    with mock.patch.object(cli, "_random_test_poly", side_effect=AssertionError("built")):
+        assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--n {n} --samples {samples}: {samples} samples in dimension {n}" in err
+    assert f"visit {samples * (2 * n * n + 1) * n} stencil coordinates" in err
+    assert f"more than {kelvin.MAX_FD_WORK}" in err
     assert not out.exists()
 
 
@@ -662,6 +666,39 @@ def test_radial_sample_cap_boundary(tmp_path, capsys, monkeypatch, per_radius, c
     capsys.readouterr()
 
 
+def test_radial_coordinate_cap_exits_2_before_integrating(tmp_path, capsys):
+    # samples x n is bounded too: one sample on each of the three nodes, in
+    # a dimension one past the cap, is refused before any work
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    n = MAX_SAMPLE_COORDINATES // 3 + 1
+    argv = [*_WINDOW_RADIAL, "--n", str(n), "--rmax", "2", "--step", "0.5", "--per-radius", "1"]
+    argv += ["--samples-out", str(samples), "--out", str(traj)]
+    with mock.patch.object(cli, "integrate_exterior", side_effect=AssertionError("integrated")):
+        assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--n {n} --per-radius 1 draws {3 * n} coordinates over the 3 nodes" in err
+    assert f"more than {MAX_SAMPLE_COORDINATES}" in err
+    assert not traj.exists() and not samples.exists()
+
+
+@pytest.mark.parametrize("n,code", [(3, 0), (4, 2)])
+def test_radial_coordinate_cap_boundary(tmp_path, capsys, monkeypatch, n, code):
+    # with the cap lowered to 36, four samples on each of three nodes fit
+    # in three dimensions but not in four
+    monkeypatch.setattr(cli, "MAX_SAMPLE_COORDINATES", 36)
+    monkeypatch.setattr(radial, "MAX_SAMPLE_COORDINATES", 36)
+    traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
+    argv = [*_WINDOW_RADIAL, "--n", str(n), "--rmax", "10", "--stride", "100", "--sample-rmin", "2"]
+    argv += ["--sample-rmax", "4", "--per-radius", "4", "--samples-out", str(samples), "--out", str(traj)]
+    assert dispatch(argv) == code
+    if code == 0:
+        assert len(read_samples(samples)) == 12
+    else:
+        assert "--n 4 --per-radius 4 draws 48 coordinates over the 3 nodes" in capsys.readouterr().err
+        assert not traj.exists() and not samples.exists()
+    capsys.readouterr()
+
+
 def test_radial_csv_deterministic(tmp_path, capsys):
     argv = [
         "radial",
@@ -826,6 +863,20 @@ def test_fit_non_finite_sample_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "row 18" in err and "finite" in err
+
+
+def test_fit_dimension_over_the_work_cap_exits_2_before_reading(tmp_path, capsys):
+    # 19 dimensions give 210 columns, and even one sample per column is
+    # over the cap, so the file is never read
+    samples_csv = tmp_path / "s.csv"
+    samples_csv.write_text("x1,x2,u\n1.0,2.0,3.0\n")
+    out = tmp_path / "f.json"
+    with mock.patch.object(cli, "read_samples", side_effect=AssertionError("read")):
+        assert dispatch(["fit", "--samples", str(samples_csv), "--n", "19", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--n 19: a fit in dimension 19 solves for 210 coefficients over 210 samples" in err
+    assert f"more than {expand.MAX_FIT_WORK}" in err
+    assert not out.exists()
 
 
 def test_fit_missing_input_exits_2(tmp_path, capsys):

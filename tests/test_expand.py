@@ -13,11 +13,17 @@ from hypothesis import given, settings, strategies as st
 from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
 from kelvinasym.equations import symbolic_residual
+from kelvinasym import expand
 from kelvinasym.expand import (
+    MAX_FIT_WORK,
     ConditioningError,
     ExpansionFit,
     ExpansionState,
     InsufficientDataError,
+    _householder_qr,
+    _singular_values,
+    _solve_least_squares,
+    check_fit_work,
     fit_expansion,
     leading_correction,
     next_correction,
@@ -442,6 +448,14 @@ def test_fit_needs_three_populated_annuli():
         fit_expansion(samples, 3, annuli=[(5, 10), (10, 21)])
 
 
+def test_fit_with_no_annuli_populates_none():
+    # an empty annulus list is a data failure, not a bare max() error
+    rng = np.random.default_rng(2)
+    samples = sphere_samples(rng, np.linspace(5, 20, 30), 4, lambda x: float(x @ x))
+    with pytest.raises(InsufficientDataError, match="samples populate only 0 annuli"):
+        fit_expansion(samples, 3, annuli=[])
+
+
 def test_fit_rejects_single_radius():
     rng = np.random.default_rng(4)
     samples = sphere_samples(rng, [10.0] * 15, 4, lambda x: float(x @ x))
@@ -539,6 +553,78 @@ def test_fit_log_basis_reduces_outer_rms():
     assert rms_without >= 10.0 * rms_with
     assert abs(with_log.d - 0.6) < 1e-6
     assert without_log.d is None
+
+
+def test_least_squares_agrees_with_numpy_lstsq():
+    # a second route: LAPACK's SVD-based solve on random well-conditioned
+    # designs of the fit's shape, coefficients and singular values alike
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        design = rng.uniform(-1.0, 1.0, size=(1500, 10)) * rng.uniform(0.5, 2.0, size=10)
+        rhs = rng.normal(size=1500)
+        want, _, _, singular = np.linalg.lstsq(design, rhs, rcond=None)
+        coef = _solve_least_squares([list(c) for c in design.T], list(rhs))
+        assert np.max(np.abs(np.asarray(coef) - want)) <= 1e-12 * np.max(np.abs(want))
+        R, _ = _householder_qr([list(c) for c in design.T], list(rhs))
+        got = np.asarray(_singular_values(R))
+        assert np.max(np.abs(got - singular)) <= 1e-12 * singular[0]
+
+
+def _exact_normal_solve(rows, rhs):
+    """Solve D^T D c = D^T u in Fractions by Gauss-Jordan elimination."""
+    k = len(rows[0])
+    system = [
+        [sum(row[i] * row[j] for row in rows) for j in range(k)] + [sum(row[i] * u for row, u in zip(rows, rhs))]
+        for i in range(k)
+    ]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(k):
+            if r != col and system[r][col] != 0:
+                factor = system[r][col] / system[col][col]
+                system[r] = [a - factor * b for a, b in zip(system[r], system[col])]
+    return [system[i][k] / system[i][i] for i in range(k)]
+
+
+def test_least_squares_agrees_with_exact_normal_equations():
+    # dyadic entries are exact floats, so the float solve answers the very
+    # problem the exact normal equations solve
+    rng = random.Random(6)
+    for m, k in ((12, 4), (30, 7)):
+        rows = [[Fraction(rng.randint(-64, 64), 2 ** rng.randint(0, 4)) for _ in range(k)] for _ in range(m)]
+        rhs = [Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 3)) for _ in range(m)]
+        exact = [float(c) for c in _exact_normal_solve(rows, rhs)]
+        columns = [[float(row[j]) for row in rows] for j in range(k)]
+        coef = _solve_least_squares(columns, [float(u) for u in rhs])
+        scale = max(map(abs, exact))
+        assert all(abs(got - want) <= 1e-12 * scale for got, want in zip(coef, exact))
+
+
+def test_fit_work_bound_arithmetic():
+    # columns^2 x (rows + 25 columns), with n(n+1)/2 + n + 1 columns and one
+    # more for the log column; only the arithmetic runs here
+    rows = MAX_FIT_WORK // 100 - 250
+    check_fit_work(3, rows)
+    with pytest.raises(ValueError, match=f"10 coefficients over {rows + 1} samples, {MAX_FIT_WORK + 100} units"):
+        check_fit_work(3, rows + 1)
+    with pytest.raises(ValueError, match=f"11 coefficients over {rows} samples"):
+        check_fit_work(3, rows, with_log=True)
+    assert expand._fit_columns(2, True) == 7
+    # rows=None counts one row per column, the smallest fit: n = 18 has 190
+    # columns and fits under the cap, n = 19 has 210 and does not
+    check_fit_work(18, None)
+    with pytest.raises(ValueError, match=f"dimension 19 solves for 210 coefficients over 210 samples, {210**3 * 26} units"):
+        check_fit_work(19, None)
+
+
+def test_fit_refuses_a_solve_over_the_work_cap(monkeypatch):
+    rng = np.random.default_rng(3)
+    samples = sphere_samples(rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x))
+    monkeypatch.setattr(expand, "MAX_FIT_WORK", 1000)
+    with pytest.raises(ValueError, match="more than 1000") as info:
+        fit_expansion(samples, 3)
+    assert not isinstance(info.value, (InsufficientDataError, ConditioningError))
 
 
 # ── profile recovery ─────────────────────────────────────────────────────

@@ -11,8 +11,10 @@ from random import Random
 import numpy as np
 import pytest
 
+from kelvinasym import kelvin
 from kelvinasym.exactalg import MultiPoly
 from kelvinasym.kelvin import (
+    MAX_FD_WORK,
     AdmissibilityError,
     DomainError,
     HessianReport,
@@ -20,6 +22,7 @@ from kelvinasym.kelvin import (
     KelvinFrame,
     PhaseBranch,
     ZeroPointError,
+    check_fd_work,
     hessian_identity_check,
     kelvin_map,
     matrices_MNKL,
@@ -428,7 +431,7 @@ def test_hessian_identity_check_other_branches(branch, lams):
 def hessian_check_per_sample(frame, v, samples, fd_step, seed):
     """The check one sample at a time, through poly_jet, matrices_MNKL and
     u_from_v at single points, drawing as hessian_identity_check does."""
-    rng = np.random.default_rng(seed)
+    rng = Random(seed)
     n = frame.n
     h = fd_step
 
@@ -437,16 +440,16 @@ def hessian_check_per_sample(frame, v, samples, fd_step, seed):
 
     max_abs = max_rel = 0.0
     for _ in range(samples):
-        direction = rng.normal(size=n)
-        direction /= float(np.dot(direction, direction)) ** 0.5
-        x = direction * rng.uniform(1.2, 3.0)
+        direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
+        scale = rng.uniform(1.2, 3.0) / sum(c * c for c in direction) ** 0.5
+        x = np.array([c * scale for c in direction])
         z = np.asarray(frame.R) * x
-        image_norm = float(np.dot(z, z)) ** 0.5
+        image_norm = sum(c * c for c in z.tolist()) ** 0.5
         if image_norm < 1.05:
             x = x * (1.05 / image_norm)
         y = kelvin_map(x, frame.R, "forward")
         _, N, _, _ = matrices_MNKL(poly_jet(v, y), frame)
-        exact = np.diag(frame.spectrum) + float(np.dot(y, y)) ** (n / 2.0) * N
+        exact = np.diag(frame.spectrum) + sum(c * c for c in y) ** (n / 2.0) * N
         fd = np.zeros((n, n))
         u0 = u(x)
         for i in range(n):
@@ -476,15 +479,9 @@ def hessian_check_per_sample(frame, v, samples, fd_step, seed):
     ],
     ids=["SLAG-2", "SLAG-3", "SLAG-4", "SLAG-5", "LOG-4"],
 )
-@pytest.mark.parametrize("batch_points", [None, 100], ids=["one-batch", "small-batches"])
-def test_hessian_identity_check_equals_the_per_sample_route(branch, lams, batch_points, monkeypatch):
-    # the batched check performs the per-sample route's float operations in
-    # the same order, so the deviations agree exactly; small batches split
-    # the samples (one to eleven per batch here) without moving a draw
-    import kelvinasym.kelvin as kelvin_module
-
-    if batch_points is not None:
-        monkeypatch.setattr(kelvin_module, "_FD_BATCH_POINTS", batch_points, raising=False)
+def test_hessian_identity_check_equals_the_per_sample_route(branch, lams):
+    # the check performs the per-sample route's float operations in the
+    # same order, so the deviations agree exactly
     n = len(lams)
     rng = Random(20 + n)
     linear = [rng.uniform(-1.0, 1.0) for _ in range(n)]
@@ -515,6 +512,22 @@ def test_hessian_identity_check_reports_non_finite_deviation_as_infinite():
         report = hessian_identity_check(frame, v, samples=2, fd_step=1e300)
     assert report.max_abs_deviation == math.inf
     assert report.max_rel_deviation == math.inf
+
+
+def test_hessian_identity_check_bounds_its_stencil(monkeypatch):
+    # samples x (2n^2 + 1) x n coordinates: 33 points of 4 per sample at
+    # n = 4; only the arithmetic runs at the real cap
+    samples = MAX_FD_WORK // 132
+    check_fd_work(4, samples)
+    with pytest.raises(ValueError, match=f"{samples + 1} samples in dimension 4 visit {(samples + 1) * 132} stencil"):
+        check_fd_work(4, samples + 1)
+    # the check refuses before it draws: 19 points of 3 per sample at n = 3
+    monkeypatch.setattr(kelvin, "MAX_FD_WORK", 114)
+    frame = KelvinFrame(PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7])
+    v = random_profile(Random(5), 3)
+    assert hessian_identity_check(frame, v, samples=2).samples == 2
+    with pytest.raises(ValueError, match="3 samples in dimension 3 visit 171 stencil coordinates"):
+        hessian_identity_check(frame, v, samples=3)
 
 
 # ── symbolic trace identity ──────────────────────────────────────────────

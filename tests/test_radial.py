@@ -408,6 +408,20 @@ def test_trajectory_samples_refuse_more_than_the_cap(monkeypatch):
         trajectory_samples(states, 3, per_radius=5, seed=0)
 
 
+def test_trajectory_samples_refuse_more_coordinates_than_the_cap(monkeypatch):
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=100)
+    # samples x n: one sample on each of three nodes, in a dimension one
+    # past the cap, is refused before any direction is drawn
+    n = radial.MAX_SAMPLE_COORDINATES // 3 + 1
+    with pytest.raises(ValueError, match=f"in dimension {n} draws {3 * n} coordinates"):
+        trajectory_samples(states[:3], n, per_radius=1, seed=0)
+    monkeypatch.setattr(radial, "MAX_SAMPLE_COORDINATES", 12 * len(states))
+    assert len(trajectory_samples(states, 3, per_radius=4, seed=0)) == 4 * len(states)
+    with pytest.raises(ValueError, match=f"per_radius=4 over {len(states)} nodes in dimension 4"):
+        trajectory_samples(states, 4, per_radius=4, seed=0)
+
+
 @pytest.mark.parametrize(
     "r_max,step,stride",
     [(10.0, 1e-2, 100), (10.0, 1e-2, 7), (5.0, 0.3, 1), (2.0, 0.5, 1000), (60.0, 1e-3, 500)],
