@@ -509,8 +509,8 @@ def _run_residual_n3(merged: dict) -> int:
 # ── subcommand: expand3 ──────────────────────────────────────────────────
 
 # The recursion's residual grows quickly with the order: with --p0 3/2
-# --spectrum 1,1/2,2 a run takes 0.27 s at order 12, 1.5-1.9 s at 24,
-# 4.0 s at 28, 5.3 s at 32 and 8-12 s at 36, start-up and the final
+# --spectrum 1,1/2,2 a run takes 0.22 s at order 12, 1.0 s at 24,
+# 1.9-2.4 s at 28 and 32 and 3.8-4.3 s at 36, start-up and the final
 # whole-residual audit included, on 2 shared CPUs.
 MAX_EXPAND3_ORDER = 36
 

@@ -15,12 +15,19 @@ arithmetic followed by one gcd reduction.  ``MultiPoly.terms`` gives the
 coefficients as Fractions in lowest terms.
 
 ``RadPoly`` extends this with integer powers of ``r = |y|``: a finite sum
-``sum_k r^k * p_k`` stored as a mapping from the integer exponent ``k`` to
-the polynomial ``p_k``.  Because ``r^2`` is itself a polynomial, such sums
-have many representations; ``RadPoly`` keeps a canonical one (per-parity
-collection at the minimal exponent, followed by maximal extraction of whole
-``r^2`` factors) so that two representations of the same function always
-compare equal and "the coefficient of ``r^k``" is well defined.
+of terms ``c r^K y^e``, stored the same way with keys ``(K, e_1, ..., e_n)``.
+Because ``r^2`` is itself a polynomial, such sums have many spellings;
+``RadPoly`` keeps the normal form ``e_1 <= 1``, in which ``y_1^2`` is
+rewritten as ``r^2 - y_2^2 - ... - y_n^2``::
+
+    r * y1^2 + y2   <->   {(3, 0, 0, 0): 1, (1, 0, 2, 0): -1,
+                           (1, 0, 0, 2): -1, (0, 0, 1, 0): 1} / 1
+
+The normal form is unique, so two spellings of one function compare equal
+and sums and scalar products are map operations as for ``MultiPoly``; a
+product rewrites only where both factors hold ``y_1``.  "The coefficient of
+``r^k``" is read at the boundary (``RadPoly.slots``): each parity of ``K``
+is collected at its least exponent, which leaves no whole ``r^2`` factor.
 
 All arithmetic here is exact.  Floats only appear through ``evaluate`` when
 called with float coordinates.
@@ -31,6 +38,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+import bisect
 import math
 import numbers
 import operator
@@ -103,23 +111,102 @@ def _check_same_dims(a: "MultiPoly | RadPoly", b: "MultiPoly | RadPoly") -> None
         raise DimensionError(f"operands have {a.n_vars} and {b.n_vars} variables")
 
 
+# ── integer maps over one common denominator ────────────────────────────
+
+
+class _RationalMap:
+    """Rational coefficients stored as integer numerators over one common
+    denominator: ``_num`` maps keys to nonzero integers and ``_den`` is a
+    positive integer, so the coefficient of key ``e`` is ``_num[e] / _den``.
+    The form is canonical: ``gcd(_den, *_num.values()) == 1`` and the zero
+    map has ``_den == 1``.  A subclass whose keys are unique for the
+    function it represents gets ``==``, negation, ``+``, ``-`` and scalar
+    products as plain map operations."""
+
+    __slots__ = ("n_vars", "_num", "_den")
+
+    @classmethod
+    def _make(cls, n_vars: int, num: Mapping, den: int = 1):
+        """Trusted constructor: ``num / den`` with ``den > 0`` and well-formed
+        keys, brought to canonical form."""
+        num = {e: c for e, c in num.items() if c}
+        if not num:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                num = {e: c // g for e, c in num.items()}
+                den //= g
+        p = cls.__new__(cls)
+        p.n_vars, p._num, p._den = n_vars, num, den
+        return p
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.n_vars, self._den, self._num) == (other.n_vars, other._den, other._num)
+
+    def __neg__(self):
+        return self._make(self.n_vars, {e: -c for e, c in self._num.items()}, self._den)
+
+    def _add_scaled(self, other, sign: int):
+        """``self + sign * other`` over the lcm of the two denominators."""
+        _check_same_dims(self, other)
+        g = math.gcd(self._den, other._den)
+        f_self, f_other = other._den // g, sign * (self._den // g)
+        out = {e: c * f_self for e, c in self._num.items()}
+        for e, c in other._num.items():
+            out[e] = out.get(e, 0) + c * f_other
+        return self._make(self.n_vars, out, self._den * f_self)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._add_scaled(other, 1)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._add_scaled(other, -1)
+
+    def _scaled(self, c: Fraction):
+        scaled = {e: v * c.numerator for e, v in self._num.items()}
+        return self._make(self.n_vars, scaled, self._den * c.denominator)
+
+
+@lru_cache(maxsize=256)
+def _r2_power(n_vars: int, j: int) -> tuple[tuple[Exponent, int], ...]:
+    """``(|y|^2)^j`` in ``n_vars`` variables as (exponent, multinomial
+    coefficient) pairs, built from integers."""
+    # (exponents so far, degree left, coefficient so far), one variable at a time
+    parts = [((), j, 1)]
+    for _ in range(n_vars - 1):
+        parts = [
+            (e + (2 * a,), left - a, c * math.comb(left, a))
+            for e, left, c in parts
+            for a in range(left + 1)
+        ]
+    return tuple((e + (2 * left,), c) for e, left, c in parts)
+
+
 # ── polynomials ──────────────────────────────────────────────────────────
 
 
-class MultiPoly:
+class MultiPoly(_RationalMap):
     """Sparse multivariate polynomial with rational coefficients, stored as
-    integer numerators over one common denominator.
-
-    ``_num`` maps exponent tuples to nonzero integers and ``_den`` is a
-    positive integer; the coefficient of ``y^e`` is ``_num[e] / _den``.  The
-    stored form is canonical: ``gcd(_den, *_num.values()) == 1`` and the zero
-    polynomial has ``_den == 1``, so equal polynomials have equal fields.
+    integer numerators over one common denominator (`_RationalMap`): the
+    coefficient of ``y^e`` is ``_num[e] / _den``, and equal polynomials have
+    equal fields.
 
     ``MultiPoly(n_vars, terms)`` and ``from_json`` validate their input;
     every other result is built by the trusted ``_make`` from integers.
     """
 
-    __slots__ = ("n_vars", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Scalar] | None = None):
         if n_vars < 1:
@@ -139,22 +226,6 @@ class MultiPoly:
         self.n_vars = n_vars
         self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
         self._den = den
-
-    @classmethod
-    def _make(cls, n_vars: int, num: Mapping[Exponent, int], den: int = 1) -> "MultiPoly":
-        """Trusted constructor: ``num / den`` with ``den > 0`` and well-formed
-        exponents, brought to canonical form."""
-        num = {e: c for e, c in num.items() if c}
-        if not num:
-            den = 1
-        elif den != 1:
-            g = math.gcd(den, *num.values())
-            if g != 1:
-                num = {e: c // g for e, c in num.items()}
-                den //= g
-        p = cls.__new__(cls)
-        p.n_vars, p._num, p._den = n_vars, num, den
-        return p
 
     # construction ---------------------------------------------------------
 
@@ -177,11 +248,9 @@ class MultiPoly:
     @classmethod
     def r_squared(cls, n_vars: int) -> "MultiPoly":
         """``|y|^2 = y_1^2 + ... + y_n^2``."""
-        terms = {}
-        for i in range(n_vars):
-            exp = tuple(2 if j == i else 0 for j in range(n_vars))
-            terms[exp] = Fraction(1)
-        return cls(n_vars, terms)
+        if n_vars < 1:
+            raise DimensionError("need at least one variable")
+        return cls._make(n_vars, dict(_r2_power(n_vars, 1)))
 
     @property
     def terms(self) -> dict[Exponent, Fraction]:
@@ -191,40 +260,8 @@ class MultiPoly:
 
     # arithmetic -----------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.n_vars, self._den, self._num) == (other.n_vars, other._den, other._num)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make(self.n_vars, {e: -c for e, c in self._num.items()}, self._den)
-
-    def _add_scaled(self, other: "MultiPoly", sign: int) -> "MultiPoly":
-        """``self + sign * other`` over the lcm of the two denominators."""
-        _check_same_dims(self, other)
-        g = math.gcd(self._den, other._den)
-        f_self, f_other = other._den // g, sign * (self._den // g)
-        out = {e: c * f_self for e, c in self._num.items()}
-        for e, c in other._num.items():
-            out[e] = out.get(e, 0) + c * f_other
-        return MultiPoly._make(self.n_vars, out, self._den * f_self)
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._add_scaled(other, 1)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self._add_scaled(other, -1)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, MultiPoly):
@@ -235,9 +272,7 @@ class MultiPoly:
                 for e2, c2 in right:
                     out[tuple(map(operator.add, e1, e2))] += c1 * c2
             return MultiPoly._make(self.n_vars, out, self._den * other._den)
-        c = _as_fraction(other)
-        scaled = {e: v * c.numerator for e, v in self._num.items()}
-        return MultiPoly._make(self.n_vars, scaled, self._den * c.denominator)
+        return self._scaled(_as_fraction(other))
 
     def __rmul__(self, other: Scalar) -> "MultiPoly":
         return self * other
@@ -395,67 +430,113 @@ class MultiPoly:
 
 
 # ── radical polynomials ──────────────────────────────────────────────────
+#
+# In normal form y1^(2q) becomes (|y|^2 - y2^2 - ... - yn^2)^q, which has
+# C(q + n - 1, n - 1) terms: one term of y1^200 in 13 variables would
+# become 4.4e15 of them.  The rewrite runs one factor at a time, and before
+# it starts the constructor bounds the keys it may build, n C(q + n - 1, n)
+# per term of y1^(2q) or y1^(2q+1) when no two of them merge, each of
+# n + 1 entries, and refuses a bound above the cap.  On 2 CPUs the rewrite
+# costs 0.11-0.25 us per bounded entry (y1^14 in 13 variables: 4.9 million
+# in 0.55 s; y1^268 in 3 variables: 4.9 million in 1.2 s), so the cap
+# admits about 0.5-1.3 s.  The largest bound the CLI meets, the check of a
+# degree-43 Poisson solve in 3 variables, is 2.4 million entries; its
+# terms merge, so that rewrite takes about 10 ms.
+_MAX_REWRITE_ENTRIES = 5_000_000
 
 
-def _by_degree(p: MultiPoly) -> list[tuple[int, list[tuple[Exponent, int]]]]:
-    """The terms of ``p`` as ``(degree, [(exponent, numerator), ...])``
-    groups in increasing degree."""
-    groups: dict[int, list[tuple[Exponent, int]]] = defaultdict(list)
-    for e, c in p._num.items():
-        groups[sum(e)].append((e, c))
-    return sorted(groups.items())
+def _fold_y1_powers(num: dict) -> dict:
+    """Rewrite in place every key ``(K, d, e_2, ..., e_n)`` with ``d >= 2``
+    by ``y1^2 = |y|^2 - y2^2 - ... - yn^2``, from the highest power of
+    ``y_1`` down, merging as it goes (Horner's rule in ``y_1^2``).  Each
+    step gives one key at ``K + 2`` and ``n - 1`` at ``K``, all of the same
+    weight.  Returns ``num``."""
+    levels: dict[int, list] = defaultdict(list)
+    for key in num:
+        if key[1] > 1:
+            levels[key[1]].append(key)
+    get = num.get
+    bumped: dict[Exponent, list] = {}  # e' -> [e' + 2 delta_i for each i]
+    for d in range(max(levels, default=0), 1, -1):
+        below = levels[d - 2] if d > 3 else None
+        for key in levels.pop(d, ()):
+            c = num.pop(key)
+            if not c:
+                continue
+            k, rest = key[0], key[2:]
+            new = (k + 2, d - 2) + rest
+            old = get(new)
+            if old is None:
+                num[new] = c
+                if below is not None:
+                    below.append(new)
+            else:
+                num[new] = old + c
+            head = (k, d - 2)
+            downs = bumped.get(rest)
+            if downs is None:
+                downs = bumped[rest] = [rest[:i] + (ei + 2,) + rest[i + 1 :] for i, ei in enumerate(rest)]
+            for down in downs:
+                new = head + down
+                old = get(new)
+                if old is None:
+                    num[new] = -c
+                    if below is not None:
+                        below.append(new)
+                else:
+                    num[new] = old - c
+    return num
 
 
-class RadPoly:
-    """Finite sum ``sum_k |y|^k p_k`` with integer ``k`` and polynomial
-    ``p_k``, kept in canonical form.
+class RadPoly(_RationalMap):
+    """Finite sum of terms ``c |y|^K y^e`` with integer ``K``, kept in the
+    normal form ``e_1 <= 1``.
 
-    Canonical form: the slots of each parity of ``k`` are merged down to the
-    minimal exponent of that parity (multiplying by whole ``|y|^2`` factors),
-    then ``|y|^2`` is factored back out while the merged polynomial remains
-    exactly divisible.  At most one slot per parity survives, and the form is
-    unique, so ``==`` decides equality of the represented functions.
+    ``_num`` maps keys ``(K, e_1, ..., e_n)`` to integer numerators over the
+    common denominator ``_den`` (`_RationalMap`).  No key has ``e_1 >= 2``:
+    ``y_1^2`` is rewritten as ``|y|^2 - y_2^2 - ... - y_n^2``, the remainder
+    of division by ``|y|^2`` taken as monic in ``y_1``.  Every polynomial is
+    uniquely ``A + y_1 B`` with ``A`` and ``B`` polynomials in ``|y|^2`` and
+    ``y_2 .. y_n``, so the normal form is unique, ``==`` decides equality of
+    the represented functions, and ``+``, ``-`` and scalar products are map
+    operations.  A term's weight ``K + |e|``, the sum of its key, is its
+    homogeneous degree, and the rewrite keeps it.
+
+    The slot view (`slots`, `slot`, `collect`, `to_json`, ...) writes each
+    parity of ``K`` as ``|y|^k p_k`` at its least exponent ``k``.  A nonzero
+    normal-form sum is never divisible by ``|y|^2``, so neither is ``p_k``:
+    at most one slot per parity, with no whole ``|y|^2`` factor left.
     """
 
-    __slots__ = ("n_vars", "_slots")
+    __slots__ = ()
 
     def __init__(self, n_vars: int, slots: Mapping[int, MultiPoly] | None = None):
+        """The sum of ``|y|^k slots[k]``; ValueError when rewriting the
+        slots' powers of ``y_1`` may build more than the cap's entries."""
         if n_vars < 1:
             raise DimensionError("need at least one variable")
-        by_parity: dict[int, list[tuple[int, MultiPoly]]] = {0: [], 1: []}
+        items = []
         for k, p in (slots or {}).items():
             if p.n_vars != n_vars:
                 raise DimensionError(f"slot polynomial has {p.n_vars} variables, expected {n_vars}")
-            if not p.is_zero:
-                by_parity[k & 1].append((int(k), p))
-        normal: dict[int, MultiPoly] = {}
-        for items in by_parity.values():
-            if not items:
-                continue
-            k_min = min(k for k, _ in items)
-            merged = MultiPoly.zero(n_vars)
-            for k, p in items:
-                if k != k_min:
-                    p = p * MultiPoly.r_squared(n_vars) ** ((k - k_min) // 2)
-                merged = merged + p
-            if merged.is_zero:
-                continue
-            while True:
-                q = merged.try_divide_r2()
-                if q is None:
-                    break
-                merged, k_min = q, k_min + 2
-            normal[k_min] = merged
-        self.n_vars = n_vars
-        self._slots = normal
-
-    @classmethod
-    def _make(cls, n_vars: int, slots: Mapping[int, MultiPoly]) -> "RadPoly":
-        """Trusted constructor: ``slots`` hold at most one exponent per parity
-        and no polynomial divisible by ``|y|^2``; zero slots are dropped."""
-        r = cls.__new__(cls)
-        r.n_vars, r._slots = n_vars, {k: p for k, p in slots.items() if not p.is_zero}
-        return r
+            if p._num:
+                items.append((int(k), p))
+        powers = [e[0] for _, p in items for e in p._num if e[0] > 1]
+        entries = sum(n_vars * math.comb(a // 2 + n_vars - 1, n_vars) for a in powers) * (n_vars + 1)
+        if entries > _MAX_REWRITE_ENTRIES:
+            raise ValueError(
+                f"rewriting y1^{max(powers)} modulo |y|^2 in n = {n_vars} variables "
+                f"may build {entries} exponent entries, more than {_MAX_REWRITE_ENTRIES}"
+            )
+        den = math.lcm(*(p._den for _, p in items))
+        num: dict[Exponent, int] = defaultdict(int)
+        for k, p in items:
+            scale = den // p._den
+            for e, c in p._num.items():
+                num[(k,) + e] += c * scale
+        _fold_y1_powers(num)
+        made = RadPoly._make(n_vars, num, den)
+        self.n_vars, self._num, self._den = n_vars, made._num, made._den
 
     @classmethod
     def from_poly(cls, p: MultiPoly, k: int = 0) -> "RadPoly":
@@ -465,54 +546,59 @@ class RadPoly:
     def zero(cls, n_vars: int) -> "RadPoly":
         return cls(n_vars, {})
 
-    # structure ------------------------------------------------------------
+    # the slot view ----------------------------------------------------------
+
+    def _sector(self, parity: int, base: int | None = None) -> tuple[int, MultiPoly] | None:
+        """The terms whose ``K`` has this parity as ``(k, W)`` with that part
+        equal to ``|y|^k W``, ``k`` being ``base`` or else the least ``K``;
+        None when there are none.  Each term is multiplied by a cached
+        ``(|y|^2)^j``; SolveError when a term sits below ``base``."""
+        terms = [(key, c) for key, c in self._num.items() if key[0] & 1 == parity]
+        if not terms:
+            return None
+        least = min(key[0] for key, _ in terms)
+        if base is None:
+            base = least
+        elif least < base:
+            raise SolveError(f"sector sits at |y|^{least}, below requested base {base}")
+        out: dict[Exponent, int] = defaultdict(int)
+        for key, c in terms:
+            e, j = key[1:], (key[0] - base) // 2
+            if not j:
+                out[e] += c
+                continue
+            for f, m in _r2_power(self.n_vars, j):
+                out[tuple(map(operator.add, e, f))] += c * m
+        return base, MultiPoly._make(self.n_vars, out, self._den)
 
     @property
     def slots(self) -> dict[int, MultiPoly]:
-        return dict(self._slots)
+        """``{k: p_k}``, the even slot first: each parity of ``K`` collected at
+        its least exponent."""
+        return dict(s for s in (self._sector(0), self._sector(1)) if s)
 
     def slot(self, k: int) -> MultiPoly:
         """Canonical-form coefficient of ``|y|^k`` (zero if absent)."""
-        return self._slots.get(k, MultiPoly.zero(self.n_vars))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._slots
+        s = self._sector(k & 1)
+        return s[1] if s and s[0] == k else MultiPoly.zero(self.n_vars)
 
     def min_slot(self) -> int | None:
-        return min(self._slots) if self._slots else None
+        return min((key[0] for key in self._num), default=None)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RadPoly):
-            return NotImplemented
-        return self.n_vars == other.n_vars and self._slots == other._slots
+    def collect(self, base: int) -> MultiPoly:
+        """The sector of ``base``'s parity as a single polynomial ``W``
+        with that part equal to ``|y|^base * W``."""
+        s = self._sector(base & 1, base)
+        return s[1] if s else MultiPoly.zero(self.n_vars)
 
     # arithmetic -----------------------------------------------------------
-
-    def __neg__(self) -> "RadPoly":
-        return RadPoly._make(self.n_vars, {k: -p for k, p in self._slots.items()})
-
-    def __add__(self, other: "RadPoly") -> "RadPoly":
-        if not isinstance(other, RadPoly):
-            return NotImplemented
-        _check_same_dims(self, other)
-        out: dict[int, MultiPoly] = dict(self._slots)
-        for k, p in other._slots.items():
-            out[k] = out[k] + p if k in out else p
-        return RadPoly(self.n_vars, out)
-
-    def __sub__(self, other: "RadPoly") -> "RadPoly":
-        return self + (-other)
 
     def __mul__(self, other: "RadPoly | MultiPoly | Scalar") -> "RadPoly":
         if isinstance(other, RadPoly):
             return self.mul(other)
         if isinstance(other, MultiPoly):
-            _check_same_dims(self, other)
-            if any(map(any, other._num)):
-                return RadPoly(self.n_vars, {k: p * other for k, p in self._slots.items()})
-        # a constant factor keeps each slot canonical (or zeroes it)
-        return RadPoly._make(self.n_vars, {k: p * other for k, p in self._slots.items()})
+            return self.mul(RadPoly.from_poly(other))
+        return self._scaled(_as_fraction(other))
 
     def __rmul__(self, other: Scalar) -> "RadPoly":
         return self * other
@@ -522,111 +608,96 @@ class RadPoly:
         terms of weight at most ``ceiling``, where ``|y|^k y^e`` has weight
         ``k + |e|``.  A pair of terms whose weights sum past the ceiling is
         skipped before it is multiplied, so the result is exactly the sum
-        of the product's homogeneous components of degree <= ceiling."""
+        of the product's homogeneous components of degree <= ceiling.  Only
+        a pair in which both terms hold ``y_1`` needs the rewrite, and it
+        keeps the weight."""
         _check_same_dims(self, other)
-        cap = math.inf if ceiling is None else ceiling
-        right = [(k2, _by_degree(p2), p2._den) for k2, p2 in other._slots.items()]
-        out: dict[int, MultiPoly] = {}
-        for k1, p1 in self._slots.items():
-            left = _by_degree(p1)
-            for k2, buckets, den2 in right:
-                room = cap - k1 - k2
-                acc: dict[Exponent, int] = defaultdict(int)
-                for d1, terms1 in left:
-                    if d1 + buckets[0][0] > room:
-                        break
-                    for d2, terms2 in buckets:
-                        if d1 + d2 > room:
-                            break
-                        for e1, c1 in terms1:
-                            for e2, c2 in terms2:
-                                acc[tuple(map(operator.add, e1, e2))] += c1 * c2
-                prod = MultiPoly._make(self.n_vars, acc, p1._den * den2)
-                k = k1 + k2
-                out[k] = out[k] + prod if k in out else prod
-        return RadPoly(self.n_vars, out)
+        right = list(other._num.items())
+        if ceiling is not None:
+            right.sort(key=lambda t: sum(t[0]))
+            weights = [sum(key) for key, _ in right]
+        out: dict[Exponent, int] = defaultdict(int)
+        for k1, c1 in self._num.items():
+            fits = right if ceiling is None else right[: bisect.bisect_right(weights, ceiling - sum(k1))]
+            for k2, c2 in fits:
+                out[tuple(map(operator.add, k1, k2))] += c1 * c2
+        return RadPoly._make(self.n_vars, _fold_y1_powers(out), self._den * other._den)
 
     def truncate(self, ceiling: int) -> "RadPoly":
         """The terms of weight ``k + |e|`` at most ``ceiling``: the sum of the
         homogeneous components of degree <= ceiling."""
-        return RadPoly(
-            self.n_vars,
-            {
-                k: MultiPoly._make(
-                    self.n_vars, {e: c for e, c in p._num.items() if k + sum(e) <= ceiling}, p._den
-                )
-                for k, p in self._slots.items()
-            },
-        )
+        kept = {key: c for key, c in self._num.items() if sum(key) <= ceiling}
+        return RadPoly._make(self.n_vars, kept, self._den)
 
     # calculus -------------------------------------------------------------
 
     def partial(self, i: int) -> "RadPoly":
-        out: dict[int, MultiPoly] = defaultdict(lambda: MultiPoly.zero(self.n_vars))
-        yi = MultiPoly.variable(self.n_vars, i)
-        for k, p in self._slots.items():
+        """``d(|y|^K y^e)/dy_i = K |y|^(K-2) y_i y^e + |y|^K d(y^e)/dy_i``,
+        term by term; only ``y_1 * y_1`` needs the rewrite."""
+        if not 0 <= i < self.n_vars:
+            raise DimensionError(f"variable index {i} out of range for {self.n_vars}")
+        out: dict[Exponent, int] = defaultdict(int)
+        j = i + 1  # the key position of y_i
+        for key, c in self._num.items():
+            k, ej = key[0], key[j]
             if k:
-                out[k - 2] = out[k - 2] + k * yi * p
-            out[k] = out[k] + p.partial(i)
-        return RadPoly(self.n_vars, out)
+                out[(k - 2,) + key[1:j] + (ej + 1,) + key[j + 1 :]] += k * c
+            if ej:
+                out[key[:j] + (ej - 1,) + key[j + 1 :]] += ej * c
+        return RadPoly._make(self.n_vars, _fold_y1_powers(out), self._den)
 
     def laplacian(self) -> "RadPoly":
-        """Exact Laplacian: ``lap(|y|^k p) = |y|^(k-2) (k (k+n-2) p
-        + 2 k y.grad p) + |y|^k lap p`` with ``n`` the variable count."""
+        """Exact Laplacian, term by term: ``lap(|y|^K y^e) = K (K + n - 2
+        + 2|e|) |y|^(K-2) y^e + |y|^K lap(y^e)`` with ``n`` the variable
+        count; ``e_1 <= 1`` adds nothing to ``lap(y^e)``."""
         n = self.n_vars
-        out: dict[int, MultiPoly] = defaultdict(lambda: MultiPoly.zero(n))
-        for k, p in self._slots.items():
+        out: dict[Exponent, int] = defaultdict(int)
+        for key, c in self._num.items():
+            k = key[0]
             if k:
-                out[k - 2] = out[k - 2] + k * (k + n - 2) * p + 2 * k * p.euler()
-            out[k] = out[k] + p.laplacian()
-        return RadPoly(n, out)
+                out[(k - 2,) + key[1:]] += k * (k + n - 2 + 2 * (sum(key) - k)) * c
+            for j in range(2, n + 1):
+                ej = key[j]
+                if ej >= 2:
+                    out[key[:j] + (ej - 2,) + key[j + 1 :]] += ej * (ej - 1) * c
+        return RadPoly._make(n, out, self._den)
 
-    # extraction -----------------------------------------------------------
-
-    def collect(self, base: int) -> MultiPoly:
-        """The sector of ``base``'s parity as a single polynomial ``W``
-        with that part equal to ``|y|^base * W``."""
-        sector = [(k, p) for k, p in self._slots.items() if (k - base) % 2 == 0]
-        if not sector:
-            return MultiPoly.zero(self.n_vars)
-        (k, p), = sector
-        if k < base:
-            raise SolveError(f"sector sits at |y|^{k}, below requested base {base}")
-        return p * MultiPoly.r_squared(self.n_vars) ** ((k - base) // 2)
+    # evaluation and serialization -------------------------------------------
 
     def evaluate(self, point: Iterable) -> Fraction | float:
+        """The value at ``point``, summed over `slots`: a Fraction when every
+        coordinate is rational and, if there is an odd slot, so is ``|y|``;
+        else a float."""
         pt = list(point)
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
         r2 = sum(x * x for x in pt)
-        total = None
-        for k, p in self._slots.items():
+        r = None
+        if all(isinstance(x, numbers.Rational) for x in pt):
+            r2 = Fraction(r2)
+            root = Fraction(math.isqrt(r2.numerator), math.isqrt(r2.denominator))
+            r = root if root * root == r2 else None
+        total = Fraction(0)
+        for k, p in self.slots.items():
             if k % 2 == 0:
                 rk = r2 ** (k // 2)
             else:
-                rk = math.sqrt(r2) ** k
-            val = rk * p.evaluate(pt)
-            total = val if total is None else total + val
-        if total is None:
-            return Fraction(0)
+                rk = (math.sqrt(r2) if r is None else r) ** k
+            total = total + rk * p.evaluate(pt)
         return total
-
-    # serialization --------------------------------------------------------
 
     def to_json(self) -> dict:
         return {
             "n_vars": self.n_vars,
-            "slots": [
-                {"k": k, "poly": p.to_json()} for k, p in sorted(self._slots.items())
-            ],
+            "slots": [{"k": k, "poly": p.to_json()} for k, p in sorted(self.slots.items())],
         }
 
     @classmethod
     def from_json(cls, data: Mapping) -> "RadPoly":
         """Inverse of ``to_json``; ValueError names a malformed record.
-        Merging two same-parity slots k apart multiplies by (|y|^2)^(k/2),
-        so k is capped at 40 and that factor at 300 terms (k <= 4 in 13
-        variables); ``to_json`` writes one slot per parity."""
+        The slot view multiplies a slot k above the least one of its parity
+        by (|y|^2)^(k/2), so k is capped at 40 and that factor at 300 terms
+        (k <= 4 in 13 variables); ``to_json`` writes one slot per parity."""
         try:
             n_vars = _json_int(data["n_vars"])
             slots = {_json_int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
@@ -641,7 +712,7 @@ class RadPoly:
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
-        return " + ".join(f"|y|^{k}*({p!r})" for k, p in sorted(self._slots.items()))
+        return " + ".join(f"|y|^{k}*({p!r})" for k, p in sorted(self.slots.items()))
 
 
 # ── the radial-weight Poisson equation ───────────────────────────────────

@@ -262,16 +262,23 @@ class ExpansionFit:
             raise ValueError(f"malformed fit record: {exc}") from exc
 
 
+class _FloatSamples(list):
+    """Samples as `read_samples` builds them: each a tuple of finite float
+    coordinates and a finite float value, so `_split_samples` takes them
+    as they are."""
+
+
 def _split_samples(samples, n: int) -> tuple[list[tuple[float, ...]], list[float], list[float]]:
-    """Points, values and radii |x| of the samples.  ValueError naming the
-    first sample with a non-finite entry, DimensionError on a point of
-    another dimension than n, InsufficientDataError on no samples."""
+    """Points, values and radii |x| of the samples, converted to floats
+    unless they come from `read_samples`.  ValueError naming the first
+    sample with a non-finite entry, DimensionError on a point of another
+    dimension than n, InsufficientDataError on no samples."""
+    floats = isinstance(samples, _FloatSamples)
     pts = []
     vals = []
     radii = []
     for index, (x, u) in enumerate(samples):
-        point = tuple(map(float, x))
-        value = float(u)
+        point, value = (x, u) if floats else (tuple(map(float, x)), float(u))
         radius = math.hypot(*point)
         # a finite radius needs finite coordinates, and huge finite ones
         # can overflow it, so only an infinite radius checks them one by one
@@ -655,7 +662,9 @@ def write_samples(path, samples) -> None:
 
 
 def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
-    """Read exterior samples from CSV with header ``x1,...,xn,u``.
+    """Read exterior samples from CSV with header ``x1,...,xn,u``, as
+    tuples of float coordinates and a float value, which `fit_expansion`
+    and `recover_v` take without converting them again.
 
     ValueError on a malformed header, a row of the wrong width, or a
     non-numeric or non-finite value, naming the file row.
@@ -672,7 +681,7 @@ def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
                 f"{path}: header must be x1,...,xn,u; got {','.join(header)}"
             )
         n = len(header) - 1
-        samples = []
+        samples = _FloatSamples()
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue

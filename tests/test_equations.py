@@ -8,6 +8,8 @@ values and interpolation slopes; the three residual-split routes against
 each other.
 """
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -832,9 +834,19 @@ def test_weight_ceiling_equals_the_full_residual_through_it(n, kind):
         assert cut == full.truncate(ceiling), ceiling
         if n % 2 and ceiling >= 2 * n:
             assert {k % 2 for k in cut.slots} == {0, 1}
-    if n < 5:  # at n = 5 this is another full residual, 2.5 s
-        top = max(k + p.total_degree() for k, p in full.slots.items())
-        assert symbolic_residual(P, Q, s, top) == full
+    top = max(k + p.total_degree() for k, p in full.slots.items())
+    assert symbolic_residual(P, Q, s, top) == full
+
+
+def test_whole_n5_residual_is_pinned():
+    # the whole residual in five variables, pinned by the digest of its
+    # report form; the slot view of each parity sits at its least exponent
+    n = 5
+    P = MultiPoly.const(n, fr(3, 2))
+    Q = MultiPoly.variable(n, 0) * MultiPoly.variable(n, 4)
+    full = symbolic_residual(P, Q, [1, fr(1, 2), 2, fr(1, 3), fr(3, 2)])
+    blob = json.dumps(full.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == "d06e9a944018c8a91e433e079a8fbfd69f35645f4bfda93704ac49ee44c09270"
 
 
 def test_linear_part_identity_holds_symbolically():

@@ -444,6 +444,9 @@ def test_radpoly_slot_access_and_zero():
     assert e.slot(-1) == MultiPoly.const(3, 1)
     assert e.slot(7).is_zero
     assert e.min_slot() == -1
+    for i in (-1, 3):
+        with pytest.raises(DimensionError, match=f"variable index {i} out of range for 3"):
+            e.partial(i)
 
 
 @given(p=homogeneous(3, 3, max_terms=4), q=homogeneous(3, 2, max_terms=4))
@@ -483,7 +486,9 @@ def test_radpoly_product_under_a_ceiling_keeps_the_components_through_it(a, b, c
 
 def test_radpoly_ceiling_skips_pairs_before_multiplying():
     # a pair of terms whose weights sum past the ceiling is never formed:
-    # count the exponent additions, three per pair in three variables
+    # count the key additions, four per pair in three variables (|y|^K and
+    # three exponents).  |y| y1^6 = |y| (|y|^2 - y2^2 - y3^2)^3 is 10 terms
+    # of weight 7, and 2 one term of weight 0.
     calls = []
 
     def add(a, b):
@@ -497,7 +502,9 @@ def test_radpoly_ceiling_skips_pairs_before_multiplying():
         assert not calls
         got = (high + low).mul(high + low, 7)
     assert got == (high + low) * (high + low) - high * high
-    assert len(calls) == 3 * 3
+    # low x low, low x high and high x low: 1 + 10 + 10 pairs, none of the
+    # 100 high x high pairs
+    assert len(calls) == 4 * (1 + 10 + 10)
 
 
 @given(p=polys(3, max_deg=2, max_terms=4))
@@ -605,6 +612,56 @@ def test_radpoly_negation_and_constant_products_stay_canonical(slots, c):
     assert (e * 0).slots == {}
     y1 = MultiPoly.variable(3, 0)
     assert e * y1 == RadPoly(3, {k: p * y1 for k, p in e.slots.items()})
+
+
+# rational unit vectors: a^2 + b^2 + c^2 = d^2
+_PYTHAGOREAN = [(1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (2, 6, 9, 11), (3, 4, 0, 5)]
+
+
+@given(
+    slots=st.dictionaries(st.integers(-4, 4), polys(3, max_deg=4, max_terms=4), max_size=4),
+    unit=st.sampled_from(_PYTHAGOREAN),
+    signs=st.tuples(*(st.sampled_from([1, -1]) for _ in range(3))),
+    t=st.fractions(min_value=fr(1, 4), max_value=3, max_denominator=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_radpoly_slot_view_is_canonical_and_faithful(slots, unit, signs, t):
+    # whatever slots go in, the view has at most one slot per parity, none
+    # divisible by |y|^2, rebuilds the same RadPoly and takes the same values
+    e = RadPoly(3, slots)
+    view = e.slots
+    assert len({k % 2 for k in view}) == len(view)
+    assert all(p.try_divide_r2() is None for p in view.values())
+    assert RadPoly(3, view) == e
+    *axes, d = unit
+    point = [t * s * a / d for s, a in zip(signs, axes)]  # |point| = t
+    want = sum((t**k * p.evaluate(point) for k, p in slots.items()), Fraction(0))
+    got = e.evaluate(point)
+    assert isinstance(got, Fraction) and got == want
+
+
+def test_radpoly_refuses_a_rewrite_past_its_cap_at_once():
+    # y1^200 in 13 variables would rewrite into C(112, 12) = 4.4e15 terms
+    big = MultiPoly.variable(13, 0) ** 200
+    start = time.perf_counter()
+    for build in (lambda: RadPoly(13, {0: big}), lambda: RadPoly.from_poly(big, 3)):
+        with pytest.raises(
+            ValueError,
+            match=r"rewriting y1\^200 modulo \|y\|\^2 in n = 13 variables may build "
+            r"6183666559947458400 exponent entries, more than 5000000",
+        ):
+            build()
+    assert time.perf_counter() - start < 1.0
+    # the bound is n C(q + n - 1, n) keys of n + 1 entries for each term of
+    # y1^(2q) or y1^(2q+1): y1^2 costs n (n + 1), and y1 or y2 nothing
+    y = [MultiPoly.variable(4, i) for i in range(4)]
+    with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 20):
+        assert len(RadPoly.from_poly(y[0] ** 3 * y[1])._num) == 4
+        assert len(RadPoly.from_poly(y[0] * y[1] + y[2] * y[3] + y[1] ** 9)._num) == 3
+        with pytest.raises(ValueError, match=r"y1\^3 .* n = 4 variables may build 40 exponent entries"):
+            RadPoly.from_poly(y[0] ** 2 + y[0] ** 3)
+        with pytest.raises(ValueError, match=r"y1\^4 .* n = 4 variables may build 100 exponent entries"):
+            RadPoly.from_poly(y[0] ** 4)
 
 
 def test_radical_weight_half_pinned():

@@ -802,6 +802,25 @@ def test_samples_csv_roundtrip(tmp_path):
     assert back == samples
 
 
+def test_samples_read_from_csv_fit_like_a_plain_list(tmp_path):
+    # read_samples hands its float tuples to the fit without a second
+    # conversion: the fit equals that of the same samples given as lists of
+    # Fractions, which are converted, and a point of the wrong dimension is
+    # still refused
+    rng = np.random.default_rng(7)
+    samples = sphere_samples(
+        rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x) + 1.0 / np.linalg.norm(x)
+    )
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    read = read_samples(path)
+    assert read == samples
+    exact = [([Fraction(c) for c in x], Fraction(u)) for x, u in read]
+    assert fit_expansion(read, 3).to_json() == fit_expansion(exact, 3).to_json()
+    with pytest.raises(DimensionError, match="samples have 3 coordinates, expected 2"):
+        fit_expansion(read, 2)
+
+
 def test_write_samples_checks_every_sample_before_writing(tmp_path):
     path = tmp_path / "samples.csv"
     good = ((1.0, 2.0, 3.0), 0.5)

@@ -188,6 +188,22 @@ def test_radpoly_slot_spread_cap_names_the_slots():
     assert merged.slots.keys() == {0} and merged.evaluate([1, 0, 0]) == 2
 
 
+def test_radpoly_rewrite_cap_names_the_power_and_the_bound():
+    # RadPoly keeps y1^2 rewritten as |y|^2 - y2^2 - ... - yn^2, so one term
+    # y1^200 in 13 variables stands for C(112, 12) = 4.4e15 terms
+    power = {"n_vars": 13, "terms": [{"coef": "1", "exp": [200] + [0] * 12}]}
+    record = {"n_vars": 13, "slots": [{"k": 1, "poly": power}]}
+    with pytest.raises(
+        ValueError,
+        match=r"malformed radical polynomial record: rewriting y1\^200 modulo \|y\|\^2 in n = 13 "
+        r"variables may build \d+ exponent entries, more than 5000000",
+    ):
+        RadPoly.from_json(record)
+    # y1^40 in 3 variables is 3 C(22, 3) keys of 4 entries
+    small = {"n_vars": 3, "slots": [{"k": 1, "poly": {"n_vars": 3, "terms": [{"coef": "1", "exp": [40, 0, 0]}]}}]}
+    assert RadPoly.from_json(small).evaluate([1, 0, 0]) == 1
+
+
 # ── fuzzed records ───────────────────────────────────────────────────────
 
 
