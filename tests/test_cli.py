@@ -171,6 +171,55 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
     assert json.loads(proc.stdout.splitlines()[-1]) == want
 
 
+_ROUTES_WITHOUT_NUMPY = """
+import importlib, json, math, pkgutil, sys
+if sys.argv[1] == "block":
+    sys.modules["numpy"] = None  # every import of numpy now fails
+import kelvinasym
+for info in pkgutil.iter_modules(kelvinasym.__path__):
+    importlib.import_module("kelvinasym." + info.name)
+from kelvinasym.equations import algebraic_residual, notheta_residual, transformed_residual
+from kelvinasym.exactalg import MultiPoly
+from kelvinasym.kelvin import KelvinFrame, PhaseBranch, kelvin_map, matrices_MNKL, poly_jet
+theta = 3 * math.pi / 4
+branch = PhaseBranch.slag(theta)
+H = [[1.5, 0.25, 0.0], [0.25, 1.0, -0.5], [0.0, -0.5, 0.75]]
+frame = KelvinFrame(branch, [1.0, 0.5, 2.0])
+v = MultiPoly.const(3, 1) + MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) ** 2
+jet = poly_jet(v, [0.3, -0.2, 0.1])
+out = [
+    algebraic_residual(branch, H, theta),
+    notheta_residual(branch, [1.0, 0.5, 2.0], H),
+    matrices_MNKL(jet, frame),
+    transformed_residual(jet, frame).total,
+    kelvin_map([[[2.0, 0.0, 1.0], [1.0, -1.0, 3.0]], [[0.5, 2.0, -1.0], [3.0, 1.0, 1.0]]], frame.R),
+]
+assert sys.modules.get("numpy") is None, "numpy was loaded"
+print(json.dumps(out))
+"""
+
+
+def test_former_numpy_routes_run_without_numpy():
+    # every module imports, and the float routes that once ran on arrays
+    # (eigenvalues, jets, the identity's matrices, stacked point maps) give
+    # the same values when numpy cannot load, without ever loading it
+    runs = {}
+    for mode in ("block", "allow"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ROUTES_WITHOUT_NUMPY, mode],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs["block"] == runs["allow"]
+    residual, eliminated, mnkl, total, images = runs["block"]
+    assert abs(residual) > 1e-3 and abs(eliminated) > 1e-3 and math.isfinite(total)
+    assert len(mnkl) == 4 and [len(row) for row in mnkl[1]] == [3, 3, 3]
+    assert [[len(y) for y in stack] for stack in images] == [[3, 3], [3, 3]]
+
+
 _FLOAT_WITHOUT_NUMPY = """
 import json, sys
 sys.modules["numpy"] = None  # every import of numpy now fails

@@ -157,6 +157,105 @@ def test_asymmetric_float_matrix_rejected():
         algebraic_residual(branch, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0)
 
 
+def test_float_matrix_with_a_nan_entry_is_refused():
+    # the NaN used to pass the symmetry test and come back as a finite
+    # residual; it is named before any rotation runs
+    branch = PhaseBranch.slag(3 * math.pi / 4)
+    H = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, math.nan]]
+    with mock.patch.object(equations, "_rotation", side_effect=AssertionError("rotated")):
+        with pytest.raises(ValueError, match=r"entry \(2, 2\) is nan"):
+            algebraic_residual(branch, H, 3 * math.pi / 4)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is nan"):
+        algebraic_residual(branch, [[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]], 3 * math.pi / 4)
+
+
+def test_float_matrix_with_an_infinite_entry_is_refused():
+    # an inf entry used to give a NaN residual with a RuntimeWarning
+    branch = PhaseBranch.slag(0.0)
+    H = [[1.0, 0.0, 0.0], [0.0, 1.0, math.inf], [0.0, math.inf, 1.0]]
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is inf"):
+        notheta_residual(branch, [1.0, 1.0, 1.0], H)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is -inf"):
+        algebraic_residual(branch, [[-math.inf, 0.0], [0.0, 1.0]], 0.0)
+
+
+def test_integer_arrays_take_the_exact_route():
+    # numpy's integers are numbers.Integral, so an integer array is exact
+    # input, evaluated in Python ints like the nested lists it holds
+    branch = PhaseBranch.slag(0.0)
+    for matrix in (np.eye(3, dtype=int), np.array([[2, 1, 0], [1, 3, -1], [0, -1, 1]])):
+        got = notheta_residual(branch, [1, 1, 1], matrix)
+        want = notheta_residual(branch, [1, 1, 1], matrix.tolist())
+        assert type(got) is Fraction and got == want
+        assert type(got.numerator) is int and type(got.denominator) is int
+    assert notheta_residual(branch, [1, 1, 1], np.eye(3, dtype=int)) == 0
+    assert notheta_residual(branch, [1, 1, 1], np.eye(3)) == 0.0
+
+
+# ── the Jacobi eigenvalue solver, against np.linalg.eigvalsh ─────────────
+
+
+def assert_eigenvalues_match(h, rtol=4e-15):
+    got = equations._symmetric_eigenvalues(h.tolist())
+    want = np.linalg.eigvalsh(h)
+    assert all(isinstance(v, float) for v in got) and got == sorted(got)
+    scale = max(abs(want).max(), 1e-300)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= rtol * scale
+
+
+def test_eigenvalues_of_random_symmetric_matrices():
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        h = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
+        assert_eigenvalues_match((h + h.T) / 2)
+
+
+def test_eigenvalues_of_clustered_spectra():
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        eigs = rng.normal() + 1e-12 * rng.normal(size=n)
+        h = rotated(eigs, random_orthogonal(rng, n)) * 10.0 ** rng.uniform(-6, 6)
+        assert_eigenvalues_match((h + h.T) / 2)
+
+
+def test_eigenvalues_of_diagonal_and_zero_matrices_are_exact():
+    for diag in ([3.0, -1.0, 2.0], [1e-300, -1e300], [0.5]):
+        with mock.patch.object(equations, "_rotation", side_effect=AssertionError("rotated")):
+            assert equations._symmetric_eigenvalues(np.diag(diag).tolist()) == sorted(diag)
+    for n in (1, 2, 5):
+        assert equations._symmetric_eigenvalues([[0.0] * n for _ in range(n)]) == [0.0] * n
+    assert equations._symmetric_eigenvalues([]) == []
+
+
+def test_eigenvalues_next_to_the_reciprocal_bound():
+    # 1 + lambda ~ 1e-9 is the small factor of the RECIP determinant: the
+    # eigenvalues agree to rounding, so the factor and the residual agree
+    # with the eigvalsh route to the relative size of that rounding (the
+    # worst of 200 draws was 4.6e-7)
+    branch = PhaseBranch.recip(-1.0)
+    row = row_of(branch)
+    rng = np.random.default_rng(97)
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        eigs = np.concatenate([[-1.0 + 1e-9], -1.0 + 10.0 ** rng.uniform(-9, 0.5, size=n - 1)])
+        h = rotated(eigs, random_orthogonal(rng, n))
+        h = (h + h.T) / 2
+        got = equations._symmetric_eigenvalues(h.tolist())
+        want = np.linalg.eigvalsh(h)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 4e-15
+        assert 0.0 < 1.0 + got[0] < 2e-9
+        form = AlgebraicForm.eliminated(branch, n, [0.5] * n)
+        oracle = form._at_det(equations._det_by_values(row, [float(v) for v in want]))
+        assert abs(form.residual(h.tolist()) - oracle) <= 1e-5 * abs(oracle)
+    # on the diagonal nothing rotates, so the factor is exact
+    diagonal = [[-1.0 + 1e-9, 0.0], [0.0, 0.25]]
+    form = AlgebraicForm.eliminated(branch, 2, [0.5, 0.5])
+    exact = form._at_det(equations._det_by_values(row, [-1.0 + 1e-9, 0.25]))
+    assert form.residual(diagonal) == exact
+
+
 # ── theta-free form ──────────────────────────────────────────────────────
 
 
@@ -560,7 +659,7 @@ def flat_frame(spectrum):
 
 def test_zero_profile_gives_zero_residual():
     frame = flat_frame([0.3, -0.2, 0.5])
-    jet = Jet2(y=np.array([0.2, 0.4, -0.1]), value=0.0, grad=np.zeros(3), hess=np.zeros((3, 3)))
+    jet = Jet2(y=(0.2, 0.4, -0.1), value=0.0, grad=(0.0,) * 3, hess=((0.0,) * 3,) * 3)
     out = transformed_residual(jet, frame)
     assert abs(out.total) < 1e-12
     assert abs(out.laplace_term) < 1e-15
@@ -570,12 +669,12 @@ def test_constant_profile_residual_is_minus_two_radius_fourth():
     frame = flat_frame([0.0, 0.0, 0.0])
     rng = np.random.default_rng(31)
     for _ in range(10):
-        y = rng.uniform(-0.45, 0.45, size=3)
-        if np.linalg.norm(y) < 0.1:
+        y = rng.uniform(-0.45, 0.45, size=3).tolist()
+        if math.hypot(*y) < 0.1:
             continue
-        jet = Jet2(y=y, value=1.0, grad=np.zeros(3), hess=np.zeros((3, 3)))
+        jet = Jet2(y=y, value=1.0, grad=[0.0] * 3, hess=[[0.0] * 3 for _ in range(3)])
         out = transformed_residual(jet, frame)
-        want = -2.0 * float(np.dot(y, y)) ** 2
+        want = -2.0 * sum(c * c for c in y) ** 2
         assert abs(out.total - want) < 1e-10
         assert out.laplace_term == 0.0
         assert abs(out.nonlinear_term - want) < 1e-10
@@ -588,7 +687,8 @@ def test_split_invariant_total_is_laplace_plus_nonlinear():
         y = rng.uniform(0.2, 0.5, size=3)
         hess = rng.normal(size=(3, 3))
         hess = (hess + hess.T) / 2
-        jet = Jet2(y=y, value=rng.normal(), grad=rng.normal(size=3), hess=hess)
+        grad = rng.normal(size=3).tolist()
+        jet = Jet2(y=y.tolist(), value=rng.normal(), grad=grad, hess=hess.tolist())
         out = transformed_residual(jet, frame)
         assert abs(out.total - (out.laplace_term + out.nonlinear_term)) < 1e-12
 
@@ -627,10 +727,10 @@ def test_exact_route_agrees_with_float_route(n):
         exact = transformed_residual_exact(y, value, grad, hess, spec)
         frame = flat_frame([float(v) for v in spec.values])
         jet = Jet2(
-            y=np.array([float(c) for c in y]),
+            y=[float(c) for c in y],
             value=float(value),
-            grad=np.array([float(c) for c in grad]),
-            hess=np.array([[float(c) for c in row] for row in hess]),
+            grad=[float(c) for c in grad],
+            hess=[[float(c) for c in row] for row in hess],
         )
         split = transformed_residual(jet, frame)
         assert abs(split.total - float(exact.total)) < 1e-9 * max(1.0, abs(split.total))
@@ -741,19 +841,14 @@ def random_poly(rnd: Random, n_vars=3, max_degree=2) -> MultiPoly:
     return out
 
 
-def radical_jet(P: MultiPoly, Q: MultiPoly, y: np.ndarray) -> Jet2:
+def radical_jet(P: MultiPoly, Q: MultiPoly, y: list) -> Jet2:
     v = RadPoly(3, {0: P, 1: Q})
     grad = [v.partial(i) for i in range(3)]
-    point = [float(c) for c in y]
-    hess = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            hess[i, j] = hess[j, i] = float(grad[i].partial(j).evaluate(point))
     return Jet2(
         y=y,
-        value=float(v.evaluate(point)),
-        grad=np.array([float(g.evaluate(point)) for g in grad]),
-        hess=hess,
+        value=float(v.evaluate(y)),
+        grad=[float(g.evaluate(y)) for g in grad],
+        hess=[[float(g.partial(j).evaluate(y)) for j in range(3)] for g in grad],
     )
 
 
@@ -765,11 +860,11 @@ def test_symbolic_agrees_with_float_route_at_50_configurations():
         P = random_poly(rnd)
         Q = random_poly(rnd)
         s = random_spectrum(rnd, 3, max_numerator=3, max_denominator=4)
-        y = rng.uniform(-0.6, 0.6, size=3)
-        if not 0.25 <= float(np.linalg.norm(y)) <= 0.85:
+        y = rng.uniform(-0.6, 0.6, size=3).tolist()
+        if not 0.25 <= math.hypot(*y) <= 0.85:
             continue
         symbolic = symbolic_residual(P, Q, s)
-        got = float(symbolic.evaluate([float(c) for c in y]))
+        got = float(symbolic.evaluate(y))
         frame = flat_frame([float(v) for v in s.values])
         split = transformed_residual(radical_jet(P, Q, y), frame)
         assert abs(got - split.total) < 1e-9 * max(1.0, abs(split.total))

@@ -664,6 +664,30 @@ def test_radpoly_refuses_a_rewrite_past_its_cap_at_once():
             RadPoly.from_poly(y[0] ** 4)
 
 
+def test_radpoly_slot_view_refuses_past_the_cap_before_building():
+    # the term at |y|^6400 spreads over (|y|^2)^3200, C(3202, 2) = 5,124,801
+    # monomials in 3 variables, plus one for the term at |y|^0
+    one = MultiPoly.const(3, 1)
+    wide = RadPoly(3, {0: one, 6400: one})
+    assert len(wide._num) == 2
+    start = time.perf_counter()
+    views = (lambda: wide.slots, lambda: wide.slot(0), lambda: wide.collect(0), wide.to_json)
+    for view in (*views, lambda: wide.evaluate([0.1, 0.2, 0.3])):
+        with pytest.raises(ValueError, match=r"\|y\|\^0 would write 5124802 monomial entries, more than 5000000"):
+            view()
+    assert time.perf_counter() - start < 1.0
+    # C(j + n - 1, j) monomials for a term j steps of |y|^2 above the base;
+    # each sector is bounded on its own
+    y1 = MultiPoly.variable(3, 0)
+    assert (wide + RadPoly(3, {1: y1})).collect(1) == y1
+    small = RadPoly(3, {0: one, 4: y1})
+    with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 7):
+        assert small.collect(0) == one + MultiPoly.r_squared(3) ** 2 * y1
+    with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 6):
+        with pytest.raises(ValueError, match="would write 7 monomial entries, more than 6"):
+            small.collect(0)
+
+
 def test_radical_weight_half_pinned():
     # lap(|y| * 1/2) = |y|^(-1) in three variables
     got = RadPoly(3, {1: MultiPoly.const(3, fr(1, 2))}).laplacian()

@@ -209,9 +209,10 @@ def test_kelvin_map_roundtrips():
         R = rng.uniform(0.5, 2.0, size=n)
         for direction in ("forward", "backward"):
             stacked = kelvin_map(xs, R, direction)
-            assert stacked.shape == xs.shape
+            assert isinstance(stacked, list) and np.shape(stacked) == xs.shape
+            assert kelvin_map(xs.tolist(), R, direction) == stacked
             for x, row in zip(xs, stacked):
-                assert np.array_equal(row, kelvin_map(x, R, direction))
+                assert row == kelvin_map(x, R, direction)
 
 
 def test_kelvin_map_errors():
@@ -282,10 +283,11 @@ def test_u_from_v_takes_stacked_points():
     )
     v = random_profile(Random(3), 3)
     xs = np.random.default_rng(6).uniform(-3.0, 3.0, size=(4, 5, 3))
-    stacked = u_from_v(frame, lambda ys: v.evaluate(np.moveaxis(ys, -1, 0).astype(object)), xs)
-    assert stacked.shape == (4, 5)
-    for index in np.ndindex(4, 5):
-        assert stacked[index] == u_from_v(frame, lambda y: float(v.evaluate(list(y))), xs[index])
+    stacked = u_from_v(frame, v.evaluate, xs)
+    assert isinstance(stacked, list) and np.shape(stacked) == (4, 5)
+    assert u_from_v(frame, v.evaluate, xs.tolist()) == stacked
+    for i, j in np.ndindex(4, 5):
+        assert stacked[i][j] == u_from_v(frame, lambda y: float(v.evaluate(list(y))), xs[i, j])
 
 
 # ── jets ─────────────────────────────────────────────────────────────────
@@ -300,6 +302,10 @@ def test_poly_jet_pinned():
     assert np.allclose(jet.grad, [0.12, 0.04, 0.0])
     assert np.allclose(jet.hess, [[0.6, 0.4, 0.0], [0.4, 0.0, 0.0], [0.0, 0.0, 0.0]])
     assert jet.n == 3
+    assert jet.y == (0.2, 0.3, 0.1) and type(jet.value) is float
+    assert type(jet.grad) is tuple and all(type(row) is tuple for row in jet.hess)
+    # a jet holds tuples whatever sequences it was given
+    assert Jet2(np.array(jet.y), jet.value, list(jet.grad), np.array(jet.hess)) == jet
 
 
 def test_jet_validation():
@@ -313,6 +319,27 @@ def test_jet_validation():
         Jet2(y=np.array([0.5, 0, 0]), value=0.0, grad=np.zeros(3), hess=bad)
     with pytest.raises(ValueError):
         Jet2(y=np.array([0.5, 0, 0]), value=0.0, grad=np.zeros(2), hess=np.zeros((3, 3)))
+
+
+ZERO_HESS = ((0.0,) * 3,) * 3
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_jet_refuses_a_non_finite_value(value):
+    with pytest.raises(ValueError, match=f"jet value {value} is not finite"):
+        Jet2(y=(0.5, 0.0, 0.0), value=value, grad=(0.0,) * 3, hess=ZERO_HESS)
+
+
+def test_jet_refuses_a_non_finite_gradient_entry():
+    with pytest.raises(ValueError, match="gradient entry 2 is inf"):
+        Jet2(y=(0.5, 0.0, 0.0), value=0.0, grad=(0.0, 1.0, math.inf), hess=ZERO_HESS)
+
+
+def test_jet_refuses_a_non_finite_hessian_entry():
+    # a NaN pair passed the symmetry test, since nan > 1e-12 is False
+    hess = [[0.0, math.nan, 0.0], [math.nan, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(ValueError, match=r"Hessian entry \(0, 1\) is nan"):
+        Jet2(y=(0.5, 0.0, 0.0), value=0.0, grad=(0.0,) * 3, hess=hess)
 
 
 # ── the Hessian identity matrices ────────────────────────────────────────
@@ -344,7 +371,7 @@ def test_mnkl_reproduces_analytic_hessian_of_linear_profile():
         y = kelvin_map(x, frame.R)
         jet = poly_jet(v, y)
         _, N, _, _ = matrices_MNKL(jet, frame)
-        got = float(np.dot(y, y)) ** 1.5 * N
+        got = float(np.dot(y, y)) ** 1.5 * np.asarray(N)
         want = np.zeros((3, 3))
         for j in range(3):
             for k in range(3):
@@ -449,7 +476,7 @@ def hessian_check_per_sample(frame, v, samples, fd_step, seed):
             x = x * (1.05 / image_norm)
         y = kelvin_map(x, frame.R, "forward")
         _, N, _, _ = matrices_MNKL(poly_jet(v, y), frame)
-        exact = np.diag(frame.spectrum) + sum(c * c for c in y) ** (n / 2.0) * N
+        exact = np.diag(frame.spectrum) + sum(c * c for c in y) ** (n / 2.0) * np.asarray(N)
         fd = np.zeros((n, n))
         u0 = u(x)
         for i in range(n):
