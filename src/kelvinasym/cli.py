@@ -47,7 +47,6 @@ from pathlib import Path
 from random import Random
 
 from . import symfun
-from ._branches import DomainError
 from .exactalg import MultiPoly, SolveError, parse_rational, solve_radical_poisson
 from .equations import linear_part_defect, residual_scaling_slopes, symbolic_residual
 from .expand import (
@@ -64,14 +63,14 @@ from .expand import (
 )
 from .kelvin import (
     AdmissibilityError,
+    DomainError,
     KelvinFrame,
     PhaseBranch,
     check_fd_work,
     hessian_identity_check,
 )
 from .radial import (
-    MAX_SAMPLE_COORDINATES,
-    MAX_SAMPLES,
+    check_sample_work,
     count_nodes,
     integrate_exterior,
     trajectory_samples,
@@ -613,16 +612,11 @@ def _run_radial(merged: dict) -> int:
             nodes = count_nodes(r_max, merged["step"], merged["stride"], sample_rmin, sample_rmax)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        if nodes * per_radius > MAX_SAMPLES:
-            raise _UsageError(
-                f"--per-radius {per_radius} scatters {nodes * per_radius} samples over the "
-                f"{nodes} nodes in the sample window, more than {MAX_SAMPLES}"
-            )
-        if nodes * per_radius * n > MAX_SAMPLE_COORDINATES:
-            raise _UsageError(
-                f"--n {n} --per-radius {per_radius} draws {nodes * per_radius * n} coordinates over "
-                f"the {nodes} nodes in the sample window, more than {MAX_SAMPLE_COORDINATES}"
-            )
+        try:
+            check_sample_work(nodes * per_radius, n)
+        except ValueError as exc:
+            flags = f"--n {n} --per-radius {per_radius}"
+            raise _UsageError(f"{flags} over the {nodes} nodes in the sample window: {exc}") from exc
 
     try:
         states = integrate_exterior(

@@ -8,16 +8,10 @@ into two determinant-style forms evaluated on a Hessian matrix H:
                    the asymptotic model A = diag(lambda), with theta
                    eliminated through the model.
 
-Both come from one determinant.  Each kind is a row of the plane algebra
-x + u y, u^2 = eps, with g(lambda) = kappa arg(alpha + beta lambda)
-(`_branches.phase_row`):
-
-  kind   eps  alpha             beta   kappa
-  SLAG   -1   1                 u      1
-  ATAN2  -1   (a+b) + u (a-b)   1 + u  sqrt(a^2 + 1) / b
-  RECIP   0   1 + u             1      -sqrt(2)
-  LOG    +1   a + u b           1      -sqrt(a^2 + 1) / b
-
+Both come from one determinant.  Each kind is a row (eps, alpha, beta,
+kappa) of the plane algebra x + u y, u^2 = eps, with
+g(lambda) = kappa arg(alpha + beta lambda); the table of rows is in the
+docstring of `kelvin.PhaseBranch`, and each branch carries its row.
 With P(H) = det(alpha + beta H) = sum_k sigma_k(H) beta^k alpha^(n-k) and
 cross(Z, P) = x_Z y_P - y_Z x_P, the theta-free form is
 s_free cross(P(A), P(H)), the theta-carrying form s_carry cross(Z_theta,
@@ -57,12 +51,12 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence, Union
 
-from ._branches import PhaseRow, phase_row
 from .exactalg import DimensionError, MultiPoly, RadPoly
 from .kelvin import (
     Jet2,
     KelvinFrame,
     PhaseBranch,
+    PhaseRow,
     _norm_sq,
     identity_parts,
     jet_indeterminates,
@@ -71,7 +65,6 @@ from .kelvin import (
 )
 from .symfun import (
     MismatchError,
-    Spectrum,
     _Dual,
     _principal_minors,
     char_sigmas,
@@ -152,17 +145,13 @@ def _symmetric_eigenvalues(rows) -> list[float]:
 
 def _spectrum_values(s) -> list:
     """Fractions when every value is rational, else floats."""
-    vals = list(s.values) if isinstance(s, Spectrum) else list(s)
+    vals = list(s)
     if all(_is_exact(v) for v in vals):
         return [Fraction(v) for v in vals]
     return [float(v) for v in vals]
 
 
 # ── the two residual forms ───────────────────────────────────────────────
-
-
-def _row(branch: PhaseBranch) -> PhaseRow:
-    return phase_row(branch.kind, branch.a, branch.b)
 
 
 def _det_by_sigmas(row: PhaseRow, sig) -> tuple:
@@ -196,9 +185,9 @@ def _det_by_values(row: PhaseRow, values) -> tuple:
 @dataclass(frozen=True)
 class AlgebraicForm:
     """A polynomialized residual of one branch, scale * cross(Z, P(H)) with
-    P(H) = det(alpha + beta H) in the branch's plane algebra (row table in
-    `_branches`): Z and scale are fixed at construction, so evaluation is
-    pure determinant algebra.
+    P(H) = det(alpha + beta H) in the branch's plane algebra (`branch.row`):
+    Z and scale are fixed at construction, so evaluation is pure
+    determinant algebra.
 
     `coefficients` carries {x, y, scale}: Z = x + u y is Z_theta for the
     theta-carrying form and P(A) for the theta-free form.
@@ -212,7 +201,7 @@ class AlgebraicForm:
     @classmethod
     def theta_carrying(cls, branch: PhaseBranch, n: int, theta: float) -> "AlgebraicForm":
         """The form that vanishes exactly on matrices of phase theta."""
-        row = _row(branch)
+        row = branch.row
         x, y = row.carrier(float(theta))
         coeff = {"x": x, "y": y, "scale": row.s_carry}
         return cls(branch=branch, n=n, theta_free=False, coefficients=coeff)
@@ -221,7 +210,7 @@ class AlgebraicForm:
     def eliminated(cls, branch: PhaseBranch, n: int, s) -> "AlgebraicForm":
         """The theta-free form, with theta eliminated through the phase of
         the asymptotic model spectrum s."""
-        row = _row(branch)
+        row = branch.row
         vals = _spectrum_values(s)
         if len(vals) != n:
             raise ValueError("spectrum size must match the form dimension")
@@ -239,7 +228,7 @@ class AlgebraicForm:
         rows = [list(line) for line in H]
         if len(rows) != self.n or any(len(line) != self.n for line in rows):
             raise ValueError(f"matrix must be {self.n} x {self.n}")
-        row = _row(self.branch)
+        row = self.branch.row
         if all(map(_is_exact, [*(v for line in rows for v in line), *self.coefficients.values()])):
             # int() keeps a Rational type's numerator and denominator in Python ints
             sig = char_sigmas(
@@ -254,7 +243,7 @@ class AlgebraicForm:
     def _at_det(self, p):
         """The form at P(H) = p: scale * cross(Z, p), in the ring of p."""
         c = self.coefficients
-        return c["scale"] * _row(self.branch).cross((c["x"], c["y"]), p)
+        return c["scale"] * self.branch.row.cross((c["x"], c["y"]), p)
 
 
 def algebraic_residual(branch: PhaseBranch, H, theta: float) -> float:
@@ -277,7 +266,7 @@ def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
 # the bound log-uniform in [1e-6, 1e3], for LOG also [1e-9, 1e3], seed 1)
 # the two routes differ by at most 1.2e-15 relative on RECIP, 1.4e-15 on
 # SLAG, 3.4e-14 on ATAN2 and 4.1e-14 on LOG, whose R sums lambda + (a - b)
-# exactly near the bound (`_branches.g_prime`)
+# exactly near the bound (`PhaseBranch.g_prime`)
 _FACTOR_RTOL = 1e-9
 
 
@@ -293,7 +282,7 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
     `_FACTOR_RTOL` relative."""
     vals = _spectrum_values(s)
     n = len(vals)
-    row = _row(branch)
+    row = branch.row
     form = AlgebraicForm.eliminated(branch, n, vals)
     c = form.coefficients
     gamma = c["scale"] * row.norm((c["x"], c["y"])) / row.kappa  # s_free N(P(A)) / kappa
@@ -431,7 +420,7 @@ def transformed_residual_exact(
     """
     yv = [Fraction(c) for c in y]
     n = len(yv)
-    vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
+    vals = [Fraction(v) for v in s]
     if len(vals) != n:
         raise ValueError("spectrum size must match the point dimension")
     gv = [Fraction(c) for c in grad]
@@ -468,7 +457,7 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None)
     entries of M, in each size of minor and inside every product, so they
     are never formed.  None computes the whole residual."""
     n = P.n_vars
-    vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
+    vals = [Fraction(v) for v in s]
     if n < 3 or Q.n_vars != n or len(vals) != n:
         raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
     yvars = [MultiPoly.variable(n, i) for i in range(n)]
@@ -489,7 +478,7 @@ def linear_part_defect(s) -> RadPoly:
     difference over the jet variables (y, v, g and the upper triangle of
     h; 13 of them for n = 3); it is identically zero precisely when the
     linear part of the residual factors as gamma |y|^(n+2) lap(v)."""
-    vals = [Fraction(v) for v in (s.values if isinstance(s, Spectrum) else s)]
+    vals = [Fraction(v) for v in s]
     n = len(vals)
     if n < 2:
         raise DimensionError(f"the linear-part identity needs n >= 2, got {n}")
@@ -506,7 +495,7 @@ def linear_part_defect(s) -> RadPoly:
         [_Dual(vals[i] if i == j else 0, scaled_m[i][j] * rho[j]) for j in range(n)] for i in range(n)
     ]
     form = AlgebraicForm.eliminated(PhaseBranch.slag(0.0), n, vals)
-    p_h = _det_by_sigmas(_row(form.branch), char_sigmas(pencil, _Dual(Fraction(1), zero)))
+    p_h = _det_by_sigmas(form.branch.row, char_sigmas(pencil, _Dual(Fraction(1), zero)))
     linear = form._at_det(p_h).b
     gamma = math.prod(rho, start=Fraction(1))
     trace_h = sum((hvar[i][i] for i in range(n)), zero)

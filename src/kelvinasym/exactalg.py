@@ -420,13 +420,12 @@ class MultiPoly(_RationalMap):
     def __repr__(self) -> str:
         if self.is_zero:
             return "0"
-        bits = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"y{i + 1}" if k == 1 else f"y{i + 1}^{k}" for i, k in enumerate(e) if k
-            )
-            bits.append(f"{c}" if not mono else f"{c}*{mono}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}{_monomial(e)}" for e, c in sorted(self.terms.items()))
+
+
+def _monomial(e: Exponent) -> str:
+    """``*y1^2*y3`` for the exponent (2, 0, 1); empty for the constant."""
+    return "".join(f"*y{i + 1}" if k == 1 else f"*y{i + 1}^{k}" for i, k in enumerate(e) if k)
 
 
 # ── radical polynomials ──────────────────────────────────────────────────
@@ -721,9 +720,13 @@ class RadPoly(_RationalMap):
             raise ValueError(f"malformed radical polynomial record: {exc}") from exc
 
     def __repr__(self) -> str:
+        """The normal form term by term, ``c*|y|^K*y^e``; it never builds
+        the slot view, which may be past its cap."""
         if self.is_zero:
             return "0"
-        return " + ".join(f"|y|^{k}*({p!r})" for k, p in sorted(self.slots.items()))
+        den = self._den
+        terms = sorted(self._num.items())
+        return " + ".join(f"{Fraction(c, den)}*|y|^{k[0]}{_monomial(k[1:])}" for k, c in terms)
 
 
 # ── the radial-weight Poisson equation ───────────────────────────────────

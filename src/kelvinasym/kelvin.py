@@ -32,12 +32,10 @@ import math
 import numbers
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from . import _branches
-from ._branches import DomainError
 from .exactalg import MultiPoly, RadPoly
 from .symfun import Spectrum
 
@@ -48,6 +46,7 @@ __all__ = [
     "Jet2",
     "KelvinFrame",
     "PhaseBranch",
+    "PhaseRow",
     "ZeroPointError",
     "hessian_identity_check",
     "identity_parts",
@@ -69,53 +68,168 @@ class AdmissibilityError(ValueError):
     """An eigenvalue lies outside the open admissible ray of the branch."""
 
 
+class DomainError(ValueError):
+    """An eigenvalue or inverse argument fell outside the branch domain.
+
+    Failures raised while integrating a radial trajectory attach the
+    radius at which the violation occurred (`radius`) and the states
+    recorded before it (`trajectory`); both are None otherwise.
+    """
+
+    def __init__(self, message: str, radius=None, trajectory=None) -> None:
+        super().__init__(message)
+        self.radius = radius
+        self.trajectory = trajectory
+
+
 SpectrumLike = Union[Spectrum, Sequence[float]]
 
 
 def _lambda_floats(s: SpectrumLike) -> tuple[float, ...]:
-    if isinstance(s, Spectrum):
-        return tuple(float(v) for v in s.values)
     return tuple(float(v) for v in s)
 
 
 # ── branches ─────────────────────────────────────────────────────────────
 
+_QUARTER = math.pi / 4
+_HALF = math.pi / 2
+_TAU_TOL = 1e-12
+# the kinds whose slope parameter is pinned
+_PINNED_TAU = {"SLAG": _HALF, "RECIP": _QUARTER}
+
+
+@dataclass(frozen=True)
+class PhaseRow:
+    """One kind in the plane algebra: g(lambda) = kappa arg(alpha + beta lambda).
+
+    Elements are pairs: (x, y) for eps <= 0, and the null coordinates
+    (x + y, x - y) for eps = +1, whose products are componentwise; in (x, y)
+    LOG near its bound would round det(H + a - b) away against
+    det(H + a + b).  The theta-free form is s_free cross(P(A), P(H)), the
+    theta-carrying one s_carry cross(Z_theta, P(H))."""
+
+    eps: int
+    alpha: tuple
+    beta: tuple
+    kappa: float
+    s_free: Fraction | int
+    s_carry: float
+
+    @property
+    def unit(self) -> tuple:
+        return (1, 1) if self.eps > 0 else (1, 0)
+
+    def mul(self, z, w) -> tuple:
+        if self.eps > 0:
+            return z[0] * w[0], z[1] * w[1]
+        return z[0] * w[0] + self.eps * z[1] * w[1], z[0] * w[1] + z[1] * w[0]
+
+    def cross(self, z, w):
+        """x_z y_w - y_z x_w."""
+        if self.eps > 0:
+            return (z[1] * w[0] - z[0] * w[1]) / 2
+        return z[0] * w[1] - z[1] * w[0]
+
+    def norm(self, z):
+        """N(x + u y) = x^2 - eps y^2."""
+        return z[0] * z[1] if self.eps > 0 else z[0] * z[0] - self.eps * z[1] * z[1]
+
+    def carrier(self, theta: float) -> tuple:
+        """Z_theta of argument phi = theta / kappa: (cos phi, sin phi),
+        (1, phi) or (1 + e^(-2 phi), 1 - e^(-2 phi)) for eps = -1, 0, +1,
+        the last in null coordinates."""
+        phi = theta / self.kappa
+        if self.eps < 0:
+            return math.cos(phi), math.sin(phi)
+        return (1.0, phi) if self.eps == 0 else (2.0, 2.0 * math.exp(-2.0 * phi))
+
 
 @dataclass(frozen=True)
 class PhaseBranch:
-    """One operator branch: kind, slope parameter tau, phase theta, and the
-    derived shift parameters (a, b).
+    """One operator branch: kind, slope parameter tau and phase theta.
+
+    Each branch applies a strictly increasing map g to every Hessian
+    eigenvalue and sums the results; the kinds differ in g and in the
+    admissible eigenvalue ray.  The shift parameters (a, b) and the
+    plane-algebra `row` are derived from (kind, tau) at construction:
+
+      LOG    0 < tau < pi/4,    a = cot(tau) > 1,  b = sqrt(a^2 - 1)
+      RECIP  tau = pi/4,        a = 1,             b = 0
+      ATAN2  pi/4 < tau < pi/2, 0 < a < 1,         b = sqrt(1 - a^2)
+      SLAG   tau = pi/2,        a = 0,             b = 1
+
+    Each kind is a row (eps, alpha, beta, kappa) of the plane algebra
+    x + u y, u^2 = eps (complex, dual or split-complex numbers), with
+    g(lambda) = kappa arg(alpha + beta lambda), arg(x + u y) = atan2(y, x),
+    y / x or artanh(y / x) for eps = -1, 0, +1:
+
+      kind   eps  alpha             beta   kappa
+      SLAG   -1   1                 u      1
+      ATAN2  -1   (a+b) + u (a-b)   1 + u  sqrt(a^2 + 1) / b
+      RECIP   0   1 + u             1      -sqrt(2)
+      LOG    +1   a + u b           1      -sqrt(a^2 + 1) / b
+
+    The residual forms of the equations module are cross products
+    x_Z y_P - y_Z x_P with P(H) = det(alpha + beta H)
+    = sum_k sigma_k(H) beta^k alpha^(n-k); the row carries their scales
+    too.  SLAG and RECIP are integer rows with Fraction s_free, so their
+    theta-free forms stay exact.  g, g_prime and g_inverse keep their
+    closed forms and range checks (they are the radial hot path).
 
     Use `PhaseBranch.make` (or the `slag` / `recip` shorthands); the
-    constructor validates that tau sits in the interval of the kind and
-    that (a, b) match the values recomputed from tau to 1e-12.
+    constructor validates that tau sits in the interval of the kind.
     """
 
     kind: str
     tau: float
     theta: float
-    a: float
-    b: float
+    a: float = field(init=False)
+    b: float = field(init=False)
+    row: PhaseRow = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        kind, tau = self.kind, self.tau
+        if kind == "SLAG":
+            ok = abs(tau - _HALF) <= _TAU_TOL
+        elif kind == "RECIP":
+            ok = abs(tau - _QUARTER) <= _TAU_TOL
+        elif kind == "ATAN2":
+            ok = _QUARTER + _TAU_TOL < tau < _HALF - _TAU_TOL
+        elif kind == "LOG":
+            ok = _TAU_TOL < tau < _QUARTER - _TAU_TOL
+        else:
+            raise ValueError(f"unknown branch kind {kind!r}")
+        if not ok:
+            raise ValueError(f"slope parameter tau={tau} is not in the {kind} interval")
         if not math.isfinite(self.theta):
             raise ValueError(f"phase theta={self.theta} is not finite")
-        _branches.check_tau(self.kind, self.tau)
-        a, b = _branches.shift_params(self.kind, self.tau)
-        if abs(a - self.a) > 1e-12 or abs(b - self.b) > 1e-12:
-            raise ValueError(
-                f"shift parameters ({self.a}, {self.b}) do not match tau={self.tau}"
-            )
+        # (a, b) = (cot tau, sqrt|a^2 - 1|), exact at the two pinned kinds
+        if kind == "SLAG":
+            a, b = 0.0, 1.0
+            row = PhaseRow(-1, (1, 0), (0, 1), 1, Fraction(1), 1)
+        elif kind == "RECIP":
+            a, b = 1.0, 0.0
+            row = PhaseRow(0, (1, 1), (1, 0), -math.sqrt(2.0), Fraction(1), -math.sqrt(2.0))
+        else:
+            a = math.cos(tau) / math.sin(tau)
+            b = math.sqrt(abs(a * a - 1.0))
+            kappa = math.sqrt(a * a + 1.0) / b
+            if kind == "ATAN2":
+                row = PhaseRow(-1, (a + b, a - b), (1, 1), kappa, 1, -1)
+            else:  # LOG: alpha = a + u b and beta = 1 in null coordinates
+                row = PhaseRow(1, (a + b, a - b), (1, 1), -kappa, -2, -1)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "row", row)
 
     @classmethod
     def make(cls, kind: str, theta: float, tau: float | None = None) -> "PhaseBranch":
         kind = kind.upper()
         if tau is None:
-            tau = _branches.default_tau(kind)
+            tau = _PINNED_TAU.get(kind)
             if tau is None:
                 raise ValueError(f"branch kind {kind!r} needs an explicit tau")
-        a, b = _branches.shift_params(kind, tau)
-        return cls(kind=kind, tau=tau, theta=float(theta), a=a, b=b)
+        return cls(kind=kind, tau=tau, theta=float(theta))
 
     @classmethod
     def slag(cls, theta: float) -> "PhaseBranch":
@@ -127,19 +241,71 @@ class PhaseBranch:
 
     # scalar eigenvalue maps -------------------------------------------------
 
-    def g(self, lam: float) -> float:
-        """The eigenvalue map of this branch."""
-        return _branches.g(self.kind, self.a, self.b, lam)
-
-    def g_prime(self, lam: float) -> float:
-        return _branches.g_prime(self.kind, self.a, self.b, lam)
-
-    def g_inverse(self, t: float) -> float:
-        return _branches.g_inverse(self.kind, self.a, self.b, t)
-
     def admissible_lower(self) -> float | None:
         """Open lower eigenvalue bound (None for the unconstrained kind)."""
-        return _branches.admissible_lower(self.kind, self.a, self.b)
+        if self.kind == "SLAG":
+            return None
+        if self.kind == "RECIP":
+            return -1.0
+        if self.kind == "ATAN2":
+            return -(self.a + self.b)
+        return self.b - self.a  # LOG
+
+    def _check_lambda(self, lam: float) -> None:
+        lower = self.admissible_lower()
+        if lower is not None and lam <= lower:
+            raise DomainError(f"eigenvalue {lam} is not above the {self.kind} bound {lower}")
+
+    def g(self, lam: float) -> float:
+        """The eigenvalue map of this branch."""
+        self._check_lambda(lam)
+        kind, a, b = self.kind, self.a, self.b
+        if kind == "SLAG":
+            return math.atan(lam)
+        if kind == "RECIP":
+            return -math.sqrt(2.0) / (1.0 + lam)
+        if kind == "ATAN2":
+            scale = math.sqrt(a * a + 1.0) / b
+            return scale * math.atan((lam + a - b) / (lam + a + b))
+        scale = math.sqrt(a * a + 1.0) / (2.0 * b)
+        return scale * math.log((lam + a - b) / (lam + a + b))
+
+    def g_prime(self, lam: float) -> float:
+        """Derivative of the eigenvalue map (always positive)."""
+        self._check_lambda(lam)
+        kind, a, b = self.kind, self.a, self.b
+        if kind == "SLAG":
+            return 1.0 / (1.0 + lam * lam)
+        if kind == "RECIP":
+            return math.sqrt(2.0) / (1.0 + lam) ** 2
+        if kind == "ATAN2":
+            lo = lam + a - b
+            hi = lam + a + b
+            return 2.0 * math.sqrt(a * a + 1.0) / (hi * hi + lo * lo)
+        # summed as the row sums alpha + beta lambda: lambda + (a - b) is exact near the bound
+        return math.sqrt(a * a + 1.0) / ((lam + (a - b)) * (lam + (a + b)))
+
+    def g_inverse(self, t: float) -> float:
+        """Inverse of the eigenvalue map; DomainError outside its range."""
+        kind, a, b = self.kind, self.a, self.b
+        if kind == "SLAG":
+            if not -_HALF < t < _HALF:
+                raise DomainError(f"inverse argument {t} outside (-pi/2, pi/2)")
+            return math.tan(t)
+        if kind == "RECIP":
+            if t >= 0.0:
+                raise DomainError(f"inverse argument {t} must be negative")
+            return -math.sqrt(2.0) / t - 1.0
+        if kind == "ATAN2":
+            s = t * b / math.sqrt(a * a + 1.0)
+            if not -_HALF < s < _QUARTER:
+                raise DomainError(f"inverse argument {t} outside the branch range")
+            mu = math.tan(s)
+        else:  # LOG
+            if t >= 0.0:
+                raise DomainError(f"inverse argument {t} must be negative")
+            mu = math.exp(2.0 * b * t / math.sqrt(a * a + 1.0))
+        return (mu * (a + b) - (a - b)) / (1.0 - mu)
 
     def phase(self, eigenvalues: Sequence[float]) -> float:
         """Sum of the eigenvalue map over a full set of eigenvalues."""
@@ -149,7 +315,7 @@ class PhaseBranch:
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "theta": self.theta}
-        if _branches.default_tau(self.kind) is None:
+        if self.kind not in _PINNED_TAU:
             out["tau"] = self.tau
         return out
 

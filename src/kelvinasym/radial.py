@@ -44,8 +44,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from ._branches import DomainError
-from .kelvin import PhaseBranch
+from .kelvin import DomainError, PhaseBranch
 
 __all__ = [
     "DomainError",
@@ -53,6 +52,7 @@ __all__ = [
     "MAX_SAMPLES",
     "MAX_SAMPLE_COORDINATES",
     "RadialState",
+    "check_sample_work",
     "count_nodes",
     "integrate_exterior",
     "kernel_name",
@@ -380,6 +380,19 @@ def _reject_nan(**bounds: float | None) -> None:
             raise ValueError(f"{name} must not be NaN, got {bound}")
 
 
+def check_sample_work(samples: int, n: int) -> None:
+    """ValueError, naming the count, unless ``samples`` samples in n
+    dimensions stay within MAX_SAMPLES samples and MAX_SAMPLE_COORDINATES
+    coordinates."""
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples, more than {MAX_SAMPLES}")
+    if samples * n > MAX_SAMPLE_COORDINATES:
+        raise ValueError(
+            f"{samples} samples in dimension {n} hold {samples * n} coordinates "
+            f"(samples x n), more than {MAX_SAMPLE_COORDINATES}"
+        )
+
+
 def trajectory_samples(
     states: Sequence[RadialState],
     n: int,
@@ -398,8 +411,8 @@ def trajectory_samples(
     values, node after node and, within a node, sample after sample; a
     direction shorter than 1e-12 is redrawn at once, in stream order.
     The output feeds the quadratic-fit machinery.  ValueError on a NaN
-    bound, an empty window, more than MAX_SAMPLES samples, or more than
-    MAX_SAMPLE_COORDINATES coordinates (samples x n).
+    bound, an empty window, or more samples than `check_sample_work`
+    admits.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
@@ -414,16 +427,7 @@ def trajectory_samples(
     ]
     if not kept:
         raise ValueError("no trajectory nodes fall inside the requested radius window")
-    if len(kept) * per_radius > MAX_SAMPLES:
-        raise ValueError(
-            f"per_radius={per_radius} over {len(kept)} nodes scatters "
-            f"{len(kept) * per_radius} samples, more than {MAX_SAMPLES}"
-        )
-    if len(kept) * per_radius * n > MAX_SAMPLE_COORDINATES:
-        raise ValueError(
-            f"per_radius={per_radius} over {len(kept)} nodes in dimension {n} draws "
-            f"{len(kept) * per_radius * n} coordinates, more than {MAX_SAMPLE_COORDINATES}"
-        )
+    check_sample_work(len(kept) * per_radius, n)
     gauss = random.Random(seed).gauss
     samples = []
     for state in kept:

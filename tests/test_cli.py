@@ -135,6 +135,74 @@ def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     capsys.readouterr()
 
 
+_BENCH_RADIAL = ["radial", "--branch", "slag", "--n", "3", "--theta", repr(THETA3_FULL), "--u1", "0.5"]
+_BENCH_RADIAL += ["--p1", "1.1", "--rmax", "2000", "--step", "4e-2", "--stride", "25", "--per-radius", "3"]
+_BENCH_RADIAL += ["--sample-rmin", "20", "--sample-rmax", "2000", "--samples-out", "samples.csv"]
+_BENCH_RADIAL += ["--seed", "1", "--out", "trajectory.csv"]
+# one quadratic ray per kind (theta = 3 g(alpha), u1 = alpha / 2, p1 = alpha)
+_KIND_RADIAL = ["radial", "--n", "3", "--rmax", "20", "--step", "1e-2", "--stride", "50"]
+
+# float reports: these bytes depend on the platform's libm (sqrt, atan,
+# log, exp, tan), as the trajectory-samples pin does, so they are pinned for
+# one libm; a rewrite of the branch maps, the Kelvin assembly or the fit must
+# leave them byte for byte.  Each entry runs its setup argvs in one directory
+# before the pinned argv.
+FLOAT_REPORTS = {
+    "kelvin-check-n4-flat": (
+        [],
+        ["kelvin-check", "--branch", "slag", "--n", "4", "--spectrum", "1,1,1,1", "--samples", "20"],
+        "b9907d42759b09402d8c3836a1758b42913ece8e2cdc4d9b3b56f7a27434e8ad",
+    ),
+    "kelvin-check-n3-slag": (
+        [],
+        ["kelvin-check", "--branch", "slag", "--n", "3", "--samples", "50"],
+        "b5924c85d6f767682b1722c94abe5bad3074d1c05682d68cf7bc75d6ddb6b1a2",
+    ),
+    "kelvin-check-n3-recip": (
+        [],
+        ["kelvin-check", "--branch", "recip", "--theta", "-1.5", "--n", "3", "--samples", "50"],
+        "f580c1e966b3b0e343eb8dd76593062d6cd8de84f04a2c0c010d444d88383bc5",
+    ),
+    "fit-benchmark-annuli": (
+        [_BENCH_RADIAL],
+        ["fit", "--samples", "samples.csv", "--n", "3", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
+        "450ae63f68cfd3b4182989d67c720c3b7f312348f64bae5e5244fc538b776ef7",
+    ),
+    "radial-slag": (
+        [],
+        [*_KIND_RADIAL, "--branch", "slag", "--theta", "2.356194490192345", "--u1", "0.5", "--p1", "1.0"],
+        "70e07ea25c4e37aa440b810eca369a263b6bb7c5e61c0c8af411f1973f7bb43b",
+    ),
+    "radial-recip": (
+        [],
+        [*_KIND_RADIAL, "--branch", "recip", "--theta", "-2.8284271247461903", "--u1", "0.25", "--p1", "0.5"],
+        "8501adeb69c3aa81f0dea6c8477b191255720c97754aa28eb48f93032bfa0794",
+    ),
+    "radial-atan2": (
+        [],
+        [*_KIND_RADIAL, "--branch", "atan2", "--tau", "1.1780972450961724"]
+        + ["--theta", "-0.684154087243197", "--u1", "0.1", "--p1", "0.2"],
+        "184af9f16add00621a9714cbfa82f121c181eebdacf8834bb7cd6297de6a4348",
+    ),
+    "radial-log": (
+        [],
+        [*_KIND_RADIAL, "--branch", "log", "--tau", "0.39269908169872414"]
+        + ["--theta", "-4.016441762781083", "--u1", "0.15", "--p1", "0.3"],
+        "4bdd04d7944f8dd4480e23d1e99344837b7fdefca70cdf17ce4c8a3ac811f52a",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup,argv,digest", list(FLOAT_REPORTS.values()), ids=list(FLOAT_REPORTS))
+def test_float_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, setup, argv, digest):
+    monkeypatch.chdir(tmp_path)
+    for step in setup:
+        assert dispatch(step) == 0
+    assert dispatch([*argv, "--seed", "1", "--out", "r.out"]) == 0
+    assert hashlib.sha256((tmp_path / "r.out").read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+
+
 _WITHOUT_NUMPY = """
 import hashlib, json, sys
 sys.modules["numpy"] = None  # every import of numpy now fails
@@ -692,7 +760,7 @@ def test_radial_sample_cap_exits_2_before_integrating(tmp_path, capsys):
     with mock.patch.object(cli, "integrate_exterior", side_effect=AssertionError("integrated")):
         assert dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert f"--per-radius {per_radius} scatters {3 * per_radius} samples over the 3 nodes" in err
+    assert f"--per-radius {per_radius} over the 3 nodes in the sample window: {3 * per_radius} samples" in err
     assert f"more than {MAX_SAMPLES}" in err
     assert not traj.exists() and not samples.exists()
 
@@ -701,7 +769,6 @@ def test_radial_sample_cap_exits_2_before_integrating(tmp_path, capsys):
 def test_radial_sample_cap_boundary(tmp_path, capsys, monkeypatch, per_radius, code):
     # with the cap lowered to 12, the three nodes of the window take 4
     # samples each but not 5
-    monkeypatch.setattr(cli, "MAX_SAMPLES", 12)
     monkeypatch.setattr(radial, "MAX_SAMPLES", 12)
     traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
     argv = [*_WINDOW_RADIAL, "--rmax", "10", "--stride", "100", "--sample-rmin", "2", "--sample-rmax", "4"]
@@ -710,7 +777,7 @@ def test_radial_sample_cap_boundary(tmp_path, capsys, monkeypatch, per_radius, c
     if code == 0:
         assert len(read_samples(samples)) == 12
     else:
-        assert "--per-radius 5 scatters 15 samples over the 3 nodes" in capsys.readouterr().err
+        assert "--per-radius 5 over the 3 nodes in the sample window: 15 samples, more than 12" in capsys.readouterr().err
         assert not traj.exists() and not samples.exists()
     capsys.readouterr()
 
@@ -725,7 +792,7 @@ def test_radial_coordinate_cap_exits_2_before_integrating(tmp_path, capsys):
     with mock.patch.object(cli, "integrate_exterior", side_effect=AssertionError("integrated")):
         assert dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert f"--n {n} --per-radius 1 draws {3 * n} coordinates over the 3 nodes" in err
+    assert f"--n {n} --per-radius 1 over the 3 nodes in the sample window: 3 samples in dimension {n} hold {3 * n}" in err
     assert f"more than {MAX_SAMPLE_COORDINATES}" in err
     assert not traj.exists() and not samples.exists()
 
@@ -734,7 +801,6 @@ def test_radial_coordinate_cap_exits_2_before_integrating(tmp_path, capsys):
 def test_radial_coordinate_cap_boundary(tmp_path, capsys, monkeypatch, n, code):
     # with the cap lowered to 36, four samples on each of three nodes fit
     # in three dimensions but not in four
-    monkeypatch.setattr(cli, "MAX_SAMPLE_COORDINATES", 36)
     monkeypatch.setattr(radial, "MAX_SAMPLE_COORDINATES", 36)
     traj, samples = tmp_path / "t.csv", tmp_path / "s.csv"
     argv = [*_WINDOW_RADIAL, "--n", str(n), "--rmax", "10", "--stride", "100", "--sample-rmin", "2"]
@@ -743,7 +809,8 @@ def test_radial_coordinate_cap_boundary(tmp_path, capsys, monkeypatch, n, code):
     if code == 0:
         assert len(read_samples(samples)) == 12
     else:
-        assert "--n 4 --per-radius 4 draws 48 coordinates over the 3 nodes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--n 4 --per-radius 4 over the 3 nodes in the sample window: 12 samples in dimension 4 hold 48" in err
         assert not traj.exists() and not samples.exists()
     capsys.readouterr()
 

@@ -31,7 +31,6 @@ from kelvinasym.equations import (
     transformed_residual,
     transformed_residual_exact,
 )
-from kelvinasym._branches import phase_row
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch, identity_parts
 from kelvinasym.symfun import (
@@ -235,7 +234,7 @@ def test_eigenvalues_next_to_the_reciprocal_bound():
     # with the eigvalsh route to the relative size of that rounding (the
     # worst of 200 draws was 4.6e-7)
     branch = PhaseBranch.recip(-1.0)
-    row = row_of(branch)
+    row = branch.row
     rng = np.random.default_rng(97)
     for _ in range(100):
         n = int(rng.integers(2, 7))
@@ -364,10 +363,6 @@ def test_spectrum_size_must_match_matrix():
 # ── one plane-algebra row per kind, and the routes it replaced ───────────
 
 
-def row_of(branch: PhaseBranch):
-    return phase_row(branch.kind, branch.a, branch.b)
-
-
 def plane_arg(row, z) -> float:
     """arg(x + u y): atan2(y, x), y / x, or artanh(y / x) = log(p / m) / 2
     from the null coordinates (p, m) = (x + y, x - y) that eps = +1 stores."""
@@ -392,7 +387,7 @@ ROW_BRANCHES = [
 def test_row_reproduces_the_scalar_map_and_its_derivative(branch):
     # g(lambda) = kappa arg(alpha + beta lambda); the derivative of arg z
     # along dz = beta is cross(z, beta) / N(z) in every plane algebra
-    row = row_of(branch)
+    row = branch.row
     rng = np.random.default_rng(67)
     lower = branch.admissible_lower()
     lams = rng.uniform(-3.0, 3.0, 500) if lower is None else lower + rng.uniform(0.05, 3.0, 500)
@@ -517,7 +512,7 @@ def test_factor_self_check_accepts_gaps_next_to_the_log_bound(gap):
 def test_form_coefficients_are_the_row_points():
     # theta-free: Z = P(A) with the row's s_free; theta-carrying: Z_theta
     for branch in ROW_BRANCHES:
-        row = row_of(branch)
+        row = branch.row
         free = AlgebraicForm.eliminated(branch, 2, [0.5, 1.5]).coefficients
         carrying = AlgebraicForm.theta_carrying(branch, 2, -0.2).coefficients
         assert set(free) == set(carrying) == {"x", "y", "scale"}
@@ -598,7 +593,7 @@ def test_factor_self_check_catches_a_wrong_small_gamma():
 
     with mock.patch.object(equations, "_det_by_values", by_sigmas):
         c = AlgebraicForm.eliminated(branch, 4, vals).coefficients
-        wrong = c["scale"] * row_of(branch).norm((c["x"], c["y"])) / row_of(branch).kappa
+        wrong = c["scale"] * branch.row.norm((c["x"], c["y"])) / branch.row.kappa
         assert math.isclose(wrong, -1.39e-31, rel_tol=1e-2)
         assert abs(wrong - right) < 1e-9
         with pytest.raises(MismatchError, match="routes disagree"):

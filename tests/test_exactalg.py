@@ -688,6 +688,16 @@ def test_radpoly_slot_view_refuses_past_the_cap_before_building():
             small.collect(0)
 
 
+def test_radpoly_repr_reads_the_normal_form_past_the_slot_cap():
+    # the slot view of this value is past its cap; the repr names the two
+    # terms of the normal form, term by term
+    one = MultiPoly.const(3, 1)
+    assert repr(RadPoly(3, {0: one, 6400: one})) == "1*|y|^0 + 1*|y|^6400"
+    y1, y3 = MultiPoly.variable(3, 0), MultiPoly.variable(3, 2)
+    assert repr(RadPoly(3, {1: y1 * fr(-1, 2) + y3})) == "1*|y|^1*y3 + -1/2*|y|^1*y1"
+    assert repr(RadPoly.zero(3)) == "0"
+
+
 def test_radical_weight_half_pinned():
     # lap(|y| * 1/2) = |y|^(-1) in three variables
     got = RadPoly(3, {1: MultiPoly.const(3, fr(1, 2))}).laplacian()

@@ -4,6 +4,7 @@ The M/N/K/L assembly is validated three independent ways: pinned closed
 forms, an analytically differentiated exterior solution, and central finite
 differences of the full transform."""
 
+import hashlib
 import json
 import math
 from random import Random
@@ -65,8 +66,8 @@ def test_branch_validation():
         PhaseBranch.make("LOG", 1.0, tau=1.0)
     with pytest.raises(ValueError):
         PhaseBranch.make("NOPE", 1.0)
-    with pytest.raises(ValueError):
-        PhaseBranch(kind="SLAG", tau=math.pi / 2, theta=1.0, a=0.5, b=1.0)
+    with pytest.raises(TypeError):  # a and b are derived from tau, never passed
+        PhaseBranch(kind="SLAG", tau=math.pi / 2, theta=1.0, a=0.0, b=1.0)
 
 
 @pytest.mark.parametrize("branch", ALL_BRANCHES, ids=lambda b: b.kind)
@@ -357,6 +358,21 @@ def test_mnkl_pinned_constant_profile():
     assert np.allclose(K, -np.eye(3))
     assert abs(L - 3.0) < 1e-15
     assert np.allclose(N, M)  # R is the identity for a flat spectrum
+
+
+def test_mnkl_bytes_are_pinned():
+    # the float assembly's rounding, on every kind; R and the image points
+    # go through the platform's libm (sqrt, atan, log), so these bytes are
+    # pinned for one libm
+    y = [MultiPoly.variable(3, i) for i in range(3)]
+    v = MultiPoly.const(3, 2) + y[0] * y[1] * 3 - y[2] ** 3 + y[0] ** 2 * y[2] * 5
+    out = []
+    for branch in ALL_BRANCHES:
+        frame = KelvinFrame(branch, [1.5, 0.5, 2.0])
+        for point in ([0.3, -0.2, 0.1], [-0.05, 0.4, 0.25]):
+            out.append(matrices_MNKL(poly_jet(v, point), frame))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "87660590a1dd8116cc3b1661bbd3ca18ba7d8691dc41eeef57994a4728e69bf8"
 
 
 def test_mnkl_reproduces_analytic_hessian_of_linear_profile():

@@ -404,7 +404,7 @@ def test_trajectory_samples_refuse_more_than_the_cap(monkeypatch):
     states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 10.0, 1e-2, stride=100)
     monkeypatch.setattr(radial, "MAX_SAMPLES", 4 * len(states))
     assert len(trajectory_samples(states, 3, per_radius=4, seed=0)) == 4 * len(states)
-    with pytest.raises(ValueError, match=f"per_radius=5 over {len(states)} nodes scatters {5 * len(states)} samples"):
+    with pytest.raises(ValueError, match=f"{5 * len(states)} samples, more than {4 * len(states)}"):
         trajectory_samples(states, 3, per_radius=5, seed=0)
 
 
@@ -414,11 +414,11 @@ def test_trajectory_samples_refuse_more_coordinates_than_the_cap(monkeypatch):
     # samples x n: one sample on each of three nodes, in a dimension one
     # past the cap, is refused before any direction is drawn
     n = radial.MAX_SAMPLE_COORDINATES // 3 + 1
-    with pytest.raises(ValueError, match=f"in dimension {n} draws {3 * n} coordinates"):
+    with pytest.raises(ValueError, match=f"3 samples in dimension {n} hold {3 * n} coordinates"):
         trajectory_samples(states[:3], n, per_radius=1, seed=0)
     monkeypatch.setattr(radial, "MAX_SAMPLE_COORDINATES", 12 * len(states))
     assert len(trajectory_samples(states, 3, per_radius=4, seed=0)) == 4 * len(states)
-    with pytest.raises(ValueError, match=f"per_radius=4 over {len(states)} nodes in dimension 4"):
+    with pytest.raises(ValueError, match=f"{4 * len(states)} samples in dimension 4 hold"):
         trajectory_samples(states, 4, per_radius=4, seed=0)
 
 
