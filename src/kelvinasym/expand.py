@@ -10,8 +10,9 @@ over annuli, and maps the stripped remainder back to ball-side profile
 samples through the scaled inversion.  It runs on the standard library:
 the samples are sorted by radius once, each annulus is a bisected slice
 of them, the least squares is a Householder QR of the outermost
-annulus's design, and the conditioning budget reads the singular values
-of its R factor, found by one-sided Jacobi rotations.
+annulus's design, and the conditioning budget reads the eigenvalues of
+the normal matrix R^T R, found by the symmetric Jacobi solver that also
+evaluates the equations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .equations import _rotation, symbolic_residual
+from .equations import _symmetric_eigenvalues, symbolic_residual
 from .exactalg import DimensionError, MultiPoly, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
@@ -366,37 +367,18 @@ def _householder_qr(columns, rhs) -> tuple[list[list[float]], list[float]]:
     return R, rhs[:k]
 
 
-def _singular_values(columns) -> list[float]:
-    """Singular values of a small square matrix given by its columns, largest
-    first, by one-sided (Hestenes) Jacobi rotations of the columns."""
-    cols = [list(col) for col in columns]
-    k = len(cols)
-    for _ in range(100):
-        rotated = False
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                a, b = cols[p], cols[q]
-                aa, bb, ab = _dot(a, a), _dot(b, b), _dot(a, b)
-                if abs(ab) <= 1e-15 * math.sqrt(aa * bb):
-                    continue
-                rotated = True
-                _, cos, sin = _rotation(aa, bb, ab)
-                cols[p] = [cos * u - sin * w for u, w in zip(a, b)]
-                cols[q] = [sin * u + cos * w for u, w in zip(a, b)]
-        if not rotated:
-            break
-    return sorted((math.sqrt(_dot(col, col)) for col in cols), reverse=True)
-
-
 def _solve_least_squares(columns, rhs) -> list[float]:
     """min |D c - rhs| for the design D given by its columns, which it
-    overwrites, as it does rhs.  The squared condition number of D, from
-    the singular values of its QR factor R, must stay within 1e12, else
-    ConditioningError."""
+    overwrites, as it does rhs.  The condition number of the normal matrix
+    N = D^T D = R^T R, with R the QR factor, must stay within 1e12, else
+    ConditioningError; it is the ratio of N's extreme eigenvalues.  N is
+    formed in floats, which fixes its smallest eigenvalue only to about
+    1e-16 of its largest, so near the budget the ratio is known to about
+    1e-4 relative, and only designs that close to 1e12 can change verdict."""
     R, qtb = _householder_qr(columns, rhs)
-    singular = _singular_values(R)
-    if singular[-1] == 0.0 or (singular[0] / singular[-1]) ** 2 > 1e12:
-        cond = math.inf if singular[-1] == 0.0 else (singular[0] / singular[-1]) ** 2
+    eig = _symmetric_eigenvalues([[_dot(ri, rj) for rj in R] for ri in R])
+    cond = math.inf if eig[0] <= 0.0 else eig[-1] / eig[0]
+    if cond > 1e12:
         raise ConditioningError(
             f"normal-system condition {cond:.3e} exceeds the 1e12 budget"
         )
@@ -425,12 +407,13 @@ def _unpack_quadratic(coef, n: int, scale: float):
 MAX_ANNULI = 1000
 
 # Work of one least-squares solve: columns^2 x rows for the Householder QR
-# of the outermost annulus's design, plus 25 columns^3 for the Jacobi SVD
-# of its R factor.  On 2 CPUs a unit took 90 ns at n = 3 on 50,100 rows
-# (the outer annulus of a 198,100-sample file, 5M units, 0.45 s) and
-# 42 ns at n = 12 and 16 on four rows per column, where the SVD dominates
-# (22M units in 0.9 s, 104M in 4.4 s).  So the cap is at most about 18 s;
-# the design it admits at n = 3 (2M rows of 10 columns) holds 0.65 GB.
+# of the outermost annulus's design, plus 25 columns^3 for the normal
+# matrix R^T R and its Jacobi eigenvalues.  On 2 CPUs a unit took 90 ns at
+# n = 3 on 50,100 rows (the outer annulus of a 198,100-sample file, 5M
+# units, 0.45 s) and 35-55 ns at n = 12 and 16 on four rows per column,
+# where the eigenvalues dominate (22M units in 0.75-1.23 s, 104M in
+# 3.9-5.6 s).  So the cap is at most about 18 s; the design it admits at
+# n = 3 (2M rows of 10 columns) holds 0.65 GB.
 MAX_FIT_WORK = 200_000_000
 
 
@@ -439,7 +422,9 @@ def check_fit_work(n: int, rows: int | None, with_log: bool | None = None) -> No
     ``rows`` samples of the outermost annulus stays within MAX_FIT_WORK.
     ``rows = None`` counts the fewest rows a fit accepts, one per column,
     so a dimension can be refused before any sample is read; ``with_log``
-    is as for `fit_expansion`."""
+    is as for `fit_expansion`, and DimensionError refuses it outside n = 2."""
+    if with_log and n != 2:
+        raise DimensionError("the logarithmic column exists only in dimension 2")
     columns = _fit_columns(n, (n == 2) if with_log is None else bool(with_log))
     rows = columns if rows is None else rows
     work = columns * columns * (rows + 25 * columns)
@@ -521,10 +506,11 @@ def fit_expansion(
     Raises ValueError naming the first sample with a non-finite
     coordinate or value, a num_annuli outside 3..MAX_ANNULI, more than
     MAX_ANNULI explicit annuli, or a solve over MAX_FIT_WORK
-    (`check_fit_work`); InsufficientDataError when fewer than four
-    samples per parameter are given or fewer than three annuli are
-    populated; and ConditioningError when the normal system is
-    effectively singular.
+    (`check_fit_work`); DimensionError on n < 2, on samples of another
+    dimension, or on ``with_log`` outside n = 2 (`check_fit_work`);
+    InsufficientDataError when fewer than four samples per parameter are
+    given or fewer than three annuli are populated; and ConditioningError
+    when the normal system is effectively singular.
     """
     _check_annuli(num_annuli, annuli)
     pts, vals, by_radius = _split_samples(samples, n)
@@ -563,8 +549,6 @@ def fit_expansion(
     A, b, c = _unpack_quadratic(coef, n, scale)
     d: float | None = None
     if use_log:
-        if n != 2:
-            raise DimensionError("the logarithmic column exists only in dimension 2")
         for _ in range(2):
             frame = _log_frame(A)
             log_col = [0.5 * math.log(_form(frame, p)) for p in p_out]

@@ -339,15 +339,12 @@ def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
     positive finite float (it underflows to 0 for a huge eigenvalue), else
     AdmissibilityError names the eigenvalue.
     """
-    lambdas = _lambda_floats(s)
-    lower = branch.admissible_lower()
     out = []
-    for lam in lambdas:
-        if lower is not None and lam <= lower:
-            raise AdmissibilityError(
-                f"eigenvalue {lam} is not above the {branch.kind} bound {lower}"
-            )
-        slope = branch.g_prime(lam)
+    for lam in _lambda_floats(s):
+        try:
+            slope = branch.g_prime(lam)
+        except DomainError as exc:
+            raise AdmissibilityError(str(exc)) from None
         if not (math.isfinite(slope) and slope > 0.0):
             raise AdmissibilityError(
                 f"eigenvalue {lam} gives g'(lambda) = {slope}, not a positive finite float"

@@ -159,8 +159,6 @@ MatrixLike = Sequence[Sequence[ExactScalar]]
 
 
 def _values(s: SpectrumLike) -> list[Fraction]:
-    if isinstance(s, Spectrum):
-        return list(s.values)
     return [_exact(v) for v in s]
 
 

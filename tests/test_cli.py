@@ -139,6 +139,8 @@ _BENCH_RADIAL = ["radial", "--branch", "slag", "--n", "3", "--theta", repr(THETA
 _BENCH_RADIAL += ["--p1", "1.1", "--rmax", "2000", "--step", "4e-2", "--stride", "25", "--per-radius", "3"]
 _BENCH_RADIAL += ["--sample-rmin", "20", "--sample-rmax", "2000", "--samples-out", "samples.csv"]
 _BENCH_RADIAL += ["--seed", "1", "--out", "trajectory.csv"]
+# the same ray in the plane (theta = 2 atan(1)), whose fit carries the log column
+_BENCH_RADIAL_N2 = [*_BENCH_RADIAL[:4], "2", "--theta", "1.5707963267948966", *_BENCH_RADIAL[7:]]
 # one quadratic ray per kind (theta = 3 g(alpha), u1 = alpha / 2, p1 = alpha)
 _KIND_RADIAL = ["radial", "--n", "3", "--rmax", "20", "--step", "1e-2", "--stride", "50"]
 
@@ -167,6 +169,11 @@ FLOAT_REPORTS = {
         [_BENCH_RADIAL],
         ["fit", "--samples", "samples.csv", "--n", "3", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
         "450ae63f68cfd3b4182989d67c720c3b7f312348f64bae5e5244fc538b776ef7",
+    ),
+    "fit-n2-log-annuli": (
+        [_BENCH_RADIAL_N2],
+        ["fit", "--samples", "samples.csv", "--n", "2", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
+        "c1c7d05c929b16dfc0ce3aedbdabf9634bea94f08371d561be197a7b22a935ff",
     ),
     "radial-slag": (
         [],
@@ -992,6 +999,19 @@ def test_fit_dimension_over_the_work_cap_exits_2_before_reading(tmp_path, capsys
     err = capsys.readouterr().err
     assert "--n 19: a fit in dimension 19 solves for 210 coefficients over 210 samples" in err
     assert f"more than {expand.MAX_FIT_WORK}" in err
+    assert not out.exists()
+
+
+def test_fit_log_column_outside_the_plane_exits_2_before_reading(tmp_path, capsys):
+    # the header is malformed too, but the dimension rule is checked first
+    samples_csv = tmp_path / "s.csv"
+    samples_csv.write_text("a,b,c\n1.0,2.0,3.0\n")
+    out = tmp_path / "f.json"
+    argv = ["fit", "--samples", str(samples_csv), "--n", "3", "--with-log", "on", "--out", str(out)]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert "--n 3: the logarithmic column exists only in dimension 2" in err
+    assert "header" not in err
     assert not out.exists()
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
-from kelvinasym.equations import symbolic_residual
+from kelvinasym.equations import _symmetric_eigenvalues, symbolic_residual
 from kelvinasym import expand
 from kelvinasym.expand import (
     MAX_FIT_WORK,
@@ -21,7 +21,6 @@ from kelvinasym.expand import (
     ExpansionState,
     InsufficientDataError,
     _householder_qr,
-    _singular_values,
     _solve_least_squares,
     check_fit_work,
     fit_expansion,
@@ -504,6 +503,21 @@ def test_fit_conditioning_guard():
         fit_expansion(samples, 3)
 
 
+def test_least_squares_conditioning_budget_edge():
+    # orthogonal columns of norms 1 and s give cond^2 = s^-2 exactly, as
+    # powers of two keep every step of the solve exact: 2^38 ~ 2.7e11 is
+    # within the 1e12 budget, 2^40 ~ 1.1e12 is not
+    def solve(s):
+        return _solve_least_squares([[1.0, 0.0, 0.0, 0.0], [0.0, s, 0.0, 0.0]], [1.0, 1.0, 0.0, 0.0])
+
+    assert solve(2.0**-19) == [1.0, 2.0**19]
+    with pytest.raises(ConditioningError, match="condition 1.100e\\+12 exceeds the 1e12 budget"):
+        solve(2.0**-20)
+    # s^-2 past the float range is refused too, not overflowed
+    with pytest.raises(ConditioningError, match="condition inf exceeds the 1e12 budget"):
+        solve(1e-160)
+
+
 def test_fit_two_dimensional_log_recovery():
     A = np.array([[1.0, 0.3], [0.3, 0.5]])
     b = np.array([0.2, -0.1])
@@ -557,7 +571,8 @@ def test_fit_log_basis_reduces_outer_rms():
 
 def test_least_squares_agrees_with_numpy_lstsq():
     # a second route: LAPACK's SVD-based solve on random well-conditioned
-    # designs of the fit's shape, coefficients and singular values alike
+    # designs of the fit's shape, coefficients alike, and the eigenvalues of
+    # R^T R that price the conditioning equal to the squared singular values
     rng = np.random.default_rng(17)
     for _ in range(3):
         design = rng.uniform(-1.0, 1.0, size=(1500, 10)) * rng.uniform(0.5, 2.0, size=10)
@@ -566,8 +581,9 @@ def test_least_squares_agrees_with_numpy_lstsq():
         coef = _solve_least_squares([list(c) for c in design.T], list(rhs))
         assert np.max(np.abs(np.asarray(coef) - want)) <= 1e-12 * np.max(np.abs(want))
         R, _ = _householder_qr([list(c) for c in design.T], list(rhs))
-        got = np.asarray(_singular_values(R))
-        assert np.max(np.abs(got - singular)) <= 1e-12 * singular[0]
+        columns = np.asarray(R)
+        got = np.asarray(_symmetric_eigenvalues((columns @ columns.T).tolist()))
+        assert np.max(np.abs(got - singular[::-1] ** 2)) <= 1e-12 * singular[0] ** 2
 
 
 def _exact_normal_solve(rows, rhs):
@@ -608,9 +624,13 @@ def test_fit_work_bound_arithmetic():
     check_fit_work(3, rows)
     with pytest.raises(ValueError, match=f"10 coefficients over {rows + 1} samples, {MAX_FIT_WORK + 100} units"):
         check_fit_work(3, rows + 1)
-    with pytest.raises(ValueError, match=f"11 coefficients over {rows} samples"):
+    # the log column exists only in the plane, where it makes 7 columns
+    with pytest.raises(DimensionError, match="the logarithmic column exists only in dimension 2"):
         check_fit_work(3, rows, with_log=True)
-    assert expand._fit_columns(2, True) == 7
+    rows = MAX_FIT_WORK // 49 - 175
+    check_fit_work(2, rows)
+    with pytest.raises(ValueError, match=f"7 coefficients over {rows + 1} samples"):
+        check_fit_work(2, rows + 1)
     # rows=None counts one row per column, the smallest fit: n = 18 has 190
     # columns and fits under the cap, n = 19 has 210 and does not
     check_fit_work(18, None)
@@ -625,6 +645,14 @@ def test_fit_refuses_a_solve_over_the_work_cap(monkeypatch):
     with pytest.raises(ValueError, match="more than 1000") as info:
         fit_expansion(samples, 3)
     assert not isinstance(info.value, (InsufficientDataError, ConditioningError))
+
+
+def test_fit_refuses_the_log_column_outside_the_plane_before_solving(monkeypatch):
+    rng = np.random.default_rng(3)
+    samples = sphere_samples(rng, np.geomspace(5, 50, 25), 10, lambda x: 0.5 * float(x @ x))
+    monkeypatch.setattr(expand, "_solve_least_squares", None)
+    with pytest.raises(DimensionError, match="the logarithmic column exists only in dimension 2"):
+        fit_expansion(samples, 3, with_log=True)
 
 
 # ── profile recovery ─────────────────────────────────────────────────────
