@@ -45,13 +45,12 @@ are 1, lambda_j + lambda_k and -(1 - sigma_2).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 from typing import Sequence, Union
 
-from .exactalg import DimensionError, MultiPoly, RadPoly
+from .exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction, _is_rational, _rational_sqrt
 from .kelvin import (
     Jet2,
     KelvinFrame,
@@ -89,10 +88,6 @@ Scalar = Union[float, Fraction]
 
 
 # ── matrix and value plumbing ────────────────────────────────────────────
-
-
-def _is_exact(x) -> bool:
-    return isinstance(x, numbers.Rational) and not isinstance(x, bool)
 
 
 def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
@@ -146,8 +141,8 @@ def _symmetric_eigenvalues(rows) -> list[float]:
 def _spectrum_values(s) -> list:
     """Fractions when every value is rational, else floats."""
     vals = list(s)
-    if all(_is_exact(v) for v in vals):
-        return [Fraction(v) for v in vals]
+    if all(map(_is_rational, vals)):
+        return list(map(_as_fraction, vals))
     return [float(v) for v in vals]
 
 
@@ -229,12 +224,8 @@ class AlgebraicForm:
         if len(rows) != self.n or any(len(line) != self.n for line in rows):
             raise ValueError(f"matrix must be {self.n} x {self.n}")
         row = self.branch.row
-        if all(map(_is_exact, [*(v for line in rows for v in line), *self.coefficients.values()])):
-            # int() keeps a Rational type's numerator and denominator in Python ints
-            sig = char_sigmas(
-                [[Fraction(int(v.numerator), int(v.denominator)) for v in line] for line in rows],
-                Fraction(1),
-            )
+        if all(map(_is_rational, [*(v for line in rows for v in line), *self.coefficients.values()])):
+            sig = char_sigmas([list(map(_as_fraction, line)) for line in rows], Fraction(1))
             p = _det_by_sigmas(row, sig)
         else:
             p = _det_by_values(row, _symmetric_eigenvalues(rows))
@@ -346,15 +337,6 @@ def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     )
 
 
-def _exact_norm(y: Sequence[Fraction]) -> Fraction:
-    norm_sq = sum((Fraction(c) * Fraction(c) for c in y), Fraction(0))
-    num = math.isqrt(norm_sq.numerator)
-    den = math.isqrt(norm_sq.denominator)
-    if num * num != norm_sq.numerator or den * den != norm_sq.denominator:
-        raise ValueError("exact evaluation needs |y| to be rational")
-    return Fraction(num, den)
-
-
 def _flat_weight(vals, subset) -> Fraction:
     """w_S = Im prod_{l in S} (lambda_l + i)."""
     re, im = Fraction(1), Fraction(0)
@@ -418,16 +400,18 @@ def transformed_residual_exact(
     is exact down to radii far below where floating-point cancellation
     destroys the remainder term.
     """
-    yv = [Fraction(c) for c in y]
+    yv = list(map(_as_fraction, y))
     n = len(yv)
-    vals = [Fraction(v) for v in s]
+    vals = list(map(_as_fraction, s))
     if len(vals) != n:
         raise ValueError("spectrum size must match the point dimension")
-    gv = [Fraction(c) for c in grad]
-    hv = [[Fraction(c) for c in row] for row in hess]
-    norm = _exact_norm(yv)
+    gv = list(map(_as_fraction, grad))
+    hv = [list(map(_as_fraction, row)) for row in hess]
+    norm = _rational_sqrt(sum((c * c for c in yv), Fraction(0)))
+    if norm is None:
+        raise ValueError("exact evaluation needs |y| to be rational")
 
-    total = _flat_residual(yv, Fraction(value), gv, hv, vals, lambda k: norm**k)
+    total = _flat_residual(yv, _as_fraction(value), gv, hv, vals, lambda k: norm**k)
     laplace = sum((hv[i][i] for i in range(n)), Fraction(0))
     return ResidualBreakdown(
         laplace_term=laplace,
@@ -457,7 +441,7 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None)
     entries of M, in each size of minor and inside every product, so they
     are never formed.  None computes the whole residual."""
     n = P.n_vars
-    vals = [Fraction(v) for v in s]
+    vals = list(map(_as_fraction, s))
     if n < 3 or Q.n_vars != n or len(vals) != n:
         raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
     yvars = [MultiPoly.variable(n, i) for i in range(n)]
@@ -478,7 +462,7 @@ def linear_part_defect(s) -> RadPoly:
     difference over the jet variables (y, v, g and the upper triangle of
     h; 13 of them for n = 3); it is identically zero precisely when the
     linear part of the residual factors as gamma |y|^(n+2) lap(v)."""
-    vals = [Fraction(v) for v in s]
+    vals = list(map(_as_fraction, s))
     n = len(vals)
     if n < 2:
         raise DimensionError(f"the linear-part identity needs n >= 2, got {n}")

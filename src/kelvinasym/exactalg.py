@@ -31,6 +31,18 @@ is collected at its least exponent, which leaves no whole ``r^2`` factor.
 
 All arithmetic here is exact.  Floats only appear through ``evaluate`` when
 called with float coordinates.
+
+Exact input
+-----------
+One rule, `_as_fraction`, turns a caller's value into an exact scalar for
+the whole package: a ``Fraction`` or an ``int`` passes as it is, any other
+``numbers.Rational`` except ``bool`` (a ``numpy.int64``, say) enters
+through its numerator and denominator as Python ints, text goes through
+`parse_rational` and its digit caps, and anything else, a float included,
+raises TypeError naming the type and the value.  Beside it `_is_rational`
+decides whether a value takes the exact route or the float one, and
+`_rational_sqrt` is the one exact square root.  Exponents and radical
+powers are Python ints, as `_json_int` reads them from a record.
 """
 
 from __future__ import annotations
@@ -89,14 +101,33 @@ def parse_rational(value) -> Fraction:
         raise ValueError(f"not a rational number: {text[:40]!r} ({exc})") from None
 
 
-def _as_fraction(value: Scalar | Fraction) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_fraction(value: Scalar) -> Fraction:
+    """The exact scalar a caller's value stands for (the module's rule)."""
+    cls = type(value)
+    if cls is Fraction:
         return value
+    if cls is int:
+        return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact scalar, got {type(value).__name__}")
+    if _is_rational(value):
+        # a Rational type's numerator may be its own type, such as numpy.int64
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise TypeError(f"expected an exact rational, got {cls.__name__} {value!r:.40}")
+
+
+def _is_rational(value) -> bool:
+    """Whether ``value`` takes the exact route: a rational, not a bool."""
+    cls = type(value)
+    return cls is Fraction or cls is int or (isinstance(value, numbers.Rational) and cls is not bool)
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The rational square root of ``q >= 0``, or None when there is none."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num == q.numerator and den * den == q.denominator:
+        return Fraction(num, den)
+    return None
 
 
 def _json_int(value) -> int:
@@ -213,18 +244,17 @@ class MultiPoly(_RationalMap):
             raise DimensionError("need at least one variable")
         clean: dict[Exponent, Fraction] = {}
         for exp, coef in (terms or {}).items():
-            exp = tuple(exp)
-            if len(exp) != n_vars or any(e < 0 for e in exp):
-                raise DimensionError(f"bad exponent {exp} for {n_vars} variables")
-            c = _as_fraction(coef)
-            if c:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-                if not clean[exp]:
-                    del clean[exp]
-        # over the lcm of reduced denominators, no prime divides every numerator
+            key = tuple(exp)
+            if len(key) != n_vars or not all(type(e) is int and e >= 0 for e in key):
+                raise DimensionError(f"bad exponent {key!r:.60} for {n_vars} variables")
+            if key in clean:
+                raise DimensionError(f"exponent {key} is given twice")
+            clean[key] = _as_fraction(coef)
+        # over the lcm of reduced denominators (a zero's is 1), no prime
+        # divides every numerator
         den = math.lcm(*(c.denominator for c in clean.values()))
         self.n_vars = n_vars
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
         self._den = den
 
     # construction ---------------------------------------------------------
@@ -235,7 +265,7 @@ class MultiPoly(_RationalMap):
 
     @classmethod
     def const(cls, n_vars: int, value: Scalar) -> "MultiPoly":
-        return cls(n_vars, {(0,) * n_vars: _as_fraction(value)})
+        return cls(n_vars, {(0,) * n_vars: value})
 
     @classmethod
     def variable(cls, n_vars: int, i: int) -> "MultiPoly":
@@ -243,7 +273,7 @@ class MultiPoly(_RationalMap):
         if not 0 <= i < n_vars:
             raise DimensionError(f"variable index {i} out of range for {n_vars}")
         exp = tuple(1 if j == i else 0 for j in range(n_vars))
-        return cls(n_vars, {exp: Fraction(1)})
+        return cls(n_vars, {exp: 1})
 
     @classmethod
     def r_squared(cls, n_vars: int) -> "MultiPoly":
@@ -344,7 +374,7 @@ class MultiPoly(_RationalMap):
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
         den = self._den
-        exact = all(isinstance(x, numbers.Rational) for x in pt)
+        exact = all(map(_is_rational, pt))
         total = 0 if exact else 0.0
         for e, c in self._num.items():
             term = c if exact else c / den
@@ -411,8 +441,10 @@ class MultiPoly(_RationalMap):
             n_vars = _json_int(data["n_vars"])
             terms = {}
             for t in data["terms"]:
-                # integrality is checked here; __init__ checks length and sign
-                terms[tuple(_json_int(e) for e in t["exp"])] = parse_rational(t["coef"])
+                key = tuple(t["exp"])
+                if key in terms:
+                    raise ValueError(f"exponent {key} is listed twice")
+                terms[key] = parse_rational(t["coef"])
             return cls(n_vars, terms)
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed polynomial record: {exc}") from exc
@@ -519,10 +551,12 @@ class RadPoly(_RationalMap):
             raise DimensionError("need at least one variable")
         items = []
         for k, p in (slots or {}).items():
+            if type(k) is not int:
+                raise DimensionError(f"slot power {k!r:.40} is not an integer")
             if p.n_vars != n_vars:
                 raise DimensionError(f"slot polynomial has {p.n_vars} variables, expected {n_vars}")
             if p._num:
-                items.append((int(k), p))
+                items.append((k, p))
         powers = [e[0] for _, p in items for e in p._num if e[0] > 1]
         entries = sum(n_vars * math.comb(a // 2 + n_vars - 1, n_vars) for a in powers) * (n_vars + 1)
         if entries > _MAX_REWRITE_ENTRIES:
@@ -683,10 +717,9 @@ class RadPoly(_RationalMap):
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
         r2 = sum(x * x for x in pt)
         r = None
-        if all(isinstance(x, numbers.Rational) for x in pt):
-            r2 = Fraction(r2)
-            root = Fraction(math.isqrt(r2.numerator), math.isqrt(r2.denominator))
-            r = root if root * root == r2 else None
+        if all(map(_is_rational, pt)):
+            r2 = _as_fraction(r2)
+            r = _rational_sqrt(r2)
         total = Fraction(0)
         for k, p in self.slots.items():
             if k % 2 == 0:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .equations import _symmetric_eigenvalues, symbolic_residual
-from .exactalg import DimensionError, MultiPoly, solve_radical_poisson
+from .exactalg import DimensionError, MultiPoly, _as_fraction, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
 
@@ -127,7 +127,7 @@ def leading_correction(v0, s) -> MultiPoly:
     n = spectrum.n
     if n < 3:
         raise DimensionError(f"the leading correction needs n >= 3, got {n}")
-    weight = (n - 2) ** 2 * Fraction(v0) ** 2
+    weight = (n - 2) ** 2 * _as_fraction(v0) ** 2
     base = MultiPoly.zero(n)
     for i, lam in enumerate(spectrum.values):
         yi = MultiPoly.variable(n, i)
@@ -326,6 +326,14 @@ def _log_frame(A) -> list[list[float]]:
     ]
 
 
+def _use_log(n: int, with_log: bool | None) -> bool:
+    """Whether a fit in n dimensions carries the logarithmic column: by
+    default exactly in n = 2, and DimensionError refuses it elsewhere."""
+    if with_log and n != 2:
+        raise DimensionError("the logarithmic column exists only in dimension 2")
+    return n == 2 if with_log is None else bool(with_log)
+
+
 def _fit_columns(n: int, with_log: bool) -> int:
     """Columns of the design: x_i x_j (i <= j), x_i, 1, and the log column."""
     return n * (n + 1) // 2 + n + 1 + (1 if with_log else 0)
@@ -423,9 +431,7 @@ def check_fit_work(n: int, rows: int | None, with_log: bool | None = None) -> No
     ``rows = None`` counts the fewest rows a fit accepts, one per column,
     so a dimension can be refused before any sample is read; ``with_log``
     is as for `fit_expansion`, and DimensionError refuses it outside n = 2."""
-    if with_log and n != 2:
-        raise DimensionError("the logarithmic column exists only in dimension 2")
-    columns = _fit_columns(n, (n == 2) if with_log is None else bool(with_log))
+    columns = _fit_columns(n, _use_log(n, with_log))
     rows = columns if rows is None else rows
     work = columns * columns * (rows + 25 * columns)
     if work > MAX_FIT_WORK:
@@ -506,18 +512,18 @@ def fit_expansion(
     Raises ValueError naming the first sample with a non-finite
     coordinate or value, a num_annuli outside 3..MAX_ANNULI, more than
     MAX_ANNULI explicit annuli, or a solve over MAX_FIT_WORK
-    (`check_fit_work`); DimensionError on n < 2, on samples of another
-    dimension, or on ``with_log`` outside n = 2 (`check_fit_work`);
-    InsufficientDataError when fewer than four samples per parameter are
-    given or fewer than three annuli are populated; and ConditioningError
-    when the normal system is effectively singular.
+    (`check_fit_work`); DimensionError on ``with_log`` outside n = 2,
+    before any sample is read, on n < 2, or on samples of another
+    dimension; InsufficientDataError when fewer than four samples per
+    parameter are given or fewer than three annuli are populated; and
+    ConditioningError when the normal system is effectively singular.
     """
     _check_annuli(num_annuli, annuli)
+    use_log = _use_log(n, with_log)
     pts, vals, by_radius = _split_samples(samples, n)
     if n < 2:
         raise DimensionError("fitting needs dimension n >= 2")
 
-    use_log = (n == 2) if with_log is None else bool(with_log)
     count_params = _fit_columns(n, use_log)
     if len(pts) < 4 * count_params:
         raise InsufficientDataError(

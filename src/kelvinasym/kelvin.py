@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, RadPoly
+from .exactalg import MultiPoly, RadPoly, _json_int
 from .symfun import Spectrum
 
 __all__ = [
@@ -408,7 +408,7 @@ class KelvinFrame:
         try:
             branch = PhaseBranch.from_json(data["branch"])
             lambdas = [float(v) for v in data["lambda"]]
-            n = int(data.get("n", len(lambdas)))
+            n = _json_int(data.get("n", len(lambdas)))
             if n != len(lambdas):
                 raise ValueError(f"record claims n={n} but lists {len(lambdas)} eigenvalues")
             return cls(branch, lambdas, data.get("b"), float(data.get("c", 0.0)))

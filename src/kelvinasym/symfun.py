@@ -2,11 +2,12 @@
 two-sided-shifted variants, and exact verification of the determinant
 identities behind the linearized transform.
 
-Inputs are exact: floats are rejected so a verification can never silently
-lose exactness.  The public sigma functions return Fractions.  The
-verifiers scale every input by the lcm d of its denominators and compare
-integers: each identity is homogeneous in its inputs, so the integer sides
-equal d^degree times the rational ones, and the reports divide them back.
+Inputs are read by the package's one exact-scalar rule (`exactalg`'s
+module docstring), so a verification never silently loses exactness.  The
+public sigma functions return Fractions.  The verifiers scale every input
+by the lcm d of its denominators and compare integers: each identity is
+homogeneous in its inputs, so the integer sides equal d^degree times the
+rational ones, and the reports divide them back.
 The sigma kernels (`char_sigmas` and the private value-list ones) are
 ring-generic; the verifiers run them over ints, and the residual forms of
 the equations module over polynomials.
@@ -45,7 +46,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence, Union
 
-from .exactalg import parse_rational
+from .exactalg import Scalar, _as_fraction, _json_int, parse_rational
 
 
 class ArityError(ValueError):
@@ -56,22 +57,13 @@ class MismatchError(ArithmeticError):
     """Two supposedly identical exact routes disagreed."""
 
 
-ExactScalar = Union[int, str, Fraction]
-
-
-def _exact(value: ExactScalar) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("exact routines take rationals, not floats")
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
-
-
 class Spectrum:
     """An ordered tuple of exact eigenvalues.  Entry indices are 1-based."""
 
     __slots__ = ("values",)
 
-    def __init__(self, values: Iterable[ExactScalar]):
-        self.values = tuple(_exact(v) for v in values)
+    def __init__(self, values: Iterable[Scalar]):
+        self.values = tuple(map(_as_fraction, values))
 
     @property
     def n(self) -> int:
@@ -99,10 +91,10 @@ class Spectrum:
         self._check_index(i)
         return Spectrum(self.values[: i - 1] + self.values[i:])
 
-    def replaced(self, i: int, value: ExactScalar) -> "Spectrum":
+    def replaced(self, i: int, value: Scalar) -> "Spectrum":
         """The spectrum with entry ``i`` (1-based) replaced by ``value``."""
         self._check_index(i)
-        return Spectrum(self.values[: i - 1] + (_exact(value),) + self.values[i:])
+        return Spectrum(self.values[: i - 1] + (_as_fraction(value),) + self.values[i:])
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= len(self.values):
@@ -116,7 +108,7 @@ class Spectrum:
         """Inverse of ``to_json``; ValueError names a malformed record."""
         try:
             values = [parse_rational(v) for v in data["lambda"]]
-            n = int(data["n"])
+            n = _json_int(data["n"])
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed spectrum record: {exc}") from exc
         if n != len(values):
@@ -132,8 +124,8 @@ class BranchParams:
     b: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _exact(self.a))
-        object.__setattr__(self, "b", _exact(self.b))
+        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "b", _as_fraction(self.b))
 
 
 @dataclass(frozen=True)
@@ -154,16 +146,16 @@ class ExactReport:
         }
 
 
-SpectrumLike = Union[Spectrum, Sequence[ExactScalar]]
-MatrixLike = Sequence[Sequence[ExactScalar]]
+SpectrumLike = Union[Spectrum, Sequence[Scalar]]
+MatrixLike = Sequence[Sequence[Scalar]]
 
 
 def _values(s: SpectrumLike) -> list[Fraction]:
-    return [_exact(v) for v in s]
+    return list(map(_as_fraction, s))
 
 
 def _symmetric_matrix(mat: MatrixLike, n: int) -> list[list[Fraction]]:
-    rows = [[_exact(v) for v in row] for row in mat]
+    rows = [list(map(_as_fraction, row)) for row in mat]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ArityError(f"matrix must be {n} x {n} to match the spectrum")
     for r in range(n):
@@ -500,7 +492,7 @@ def random_rational(rng: Random, max_numerator: int = 5, max_denominator: int = 
 def random_spectrum(
     rng: Random,
     n: int,
-    lower: ExactScalar | None = None,
+    lower: Scalar | None = None,
     max_numerator: int = 5,
     max_denominator: int = 7,
 ) -> Spectrum:
@@ -514,7 +506,7 @@ def random_spectrum(
             values.append(random_rational(rng, max_numerator, max_denominator))
         else:
             bump = Fraction(rng.randint(1, max_numerator), rng.randint(1, max_denominator))
-            values.append(_exact(lower) + bump)
+            values.append(_as_fraction(lower) + bump)
     return Spectrum(values)
 
 

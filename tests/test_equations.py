@@ -976,6 +976,29 @@ def test_linear_part_defect_needs_three_eigenvalues():
     assert linear_part_defect(Spectrum(["1", "2"])).is_zero
 
 
+def test_exact_routes_refuse_a_float_and_cap_rational_text():
+    # each exact route reads its arguments by exactalg's one rule: a float
+    # is named, not turned into a dyadic rational, and text keeps its caps
+    one, zero = Fraction(1), Fraction(0)
+    y = [Fraction(3, 5), Fraction(4, 5), zero]
+    grad = [zero] * 3
+    hess = [[one if i == j else zero for j in range(3)] for i in range(3)]
+    assert transformed_residual_exact(y, one, grad, hess, [1, 2, 3]).laplace_term == 3
+    with pytest.raises(TypeError, match="expected an exact rational, got float 0.1"):
+        transformed_residual_exact(y, 0.1, grad, hess, [1, 2, 3])
+    with pytest.raises(TypeError, match="expected an exact rational, got float 0.1"):
+        transformed_residual_exact(y, one, grad, hess, [1, 0.1, 3])
+    with pytest.raises(TypeError, match="expected an exact rational, got float 0.1"):
+        linear_part_defect([1, 0.1, 3])
+    with pytest.raises(TypeError, match="expected an exact rational, got float 0.1"):
+        symbolic_residual(MultiPoly.const(3, 1), MultiPoly.zero(3), [1, 0.1, 3])
+    with pytest.raises(ValueError) as from_spectrum:
+        Spectrum(["1e5000"])
+    with pytest.raises(ValueError, match="rational '1e5000' is too large") as from_defect:
+        linear_part_defect(["1", "1e5000"])
+    assert str(from_defect.value) == str(from_spectrum.value)
+
+
 # ── small-radius scaling ladder ──────────────────────────────────────────
 
 

@@ -64,6 +64,47 @@ def test_constructor_rejects_bad_exponents():
         MultiPoly(2, {(-1, 0): fr(1)})
     with pytest.raises(DimensionError):
         MultiPoly(2, {}) + MultiPoly(3, {})
+    # exponents are Python ints: a float one is named, never truncated
+    with pytest.raises(DimensionError, match=r"bad exponent \(1\.5, 0, 0\) for 3 variables"):
+        MultiPoly(3, {(1.5, 0, 0): 1})
+    with pytest.raises(DimensionError, match=r"bad exponent \(True, 0\)"):
+        MultiPoly(2, {(True, 0): 1})
+    # two keys that name one exponent are refused, not summed
+    with pytest.raises(DimensionError, match=r"exponent \(0, 1\) is given twice"):
+        MultiPoly(2, {range(2): 1, (0, 1): 2})
+
+
+def test_exact_scalar_rule():
+    """`_as_fraction` is the package's one route to an exact scalar."""
+    np = pytest.importorskip("numpy")
+    as_fraction = exactalg._as_fraction
+    assert as_fraction(fr(3, 2)) == fr(3, 2) and as_fraction(-4) == -4
+    assert as_fraction("3/2") == fr(3, 2)
+    # any other Rational enters through its numerator and denominator as ints
+    got = as_fraction(np.int64(7))
+    assert got == 7 and type(got) is Fraction and type(got.numerator) is int
+    assert MultiPoly(2, {(1, 0): np.int64(3)}) == MultiPoly(2, {(1, 0): 3})
+    assert MultiPoly.const(2, np.int64(-2)) == MultiPoly.const(2, -2)
+    # text keeps parse_rational's caps
+    with pytest.raises(ValueError, match="rational '1e5000' is too large"):
+        as_fraction("1e5000")
+    refused = [(0.1, "float 0.1"), (True, "bool True"), (None, "NoneType None"), (np.float64(0.5), "float64 .*0.5")]
+    for bad, named in refused:
+        with pytest.raises(TypeError, match=f"expected an exact rational, got {named}"):
+            as_fraction(bad)
+    with pytest.raises(TypeError, match="got bool True"):
+        MultiPoly.const(2, True)
+    with pytest.raises(TypeError, match="got float 0.5"):
+        MultiPoly.variable(2, 0) * 0.5
+    # the exact-or-float predicate agrees with the rule
+    assert all(map(exactalg._is_rational, [fr(1, 3), 2, np.int64(2)]))
+    assert not any(map(exactalg._is_rational, [True, 0.5, "1", None]))
+
+
+def test_rational_square_root():
+    sqrt = exactalg._rational_sqrt
+    assert sqrt(fr(9, 4)) == fr(3, 2) and sqrt(fr(0)) == 0
+    assert sqrt(fr(2)) is None and sqrt(fr(1, 2)) is None and sqrt(fr(4, 3)) is None
 
 
 @given(p=polys(3), q=polys(3), s=polys(3, max_deg=2, max_terms=3))
@@ -574,6 +615,17 @@ def test_radpoly_evaluate():
     even = RadPoly(3, {-2: MultiPoly.variable(3, 0) ** 2})
     assert even.evaluate([fr(1, 2), fr(1, 2), 0]) == fr(1, 2)
     assert RadPoly.zero(3).evaluate([1, 2, 3]) == 0
+    # an odd slot stays exact where |y| is rational, and is a float elsewhere
+    assert inv_r.evaluate([fr(3, 5), fr(4, 5), 0]) == 1
+    assert inv_r.evaluate([1, 1, 0]) == 1 / math.sqrt(2)
+
+
+def test_radpoly_refuses_a_slot_power_that_is_not_an_integer():
+    one = MultiPoly.const(3, 1)
+    with pytest.raises(DimensionError, match="slot power 1.5 is not an integer"):
+        RadPoly(3, {1.5: one})
+    with pytest.raises(DimensionError, match="slot power '1' is not an integer"):
+        RadPoly(3, {"1": one})
 
 
 def test_radpoly_json_roundtrip():

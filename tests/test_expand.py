@@ -76,6 +76,13 @@ def test_leading_correction_pinned_spectrum():
     assert q == expected
 
 
+def test_leading_correction_refuses_a_float_profile():
+    # a float would enter as a 55-bit dyadic rational and pass unnoticed
+    with pytest.raises(TypeError, match="expected an exact rational, got float 0.1"):
+        leading_correction(0.1, Spectrum([1, 2, 3]))
+    assert leading_correction("1/2", [1, 2, 3]) == leading_correction(Fraction(1, 2), Spectrum([1, 2, 3]))
+
+
 def test_leading_correction_needs_three_variables():
     with pytest.raises(DimensionError):
         leading_correction(1, Spectrum([1, 2]))
@@ -653,6 +660,15 @@ def test_fit_refuses_the_log_column_outside_the_plane_before_solving(monkeypatch
     monkeypatch.setattr(expand, "_solve_least_squares", None)
     with pytest.raises(DimensionError, match="the logarithmic column exists only in dimension 2"):
         fit_expansion(samples, 3, with_log=True)
+
+
+def test_fit_refuses_the_log_column_outside_the_plane_before_counting_samples():
+    # no number of samples would be accepted, so the count is not the error
+    nine = [((float(k), 1.0, 0.0), 0.5 * (k * k + 1.0)) for k in range(1, 10)]
+    with pytest.raises(DimensionError, match="the logarithmic column exists only in dimension 2"):
+        fit_expansion(nine, 3, with_log=True)
+    with pytest.raises(InsufficientDataError, match="need at least 40 samples to fit 10 parameters, got 9"):
+        fit_expansion(nine, 3)
 
 
 # ── profile recovery ─────────────────────────────────────────────────────

@@ -110,6 +110,7 @@ def _radpoly_n_vars(n_vars):
         (MultiPoly.from_json, _poly_term("1", ["a"]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1", [1.5]), "polynomial"),
         (MultiPoly.from_json, _poly_term("1e300000", [1]), "polynomial"),
+        (MultiPoly.from_json, {"n_vars": 1, "terms": [{"coef": "1", "exp": [1]}] * 2}, "polynomial"),
         (MultiPoly.from_json, _poly_n_vars(2.9), "polynomial"),
         (MultiPoly.from_json, _poly_n_vars(True), "polynomial"),
         (MultiPoly.from_json, _poly_n_vars("3"), "polynomial"),
@@ -119,6 +120,13 @@ def _radpoly_n_vars(n_vars):
         (Spectrum.from_json, {"n": 1, "lambda": ["1/0"]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": [float("inf")]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": ["2e300000"]}, "spectrum"),
+        (Spectrum.from_json, {"n": 2.9, "lambda": ["1", "2"]}, "spectrum"),
+        (Spectrum.from_json, {"n": "2", "lambda": ["1", "2"]}, "spectrum"),
+        (
+            KelvinFrame.from_json,
+            {"branch": {"kind": "SLAG", "theta": 1.0}, "lambda": [1.0, 2.0], "n": 2.5},
+            "frame",
+        ),
         (
             KelvinFrame.from_json,
             {"branch": {"kind": "SLAG", "theta": 1.0}, "lambda": [1.0, 2.0], "b": 5},
@@ -142,6 +150,7 @@ def _radpoly_n_vars(n_vars):
         "poly-text-exponent",
         "poly-fractional-exponent",
         "poly-exponent-beyond-cap",
+        "poly-repeated-exponent",
         "poly-float-n-vars",
         "poly-bool-n-vars",
         "poly-text-n-vars",
@@ -151,6 +160,9 @@ def _radpoly_n_vars(n_vars):
         "spectrum-zero-denominator",
         "spectrum-infinite",
         "spectrum-exponent-beyond-cap",
+        "spectrum-float-n",
+        "spectrum-text-n",
+        "frame-float-n",
         "frame-scalar-b",
         "frame-nan-eigenvalue",
         "branch-nan-theta",

@@ -596,6 +596,11 @@ def test_spectrum_one_based_access():
         s.replaced(4, 1)
     with pytest.raises(TypeError):
         Spectrum((0.5,))
+    # a bool is not a rational here, though Python counts it as an int
+    with pytest.raises(TypeError, match="got bool True"):
+        Spectrum([True, 2])
+    with pytest.raises(ValueError, match="rational '1e5000' is too large"):
+        Spectrum(["1e5000"])
 
 
 def test_spectrum_json_roundtrip():
