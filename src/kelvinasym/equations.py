@@ -50,13 +50,21 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence, Union
 
-from .exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction, _is_rational, _rational_sqrt
+from .exactalg import (
+    DimensionError,
+    MultiPoly,
+    RadPoly,
+    _as_fraction,
+    _dot,
+    _is_rational,
+    _rational_sqrt,
+    _sum,
+)
 from .kelvin import (
     Jet2,
     KelvinFrame,
     PhaseBranch,
     PhaseRow,
-    _norm_sq,
     identity_parts,
     jet_indeterminates,
     matrices_MNKL,
@@ -289,7 +297,7 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
     floats = [float(v) for v in vals]
     z = [tuple(a + b * lam for a, b in zip(row.alpha, row.beta)) for lam in floats]
     norms = [row.norm(z_i) for z_i in z]
-    slope = sum(
+    slope = _sum(
         0.25 * r * r * math.prod(norms[:i] + norms[i + 1 :]) * row.cross(z_i, row.beta)
         for i, (z_i, r) in enumerate(zip(z, scaling_matrix(branch, floats)))
     )
@@ -319,7 +327,7 @@ def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     """Floating-point residual split at one jet of the ball-side profile."""
     n = frame.n
     _, N, _, _ = matrices_MNKL(jet, frame)
-    norm = _norm_sq(jet.y) ** 0.5
+    norm = _dot(jet.y, jet.y) ** 0.5
     weight = norm**n
     H = [
         [(lam if i == j else 0.0) + weight * entry for j, entry in enumerate(row)]
@@ -328,7 +336,7 @@ def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     gamma = float(linear_part_factor(frame.branch, frame.spectrum))
     raw = float(notheta_residual(frame.branch, frame.spectrum, H))
     total = raw / (gamma * norm ** (n + 2))
-    laplace = sum(jet.hess[i][i] for i in range(n))
+    laplace = _sum(jet.hess[i][i] for i in range(n))
     return ResidualBreakdown(
         laplace_term=laplace,
         nonlinear_term=total - laplace,
@@ -559,9 +567,9 @@ def residual_scaling_slopes(
         log_t.append(-k)
         log_mag.append(math.log2(float(magnitude)))
 
-    mean_x = sum(log_t) / len(log_t)
-    mean_y = sum(log_mag) / len(log_mag)
-    slope = sum((x - mean_x) * (yv - mean_y) for x, yv in zip(log_t, log_mag)) / sum(
+    mean_x = _sum(log_t) / len(log_t)
+    mean_y = _sum(log_mag) / len(log_mag)
+    slope = _sum((x - mean_x) * (yv - mean_y) for x, yv in zip(log_t, log_mag)) / _sum(
         (x - mean_x) ** 2 for x in log_t
     )
     return {

@@ -43,13 +43,25 @@ raises TypeError naming the type and the value.  Beside it `_is_rational`
 decides whether a value takes the exact route or the float one, and
 `_rational_sqrt` is the one exact square root.  Exponents and radical
 powers are Python ints, as `_json_int` reads them from a record.
+
+Float sums
+----------
+One rule, `_sum`, adds up every sequence that can hold a float, for the
+whole package: ``start + v_1 + v_2 + ...`` strictly left to right, with no
+compensation, from ``start = 0.0`` (or the ring's zero the caller passes);
+`_dot` is built on it.  The builtin ``sum`` compensates float sums from
+Python 3.12 on, so routes summed with it round differently on 3.10-3.11
+and on 3.12-3.13; the fold gives every interpreter the builtin's bits from
+before 3.12.  The start is 0.0 and not the first term because the builtin
+starts there too: ``0.0 + -0.0`` is ``0.0``.  Integer and exact sums keep
+the builtin, which is exact on them.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 import bisect
 import math
 import numbers
@@ -120,6 +132,17 @@ def _is_rational(value) -> bool:
     """Whether ``value`` takes the exact route: a rational, not a bool."""
     cls = type(value)
     return cls is Fraction or cls is int or (isinstance(value, numbers.Rational) and cls is not bool)
+
+
+def _sum(values: Iterable, start=0.0):
+    """``start + v_1 + v_2 + ...`` added left to right (the module's
+    float-sum rule)."""
+    return reduce(operator.add, values, start)
+
+
+def _dot(a: Iterable, b: Iterable) -> float:
+    """``a_1 b_1 + a_2 b_2 + ...`` over paired entries, by `_sum`."""
+    return _sum(map(operator.mul, a, b))
 
 
 def _rational_sqrt(q: Fraction) -> Fraction | None:
@@ -621,14 +644,6 @@ class RadPoly(_RationalMap):
         its least exponent."""
         return dict(s for s in (self._sector(0), self._sector(1)) if s)
 
-    def slot(self, k: int) -> MultiPoly:
-        """Canonical-form coefficient of ``|y|^k`` (zero if absent)."""
-        s = self._sector(k & 1)
-        return s[1] if s and s[0] == k else MultiPoly.zero(self.n_vars)
-
-    def min_slot(self) -> int | None:
-        return min((key[0] for key in self._num), default=None)
-
     def collect(self, base: int) -> MultiPoly:
         """The sector of ``base``'s parity as a single polynomial ``W``
         with that part equal to ``|y|^base * W``."""
@@ -715,11 +730,12 @@ class RadPoly(_RationalMap):
         pt = list(point)
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
-        r2 = sum(x * x for x in pt)
         r = None
         if all(map(_is_rational, pt)):
-            r2 = _as_fraction(r2)
+            r2 = _as_fraction(sum(x * x for x in pt))
             r = _rational_sqrt(r2)
+        else:
+            r2 = _dot(pt, pt)
         total = Fraction(0)
         for k, p in self.slots.items():
             if k % 2 == 0:

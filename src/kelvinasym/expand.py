@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .equations import _symmetric_eigenvalues, symbolic_residual
-from .exactalg import DimensionError, MultiPoly, _as_fraction, solve_radical_poisson
+from .exactalg import DimensionError, MultiPoly, _as_fraction, _dot, _sum, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
 
@@ -295,10 +295,6 @@ def _split_samples(samples, n: int) -> tuple[list[tuple[float, ...]], list[float
     return pts, vals, radii
 
 
-def _dot(a, b) -> float:
-    return sum(map(operator.mul, a, b))
-
-
 def _form(M, p) -> float:
     """p^T M p, with M a sequence of rows."""
     return _dot(p, [_dot(row, p) for row in M])
@@ -321,7 +317,7 @@ def _log_frame(A) -> list[list[float]]:
     """I + A^2, the matrix of the logarithmic column's quadratic form."""
     n = len(A)
     return [
-        [(1.0 if i == j else 0.0) + sum(A[i][k] * A[k][j] for k in range(n)) for j in range(n)]
+        [(1.0 if i == j else 0.0) + _sum(A[i][k] * A[k][j] for k in range(n)) for j in range(n)]
         for i in range(n)
     ]
 
@@ -393,7 +389,7 @@ def _solve_least_squares(columns, rhs) -> list[float]:
     k = len(R)
     coef = [0.0] * k
     for j in reversed(range(k)):
-        coef[j] = (qtb[j] - sum(R[l][j] * coef[l] for l in range(j + 1, k))) / R[j][j]
+        coef[j] = (qtb[j] - _sum(R[l][j] * coef[l] for l in range(j + 1, k))) / R[j][j]
     return coef
 
 
@@ -571,8 +567,8 @@ def fit_expansion(
         remainder = [abs(vals[i] - m) for i, m in zip(members, model)]
         log_r.append(math.log(statistics.median(radii[start:end])))
         log_m.append(math.log(max(statistics.median(remainder), 1e-300)))
-    mean_r = sum(log_r) / len(log_r)
-    mean_m = sum(log_m) / len(log_m)
+    mean_r = _sum(log_r) / len(log_r)
+    mean_m = _sum(log_m) / len(log_m)
     xc = [x - mean_r for x in log_r]
     yc = [y - mean_m for y in log_m]
     sxx = _dot(xc, xc)

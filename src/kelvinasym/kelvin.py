@@ -20,7 +20,9 @@ of the Hessian identity, and the symbolic trace identity that pins the
 linear part of the transformed operator.
 
 Every float route runs on Python floats over tuples and nested lists, one
-point at a time.  `hessian_identity_check` draws from one
+point at a time, and adds up with `exactalg._sum` and `exactalg._dot`
+(|p|^2 is ``_dot(p, p)``), so the per-point routes round alike, and alike
+on every interpreter.  `hessian_identity_check` draws from one
 `random.Random(seed)`, sample after sample: the direction as n
 `gauss(0.0, 1.0)` values, then the radius as `uniform(1.2, 3.0)`; it
 assembles the identity's matrices with the code of `matrices_MNKL`.
@@ -36,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, RadPoly, _json_int
+from .exactalg import MultiPoly, RadPoly, _dot, _json_int, _sum
 from .symfun import Spectrum
 
 __all__ = [
@@ -309,7 +311,7 @@ class PhaseBranch:
 
     def phase(self, eigenvalues: Sequence[float]) -> float:
         """Sum of the eigenvalue map over a full set of eigenvalues."""
-        return sum(self.g(float(v)) for v in eigenvalues)
+        return _sum(self.g(float(v)) for v in eigenvalues)
 
     # serialization ----------------------------------------------------------
 
@@ -416,12 +418,6 @@ class KelvinFrame:
             raise ValueError(f"malformed frame record: {exc}") from exc
 
 
-def _norm_sq(point) -> float:
-    """|p|^2 summed in coordinate order.  Every float route of this module
-    squares norms here, so the per-point routes round alike."""
-    return sum(map(operator.mul, point, point))
-
-
 def _each_point(f, points):
     """``f`` at one point, or at each point of a stack: points one per row,
     nested to any depth, with the coordinates innermost.  The results come
@@ -436,7 +432,7 @@ def _invert(point: Sequence[float], r: Sequence[float], forward: bool) -> tuple[
     if len(point) != len(r):
         raise ValueError("point and scaling diagonal must have the same length")
     z = list(map(operator.mul, r, map(float, point))) if forward else list(map(float, point))
-    norm_sq = _norm_sq(z)
+    norm_sq = _dot(z, z)
     if norm_sq == 0.0:
         raise ZeroPointError("the inversion map is singular at the origin")
     if forward:
@@ -472,15 +468,14 @@ def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Seq
     ``v`` takes the image y as a tuple of floats.  ``x`` may stack points
     one per row, as `kelvin_map` takes them; then v is called once per
     point and one value comes back per row."""
-    mul = operator.mul
     power = (frame.n - 2) / 2.0
 
     def value(p) -> float:
         coords = list(map(float, p))
         y = _invert(coords, frame.R, True)
-        quad = 0.5 * sum(map(mul, map(mul, frame.spectrum, coords), coords))
-        affine = sum(map(mul, frame.linear, coords)) + frame.constant
-        return quad + affine + _norm_sq(y) ** power * float(v(y))
+        quad = 0.5 * _dot(map(operator.mul, frame.spectrum, coords), coords)
+        affine = _dot(frame.linear, coords) + frame.constant
+        return quad + affine + _dot(y, y) ** power * float(v(y))
 
     return _each_point(value, x)
 
@@ -514,7 +509,7 @@ class Jet2:
             for j, h in enumerate(row):
                 if not math.isfinite(h):
                     raise ValueError(f"jet Hessian entry ({i}, {j}) is {h}, not finite")
-        norm = _norm_sq(y) ** 0.5
+        norm = _dot(y, y) ** 0.5
         if not 0.0 < norm < 1.0:
             raise ValueError(f"jet base point must lie in the punctured unit ball, |y|={norm}")
         if any(abs(hess[i][j] - hess[j][i]) > 1e-12 for i in range(n) for j in range(i)):
@@ -567,9 +562,9 @@ def identity_parts(y, value, grad, hess, ysq):
     RadPoly jet over MultiPoly coordinates, with ysq a RadPoly)."""
     n = len(y)
     zero = 0 * value
-    ydotg = sum((grad[i] * y[i] for i in range(n)), zero)
-    hy = [sum((hess[i][j] * y[j] for j in range(n)), zero) for i in range(n)]
-    yhy = sum((hy[i] * y[i] for i in range(n)), zero)
+    ydotg = _sum((grad[i] * y[i] for i in range(n)), zero)
+    hy = [_sum((hess[i][j] * y[j] for j in range(n)), zero) for i in range(n)]
+    yhy = _sum((hy[i] * y[i] for i in range(n)), zero)
     L = n * (n - 2) * value + 4 * n * ydotg + 4 * yhy
     diag = (n - 2) * value + 2 * ydotg
     K = [[None] * n for _ in range(n)]
@@ -621,7 +616,7 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
     so that D^2 u = A + |y|^n N at the exterior point behind y."""
     if jet.n != frame.n:
         raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
-    return _assemble(jet.y, _norm_sq(jet.y), jet.value, jet.grad, jet.hess, frame.R)
+    return _assemble(jet.y, _dot(jet.y, jet.y), jet.value, jet.grad, jet.hess, frame.R)
 
 
 @dataclass(frozen=True)
@@ -695,15 +690,16 @@ def hessian_identity_check(
     max_rel = 0.0
     for _ in range(samples):
         direction = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        scale = rng.uniform(1.2, 3.0) / _norm_sq(direction) ** 0.5
+        scale = rng.uniform(1.2, 3.0) / _dot(direction, direction) ** 0.5
         x = [c * scale for c in direction]
         # keep the image strictly inside the unit ball: |Rx| >= 1.05
-        image_norm = _norm_sq([ri * c for ri, c in zip(r, x)]) ** 0.5
+        rx = [ri * c for ri, c in zip(r, x)]
+        image_norm = _dot(rx, rx) ** 0.5
         if image_norm < 1.05:
             x = [c * (1.05 / image_norm) for c in x]
 
         y = kelvin_map(x, r, "forward")
-        ysq = _norm_sq(y)
+        ysq = _dot(y, y)
         _, N, _, _ = _assemble(y, ysq, *jet_at(y), r)
         # A + |y|^n N, upper triangle only
         weight = ysq ** (n / 2.0)

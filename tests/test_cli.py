@@ -24,6 +24,7 @@ from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import RadPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
 from kelvinasym.radial import MAX_SAMPLE_COORDINATES, MAX_SAMPLES, read_trajectory
+from pinned_reports import EXACT_REPORTS, FLOAT_REPORTS, check
 
 THETA3_FULL = 3 * math.pi / 4
 
@@ -100,104 +101,12 @@ def test_lemmas_n2_skips_the_size3_identities(tmp_path, capsys):
     capsys.readouterr()
 
 
-# reports that hold only exact values, so no platform libm can move them,
-# and a rewrite of the exact residual must leave them byte for byte
-EXACT_REPORTS = {
-    "expand3": (
-        ["expand3", "--order", "8", "--p0", "3/2", "--spectrum", "1,1/2,2"],
-        "5843aaf2b404c8055431fd01c217b52c2bcc663eac6d68db576adc589468a7b5",
-    ),
-    # the benchmark's own report: Q grows from 3 to 18 terms over orders 9-12
-    "expand3-order12": (
-        ["expand3", "--order", "12", "--p0", "3/2", "--spectrum", "1,1/2,2"],
-        "0ce6a826071e993de7902270d7d5716a00eb0731fd24088249c02c9f17c624f9",
-    ),
-    "residual-n3": (
-        ["residual-n3", "--trials", "2"],
-        "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
-    ),
-    "lemmas-n5": (
-        ["lemmas", "--n", "5", "--trials", "2"],
-        "88ce1eec37d2e5e47581f3b80722aa5f4bd5ce3d18965c7c73c1d0f6882c4118",
-    ),
-    "lemmas-n2": (
-        ["lemmas", "--n", "2", "--trials", "2"],
-        "1f651e23e7c3e406abfc3374df754c49fc400898a86483524ffc5f4155709967",
-    ),
-}
-
-
 @pytest.mark.parametrize("argv,digest", list(EXACT_REPORTS.values()), ids=list(EXACT_REPORTS))
 def test_exact_report_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "r.json"
     assert dispatch([*argv, "--seed", "1", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
     capsys.readouterr()
-
-
-_BENCH_RADIAL = ["radial", "--branch", "slag", "--n", "3", "--theta", repr(THETA3_FULL), "--u1", "0.5"]
-_BENCH_RADIAL += ["--p1", "1.1", "--rmax", "2000", "--step", "4e-2", "--stride", "25", "--per-radius", "3"]
-_BENCH_RADIAL += ["--sample-rmin", "20", "--sample-rmax", "2000", "--samples-out", "samples.csv"]
-_BENCH_RADIAL += ["--seed", "1", "--out", "trajectory.csv"]
-# the same ray in the plane (theta = 2 atan(1)), whose fit carries the log column
-_BENCH_RADIAL_N2 = [*_BENCH_RADIAL[:4], "2", "--theta", "1.5707963267948966", *_BENCH_RADIAL[7:]]
-# one quadratic ray per kind (theta = 3 g(alpha), u1 = alpha / 2, p1 = alpha)
-_KIND_RADIAL = ["radial", "--n", "3", "--rmax", "20", "--step", "1e-2", "--stride", "50"]
-
-# float reports: these bytes depend on the platform's libm (sqrt, atan,
-# log, exp, tan), as the trajectory-samples pin does, so they are pinned for
-# one libm; a rewrite of the branch maps, the Kelvin assembly or the fit must
-# leave them byte for byte.  Each entry runs its setup argvs in one directory
-# before the pinned argv.
-FLOAT_REPORTS = {
-    "kelvin-check-n4-flat": (
-        [],
-        ["kelvin-check", "--branch", "slag", "--n", "4", "--spectrum", "1,1,1,1", "--samples", "20"],
-        "b9907d42759b09402d8c3836a1758b42913ece8e2cdc4d9b3b56f7a27434e8ad",
-    ),
-    "kelvin-check-n3-slag": (
-        [],
-        ["kelvin-check", "--branch", "slag", "--n", "3", "--samples", "50"],
-        "b5924c85d6f767682b1722c94abe5bad3074d1c05682d68cf7bc75d6ddb6b1a2",
-    ),
-    "kelvin-check-n3-recip": (
-        [],
-        ["kelvin-check", "--branch", "recip", "--theta", "-1.5", "--n", "3", "--samples", "50"],
-        "f580c1e966b3b0e343eb8dd76593062d6cd8de84f04a2c0c010d444d88383bc5",
-    ),
-    "fit-benchmark-annuli": (
-        [_BENCH_RADIAL],
-        ["fit", "--samples", "samples.csv", "--n", "3", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
-        "450ae63f68cfd3b4182989d67c720c3b7f312348f64bae5e5244fc538b776ef7",
-    ),
-    "fit-n2-log-annuli": (
-        [_BENCH_RADIAL_N2],
-        ["fit", "--samples", "samples.csv", "--n", "2", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
-        "c1c7d05c929b16dfc0ce3aedbdabf9634bea94f08371d561be197a7b22a935ff",
-    ),
-    "radial-slag": (
-        [],
-        [*_KIND_RADIAL, "--branch", "slag", "--theta", "2.356194490192345", "--u1", "0.5", "--p1", "1.0"],
-        "70e07ea25c4e37aa440b810eca369a263b6bb7c5e61c0c8af411f1973f7bb43b",
-    ),
-    "radial-recip": (
-        [],
-        [*_KIND_RADIAL, "--branch", "recip", "--theta", "-2.8284271247461903", "--u1", "0.25", "--p1", "0.5"],
-        "8501adeb69c3aa81f0dea6c8477b191255720c97754aa28eb48f93032bfa0794",
-    ),
-    "radial-atan2": (
-        [],
-        [*_KIND_RADIAL, "--branch", "atan2", "--tau", "1.1780972450961724"]
-        + ["--theta", "-0.684154087243197", "--u1", "0.1", "--p1", "0.2"],
-        "184af9f16add00621a9714cbfa82f121c181eebdacf8834bb7cd6297de6a4348",
-    ),
-    "radial-log": (
-        [],
-        [*_KIND_RADIAL, "--branch", "log", "--tau", "0.39269908169872414"]
-        + ["--theta", "-4.016441762781083", "--u1", "0.15", "--p1", "0.3"],
-        "4bdd04d7944f8dd4480e23d1e99344837b7fdefca70cdf17ce4c8a3ac811f52a",
-    ),
-}
 
 
 @pytest.mark.parametrize("setup,argv,digest", list(FLOAT_REPORTS.values()), ids=list(FLOAT_REPORTS))
@@ -208,6 +117,16 @@ def test_float_report_bytes_are_pinned(tmp_path, capsys, monkeypatch, setup, arg
     assert dispatch([*argv, "--seed", "1", "--out", "r.out"]) == 0
     assert hashlib.sha256((tmp_path / "r.out").read_bytes()).hexdigest() == digest
     capsys.readouterr()
+
+
+def test_pin_checker_runs_the_entry_point_and_refuses_a_mismatch():
+    # the checker CI runs without pytest: a pinned case passes, and a wrong
+    # digest or a refused command line is reported, not passed
+    argv, digest = EXACT_REPORTS["lemmas-n2"]
+    assert check([], argv, digest) is None
+    assert check([], argv, "0" * 64) == f"sha256 {digest}, pinned {'0' * 64}"
+    refused = check([], ["lemmas", "--n", "1"], digest)
+    assert refused.startswith("lemmas exited 2 with stderr") and "at least 2" in refused
 
 
 _WITHOUT_NUMPY = """

@@ -107,6 +107,22 @@ def test_rational_square_root():
     assert sqrt(fr(2)) is None and sqrt(fr(1, 2)) is None and sqrt(fr(4, 3)) is None
 
 
+def test_float_sum_rule_folds_left_to_right():
+    """`_sum` is the package's one float sum: plain additions in order, with
+    no compensation, so its bits do not move with the interpreter (the
+    builtin sum compensates floats from Python 3.12 on)."""
+    fold, dot = exactalg._sum, exactalg._dot
+    assert fold([1e16, 1.0, -1e16]) == 0.0
+    assert dot([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
+    # the start is 0.0, as the builtin's is, and not the first term
+    assert math.copysign(1.0, fold([-0.0])) == 1.0
+    assert math.copysign(1.0, fold([-0.0], -0.0)) == -1.0
+    assert fold([]) == 0.0
+    # any ring: the same fold adds exact polynomials from the caller's zero
+    y = [MultiPoly.variable(2, i) for i in range(2)]
+    assert fold((c * c for c in y), MultiPoly.zero(2)) == MultiPoly.r_squared(2)
+
+
 @given(p=polys(3), q=polys(3), s=polys(3, max_deg=2, max_terms=3))
 @settings(max_examples=40, deadline=None)
 def test_ring_laws(p, q, s):
@@ -480,11 +496,12 @@ def test_radpoly_collects_even_sector_to_polynomial():
 
 def test_radpoly_slot_access_and_zero():
     z = RadPoly.zero(4)
-    assert z.is_zero and z.min_slot() is None
+    assert z.is_zero and z.slots == {} and z.collect(0).is_zero
     e = RadPoly(3, {-1: MultiPoly.const(3, 1)})
-    assert e.slot(-1) == MultiPoly.const(3, 1)
-    assert e.slot(7).is_zero
-    assert e.min_slot() == -1
+    assert e.slots == {-1: MultiPoly.const(3, 1)}
+    assert e.collect(-1) == MultiPoly.const(3, 1)
+    # nothing at |y|^7, and no term of the even parity at all
+    assert 7 not in e.slots and e.collect(0).is_zero
     for i in (-1, 3):
         with pytest.raises(DimensionError, match=f"variable index {i} out of range for 3"):
             e.partial(i)
@@ -596,7 +613,7 @@ def test_collect_takes_the_sector_of_the_base_parity(n):
     y1 = MultiPoly.variable(n, 0)
     r2 = MultiPoly.r_squared(n)
     e = RadPoly(n, {2: y1, 3: one, -2: one})
-    even, odd = e.slot(-2), e.slot(3)
+    even, odd = e.slots[-2], e.slots[3]
     assert e.collect(-2) == even
     assert e.collect(-4) == r2 * even
     assert e.collect(1) == r2 * odd
@@ -723,7 +740,7 @@ def test_radpoly_slot_view_refuses_past_the_cap_before_building():
     wide = RadPoly(3, {0: one, 6400: one})
     assert len(wide._num) == 2
     start = time.perf_counter()
-    views = (lambda: wide.slots, lambda: wide.slot(0), lambda: wide.collect(0), wide.to_json)
+    views = (lambda: wide.slots, lambda: wide.collect(0), wide.to_json)
     for view in (*views, lambda: wide.evaluate([0.1, 0.2, 0.3])):
         with pytest.raises(ValueError, match=r"\|y\|\^0 would write 5124802 monomial entries, more than 5000000"):
             view()

@@ -25,6 +25,7 @@ from kelvinasym.kelvin import (
     ZeroPointError,
     check_fd_work,
     hessian_identity_check,
+    identity_parts,
     kelvin_map,
     matrices_MNKL,
     poly_jet,
@@ -363,7 +364,8 @@ def test_mnkl_pinned_constant_profile():
 def test_mnkl_bytes_are_pinned():
     # the float assembly's rounding, on every kind; R and the image points
     # go through the platform's libm (sqrt, atan, log), so these bytes are
-    # pinned for one libm
+    # pinned for one libm, and the sums fold left to right, so they are
+    # the same on Python 3.10 to 3.13
     y = [MultiPoly.variable(3, i) for i in range(3)]
     v = MultiPoly.const(3, 2) + y[0] * y[1] * 3 - y[2] ** 3 + y[0] ** 2 * y[2] * 5
     out = []
@@ -373,6 +375,18 @@ def test_mnkl_bytes_are_pinned():
             out.append(matrices_MNKL(poly_jet(v, point), frame))
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == "87660590a1dd8116cc3b1661bbd3ca18ba7d8691dc41eeef57994a4728e69bf8"
+
+
+def test_identity_parts_sums_floats_left_to_right():
+    # y.g = 0.5e16 + 0.5 - 0.5e16: left to right 0.5e16 + 0.5 rounds back
+    # to 0.5e16 and the sum is 0.0, where a compensated sum gives 0.5, so
+    # L = 4 n y.g is 0.0 on every interpreter
+    y = (0.5, 0.5, 0.5)
+    zero_hess = [[0.0] * 3 for _ in range(3)]
+    K, L = identity_parts(y, 0.0, (1e16, 1.0, -1e16), zero_hess, 0.75)
+    assert L == 0.0
+    # K_11 = -2 y.g - n (2 y_1 g_1), with y.g = 0.0
+    assert K[1][1] == -3.0
 
 
 def test_mnkl_reproduces_analytic_hessian_of_linear_profile():
