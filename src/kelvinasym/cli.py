@@ -508,8 +508,8 @@ def _run_residual_n3(merged: dict) -> int:
 # ── subcommand: expand3 ──────────────────────────────────────────────────
 
 # The recursion's residual grows quickly with the order: with --p0 3/2
-# --spectrum 1,1/2,2 a run takes 0.22 s at order 12, 1.0 s at 24,
-# 1.9-2.4 s at 28 and 32 and 3.8-4.3 s at 36, start-up and the final
+# --spectrum 1,1/2,2 a run takes 0.23 s at order 12, 0.75 s at 24,
+# 0.9-1.5 s at 28 and 32 and 2.3-4.0 s at 36, start-up and the final
 # whole-residual audit included, on 2 shared CPUs.
 MAX_EXPAND3_ORDER = 36
 
@@ -561,8 +561,11 @@ def _run_expand3(merged: dict) -> int:
         )
         steps.append({"order": state.order, "q_component_degrees": degrees})
 
-    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(-1)
-    leftover_degrees = sorted(sector.homogeneous_components())
+    # a normal-form term |y|^K y^e with K odd is |y|^-1 times a polynomial
+    # of degree K + |e| + 1, and the form is unique, so these are the
+    # degrees of the odd part's components
+    residual = symbolic_residual(state.P, state.Q, state.spectrum)
+    leftover_degrees = sorted({sum(key) + 1 for key in residual.terms if key[0] & 1})
     audit_pass = all(d > order - 1 for d in leftover_degrees)
 
     closed_form = leading_correction(p0, spectrum)

@@ -460,16 +460,17 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None)
     return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(n, {k: one}), ceiling)
 
 
-def linear_part_defect(s) -> RadPoly:
+def linear_part_defect(s) -> MultiPoly:
     """The flat-phase linear-part identity in n = len(s) >= 2 variables.
 
     With jet indeterminates (y, v, g, h) and the radial weight treated as a
     formal first-order variable w (a dual number, w^2 = 0), the w-linear
     coefficient of the theta-free form along H = A + w (|y|^2 M) R^2 must
     equal gamma |y|^4 trace(h), gamma = prod(1 + lambda_i^2).  Returns the
-    difference over the jet variables (y, v, g and the upper triangle of
-    h; 13 of them for n = 3); it is identically zero precisely when the
-    linear part of the residual factors as gamma |y|^(n+2) lap(v)."""
+    difference as a polynomial over the jet variables (y, v, g and the
+    upper triangle of h; 13 of them for n = 3); it is identically zero
+    precisely when the linear part of the residual factors as
+    gamma |y|^(n+2) lap(v)."""
     vals = list(map(_as_fraction, s))
     n = len(vals)
     if n < 2:
@@ -491,8 +492,7 @@ def linear_part_defect(s) -> RadPoly:
     linear = form._at_det(p_h).b
     gamma = math.prod(rho, start=Fraction(1))
     trace_h = sum((hvar[i][i] for i in range(n)), zero)
-    want = gamma * (ysq * ysq * trace_h)
-    return RadPoly.from_poly(linear - want)
+    return linear - gamma * (ysq * ysq * trace_h)
 
 
 # ── the small-radius scaling ladder ──────────────────────────────────────

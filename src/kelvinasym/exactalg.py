@@ -25,9 +25,10 @@ rewritten as ``r^2 - y_2^2 - ... - y_n^2``::
 
 The normal form is unique, so two spellings of one function compare equal
 and sums and scalar products are map operations as for ``MultiPoly``; a
-product rewrites only where both factors hold ``y_1``.  "The coefficient of
-``r^k``" is read at the boundary (``RadPoly.slots``): each parity of ``K``
-is collected at its least exponent, which leaves no whole ``r^2`` factor.
+product rewrites only where both factors hold ``y_1``.  A term's weight
+``K + |e|`` is its homogeneous degree, so the parity of ``K`` and the
+degree are read off the keys (``RadPoly.terms``); ``RadPoly.part`` writes
+one parity at one weight as ``r^base W`` with ``W`` a polynomial.
 
 All arithmetic here is exact.  Floats only appear through ``evaluate`` when
 called with float coordinates.
@@ -42,7 +43,7 @@ through its numerator and denominator as Python ints, text goes through
 raises TypeError naming the type and the value.  Beside it `_is_rational`
 decides whether a value takes the exact route or the float one, and
 `_rational_sqrt` is the one exact square root.  Exponents and radical
-powers are Python ints, as `_json_int` reads them from a record.
+powers are Python ints, and `_json_int` reads a record's integers.
 
 Float sums
 ----------
@@ -59,7 +60,7 @@ the builtin, which is exact on them.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
 import bisect
@@ -199,6 +200,12 @@ class _RationalMap:
     def is_zero(self) -> bool:
         return not self._num
 
+    @property
+    def terms(self) -> dict:
+        """The coefficients as ``{key: Fraction}`` in lowest terms (a copy)."""
+        den = self._den
+        return {e: Fraction(c, den) for e, c in self._num.items()}
+
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -304,12 +311,6 @@ class MultiPoly(_RationalMap):
         if n_vars < 1:
             raise DimensionError("need at least one variable")
         return cls._make(n_vars, dict(_r2_power(n_vars, 1)))
-
-    @property
-    def terms(self) -> dict[Exponent, Fraction]:
-        """The coefficients as ``{exponent: Fraction}`` in lowest terms (a copy)."""
-        den = self._den
-        return {e: Fraction(c, den) for e, c in self._num.items()}
 
     # arithmetic -----------------------------------------------------------
 
@@ -495,10 +496,9 @@ def _monomial(e: Exponent) -> str:
 # in 0.55 s; y1^268 in 3 variables: 4.9 million in 1.2 s), so the cap
 # admits about 0.5-1.3 s.  The largest bound the CLI meets, the check of a
 # degree-43 Poisson solve in 3 variables, is 2.4 million entries; its
-# terms merge, so that rewrite takes about 10 ms.  The slot view refuses
-# the same count of monomials: the largest the CLI writes is 1.3 million
-# (expand3 --order 36 at the digit caps), while the whole n = 6, order-8
-# residual, 2063 terms from |y|^6 to |y|^64, would write 100 million.
+# terms merge, so that rewrite takes about 10 ms.  `RadPoly.part` refuses
+# the same count of monomials; the largest part the CLI writes, in expand3
+# --order 36 at the digit caps, is 4355.
 _MAX_REWRITE_ENTRIES = 5_000_000
 
 
@@ -559,10 +559,10 @@ class RadPoly(_RationalMap):
     operations.  A term's weight ``K + |e|``, the sum of its key, is its
     homogeneous degree, and the rewrite keeps it.
 
-    The slot view (`slots`, `slot`, `collect`, `to_json`, ...) writes each
-    parity of ``K`` as ``|y|^k p_k`` at its least exponent ``k``.  A nonzero
-    normal-form sum is never divisible by ``|y|^2``, so neither is ``p_k``:
-    at most one slot per parity, with no whole ``|y|^2`` factor left.
+    The normal form is the only view: `terms` reads it back as
+    ``{(K, e_1, ..., e_n): Fraction}``, so the parity of ``K`` and the
+    weight are plain reads of the keys, and `part` writes the terms of one
+    parity and one weight as ``|y|^base W`` with ``W`` a polynomial.
     """
 
     __slots__ = ()
@@ -605,27 +605,24 @@ class RadPoly(_RationalMap):
     def zero(cls, n_vars: int) -> "RadPoly":
         return cls(n_vars, {})
 
-    # the slot view ----------------------------------------------------------
-
-    def _sector(self, parity: int, base: int | None = None) -> tuple[int, MultiPoly] | None:
-        """The terms whose ``K`` has this parity as ``(k, W)`` with that part
-        equal to ``|y|^k W``, ``k`` being ``base`` or else the least ``K``;
-        None when there are none.  Each term is multiplied by a cached
-        ``(|y|^2)^j``, of C(j + n - 1, j) monomials; ValueError when those
-        sum past the cap, SolveError when a term sits below ``base``."""
-        terms = [(key, c) for key, c in self._num.items() if key[0] & 1 == parity]
-        if not terms:
-            return None
-        least = min(key[0] for key, _ in terms)
-        if base is None:
-            base = least
-        elif least < base:
-            raise SolveError(f"sector sits at |y|^{least}, below requested base {base}")
-        spread = Counter((key[0] - base) // 2 for key, _ in terms)
-        entries = sum(m * math.comb(j + self.n_vars - 1, j) for j, m in spread.items())
+    def part(self, base: int, weight: int) -> MultiPoly:
+        """The terms of weight ``weight`` whose ``K`` has the parity of
+        ``base``, as the homogeneous ``W`` with that part equal to
+        ``|y|^base W``.  A term ``j`` steps of ``|y|^2`` above ``base`` is
+        multiplied by a cached ``(|y|^2)^j``, of C(j + n - 1, j) monomials;
+        SolveError when a term of that parity sits below ``base``, and
+        ValueError, before anything is built, when those monomials sum past
+        the cap."""
+        n, parity = self.n_vars, base & 1
+        same = [(key, c) for key, c in self._num.items() if key[0] & 1 == parity]
+        least = min((key[0] for key, _ in same), default=base)
+        if least < base:
+            raise SolveError(f"a term sits at |y|^{least}, below the requested base {base}")
+        terms = [(key, c) for key, c in same if sum(key) == weight]
+        entries = sum(math.comb((key[0] - base) // 2 + n - 1, n - 1) for key, _ in terms)
         if entries > _MAX_REWRITE_ENTRIES:
             raise ValueError(
-                f"the slot view at |y|^{base} would write {entries} monomial entries, "
+                f"the weight-{weight} part at |y|^{base} would write {entries} monomial entries, "
                 f"more than {_MAX_REWRITE_ENTRIES}"
             )
         out: dict[Exponent, int] = defaultdict(int)
@@ -634,21 +631,9 @@ class RadPoly(_RationalMap):
             if not j:
                 out[e] += c
                 continue
-            for f, m in _r2_power(self.n_vars, j):
+            for f, m in _r2_power(n, j):
                 out[tuple(map(operator.add, e, f))] += c * m
-        return base, MultiPoly._make(self.n_vars, out, self._den)
-
-    @property
-    def slots(self) -> dict[int, MultiPoly]:
-        """``{k: p_k}``, the even slot first: each parity of ``K`` collected at
-        its least exponent."""
-        return dict(s for s in (self._sector(0), self._sector(1)) if s)
-
-    def collect(self, base: int) -> MultiPoly:
-        """The sector of ``base``'s parity as a single polynomial ``W``
-        with that part equal to ``|y|^base * W``."""
-        s = self._sector(base & 1, base)
-        return s[1] if s else MultiPoly.zero(self.n_vars)
+        return MultiPoly._make(n, out, self._den)
 
     # arithmetic -----------------------------------------------------------
 
@@ -721,56 +706,39 @@ class RadPoly(_RationalMap):
                     out[key[:j] + (ej - 2,) + key[j + 1 :]] += ej * (ej - 1) * c
         return RadPoly._make(n, out, self._den)
 
-    # evaluation and serialization -------------------------------------------
+    # evaluation -----------------------------------------------------------
 
     def evaluate(self, point: Iterable) -> Fraction | float:
-        """The value at ``point``, summed over `slots`: a Fraction when every
-        coordinate is rational and, if there is an odd slot, so is ``|y|``;
-        else a float."""
+        """The value at ``point``, summed over the normal form term by term:
+        a Fraction when every coordinate is rational and, if some ``K`` is
+        odd, so is ``|y|``; else a float, each coefficient entering as the
+        correctly rounded ``numerator / _den``."""
         pt = list(point)
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
-        r = None
-        if all(map(_is_rational, pt)):
+        exact = all(map(_is_rational, pt))
+        if exact:
             r2 = _as_fraction(sum(x * x for x in pt))
             r = _rational_sqrt(r2)
-        else:
+            exact = r is not None or not any(key[0] & 1 for key in self._num)
+        if not exact:
             r2 = _dot(pt, pt)
-        total = Fraction(0)
-        for k, p in self.slots.items():
-            if k % 2 == 0:
-                rk = r2 ** (k // 2)
-            else:
-                rk = (math.sqrt(r2) if r is None else r) ** k
-            total = total + rk * p.evaluate(pt)
-        return total
-
-    def to_json(self) -> dict:
-        return {
-            "n_vars": self.n_vars,
-            "slots": [{"k": k, "poly": p.to_json()} for k, p in sorted(self.slots.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "RadPoly":
-        """Inverse of ``to_json``; ValueError names a malformed record.
-        The slot view multiplies a slot k above the least one of its parity
-        by (|y|^2)^(k/2), so k is capped at 40 and that factor at 300 terms
-        (k <= 4 in 13 variables); ``to_json`` writes one slot per parity."""
-        try:
-            n_vars = _json_int(data["n_vars"])
-            slots = {_json_int(s["k"]): MultiPoly.from_json(s["poly"]) for s in data["slots"]}
-            for ks in ([k for k in slots if k % 2 == 0], [k for k in slots if k % 2]):
-                half = (max(ks) - min(ks)) // 2 if ks else 0
-                if half and (half > 20 or math.comb(half + n_vars - 1, half) > 300):
-                    raise ValueError(f"slots {min(ks)} and {max(ks)} are too far apart to merge")
-            return cls(n_vars, slots)
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed radical polynomial record: {exc}") from exc
+            r = math.sqrt(r2)
+        den = self._den
+        total = 0 if exact else 0.0
+        for key, c in self._num.items():
+            k = key[0]
+            term = c if exact else c / den
+            if k:
+                term = term * (r ** k if k & 1 else r2 ** (k >> 1))
+            for x, m in zip(pt, key[1:]):
+                if m:
+                    term = term * x**m
+            total = total + term
+        return Fraction(total) / den if exact else total
 
     def __repr__(self) -> str:
-        """The normal form term by term, ``c*|y|^K*y^e``; it never builds
-        the slot view, which may be past its cap."""
+        """The normal form term by term, ``c*|y|^K*y^e``."""
         if self.is_zero:
             return "0"
         den = self._den

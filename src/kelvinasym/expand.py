@@ -2,9 +2,9 @@
 
 Two halves live here.  The exact half is the degree-by-degree correction
 recursion in any n >= 3: each step reads the forced obstruction off the
-``|y|^(n-4)`` sector of the transformed residual and solves a radial-weight
-Poisson equation for the next radical correction, all in rational
-arithmetic.  The numerical half recovers the quadratic part, affine tail,
+transformed residual's terms whose power of ``|y|`` has the parity of n,
+and solves a radial-weight Poisson equation for the next radical
+correction, all in rational arithmetic.  The numerical half recovers the quadratic part, affine tail,
 and remainder decay rate of a sampled exterior solution by least squares
 over annuli, and maps the stripped remainder back to ball-side profile
 samples through the scaled inversion.  It runs on the standard library:
@@ -72,10 +72,11 @@ class ExpansionState:
 
     ``Q`` always vanishes to second order at the origin, and its degree
     stays below ``order - n + 3``.  ``P`` must respect the order, and only
-    its harmonic pieces are free data: in odd n the even sector of the
-    residual (even powers of |y|) forces non-harmonic terms of ``P`` too.
-    `next_correction` solves only for ``Q``, so in odd n every correction
-    after the first is incomplete.
+    its harmonic pieces are free data: in odd n the residual's terms with
+    an even power of |y| force non-harmonic terms of ``P`` too.
+    `next_correction` reads only the terms of the parity of n and solves
+    only for ``Q``, so in odd n every correction after the first is
+    incomplete.
     """
 
     n: int
@@ -140,28 +141,23 @@ def next_correction(state: ExpansionState) -> ExpansionState:
 
     Computes the exact residual of ``v = P + |y|^(n-2) Q`` only through
     weight ``order - 1`` (the ``ceiling`` of `symbolic_residual`, where
-    ``|y|^k y^e`` has weight ``k + |e|``), collects its sector at base
-    exponent n - 4, extracts the homogeneous obstruction of degree
-    ``order + 3 - n``, which is that sector's weight-(order - 1) part, and
-    solves the radial-weight Poisson equation
+    ``|y|^k y^e`` has weight ``k + |e|``), reads its weight-(order - 1)
+    terms whose power of ``|y|`` has the parity of n as the homogeneous
+    obstruction ``Qtilde`` of degree ``order + 3 - n`` at base exponent
+    n - 4 (`RadPoly.part`), and solves the radial-weight Poisson equation
 
         lap(|y|^(n-2) delta) = -|y|^(n-4) Qtilde
 
     for the forced correction ``delta``.  Returns the state with ``Q``
     augmented by ``delta`` and the order advanced by one; afterwards the
-    sector carries no component of degree <= the new order + 2 - n.  In
+    residual has no term of that parity of weight <= the new order - 2.  In
     even n, |y|^(n-2) is a polynomial, so v stays one too.
     """
     n = state.n
     if n < 3:
         raise DimensionError(f"the correction recursion needs n >= 3, got {n}")
     residual = symbolic_residual(state.P, state.Q, state.spectrum, state.order - 1)
-    sector = residual.collect(n - 4)
-    obstruction = sector.homogeneous_components().get(state.order + 3 - n)
-    if obstruction is None:
-        delta = MultiPoly.zero(n)
-    else:
-        delta = solve_radical_poisson(-obstruction, n)
+    delta = solve_radical_poisson(-residual.part(n - 4, state.order - 1), n)
     return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .exactalg import MultiPoly, RadPoly, _dot, _json_int, _sum
+from .exactalg import MultiPoly, _dot, _json_int, _sum
 from .symfun import Spectrum
 
 __all__ = [
@@ -745,14 +745,14 @@ def hessian_identity_check(
 # ── the symbolic trace identity ──────────────────────────────────────────
 
 
-def trace_identity_defect(n: int) -> RadPoly:
+def trace_identity_defect(n: int) -> MultiPoly:
     """trace(M) - |y|^2 lap(v), with the jet entries as indeterminates.
 
     The variable space is that of `jet_indeterminates(n)`.  The only
     inverse power in trace(M) is the (L / |y|^2) y y^T part, whose trace is
-    exactly L, so the defect is an ordinary polynomial; it is returned as a
-    radical polynomial, which is identically zero precisely when the trace
-    identity holds.
+    exactly L, so the defect is an ordinary polynomial over the jet
+    variables, the zero polynomial precisely when the trace identity
+    holds.
     """
     if n < 2:
         raise ValueError("the trace identity needs n >= 2")
@@ -761,4 +761,4 @@ def trace_identity_defect(n: int) -> RadPoly:
     ysq = sum((c * c for c in y), zero)
     K, L = identity_parts(y, v, g, h, ysq)
     trace_m = sum((K[i][i] for i in range(n)), L)
-    return RadPoly.from_poly(trace_m - ysq * sum((h[i][i] for i in range(n)), zero))
+    return trace_m - ysq * sum((h[i][i] for i in range(n)), zero)

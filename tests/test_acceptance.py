@@ -303,8 +303,9 @@ def test_13_correction_recursion_through_order_five(report):
         state = next_correction(state)
         if first is None:
             first = state
-    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(-1)
-    leftover = sorted(sector.homogeneous_components())
+    # the odd part is |y|^-1 times components of degree K + |e| + 1
+    residual = symbolic_residual(state.P, state.Q, state.spectrum)
+    leftover = sorted({sum(key) + 1 for key in residual.terms if key[0] % 2})
     audit_ok = all(d > 4 for d in leftover)
     matches = (leading_correction(p0, spectrum) - first.Q).is_zero
     ok = audit_ok and matches

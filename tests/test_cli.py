@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import cli, expand, kelvin, radial, symfun
 from kelvinasym.cli import dispatch
-from kelvinasym.exactalg import RadPoly, SolveError, solve_radical_poisson
+from kelvinasym.exactalg import MultiPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
 from kelvinasym.radial import MAX_SAMPLE_COORDINATES, MAX_SAMPLES, read_trajectory
 from pinned_reports import EXACT_REPORTS, FLOAT_REPORTS, check
@@ -1202,7 +1202,8 @@ def test_fuzzed_config_lemmas_exits_cleanly(config_data):
 def test_fuzzed_config_residual_n3_exits_cleanly(config_data):
     # the symbolic check itself is replaced by a cheap stand-in: the
     # config boundary is under test
-    with mock.patch.object(cli, "linear_part_defect", lambda s: RadPoly.zero(3)):
+    # (the defect is a polynomial in the 13 jet variables of n = 3)
+    with mock.patch.object(cli, "linear_part_defect", lambda s: MultiPoly.zero(13)):
         assert _dispatch_in_scratch_dir(["residual-n3"], config_data) in (0, 1, 2)
 
 

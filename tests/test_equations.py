@@ -9,7 +9,6 @@ each other.
 """
 
 import hashlib
-import json
 import math
 from fractions import Fraction
 from random import Random
@@ -794,9 +793,7 @@ def test_symbolic_constant_profile_flat_spectrum_pinned():
     out = symbolic_residual(
         MultiPoly.const(3, p0), MultiPoly.zero(3), Spectrum(["0", "0", "0"])
     )
-    slots = out.slots
-    assert set(slots) == {4}
-    assert slots[4] == MultiPoly.const(3, -2 * p0**3)
+    assert out.terms == {(4, 0, 0, 0): -2 * p0**3}
 
 
 def test_symbolic_constant_profile_general_spectrum_quadratic():
@@ -815,7 +812,8 @@ def test_symbolic_constant_profile_general_spectrum_quadratic():
             (0, 0, 2): -p0 * p0 * (sigma1 + 3 * lams[2]),
         },
     )
-    assert out.slots[-1] == want
+    assert {sum(key) for key in out.terms if key[0] % 2} == {1}
+    assert out.part(-1, 1) == want
 
 
 def test_symbolic_needs_three_variables():
@@ -875,10 +873,9 @@ def test_symbolic_minimal_slot_structure():
         out = symbolic_residual(P, Q, s)
         if out.is_zero:
             continue
-        assert min(out.slots) >= -1
-        low = out.slots.get(-1)
-        if low is not None:
-            assert low.try_divide_r2() is None
+        assert min(key[0] for key in out.terms) >= -1
+        for w in {sum(key) for key in out.terms if key[0] == -1}:
+            assert out.part(-1, w).try_divide_r2() is None
 
 
 def test_residual_is_exactly_cubic_in_the_profile():
@@ -898,7 +895,7 @@ def test_residual_is_exactly_cubic_in_the_profile():
     quad = u1 - cubic
     assert r[3] == 3 * lap + 9 * quad + 27 * cubic
     assert r[5] == 5 * lap + 25 * quad + 125 * cubic
-    assert -1 in quad.slots
+    assert any(key[0] == -1 for key in quad.terms)
 
 
 _CEILING_SPECTRA = {
@@ -912,31 +909,32 @@ _CEILING_SPECTRA = {
 def test_weight_ceiling_equals_the_full_residual_through_it(n, kind):
     # with a ceiling W the residual holds exactly the full residual's
     # components of weight <= W, in both parity sectors; the radical
-    # cofactor puts odd slots into the entries of M in odd n
+    # cofactor puts odd powers of |y| into the entries of M in odd n
     s = _CEILING_SPECTRA[kind][:n]
     y = [MultiPoly.variable(n, i) for i in range(n)]
     P = MultiPoly.const(n, fr(3, 2)) + (y[0] * y[1] * fr(1, 2) if n < 5 else MultiPoly.zero(n))
     Q = y[0] * y[n - 1] * fr(2, 3)
     full = symbolic_residual(P, Q, s)
-    assert {k % 2 for k in full.slots} == ({0, 1} if n % 2 else {0})
+    assert {key[0] % 2 for key in full.terms} == ({0, 1} if n % 2 else {0})
     for ceiling in range(-3, 2 * n + 3):
         cut = symbolic_residual(P, Q, s, ceiling)
         assert cut == full.truncate(ceiling), ceiling
         if n % 2 and ceiling >= 2 * n:
-            assert {k % 2 for k in cut.slots} == {0, 1}
-    top = max(k + p.total_degree() for k, p in full.slots.items())
+            assert {key[0] % 2 for key in cut.terms} == {0, 1}
+    top = max(sum(key) for key in full.terms)
     assert symbolic_residual(P, Q, s, top) == full
 
 
 def test_whole_n5_residual_is_pinned():
     # the whole residual in five variables, pinned by the digest of its
-    # report form; the slot view of each parity sits at its least exponent
+    # normal form written term by term
     n = 5
     P = MultiPoly.const(n, fr(3, 2))
     Q = MultiPoly.variable(n, 0) * MultiPoly.variable(n, 4)
     full = symbolic_residual(P, Q, [1, fr(1, 2), 2, fr(1, 3), fr(3, 2)])
-    blob = json.dumps(full.to_json(), sort_keys=True).encode()
-    assert hashlib.sha256(blob).hexdigest() == "d06e9a944018c8a91e433e079a8fbfd69f35645f4bfda93704ac49ee44c09270"
+    assert len(full.terms) == 273
+    blob = repr(full).encode()
+    assert hashlib.sha256(blob).hexdigest() == "df7758b4f14f7df8df83a691bed7e4546fd17cc48bc33cc8190d0e3434a4e441"
 
 
 def test_linear_part_identity_holds_symbolically():
@@ -962,6 +960,26 @@ def test_linear_part_defect_detects_a_perturbed_L():
     assert linear_part_defect(s).is_zero
     with mock.patch.object(equations, "identity_parts", perturbed):
         assert not linear_part_defect(s).is_zero
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_linear_part_defect_is_a_polynomial_over_the_jet_variables(n):
+    # the defect lives on the 2n + 1 + n(n+1)/2 jet variables (y, v, g, h),
+    # where a radical |y| would be the norm over all of them, so it is a
+    # plain polynomial, also when it does not vanish
+    real = equations.identity_parts
+
+    def perturbed(y, value, grad, hess, ysq):
+        K, L = real(y, value, grad, hess, ysq)
+        return K, L + value
+
+    s = random_spectrum(Random(71 + n), n)
+    jets = 2 * n + 1 + n * (n + 1) // 2
+    defect = linear_part_defect(s)
+    assert type(defect) is MultiPoly and defect.n_vars == jets and defect.is_zero
+    with mock.patch.object(equations, "identity_parts", perturbed):
+        defect = linear_part_defect(s)
+    assert type(defect) is MultiPoly and defect.n_vars == jets and not defect.is_zero
 
 
 @pytest.mark.parametrize("n", [2, 4, 5])

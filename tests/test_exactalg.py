@@ -457,14 +457,24 @@ def test_rational_evaluation_is_exact(a, pt):
     pt=float_points,
 )
 @settings(max_examples=60, deadline=None)
-def test_radpoly_float_evaluation_equals_the_fraction_sum(slots, pt):
+def test_radpoly_float_evaluation_matches_the_input_slots(slots, pt):
+    # the reference sums the slots as given, exactly at the float point but
+    # for |y| itself, which is irrational in general; the normal form
+    # rewrites y1^2 and sums other terms, so the bound is relative to the
+    # sum of the magnitudes: |y1|^3 <= 3 |y|^2 |y1| costs at most a factor
+    # 3 * 8 / (1/64) in these boxes
     e = RadPoly(3, {k: MultiPoly(3, t) for k, t in slots.items()})
-    r2 = sum(x * x for x in pt)
-    want = Fraction(0)
-    for k, p in e.slots.items():
-        rk = r2 ** (k // 2) if k % 2 == 0 else math.sqrt(r2) ** k
-        want = want + rk * _fraction_sum(p.terms, pt)
-    assert e.evaluate(pt) == want
+    exact = [Fraction(x) for x in pt]
+    r = math.sqrt(float(sum(x * x for x in exact)))
+    want = scale = 0.0
+    for k, t in slots.items():
+        value = _fraction_sum(MultiPoly(3, t).terms, exact)
+        size = _fraction_sum({e: abs(c) for e, c in MultiPoly(3, t).terms.items()}, list(map(abs, exact)))
+        want += r**k * float(value)
+        scale += r**k * float(size)
+    got = e.evaluate(pt)
+    assert isinstance(got, float)
+    assert abs(got - want) <= 1e-11 * scale
 
 
 # ── RadPoly canonical form ───────────────────────────────────────────────
@@ -474,7 +484,7 @@ def test_radpoly_promotes_whole_r2_factors():
     q = MultiPoly.variable(3, 0) + MultiPoly.const(3, 2)
     r2 = MultiPoly.r_squared(3)
     assert RadPoly(3, {1: r2 * q}) == RadPoly(3, {3: q})
-    assert RadPoly(3, {1: r2 * q}).slots == {3: q}
+    assert RadPoly(3, {1: r2 * q}).terms == {(3, 1, 0, 0): 1, (3, 0, 0, 0): 2}
 
 
 def test_radpoly_same_function_same_form():
@@ -484,7 +494,7 @@ def test_radpoly_same_function_same_form():
     a = RadPoly(3, {-1: 4 * MultiPoly.r_squared(3) + f4})
     b = RadPoly(3, {-1: f4, 1: MultiPoly.const(3, 4)})
     assert a == b
-    assert a.slots == b.slots
+    assert a.terms == b.terms
 
 
 def test_radpoly_collects_even_sector_to_polynomial():
@@ -494,14 +504,14 @@ def test_radpoly_collects_even_sector_to_polynomial():
     assert RadPoly(3, {0: p0, 2: p2}) == RadPoly.from_poly(p0 + r2 * p2)
 
 
-def test_radpoly_slot_access_and_zero():
+def test_radpoly_term_access_and_zero():
     z = RadPoly.zero(4)
-    assert z.is_zero and z.slots == {} and z.collect(0).is_zero
+    assert z.is_zero and z.terms == {} and z.part(0, 0).is_zero
     e = RadPoly(3, {-1: MultiPoly.const(3, 1)})
-    assert e.slots == {-1: MultiPoly.const(3, 1)}
-    assert e.collect(-1) == MultiPoly.const(3, 1)
-    # nothing at |y|^7, and no term of the even parity at all
-    assert 7 not in e.slots and e.collect(0).is_zero
+    assert e.terms == {(-1, 0, 0, 0): 1}
+    assert e.part(-1, -1) == MultiPoly.const(3, 1)
+    # nothing at weight 1, and no term of the even parity at all
+    assert e.part(-1, 1).is_zero and e.part(0, -1).is_zero
     for i in (-1, 3):
         with pytest.raises(DimensionError, match=f"variable index {i} out of range for 3"):
             e.partial(i)
@@ -517,12 +527,15 @@ def test_radpoly_product_matches_slot_sum(p, q):
 
 def _components_through(e: RadPoly, ceiling: int) -> RadPoly:
     """The homogeneous components of e of degree <= ceiling, read off each
-    parity sector's slot polynomial."""
+    parity's `part` at the least power of that parity."""
     out = RadPoly.zero(e.n_vars)
-    for k, p in e.slots.items():
-        for d, comp in p.homogeneous_components().items():
-            if k + d <= ceiling:
-                out = out + RadPoly(e.n_vars, {k: comp})
+    for parity in (0, 1):
+        keys = [key for key in e.terms if key[0] % 2 == parity]
+        if not keys:
+            continue
+        base = min(key[0] for key in keys)
+        for w in {sum(key) for key in keys if sum(key) <= ceiling}:
+            out = out + RadPoly(e.n_vars, {base: e.part(base, w)})
     return out
 
 
@@ -594,35 +607,41 @@ def test_radpoly_laplacian_homogeneous_constant(p, k):
     assert got == want
 
 
-def test_collect_odd():
+def test_part_odd():
     one = MultiPoly.const(3, 1)
     s = MultiPoly.variable(3, 2)
     e = RadPoly(3, {-1: one, 0: s * s, 1: s})
-    w = e.collect(-1)
-    assert w == one + MultiPoly.r_squared(3) * s
-    assert RadPoly.zero(3).collect(-1) == MultiPoly.zero(3)
-    # an even base takes the even sector
-    assert e.collect(0) == s * s
+    assert e.part(-1, -1) == one
+    assert e.part(-1, 2) == MultiPoly.r_squared(3) * s
+    assert e.part(-1, 0).is_zero
+    assert RadPoly.zero(3).part(-1, 2) == MultiPoly.zero(3)
+    # an even base takes the even parity
+    assert e.part(0, 2) == s * s
+    assert e.part(0, -1).is_zero
+    with pytest.raises(SolveError, match=r"a term sits at \|y\|\^-3, below the requested base -1"):
+        RadPoly(3, {-3: one}).part(-1, -3)
+    # any term of the parity below the base is refused, whatever its weight
     with pytest.raises(SolveError):
-        RadPoly(3, {-3: one}).collect(-1)
+        RadPoly(3, {-3: one, 1: s}).part(-1, 2)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_collect_takes_the_sector_of_the_base_parity(n):
+def test_part_takes_the_terms_of_the_base_parity(n):
     one = MultiPoly.const(n, 1)
     y1 = MultiPoly.variable(n, 0)
     r2 = MultiPoly.r_squared(n)
     e = RadPoly(n, {2: y1, 3: one, -2: one})
-    even, odd = e.slots[-2], e.slots[3]
-    assert e.collect(-2) == even
-    assert e.collect(-4) == r2 * even
-    assert e.collect(1) == r2 * odd
-    assert e.collect(3) == odd
-    # the sum of the two sectors rebuilds the radical polynomial
-    assert RadPoly(n, {-4: e.collect(-4), 1: e.collect(1)}) == e
+    assert {key[0] % 2 for key in e.terms} == {0, 1}
+    assert e.part(-2, -2) == one
+    assert e.part(-2, 3) == r2 * r2 * y1
+    assert e.part(-4, -2) == r2
+    assert e.part(1, 3) == r2
+    assert e.part(3, 3) == one
+    # the parts, one per parity and weight, rebuild the radical polynomial
+    assert RadPoly(n, {-4: e.part(-4, -2) + e.part(-4, 3), 1: e.part(1, 3)}) == e
     for base in (0, 5):
         with pytest.raises(SolveError):
-            e.collect(base)
+            e.part(base, 3)
 
 
 def test_radpoly_evaluate():
@@ -632,9 +651,18 @@ def test_radpoly_evaluate():
     even = RadPoly(3, {-2: MultiPoly.variable(3, 0) ** 2})
     assert even.evaluate([fr(1, 2), fr(1, 2), 0]) == fr(1, 2)
     assert RadPoly.zero(3).evaluate([1, 2, 3]) == 0
-    # an odd slot stays exact where |y| is rational, and is a float elsewhere
+    assert type(RadPoly.zero(3).evaluate([0.5, 0.0, 0.0])) is float
+    # an odd power stays exact where |y| is rational, and is a float elsewhere
     assert inv_r.evaluate([fr(3, 5), fr(4, 5), 0]) == 1
     assert inv_r.evaluate([1, 1, 0]) == 1 / math.sqrt(2)
+    # with no odd power the value is exact even where |y| is irrational
+    got = even.evaluate([1, 1, 0])
+    assert type(got) is Fraction and got == fr(1, 2)
+    # y1^2 y2 / |y| in normal form is |y| y2 - (y2^3 + y2 y3^2) / |y|:
+    # exact at (3/5, 4/5, 0), where the slot as given reads 36/125
+    odd = RadPoly(3, {-1: MultiPoly.variable(3, 0) ** 2 * MultiPoly.variable(3, 1)})
+    got = odd.evaluate([fr(3, 5), fr(4, 5), 0])
+    assert type(got) is Fraction and got == fr(36, 125)
 
 
 def test_radpoly_refuses_a_slot_power_that_is_not_an_integer():
@@ -645,22 +673,17 @@ def test_radpoly_refuses_a_slot_power_that_is_not_an_integer():
         RadPoly(3, {"1": one})
 
 
-def test_radpoly_json_roundtrip():
-    q = MultiPoly(3, {(0, 0, 0): fr(5), (2, 0, 0): fr(-1, 2)})
-    e = RadPoly(3, {-1: q, 2: MultiPoly.variable(3, 1)})
-    blob = e.to_json()
-    assert [s["k"] for s in blob["slots"]] == sorted(s["k"] for s in blob["slots"])
-    assert RadPoly.from_json(blob) == e
-    with pytest.raises(ValueError):
-        RadPoly.from_json({"n_vars": 3})
-
-
 def test_radpoly_canonical_form_is_idempotent_and_derivation_invariant():
     y1 = MultiPoly.variable(3, 0)
     f4 = y1**4
     a = RadPoly(3, {-1: 4 * MultiPoly.r_squared(3) + f4})
     b = RadPoly(3, {-1: f4, 1: MultiPoly.const(3, 4)})
-    assert RadPoly(3, dict(a.slots)) == a
+    # the normal form read back through `terms` builds itself again
+    by_power = {}
+    for key, c in a.terms.items():
+        by_power.setdefault(key[0], {})[key[1:]] = c
+    again = RadPoly(3, {k: MultiPoly(3, t) for k, t in by_power.items()})
+    assert again == a and again.terms == a.terms
     # the Laplacian cannot see the slot layout, only the function
     assert a.laplacian() == b.laplacian()
     assert a.partial(2) == b.partial(2)
@@ -675,12 +698,12 @@ def test_radpoly_negation_and_constant_products_stay_canonical(slots, c):
     # these results skip re-canonicalization; each must equal the form that
     # the validating constructor builds from the same slots
     e = RadPoly(3, slots)
-    assert -e == RadPoly(3, {k: -p for k, p in e.slots.items()})
-    want = RadPoly(3, {k: c * p for k, p in e.slots.items()})
+    assert -e == RadPoly(3, {k: -p for k, p in slots.items()})
+    want = RadPoly(3, {k: c * p for k, p in slots.items()})
     assert e * c == c * e == e * MultiPoly.const(3, c) == want
-    assert (e * 0).slots == {}
+    assert (e * 0).terms == {}
     y1 = MultiPoly.variable(3, 0)
-    assert e * y1 == RadPoly(3, {k: p * y1 for k, p in e.slots.items()})
+    assert e * y1 == RadPoly(3, {k: p * y1 for k, p in slots.items()})
 
 
 # rational unit vectors: a^2 + b^2 + c^2 = d^2
@@ -694,14 +717,26 @@ _PYTHAGOREAN = [(1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (2, 6, 9, 11), (3, 4, 
     t=st.fractions(min_value=fr(1, 4), max_value=3, max_denominator=5),
 )
 @settings(max_examples=60, deadline=None)
-def test_radpoly_slot_view_is_canonical_and_faithful(slots, unit, signs, t):
-    # whatever slots go in, the view has at most one slot per parity, none
-    # divisible by |y|^2, rebuilds the same RadPoly and takes the same values
+def test_radpoly_parts_are_faithful_and_values_exact(slots, unit, signs, t):
+    # whatever slots go in, the normal form keeps y1 to at most the first
+    # power, each parity's parts over its weights rebuild the same RadPoly,
+    # and at a rational |y| the value is that of the slots as given
     e = RadPoly(3, slots)
-    view = e.slots
-    assert len({k % 2 for k in view}) == len(view)
-    assert all(p.try_divide_r2() is None for p in view.values())
-    assert RadPoly(3, view) == e
+    assert all(key[1] <= 1 for key in e.terms)
+    total = RadPoly.zero(3)
+    for parity in (0, 1):
+        keys = [key for key in e.terms if key[0] % 2 == parity]
+        least = min((key[0] for key in keys), default=parity)
+        # at the least power of the parity, and one |y|^2 below it
+        for base in (least, least - 2):
+            rebuilt = RadPoly.zero(3)
+            for w in {sum(key) for key in keys}:
+                part = e.part(base, w)
+                assert part.is_homogeneous(w - base)
+                rebuilt = rebuilt + RadPoly(3, {base: part})
+            assert rebuilt == RadPoly(3, {k: p for k, p in slots.items() if k % 2 == parity})
+        total = total + rebuilt
+    assert total == e
     *axes, d = unit
     point = [t * s * a / d for s, a in zip(signs, axes)]  # |point| = t
     want = sum((t**k * p.evaluate(point) for k, p in slots.items()), Fraction(0))
@@ -733,33 +768,40 @@ def test_radpoly_refuses_a_rewrite_past_its_cap_at_once():
             RadPoly.from_poly(y[0] ** 4)
 
 
-def test_radpoly_slot_view_refuses_past_the_cap_before_building():
+def test_radpoly_part_refuses_past_the_cap_before_building():
     # the term at |y|^6400 spreads over (|y|^2)^3200, C(3202, 2) = 5,124,801
-    # monomials in 3 variables, plus one for the term at |y|^0
+    # monomials in 3 variables
     one = MultiPoly.const(3, 1)
     wide = RadPoly(3, {0: one, 6400: one})
     assert len(wide._num) == 2
     start = time.perf_counter()
-    views = (lambda: wide.slots, lambda: wide.collect(0), wide.to_json)
-    for view in (*views, lambda: wide.evaluate([0.1, 0.2, 0.3])):
-        with pytest.raises(ValueError, match=r"\|y\|\^0 would write 5124802 monomial entries, more than 5000000"):
-            view()
+    with pytest.raises(
+        ValueError,
+        match=r"the weight-6400 part at \|y\|\^0 would write 5124801 monomial entries, more than 5000000",
+    ):
+        wide.part(0, 6400)
+    assert time.perf_counter() - start < 1.0
+    # only the terms of the weight asked for are written, and evaluation
+    # expands nothing
+    assert wide.part(0, 0) == one
+    assert wide.evaluate([fr(3, 5), fr(4, 5), 0]) == 2
+    assert wide.evaluate([0.1, 0.2, 0.3]) == 1.0
     assert time.perf_counter() - start < 1.0
     # C(j + n - 1, j) monomials for a term j steps of |y|^2 above the base;
-    # each sector is bounded on its own
+    # each weight is bounded on its own
     y1 = MultiPoly.variable(3, 0)
-    assert (wide + RadPoly(3, {1: y1})).collect(1) == y1
+    assert (wide + RadPoly(3, {1: y1})).part(1, 2) == y1
     small = RadPoly(3, {0: one, 4: y1})
-    with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 7):
-        assert small.collect(0) == one + MultiPoly.r_squared(3) ** 2 * y1
     with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 6):
-        with pytest.raises(ValueError, match="would write 7 monomial entries, more than 6"):
-            small.collect(0)
+        assert small.part(0, 5) == MultiPoly.r_squared(3) ** 2 * y1
+    with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 5):
+        assert small.part(0, 0) == one
+        with pytest.raises(ValueError, match="would write 6 monomial entries, more than 5"):
+            small.part(0, 5)
 
 
-def test_radpoly_repr_reads_the_normal_form_past_the_slot_cap():
-    # the slot view of this value is past its cap; the repr names the two
-    # terms of the normal form, term by term
+def test_radpoly_repr_reads_the_normal_form_term_by_term():
+    # no term is expanded: the repr names the two terms of the normal form
     one = MultiPoly.const(3, 1)
     assert repr(RadPoly(3, {0: one, 6400: one})) == "1*|y|^0 + 1*|y|^6400"
     y1, y3 = MultiPoly.variable(3, 0), MultiPoly.variable(3, 2)
@@ -819,7 +861,7 @@ def test_radpoly_laplacian_matches_central_differences():
             # a near-harmonic instance cannot turn finite-difference
             # truncation error into a false failure
             scale = 1.0
-            for k, p in e.slots.items():
+            for k, p in slots.items():
                 term = sum(
                     abs(c) * math.prod(abs(v) ** x for v, x in zip(y, ex))
                     for ex, c in p.terms.items()

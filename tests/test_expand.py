@@ -161,13 +161,21 @@ def test_first_correction_offset_from_closed_form():
         assert produced == leading_correction(p0, s)
 
 
+def _odd_weights(residual: RadPoly) -> set[int]:
+    """The weights K + |e| of the normal form's terms with K odd; none sits
+    below |y|^-1 (`part` refuses one)."""
+    weights = {sum(key) for key in residual.terms if key[0] % 2}
+    for w in weights:
+        assert not residual.part(-1, w).is_zero
+    return weights
+
+
 def test_step_clears_its_obstruction_degree():
     s = Spectrum([1, Fraction(1, 2), 2])
     state = ExpansionState(3, s, MultiPoly.const(3, 1), MultiPoly.zero(3), 2)
     stepped = next_correction(state)
-    sector = symbolic_residual(stepped.P, stepped.Q, s).collect(-1)
-    degrees = sorted(sector.homogeneous_components())
-    assert all(d > stepped.order - 1 for d in degrees)
+    weights = _odd_weights(symbolic_residual(stepped.P, stepped.Q, s))
+    assert weights and all(w > stepped.order - 2 for w in weights)
 
 
 def test_two_steps_clear_degrees_through_order():
@@ -177,8 +185,7 @@ def test_two_steps_clear_degrees_through_order():
     for _ in range(2):
         state = next_correction(state)
     assert state.order == 4
-    sector = symbolic_residual(state.P, state.Q, s).collect(-1)
-    assert all(d > state.order - 1 for d in sector.homogeneous_components())
+    assert all(w > state.order - 2 for w in _odd_weights(symbolic_residual(state.P, state.Q, s)))
 
 
 def test_recursion_audit_through_order_five():
@@ -187,16 +194,14 @@ def test_recursion_audit_through_order_five():
     state = ExpansionState(3, s, profile, MultiPoly.zero(3), 2)
     while state.order < 5:
         state = next_correction(state)
-    sector = symbolic_residual(state.P, state.Q, s).collect(-1)
-    assert all(d > 4 for d in sector.homogeneous_components())
+    assert all(w > 3 for w in _odd_weights(symbolic_residual(state.P, state.Q, s)))
 
 
 def _untruncated_step(state: ExpansionState) -> ExpansionState:
     # the recursion step read off the whole residual, with no weight ceiling
     n = state.n
-    sector = symbolic_residual(state.P, state.Q, state.spectrum).collect(n - 4)
-    obstruction = sector.homogeneous_components().get(state.order + 3 - n)
-    delta = MultiPoly.zero(n) if obstruction is None else solve_radical_poisson(-obstruction, n)
+    obstruction = symbolic_residual(state.P, state.Q, state.spectrum).part(n - 4, state.order - 1)
+    delta = solve_radical_poisson(-obstruction, n)
     return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
 
 
@@ -257,16 +262,16 @@ def test_even_dimension_recursion_stays_polynomial():
     first = None
     while state.order <= 6:
         residual = symbolic_residual(state.P, state.Q, s)
-        assert all(k % 2 == 0 for k in residual.slots)
+        assert all(key[0] % 2 == 0 for key in residual.terms)
         state = next_correction(state)
         if first is None and not state.Q.is_zero:
             first = state
     assert first.order == 4
     assert first.Q == leading_correction(p0, s)
     v = RadPoly(4, {0: state.P, 2: state.Q})
-    assert all(k >= 0 and k % 2 == 0 for k in v.slots)
-    sector = symbolic_residual(state.P, state.Q, s).collect(0)
-    assert all(d > state.order - 2 for d in sector.homogeneous_components())
+    assert all(key[0] >= 0 and key[0] % 2 == 0 for key in v.terms)
+    residual = symbolic_residual(state.P, state.Q, s)
+    assert all(key[0] >= 0 and sum(key) > state.order - 2 for key in residual.terms)
 
 
 def test_odd_dimension_forces_a_radical_cofactor():
@@ -282,7 +287,27 @@ def test_odd_dimension_forces_a_radical_cofactor():
     closed = leading_correction(p0, s)
     assert not closed.is_zero
     assert state.Q == closed
-    assert RadPoly(5, {3: state.Q}).slots.keys() == {3}
+    keys = RadPoly(5, {3: state.Q}).terms
+    assert {key[0] % 2 for key in keys} == {1} and min(key[0] for key in keys) == 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_ball_side_function_is_smooth_exactly_in_even_n(n):
+    # the paper's regularity claim on the normal form: v = P + |y|^(n-2) Q
+    # is smooth where no term |y|^K y^e has K odd, and in odd n the least
+    # weight K + |e| of such a term is n, the C^(n-1, alpha) bound, from
+    # the leading correction |y|^(n-2) Q2 with Q2 quadratic
+    s = [1, Fraction(1, 2), 2, Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(5, 2)][:n]
+    state = ExpansionState(n, s, MultiPoly.const(n, Fraction(3, 2)), MultiPoly.zero(n), 2)
+    while state.order < n + 2:
+        state = next_correction(state)
+    assert not state.Q.is_zero
+    v = RadPoly(n, {0: state.P, n - 2: state.Q})
+    odd_weights = {sum(key) for key in v.terms if key[0] % 2}
+    if n % 2:
+        assert min(odd_weights) == n
+    else:
+        assert not odd_weights
 
 
 @pytest.mark.xfail(
@@ -295,8 +320,9 @@ def test_odd_dimension_recursion_clears_the_even_sector():
     state = ExpansionState(3, s, MultiPoly.const(3, Fraction(3, 2)), MultiPoly.zero(3), 2)
     while state.order < 8:
         state = next_correction(state)
-    sector = symbolic_residual(state.P, state.Q, s).collect(0)
-    assert all(d > state.order - 1 for d in sector.homogeneous_components())
+    residual = symbolic_residual(state.P, state.Q, s)
+    for w in range(min(sum(key) for key in residual.terms), state.order):
+        assert residual.part(0, w).is_zero, w
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from kelvinasym.kelvin import (
     check_fd_work,
     hessian_identity_check,
     identity_parts,
+    jet_indeterminates,
     kelvin_map,
     matrices_MNKL,
     poly_jet,
@@ -593,6 +595,21 @@ def test_hessian_identity_check_bounds_its_stencil(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trace_identity_defect_vanishes(n):
     assert trace_identity_defect(n).is_zero
+
+
+def test_trace_identity_defect_detects_a_perturbed_L():
+    # negative control: adding v to the radial weight L adds exactly v to
+    # trace(M), and the defect is that polynomial over the 13 jet variables
+    real = kelvin.identity_parts
+
+    def perturbed(y, value, grad, hess, ysq):
+        K, L = real(y, value, grad, hess, ysq)
+        return K, L + value
+
+    with mock.patch.object(kelvin, "identity_parts", perturbed):
+        defect = trace_identity_defect(3)
+    assert type(defect) is MultiPoly
+    assert defect == jet_indeterminates(3)[1] == MultiPoly.variable(13, 3)
 
 
 def test_trace_identity_defect_validates():

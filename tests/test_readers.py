@@ -3,9 +3,8 @@ and the message names the record kind.
 
 Fuzzed records keep the expected keys and put arbitrary JSON values under
 them, since a random JSON object rarely reaches past the first key lookup.
-Slot exponents are drawn from a range wider than the slot-spread cap of
-RadPoly.from_json, and rational text includes exponents and digit counts
-beyond the caps of the rational parser."""
+Rational text includes exponents and digit counts beyond the caps of the
+rational parser."""
 
 import json
 import os
@@ -14,7 +13,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kelvinasym.exactalg import MultiPoly, RadPoly
+from kelvinasym.exactalg import MultiPoly
 from kelvinasym.expand import read_fit
 from kelvinasym.kelvin import KelvinFrame, PhaseBranch
 from kelvinasym.radial import read_trajectory
@@ -54,15 +53,6 @@ _POLY = _record(
         ),
     }
 )
-_RADPOLY = _record(
-    {
-        "n_vars": st.one_of(st.integers(-1, 3), _SCALARS),
-        "slots": st.one_of(
-            _JSON,
-            st.lists(_record({"k": st.one_of(st.integers(-60, 60), _SCALARS), "poly": _POLY}), max_size=3),
-        ),
-    }
-)
 _NUMBERS = st.one_of(_JSON, st.lists(st.one_of(st.floats(), st.integers(-3, 3), _SCALARS), max_size=4))
 _SPECTRUM = _record({"n": st.one_of(st.integers(-1, 4), _SCALARS), "lambda": _NUMBERS})
 _BRANCH = _record(
@@ -98,10 +88,6 @@ def _poly_n_vars(n_vars):
     return {"n_vars": n_vars, "terms": [{"coef": "1", "exp": exp}]}
 
 
-def _radpoly_n_vars(n_vars):
-    return {"n_vars": n_vars, "slots": [{"k": 1, "poly": _poly_n_vars(int(n_vars))}]}
-
-
 @pytest.mark.parametrize(
     "reader, record, kind",
     [
@@ -114,9 +100,6 @@ def _radpoly_n_vars(n_vars):
         (MultiPoly.from_json, _poly_n_vars(2.9), "polynomial"),
         (MultiPoly.from_json, _poly_n_vars(True), "polynomial"),
         (MultiPoly.from_json, _poly_n_vars("3"), "polynomial"),
-        (RadPoly.from_json, _radpoly_n_vars(2.9), "radical polynomial"),
-        (RadPoly.from_json, _radpoly_n_vars(True), "radical polynomial"),
-        (RadPoly.from_json, _radpoly_n_vars("3"), "radical polynomial"),
         (Spectrum.from_json, {"n": 1, "lambda": ["1/0"]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": [float("inf")]}, "spectrum"),
         (Spectrum.from_json, {"n": 1, "lambda": ["2e300000"]}, "spectrum"),
@@ -154,9 +137,6 @@ def _radpoly_n_vars(n_vars):
         "poly-float-n-vars",
         "poly-bool-n-vars",
         "poly-text-n-vars",
-        "radpoly-float-n-vars",
-        "radpoly-bool-n-vars",
-        "radpoly-text-n-vars",
         "spectrum-zero-denominator",
         "spectrum-infinite",
         "spectrum-exponent-beyond-cap",
@@ -186,36 +166,6 @@ def test_frame_rejects_non_finite_values_naming_them():
         KelvinFrame(branch, [1.0, 1.0], constant=float("nan"))
 
 
-def test_radpoly_slot_spread_cap_names_the_slots():
-    one = {"n_vars": 3, "terms": [{"coef": "1", "exp": [0, 0, 0]}]}
-    wide = {"n_vars": 3, "slots": [{"k": 0, "poly": one}, {"k": 80, "poly": one}]}
-    with pytest.raises(ValueError, match="malformed radical polynomial record: slots 0 and 80 are too far"):
-        RadPoly.from_json(wide)
-    one13 = {"n_vars": 13, "terms": [{"coef": "1", "exp": [0] * 13}]}
-    with pytest.raises(ValueError, match="slots 1 and 7 are too far apart"):
-        RadPoly.from_json({"n_vars": 13, "slots": [{"k": 1, "poly": one13}, {"k": 7, "poly": one13}]})
-    # a spread at the cap still merges: |y|^40 + 1 in canonical form
-    near = {"n_vars": 3, "slots": [{"k": 0, "poly": one}, {"k": 40, "poly": one}]}
-    merged = RadPoly.from_json(near)
-    assert merged.slots.keys() == {0} and merged.evaluate([1, 0, 0]) == 2
-
-
-def test_radpoly_rewrite_cap_names_the_power_and_the_bound():
-    # RadPoly keeps y1^2 rewritten as |y|^2 - y2^2 - ... - yn^2, so one term
-    # y1^200 in 13 variables stands for C(112, 12) = 4.4e15 terms
-    power = {"n_vars": 13, "terms": [{"coef": "1", "exp": [200] + [0] * 12}]}
-    record = {"n_vars": 13, "slots": [{"k": 1, "poly": power}]}
-    with pytest.raises(
-        ValueError,
-        match=r"malformed radical polynomial record: rewriting y1\^200 modulo \|y\|\^2 in n = 13 "
-        r"variables may build \d+ exponent entries, more than 5000000",
-    ):
-        RadPoly.from_json(record)
-    # y1^40 in 3 variables is 3 C(22, 3) keys of 4 entries
-    small = {"n_vars": 3, "slots": [{"k": 1, "poly": {"n_vars": 3, "terms": [{"coef": "1", "exp": [40, 0, 0]}]}}]}
-    assert RadPoly.from_json(small).evaluate([1, 0, 0]) == 1
-
-
 # ── fuzzed records ───────────────────────────────────────────────────────
 
 
@@ -223,12 +173,11 @@ def test_radpoly_rewrite_cap_names_the_power_and_the_bound():
     "reader, records",
     [
         (MultiPoly.from_json, _POLY),
-        (RadPoly.from_json, _RADPOLY),
         (Spectrum.from_json, _SPECTRUM),
         (PhaseBranch.from_json, _BRANCH),
         (KelvinFrame.from_json, _FRAME),
     ],
-    ids=["MultiPoly", "RadPoly", "Spectrum", "PhaseBranch", "KelvinFrame"],
+    ids=["MultiPoly", "Spectrum", "PhaseBranch", "KelvinFrame"],
 )
 def test_fuzzed_from_json_raises_only_value_error(reader, records):
     @settings(max_examples=150, deadline=None)
