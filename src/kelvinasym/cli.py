@@ -229,10 +229,11 @@ def _jsonable(value):
         return str(value)  # "inf" or "nan": JSON has no such numbers
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+    # before the tuple test: a record is a named tuple with its own form
     if hasattr(value, "to_json"):
         return _jsonable(value.to_json())
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     return value
 
 
@@ -565,7 +566,7 @@ def _run_expand3(merged: dict) -> int:
     # of degree K + |e| + 1, and the form is unique, so these are the
     # degrees of the odd part's components
     residual = symbolic_residual(state.P, state.Q, state.spectrum)
-    leftover_degrees = sorted({sum(key) + 1 for key in residual.terms if key[0] & 1})
+    leftover_degrees = sorted({sum(key) + 1 for key in residual.keys() if key[0] & 1})
     audit_pass = all(d > order - 1 for d in leftover_degrees)
 
     closed_form = leading_correction(p0, spectrum)

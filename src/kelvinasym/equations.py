@@ -45,10 +45,9 @@ are 1, lambda_j + lambda_k and -(1 - sigma_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .exactalg import (
     DimensionError,
@@ -185,8 +184,7 @@ def _det_by_values(row: PhaseRow, values) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class AlgebraicForm:
+class AlgebraicForm(NamedTuple):
     """A polynomialized residual of one branch, scale * cross(Z, P(H)) with
     P(H) = det(alpha + beta H) in the branch's plane algebra (`branch.row`):
     Z and scale are fixed at construction, so evaluation is pure
@@ -312,8 +310,7 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
 # ── the transformed residual on the ball side ────────────────────────────
 
 
-@dataclass(frozen=True)
-class ResidualBreakdown:
+class ResidualBreakdown(NamedTuple):
     """theta-free residual at one jet, normalized by gamma |y|^(n+2), and
     split into the profile Laplacian plus the superlinear remainder."""
 

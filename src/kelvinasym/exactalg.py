@@ -12,7 +12,7 @@ denominator::
 The form is canonical (the denominator and the numerators share no factor),
 so equality compares the stored integers, and arithmetic is integer
 arithmetic followed by one gcd reduction.  ``MultiPoly.terms`` gives the
-coefficients as Fractions in lowest terms.
+coefficients as Fractions in lowest terms, and ``keys`` the keys alone.
 
 ``RadPoly`` extends this with integer powers of ``r = |y|``: a finite sum
 of terms ``c r^K y^e``, stored the same way with keys ``(K, e_1, ..., e_n)``.
@@ -27,7 +27,7 @@ The normal form is unique, so two spellings of one function compare equal
 and sums and scalar products are map operations as for ``MultiPoly``; a
 product rewrites only where both factors hold ``y_1``.  A term's weight
 ``K + |e|`` is its homogeneous degree, so the parity of ``K`` and the
-degree are read off the keys (``RadPoly.terms``); ``RadPoly.part`` writes
+degree are read off the keys (``RadPoly.keys``); ``RadPoly.part`` writes
 one parity at one weight as ``r^base W`` with ``W`` a polynomial.
 
 All arithmetic here is exact.  Floats only appear through ``evaluate`` when
@@ -205,6 +205,11 @@ class _RationalMap:
         """The coefficients as ``{key: Fraction}`` in lowest terms (a copy)."""
         den = self._den
         return {e: Fraction(c, den) for e, c in self._num.items()}
+
+    def keys(self):
+        """The keys of the nonzero coefficients, as a read-only view; no
+        Fraction is built."""
+        return self._num.keys()
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

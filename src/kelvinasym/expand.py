@@ -23,10 +23,8 @@ import json
 import math
 import numbers
 import operator
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .equations import _symmetric_eigenvalues, symbolic_residual
 from .exactalg import DimensionError, MultiPoly, _as_fraction, _dot, _sum, solve_radical_poisson
@@ -64,8 +62,15 @@ def _as_spectrum(s) -> Spectrum:
     return s if isinstance(s, Spectrum) else Spectrum(s)
 
 
-@dataclass(frozen=True)
-class ExpansionState:
+class _ExpansionStateFields(NamedTuple):
+    n: int
+    spectrum: Spectrum
+    P: MultiPoly
+    Q: MultiPoly
+    order: int
+
+
+class ExpansionState(_ExpansionStateFields):
     """One stage of the exterior expansion: the ball-side profile is
     ``v = P + |y|^(n-2) Q`` with ``P`` the smooth Taylor part through total
     degree ``order`` and ``Q`` the forced radical cofactor.
@@ -79,36 +84,29 @@ class ExpansionState:
     incomplete.
     """
 
-    n: int
-    spectrum: Spectrum
-    P: MultiPoly
-    Q: MultiPoly
-    order: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "spectrum", _as_spectrum(self.spectrum))
-        if self.spectrum.n != self.n:
-            raise DimensionError(
-                f"spectrum has {self.spectrum.n} entries, expected {self.n}"
-            )
-        if self.P.n_vars != self.n or self.Q.n_vars != self.n:
+    def __new__(cls, n: int, spectrum, P: MultiPoly, Q: MultiPoly, order: int) -> "ExpansionState":
+        spectrum = _as_spectrum(spectrum)
+        if spectrum.n != n:
+            raise DimensionError(f"spectrum has {spectrum.n} entries, expected {n}")
+        if P.n_vars != n or Q.n_vars != n:
             raise DimensionError("profile polynomials must live in n variables")
-        if self.order < 2:
+        if order < 2:
             raise ValueError("expansion order starts at 2 (the quadratic scale)")
-        if not self.P.is_zero and self.P.total_degree() > self.order:
-            raise ValueError(
-                f"smooth part has degree {self.P.total_degree()} > order {self.order}"
-            )
-        if not self.Q.is_zero:
-            if self.Q.total_degree() > self.order - self.n + 2:
+        if not P.is_zero and P.total_degree() > order:
+            raise ValueError(f"smooth part has degree {P.total_degree()} > order {order}")
+        if not Q.is_zero:
+            if Q.total_degree() > order - n + 2:
                 raise ValueError(
-                    f"radical cofactor has degree {self.Q.total_degree()} "
-                    f"> order - n + 2 = {self.order - self.n + 2}"
+                    f"radical cofactor has degree {Q.total_degree()} "
+                    f"> order - n + 2 = {order - n + 2}"
                 )
-            if any(sum(e) < 2 for e in self.Q.terms):
+            if any(sum(e) < 2 for e in Q.keys()):
                 raise ValueError(
                     "radical cofactor must vanish to second order at the origin"
                 )
+        return super().__new__(cls, n, spectrum, P, Q, order)
 
 
 def leading_correction(v0, s) -> MultiPoly:
@@ -164,14 +162,7 @@ def next_correction(state: ExpansionState) -> ExpansionState:
 # ── sampling, fitting, and profile recovery ──────────────────────────────
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
-    """Fitted asymptotic data of an exterior solution: the quadratic part
-    ``A`` (a tuple of row tuples), affine tail ``b`` (a tuple) and ``c``,
-    the logarithmic coefficient ``d`` (two variables only, ``None``
-    otherwise), the remainder decay exponent with its regression standard
-    error, and the annuli used."""
-
+class _ExpansionFitFields(NamedTuple):
     A: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
     c: float
@@ -180,9 +171,19 @@ class ExpansionFit:
     decay_slope_stderr: float
     annuli: tuple
 
-    def __post_init__(self) -> None:
+
+class ExpansionFit(_ExpansionFitFields):
+    """Fitted asymptotic data of an exterior solution: the quadratic part
+    ``A`` (a tuple of row tuples), affine tail ``b`` (a tuple) and ``c``,
+    the logarithmic coefficient ``d`` (two variables only, ``None``
+    otherwise), the remainder decay exponent with its regression standard
+    error, and the annuli used."""
+
+    __slots__ = ()
+
+    def __new__(cls, A, b, c, d, decay_slope, decay_slope_stderr, annuli) -> "ExpansionFit":
         try:
-            a = [[float(v) for v in row] for row in self.A]
+            a = [[float(v) for v in row] for row in A]
         except TypeError:
             raise ValueError("quadratic part must be a square matrix") from None
         n = len(a)
@@ -192,26 +193,24 @@ class ExpansionFit:
         if not all(a[i][j] == a[j][i] or abs(a[i][j] - a[j][i]) <= atol for i in range(n) for j in range(n)):
             raise ValueError("quadratic part must be symmetric")
         try:
-            bv = tuple(float(v) for v in self.b)
+            bv = tuple(float(v) for v in b)
         except TypeError:
             bv = None
         if bv is None or len(bv) != n:
             raise ValueError("linear part must be a vector of matching dimension")
-        if n >= 3 and self.d is not None:
+        if n >= 3 and d is not None:
             raise ValueError("the logarithmic coefficient exists only in dimension 2")
-        if not math.isfinite(self.decay_slope):
+        if not math.isfinite(decay_slope):
             raise ValueError("decay slope must be finite")
-        symmetric = tuple(tuple(0.5 * (a[i][j] + a[j][i]) for j in range(n)) for i in range(n))
-        object.__setattr__(self, "A", symmetric)
-        object.__setattr__(self, "b", bv)
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "d", None if self.d is None else float(self.d))
-        object.__setattr__(self, "decay_slope", float(self.decay_slope))
-        object.__setattr__(self, "decay_slope_stderr", float(self.decay_slope_stderr))
-        object.__setattr__(
-            self,
-            "annuli",
-            tuple((float(lo), float(hi)) for lo, hi in self.annuli),
+        return super().__new__(
+            cls,
+            tuple(tuple(0.5 * (a[i][j] + a[j][i]) for j in range(n)) for i in range(n)),
+            bv,
+            float(c),
+            None if d is None else float(d),
+            float(decay_slope),
+            float(decay_slope_stderr),
+            tuple((float(lo), float(hi)) for lo, hi in annuli),
         )
 
     @property
@@ -472,6 +471,14 @@ def _rings(radii: list[float], annuli) -> list[tuple[tuple[float, float], int, i
     return out
 
 
+def _median(values) -> float:
+    """The middle of the sorted values, or the mean of the two middle ones
+    for an even count, as ``statistics.median`` takes it."""
+    s = sorted(values)
+    i = len(s) // 2
+    return s[i] if len(s) % 2 else (s[i - 1] + s[i]) / 2
+
+
 def fit_expansion(
     samples,
     n: int,
@@ -561,8 +568,8 @@ def fit_expansion(
         members = order[start:end]
         model = _model_values([pts[i] for i in members], A, b, c, d)
         remainder = [abs(vals[i] - m) for i, m in zip(members, model)]
-        log_r.append(math.log(statistics.median(radii[start:end])))
-        log_m.append(math.log(max(statistics.median(remainder), 1e-300)))
+        log_r.append(math.log(_median(radii[start:end])))
+        log_m.append(math.log(max(_median(remainder), 1e-300)))
     mean_r = _sum(log_r) / len(log_r)
     mean_m = _sum(log_m) / len(log_m)
     xc = [x - mean_r for x in log_r]
@@ -606,7 +613,7 @@ def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
     ynorm = [math.sqrt(_dot(y, y)) for y in ys]
     pairs = [(y, (u - m) * r ** (2 - n)) for y, u, m, r in zip(ys, vals, model, ynorm)]
     nearest = sorted(range(len(pairs)), key=ynorm.__getitem__)[: max(1, len(pairs) // 10)]
-    v0_estimate = statistics.fmean(pairs[k][1] for k in nearest)
+    v0_estimate = _sum(pairs[k][1] for k in nearest) / len(nearest)
     return pairs, v0_estimate
 
 

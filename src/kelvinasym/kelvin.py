@@ -34,9 +34,8 @@ import math
 import numbers
 import operator
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .exactalg import MultiPoly, _dot, _json_int, _sum
 from .symfun import Spectrum
@@ -100,8 +99,7 @@ _TAU_TOL = 1e-12
 _PINNED_TAU = {"SLAG": _HALF, "RECIP": _QUARTER}
 
 
-@dataclass(frozen=True)
-class PhaseRow:
+class PhaseRow(NamedTuple):
     """One kind in the plane algebra: g(lambda) = kappa arg(alpha + beta lambda).
 
     Elements are pairs: (x, y) for eps <= 0, and the null coordinates
@@ -146,8 +144,16 @@ class PhaseRow:
         return (1.0, phi) if self.eps == 0 else (2.0, 2.0 * math.exp(-2.0 * phi))
 
 
-@dataclass(frozen=True)
-class PhaseBranch:
+class _PhaseBranchFields(NamedTuple):
+    kind: str
+    tau: float
+    theta: float
+    a: float
+    b: float
+    row: PhaseRow
+
+
+class PhaseBranch(_PhaseBranchFields):
     """One operator branch: kind, slope parameter tau and phase theta.
 
     Each branch applies a strictly increasing map g to every Hessian
@@ -182,15 +188,9 @@ class PhaseBranch:
     constructor validates that tau sits in the interval of the kind.
     """
 
-    kind: str
-    tau: float
-    theta: float
-    a: float = field(init=False)
-    b: float = field(init=False)
-    row: PhaseRow = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        kind, tau = self.kind, self.tau
+    def __new__(cls, kind: str, tau: float, theta: float) -> "PhaseBranch":
         if kind == "SLAG":
             ok = abs(tau - _HALF) <= _TAU_TOL
         elif kind == "RECIP":
@@ -203,8 +203,8 @@ class PhaseBranch:
             raise ValueError(f"unknown branch kind {kind!r}")
         if not ok:
             raise ValueError(f"slope parameter tau={tau} is not in the {kind} interval")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"phase theta={self.theta} is not finite")
+        if not math.isfinite(theta):
+            raise ValueError(f"phase theta={theta} is not finite")
         # (a, b) = (cot tau, sqrt|a^2 - 1|), exact at the two pinned kinds
         if kind == "SLAG":
             a, b = 0.0, 1.0
@@ -220,9 +220,11 @@ class PhaseBranch:
                 row = PhaseRow(-1, (a + b, a - b), (1, 1), kappa, 1, -1)
             else:  # LOG: alpha = a + u b and beta = 1 in null coordinates
                 row = PhaseRow(1, (a + b, a - b), (1, 1), -kappa, -2, -1)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "row", row)
+        return super().__new__(cls, kind, tau, theta, a, b, row)
+
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild a branch from the constructor's arguments
+        return self.kind, self.tau, self.theta
 
     @classmethod
     def make(cls, kind: str, theta: float, tau: float | None = None) -> "PhaseBranch":
@@ -483,20 +485,23 @@ def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Seq
 # ── second-order jets and the Hessian identity ───────────────────────────
 
 
-@dataclass(frozen=True)
-class Jet2:
-    """Second-order data of the ball-side profile at one point of the
-    punctured unit ball: value, gradient, and symmetric Hessian, as a float,
-    a tuple and a tuple of rows; each must be finite."""
-
+class _Jet2Fields(NamedTuple):
     y: tuple[float, ...]
     value: float
     grad: tuple[float, ...]
     hess: tuple[tuple[float, ...], ...]
 
-    def __post_init__(self) -> None:
-        y, grad = tuple(map(float, self.y)), tuple(map(float, self.grad))
-        value, hess = float(self.value), tuple(tuple(map(float, row)) for row in self.hess)
+
+class Jet2(_Jet2Fields):
+    """Second-order data of the ball-side profile at one point of the
+    punctured unit ball: value, gradient, and symmetric Hessian, as a float,
+    a tuple and a tuple of rows; each must be finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, y, value, grad, hess) -> "Jet2":
+        y, grad = tuple(map(float, y)), tuple(map(float, grad))
+        value, hess = float(value), tuple(tuple(map(float, row)) for row in hess)
         n = len(y)
         if len(grad) != n or len(hess) != n or any(len(row) != n for row in hess):
             raise ValueError("jet shapes are inconsistent")
@@ -514,8 +519,7 @@ class Jet2:
             raise ValueError(f"jet base point must lie in the punctured unit ball, |y|={norm}")
         if any(abs(hess[i][j] - hess[j][i]) > 1e-12 for i in range(n) for j in range(i)):
             raise ValueError("jet Hessian must be symmetric to 1e-12")
-        for name, field in (("y", y), ("value", value), ("grad", grad), ("hess", hess)):
-            object.__setattr__(self, name, field)
+        return super().__new__(cls, y, value, grad, hess)
 
     @property
     def n(self) -> int:
@@ -619,8 +623,7 @@ def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
     return _assemble(jet.y, _dot(jet.y, jet.y), jet.value, jet.grad, jet.hess, frame.R)
 
 
-@dataclass(frozen=True)
-class HessianReport:
+class HessianReport(NamedTuple):
     """Worst deviations of the finite-difference exterior Hessian from the
     assembled identity A + |y|^n N over a sample of exterior points."""
 

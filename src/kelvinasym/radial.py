@@ -41,8 +41,7 @@ import bisect
 import csv
 import math
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kelvin import DomainError, PhaseBranch
 
@@ -87,8 +86,7 @@ def kernel_name() -> str:
     return "python"
 
 
-@dataclass(frozen=True)
-class RadialState:
+class RadialState(NamedTuple):
     """One recorded node of a radial trajectory.
 
     `r` is the radius, `u` the value, `p` the first derivative u'(r),

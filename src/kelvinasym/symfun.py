@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .exactalg import Scalar, _as_fraction, _json_int, parse_rational
 
@@ -116,20 +115,21 @@ class Spectrum:
         return cls(values)
 
 
-@dataclass(frozen=True)
-class BranchParams:
-    """Exact shift parameters (a, b) of the two-sided product function."""
-
+class _BranchParamsFields(NamedTuple):
     a: Fraction
     b: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+
+class BranchParams(_BranchParamsFields):
+    """Exact shift parameters (a, b) of the two-sided product function."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Scalar, b: Scalar) -> "BranchParams":
+        return super().__new__(cls, _as_fraction(a), _as_fraction(b))
 
 
-@dataclass(frozen=True)
-class ExactReport:
+class ExactReport(NamedTuple):
     """Outcome of one exact identity check."""
 
     lemma: str

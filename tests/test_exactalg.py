@@ -509,6 +509,10 @@ def test_radpoly_term_access_and_zero():
     assert z.is_zero and z.terms == {} and z.part(0, 0).is_zero
     e = RadPoly(3, {-1: MultiPoly.const(3, 1)})
     assert e.terms == {(-1, 0, 0, 0): 1}
+    # the key read builds no coefficient and matches the terms' keys
+    assert list(z.keys()) == [] and e.keys() == e.terms.keys()
+    p = MultiPoly(2, {(1, 0): Fraction(1, 2), (0, 2): 3})
+    assert p.keys() == p.terms.keys() == {(1, 0), (0, 2)}
     assert e.part(-1, -1) == MultiPoly.const(3, 1)
     # nothing at weight 1, and no term of the even parity at all
     assert e.part(-1, 1).is_zero and e.part(0, -1).is_zero

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import statistics
 import tempfile
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from kelvinasym.expand import (
     ExpansionState,
     InsufficientDataError,
     _householder_qr,
+    _median,
     _solve_least_squares,
     check_fit_work,
     fit_expansion,
@@ -435,6 +437,15 @@ def test_fit_pure_quadratic_is_exact():
     vals = np.asarray([u for _, u in samples])
     assert np.abs(vals - fit.predict(pts)).max() < 1e-10
     assert fit.d is None
+
+
+def test_median_is_the_statistics_median():
+    # fit_expansion's annulus medians keep the bits statistics.median gives
+    rng = random.Random(5)
+    for size in range(1, 40):
+        values = [rng.choice((rng.random() * 1e3, rng.randrange(-9, 9), 0.5)) for _ in range(size)]
+        assert _median(values) == statistics.median(values)
+        assert type(_median(values)) is type(statistics.median(values))
 
 
 def test_fit_recovers_inverse_radius_decay():
