@@ -31,7 +31,7 @@ degree are read off the keys (``RadPoly.keys``); ``RadPoly.part`` writes
 one parity at one weight as ``r^base W`` with ``W`` a polynomial.
 
 All arithmetic here is exact.  Floats only appear through ``evaluate`` when
-called with float coordinates.
+called with float coordinates, and through ``MultiPoly.float_evaluator``.
 
 Exact input
 -----------
@@ -67,7 +67,7 @@ import bisect
 import math
 import numbers
 import operator
-from typing import Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction, str]
@@ -396,22 +396,41 @@ class MultiPoly(_RationalMap):
 
     def evaluate(self, point: Iterable) -> Fraction | float:
         """The value at ``point``: a Fraction when every coordinate is
-        rational, else a float summed term by term in storage order, each
-        coefficient entering as the correctly rounded ``numerator / _den``
-        (the same float as ``float(Fraction(numerator, _den))``)."""
+        rational, else the float `float_evaluator` gives."""
         pt = list(point)
         if len(pt) != self.n_vars:
             raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
-        den = self._den
-        exact = all(map(_is_rational, pt))
-        total = 0 if exact else 0.0
+        if not all(map(_is_rational, pt)):
+            return self.float_evaluator()(pt)
+        total = 0
         for e, c in self._num.items():
-            term = c if exact else c / den
+            term = c
             for x, k in zip(pt, e):
                 if k:
                     term = term * x**k
             total = total + term
-        return Fraction(total, den) if exact else total
+        return Fraction(total, self._den)
+
+    def float_evaluator(self) -> Callable[[Sequence], float]:
+        """The function taking a point (a sequence of ``n_vars`` numbers,
+        not checked) to the float value there: summed term by term in
+        storage order from 0.0, each term the correctly rounded coefficient
+        ``numerator / _den`` (the same float as ``float(Fraction(numerator,
+        _den))``) times ``x_i**k_i`` for each nonzero exponent in variable
+        order.  The coefficients are divided once, here, so a caller that
+        evaluates at many points builds the evaluator once."""
+        den = self._den
+        terms = [(c / den, [(i, k) for i, k in enumerate(e) if k]) for e, c in self._num.items()]
+
+        def at(pt) -> float:
+            total = 0.0
+            for term, powers in terms:
+                for i, k in powers:
+                    term = term * pt[i] ** k
+                total = total + term
+            return total
+
+        return at
 
     def try_divide_r2(self) -> "MultiPoly | None":
         """Exact quotient by ``|y|^2`` if it divides this polynomial, else None.
@@ -825,9 +844,11 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
 
     Raises DimensionError when n <= 2 or the variable counts disagree, and
     ValueError for an inhomogeneous right-hand side or a ladder past its
-    size cap.  Before returning, the solution is re-verified in
-    radical-polynomial form: ``lap(|y|^(n-2) u) - |y|^(n-4) h`` must be
-    identically zero.
+    size cap.  Before returning, the solution is re-verified by the
+    product rule, as `RadPoly.laplacian` applies it term by term: with
+    ``w = n - 2``, ``lap(|y|^w u) = |y|^(w-2) (w (w + n - 2) u + 2w E u
+    + |y|^2 lap u)``, ``E`` the Euler operator, so ``w (w + n - 2) u +
+    2w E u + |y|^2 lap u - h`` must be the zero polynomial.
     """
     if n < 3:
         raise DimensionError("the radial-weight Poisson solve needs n >= 3")
@@ -837,9 +858,10 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
         return h
     if not h.is_homogeneous():
         raise ValueError("right-hand side must be homogeneous")
-    u = _ladder(h, n - 2)
-    residual = RadPoly(n, {n - 2: u}).laplacian() - RadPoly(n, {n - 4: h})
-    if not residual.is_zero:
+    w = n - 2
+    u = _ladder(h, w)
+    residual = u * (w * (w + n - 2)) + u.euler() * (2 * w) + MultiPoly.r_squared(n) * u.laplacian() - h
+    if residual:
         raise SolveError("exact solve failed verification")
     return u
 

@@ -625,7 +625,9 @@ def write_samples(path, samples) -> None:
 
     Every sample is checked before the file is opened: ValueError on a
     non-finite entry or a point of another dimension than the first,
-    InsufficientDataError on no samples.
+    InsufficientDataError on no samples.  Each row is then written as
+    one ``%r,...,%r`` line ending in CRLF: the bytes `csv.writer` writes,
+    since a finite float's repr never needs quoting.
     """
     samples = list(samples)
     n = None
@@ -640,11 +642,12 @@ def write_samples(path, samples) -> None:
             raise ValueError(f"sample {index} has {len(point)} coordinates, expected {n}")
     if n is None:
         raise InsufficientDataError("no samples given")
+    # formatted while written, not held: a list of every line would raise
+    # the peak RSS of a million samples by half
+    line = ",".join(["%r"] * (n + 1)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(n)] + ["u"])
-        for x, u in samples:
-            writer.writerow([repr(float(c)) for c in x] + [repr(float(u))])
+        fh.write(",".join([f"x{i + 1}" for i in range(n)] + ["u"]) + "\r\n")
+        fh.writelines(line % (*map(float, x), float(u)) for x, u in samples)
 
 
 def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
@@ -674,12 +677,12 @@ def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
             if len(row) != n + 1:
                 raise ValueError(f"{path}: row {line_no} has {len(row)} fields")
             try:
-                values = [float(v) for v in row]
+                values = tuple(map(float, row))
             except ValueError:
                 raise ValueError(f"{path}: row {line_no} is not numeric: {','.join(row)}") from None
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"{path}: row {line_no} is not finite: {','.join(row)}")
-            samples.append((tuple(values[:n]), values[n]))
+            samples.append((values[:n], values[n]))
     if not samples:
         raise ValueError(f"{path}: no sample rows")
     return samples

@@ -35,6 +35,7 @@ import numbers
 import operator
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
 from .exactalg import MultiPoly, _dot, _json_int, _sum
@@ -48,6 +49,7 @@ __all__ = [
     "KelvinFrame",
     "PhaseBranch",
     "PhaseRow",
+    "ScalarMaps",
     "ZeroPointError",
     "hessian_identity_check",
     "identity_parts",
@@ -182,7 +184,8 @@ class PhaseBranch(_PhaseBranchFields):
     = sum_k sigma_k(H) beta^k alpha^(n-k); the row carries their scales
     too.  SLAG and RECIP are integer rows with Fraction s_free, so their
     theta-free forms stay exact.  g, g_prime and g_inverse keep their
-    closed forms and range checks (they are the radial hot path).
+    closed forms and range checks; `maps` holds them as plain functions,
+    built once per (kind, a, b), for the radial hot path.
 
     Use `PhaseBranch.make` (or the `slag` / `recip` shorthands); the
     constructor validates that tau sits in the interval of the kind.
@@ -245,71 +248,28 @@ class PhaseBranch(_PhaseBranchFields):
 
     # scalar eigenvalue maps -------------------------------------------------
 
+    @property
+    def maps(self) -> "ScalarMaps":
+        """This branch's bound and eigenvalue maps as plain functions, built
+        once per (kind, a, b): a loop that applies them many times reads
+        them here once."""
+        return _scalar_maps(self.kind, self.a, self.b)
+
     def admissible_lower(self) -> float | None:
         """Open lower eigenvalue bound (None for the unconstrained kind)."""
-        if self.kind == "SLAG":
-            return None
-        if self.kind == "RECIP":
-            return -1.0
-        if self.kind == "ATAN2":
-            return -(self.a + self.b)
-        return self.b - self.a  # LOG
-
-    def _check_lambda(self, lam: float) -> None:
-        lower = self.admissible_lower()
-        if lower is not None and lam <= lower:
-            raise DomainError(f"eigenvalue {lam} is not above the {self.kind} bound {lower}")
+        return self.maps.lower
 
     def g(self, lam: float) -> float:
         """The eigenvalue map of this branch."""
-        self._check_lambda(lam)
-        kind, a, b = self.kind, self.a, self.b
-        if kind == "SLAG":
-            return math.atan(lam)
-        if kind == "RECIP":
-            return -math.sqrt(2.0) / (1.0 + lam)
-        if kind == "ATAN2":
-            scale = math.sqrt(a * a + 1.0) / b
-            return scale * math.atan((lam + a - b) / (lam + a + b))
-        scale = math.sqrt(a * a + 1.0) / (2.0 * b)
-        return scale * math.log((lam + a - b) / (lam + a + b))
+        return self.maps.g(lam)
 
     def g_prime(self, lam: float) -> float:
         """Derivative of the eigenvalue map (always positive)."""
-        self._check_lambda(lam)
-        kind, a, b = self.kind, self.a, self.b
-        if kind == "SLAG":
-            return 1.0 / (1.0 + lam * lam)
-        if kind == "RECIP":
-            return math.sqrt(2.0) / (1.0 + lam) ** 2
-        if kind == "ATAN2":
-            lo = lam + a - b
-            hi = lam + a + b
-            return 2.0 * math.sqrt(a * a + 1.0) / (hi * hi + lo * lo)
-        # summed as the row sums alpha + beta lambda: lambda + (a - b) is exact near the bound
-        return math.sqrt(a * a + 1.0) / ((lam + (a - b)) * (lam + (a + b)))
+        return self.maps.g_prime(lam)
 
     def g_inverse(self, t: float) -> float:
         """Inverse of the eigenvalue map; DomainError outside its range."""
-        kind, a, b = self.kind, self.a, self.b
-        if kind == "SLAG":
-            if not -_HALF < t < _HALF:
-                raise DomainError(f"inverse argument {t} outside (-pi/2, pi/2)")
-            return math.tan(t)
-        if kind == "RECIP":
-            if t >= 0.0:
-                raise DomainError(f"inverse argument {t} must be negative")
-            return -math.sqrt(2.0) / t - 1.0
-        if kind == "ATAN2":
-            s = t * b / math.sqrt(a * a + 1.0)
-            if not -_HALF < s < _QUARTER:
-                raise DomainError(f"inverse argument {t} outside the branch range")
-            mu = math.tan(s)
-        else:  # LOG
-            if t >= 0.0:
-                raise DomainError(f"inverse argument {t} must be negative")
-            mu = math.exp(2.0 * b * t / math.sqrt(a * a + 1.0))
-        return (mu * (a + b) - (a - b)) / (1.0 - mu)
+        return self.maps.g_inverse(t)
 
     def phase(self, eigenvalues: Sequence[float]) -> float:
         """Sum of the eigenvalue map over a full set of eigenvalues."""
@@ -333,6 +293,106 @@ class PhaseBranch(_PhaseBranchFields):
             return cls.make(kind, theta, None if tau is None else float(tau))
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise ValueError(f"malformed branch record: {exc}") from exc
+
+
+class ScalarMaps(NamedTuple):
+    """One branch's open lower eigenvalue bound (None for SLAG) and its
+    eigenvalue map g, derivative g_prime and inverse g_inverse as functions
+    of one float.  g and g_prime raise DomainError at or below the bound,
+    g_inverse outside the range of g."""
+
+    lower: float | None
+    g: Callable[[float], float]
+    g_prime: Callable[[float], float]
+    g_inverse: Callable[[float], float]
+
+
+def _above(kind: str, lower: float, f: Callable[[float], float]) -> Callable[[float], float]:
+    """f on the admissible ray: DomainError names an eigenvalue at or below
+    the bound."""
+
+    def checked(lam: float) -> float:
+        if lam <= lower:
+            raise DomainError(f"eigenvalue {lam} is not above the {kind} bound {lower}")
+        return f(lam)
+
+    return checked
+
+
+@lru_cache(maxsize=64)
+def _scalar_maps(kind: str, a: float, b: float) -> ScalarMaps:
+    """The `ScalarMaps` of a kind at shift (a, b), in closed form.  Only
+    factors that every call would compute alike are taken out of the
+    closures, so each map rounds as its formula reads."""
+    if kind == "SLAG":
+
+        def g_prime(lam: float) -> float:
+            return 1.0 / (1.0 + lam * lam)
+
+        def g_inverse(t: float) -> float:
+            if not -_HALF < t < _HALF:
+                raise DomainError(f"inverse argument {t} outside (-pi/2, pi/2)")
+            return math.tan(t)
+
+        return ScalarMaps(None, math.atan, g_prime, g_inverse)
+    if kind == "RECIP":
+        root2 = math.sqrt(2.0)
+
+        def g(lam: float) -> float:
+            return -root2 / (1.0 + lam)
+
+        def g_prime(lam: float) -> float:
+            return root2 / (1.0 + lam) ** 2
+
+        def g_inverse(t: float) -> float:
+            if t >= 0.0:
+                raise DomainError(f"inverse argument {t} must be negative")
+            return -root2 / t - 1.0
+
+        lower = -1.0
+        return ScalarMaps(lower, _above(kind, lower, g), _above(kind, lower, g_prime), g_inverse)
+    root = math.sqrt(a * a + 1.0)
+    a_plus_b, a_minus_b = a + b, a - b
+
+    def shifted_inverse(mu: float) -> float:
+        # lambda from the Moebius coordinate mu = (lambda + a - b) / (lambda + a + b)
+        return (mu * a_plus_b - a_minus_b) / (1.0 - mu)
+
+    if kind == "ATAN2":
+        scale, twice = root / b, 2.0 * root
+
+        def g(lam: float) -> float:
+            return scale * math.atan((lam + a - b) / (lam + a + b))
+
+        def g_prime(lam: float) -> float:
+            lo = lam + a - b
+            hi = lam + a + b
+            return twice / (hi * hi + lo * lo)
+
+        def g_inverse(t: float) -> float:
+            s = t * b / root
+            if not -_HALF < s < _QUARTER:
+                raise DomainError(f"inverse argument {t} outside the branch range")
+            return shifted_inverse(math.tan(s))
+
+        lower = -a_plus_b
+    else:  # LOG
+        scale, twice_b = root / (2.0 * b), 2.0 * b
+
+        def g(lam: float) -> float:
+            return scale * math.log((lam + a - b) / (lam + a + b))
+
+        def g_prime(lam: float) -> float:
+            # summed as the row sums alpha + beta lambda: lambda + (a - b) is exact near the bound
+            return root / ((lam + a_minus_b) * (lam + a_plus_b))
+
+        def g_inverse(t: float) -> float:
+            if t >= 0.0:
+                raise DomainError(f"inverse argument {t} must be negative")
+            return shifted_inverse(math.exp(twice_b * t / root))
+
+        lower = b - a
+    return ScalarMaps(lower, _above(kind, lower, g), _above(kind, lower, g_prime), g_inverse)
 
 
 def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
@@ -438,8 +498,8 @@ def _invert(point: Sequence[float], r: Sequence[float], forward: bool) -> tuple[
     if norm_sq == 0.0:
         raise ZeroPointError("the inversion map is singular at the origin")
     if forward:
-        return tuple(c / norm_sq for c in z)
-    return tuple(c / norm_sq / ri for c, ri in zip(z, r))
+        return tuple([c / norm_sq for c in z])
+    return tuple([c / norm_sq / ri for c, ri in zip(z, r)])
 
 
 def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "forward"):
@@ -470,16 +530,15 @@ def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Seq
     ``v`` takes the image y as a tuple of floats.  ``x`` may stack points
     one per row, as `kelvin_map` takes them; then v is called once per
     point and one value comes back per row."""
-    power = (frame.n - 2) / 2.0
+    return _each_point(lambda p: _u_at(frame, v, list(map(float, p))), x)
 
-    def value(p) -> float:
-        coords = list(map(float, p))
-        y = _invert(coords, frame.R, True)
-        quad = 0.5 * _dot(map(operator.mul, frame.spectrum, coords), coords)
-        affine = _dot(frame.linear, coords) + frame.constant
-        return quad + affine + _dot(y, y) ** power * float(v(y))
 
-    return _each_point(value, x)
+def _u_at(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: list[float]) -> float:
+    """`u_from_v` at one point x, given as a list of floats."""
+    y = _invert(x, frame.R, True)
+    quad = 0.5 * _dot(map(operator.mul, frame.spectrum, x), x)
+    affine = _dot(frame.linear, x) + frame.constant
+    return quad + affine + _dot(y, y) ** ((frame.n - 2) / 2.0) * float(v(y))
 
 
 # ── second-order jets and the Hessian identity ───────────────────────────
@@ -528,16 +587,19 @@ class Jet2(_Jet2Fields):
 
 def _jet_evaluator(v: MultiPoly):
     """The function taking a float point y to the 2-jet (value, grad,
-    hess) of v there, as a float and lists; v is differentiated once."""
+    hess) of v there, as a float and lists; v is differentiated once, and
+    each derivative's `float_evaluator` is built once."""
     n = v.n_vars
     grads = [v.partial(i) for i in range(n)]
-    second = [(i, j, grads[i].partial(j)) for i in range(n) for j in range(i, n)]
+    value_at = v.float_evaluator()
+    grad_at = [g.float_evaluator() for g in grads]
+    second = [(i, j, grads[i].partial(j).float_evaluator()) for i in range(n) for j in range(i, n)]
 
     def at(y):
         hess = [[0.0] * n for _ in range(n)]
         for i, j, p in second:
-            hess[i][j] = hess[j][i] = p.evaluate(y)
-        return v.evaluate(y), [g.evaluate(y) for g in grads], hess
+            hess[i][j] = hess[j][i] = p(y)
+        return value_at(y), [g(y) for g in grad_at], hess
 
     return at
 
@@ -635,11 +697,11 @@ class HessianReport(NamedTuple):
 
 # Stencil coordinates one `hessian_identity_check` may visit: each sample
 # evaluates u at 2n^2 + 1 points of n coordinates, one point at a time.  On
-# 2 shared CPUs a unit took 6.7-9.9 us at n = 2, 3.2-5.9 us at n = 3,
-# 2.7-4.6 us at n = 4 and 0.5-0.8 us at n = 100 (per-point overhead
-# dominates small n), so the cap is 54-79 s at n = 2 and under 50 s from
+# 2 shared CPUs a unit took 3.5-4.8 us at n = 2, 2.4-2.9 us at n = 3,
+# 1.6-1.7 us at n = 4 and 0.37-0.43 us at n = 100 (per-point overhead
+# dominates small n), so the cap is 28-38 s at n = 2 and under 25 s from
 # n = 3 on.  The widest stencil it admits (one sample at n = 158)
-# took 5.2-5.6 s at a peak RSS of 24 MB.
+# took 2.9 s at a peak RSS of 25 MB.
 MAX_FD_WORK = 8_000_000
 
 
@@ -668,14 +730,15 @@ def hessian_identity_check(
     n `gauss(0.0, 1.0)` values and then the radius as `uniform(1.2, 3.0)`;
     a point whose image would leave the ball (|Rx| < 1.05) is pushed out
     to |Rx| = 1.05.  The exact side evaluates the jet of v at the image on
-    floats and assembles N as `matrices_MNKL` does; u comes from `u_from_v`
-    at each stencil point.  Every float operation is the one the per-point
-    route (`poly_jet`, `matrices_MNKL`, `u_from_v`) performs, so the report
-    equals that route's.  A sample whose deviation is not finite (an
-    overflow, or inf - inf) counts as an infinite deviation, so it cannot
-    pass any tolerance.  ValueError unless samples >= 1, fd_step is a
-    positive finite number and the stencil stays within MAX_FD_WORK
-    (`check_fd_work`)."""
+    floats and assembles N as `matrices_MNKL` does; at each stencil point
+    u is evaluated by the one-point body that `u_from_v` runs, with v's
+    `float_evaluator` as the profile.  Every float operation is the one
+    the per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v` with
+    ``v.evaluate``) performs, so the report equals that route's.  A
+    sample whose deviation is not finite (an overflow, or inf - inf)
+    counts as an infinite deviation, so it cannot pass any tolerance.
+    ValueError unless samples >= 1, fd_step is a positive finite number
+    and the stencil stays within MAX_FD_WORK (`check_fd_work`)."""
     if v.n_vars != frame.n:
         raise ValueError("profile polynomial dimension does not match the frame")
     if samples < 1:
@@ -688,6 +751,7 @@ def hessian_identity_check(
     r = frame.R
     h = fd_step
     jet_at = _jet_evaluator(v)
+    v_at = v.float_evaluator()
 
     max_abs = 0.0
     max_rel = 0.0
@@ -701,7 +765,7 @@ def hessian_identity_check(
         if image_norm < 1.05:
             x = [c * (1.05 / image_norm) for c in x]
 
-        y = kelvin_map(x, r, "forward")
+        y = _invert(x, r, True)
         ysq = _dot(y, y)
         _, N, _, _ = _assemble(y, ysq, *jet_at(y), r)
         # A + |y|^n N, upper triangle only
@@ -715,7 +779,7 @@ def hessian_identity_check(
             p = list(x)
             for i, step in steps:
                 p[i] += step
-            return u_from_v(frame, v.evaluate, p)
+            return _u_at(frame, v_at, p)
 
         u0 = u_at()
         fd = {}

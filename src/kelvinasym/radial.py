@@ -66,16 +66,17 @@ __all__ = [
 MAX_PLANNED_WORK = 10_000_000
 
 # samples that one call to `trajectory_samples` may scatter.  At n = 3 on
-# 2 CPUs, 990,500 samples took 5.2 s to draw and 8.0 s to write with
-# `expand.write_samples`, at a peak RSS of 245 MB; so the cap is about a
-# minute of work and 1.2 GB
+# 2 shared CPUs, 990,500 samples took 2.9-4.3 s to draw and 3.6-4.1 s to
+# write with `expand.write_samples`, at a peak RSS of 243 MB; so the cap is
+# about 40 s of work and 1.2 GB
 MAX_SAMPLES = 5_000_000
 
 # coordinates those samples may hold, samples x n: the cost grows with n,
-# not with the samples alone.  On 2 CPUs three samples at n = 200,000 took
-# 2.4 us per coordinate to draw and write (0.4 s and 1.1 s), and three at
-# n = 2,000,000 peaked at 337 MB, about 56 bytes per coordinate; so the cap
-# is about 40 s and 0.9 GB, what MAX_SAMPLES allows at n = 3
+# not with the samples alone.  On 2 shared CPUs three samples at
+# n = 200,000 took 1.2-1.3 us per coordinate to draw and write (0.3 s and
+# 0.4-0.5 s), and three at n = 2,000,000 peaked at 430 MB in one process,
+# about 70 bytes per coordinate; so the cap is about 20 s and 1.1 GB, what
+# MAX_SAMPLES allows at n = 3
 MAX_SAMPLE_COORDINATES = 15_000_000
 
 _TRAJECTORY_HEADER = ["r", "u", "du", "error_estimate"]
@@ -230,8 +231,8 @@ def integrate_exterior(
     u1 = float(u1)
     p1 = float(p1)
     nm1 = n - 1
-    g = branch.g
-    g_inverse = branch.g_inverse
+    # the branch kind is resolved once here, not on each map call of `rate`
+    _, g, _, g_inverse = branch.maps
     states: list[RadialState] = []
 
     a = g_inverse(theta / n)
@@ -309,15 +310,13 @@ def write_trajectory(path, states: Sequence[RadialState]) -> None:
     """Write recorded nodes as CSV: r,u,du,error_estimate.
 
     Floats are rendered with repr so equal trajectories give byte-equal
-    files and `read_trajectory` restores the exact values.
+    files and `read_trajectory` restores the exact values.  Each node is
+    one ``%r,%r,%r,%r`` line ending in CRLF: the bytes `csv.writer`
+    writes, since a finite float's repr never needs quoting.
     """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRAJECTORY_HEADER)
-        for state in states:
-            writer.writerow(
-                [repr(state.r), repr(state.u), repr(state.p), repr(state.error)]
-            )
+        fh.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
+        fh.writelines("%r,%r,%r,%r\r\n" % (s.r, s.u, s.p, s.error) for s in states)
 
 
 def read_trajectory(path) -> list[tuple[float, float, float, float]]:
@@ -435,6 +434,6 @@ def trajectory_samples(
                 direction = [gauss(0.0, 1.0) for _ in range(n)]
                 norm = math.hypot(*direction)
             scale = state.r / norm
-            samples.append((tuple(c * scale for c in direction), state.u))
+            samples.append((tuple([c * scale for c in direction]), state.u))
     return samples
 

@@ -53,6 +53,8 @@ _BENCH_RADIAL += ["--sample-rmin", "20", "--sample-rmax", "2000", "--samples-out
 _BENCH_RADIAL += ["--seed", "1", "--out", "trajectory.csv"]
 # the same ray in the plane (theta = 2 atan(1)), whose fit carries the log column
 _BENCH_RADIAL_N2 = [*_BENCH_RADIAL[:4], "2", "--theta", "1.5707963267948966", *_BENCH_RADIAL[7:]]
+# the benchmark's full-size exterior-fit ray: 7,600 log steps, a node every 1000 r-steps
+_BENCH_RADIAL_FULL = [*_BENCH_RADIAL[:13], "--step", "1e-3", "--stride", "1000", *_BENCH_RADIAL[17:]]
 # one quadratic ray per kind (theta = 3 g(alpha), u1 = alpha / 2, p1 = alpha)
 _KIND_RADIAL = ["radial", "--n", "3", "--rmax", "20", "--step", "1e-2", "--stride", "50"]
 
@@ -86,6 +88,24 @@ FLOAT_REPORTS = {
         [_BENCH_RADIAL_N2],
         ["fit", "--samples", "samples.csv", "--n", "2", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
         "c1c7d05c929b16dfc0ce3aedbdabf9634bea94f08371d561be197a7b22a935ff",
+    ),
+    # the three outputs the benchmark's full-size exterior-fit pass writes:
+    # the trajectory (its samples are pinned in test_radial.py), the fit of
+    # those samples, and the 200-sample Hessian check
+    "radial-benchmark": (
+        [],
+        _BENCH_RADIAL_FULL[:-4],
+        "cf04c6665d9759236cc08eb2540ff5bece821043954df08f18eab6152df2c921",
+    ),
+    "fit-benchmark": (
+        [_BENCH_RADIAL_FULL],
+        ["fit", "--samples", "samples.csv", "--n", "3", "--annuli", "20:35,35:63,63:112,112:201,1500:2000.5"],
+        "9537f8fedad3be95efdf361c5394087b38612bd8095a02d1545376eae31427fa",
+    ),
+    "kelvin-check-benchmark": (
+        [],
+        ["kelvin-check", "--branch", "slag", "--n", "4", "--spectrum", "1,1,1,1", "--samples", "200"],
+        "5269fdc545da27f7b47a7157d717fa6f600152ca008d833dee7d2b105cc4a510",
     ),
     "radial-slag": (
         [],

@@ -440,6 +440,47 @@ def test_float_evaluation_equals_the_fraction_sum(a, pt):
     assert got == float(_fraction_sum(p.terms, pt))
 
 
+def _float_fold(p, point):
+    """A literal left fold from 0.0, over the keys in storage order, of
+    float(Fraction(c, den)) times x**k for each nonzero exponent k."""
+    total = 0.0
+    for e, c in p.terms.items():
+        term = float(c)
+        for x, k in zip(point, e):
+            if k:
+                term = term * x**k
+        total = total + term
+    return total
+
+
+_FOLD_POLYS = [
+    {},
+    {(0, 0, 0): fr(-7, 3)},
+    {(2, 0, 1): fr(1, 3), (0, 1, 0): fr(-5, 7), (0, 0, 0): fr(2, 9), (1, 1, 1): fr(10**20 + 1, 3)},
+    {(0, 3, 0): fr(1, 10), (1, 0, 2): fr(-1, 3), (0, 0, 1): fr(6)},
+]
+_FOLD_POINTS = [[0.0, 0.0, 0.0], [-0.0, 1.5, -2.0], [-1.25, 0.0, 3.0], [0.1, -0.7, -1e-3]]
+
+
+@pytest.mark.parametrize("terms", _FOLD_POLYS)
+@pytest.mark.parametrize("point", _FOLD_POINTS)
+def test_float_evaluator_is_a_left_fold_over_the_keys(terms, point):
+    # bit for bit, the sign of a zero included: the zero polynomial and a
+    # constant, at zero, negative and mixed coordinates
+    p = MultiPoly(3, terms)
+    want = _float_fold(p, point)
+    at = p.float_evaluator()
+    for got in (at(point), at(tuple(point)), p.evaluate(point)):
+        assert type(got) is float
+        assert got.hex() == want.hex()
+
+
+@given(p=polys(3), pt=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_float_evaluator_matches_the_fold_on_random_polynomials(p, pt):
+    assert p.float_evaluator()(pt).hex() == _float_fold(p, pt).hex()
+
+
 @given(
     a=big_term_dicts,
     pt=st.lists(st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=9)), min_size=3, max_size=3),

@@ -1,5 +1,6 @@
 """Tests for the correction recursion, asymptotic fitting, and recovery."""
 
+import csv
 import math
 import os
 import random
@@ -915,6 +916,40 @@ def test_write_samples_checks_every_sample_before_writing(tmp_path):
     with pytest.raises(InsufficientDataError, match="no samples given"):
         write_samples(path, [])
     assert not path.exists()
+
+
+# floats whose repr takes each form: a signed zero, the least subnormal,
+# an exponent, a power of ten past the fixed-point range, and two repeaters
+_AWKWARD_FLOATS = [-0.0, 5e-324, 1e300, 1e16, 0.1, 1 / 3]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_write_samples_gives_the_csv_writer_bytes(tmp_path, n):
+    values = _AWKWARD_FLOATS + [-c for c in _AWKWARD_FLOATS]
+    samples = [
+        (tuple(values[(i + j) % len(values)] for j in range(n)), values[(i + n) % len(values)])
+        for i in range(len(values))
+    ]
+    samples.append(((Fraction(1, 3),) + (2,) * (n - 1), Fraction(-1, 10)))
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(n)] + ["u"])
+        for x, u in samples:
+            writer.writerow([repr(float(c)) for c in x] + [repr(float(u))])
+    assert path.read_bytes() == reference.read_bytes()
+    back = read_samples(path)
+    assert [[c.hex() for c in x] + [u.hex()] for x, u in back] == [
+        [float(c).hex() for c in x] + [float(u).hex()] for x, u in samples
+    ]
+
+
+def test_read_samples_reads_quoted_numeric_fields(tmp_path):
+    path = tmp_path / "quoted.csv"
+    path.write_bytes(b'x1,x2,u\r\n"1.5",2,"-0.25"\r\n3,"4e-1",5\r\n')
+    assert read_samples(path) == [((1.5, 2.0), -0.25), ((3.0, 0.4), 5.0)]
 
 
 def test_read_samples_rejects_bad_header(tmp_path):

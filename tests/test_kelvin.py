@@ -106,21 +106,70 @@ def test_admissible_lower_values():
 
 
 def test_domain_errors():
-    _, recip, at, lg = ALL_BRANCHES
-    with pytest.raises(DomainError):
-        recip.g(-1.5)
-    with pytest.raises(DomainError):
-        lg.g(lg.b - lg.a)
-    with pytest.raises(DomainError):
-        at.g_prime(at.admissible_lower() - 0.1)
-    with pytest.raises(DomainError):
-        PhaseBranch.slag(THETA3).g_inverse(2.0)
-    with pytest.raises(DomainError):
-        recip.g_inverse(0.1)
-    with pytest.raises(DomainError):
-        lg.g_inverse(0.0)
-    with pytest.raises(DomainError):
-        at.g_inverse(100.0)
+    slag, recip, at, lg = ALL_BRANCHES
+    cases = [
+        (recip.g, -1.5, "eigenvalue -1.5 is not above the RECIP bound -1.0"),
+        (recip.g_prime, -1.0, "eigenvalue -1.0 is not above the RECIP bound -1.0"),
+        (lg.g, lg.b - lg.a, f"eigenvalue {lg.b - lg.a} is not above the LOG bound {lg.b - lg.a}"),
+        (at.g_prime, -2.0, f"eigenvalue -2.0 is not above the ATAN2 bound {-(at.a + at.b)}"),
+        (slag.g_inverse, 2.0, "inverse argument 2.0 outside (-pi/2, pi/2)"),
+        (recip.g_inverse, 0.1, "inverse argument 0.1 must be negative"),
+        (lg.g_inverse, 0.0, "inverse argument 0.0 must be negative"),
+        (at.g_inverse, 100.0, "inverse argument 100.0 outside the branch range"),
+    ]
+    for f, arg, message in cases:
+        with pytest.raises(DomainError) as info:
+            f(arg)
+        assert str(info.value) == message
+
+
+def _closed_forms(branch):
+    """g, g_prime and g_inverse of a branch, each written out as its
+    formula reads, with nothing computed ahead."""
+    a, b = branch.a, branch.b
+    if branch.kind == "SLAG":
+        return math.atan, lambda lam: 1.0 / (1.0 + lam * lam), math.tan
+    if branch.kind == "RECIP":
+        return (
+            lambda lam: -math.sqrt(2.0) / (1.0 + lam),
+            lambda lam: math.sqrt(2.0) / (1.0 + lam) ** 2,
+            lambda t: -math.sqrt(2.0) / t - 1.0,
+        )
+    if branch.kind == "ATAN2":
+        return (
+            lambda lam: math.sqrt(a * a + 1.0) / b * math.atan((lam + a - b) / (lam + a + b)),
+            lambda lam: 2.0 * math.sqrt(a * a + 1.0) / ((lam + a + b) * (lam + a + b) + (lam + a - b) * (lam + a - b)),
+            lambda t: (math.tan(t * b / math.sqrt(a * a + 1.0)) * (a + b) - (a - b))
+            / (1.0 - math.tan(t * b / math.sqrt(a * a + 1.0))),
+        )
+    return (
+        lambda lam: math.sqrt(a * a + 1.0) / (2.0 * b) * math.log((lam + a - b) / (lam + a + b)),
+        lambda lam: math.sqrt(a * a + 1.0) / ((lam + (a - b)) * (lam + (a + b))),
+        lambda t: (math.exp(2.0 * b * t / math.sqrt(a * a + 1.0)) * (a + b) - (a - b))
+        / (1.0 - math.exp(2.0 * b * t / math.sqrt(a * a + 1.0))),
+    )
+
+
+@pytest.mark.parametrize("branch", ALL_BRANCHES, ids=lambda b: b.kind)
+def test_scalar_maps_are_the_closed_forms_bit_for_bit(branch):
+    # the maps a loop reads once from `maps` and the methods are the same
+    # functions, and each rounds as its formula reads
+    g, g_prime, g_inverse = _closed_forms(branch)
+    lower = branch.admissible_lower()
+    assert branch.maps.lower == lower
+    offsets = [1e-9, 0.01, 0.5, 3.0, 1e6]
+    lams = [-1e6, -3.0, -0.5, 0.0, 0.5, 3.0, 1e6] if lower is None else [lower + d for d in offsets]
+    for lam in lams:
+        t = g(lam)
+        for got, want in (
+            (branch.g(lam), t),
+            (branch.maps.g(lam), t),
+            (branch.g_prime(lam), g_prime(lam)),
+            (branch.maps.g_prime(lam), g_prime(lam)),
+            (branch.g_inverse(t), g_inverse(t)),
+            (branch.maps.g_inverse(t), g_inverse(t)),
+        ):
+            assert got.hex() == want.hex()
 
 
 def test_phase_and_quadratic_fixed_point():

@@ -5,6 +5,7 @@ every check: pinned closed-form roots, exactly stationary quadratic
 rays, and a step-doubling error estimate that converges at fourth order
 and bounds the change from halving the step."""
 
+import csv
 import hashlib
 import math
 import random
@@ -221,6 +222,79 @@ def test_domain_failure_carries_radius_and_partial_trajectory():
     assert "RECIP" in str(err) and "bound" in str(err)
 
 
+def _kind_branch(kind, tau):
+    # theta = 3 g(0.3): the quadratic ray of slope 0.3 in n = 3
+    return PhaseBranch.make(kind, 3 * PhaseBranch.make(kind, 0.0, tau=tau).g(0.3), tau=tau)
+
+
+_NEAR_START = "near r = 1.0005000803178425"
+
+
+@pytest.mark.parametrize(
+    "branch, u1, p1, message",
+    [
+        # each start sits just past the slopes that fail at r = 1, so an RK4
+        # stage of the first step leaves the admissible slopes
+        (
+            PhaseBranch.slag(THETA3), 0.5, 0.4143,
+            "second derivative u'' grew without bound on the SLAG branch at radial slope "
+            f"u'/r = 0.4122600398388866 {_NEAR_START}",
+        ),
+        (
+            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -0.3332333333333333,
+            "second derivative u'' grew without bound on the RECIP branch at radial slope "
+            f"u'/r = -0.3338554020241516 {_NEAR_START}",
+        ),
+        (
+            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -1.0 / 3.0,
+            f"radial slope u'/r = -397994589.7052741 fell to the RECIP eigenvalue bound -1.0 {_NEAR_START}",
+        ),
+        (
+            _kind_branch("LOG", math.pi / 8), 0.15, -0.06142598927874095,
+            "second derivative u'' grew without bound on the LOG branch at radial slope "
+            f"u'/r = -0.06235861187501884 {_NEAR_START}",
+        ),
+        (
+            _kind_branch("LOG", math.pi / 8), 0.15, -0.06152598927874095,
+            "radial slope u'/r = -247357453.96985382 fell to the LOG eigenvalue bound "
+            f"-0.21684533543747486 {_NEAR_START}",
+        ),
+        (
+            _kind_branch("ATAN2", 3 * math.pi / 8), 0.15, -0.2176307713792221,
+            "second derivative u'' grew without bound on the ATAN2 branch at radial slope "
+            f"u'/r = -0.21901067947307146 {_NEAR_START}",
+        ),
+        (
+            _kind_branch("ATAN2", 3 * math.pi / 8), 0.15, -0.2177297713792221,
+            "second derivative u'' fell to the ATAN2 eigenvalue bound -1.3243932834975498 at "
+            f"radial slope u'/r = 216.52100429756428 {_NEAR_START}",
+        ),
+        # and at the start itself, below each bound
+        (
+            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -1.5,
+            "radial slope u'/r = -1.5 fell to the RECIP eigenvalue bound -1.0 near r = 1.0",
+        ),
+        (
+            _kind_branch("LOG", math.pi / 8), 0.15, -1.2168453354374749,
+            "radial slope u'/r = -1.2168453354374749 fell to the LOG eigenvalue bound "
+            "-0.21684533543747486 near r = 1.0",
+        ),
+        (
+            _kind_branch("ATAN2", 3 * math.pi / 8), 0.15, 5.0,
+            "second derivative u'' fell to the ATAN2 eigenvalue bound -1.3243932834975498 at "
+            "radial slope u'/r = 5.0 near r = 1.0",
+        ),
+    ],
+)
+def test_domain_failure_names_the_slope_and_radius_on_every_kind(branch, u1, p1, message):
+    with pytest.raises(DomainError) as info:
+        integrate_exterior(branch, 3, branch.theta, u1, p1, 20.0, 1e-3)
+    err = info.value
+    assert str(err) == message
+    assert err.radius == float(message.rsplit("near r = ", 1)[1])
+    assert len(err.trajectory) == (0 if err.radius == 1.0 else 1)
+
+
 def test_inadmissible_start_fails_before_any_step():
     br = PhaseBranch.slag(THETA3)
     with pytest.raises(DomainError):
@@ -305,6 +379,24 @@ def test_trajectory_csv_roundtrip(tmp_path):
         assert row == (s.r, s.u, s.p, s.error)
 
 
+@pytest.mark.parametrize("n, theta", [(2, math.pi / 2), (3, THETA3)])
+def test_write_trajectory_gives_the_csv_writer_bytes(tmp_path, n, theta):
+    states = integrate_exterior(PhaseBranch.slag(theta), n, theta, 0.5, 1.0, 5.0, 1e-2, stride=25)
+    awkward = [-0.0, 5e-324, 1e300, 1e16, 0.1, 1 / 3]
+    for i in range(len(awkward)):
+        r, u, p, error = (awkward[(i + j) % len(awkward)] for j in range(4))
+        states.append(RadialState(r=r, u=u, p=-p, w=0.0, error=error))
+    path = tmp_path / "traj.csv"
+    write_trajectory(path, states)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "u", "du", "error_estimate"])
+        for state in states:
+            writer.writerow([repr(state.r), repr(state.u), repr(state.p), repr(state.error)])
+    assert path.read_bytes() == reference.read_bytes()
+
+
 def test_read_trajectory_rejects_malformed_files(tmp_path):
     bad_header = tmp_path / "h.csv"
     bad_header.write_text("radius,u,du,error_estimate\n1.0,1.0,1.0,0.0\n")
@@ -378,6 +470,20 @@ def test_trajectory_samples_stream_is_pinned(tmp_path):
     write_samples(path, samples)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "76604b412186ebfe7499ff5318ce9623f5198746d6fa5079c46c090ee57231a0"
+
+
+def test_benchmark_samples_are_pinned(tmp_path):
+    # the samples.csv of the benchmark's full-size exterior-fit `radial` run
+    # (step 1e-3, stride 1000, seed 1); tests/pinned_reports.py pins its
+    # trajectory and the fit of these samples
+    br = PhaseBranch.slag(THETA3)
+    states = integrate_exterior(br, 3, THETA3, 0.5, 1.1, 2000.0, 1e-3, stride=1000)
+    samples = trajectory_samples(states, 3, per_radius=3, seed=1, r_min=20.0, r_max=2000.0)
+    path = tmp_path / "samples.csv"
+    write_samples(path, samples)
+    assert len(samples) == 5943
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "346a143b5d6ee50a6a84e9b8bab46718ab31c454cd1e0d88ad567c048cb63e9a"
 
 
 def test_trajectory_samples_lie_on_their_spheres_with_centred_directions():
