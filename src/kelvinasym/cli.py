@@ -411,11 +411,11 @@ def _run_kelvin_check(merged: dict) -> int:
 # ── subcommand: poisson ──────────────────────────────────────────────────
 
 # Each solve runs the Laplacian ladder and re-verifies its solution exactly.
-# At about 1000 monomials of the top degree one trial per degree takes 1.4 s
-# at n = 3 (degree 43) and 0.3 s at n = 44 (degree 2), start-up included, on
-# 2 CPUs.  Every solve also builds |y|^2, n terms of n entries each, so the
-# cost grows with n even at degree 1: 0.003 s per solve in 100 variables and
-# 0.26 s in 1000.  So n itself is bounded too.
+# At about 1000 monomials of the top degree one trial per degree takes 0.44 s
+# at n = 3 (degree 43) and 0.08 s at n = 44 (degree 2), start-up included, on
+# 2 CPUs.  Every exponent has n entries, so each draw, solve and check costs
+# at least n per term even at degree 1: 0.3 ms per solve in 100 variables
+# and 32 ms in 1000.  So n itself is bounded too.
 MAX_POISSON_MONOMIALS = 1000
 MAX_POISSON_N = 100
 
@@ -433,15 +433,18 @@ def _exponents(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
+    """About half the monomials of the degree, each with a coefficient p/q
+    for p in -4..4 and q in 1..5, drawn in that order; y1^degree when no
+    monomial is drawn (a draw whose every p is 0 gives the zero polynomial)."""
+    # p/q as the numerator p (60/q) over 60 = lcm(1, ..., 5)
     terms = {}
     for exponent in _exponents(n, degree):
         if rng.random() < 0.5:
             continue
-        terms[exponent] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+        terms[exponent] = rng.randint(-4, 4) * (60 // rng.randint(1, 5))
     if not terms:
-        exponent = tuple(degree if i == 0 else 0 for i in range(n))
-        terms[exponent] = Fraction(1)
-    return MultiPoly(n, terms)
+        terms[(degree,) + (0,) * (n - 1)] = 60
+    return MultiPoly._make(n, terms, 60)
 
 
 def _run_poisson(merged: dict) -> int:

@@ -360,17 +360,7 @@ class MultiPoly(_RationalMap):
         return MultiPoly._make(self.n_vars, out, self._den)
 
     def laplacian(self) -> "MultiPoly":
-        out: dict[Exponent, int] = defaultdict(int)
-        for e, c in self._num.items():
-            for i, ei in enumerate(e):
-                if ei >= 2:
-                    out[e[:i] + (ei - 2,) + e[i + 1 :]] += c * ei * (ei - 1)
-        return MultiPoly._make(self.n_vars, out, self._den)
-
-    def euler(self) -> "MultiPoly":
-        """``sum_i y_i * d/dy_i`` applied to the polynomial."""
-        out = {e: c * sum(e) for e, c in self._num.items()}
-        return MultiPoly._make(self.n_vars, out, self._den)
+        return MultiPoly._make(self.n_vars, _laplacian_num(self._num), self._den)
 
     # structure ------------------------------------------------------------
 
@@ -501,6 +491,28 @@ class MultiPoly(_RationalMap):
         if self.is_zero:
             return "0"
         return " + ".join(f"{c}{_monomial(e)}" for e, c in sorted(self.terms.items()))
+
+
+def _laplacian_num(num: Mapping[Exponent, int]) -> dict[Exponent, int]:
+    """The Laplacian of an integer map ``{exponent: numerator}``, term by
+    term, with its zero entries dropped."""
+    out: dict[Exponent, int] = defaultdict(int)
+    for e, c in num.items():
+        for i, ei in enumerate(e):
+            if ei >= 2:
+                out[e[:i] + (ei - 2,) + e[i + 1 :]] += c * (ei * ei - ei)
+    return {e: c for e, c in out.items() if c}
+
+
+def _add_r2_times(out: dict[Exponent, int], num: Mapping[Exponent, int], n_vars: int) -> dict[Exponent, int]:
+    """``out + |y|^2 num`` on integer maps in ``n_vars`` variables, added
+    into ``out`` and returned; an entry may cancel to 0 and stays."""
+    get = out.get
+    for i in reversed(range(n_vars)):
+        for e, c in num.items():
+            key = e[:i] + (e[i] + 2,) + e[i + 1 :]
+            out[key] = get(key, 0) + c
+    return out
 
 
 def _monomial(e: Exponent) -> str:
@@ -789,52 +801,64 @@ class RadPoly(_RationalMap):
 # c_k is then the eigenvalue of |y|^2 lap on |y|^(2k) times a harmonic, so
 # the same pass gives the harmonic projection of h.
 #
+# The pass runs on integers: a_k = A_k / D over the one denominator
+# D = c_0 c_1 ... c_floor(m/2), with A_k = (-1)^k c_(k+1) ... c_floor(m/2), so
+# the rungs are integer maps of h's numerators, U = sum_k A_k |y|^(2k) lap^k
+# h_num, and u = U / (D h_den) is reduced once, at the end.
+#
 # The rungs are dense in the variables (|y|^(2k) has C(k+n-1, n-1) terms),
 # so before any |y|^2 product the ladder bounds its output by
 # sum_k C(k+n-1, n-1) |lap^k h| terms, at most the C(m+n-1, n-1) monomials
 # of degree m, each of n entries, and refuses a bound above the cap.  On 2
-# CPUs a solve costs about 0.65 us per bounded entry (h = y1^2 y2^2: 0.37 s
-# at n = 100, 2.6 s at n = 200), so the cap admits about 1.3 s; the CLI's
-# caps stay below 44,000 entries.
+# CPUs a solve costs about 0.33 us per bounded entry (h = y1^2 y2^2: 0.18 s
+# at n = 100, 0.63 s at n = 155, the largest n the cap admits for it), so
+# the cap admits about 0.7 s; the CLI's caps stay below 44,000 entries.
 _MAX_LADDER_ENTRIES = 2_000_000
 
 
 @lru_cache(maxsize=None)
-def _poisson_block(n_vars: int, degree: int, weight: int) -> tuple[Fraction, ...]:
-    """The ladder coefficients ``a_0, ..., a_floor(m/2)`` at degree m and
-    radial weight ``weight``.  The benchmark's tracer reads this cache's
-    hit and miss statistics under this name."""
+def _poisson_block(n_vars: int, degree: int, weight: int) -> tuple[tuple[int, ...], int]:
+    """The ladder coefficients at degree m and radial weight ``weight >= 0``
+    as integers ``(A, D)``: ``a_k = A[k] / D`` for k = 0 .. floor(m/2), with
+    ``D > 0``.  The benchmark's tracer reads this cache's hit and miss
+    statistics under this name."""
     c = weight * (weight + n_vars - 2 + 2 * degree)
-    a = [Fraction(1, c) if c else Fraction(1)]
+    factors = [c or 1]
     for k in range(1, degree // 2 + 1):
         c += 2 * n_vars + 4 * (degree - 2 * k)
-        a.append(-a[-1] / c)
-    return tuple(a)
+        factors.append(c)
+    # A_k = (-1)^k c_(k+1) ... c_top, from the top rung down
+    tail, a = 1, []
+    for k in reversed(range(len(factors))):
+        a.append(-tail if k & 1 else tail)
+        tail *= factors[k]
+    return tuple(reversed(a)), tail
 
 
 def _ladder(h: MultiPoly, weight: int) -> MultiPoly:
     """``sum_k a_k |y|^(2k) lap^k h`` for nonzero homogeneous ``h``, in one
-    Horner pass; ValueError when its size bound passes the cap."""
+    Horner pass over integer maps; ValueError when its size bound passes
+    the cap."""
     n, m = h.n_vars, h.total_degree()
-    rungs = [h]
+    rungs = [h._num]
     for _ in range(m // 2):
-        lap = rungs[-1].laplacian()
+        lap = _laplacian_num(rungs[-1])
         if not lap:
             break
         rungs.append(lap)
-    terms = sum(math.comb(k + n - 1, n - 1) * len(r._num) for k, r in enumerate(rungs))
+    terms = sum(math.comb(k + n - 1, n - 1) * len(r) for k, r in enumerate(rungs))
     bound = min(terms, math.comb(m + n - 1, n - 1)) * n
     if bound > _MAX_LADDER_ENTRIES:
         raise ValueError(
             f"the Laplacian ladder in n = {n} variables at degree {m} may build "
             f"{bound} exponent entries, more than {_MAX_LADDER_ENTRIES}"
         )
-    a = _poisson_block(n, m, weight)
-    r2 = MultiPoly.r_squared(n)
-    u = MultiPoly.zero(n)
+    a, d = _poisson_block(n, m, weight)
+    u: dict[Exponent, int] = {}
     for k in reversed(range(len(rungs))):
-        u = rungs[k] * a[k] + r2 * u
-    return u
+        ak = a[k]
+        u = _add_r2_times({e: ak * c for e, c in rungs[k].items()}, u, n)
+    return MultiPoly._make(n, u, d * h._den)
 
 
 def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
@@ -842,13 +866,19 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
     polynomial ``h`` in ``n >= 3`` variables; returns the unique homogeneous
     polynomial ``u`` of the same degree.
 
+    The solution is the Laplacian ladder ``u = sum_k a_k |y|^(2k) lap^k h``
+    at radial weight ``n - 2``, run on integers: with the table's ``a_k =
+    A_k / D`` and ``h`` stored as ``h_num / h_den``, one Horner pass builds
+    ``U = sum_k A_k |y|^(2k) lap^k h_num`` and ``u = U / (D h_den)`` is
+    reduced once.
+
     Raises DimensionError when n <= 2 or the variable counts disagree, and
     ValueError for an inhomogeneous right-hand side or a ladder past its
     size cap.  Before returning, the solution is re-verified by the
     product rule, as `RadPoly.laplacian` applies it term by term: with
     ``w = n - 2``, ``lap(|y|^w u) = |y|^(w-2) (w (w + n - 2) u + 2w E u
-    + |y|^2 lap u)``, ``E`` the Euler operator, so ``w (w + n - 2) u +
-    2w E u + |y|^2 lap u - h`` must be the zero polynomial.
+    + |y|^2 lap u)``, ``E`` the Euler operator, applied to the returned
+    numerators and divided by their denominator once, must give ``h``.
     """
     if n < 3:
         raise DimensionError("the radial-weight Poisson solve needs n >= 3")
@@ -860,8 +890,10 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
         raise ValueError("right-hand side must be homogeneous")
     w = n - 2
     u = _ladder(h, w)
-    residual = u * (w * (w + n - 2)) + u.euler() * (2 * w) + MultiPoly.r_squared(n) * u.laplacian() - h
-    if residual:
+    base = w * (w + n - 2)
+    # E is applied term by term, by each key's own degree
+    lhs = {e: (base + 2 * w * sum(e)) * c for e, c in u._num.items()}
+    if MultiPoly._make(n, _add_r2_times(lhs, _laplacian_num(u._num), n), u._den) != h:
         raise SolveError("exact solve failed verification")
     return u
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import Iterable, NamedTuple, Sequence, Union
 
@@ -170,23 +171,27 @@ def _symmetric_matrix(mat: MatrixLike, n: int) -> list[list[Fraction]]:
 
 def _sigmas(values, one) -> list:
     """sigma_0 .. sigma_n of a value list: the coefficients of
-    prod (1 + t v) in powers of t, in the ring whose unit is ``one``."""
+    prod (1 + t v) in powers of t, in the ring whose unit is ``one``.
+    Each factor updates the list in place from the top coefficient down, so
+    every entry still reads the previous factor's entry below it."""
     out = [one]
     for v in values:
-        out = [out[0]] + [out[c] + v * out[c - 1] for c in range(1, len(out))] + [v * out[-1]]
+        out.append(v * out[-1])
+        for c in range(len(out) - 2, 0, -1):
+            out[c] = out[c] + v * out[c - 1]
     return out
 
 
 def _pencil_sigmas(pairs, one) -> list:
     """Coefficients of prod (plus + t minus) in powers of t, over the
-    (plus, minus) pairs, in the ring whose unit is ``one``."""
+    (plus, minus) pairs, in the ring whose unit is ``one``; updated in place
+    from the top coefficient down, as `_sigmas` is."""
     out = [one]
     for plus, minus in pairs:
-        out = (
-            [out[0] * plus]
-            + [out[c] * plus + out[c - 1] * minus for c in range(1, len(out))]
-            + [out[-1] * minus]
-        )
+        out.append(out[-1] * minus)
+        for c in range(len(out) - 2, 0, -1):
+            out[c] = out[c] * plus + out[c - 1] * minus
+        out[0] = out[0] * plus
     return out
 
 
@@ -418,6 +423,22 @@ def linear_coefficient_sigma(k: int, s: SpectrumLike, B: MatrixLike) -> Fraction
 # ── identity verification ────────────────────────────────────────────────
 
 
+@lru_cache(maxsize=None)
+def _l33_table(n: int) -> tuple[tuple, ...]:
+    """L33's right-hand side as weighted terms, one row per k = 0 .. n of
+    (C(m, j) C(n - m, k - j), k - j, n - m - k + j, m) over m = 0 .. n and
+    the j of the double sum, in its order: sigma_bar_k is the sum of
+    weight * (a - b)^(k-j) * (a + b)^(n-m-k+j) * sigma_m."""
+    return tuple(
+        tuple(
+            (math.comb(m, j) * math.comb(n - m, k - j), k - j, n - m - k + j, m)
+            for m in range(n + 1)
+            for j in range(max(0, k - (n - m)), min(m, k) + 1)
+        )
+        for k in range(n + 1)
+    )
+
+
 def verify_identity(lemma: str, s: SpectrumLike, p: BranchParams | None = None) -> list[ExactReport]:
     """Both sides of one of the L32/L33/L34 identities at every index, as
     one report per index without raising on disagreement: i = 1 .. n (the
@@ -447,14 +468,7 @@ def verify_identity(lemma: str, s: SpectrumLike, p: BranchParams | None = None) 
         minus = [(a - b) ** e for e in range(n + 1)]
         plus = [(a + b) ** e for e in range(n + 1)]
         lhs = _pencil_sigmas([(v + a + b, v + a - b) for v in x], 1)
-        rhs = [
-            sum(
-                math.comb(m, j) * math.comb(n - m, k - j) * minus[k - j] * plus[n - m - k + j] * sig[m]
-                for m in range(n + 1)
-                for j in range(max(0, k - (n - m)), min(m, k) + 1)
-            )
-            for k in range(n + 1)
-        ]
+        rhs = [sum(w * minus[i] * plus[j] * sig[m] for w, i, j, m in row) for row in _l33_table(n)]
         degree = n
 
     else:

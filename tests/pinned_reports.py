@@ -45,6 +45,16 @@ EXACT_REPORTS = {
         ["lemmas", "--n", "2", "--trials", "2"],
         "1f651e23e7c3e406abfc3374df754c49fc400898a86483524ffc5f4155709967",
     ),
+    # the benchmark's identity-sweep reports (its residual-scaling-n5 is a
+    # float report, below)
+    "lemmas-benchmark": (
+        ["lemmas", "--n", "5", "--trials", "40"],
+        "40484b899ac046522eca878deaebecd6d7fe5b54bfa0d3f1a0a92a4de881dcad",
+    ),
+    "poisson-benchmark": (
+        ["poisson", "--n", "5", "--degree", "6", "--trials", "20"],
+        "c9610f658805eb235df43a12f7fbd7768e0cdc111c86e98e7033682bc2a02f1d",
+    ),
 }
 
 _BENCH_RADIAL = ["radial", "--branch", "slag", "--n", "3", "--theta", repr(3 * math.pi / 4), "--u1", "0.5"]

@@ -432,6 +432,23 @@ def test_poisson_solutions_are_pinned():
     assert hasher.hexdigest() == "b2afaf3c8cab68a68edc63076e409d09da4f7b9c850e034f1f7e1ae64254e1dd"
 
 
+@pytest.mark.parametrize(
+    "n,degree,digest",
+    [
+        (3, 43, "183c1ce149ce0610c0ca6fbfd31ae3a457db66bbf93f25027835972171babdb7"),
+        (20, 4, "12dc6a2aaad93268767ad757ff91aadf2326aca687f23021082ad3b329ba1e1b"),
+        (100, 2, "98c88c9a71a5ac61c9be92732119e73f5a1b9ff46bb12009328669c511adb1f1"),
+    ],
+)
+def test_large_poisson_solutions_are_pinned(n, degree, digest):
+    # one draw (seed 1) at the largest degree the CLI admits at n = 3, and
+    # two denser solves in more variables, where the integer ladder's
+    # numerators grow longest and its |y|^2 products widest
+    h = cli._random_homogeneous(Random(1), n, degree)
+    u = solve_radical_poisson(h, n)
+    assert hashlib.sha256(json.dumps(u.to_json(), sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_poisson_reports_a_solver_failure(tmp_path, capsys):
     def failing_solve(h, n):
         raise SolveError("exact solve failed verification")

@@ -183,12 +183,6 @@ def test_known_laplacians():
     assert (y1**2).laplacian() == MultiPoly.const(3, 2)
 
 
-@given(p=homogeneous(3, 4))
-@settings(max_examples=25, deadline=None)
-def test_euler_identity(p):
-    assert p.euler() == 4 * p
-
-
 def test_evaluate_exact_and_float():
     p = MultiPoly(2, {(2, 0): fr(3, 2), (0, 1): fr(-1)})
     assert p.evaluate([fr(1, 2), fr(1, 3)]) == fr(3, 2) * fr(1, 4) - fr(1, 3)
@@ -384,7 +378,6 @@ def test_operations_match_fraction_dict_model(a, b, s, k, i):
         (p**k, _model_pow(A, k)),
         (p.partial(i), _model_partial(A, i)),
         (p.laplacian(), _model_laplacian(A)),
-        (p.euler(), _clean({e: c * sum(e) for e, c in A.items()})),
         ((r2 * q).try_divide_r2(), B),
     ]
     comps = p.homogeneous_components()
@@ -1000,8 +993,8 @@ def test_poisson_verification_rejects_a_wrong_solution():
     ladder = exactalg._poisson_block
 
     def perturbed(n_vars, degree, weight):
-        a = ladder(n_vars, degree, weight)
-        return (a[0] + fr(1, 7),) + a[1:]
+        a, d = ladder(n_vars, degree, weight)
+        return (a[0] + 1,) + a[1:], d
 
     h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + MultiPoly.r_squared(3)
     with mock.patch.object(exactalg, "_poisson_block", perturbed):
@@ -1020,6 +1013,41 @@ def test_one_ladder_solves_every_radial_weight(n):
             h = MultiPoly(n, terms) or MultiPoly.variable(n, 0) ** m
             u = exactalg._ladder(h, w)
             assert RadPoly(n, {w: u}).laplacian() == RadPoly(n, {w - 2: h})
+
+
+def fraction_ladder(h, weight):
+    """Oracle for the integer ladder: sum_k a_k |y|^(2k) lap^k h over
+    Fractions and MultiPoly operations, with a_k = (-1)^k / (c_0 ... c_k)
+    from the recurrence c_0 = w (w + n - 2 + 2m), c_k = c_(k-1) + 2n +
+    4(m - 2k), a zero c_0 read as 1."""
+    n, m = h.n_vars, h.total_degree()
+    c = weight * (weight + n - 2 + 2 * m)
+    a = fr(1, c or 1)
+    rung, r2k = h, MultiPoly.const(n, 1)
+    u = rung * a * r2k
+    for k in range(1, m // 2 + 1):
+        c += 2 * n + 4 * (m - 2 * k)
+        a = -a / c
+        rung, r2k = rung.laplacian(), r2k * MultiPoly.r_squared(n)
+        u = u + rung * a * r2k
+    return u
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_integer_ladder_equals_the_fraction_oracle(n):
+    rng = random.Random(300 + n)
+    for weight in (0, n - 2):
+        for m in range(13):
+            terms = {e: fr(rng.randint(-5, 5), rng.randint(1, 9)) for e in _random_exponents(rng, n, m, 4)}
+            h = MultiPoly(n, terms) or MultiPoly.variable(n, n - 1) ** m
+            assert exactalg._ladder(h, weight) == fraction_ladder(h, weight)
+
+
+def test_ladder_table_is_integers_over_one_positive_denominator():
+    for n, m, w in [(3, 0, 1), (3, 7, 0), (5, 6, 3), (20, 4, 18), (100, 2, 98)]:
+        a, d = exactalg._poisson_block(n, m, w)
+        assert len(a) == m // 2 + 1 and d > 0
+        assert all(type(v) is int for v in (*a, d))
 
 
 def test_ladder_runs_every_solve_the_cli_admits():
@@ -1124,8 +1152,8 @@ def test_harmonic_decomposition_rejects_a_projection_that_is_not_harmonic():
     ladder = exactalg._poisson_block
 
     def perturbed(n_vars, degree, weight):
-        a = ladder(n_vars, degree, weight)
-        return a[:-1] + (a[-1] + fr(1, 7),)
+        a, d = ladder(n_vars, degree, weight)
+        return a[:-1] + (a[-1] + 1,), d
 
     with mock.patch.object(exactalg, "_poisson_block", perturbed):
         with pytest.raises(SolveError, match="harmonic projection failed verification"):

@@ -403,6 +403,55 @@ def test_linear_coefficient_validates_input():
 # ── the determinant identities ───────────────────────────────────────────
 
 
+def expanded_product(factors, one):
+    """Coefficients in t of prod (p + t q) over (p, q) factors, by
+    multiplying out one factor at a time into a fresh list."""
+    coeffs = [one]
+    for p, q in factors:
+        nxt = [0 * one] * (len(coeffs) + 1)
+        for c, v in enumerate(coeffs):
+            nxt[c] = nxt[c] + v * p
+            nxt[c + 1] = nxt[c + 1] + v * q
+        coeffs = nxt
+    return coeffs
+
+
+def test_in_place_sigma_kernels_equal_the_expanded_product_in_every_ring():
+    rng = Random(5)
+    y1, y2, unit = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1), MultiPoly.const(2, 1)
+    rings = [
+        (1, lambda: rng.randint(-9, 9)),
+        (fr(1), lambda: fr(rng.randint(-9, 9), rng.randint(1, 7))),
+        (unit, lambda: fr(rng.randint(-3, 3), rng.randint(1, 4)) * y1 + rng.randint(-3, 3) * y2 + unit),
+    ]
+    for one, draw in rings:
+        for size in range(6):
+            values = [draw() for _ in range(size)]
+            pairs = [(draw(), draw()) for _ in range(size)]
+            assert symfun._sigmas(values, one) == expanded_product([(one, v) for v in values], one)
+            assert symfun._pencil_sigmas(pairs, one) == expanded_product(pairs, one)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 33])
+def test_l33_table_is_the_double_binomial_sum(n):
+    # the table's weighted terms, summed with random integer powers and
+    # sigmas, give the literal double sum at every k
+    rng = Random(n)
+    minus = [rng.randint(-50, 50) for _ in range(n + 1)]
+    plus = [rng.randint(-50, 50) for _ in range(n + 1)]
+    sig = [rng.randint(-50, 50) for _ in range(n + 1)]
+    rows = symfun._l33_table(n)
+    assert len(rows) == n + 1
+    for k, row in enumerate(rows):
+        literal = sum(
+            math.comb(m, j) * math.comb(n - m, k - j) * minus[k - j] * plus[n - m - k + j] * sig[m]
+            for m in range(n + 1)
+            for j in range(0, m + 1)
+            if 0 <= k - j <= n - m
+        )
+        assert sum(w * minus[i] * plus[j] * sig[m] for w, i, j, m in row) == literal
+
+
 def test_l32_pinned_example():
     reports = verify_identity("L32", (1, 2, 3))
     assert [(r.lhs, r.rhs) for r in reports] == [(50, 50), (20, 20), (10, 10)]
