@@ -48,15 +48,15 @@ from random import Random
 
 from . import symfun
 from .exactalg import MultiPoly, SolveError, parse_rational, solve_radical_poisson
-from .equations import linear_part_defect, residual_scaling_slopes, symbolic_residual
+from .equations import linear_part_defect, residual_scaling_slopes
 from .expand import (
     ConditioningError,
     ExpansionState,
     InsufficientDataError,
     check_fit_work,
+    correct_through,
     fit_expansion,
     leading_correction,
-    next_correction,
     read_samples,
     write_fit,
     write_samples,
@@ -512,9 +512,10 @@ def _run_residual_n3(merged: dict) -> int:
 # ── subcommand: expand3 ──────────────────────────────────────────────────
 
 # The recursion's residual grows quickly with the order: with --p0 3/2
-# --spectrum 1,1/2,2 a run takes 0.23 s at order 12, 0.75 s at 24,
-# 0.9-1.5 s at 28 and 32 and 2.3-4.0 s at 36, start-up and the final
-# whole-residual audit included, on 2 shared CPUs.
+# --spectrum 1,1/2,2 a run takes 0.07-0.08 s at order 12, 0.24 s at 24,
+# 0.56-0.86 s at 28, 0.57-0.68 s at 32 and 1.3-1.6 s at 36, start-up and
+# the final whole-residual audit included, on 2 shared CPUs; at 36 the
+# audit takes most of it, 1.2 s, and the 34 steps 0.2 s.
 MAX_EXPAND3_ORDER = 36
 
 
@@ -554,26 +555,23 @@ def _run_expand3(merged: dict) -> int:
         Q=MultiPoly.zero(3),
         order=2,
     )
-    steps = []
-    first_state = None
-    while state.order < order:
-        state = next_correction(state)
-        if first_state is None:
-            first_state = state
-        degrees = sorted(
-            comp_degree for comp_degree in state.Q.homogeneous_components()
-        )
-        steps.append({"order": state.order, "q_component_degrees": degrees})
+    # the steps and the audit share one windowed residual, so each weight
+    # window of each minor is formed once
+    states, windows = correct_through(state, order)
+    steps = [
+        {"order": step.order, "q_component_degrees": sorted(step.Q.homogeneous_components())}
+        for step in states
+    ]
 
     # a normal-form term |y|^K y^e with K odd is |y|^-1 times a polynomial
     # of degree K + |e| + 1, and the form is unique, so these are the
     # degrees of the odd part's components
-    residual = symbolic_residual(state.P, state.Q, state.spectrum)
+    residual = windows.through()
     leftover_degrees = sorted({sum(key) + 1 for key in residual.keys() if key[0] & 1})
     audit_pass = all(d > order - 1 for d in leftover_degrees)
 
     closed_form = leading_correction(p0, spectrum)
-    first_q = first_state.Q if first_state is not None else MultiPoly.zero(3)
+    first_q = states[0].Q if states else MultiPoly.zero(3)
     difference = closed_form - first_q
     failure = None
     if not audit_pass:

@@ -30,7 +30,8 @@ lists, by `transformed_residual` (N from `kelvin.matrices_MNKL`), and on
 the flat-phase branch exactly, in one formula (`_flat_residual`), by
 `transformed_residual_exact` (rational jets, rational radius) and fully
 symbolically, in any n >= 3, by `symbolic_residual`, which can stop at a
-weight ceiling.  Since
+weight ceiling, and by `WindowedResidual`, which forms it one weight
+window at a time while v grows.  Since
 E_H + i O_H = det(I + iH) and |det(I + iA)|^2 = gamma, the flat-phase
 residual along H = A + |y|^n M R^2 is a weighted sum of the principal
 minors of M:
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 from typing import NamedTuple, Sequence, Union
 
@@ -71,7 +73,7 @@ from .kelvin import (
 )
 from .symfun import (
     MismatchError,
-    _Dual,
+    _linear_coefficients_by_deleted_sum,
     _principal_minors,
     char_sigmas,
     random_spectrum,
@@ -80,6 +82,7 @@ from .symfun import (
 __all__ = [
     "AlgebraicForm",
     "ResidualBreakdown",
+    "WindowedResidual",
     "algebraic_residual",
     "notheta_residual",
     "linear_part_factor",
@@ -350,7 +353,33 @@ def _flat_weight(vals, subset) -> Fraction:
     return im
 
 
-def _flat_residual(y, value, grad, hess, vals, rpow, ceiling=None):
+def _flat_matrix(y, value, grad, hess, rpow):
+    """M = K + (L / |y|^2) y y^T from the 2-jet (value, grad, hess) of v
+    at y (`identity_parts`), with rpow(k) = |y|^k in the ring of the jet.
+    M is linear in the jet, and a RadPoly jet of weight w gives entries of
+    weight w (v's jet contracted with y and |y|^2 at matching weight)."""
+    n = len(y)
+    K, L = identity_parts(y, value, grad, hess, rpow(2))
+    radial = L * rpow(-2)
+    return [[K[i][j] + radial * (y[i] * y[j]) for j in range(n)] for i in range(n)]
+
+
+def _flat_sum(minors, vals, rpow, zero):
+    """sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S from the
+    principal minors {S: det M_S} (`symfun._principal_minors`), with
+    w_S = Im prod_{l in S} (lambda_l + i); a size absent from ``minors``
+    adds nothing."""
+    n = len(vals)
+    total = zero
+    for size in range(1, n + 1):
+        part = sum(
+            (_flat_weight(vals, S) * det for S, det in minors.items() if len(S) == size), zero
+        )
+        total = total + part * rpow(n * (size - 1) - 2)
+    return total
+
+
+def _flat_residual(y, value, grad, hess, vals, rpow):
     """The flat-phase theta-free residual along H = A + |y|^n M R^2,
     normalized by gamma |y|^(n+2), from the 2-jet (value, grad, hess) of v
     at y and the rational spectrum vals of A:
@@ -362,29 +391,11 @@ def _flat_residual(y, value, grad, hess, vals, rpow, ceiling=None):
     conj(det(I + iA)) det(I + iA) = gamma.  The |S| = 1 part is
     trace(M) / |y|^2, which is lap(v) by the trace identity.  rpow(k)
     is |y|^k in the ring of the jet; only +, - and * touch the entries, so
-    the same code runs over Fraction and RadPoly jets.
-
-    A RadPoly jet of weights >= 0 gives entries of M with weights >= 0
-    (M is v's jet contracted with y and |y|^2 at matching weight), so with
-    a weight ``ceiling`` W a size-j minor, which enters at
-    |y|^(n(j-1)-2), is needed only through weight W - n(j-1) + 2, and the
-    sizes where that is negative are skipped."""
-    n = len(y)
-    zero = 0 * value
-    K, L = identity_parts(y, value, grad, hess, rpow(2))
-    radial = L * rpow(-2)
-    m = [[K[i][j] + radial * (y[i] * y[j]) for j in range(n)] for i in range(n)]
-    ceilings = None
-    if ceiling is not None:
-        ceilings = [c for c in (ceiling - n * (j - 1) + 2 for j in range(1, n + 1)) if c >= 0]
-    minors = _principal_minors(m, ceilings)
-    total = zero
-    for size in range(1, n + 1):
-        part = sum(
-            (_flat_weight(vals, S) * det for S, det in minors.items() if len(S) == size), zero
-        )
-        total = total + part * rpow(n * (size - 1) - 2)
-    return total
+    the same code (`_flat_matrix`, `symfun._principal_minors`, `_flat_sum`)
+    runs over the Fraction jets here and over the RadPoly jets of
+    `WindowedResidual`."""
+    m = _flat_matrix(y, value, grad, hess, rpow)
+    return _flat_sum(_principal_minors(m), vals, rpow, 0 * value)
 
 
 def transformed_residual_exact(
@@ -429,6 +440,87 @@ def transformed_residual_exact(
 # ── the fully symbolic residual ──────────────────────────────────────────
 
 
+class WindowedResidual:
+    """The exact normalized flat-phase residual of a radical polynomial v
+    in n >= 3 variables (`_flat_residual`), formed weight window by weight
+    window while v grows.
+
+    It holds M of the v added so far and every minor that the Laplace
+    expansion of the principal minors meets (`symfun._principal_minors`).
+    A size-k minor enters the residual at |y|^(n(k-1)-2), so the residual
+    through weight W needs it only through weight W - n(k-1) + 2, and the
+    minors are held through those ceilings of the largest W asked for.
+
+    `add` adds M of an increment of v: M is linear in the jet and keeps
+    weight, so only the increment's jet is formed.  `through` extends each
+    minor of size >= 2 by the new window of weights only, and re-reads the
+    size-1 part from M.  A held window stays exact only while no increment
+    has a term at or below the ceiling of size 2, so `add` refuses one.
+    """
+
+    __slots__ = ("n", "_vals", "_y", "_one", "_m", "_minors", "_through")
+
+    def __init__(self, s):
+        vals = list(map(_as_fraction, s))
+        n = len(vals)
+        if n < 3:
+            raise DimensionError(f"the symbolic residual needs n >= 3, got {n}")
+        self.n, self._vals = n, vals
+        self._y = [MultiPoly.variable(n, i) for i in range(n)]
+        self._one = MultiPoly.const(n, 1)
+        zero = RadPoly.zero(n)
+        self._m = [[zero] * n for _ in range(n)]
+        self._minors: dict = {}
+        # the largest ceiling asked for: None before any, math.inf after the whole
+        self._through = None
+
+    def _rpow(self, k: int) -> RadPoly:
+        return RadPoly(self.n, {k: self._one})
+
+    def _ceiling(self, size: int, through):
+        """The weight through which the size-``size`` minors serve the
+        residual through weight ``through``."""
+        return through - self.n * (size - 1) + 2
+
+    def add(self, dv: RadPoly) -> None:
+        """Add M of the increment ``dv`` of v.  ValueError names the weight
+        of a term of ``dv`` below 0, or at or below the weight through
+        which the size-2 minors are held."""
+        if dv.n_vars != self.n:
+            raise DimensionError(f"increment has {dv.n_vars} variables, expected {self.n}")
+        if dv.is_zero:
+            return
+        least = min(map(sum, dv.keys()))
+        if least < 0:
+            raise ValueError(f"an increment term has negative weight {least}")
+        if self._through is not None and least <= self._ceiling(2, self._through):
+            raise ValueError(
+                f"an increment term of weight {least} would change the minors of size 2, "
+                f"held through weight {self._ceiling(2, self._through)}"
+            )
+        n = self.n
+        grad = [dv.partial(i) for i in range(n)]
+        hess = [[grad[i].partial(j) for j in range(n)] for i in range(n)]
+        dm = _flat_matrix(self._y, dv, grad, hess, self._rpow)
+        self._m = [[a + b for a, b in zip(row, drow)] for row, drow in zip(self._m, dm)]
+
+    def through(self, ceiling: int | None = None) -> RadPoly:
+        """The residual's terms of weight at most ``ceiling``, where
+        |y|^k y^e has weight k + |e|; None gives the whole residual.
+        Only the minors' terms above the ceilings held so far are formed;
+        ValueError on a ceiling below one asked for before."""
+        held = self._through
+        through = math.inf if ceiling is None else ceiling
+        if held is not None and through < held:
+            raise ValueError(f"the minors are held through residual weight {held}, above {ceiling}")
+        sizes = [k for k in range(1, self.n + 1) if self._ceiling(k, through) >= 0]
+        ceilings = None if ceiling is None else [self._ceiling(k, through) for k in sizes]
+        floors = None if held is None else [self._ceiling(k, held) + 1 for k in sizes]
+        self._through = through
+        minors = _principal_minors(self._m, ceilings, self._minors, floors)
+        return _flat_sum(minors, self._vals, self._rpow, RadPoly.zero(self.n))
+
+
 def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None) -> RadPoly:
     """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
     n = P.n_vars >= 3 variables (`_flat_residual`); for n = 3 that is
@@ -442,54 +534,62 @@ def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None)
 
     With a weight ``ceiling`` W, the result is the residual's terms of
     weight at most W, where |y|^k y^e has weight k + |e| (the full
-    residual's `RadPoly.truncate`): terms above W are dropped in the
-    entries of M, in each size of minor and inside every product, so they
-    are never formed.  None computes the whole residual."""
+    residual's `RadPoly.truncate`): each size of minor is formed only
+    through the weight it contributes to W, and terms above it are never
+    formed.  None computes the whole residual.  This is one
+    `WindowedResidual.add` of v and one `through`; a recursion that grows
+    v keeps the `WindowedResidual` instead, so no window is formed twice."""
     n = P.n_vars
     vals = list(map(_as_fraction, s))
     if n < 3 or Q.n_vars != n or len(vals) != n:
         raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
-    yvars = [MultiPoly.variable(n, i) for i in range(n)]
-    v = RadPoly(n, {0: P, n - 2: Q})
-    grad = [v.partial(i) for i in range(n)]
-    hess = [[grad[i].partial(j) for j in range(n)] for i in range(n)]
-    one = MultiPoly.const(n, 1)
-    return _flat_residual(yvars, v, grad, hess, vals, lambda k: RadPoly(n, {k: one}), ceiling)
+    residual = WindowedResidual(vals)
+    residual.add(RadPoly(n, {0: P, n - 2: Q}))
+    return residual.through(ceiling)
+
+
+@lru_cache(maxsize=None)
+def _linear_part_jet(n: int) -> tuple:
+    """The spectrum-free half of `linear_part_defect` in n variables, over
+    the jet indeterminates (y, v, g, h): the diagonal of
+    |y|^2 M = |y|^2 K + L y y^T (`identity_parts`), and |y|^4 trace(h)."""
+    yvar, vvar, gvar, hvar = jet_indeterminates(n)
+    zero = MultiPoly.zero(yvar[0].n_vars)
+    ysq = sum((c * c for c in yvar), zero)
+    K, L = identity_parts(yvar, vvar, gvar, hvar, ysq)
+    diagonal = tuple(K[i][i] * ysq + L * (yvar[i] * yvar[i]) for i in range(n))
+    trace_h = sum((hvar[i][i] for i in range(n)), zero)
+    return diagonal, ysq * ysq * trace_h
 
 
 def linear_part_defect(s) -> MultiPoly:
     """The flat-phase linear-part identity in n = len(s) >= 2 variables.
 
     With jet indeterminates (y, v, g, h) and the radial weight treated as a
-    formal first-order variable w (a dual number, w^2 = 0), the w-linear
-    coefficient of the theta-free form along H = A + w (|y|^2 M) R^2 must
-    equal gamma |y|^4 trace(h), gamma = prod(1 + lambda_i^2).  Returns the
+    formal first-order variable w (w^2 = 0), the w-linear coefficient of
+    the theta-free form along H = A + w (|y|^2 M) R^2 must equal
+    gamma |y|^4 trace(h), gamma = prod(1 + lambda_i^2).  Returns the
     difference as a polynomial over the jet variables (y, v, g and the
     upper triangle of h; 13 of them for n = 3); it is identically zero
     precisely when the linear part of the residual factors as
-    gamma |y|^(n+2) lap(v)."""
+    gamma |y|^(n+2) lap(v).
+
+    The form is linear in sigma_0 .. sigma_n of H, and by L31 the w-part
+    of sigma_k is sum_i (|y|^2 M)_ii rho_i sigma_(k-1)(lambda without i),
+    rho = 1 + lambda^2, so only the diagonal of |y|^2 M enters; it does
+    not depend on the spectrum and is built once per n
+    (`_linear_part_jet`)."""
     vals = list(map(_as_fraction, s))
     n = len(vals)
     if n < 2:
         raise DimensionError(f"the linear-part identity needs n >= 2, got {n}")
-    yvar, vvar, gvar, hvar = jet_indeterminates(n)
-    zero = MultiPoly.zero(yvar[0].n_vars)
-    ysq = sum((c * c for c in yvar), zero)
-    K, L = identity_parts(yvar, vvar, gvar, hvar, ysq)
-    # |y|^2 M = |y|^2 K + L y y^T, entirely polynomial in the jet indeterminates
-    scaled_m = [[K[i][j] * ysq + L * (yvar[i] * yvar[j]) for j in range(n)] for i in range(n)]
-
+    diagonal, scaled_trace = _linear_part_jet(n)
     rho = [1 + v * v for v in vals]
-    # entries lambda_i delta_ij + w (|y|^2 M)_ij rho_j: a rational constant part
-    pencil = [
-        [_Dual(vals[i] if i == j else 0, scaled_m[i][j] * rho[j]) for j in range(n)] for i in range(n)
-    ]
+    linear_sigmas = _linear_coefficients_by_deleted_sum(vals, [d * r for d, r in zip(diagonal, rho)])
     form = AlgebraicForm.eliminated(PhaseBranch.slag(0.0), n, vals)
-    p_h = _det_by_sigmas(form.branch.row, char_sigmas(pencil, _Dual(Fraction(1), zero)))
-    linear = form._at_det(p_h).b
+    linear = form._at_det(_det_by_sigmas(form.branch.row, [0 * scaled_trace, *linear_sigmas]))
     gamma = math.prod(rho, start=Fraction(1))
-    trace_h = sum((hvar[i][i] for i in range(n)), zero)
-    return linear - gamma * (ysq * ysq * trace_h)
+    return linear - gamma * scaled_trace
 
 
 # ── the small-radius scaling ladder ──────────────────────────────────────

@@ -683,22 +683,29 @@ class RadPoly(_RationalMap):
     def __rmul__(self, other: Scalar) -> "RadPoly":
         return self * other
 
-    def mul(self, other: "RadPoly", ceiling: int | None = None) -> "RadPoly":
+    def mul(self, other: "RadPoly", ceiling: int | None = None, floor: int | None = None) -> "RadPoly":
         """The product with another RadPoly; with ``ceiling``, only its
-        terms of weight at most ``ceiling``, where ``|y|^k y^e`` has weight
-        ``k + |e|``.  A pair of terms whose weights sum past the ceiling is
-        skipped before it is multiplied, so the result is exactly the sum
-        of the product's homogeneous components of degree <= ceiling.  Only
-        a pair in which both terms hold ``y_1`` needs the rewrite, and it
-        keeps the weight."""
+        terms of weight at most ``ceiling``, and with ``floor``, only those
+        of weight at least ``floor``, where ``|y|^k y^e`` has weight
+        ``k + |e|``.  A pair of terms whose weights sum outside that window
+        is skipped before it is multiplied, so the result is exactly the
+        sum of the product's homogeneous components of degree in
+        [floor, ceiling].  Only a pair in which both terms hold ``y_1``
+        needs the rewrite, and it keeps the weight."""
         _check_same_dims(self, other)
         right = list(other._num.items())
-        if ceiling is not None:
+        windowed = ceiling is not None or floor is not None
+        if windowed:
             right.sort(key=lambda t: sum(t[0]))
             weights = [sum(key) for key, _ in right]
         out: dict[Exponent, int] = defaultdict(int)
         for k1, c1 in self._num.items():
-            fits = right if ceiling is None else right[: bisect.bisect_right(weights, ceiling - sum(k1))]
+            fits = right
+            if windowed:
+                w1 = sum(k1)
+                low = 0 if floor is None else bisect.bisect_left(weights, floor - w1)
+                high = len(right) if ceiling is None else bisect.bisect_right(weights, ceiling - w1)
+                fits = right[low:high]
             for k2, c2 in fits:
                 out[tuple(map(operator.add, k1, k2))] += c1 * c2
         return RadPoly._make(self.n_vars, _fold_y1_powers(out), self._den * other._den)

@@ -26,8 +26,8 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .equations import _symmetric_eigenvalues, symbolic_residual
-from .exactalg import DimensionError, MultiPoly, _as_fraction, _dot, _sum, solve_radical_poisson
+from .equations import WindowedResidual, _symmetric_eigenvalues
+from .exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction, _dot, _sum, solve_radical_poisson
 from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
 
@@ -36,6 +36,7 @@ __all__ = [
     "ExpansionFit",
     "ExpansionState",
     "InsufficientDataError",
+    "correct_through",
     "fit_expansion",
     "leading_correction",
     "next_correction",
@@ -134,29 +135,48 @@ def leading_correction(v0, s) -> MultiPoly:
     return base * weight
 
 
-def next_correction(state: ExpansionState) -> ExpansionState:
-    """One inductive step of the correction recursion in n >= 3 variables.
+def correct_through(state: ExpansionState, order: int) -> tuple[list[ExpansionState], WindowedResidual]:
+    """The correction recursion from ``state`` up to ``order``, in n >= 3
+    variables: the state after each step, and the `WindowedResidual` of
+    the last one's ``v = P + |y|^(n-2) Q``, whose ``through()`` is its
+    whole residual.
 
-    Computes the exact residual of ``v = P + |y|^(n-2) Q`` only through
-    weight ``order - 1`` (the ``ceiling`` of `symbolic_residual`, where
-    ``|y|^k y^e`` has weight ``k + |e|``), reads its weight-(order - 1)
-    terms whose power of ``|y|`` has the parity of n as the homogeneous
-    obstruction ``Qtilde`` of degree ``order + 3 - n`` at base exponent
-    n - 4 (`RadPoly.part`), and solves the radial-weight Poisson equation
+    Each step reads the residual only through weight ``order - 1``
+    (``through``, where ``|y|^k y^e`` has weight ``k + |e|``), takes its
+    weight-(order - 1) terms whose power of ``|y|`` has the parity of n as
+    the homogeneous obstruction ``Qtilde`` of degree ``order + 3 - n`` at
+    base exponent n - 4 (`RadPoly.part`), and solves the radial-weight
+    Poisson equation
 
         lap(|y|^(n-2) delta) = -|y|^(n-4) Qtilde
 
-    for the forced correction ``delta``.  Returns the state with ``Q``
-    augmented by ``delta`` and the order advanced by one; afterwards the
-    residual has no term of that parity of weight <= the new order - 2.  In
-    even n, |y|^(n-2) is a polynomial, so v stays one too.
-    """
+    for the forced correction ``delta``, which augments ``Q`` as the order
+    advances by one; afterwards the residual has no term of that parity of
+    weight <= the new order - 2.  ``|y|^(n-2) delta`` has weight
+    ``order + 1``, above every window of a minor of size >= 2 formed so
+    far, so the step adds it to the one windowed residual and the next
+    step forms only the new window.  In even n, |y|^(n-2) is a
+    polynomial, so v stays one too."""
     n = state.n
     if n < 3:
         raise DimensionError(f"the correction recursion needs n >= 3, got {n}")
-    residual = symbolic_residual(state.P, state.Q, state.spectrum, state.order - 1)
-    delta = solve_radical_poisson(-residual.part(n - 4, state.order - 1), n)
-    return ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
+    residual = WindowedResidual(state.spectrum)
+    residual.add(RadPoly(n, {0: state.P, n - 2: state.Q}))
+    states = []
+    while state.order < order:
+        obstruction = residual.through(state.order - 1).part(n - 4, state.order - 1)
+        delta = solve_radical_poisson(-obstruction, n)
+        residual.add(RadPoly(n, {n - 2: delta}))
+        state = ExpansionState(n, state.spectrum, state.P, state.Q + delta, state.order + 1)
+        states.append(state)
+    return states, residual
+
+
+def next_correction(state: ExpansionState) -> ExpansionState:
+    """One step of the correction recursion (`correct_through`): the state
+    with ``Q`` augmented by the forced correction and the order advanced
+    by one."""
+    return correct_through(state, state.order + 1)[0][0]
 
 
 # ── sampling, fitting, and profile recovery ──────────────────────────────

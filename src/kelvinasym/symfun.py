@@ -328,7 +328,7 @@ def char_sigmas(mat, one) -> list:
     return sig
 
 
-def _principal_minors(mat, ceilings=None) -> dict:
+def _principal_minors(mat, ceilings=None, held=None, floors=None) -> dict:
     """{S: det mat_S} over every nonempty index tuple S (increasing) of a
     square matrix.  Each minor is a Laplace expansion along its first row,
     and every minor met on the way (principal or not) is kept, so a
@@ -341,32 +341,49 @@ def _principal_minors(mat, ceilings=None) -> dict:
     most ``ceilings[k - 1]`` (`RadPoly.truncate` on the entries,
     `RadPoly.mul` in the expansion); sizes past the end of ``ceilings``
     are not formed.  The ceilings must not increase with the size, so a
-    truncated minor still holds every term a larger minor reads from it."""
+    truncated minor still holds every term a larger minor reads from it.
+
+    ``held`` carries the minors of size >= 2 from one call to the next:
+    the dict, keyed by (rows, cols), that an earlier call filled, updated
+    in place.  With ``floors`` too, a held minor of size k already holds
+    every term of weight below ``floors[k - 1]``, so only its products of
+    weight at least that floor are formed (`RadPoly.mul`) and added to it;
+    a minor not yet held is formed whole.  That stays exact only while
+    the entries have changed at no weight below the floor of size 2, and
+    the ceilings never fall from one call to the next."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArityError("matrix must be square")
     top_size = n if ceilings is None else min(n, len(ceilings))
     if ceilings:
         mat = [[entry.truncate(ceilings[0]) for entry in row] for row in mat]
-    minors: dict = {}
+    held = {} if held is None else held
+    windowed = ceilings is not None or floors is not None
+    formed: dict = {}
 
     def minor(rows: tuple, cols: tuple):
+        top = mat[rows[0]]
+        if len(rows) == 1:
+            return top[cols[0]]
         key = (rows, cols)
-        if key not in minors:
-            top = mat[rows[0]]
-            if len(rows) == 1:
-                minors[key] = top[cols[0]]
-            else:
-                acc = None
-                for j, c in enumerate(cols):
-                    sub = minor(rows[1:], cols[:j] + cols[j + 1 :])
-                    term = top[c] * sub if ceilings is None else top[c].mul(sub, ceilings[len(rows) - 1])
-                    acc = term if acc is None else (acc - term if j % 2 else acc + term)
-                minors[key] = acc
-        return minors[key]
+        det = formed.get(key)
+        if det is None:
+            size = len(rows)
+            ceiling = None if ceilings is None else ceilings[size - 1]
+            det = held.get(key)
+            # a minor first met now (a larger size just began) starts at weight 0
+            floor = None if floors is None or det is None else floors[size - 1]
+            for j, c in enumerate(cols):
+                sub = minor(rows[1:], cols[:j] + cols[j + 1 :])
+                term = top[c].mul(sub, ceiling, floor) if windowed else top[c] * sub
+                det = term if det is None else (det - term if j % 2 else det + term)
+            formed[key] = det
+        return det
 
     subsets = (s for k in range(1, top_size + 1) for s in itertools.combinations(range(n), k))
-    return {s: minor(s, s) for s in subsets}
+    principal = {s: minor(s, s) for s in subsets}
+    held.update(formed)
+    return principal
 
 
 # ── the linear coefficient along a matrix direction ──────────────────────
@@ -395,8 +412,11 @@ def verify_linear_coefficient(s: SpectrumLike, B: MatrixLike) -> list[ExactRepor
 
 
 def _linear_coefficients_by_deleted_sum(values, diagonal) -> list:
-    """sum_i sigma_{k-1}(spectrum with i removed) * diagonal_i, k = 1 .. n."""
-    out = [0] * len(values)
+    """sum_i sigma_{k-1}(spectrum with i removed) * diagonal_i, k = 1 .. n:
+    the t-coefficients of sigma_1 .. sigma_n of diag(values) + t B, whose
+    diagonal is ``diagonal`` (L31).  The sums start from the zero of the
+    diagonal's ring, so the entries may be integers or polynomials."""
+    out = [0 * diagonal[0]] * len(values)
     for i, d in enumerate(diagonal):
         for k, sig in enumerate(_sigmas(values[:i] + values[i + 1 :], 1)):
             out[k] += sig * d

@@ -33,9 +33,20 @@ EXACT_REPORTS = {
         ["expand3", "--order", "12", "--p0", "3/2", "--spectrum", "1,1/2,2"],
         "0ce6a826071e993de7902270d7d5716a00eb0731fd24088249c02c9f17c624f9",
     ),
+    # twice the benchmark's order: a carried residual whose windows went
+    # stale would first show in the later orders' Q
+    "expand3-order24": (
+        ["expand3", "--order", "24", "--p0", "3/2", "--spectrum", "1,1/2,2"],
+        "1e3fb83f103298010a0c9ca62e50b5977207ea912b436d460171d4855807a2c8",
+    ),
     "residual-n3": (
         ["residual-n3", "--trials", "2"],
         "9f3899bc0c856a038d455464a370f28e4f0c63e5630a999370a87384b1c1d73e",
+    ),
+    # the benchmark's own report
+    "residual-n3-benchmark": (
+        ["residual-n3", "--trials", "5"],
+        "95d77caa66e645b10b0d2349b4122cd8a6e756142284baa39df39034e8ce9402",
     ),
     "lemmas-n5": (
         ["lemmas", "--n", "5", "--trials", "2"],

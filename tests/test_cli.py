@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kelvinasym import cli, expand, kelvin, radial, symfun
+from kelvinasym import cli, equations, expand, kelvin, radial, symfun
 from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import MultiPoly, SolveError, solve_radical_poisson
 from kelvinasym.expand import read_fit, read_samples
@@ -470,6 +470,44 @@ def test_residual_n3_passes(tmp_path, capsys):
     assert dispatch(["residual-n3", "--trials", "3", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["all_pass"] is True and report["checks_run"] == 3
+    capsys.readouterr()
+
+
+def _clear_package_caches():
+    for name, module in list(sys.modules.items()):
+        if name.startswith("kelvinasym."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["residual-n3"], "three-variable linear-part factorization"),
+        (["expand3"], "left-over obstruction degree audit"),
+    ],
+)
+def test_a_perturbed_radial_weight_fails_the_exact_audits(tmp_path, capsys, argv, check):
+    # fault injection: L + v / 1000 in place of the Hessian identity's L
+    # must fail each exact audit, not only the library checks; the caches
+    # are cleared so no part built from the true identity is reused
+    real = equations.identity_parts
+
+    def perturbed(y, value, grad, hess, ysq):
+        K, L = real(y, value, grad, hess, ysq)
+        return K, L + Fraction(1, 1000) * value
+
+    out = tmp_path / "r.json"
+    _clear_package_caches()
+    try:
+        with mock.patch.object(equations, "identity_parts", perturbed):
+            assert dispatch([*argv, "--out", str(out)]) == 1
+    finally:
+        _clear_package_caches()
+    assert json.loads(out.read_text())["first_failure"]["check"] == check
+    assert f"FAILED at {check}" in capsys.readouterr().err
+    assert dispatch([*argv, "--out", str(out)]) == 0
     capsys.readouterr()
 
 

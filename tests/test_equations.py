@@ -21,6 +21,7 @@ from kelvinasym import equations
 from kelvinasym.equations import (
     AlgebraicForm,
     ResidualBreakdown,
+    WindowedResidual,
     algebraic_residual,
     linear_part_defect,
     linear_part_factor,
@@ -31,9 +32,17 @@ from kelvinasym.equations import (
     transformed_residual_exact,
 )
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
-from kelvinasym.kelvin import AdmissibilityError, Jet2, KelvinFrame, PhaseBranch, identity_parts
+from kelvinasym.kelvin import (
+    AdmissibilityError,
+    Jet2,
+    KelvinFrame,
+    PhaseBranch,
+    identity_parts,
+    jet_indeterminates,
+)
 from kelvinasym.symfun import (
     MismatchError,
+    _Dual,
     Spectrum,
     alternating_sums,
     char_sigmas,
@@ -816,6 +825,28 @@ def test_symbolic_constant_profile_general_spectrum_quadratic():
     assert out.part(-1, 1) == want
 
 
+def test_windowed_residual_refuses_an_increment_at_a_held_weight():
+    # through weight 5 in n = 3 the size-2 minors are held through weight
+    # 5 - 3 + 2 = 4, so an increment of weight <= 4 would leave them stale
+    y = [MultiPoly.variable(3, i) for i in range(3)]
+    s = [1, fr(1, 2), 2]
+    v = RadPoly.from_poly(MultiPoly.const(3, fr(3, 2)) + y[0] * y[1])
+    windows = WindowedResidual(s)
+    with pytest.raises(ValueError, match="negative weight -1"):
+        windows.add(RadPoly(3, {-1: MultiPoly.const(3, 1)}))
+    windows.add(v)
+    windows.through(5)
+    with pytest.raises(ValueError, match="weight 4 would change the minors of size 2, held through weight 4"):
+        windows.add(RadPoly(3, {1: y[2] ** 3}) + RadPoly(3, {1: y[0] ** 4}))
+    with pytest.raises(ValueError, match="held through residual weight 5, above 4"):
+        windows.through(4)
+    high = RadPoly(3, {1: y[0] ** 4})
+    windows.add(high)
+    assert windows.through() == symbolic_residual(MultiPoly.const(3, fr(3, 2)) + y[0] * y[1], y[0] ** 4, s)
+    with pytest.raises(ValueError, match="weight 5 would change"):
+        windows.add(high)
+
+
 def test_symbolic_needs_three_variables():
     with pytest.raises(DimensionError):
         symbolic_residual(MultiPoly.zero(2), MultiPoly.zero(2), Spectrum(["0", "0"]))
@@ -937,6 +968,77 @@ def test_whole_n5_residual_is_pinned():
     assert hashlib.sha256(blob).hexdigest() == "df7758b4f14f7df8df83a691bed7e4546fd17cc48bc33cc8190d0e3434a4e441"
 
 
+def _berkowitz_defect(s) -> MultiPoly:
+    # the linear-part defect by Berkowitz's recursion over dual numbers on
+    # the whole pencil diag(lambda) + w (|y|^2 M) R^2, off-diagonal entries
+    # included: the oracle for linear_part_defect's diagonal route (L31)
+    vals = [Fraction(v) for v in s]
+    n = len(vals)
+    yvar, vvar, gvar, hvar = jet_indeterminates(n)
+    zero = MultiPoly.zero(yvar[0].n_vars)
+    ysq = sum((c * c for c in yvar), zero)
+    K, L = equations.identity_parts(yvar, vvar, gvar, hvar, ysq)
+    rho = [1 + v * v for v in vals]
+    pencil = [
+        [_Dual(vals[i] if i == j else 0, (K[i][j] * ysq + L * (yvar[i] * yvar[j])) * rho[j]) for j in range(n)]
+        for i in range(n)
+    ]
+    form = AlgebraicForm.eliminated(PhaseBranch.slag(0.0), n, vals)
+    p_h = equations._det_by_sigmas(form.branch.row, char_sigmas(pencil, _Dual(Fraction(1), zero)))
+    trace_h = sum((hvar[i][i] for i in range(n)), zero)
+    return form._at_det(p_h).b - math.prod(rho, start=Fraction(1)) * (ysq * ysq * trace_h)
+
+
+@pytest.fixture
+def fresh_linear_part_jet():
+    # linear_part_defect builds its spectrum-free jet once per n, so a test
+    # that patches identity_parts clears that cache before and after
+    equations._linear_part_jet.cache_clear()
+    yield
+    equations._linear_part_jet.cache_clear()
+
+
+def _perturbed_identity_parts(perturb):
+    real = equations.identity_parts
+
+    def perturbed(y, value, grad, hess, ysq):
+        K, L = real(y, value, grad, hess, ysq)
+        return perturb(K, L, value)
+
+    return perturbed
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_linear_part_defect_equals_the_berkowitz_route(n, fresh_linear_part_jet):
+    # zero on both routes, and equal where a perturbed L makes it nonzero
+    rnd = Random(97 + n)
+    radial = _perturbed_identity_parts(lambda K, L, value: (K, L + value))
+    for _ in range(2):
+        s = random_spectrum(rnd, n)
+        assert linear_part_defect(s) == _berkowitz_defect(s) == MultiPoly.zero(2 * n + 1 + n * (n + 1) // 2)
+        equations._linear_part_jet.cache_clear()
+        with mock.patch.object(equations, "identity_parts", radial):
+            defect = linear_part_defect(s)
+            assert not defect.is_zero and defect == _berkowitz_defect(s)
+        equations._linear_part_jet.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_an_off_diagonal_perturbation_leaves_the_defect_zero(n, fresh_linear_part_jet):
+    # to first order in w only the diagonal of |y|^2 M enters sigma_k (L31),
+    # so adding v to K_01 and K_10 is invisible to both routes
+    def off_diagonal(K, L, value):
+        K = [list(row) for row in K]
+        K[0][1] = K[0][1] + value
+        K[1][0] = K[1][0] + value
+        return K, L
+
+    s = random_spectrum(Random(101 + n), n)
+    with mock.patch.object(equations, "identity_parts", _perturbed_identity_parts(off_diagonal)):
+        assert linear_part_defect(s).is_zero
+        assert _berkowitz_defect(s).is_zero
+
+
 def test_linear_part_identity_holds_symbolically():
     rnd = Random(59)
     for values in (["0", "0", "0"], ["1", "2", "-1/2"], None, None):
@@ -947,7 +1049,7 @@ def test_linear_part_identity_holds_symbolically():
         assert linear_part_defect(s).is_zero
 
 
-def test_linear_part_defect_detects_a_perturbed_L():
+def test_linear_part_defect_detects_a_perturbed_L(fresh_linear_part_jet):
     # negative control: adding v to the radial weight L changes the
     # w-linear coefficient, so the defect must not vanish
     real = equations.identity_parts
@@ -958,12 +1060,13 @@ def test_linear_part_defect_detects_a_perturbed_L():
 
     s = Spectrum(["1", "1/2", "2"])
     assert linear_part_defect(s).is_zero
+    equations._linear_part_jet.cache_clear()
     with mock.patch.object(equations, "identity_parts", perturbed):
         assert not linear_part_defect(s).is_zero
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_linear_part_defect_is_a_polynomial_over_the_jet_variables(n):
+def test_linear_part_defect_is_a_polynomial_over_the_jet_variables(n, fresh_linear_part_jet):
     # the defect lives on the 2n + 1 + n(n+1)/2 jet variables (y, v, g, h),
     # where a radical |y| would be the norm over all of them, so it is a
     # plain polynomial, also when it does not vanish
@@ -977,6 +1080,7 @@ def test_linear_part_defect_is_a_polynomial_over_the_jet_variables(n):
     jets = 2 * n + 1 + n * (n + 1) // 2
     defect = linear_part_defect(s)
     assert type(defect) is MultiPoly and defect.n_vars == jets and defect.is_zero
+    equations._linear_part_jet.cache_clear()
     with mock.patch.object(equations, "identity_parts", perturbed):
         defect = linear_part_defect(s)
     assert type(defect) is MultiPoly and defect.n_vars == jets and not defect.is_zero

@@ -581,16 +581,22 @@ def _components_through(e: RadPoly, ceiling: int) -> RadPoly:
     a=st.dictionaries(st.integers(-3, 3), polys(3, max_deg=2, max_terms=4), max_size=3),
     b=st.dictionaries(st.integers(-3, 3), polys(3, max_deg=2, max_terms=4), max_size=3),
     ceiling=st.integers(-8, 12),
+    floor=st.integers(-8, 12),
 )
 @settings(max_examples=60, deadline=None)
-def test_radpoly_product_under_a_ceiling_keeps_the_components_through_it(a, b, ceiling):
+def test_radpoly_product_under_a_ceiling_keeps_the_components_through_it(a, b, ceiling, floor):
     # weight k + |e| of |y|^k y^e is the homogeneous degree, so a ceiling
-    # cuts whole components whatever slot layout the canonical form picks
+    # cuts whole components whatever slot layout the canonical form picks,
+    # and a floor too: the window [floor, ceiling] is empty when they cross
     x, y = RadPoly(3, a), RadPoly(3, b)
     full = x * y
     assert x.mul(y) == full
     assert x.mul(y, ceiling) == _components_through(full, ceiling)
     assert full.truncate(ceiling) == _components_through(full, ceiling)
+    below = _components_through(full, floor - 1)
+    assert x.mul(y, None, floor) == full - below
+    window = _components_through(full, ceiling) - _components_through(full, min(ceiling, floor - 1))
+    assert x.mul(y, ceiling, floor) == window
 
 
 def test_radpoly_ceiling_skips_pairs_before_multiplying():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
-from kelvinasym.equations import _symmetric_eigenvalues, symbolic_residual
+from kelvinasym.equations import WindowedResidual, _symmetric_eigenvalues, symbolic_residual
 from kelvinasym import expand
 from kelvinasym.expand import (
     MAX_FIT_WORK,
@@ -26,6 +26,7 @@ from kelvinasym.expand import (
     _median,
     _solve_least_squares,
     check_fit_work,
+    correct_through,
     fit_expansion,
     leading_correction,
     next_correction,
@@ -227,6 +228,35 @@ def test_step_under_the_weight_ceiling_matches_the_untruncated_step(n, top, spec
         state, reference = next_correction(state), _untruncated_step(reference)
         assert state == reference, state.order
     assert not state.Q.is_zero
+
+
+_GRADED = (1, Fraction(1, 2), 2, Fraction(1, 3), Fraction(3, 2), Fraction(2, 3), Fraction(5, 2))
+
+
+@pytest.mark.parametrize("n, top", [(3, 10), (4, 7), (5, 5), (6, 8), (7, 9)])
+def test_carried_windows_equal_fresh_residuals(n, top):
+    # one windowed residual carried through the recursion, each window
+    # formed once, against a fresh symbolic_residual at every ceiling: the
+    # same residual through each order - 1, the same Q, and the same whole
+    # residual.  In n = 7 the whole residual takes seconds per route, so the
+    # carried one is compared through ceilings that reach minors of size 4
+    s = _GRADED[:n]
+    start = ExpansionState(n, s, MultiPoly.const(n, Fraction(3, 2)), MultiPoly.zero(n), 2)
+    windows = WindowedResidual(s)
+    windows.add(RadPoly(n, {0: start.P}))
+    state = start
+    while state.order < top:
+        cut = windows.through(state.order - 1)
+        assert cut == symbolic_residual(state.P, state.Q, s, state.order - 1), state.order
+        delta = solve_radical_poisson(-cut.part(n - 4, state.order - 1), n)
+        windows.add(RadPoly(n, {n - 2: delta}))
+        state = ExpansionState(n, s, state.P, state.Q + delta, state.order + 1)
+    assert not state.Q.is_zero
+    states, carried = correct_through(start, top)
+    assert states[-1] == state and [step.order for step in states] == list(range(3, top + 1))
+    assert all(step == next_correction(before) for before, step in zip([start, *states], states))
+    for ceiling in (top, 2 * top, 3 * top) if n == 7 else (None,):
+        assert carried.through(ceiling) == symbolic_residual(state.P, state.Q, s, ceiling), ceiling
 
 
 def test_recursion_rejects_other_dimensions():
