@@ -570,8 +570,9 @@ def _run_expand3(merged: dict) -> int:
     leftover_degrees = sorted({sum(key) + 1 for key in residual.keys() if key[0] & 1})
     audit_pass = all(d > order - 1 for d in leftover_degrees)
 
+    # --order is at least 3, so the recursion took a first step
     closed_form = leading_correction(p0, spectrum)
-    first_q = states[0].Q if states else MultiPoly.zero(3)
+    first_q = states[0].Q
     difference = closed_form - first_q
     failure = None
     if not audit_pass:
@@ -582,6 +583,9 @@ def _run_expand3(merged: dict) -> int:
                 "degrees_at_or_below_threshold": [d for d in leftover_degrees if d <= order - 1],
             },
         }
+    elif not difference.is_zero:
+        inputs = {"p0": p0, "spectrum": list(spectrum)}
+        failure = {"check": "first correction matches the closed form", "inputs": inputs}
     report = {
         "order": order,
         "seed": seed,

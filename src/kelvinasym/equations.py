@@ -22,25 +22,29 @@ over the eigenvalues, a float matrix's from cyclic Jacobi rotations over
 nested lists (`_symmetric_eigenvalues`).  Integer rows (SLAG, RECIP) keep
 rational input exact.
 
-On the ball side, H = A + |y|^n N(jet) and the theta-free form divides by
-gamma |y|^(n+2), where gamma is the linear-part factor: the residual then
-splits into the Laplacian of the profile plus a superlinearly small
-remainder.  The split is produced in floating point, on tuples and nested
-lists, by `transformed_residual` (N from `kelvin.matrices_MNKL`), and on
-the flat-phase branch exactly, in one formula (`_flat_residual`), by
-`transformed_residual_exact` (rational jets, rational radius) and fully
-symbolically, in any n >= 3, by `symbolic_residual`, which can stop at a
-weight ceiling, and by `WindowedResidual`, which forms it one weight
-window at a time while v grows.  Since
-E_H + i O_H = det(I + iH) and |det(I + iA)|^2 = gamma, the flat-phase
-residual along H = A + |y|^n M R^2 is a weighted sum of the principal
-minors of M:
+On the ball side, H = A + |y|^n R M R with M = K + (L / |y|^2) y y^T
+from the 2-jet of the profile v (`identity_parts`).  Expanding P(H) over
+the principal minors of |y|^n R M R, with cross(z w, z' w) =
+N(w) cross(z, z') and R_l^2 = 1 / g'(lambda_l) = N(z_l) / (kappa
+cross(z_l, beta)), turns the theta-free form divided by gamma |y|^(n+2)
+into one weighted sum of the principal minors of M on every kind:
 
-    sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S,
-    w_S = Im prod_{l in S} (lambda_l + i),
+    sum over nonempty S of W_S |y|^(n(|S|-1)-2) det M_S,
+    W_S = kappa^(1-|S|) cross(prod_{l in S} z_l, beta^|S|) / prod_{l in S} cross(z_l, beta),
 
-whose |S| = 1 part is trace(M) / |y|^2 = lap(v); for n = 3 the weights
-are 1, lambda_j + lambda_k and -(1 - sigma_2).
+with z_l = alpha + beta lambda_l (`_minor_weights`).  W_S = 1 for
+|S| = 1, so by the trace identity that part is trace(M) / |y|^2 = lap(v),
+and the sizes >= 2 give the superlinearly small remainder.  On SLAG,
+W_S = Im prod_{l in S} (lambda_l + i), rational on a rational spectrum;
+for n = 3 the weights are 1, lambda_j + lambda_k and -(1 - sigma_2).
+
+One body (`_split`) returns lap(v) = trace(hess) and the remainder
+straight from the minors of size >= 2: over floats on any kind
+(`transformed_residual`, on tuples and nested lists) and over rationals on
+SLAG (`transformed_residual_exact`, rational jets and radius).  The same
+sum runs fully symbolically on SLAG, in any n >= 3: `symbolic_residual`,
+which can stop at a weight ceiling, and `WindowedResidual`, which forms it
+one weight window at a time while v grows.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from random import Random
 from typing import NamedTuple, Sequence, Union
 
@@ -68,7 +73,6 @@ from .kelvin import (
     PhaseRow,
     identity_parts,
     jet_indeterminates,
-    matrices_MNKL,
     scaling_matrix,
 )
 from .symfun import (
@@ -312,6 +316,9 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
 
 # ── the transformed residual on the ball side ────────────────────────────
 
+# the flat-phase row, whose weights are rational on a rational spectrum
+_FLAT_ROW = PhaseBranch.slag(0.0).row
+
 
 class ResidualBreakdown(NamedTuple):
     """theta-free residual at one jet, normalized by gamma |y|^(n+2), and
@@ -324,33 +331,39 @@ class ResidualBreakdown(NamedTuple):
 
 
 def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
-    """Floating-point residual split at one jet of the ball-side profile."""
-    n = frame.n
-    _, N, _, _ = matrices_MNKL(jet, frame)
+    """Floating-point residual split at one jet of the ball-side profile,
+    on any branch kind: the weighted principal-minor sum (`_split`) with
+    the weights of the frame's row; gamma is `linear_part_factor`'s."""
+    if jet.n != frame.n:
+        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
     norm = _dot(jet.y, jet.y) ** 0.5
-    weight = norm**n
-    H = [
-        [(lam if i == j else 0.0) + weight * entry for j, entry in enumerate(row)]
-        for i, (lam, row) in enumerate(zip(frame.spectrum, N))
-    ]
-    gamma = float(linear_part_factor(frame.branch, frame.spectrum))
-    raw = float(notheta_residual(frame.branch, frame.spectrum, H))
-    total = raw / (gamma * norm ** (n + 2))
-    laplace = _sum(jet.hess[i][i] for i in range(n))
-    return ResidualBreakdown(
-        laplace_term=laplace,
-        nonlinear_term=total - laplace,
-        total=total,
-        linear_factor=gamma,
-    )
+    weights = _minor_weights(frame.branch.row, frame.spectrum)
+    return _split(*jet, weights, lambda k: norm**k, float(linear_part_factor(frame.branch, frame.spectrum)))
 
 
-def _flat_weight(vals, subset) -> Fraction:
-    """w_S = Im prod_{l in S} (lambda_l + i)."""
-    re, im = Fraction(1), Fraction(0)
-    for l in subset:
-        re, im = re * vals[l] - im, re + im * vals[l]
-    return im
+def _minor_weights(row: PhaseRow, vals) -> list:
+    """The weights W_S of the principal minors of M in the normalized
+    residual, by size: entry k is {S: W_S} over the index tuples S of size
+    k, in the order of `symfun._principal_minors` (entry 0 is empty):
+
+        W_S = kappa^(1-|S|) cross(prod_{l in S} z_l, beta^|S|) / prod_{l in S} cross(z_l, beta)
+
+    with z_l = alpha + beta lambda_l in the row's plane algebra, so W_S = 1
+    for |S| = 1.  The products over S extend those over S less its last
+    index, one size down."""
+    z = [tuple(a + b * lam for a, b in zip(row.alpha, row.beta)) for lam in vals]
+    c = [row.cross(z_l, row.beta) for z_l in z]
+    prods = {(): (row.unit, 1)}
+    weights, beta_pow, kappa_pow = [{}], row.unit, 1
+    for size in range(1, len(z) + 1):
+        beta_pow, group = row.mul(beta_pow, row.beta), {}
+        for S in combinations(range(len(z)), size):
+            z_s, c_s = prods[S[:-1]]
+            prods[S] = z_s, c_s = row.mul(z_s, z[S[-1]]), c_s * c[S[-1]]
+            group[S] = row.cross(z_s, beta_pow) / (kappa_pow * c_s)
+        weights.append(group)
+        kappa_pow = kappa_pow * row.kappa
+    return weights
 
 
 def _flat_matrix(y, value, grad, hess, rpow):
@@ -364,38 +377,29 @@ def _flat_matrix(y, value, grad, hess, rpow):
     return [[K[i][j] + radial * (y[i] * y[j]) for j in range(n)] for i in range(n)]
 
 
-def _flat_sum(minors, vals, rpow, zero):
-    """sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S from the
-    principal minors {S: det M_S} (`symfun._principal_minors`), with
-    w_S = Im prod_{l in S} (lambda_l + i); a size absent from ``minors``
-    adds nothing."""
-    n = len(vals)
+def _minor_sum(minors, weights, sizes, rpow, zero):
+    """sum over the sizes k in ``sizes`` and the S of size k of
+    W_S |y|^(n(k-1)-2) det M_S, from the principal minors {S: det M_S}
+    (`symfun._principal_minors`) and the weights (`_minor_weights`)."""
+    n = len(weights) - 1
     total = zero
-    for size in range(1, n + 1):
-        part = sum(
-            (_flat_weight(vals, S) * det for S, det in minors.items() if len(S) == size), zero
-        )
+    for size in sizes:
+        part = _sum((w * minors[S] for S, w in weights[size].items()), zero)
         total = total + part * rpow(n * (size - 1) - 2)
     return total
 
 
-def _flat_residual(y, value, grad, hess, vals, rpow):
-    """The flat-phase theta-free residual along H = A + |y|^n M R^2,
-    normalized by gamma |y|^(n+2), from the 2-jet (value, grad, hess) of v
-    at y and the rational spectrum vals of A:
-
-        sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S,
-        w_S = Im prod_{l in S} (lambda_l + i).
-
-    It follows from E_H + i O_H = det(I + iH), R^2 = diag(1 + lambda^2) and
-    conj(det(I + iA)) det(I + iA) = gamma.  The |S| = 1 part is
-    trace(M) / |y|^2, which is lap(v) by the trace identity.  rpow(k)
-    is |y|^k in the ring of the jet; only +, - and * touch the entries, so
-    the same code (`_flat_matrix`, `symfun._principal_minors`, `_flat_sum`)
-    runs over the Fraction jets here and over the RadPoly jets of
-    `WindowedResidual`."""
-    m = _flat_matrix(y, value, grad, hess, rpow)
-    return _flat_sum(_principal_minors(m), vals, rpow, 0 * value)
+def _split(y, value, grad, hess, weights, rpow, gamma) -> ResidualBreakdown:
+    """The normalized residual at the 2-jet (value, grad, hess) of v at y,
+    with rpow(k) = |y|^k in the ring of the jet: lap(v) = trace(hess), and
+    the remainder is the minor sum over |S| >= 2, never the difference of
+    the total and lap(v)."""
+    n = len(y)
+    zero = 0 * value
+    minors = _principal_minors(_flat_matrix(y, value, grad, hess, rpow))
+    laplace = _sum((hess[i][i] for i in range(n)), zero)
+    nonlinear = _minor_sum(minors, weights, range(2, n + 1), rpow, zero)
+    return ResidualBreakdown(laplace, nonlinear, laplace + nonlinear, gamma)
 
 
 def transformed_residual_exact(
@@ -408,33 +412,25 @@ def transformed_residual_exact(
     """Exact rational residual split for the flat-phase branch.
 
     Same contract as `transformed_residual` but every input is rational and
-    |y| itself must be rational (e.g. points t * unit rational vector).
-    The total is the weighted principal-minor sum of M (`_flat_residual`),
-    sum over nonempty S of w_S |y|^(n(|S|-1)-2) det M_S with
-    w_S = Im prod_{l in S} (lambda_l + i), so the irrational scaling R
-    never appears, all arithmetic stays inside the rationals, and the split
-    is exact down to radii far below where floating-point cancellation
-    destroys the remainder term.
+    |y| itself must be rational and nonzero (e.g. points t * unit rational
+    vector); ValueError names a point at the origin.  The split is the
+    same weighted principal-minor sum (`_split`), with SLAG's rational
+    weights W_S = Im prod_{l in S} (lambda_l + i), so the irrational
+    scaling R never appears and all arithmetic stays inside the rationals.
     """
     yv = list(map(_as_fraction, y))
-    n = len(yv)
     vals = list(map(_as_fraction, s))
-    if len(vals) != n:
+    if len(vals) != len(yv):
         raise ValueError("spectrum size must match the point dimension")
-    gv = list(map(_as_fraction, grad))
-    hv = [list(map(_as_fraction, row)) for row in hess]
+    if not any(yv):
+        raise ValueError(f"the residual needs y in the punctured ball, got y = ({', '.join(map(str, yv))})")
     norm = _rational_sqrt(sum((c * c for c in yv), Fraction(0)))
     if norm is None:
         raise ValueError("exact evaluation needs |y| to be rational")
-
-    total = _flat_residual(yv, _as_fraction(value), gv, hv, vals, lambda k: norm**k)
-    laplace = sum((hv[i][i] for i in range(n)), Fraction(0))
-    return ResidualBreakdown(
-        laplace_term=laplace,
-        nonlinear_term=total - laplace,
-        total=total,
-        linear_factor=math.prod((1 + v * v for v in vals), start=Fraction(1)),
-    )
+    gv = list(map(_as_fraction, grad))
+    hv = [list(map(_as_fraction, row)) for row in hess]
+    gamma = math.prod((1 + v * v for v in vals), start=Fraction(1))
+    return _split(yv, _as_fraction(value), gv, hv, _minor_weights(_FLAT_ROW, vals), lambda k: norm**k, gamma)
 
 
 # ── the fully symbolic residual ──────────────────────────────────────────
@@ -442,8 +438,8 @@ def transformed_residual_exact(
 
 class WindowedResidual:
     """The exact normalized flat-phase residual of a radical polynomial v
-    in n >= 3 variables (`_flat_residual`), formed weight window by weight
-    window while v grows.
+    in n >= 3 variables (SLAG's weighted minor sum, `_minor_sum`), formed
+    weight window by weight window while v grows.
 
     It holds M of the v added so far and every minor that the Laplace
     expansion of the principal minors meets (`symfun._principal_minors`).
@@ -458,14 +454,14 @@ class WindowedResidual:
     has a term at or below the ceiling of size 2, so `add` refuses one.
     """
 
-    __slots__ = ("n", "_vals", "_y", "_one", "_m", "_minors", "_through")
+    __slots__ = ("n", "_weights", "_y", "_one", "_m", "_minors", "_through")
 
     def __init__(self, s):
         vals = list(map(_as_fraction, s))
         n = len(vals)
         if n < 3:
             raise DimensionError(f"the symbolic residual needs n >= 3, got {n}")
-        self.n, self._vals = n, vals
+        self.n, self._weights = n, _minor_weights(_FLAT_ROW, vals)
         self._y = [MultiPoly.variable(n, i) for i in range(n)]
         self._one = MultiPoly.const(n, 1)
         zero = RadPoly.zero(n)
@@ -518,12 +514,12 @@ class WindowedResidual:
         floors = None if held is None else [self._ceiling(k, held) + 1 for k in sizes]
         self._through = through
         minors = _principal_minors(self._m, ceilings, self._minors, floors)
-        return _flat_sum(minors, self._vals, self._rpow, RadPoly.zero(self.n))
+        return _minor_sum(minors, self._weights, sizes, self._rpow, RadPoly.zero(self.n))
 
 
 def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None) -> RadPoly:
     """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
-    n = P.n_vars >= 3 variables (`_flat_residual`); for n = 3 that is
+    n = P.n_vars >= 3 variables (SLAG's weighted minor sum); for n = 3 that is
 
         lap(v) + |y| sum_{j<k} (lambda_j + lambda_k) det M_{jk}
                - |y|^4 (1 - sigma_2(A)) det M.

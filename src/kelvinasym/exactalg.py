@@ -310,13 +310,6 @@ class MultiPoly(_RationalMap):
         exp = tuple(1 if j == i else 0 for j in range(n_vars))
         return cls(n_vars, {exp: 1})
 
-    @classmethod
-    def r_squared(cls, n_vars: int) -> "MultiPoly":
-        """``|y|^2 = y_1^2 + ... + y_n^2``."""
-        if n_vars < 1:
-            raise DimensionError("need at least one variable")
-        return cls._make(n_vars, dict(_r2_power(n_vars, 1)))
-
     # arithmetic -----------------------------------------------------------
 
     def __bool__(self) -> bool:

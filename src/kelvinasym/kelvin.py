@@ -25,7 +25,7 @@ point at a time, and adds up with `exactalg._sum` and `exactalg._dot`
 on every interpreter.  `hessian_identity_check` draws from one
 `random.Random(seed)`, sample after sample: the direction as n
 `gauss(0.0, 1.0)` values, then the radius as `uniform(1.2, 3.0)`; it
-assembles the identity's matrices with the code of `matrices_MNKL`.
+assembles N = R M R from `identity_parts` at each sample.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "identity_parts",
     "jet_indeterminates",
     "kelvin_map",
-    "matrices_MNKL",
     "poly_jet",
     "scaling_matrix",
     "trace_identity_defect",
@@ -661,30 +660,6 @@ def jet_indeterminates(n: int):
     return var[:n], var[n], var[n + 1 : 2 * n + 1], h
 
 
-def _assemble(y, ysq, value, grad, hess, r):
-    """`matrices_MNKL` at the float 2-jet (value, grad, hess) at y, with
-    ysq = |y|^2 and r the diagonal of R."""
-    K, L = identity_parts(y, value, grad, hess, ysq)
-    ratio = L / ysq
-    M = [[k + ratio * (yi * yj) for k, yj in zip(row, y)] for row, yi in zip(K, y)]
-    N = [[(ri * rj) * m for m, rj in zip(row, r)] for row, ri in zip(M, r)]
-    return M, N, K, L
-
-
-def matrices_MNKL(jet: Jet2, frame: KelvinFrame):
-    """The matrices of the Hessian identity at one jet, as nested lists:
-
-        L      scalar weight of the rank-one radial part
-        K      the polynomial part
-        M    = K + (L / |y|^2) y y^T
-        N    = R M R
-
-    so that D^2 u = A + |y|^n N at the exterior point behind y."""
-    if jet.n != frame.n:
-        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
-    return _assemble(jet.y, _dot(jet.y, jet.y), jet.value, jet.grad, jet.hess, frame.R)
-
-
 class HessianReport(NamedTuple):
     """Worst deviations of the finite-difference exterior Hessian from the
     assembled identity A + |y|^n N over a sample of exterior points."""
@@ -730,11 +705,13 @@ def hessian_identity_check(
     n `gauss(0.0, 1.0)` values and then the radius as `uniform(1.2, 3.0)`;
     a point whose image would leave the ball (|Rx| < 1.05) is pushed out
     to |Rx| = 1.05.  The exact side evaluates the jet of v at the image on
-    floats and assembles N as `matrices_MNKL` does; at each stencil point
-    u is evaluated by the one-point body that `u_from_v` runs, with v's
-    `float_evaluator` as the profile.  Every float operation is the one
-    the per-point route (`poly_jet`, `matrices_MNKL`, `u_from_v` with
-    ``v.evaluate``) performs, so the report equals that route's.  A
+    floats and assembles the upper triangle of N = R M R from
+    `identity_parts`, entry (i, j) as (r_i r_j) (K_ij + (L / |y|^2)
+    (y_i y_j)); at each stencil point u is evaluated by the one-point body
+    that `u_from_v` runs, with v's `float_evaluator` as the profile.
+    Every float operation is the one a per-point route (`poly_jet`, that
+    assembly, `u_from_v` with ``v.evaluate``) performs, so the report
+    equals that route's.  A
     sample whose deviation is not finite (an overflow, or inf - inf)
     counts as an infinite deviation, so it cannot pass any tolerance.
     ValueError unless samples >= 1, fd_step is a positive finite number
@@ -767,10 +744,15 @@ def hessian_identity_check(
 
         y = _invert(x, r, True)
         ysq = _dot(y, y)
-        _, N, _, _ = _assemble(y, ysq, *jet_at(y), r)
-        # A + |y|^n N, upper triangle only
+        K, L = identity_parts(y, *jet_at(y), ysq)
+        ratio = L / ysq
+        # A + |y|^n N with N = R M R, M = K + (L / |y|^2) y y^T, upper triangle only
         weight = ysq ** (n / 2.0)
-        exact = {(i, j): weight * N[i][j] for i in range(n) for j in range(i, n)}
+        exact = {
+            (i, j): weight * ((r[i] * r[j]) * (K[i][j] + ratio * (y[i] * y[j])))
+            for i in range(n)
+            for j in range(i, n)
+        }
         for i, lam in enumerate(frame.spectrum):
             exact[i, i] += lam
 

@@ -50,6 +50,7 @@ from kelvinasym.symfun import (
     verify_identity,
     verify_linear_coefficient,
 )
+from test_exactalg import r_squared
 
 THETA3 = 0.75 * math.pi
 
@@ -182,7 +183,7 @@ def test_05_hessian_trace_identity(report):
 
 def test_06_leading_correction_closed_form(report):
     rng = Random(106)
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     ok = True
     for _ in range(20):
         v0 = Fraction(rng.randint(1, 5), rng.randint(1, 7)) * rng.choice((-1, 1))
@@ -206,7 +207,7 @@ def test_07_radical_poisson_solver_vs_oracle(report):
     checks = 0
     ok = True
     for n in (3, 5, 7):
-        r2 = MultiPoly.r_squared(n)
+        r2 = r_squared(n)
         for m in range(7):
             for _ in range(20):
                 h = _random_homogeneous(rng, n, m)

@@ -174,7 +174,7 @@ for info in pkgutil.iter_modules(kelvinasym.__path__):
     importlib.import_module("kelvinasym." + info.name)
 from kelvinasym.equations import algebraic_residual, notheta_residual, transformed_residual
 from kelvinasym.exactalg import MultiPoly
-from kelvinasym.kelvin import KelvinFrame, PhaseBranch, kelvin_map, matrices_MNKL, poly_jet
+from kelvinasym.kelvin import KelvinFrame, PhaseBranch, identity_parts, kelvin_map, poly_jet
 theta = 3 * math.pi / 4
 branch = PhaseBranch.slag(theta)
 H = [[1.5, 0.25, 0.0], [0.25, 1.0, -0.5], [0.0, -0.5, 0.75]]
@@ -184,7 +184,7 @@ jet = poly_jet(v, [0.3, -0.2, 0.1])
 out = [
     algebraic_residual(branch, H, theta),
     notheta_residual(branch, [1.0, 0.5, 2.0], H),
-    matrices_MNKL(jet, frame),
+    identity_parts(jet.y, jet.value, jet.grad, jet.hess, sum(c * c for c in jet.y)),
     transformed_residual(jet, frame).total,
     kelvin_map([[[2.0, 0.0, 1.0], [1.0, -1.0, 3.0]], [[0.5, 2.0, -1.0], [3.0, 1.0, 1.0]]], frame.R),
 ]
@@ -195,7 +195,7 @@ print(json.dumps(out))
 
 def test_former_numpy_routes_run_without_numpy():
     # every module imports, and the float routes that once ran on arrays
-    # (eigenvalues, jets, the identity's matrices, stacked point maps) give
+    # (eigenvalues, jets, the identity's parts, stacked point maps) give
     # the same values when numpy cannot load, without ever loading it
     runs = {}
     for mode in ("block", "allow"):
@@ -208,9 +208,9 @@ def test_former_numpy_routes_run_without_numpy():
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout.splitlines()[-1])
     assert runs["block"] == runs["allow"]
-    residual, eliminated, mnkl, total, images = runs["block"]
+    residual, eliminated, parts, total, images = runs["block"]
     assert abs(residual) > 1e-3 and abs(eliminated) > 1e-3 and math.isfinite(total)
-    assert len(mnkl) == 4 and [len(row) for row in mnkl[1]] == [3, 3, 3]
+    assert len(parts) == 2 and [len(row) for row in parts[0]] == [3, 3, 3]
     assert [[len(y) for y in stack] for stack in images] == [[3, 3], [3, 3]]
 
 
@@ -554,6 +554,23 @@ def test_expand3_audit_and_closed_form_offset(tmp_path, capsys):
     # the closed-form leading correction equals the recursion's first step
     assert report["first_correction_matches_closed_form"] is True
     assert report["closed_form_minus_first_correction"]["terms"] == []
+    capsys.readouterr()
+
+
+def test_expand3_fails_a_perturbed_closed_form(tmp_path, capsys):
+    # fault injection: the closed form scaled by 1 + 1/1000 must turn the
+    # verdict, not only the bytes of the report
+    real = cli.leading_correction
+    out = tmp_path / "e3.json"
+    argv = ["expand3", "--order", "5", "--p0", "3/2", "--spectrum", "1,1/2,2", "--out", str(out)]
+    with mock.patch.object(cli, "leading_correction", lambda p0, s: real(p0, s) * Fraction(1001, 1000)):
+        assert dispatch(argv) == 1
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    assert report["first_correction_matches_closed_form"] is False
+    assert report["first_failure"]["check"] == "first correction matches the closed form"
+    assert "FAILED at first correction matches the closed form" in capsys.readouterr().err
+    assert dispatch(argv) == 0
     capsys.readouterr()
 
 

@@ -722,6 +722,8 @@ def random_rational_jet(rnd: Random, n: int):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_exact_route_agrees_with_float_route(n):
+    # one formula (`equations._split`) in two rings: the float route on the
+    # floats nearest the rational jet, the exact route on the jet itself
     spec, value, grad, hess = random_rational_jet(Random(41 + n), n)
     unit = [Fraction(c) for c in equations._UNIT_VECTORS[n]]
     for k in (1, 2, 3):
@@ -787,6 +789,120 @@ def test_exact_route_needs_rational_radius():
             [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
             Spectrum(["0", "0", "0"]),
         )
+
+
+def test_exact_route_refuses_the_origin():
+    # |y| = 0 once surfaced as a ZeroDivisionError from Fraction(1, 0)
+    zero = [fr(0)] * 3
+    with pytest.raises(ValueError, match=r"punctured ball, got y = \(0, 0, 0\)"):
+        transformed_residual_exact(zero, fr(1), zero, [zero] * 3, [1, 2, 3])
+
+
+def determinant_route_total(jet: Jet2, frame: KelvinFrame) -> float:
+    """The normalized float residual the long way, as the float route once
+    took it: the theta-free form on H = A + |y|^n R M R (Jacobi eigenvalues,
+    then P(H) as a product), divided by gamma |y|^(n+2).  Its remainder is
+    total - lap(v), lost to cancellation at small |y|."""
+    n = frame.n
+    y, r = jet.y, frame.R
+    ysq = sum(c * c for c in y)
+    K, L = identity_parts(y, jet.value, jet.grad, jet.hess, ysq)
+    weight = ysq ** (n / 2)
+    H = [
+        [
+            (frame.spectrum[i] if i == j else 0.0) + weight * r[i] * r[j] * (K[i][j] + L / ysq * y[i] * y[j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    raw = float(notheta_residual(frame.branch, frame.spectrum, H))
+    return raw / (float(linear_part_factor(frame.branch, frame.spectrum)) * ysq ** ((n + 2) / 2))
+
+
+@pytest.mark.parametrize("branch", all_branches(), ids=lambda b: b.kind)
+def test_float_route_agrees_with_the_determinant_route(branch):
+    # 50 random jets per n = 2..5 at 0.1 <= |y| <= 0.5, eigenvalues 0.1 to
+    # 2 above the bound.  The determinant route reads the remainder back
+    # out of P(A + |y|^n R M R), so its error grows as 1 / (|y|^n min R^2):
+    # the raw gap reached 3.0e-8 (RECIP, n = 5, |y| = 0.10, 1 + lambda =
+    # 0.11), and a 60-digit evaluation put all of it on the determinant
+    # route (the minor sum was within 4.1e-16 of it).  Scaled so, the gap
+    # was at most 3.9e-14 (RECIP), 2.1e-14 (ATAN2), 1.5e-14 (LOG) and
+    # 1.2e-14 (SLAG)
+    rng = np.random.default_rng(71)
+    for n in (2, 3, 4, 5):
+        for _ in range(50):
+            frame = KelvinFrame(branch, admissible_eigs(rng, branch, n).tolist())
+            y = rng.normal(size=n)
+            y *= rng.uniform(0.1, 0.5) / np.linalg.norm(y)
+            hess = rng.normal(size=(n, n))
+            jet = Jet2(y.tolist(), rng.normal(), rng.normal(size=n).tolist(), ((hess + hess.T) / 2).tolist())
+            want = determinant_route_total(jet, frame)
+            split = transformed_residual(jet, frame)
+            conditioning = np.linalg.norm(y) ** n * min(r * r for r in frame.R)
+            assert abs(split.total - want) * conditioning < 2e-13 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_float_remainder_matches_the_exact_route_at_small_radii(n):
+    # the remainder comes straight from the minors of size >= 2, so it keeps
+    # its relative accuracy as |y| falls; the determinant route's total -
+    # lap(v) was off by 100 % at |y| = 1e-3 (n = 3) and by a factor 1e51 at
+    # 1e-7 (n = 5).  The largest error measured here was 8.2e-16 (n = 5)
+    spec, value, grad, hess = random_rational_jet(Random(83 + n), n)
+    unit = [Fraction(c) for c in equations._UNIT_VECTORS[n]]
+    frame = flat_frame([float(v) for v in spec.values])
+    for k in range(1, 8):
+        y = [fr(1, 10**k) * u for u in unit]
+        want = float(transformed_residual_exact(y, value, grad, hess, spec).nonlinear_term)
+        jet = Jet2(
+            y=[float(c) for c in y],
+            value=float(value),
+            grad=[float(c) for c in grad],
+            hess=[[float(c) for c in row] for row in hess],
+        )
+        got = transformed_residual(jet, frame).nonlinear_term
+        assert want != 0 and abs(got - want) <= 1e-15 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("branch", all_branches(), ids=lambda b: b.kind)
+def test_single_index_weights_are_one(branch):
+    rng = np.random.default_rng(73)
+    for n in range(2, 7):
+        weights = equations._minor_weights(branch.row, admissible_eigs(rng, branch, n).tolist())
+        assert [len(group) for group in weights] == [0, *(math.comb(n, k) for k in range(1, n + 1))]
+        assert weights[1] == {(l,): 1.0 for l in range(n)}
+
+
+def test_flat_weights_are_imaginary_parts_of_root_products():
+    # W_S = Im prod_{l in S} (lambda_l + i), exactly, on rational spectra
+    rnd = Random(79)
+    row = PhaseBranch.slag(0.0).row
+    for _ in range(40):
+        vals = list(random_spectrum(rnd, rnd.randint(2, 5)).values)
+        for group in equations._minor_weights(row, vals):
+            for S, w in group.items():
+                product = complex(1)
+                re, im = fr(1), fr(0)
+                for l in S:
+                    re, im = re * vals[l] - im, re + im * vals[l]
+                    product *= complex(vals[l], 1)
+                assert type(w) is Fraction and w == im
+                assert math.isclose(float(w), product.imag, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_reciprocal_weights_are_scaled_elementary_sums():
+    # RECIP (dual numbers): W_S = 2^(-(|S|-1)/2) sigma_(|S|-1)(1 + lambda_S)
+    rng = np.random.default_rng(97)
+    branch = PhaseBranch.recip(0.0)
+    for n in (3, 4, 5):
+        vals = admissible_eigs(rng, branch, n).tolist()
+        for size, group in enumerate(equations._minor_weights(branch.row, vals)):
+            for S, w in group.items():
+                sigmas = [1.0]  # sigma_0 .. sigma_size of 1 + lambda_S
+                for l in S:
+                    sigmas = [a + (1 + vals[l]) * b for a, b in zip([*sigmas, 0.0], [0.0, *sigmas])]
+                assert math.isclose(w, 2 ** (-(size - 1) / 2) * sigmas[size - 1], rel_tol=1e-13)
 
 
 # ── fully symbolic n = 3 route ───────────────────────────────────────────

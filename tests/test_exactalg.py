@@ -28,6 +28,12 @@ def fr(a, b=1):
     return Fraction(a, b)
 
 
+def r_squared(n_vars):
+    """|y|^2 = y_1^2 + ... + y_n^2 from its n monomials, apart from the
+    integer (|y|^2)^j table of the Laplacian ladder."""
+    return MultiPoly(n_vars, {tuple(2 * (k == i) for k in range(n_vars)): 1 for i in range(n_vars)})
+
+
 coefs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
 
 
@@ -120,7 +126,7 @@ def test_float_sum_rule_folds_left_to_right():
     assert fold([]) == 0.0
     # any ring: the same fold adds exact polynomials from the caller's zero
     y = [MultiPoly.variable(2, i) for i in range(2)]
-    assert fold((c * c for c in y), MultiPoly.zero(2)) == MultiPoly.r_squared(2)
+    assert fold((c * c for c in y), MultiPoly.zero(2)) == r_squared(2)
 
 
 @given(p=polys(3), q=polys(3), s=polys(3, max_deg=2, max_terms=3))
@@ -177,7 +183,7 @@ def test_known_laplacians():
     y1 = MultiPoly.variable(3, 0)
     y2 = MultiPoly.variable(3, 1)
     assert (y1**2 * y2).laplacian() == 2 * y2
-    assert MultiPoly.r_squared(5).laplacian() == MultiPoly.const(5, 10)
+    assert r_squared(5).laplacian() == MultiPoly.const(5, 10)
     assert (y1 * y2).laplacian().is_zero
     assert (y1**2 - y2**2).laplacian().is_zero
     assert (y1**2).laplacian() == MultiPoly.const(3, 2)
@@ -231,14 +237,14 @@ def test_divide_r2_roundtrip(n, data):
     # |y|^2 vanishes at (1, i, 0, ..., 0), so the quick reject keeps every
     # multiple
     p = data.draw(polys(n, max_deg=3, max_terms=5))
-    multiple = p * MultiPoly.r_squared(n)
+    multiple = p * r_squared(n)
     assert _at_one_i(multiple) == (0, 0)
     assert multiple.try_divide_r2() == p
     # any quotient is exact, and so only for a zero at (1, i, 0, ..., 0)
     q = data.draw(polys(n, max_deg=4, max_terms=6))
     got = q.try_divide_r2()
     if got is not None:
-        assert got * MultiPoly.r_squared(n) == q
+        assert got * r_squared(n) == q
         assert _at_one_i(q) == (0, 0)
 
 
@@ -247,7 +253,7 @@ def test_divide_r2_roundtrip(n, data):
 def test_divide_r2_undecided_cases_reach_the_long_division(n, data):
     # q |y|^2 + y_n^2 s vanishes at (1, i, 0, ..., 0) for every q and s, and
     # |y|^2 (irreducible for n >= 3) divides it exactly when it divides s
-    r2 = MultiPoly.r_squared(n)
+    r2 = r_squared(n)
     last = MultiPoly.variable(n, n - 1)
     q = data.draw(polys(n, max_deg=2, max_terms=4))
     s = data.draw(polys(n, max_deg=2, max_terms=4))
@@ -366,7 +372,7 @@ def _assert_canonical(p):
 def test_operations_match_fraction_dict_model(a, b, s, k, i):
     p, q = MultiPoly(3, a), MultiPoly(3, b)
     A, B = _clean(a), _clean(b)
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     results = [
         (p, A),
         (p + q, _model_add(A, B)),
@@ -516,7 +522,7 @@ def test_radpoly_float_evaluation_matches_the_input_slots(slots, pt):
 
 def test_radpoly_promotes_whole_r2_factors():
     q = MultiPoly.variable(3, 0) + MultiPoly.const(3, 2)
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     assert RadPoly(3, {1: r2 * q}) == RadPoly(3, {3: q})
     assert RadPoly(3, {1: r2 * q}).terms == {(3, 1, 0, 0): 1, (3, 0, 0, 0): 2}
 
@@ -525,7 +531,7 @@ def test_radpoly_same_function_same_form():
     # two distinct slot layouts of one function must normalize identically
     y1 = MultiPoly.variable(3, 0)
     f4 = y1**4
-    a = RadPoly(3, {-1: 4 * MultiPoly.r_squared(3) + f4})
+    a = RadPoly(3, {-1: 4 * r_squared(3) + f4})
     b = RadPoly(3, {-1: f4, 1: MultiPoly.const(3, 4)})
     assert a == b
     assert a.terms == b.terms
@@ -534,7 +540,7 @@ def test_radpoly_same_function_same_form():
 def test_radpoly_collects_even_sector_to_polynomial():
     p0 = MultiPoly.variable(3, 0) ** 2
     p2 = MultiPoly.const(3, 3)
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     assert RadPoly(3, {0: p0, 2: p2}) == RadPoly.from_poly(p0 + r2 * p2)
 
 
@@ -626,7 +632,7 @@ def test_radpoly_ceiling_skips_pairs_before_multiplying():
 @settings(max_examples=25, deadline=None)
 def test_radpoly_partial_matches_polynomial_route(p):
     # |y|^2 p is an ordinary polynomial, so the two derivative routes must agree
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     via_rad = RadPoly(3, {2: p}).partial(1)
     via_poly = RadPoly.from_poly((r2 * p).partial(1))
     assert via_rad == via_poly
@@ -635,7 +641,7 @@ def test_radpoly_partial_matches_polynomial_route(p):
 @given(p=polys(3, max_deg=2, max_terms=4))
 @settings(max_examples=25, deadline=None)
 def test_radpoly_laplacian_matches_polynomial_route(p):
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     via_rad = RadPoly(3, {4: p}).laplacian()
     via_poly = RadPoly.from_poly((r2 * r2 * p).laplacian())
     assert via_rad == via_poly
@@ -656,7 +662,7 @@ def test_part_odd():
     s = MultiPoly.variable(3, 2)
     e = RadPoly(3, {-1: one, 0: s * s, 1: s})
     assert e.part(-1, -1) == one
-    assert e.part(-1, 2) == MultiPoly.r_squared(3) * s
+    assert e.part(-1, 2) == r_squared(3) * s
     assert e.part(-1, 0).is_zero
     assert RadPoly.zero(3).part(-1, 2) == MultiPoly.zero(3)
     # an even base takes the even parity
@@ -673,7 +679,7 @@ def test_part_odd():
 def test_part_takes_the_terms_of_the_base_parity(n):
     one = MultiPoly.const(n, 1)
     y1 = MultiPoly.variable(n, 0)
-    r2 = MultiPoly.r_squared(n)
+    r2 = r_squared(n)
     e = RadPoly(n, {2: y1, 3: one, -2: one})
     assert {key[0] % 2 for key in e.terms} == {0, 1}
     assert e.part(-2, -2) == one
@@ -720,7 +726,7 @@ def test_radpoly_refuses_a_slot_power_that_is_not_an_integer():
 def test_radpoly_canonical_form_is_idempotent_and_derivation_invariant():
     y1 = MultiPoly.variable(3, 0)
     f4 = y1**4
-    a = RadPoly(3, {-1: 4 * MultiPoly.r_squared(3) + f4})
+    a = RadPoly(3, {-1: 4 * r_squared(3) + f4})
     b = RadPoly(3, {-1: f4, 1: MultiPoly.const(3, 4)})
     # the normal form read back through `terms` builds itself again
     by_power = {}
@@ -837,7 +843,7 @@ def test_radpoly_part_refuses_past_the_cap_before_building():
     assert (wide + RadPoly(3, {1: y1})).part(1, 2) == y1
     small = RadPoly(3, {0: one, 4: y1})
     with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 6):
-        assert small.part(0, 5) == MultiPoly.r_squared(3) ** 2 * y1
+        assert small.part(0, 5) == r_squared(3) ** 2 * y1
     with mock.patch.object(exactalg, "_MAX_REWRITE_ENTRIES", 5):
         assert small.part(0, 0) == one
         with pytest.raises(ValueError, match="would write 6 monomial entries, more than 5"):
@@ -864,7 +870,7 @@ def test_quadratic_correction_weight_identity():
     # and Q2bar = 5 s1 r^2 + 3 sum(li yi^2), pinned at (1, 2, -1/2)
     lam = [fr(1), fr(2), fr(-1, 2)]
     s1 = sum(lam)
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     weighted = MultiPoly.zero(3)
     for i, li in enumerate(lam):
         weighted = weighted + li * MultiPoly.variable(3, i) ** 2
@@ -924,7 +930,7 @@ def oracle_solution(h):
     n = h.n_vars
     m = h.total_degree()
     c_m = (n - 2) * (2 * n - 4 + 2 * m)
-    r2 = MultiPoly.r_squared(n)
+    r2 = r_squared(n)
     u = MultiPoly.zero(n)
     for j, hj in harmonic_decomposition(h).items():
         mu = 2 * j * (2 * m - 2 * j + n - 2)
@@ -1002,7 +1008,7 @@ def test_poisson_verification_rejects_a_wrong_solution():
         a, d = ladder(n_vars, degree, weight)
         return (a[0] + 1,) + a[1:], d
 
-    h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + MultiPoly.r_squared(3)
+    h = MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) + r_squared(3)
     with mock.patch.object(exactalg, "_poisson_block", perturbed):
         with pytest.raises(SolveError, match="exact solve failed verification"):
             solve_radical_poisson(h, 3)
@@ -1034,7 +1040,7 @@ def fraction_ladder(h, weight):
     for k in range(1, m // 2 + 1):
         c += 2 * n + 4 * (m - 2 * k)
         a = -a / c
-        rung, r2k = rung.laplacian(), r2k * MultiPoly.r_squared(n)
+        rung, r2k = rung.laplacian(), r2k * r_squared(n)
         u = u + rung * a * r2k
     return u
 
@@ -1130,7 +1136,7 @@ def test_poisson_matches_dense_elimination_oracle():
 
 
 def test_harmonic_decomposition_pinned():
-    r2 = MultiPoly.r_squared(3)
+    r2 = r_squared(3)
     assert harmonic_decomposition(r2) == {1: MultiPoly.const(3, 1)}
     y1 = MultiPoly.variable(3, 0)
     comps = harmonic_decomposition(y1**2)
@@ -1145,7 +1151,7 @@ def test_harmonic_decomposition_properties(n, m):
     if p.is_zero:
         p = MultiPoly.variable(n, 0) ** m
     comps = harmonic_decomposition(p)
-    r2 = MultiPoly.r_squared(n)
+    r2 = r_squared(n)
     total = MultiPoly.zero(n)
     for j, hj in comps.items():
         assert hj.laplacian().is_zero

@@ -38,6 +38,7 @@ from kelvinasym.expand import (
 )
 from kelvinasym.kelvin import KelvinFrame, PhaseBranch, u_from_v
 from kelvinasym.symfun import Spectrum, random_spectrum
+from test_exactalg import r_squared
 
 
 def yvar(i: int) -> MultiPoly:
@@ -107,7 +108,7 @@ def test_leading_correction_radial_poisson_identity():
         q = leading_correction(v0, s)
         sigma1 = sum(s.values, Fraction(0))
         qbar = (
-            MultiPoly.r_squared(3) * sigma1 + weighted_square_sum(s.values) * 3
+            r_squared(3) * sigma1 + weighted_square_sum(s.values) * 3
         ) * v0**2
         lhs = RadPoly(3, {1: q}).laplacian()
         assert lhs == RadPoly(3, {-1: qbar})
@@ -280,7 +281,7 @@ def test_leading_correction_radial_poisson_identity_in_n(n):
     weighted = MultiPoly.zero(n)
     for i, lam in enumerate(s.values):
         weighted = weighted + MultiPoly.variable(n, i) ** 2 * lam
-    qbar = (MultiPoly.r_squared(n) * sum(s.values, Fraction(0)) + weighted * (n * (n - 2))) * (
+    qbar = (r_squared(n) * sum(s.values, Fraction(0)) + weighted * (n * (n - 2))) * (
         (n - 2) ** 2 * v0**2
     )
     assert RadPoly(n, {n - 2: q}).laplacian() == RadPoly(n, {n - 4: qbar})
@@ -369,7 +370,7 @@ def test_recursion_and_radial_harness_agree_on_the_second_coefficient(n):
     while state.Q.is_zero:
         state = next_correction(state)
     kappa = state.Q.terms[(2,) + (0,) * (n - 1)]
-    assert state.Q == MultiPoly.r_squared(n) * kappa
+    assert state.Q == r_squared(n) * kappa
     exact = kappa * (1 - n) / (v0**2 * (n - 2) ** 2)
     assert exact == Fraction(1 - n, 2)
 
@@ -442,7 +443,7 @@ def test_first_correction_speeds_up_decay_of_original_equation(spectrum, p0):
     recursion_q = next_correction(state).Q
     closed_q = leading_correction(p0, spectrum)
     sigma1 = sum(spectrum, Fraction(0))
-    refuted_q = closed_q + MultiPoly.r_squared(3) * (Fraction(1, 3) * sigma1 * p0**2)
+    refuted_q = closed_q + r_squared(3) * (Fraction(1, 3) * sigma1 * p0**2)
 
     uncorrected = original_equation_slope(mp, spectrum, p0, MultiPoly.zero(3))
     assert abs(uncorrected + 6) < 0.1

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from kelvinasym import kelvin
-from kelvinasym.exactalg import MultiPoly
+from kelvinasym.exactalg import MultiPoly, _dot
 from kelvinasym.kelvin import (
     MAX_FD_WORK,
     AdmissibilityError,
@@ -29,7 +29,6 @@ from kelvinasym.kelvin import (
     identity_parts,
     jet_indeterminates,
     kelvin_map,
-    matrices_MNKL,
     poly_jet,
     scaling_matrix,
     trace_identity_defect,
@@ -400,6 +399,23 @@ def test_jet_refuses_a_non_finite_hessian_entry():
 
 def unit_frame(n=3):
     return KelvinFrame(PhaseBranch.slag(THETA3), [0.0] * n)
+
+
+def matrices_MNKL(jet, frame):
+    """The matrices of the Hessian identity at one jet, as nested lists:
+    L, the weight of the rank-one radial part; K, the polynomial part;
+    M = K + (L / |y|^2) y y^T; and N = R M R, so that D^2 u = A + |y|^n N
+    at the exterior point behind y.  Each entry of N takes the float
+    operations that `hessian_identity_check` takes for it."""
+    if jet.n != frame.n:
+        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
+    y, r = jet.y, frame.R
+    ysq = _dot(y, y)
+    K, L = identity_parts(y, jet.value, jet.grad, jet.hess, ysq)
+    ratio = L / ysq
+    M = [[k + ratio * (yi * yj) for k, yj in zip(row, y)] for row, yi in zip(K, y)]
+    N = [[(ri * rj) * m for m, rj in zip(row, r)] for row, ri in zip(M, r)]
+    return M, N, K, L
 
 
 def test_mnkl_pinned_constant_profile():
