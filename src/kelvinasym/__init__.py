@@ -14,8 +14,8 @@ kelvin
 equations
     Algebraic residual forms of the equations and their exact linear parts.
 expand
-    Asymptotic expansion corrections and least-squares recovery of the
-    expansion from samples.
+    Asymptotic expansion corrections, the least-squares fit of sampled
+    exterior solutions, and sample and fit files.
 radial
     Exterior radial ODE integration (RK4 in log r with a step-doubling
     error estimate).

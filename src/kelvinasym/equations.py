@@ -42,9 +42,9 @@ One body (`_split`) returns lap(v) = trace(hess) and the remainder
 straight from the minors of size >= 2: over floats on any kind
 (`transformed_residual`, on tuples and nested lists) and over rationals on
 SLAG (`transformed_residual_exact`, rational jets and radius).  The same
-sum runs fully symbolically on SLAG, in any n >= 3: `symbolic_residual`,
-which can stop at a weight ceiling, and `WindowedResidual`, which forms it
-one weight window at a time while v grows.
+sum runs fully symbolically on SLAG, in any n >= 3, in `WindowedResidual`,
+which forms it one weight window at a time while v grows and can stop at
+a weight ceiling.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ __all__ = [
     "linear_part_factor",
     "transformed_residual",
     "transformed_residual_exact",
-    "symbolic_residual",
     "linear_part_defect",
     "residual_scaling_slopes",
 ]
@@ -198,7 +197,9 @@ class AlgebraicForm(NamedTuple):
     determinant algebra.
 
     `coefficients` carries {x, y, scale}: Z = x + u y is Z_theta for the
-    theta-carrying form and P(A) for the theta-free form.
+    theta-carrying form and P(A) for the theta-free form.  `linear_part_defect`
+    runs the SLAG theta-free form; the other forms' consumer is the float
+    ``residual-scaling`` for RECIP, ATAN2 and LOG that ROADMAP.md keeps open.
     """
 
     branch: PhaseBranch
@@ -253,13 +254,17 @@ class AlgebraicForm(NamedTuple):
 def algebraic_residual(branch: PhaseBranch, H, theta: float) -> float:
     """theta-carrying residual of a symmetric matrix; zero (to rounding)
     exactly when the branch phase of H equals theta, modulo the period of
-    the branch's arctangent form."""
+    the branch's arctangent form.  No subcommand runs it yet: its consumer
+    is the float ``residual-scaling`` for RECIP, ATAN2 and LOG that
+    ROADMAP.md keeps open."""
     return float(AlgebraicForm.theta_carrying(branch, len(H), theta).residual(H))
 
 
 def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
     """theta-free residual of H against the asymptotic model spectrum s;
-    exact when the branch weights and every entry of H are rational."""
+    exact when the branch weights and every entry of H are rational.  No
+    subcommand runs it yet: its consumer is the float ``residual-scaling``
+    for RECIP, ATAN2 and LOG that ROADMAP.md keeps open."""
     return AlgebraicForm.eliminated(branch, len(H), s).residual(H)
 
 
@@ -283,7 +288,9 @@ def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
     checked against the t-slope of the theta-free residual along
     H(t) = diag(lambda + t c), c = R^2 / 4, the image of a canonical
     unit-Hessian jet; MismatchError if the two disagree beyond
-    `_FACTOR_RTOL` relative."""
+    `_FACTOR_RTOL` relative.  No subcommand runs it yet: its consumer is
+    the float ``residual-scaling`` for RECIP, ATAN2 and LOG that ROADMAP.md
+    keeps open."""
     vals = _spectrum_values(s)
     n = len(vals)
     row = branch.row
@@ -330,12 +337,32 @@ class ResidualBreakdown(NamedTuple):
     linear_factor: Scalar
 
 
+# dimensions the principal-minor residual (`_split`) takes.  Its Laplace
+# expansion meets every minor of M and its weights every index set, so one
+# jet's cost grows about 3x per dimension: on 2 shared CPUs one SLAG jet
+# took 0.009 s (floats) and 0.050 s (rationals) at n = 8, 0.074 and 0.34 s
+# at n = 10, 0.47 and 2.3 s at n = 12, and 1.4 and 5.6 s at n = 13
+MAX_RESIDUAL_DIMENSION = 10
+
+
+def _check_dimension(n: int) -> None:
+    """ValueError, naming n, above MAX_RESIDUAL_DIMENSION."""
+    if n > MAX_RESIDUAL_DIMENSION:
+        raise ValueError(
+            f"the principal-minor residual takes n <= {MAX_RESIDUAL_DIMENSION}, got n = {n}"
+        )
+
+
 def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
     """Floating-point residual split at one jet of the ball-side profile,
     on any branch kind: the weighted principal-minor sum (`_split`) with
-    the weights of the frame's row; gamma is `linear_part_factor`'s."""
+    the weights of the frame's row; gamma is `linear_part_factor`'s.
+    ValueError above MAX_RESIDUAL_DIMENSION (`_check_dimension`).
+    No subcommand runs it yet: its consumer is the float ``residual-scaling``
+    for RECIP, ATAN2 and LOG that ROADMAP.md keeps open."""
     if jet.n != frame.n:
         raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
+    _check_dimension(frame.n)
     norm = _dot(jet.y, jet.y) ** 0.5
     weights = _minor_weights(frame.branch.row, frame.spectrum)
     return _split(*jet, weights, lambda k: norm**k, float(linear_part_factor(frame.branch, frame.spectrum)))
@@ -417,11 +444,13 @@ def transformed_residual_exact(
     same weighted principal-minor sum (`_split`), with SLAG's rational
     weights W_S = Im prod_{l in S} (lambda_l + i), so the irrational
     scaling R never appears and all arithmetic stays inside the rationals.
+    ValueError above MAX_RESIDUAL_DIMENSION (`_check_dimension`).
     """
     yv = list(map(_as_fraction, y))
     vals = list(map(_as_fraction, s))
     if len(vals) != len(yv):
         raise ValueError("spectrum size must match the point dimension")
+    _check_dimension(len(yv))
     if not any(yv):
         raise ValueError(f"the residual needs y in the punctured ball, got y = ({', '.join(map(str, yv))})")
     norm = _rational_sqrt(sum((c * c for c in yv), Fraction(0)))
@@ -515,33 +544,6 @@ class WindowedResidual:
         self._through = through
         minors = _principal_minors(self._m, ceilings, self._minors, floors)
         return _minor_sum(minors, self._weights, sizes, self._rpow, RadPoly.zero(self.n))
-
-
-def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None) -> RadPoly:
-    """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
-    n = P.n_vars >= 3 variables (SLAG's weighted minor sum); for n = 3 that is
-
-        lap(v) + |y| sum_{j<k} (lambda_j + lambda_k) det M_{jk}
-               - |y|^4 (1 - sigma_2(A)) det M.
-
-    P and Q are polynomials in the n ball variables with rational
-    coefficients; the result is a radical polynomial in the same variables
-    and every coefficient is exact; in even n it has no odd slot.
-
-    With a weight ``ceiling`` W, the result is the residual's terms of
-    weight at most W, where |y|^k y^e has weight k + |e| (the full
-    residual's `RadPoly.truncate`): each size of minor is formed only
-    through the weight it contributes to W, and terms above it are never
-    formed.  None computes the whole residual.  This is one
-    `WindowedResidual.add` of v and one `through`; a recursion that grows
-    v keeps the `WindowedResidual` instead, so no window is formed twice."""
-    n = P.n_vars
-    vals = list(map(_as_fraction, s))
-    if n < 3 or Q.n_vars != n or len(vals) != n:
-        raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
-    residual = WindowedResidual(vals)
-    residual.add(RadPoly(n, {0: P, n - 2: Q}))
-    return residual.through(ceiling)
 
 
 @lru_cache(maxsize=None)

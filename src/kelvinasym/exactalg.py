@@ -30,8 +30,9 @@ product rewrites only where both factors hold ``y_1``.  A term's weight
 degree are read off the keys (``RadPoly.keys``); ``RadPoly.part`` writes
 one parity at one weight as ``r^base W`` with ``W`` a polynomial.
 
-All arithmetic here is exact.  Floats only appear through ``evaluate`` when
-called with float coordinates, and through ``MultiPoly.float_evaluator``.
+All arithmetic here is exact.  Floats only appear through
+``MultiPoly.evaluate`` when called with float coordinates, and through
+``MultiPoly.float_evaluator``.
 
 Exact input
 -----------
@@ -43,7 +44,7 @@ through its numerator and denominator as Python ints, text goes through
 raises TypeError naming the type and the value.  Beside it `_is_rational`
 decides whether a value takes the exact route or the float one, and
 `_rational_sqrt` is the one exact square root.  Exponents and radical
-powers are Python ints, and `_json_int` reads a record's integers.
+powers are Python ints.
 
 Float sums
 ----------
@@ -154,13 +155,6 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-def _json_int(value) -> int:
-    """An integer read from a JSON record; bools, floats and text are refused."""
-    if type(value) is not int:
-        raise TypeError(f"{value!r} is not an integer")
-    return value
-
-
 def _check_same_dims(a: "MultiPoly | RadPoly", b: "MultiPoly | RadPoly") -> None:
     if a.n_vars != b.n_vars:
         raise DimensionError(f"operands have {a.n_vars} and {b.n_vars} variables")
@@ -268,8 +262,8 @@ class MultiPoly(_RationalMap):
     coefficient of ``y^e`` is ``_num[e] / _den``, and equal polynomials have
     equal fields.
 
-    ``MultiPoly(n_vars, terms)`` and ``from_json`` validate their input;
-    every other result is built by the trusted ``_make`` from integers.
+    ``MultiPoly(n_vars, terms)`` validates its input; every other result
+    is built by the trusted ``_make`` from integers.
     """
 
     __slots__ = ()
@@ -330,6 +324,7 @@ class MultiPoly(_RationalMap):
         return self * other
 
     def __pow__(self, k: int) -> "MultiPoly":
+        """``self ** k`` by repeated squaring; the tests build polynomials with it."""
         if k < 0:
             raise ValueError("negative polynomial power")
         out = MultiPoly.const(self.n_vars, 1)
@@ -353,6 +348,7 @@ class MultiPoly(_RationalMap):
         return MultiPoly._make(self.n_vars, out, self._den)
 
     def laplacian(self) -> "MultiPoly":
+        """The Laplacian; `harmonic_decomposition` checks each component by it."""
         return MultiPoly._make(self.n_vars, _laplacian_num(self._num), self._den)
 
     # structure ------------------------------------------------------------
@@ -416,7 +412,8 @@ class MultiPoly(_RationalMap):
         return at
 
     def try_divide_r2(self) -> "MultiPoly | None":
-        """Exact quotient by ``|y|^2`` if it divides this polynomial, else None.
+        """Exact quotient by ``|y|^2`` if it divides this polynomial, else None;
+        `harmonic_decomposition` strips each harmonic component by it.
 
         Long division in the first variable: the divisor is monic of degree 2
         in ``y_1`` over the ring of polynomials in the remaining variables,
@@ -464,21 +461,6 @@ class MultiPoly(_RationalMap):
                 {"coef": str(c), "exp": list(e)} for e, c in sorted(self.terms.items())
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiPoly":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
-        try:
-            n_vars = _json_int(data["n_vars"])
-            terms = {}
-            for t in data["terms"]:
-                key = tuple(t["exp"])
-                if key in terms:
-                    raise ValueError(f"exponent {key} is listed twice")
-                terms[key] = parse_rational(t["coef"])
-            return cls(n_vars, terms)
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed polynomial record: {exc}") from exc
 
     def __repr__(self) -> str:
         if self.is_zero:
@@ -726,53 +708,6 @@ class RadPoly(_RationalMap):
                 out[key[:j] + (ej - 1,) + key[j + 1 :]] += ej * c
         return RadPoly._make(self.n_vars, _fold_y1_powers(out), self._den)
 
-    def laplacian(self) -> "RadPoly":
-        """Exact Laplacian, term by term: ``lap(|y|^K y^e) = K (K + n - 2
-        + 2|e|) |y|^(K-2) y^e + |y|^K lap(y^e)`` with ``n`` the variable
-        count; ``e_1 <= 1`` adds nothing to ``lap(y^e)``."""
-        n = self.n_vars
-        out: dict[Exponent, int] = defaultdict(int)
-        for key, c in self._num.items():
-            k = key[0]
-            if k:
-                out[(k - 2,) + key[1:]] += k * (k + n - 2 + 2 * (sum(key) - k)) * c
-            for j in range(2, n + 1):
-                ej = key[j]
-                if ej >= 2:
-                    out[key[:j] + (ej - 2,) + key[j + 1 :]] += ej * (ej - 1) * c
-        return RadPoly._make(n, out, self._den)
-
-    # evaluation -----------------------------------------------------------
-
-    def evaluate(self, point: Iterable) -> Fraction | float:
-        """The value at ``point``, summed over the normal form term by term:
-        a Fraction when every coordinate is rational and, if some ``K`` is
-        odd, so is ``|y|``; else a float, each coefficient entering as the
-        correctly rounded ``numerator / _den``."""
-        pt = list(point)
-        if len(pt) != self.n_vars:
-            raise DimensionError(f"point has {len(pt)} coordinates, expected {self.n_vars}")
-        exact = all(map(_is_rational, pt))
-        if exact:
-            r2 = _as_fraction(sum(x * x for x in pt))
-            r = _rational_sqrt(r2)
-            exact = r is not None or not any(key[0] & 1 for key in self._num)
-        if not exact:
-            r2 = _dot(pt, pt)
-            r = math.sqrt(r2)
-        den = self._den
-        total = 0 if exact else 0.0
-        for key, c in self._num.items():
-            k = key[0]
-            term = c if exact else c / den
-            if k:
-                term = term * (r ** k if k & 1 else r2 ** (k >> 1))
-            for x, m in zip(pt, key[1:]):
-                if m:
-                    term = term * x**m
-            total = total + term
-        return Fraction(total) / den if exact else total
-
     def __repr__(self) -> str:
         """The normal form term by term, ``c*|y|^K*y^e``."""
         if self.is_zero:
@@ -901,6 +836,9 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
 def harmonic_decomposition(p: MultiPoly) -> dict[int, MultiPoly]:
     """Decompose a homogeneous polynomial as ``p = sum_j |y|^(2j) h_j`` with
     each ``h_j`` harmonic; returns ``{j: h_j}`` (nonzero components only).
+    No subcommand runs it yet: its consumers are the free harmonic pieces
+    of the smooth part P and the regularity certificate that ROADMAP.md
+    keeps open.
 
     Each ``h_j`` is the weight-0 ladder's harmonic projection of what
     remains, which is then divided exactly by ``|y|^2``.  Raises

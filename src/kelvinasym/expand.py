@@ -4,10 +4,10 @@ Two halves live here.  The exact half is the degree-by-degree correction
 recursion in any n >= 3: each step reads the forced obstruction off the
 transformed residual's terms whose power of ``|y|`` has the parity of n,
 and solves a radial-weight Poisson equation for the next radical
-correction, all in rational arithmetic.  The numerical half recovers the quadratic part, affine tail,
-and remainder decay rate of a sampled exterior solution by least squares
-over annuli, and maps the stripped remainder back to ball-side profile
-samples through the scaled inversion.  It runs on the standard library:
+correction, all in rational arithmetic.  The numerical half recovers the
+quadratic part, affine tail, and remainder decay rate of a sampled
+exterior solution by least squares over annuli.  It runs on the standard
+library:
 the samples are sorted by radius once, each annulus is a bisected slice
 of them, the least squares is a Householder QR of the outermost
 annulus's design, and the conditioning budget reads the eigenvalues of
@@ -28,7 +28,6 @@ from typing import NamedTuple, Sequence
 
 from .equations import WindowedResidual, _symmetric_eigenvalues
 from .exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction, _dot, _sum, solve_radical_poisson
-from .kelvin import KelvinFrame, kelvin_map
 from .symfun import Spectrum
 
 __all__ = [
@@ -39,10 +38,7 @@ __all__ = [
     "correct_through",
     "fit_expansion",
     "leading_correction",
-    "next_correction",
-    "read_fit",
     "read_samples",
-    "recover_v",
     "write_fit",
     "write_samples",
 ]
@@ -80,7 +76,7 @@ class ExpansionState(_ExpansionStateFields):
     stays below ``order - n + 3``.  ``P`` must respect the order, and only
     its harmonic pieces are free data: in odd n the residual's terms with
     an even power of |y| force non-harmonic terms of ``P`` too.
-    `next_correction` reads only the terms of the parity of n and solves
+    `correct_through` reads only the terms of the parity of n and solves
     only for ``Q``, so in odd n every correction after the first is
     incomplete.
     """
@@ -119,9 +115,9 @@ def leading_correction(v0, s) -> MultiPoly:
     The returned polynomial q satisfies ``lap(|y|^(n-2) q) = |y|^(n-4) qbar``
     with ``qbar = (n-2)^2 v0^2 [sigma_1 |y|^2 + n (n-2) sum_i lambda_i y_i^2]``
     exactly.  For n = 3 that is the negative of the ``|y|^(-1)`` sector of
-    `symbolic_residual` at ``v = v0``, and adding the correction to ``v``
-    makes the residual of the original equation decay faster along rays
-    (r^-9 against r^-6 for the uncorrected profile).
+    the residual (`WindowedResidual`) at ``v = v0``, and adding the
+    correction to ``v`` makes the residual of the original equation decay
+    faster along rays (r^-9 against r^-6 for the uncorrected profile).
     """
     spectrum = _as_spectrum(s)
     n = spectrum.n
@@ -172,14 +168,7 @@ def correct_through(state: ExpansionState, order: int) -> tuple[list[ExpansionSt
     return states, residual
 
 
-def next_correction(state: ExpansionState) -> ExpansionState:
-    """One step of the correction recursion (`correct_through`): the state
-    with ``Q`` augmented by the forced correction and the order advanced
-    by one."""
-    return correct_through(state, state.order + 1)[0][0]
-
-
-# ── sampling, fitting, and profile recovery ──────────────────────────────
+# ── sampling and fitting ─────────────────────────────────────────────────
 
 
 class _ExpansionFitFields(NamedTuple):
@@ -233,21 +222,6 @@ class ExpansionFit(_ExpansionFitFields):
             tuple((float(lo), float(hi)) for lo, hi in annuli),
         )
 
-    @property
-    def n(self) -> int:
-        return len(self.b)
-
-    def predict(self, points: Sequence[Sequence[float]]) -> list[float]:
-        """Model values at the given exterior points, one point or points
-        one per row; DimensionError on a point of another dimension."""
-        if len(points) and isinstance(points[0], numbers.Real):
-            points = [points]
-        pts = [tuple(map(float, p)) for p in points]
-        for point in pts:
-            if len(point) != self.n:
-                raise DimensionError(f"point has {len(point)} coordinates, expected {self.n}")
-        return _model_values(pts, self.A, self.b, self.c, self.d)
-
     def to_json(self) -> dict:
         data = {
             "A": [list(row) for row in self.A],
@@ -260,22 +234,6 @@ class ExpansionFit(_ExpansionFitFields):
         if self.d is not None:
             data["d"] = self.d
         return data
-
-    @classmethod
-    def from_json(cls, data) -> "ExpansionFit":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
-        try:
-            return cls(
-                A=data["A"],
-                b=data["b"],
-                c=float(data["c"]),
-                d=None if data.get("d") is None else float(data["d"]),
-                decay_slope=float(data["decay_slope"]),
-                decay_slope_stderr=float(data["decay_slope_stderr"]),
-                annuli=tuple((float(lo), float(hi)) for lo, hi in data.get("annuli", ())),
-            )
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed fit record: {exc}") from exc
 
 
 class _FloatSamples(list):
@@ -611,32 +569,6 @@ def fit_expansion(
     )
 
 
-def recover_v(samples, fit: ExpansionFit, frame: KelvinFrame):
-    """Strip the fitted affine-quadratic part from exterior samples and undo
-    the inversion weight, returning ball-side profile samples.
-
-    For each sample (x, u) the profile value is
-
-        v(y) = (u - x^T A x / 2 - b . x - c) * |y|^(2-n),   y = R x / |Rx|^2,
-
-    with the logarithmic term also removed first in dimension two.  Returns
-    ``(pairs, v0_estimate)`` where ``pairs`` is a list of (y, v), each y a
-    tuple, and ``v0_estimate`` averages v over the tenth of the samples
-    with the smallest |y|.
-    """
-    n = frame.n
-    pts, vals, _ = _split_samples(samples, n)
-    if fit.n != n:
-        raise DimensionError(f"fit is {fit.n}-dimensional, frame is {n}-dimensional")
-    model = _model_values(pts, fit.A, fit.b, fit.c, fit.d)
-    ys = kelvin_map(pts, frame.R, "forward")
-    ynorm = [math.sqrt(_dot(y, y)) for y in ys]
-    pairs = [(y, (u - m) * r ** (2 - n)) for y, u, m, r in zip(ys, vals, model, ynorm)]
-    nearest = sorted(range(len(pairs)), key=ynorm.__getitem__)[: max(1, len(pairs) // 10)]
-    v0_estimate = _sum(pairs[k][1] for k in nearest) / len(nearest)
-    return pairs, v0_estimate
-
-
 # ── sample and fit files ─────────────────────────────────────────────────
 
 
@@ -673,7 +605,7 @@ def write_samples(path, samples) -> None:
 def read_samples(path) -> list[tuple[tuple[float, ...], float]]:
     """Read exterior samples from CSV with header ``x1,...,xn,u``, as
     tuples of float coordinates and a float value, which `fit_expansion`
-    and `recover_v` take without converting them again.
+    takes without converting them again.
 
     ValueError on a malformed header, a row of the wrong width, or a
     non-numeric or non-finite value, naming the file row.
@@ -713,9 +645,3 @@ def write_fit(path, fit: ExpansionFit) -> None:
     with open(path, "w") as fh:
         json.dump(fit.to_json(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_fit(path) -> ExpansionFit:
-    """Read a fit record from JSON."""
-    with open(path) as fh:
-        return ExpansionFit.from_json(json.load(fh))

@@ -13,7 +13,7 @@ exact Hessian identity
     D^2 u (x) = A + |y|^n N(y),      N = R M(y) R,
 
 with M assembled from the second-order jet of v at y alone.  This module
-holds the branch/frame containers, the forward and backward point maps, the
+holds the branch/frame containers, the scaled inversion y = Rx / |Rx|^2, the
 one ring-generic builder of the identity's K and L (every float, exact and
 symbolic route assembles M from it), the finite-difference verification
 of the Hessian identity, and the symbolic trace identity that pins the
@@ -31,14 +31,13 @@ assembles N = R M R from `identity_parts` at each sample.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
-from .exactalg import MultiPoly, _dot, _json_int, _sum
+from .exactalg import MultiPoly, _dot, _sum
 from .symfun import Spectrum
 
 __all__ = [
@@ -54,11 +53,9 @@ __all__ = [
     "hessian_identity_check",
     "identity_parts",
     "jet_indeterminates",
-    "kelvin_map",
     "poly_jet",
     "scaling_matrix",
     "trace_identity_defect",
-    "u_from_v",
 ]
 
 
@@ -258,6 +255,9 @@ class PhaseBranch(_PhaseBranchFields):
         """Open lower eigenvalue bound (None for the unconstrained kind)."""
         return self.maps.lower
 
+    # g, g_inverse and phase are the closed forms that the tests check
+    # `maps` and the radial integrator against; no subcommand calls them
+
     def g(self, lam: float) -> float:
         """The eigenvalue map of this branch."""
         return self.maps.g(lam)
@@ -281,17 +281,6 @@ class PhaseBranch(_PhaseBranchFields):
         if self.kind not in _PINNED_TAU:
             out["tau"] = self.tau
         return out
-
-    @classmethod
-    def from_json(cls, data) -> "PhaseBranch":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
-        try:
-            kind = str(data["kind"]).upper()
-            theta = float(data["theta"])
-            tau = data.get("tau")
-            return cls.make(kind, theta, None if tau is None else float(tau))
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed branch record: {exc}") from exc
 
 
 class ScalarMaps(NamedTuple):
@@ -456,85 +445,27 @@ class KelvinFrame:
             f"lambda={list(self.spectrum)})"
         )
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "branch": self.branch.to_json(),
-            "lambda": list(self.spectrum),
-            "b": list(self.linear),
-            "c": self.constant,
-        }
 
-    @classmethod
-    def from_json(cls, data) -> "KelvinFrame":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
-        try:
-            branch = PhaseBranch.from_json(data["branch"])
-            lambdas = [float(v) for v in data["lambda"]]
-            n = _json_int(data.get("n", len(lambdas)))
-            if n != len(lambdas):
-                raise ValueError(f"record claims n={n} but lists {len(lambdas)} eigenvalues")
-            return cls(branch, lambdas, data.get("b"), float(data.get("c", 0.0)))
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed frame record: {exc}") from exc
-
-
-def _each_point(f, points):
-    """``f`` at one point, or at each point of a stack: points one per row,
-    nested to any depth, with the coordinates innermost.  The results come
-    back as nested lists with the stack's nesting."""
-    if len(points) == 0 or isinstance(points[0], numbers.Real):
-        return f(points)
-    return [_each_point(f, p) for p in points]
-
-
-def _invert(point: Sequence[float], r: Sequence[float], forward: bool) -> tuple[float, ...]:
-    """One point through the scaled inversion, ``r`` a checked diagonal."""
+def _invert(point: Sequence[float], r: Sequence[float]) -> tuple[float, ...]:
+    """y = Rx / |Rx|^2 for one exterior point x, ``r`` the diagonal of a
+    checked R; ZeroPointError at the origin."""
     if len(point) != len(r):
         raise ValueError("point and scaling diagonal must have the same length")
-    z = list(map(operator.mul, r, map(float, point))) if forward else list(map(float, point))
+    z = list(map(operator.mul, r, map(float, point)))
     norm_sq = _dot(z, z)
     if norm_sq == 0.0:
         raise ZeroPointError("the inversion map is singular at the origin")
-    if forward:
-        return tuple([c / norm_sq for c in z])
-    return tuple([c / norm_sq / ri for c, ri in zip(z, r)])
-
-
-def kelvin_map(point: Sequence[float], R: Sequence[float], direction: str = "forward"):
-    """The scaled inversion between exterior points x and ball points y.
-
-    forward:  y = Rx / |Rx|^2        backward:  x = R^(-1) y / |y|^2
-
-    ``R`` is the diagonal of the scaling matrix.  One point maps to a
-    tuple of floats.  ``point`` may also stack points one per row (see
-    `_each_point`); each point maps on its own.  The two directions are
-    mutually inverse; mapping the origin (any stacked row of it) raises
-    ZeroPointError.
-    """
-    r = [float(c) for c in R]
-    if not all(c > 0.0 for c in r):
-        raise ValueError("scaling diagonal must be positive")
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
-    forward = direction == "forward"
-    return _each_point(lambda p: _invert(p, r, forward), point)
-
-
-def u_from_v(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: Sequence[float]):
-    """Exterior solution value at x from the ball-side profile v:
-
-        u(x) = x^T A x / 2 + b.x + c + |y|^(n-2) v(y),   y = Rx / |Rx|^2.
-
-    ``v`` takes the image y as a tuple of floats.  ``x`` may stack points
-    one per row, as `kelvin_map` takes them; then v is called once per
-    point and one value comes back per row."""
-    return _each_point(lambda p: _u_at(frame, v, list(map(float, p))), x)
+    return tuple([c / norm_sq for c in z])
 
 
 def _u_at(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: list[float]) -> float:
-    """`u_from_v` at one point x, given as a list of floats."""
-    y = _invert(x, frame.R, True)
+    """The exterior solution's value at one point x, given as a list of
+    floats, from the ball-side profile v:
+
+        u(x) = x^T A x / 2 + b.x + c + |y|^(n-2) v(y),   y = Rx / |Rx|^2.
+
+    ``v`` takes the image y as a tuple of floats."""
+    y = _invert(x, frame.R)
     quad = 0.5 * _dot(map(operator.mul, frame.spectrum, x), x)
     affine = _dot(frame.linear, x) + frame.constant
     return quad + affine + _dot(y, y) ** ((frame.n - 2) / 2.0) * float(v(y))
@@ -553,7 +484,8 @@ class _Jet2Fields(NamedTuple):
 class Jet2(_Jet2Fields):
     """Second-order data of the ball-side profile at one point of the
     punctured unit ball: value, gradient, and symmetric Hessian, as a float,
-    a tuple and a tuple of rows; each must be finite."""
+    a tuple and a tuple of rows; each must be finite.  The float
+    `transformed_residual` takes it; see its docstring for the consumer."""
 
     __slots__ = ()
 
@@ -604,7 +536,9 @@ def _jet_evaluator(v: MultiPoly):
 
 
 def poly_jet(v: MultiPoly, y: Sequence[float]) -> Jet2:
-    """The second-order jet of a polynomial profile at a ball point."""
+    """The second-order jet of a polynomial profile at a ball point, as the
+    float `transformed_residual` takes it; see its docstring for the
+    consumer."""
     yv = [float(c) for c in y]
     if len(yv) != v.n_vars:
         raise ValueError(f"point has length {len(yv)}, polynomial has {v.n_vars} variables")
@@ -707,11 +641,10 @@ def hessian_identity_check(
     to |Rx| = 1.05.  The exact side evaluates the jet of v at the image on
     floats and assembles the upper triangle of N = R M R from
     `identity_parts`, entry (i, j) as (r_i r_j) (K_ij + (L / |y|^2)
-    (y_i y_j)); at each stencil point u is evaluated by the one-point body
-    that `u_from_v` runs, with v's `float_evaluator` as the profile.
-    Every float operation is the one a per-point route (`poly_jet`, that
-    assembly, `u_from_v` with ``v.evaluate``) performs, so the report
-    equals that route's.  A
+    (y_i y_j)); at each stencil point u is evaluated by `_u_at`, with v's
+    `float_evaluator` as the profile.  Every float operation is the one a
+    per-point route (`poly_jet`, that assembly, `_u_at` with
+    ``v.evaluate``) performs, so the report equals that route's.  A
     sample whose deviation is not finite (an overflow, or inf - inf)
     counts as an infinite deviation, so it cannot pass any tolerance.
     ValueError unless samples >= 1, fd_step is a positive finite number
@@ -742,7 +675,7 @@ def hessian_identity_check(
         if image_norm < 1.05:
             x = [c * (1.05 / image_norm) for c in x]
 
-        y = _invert(x, r, True)
+        y = _invert(x, r)
         ysq = _dot(y, y)
         K, L = identity_parts(y, *jet_at(y), ysq)
         ratio = L / ysq
@@ -801,7 +734,9 @@ def trace_identity_defect(n: int) -> MultiPoly:
     inverse power in trace(M) is the (L / |y|^2) y y^T part, whose trace is
     exactly L, so the defect is an ordinary polynomial over the jet
     variables, the zero polynomial precisely when the trace identity
-    holds.
+    holds.  No subcommand runs it: `tests/test_acceptance.py` checks it for
+    n = 3..6 until the exact check of the whole Hessian identity that
+    ROADMAP.md plans replaces it.
     """
     if n < 2:
         raise ValueError("the trace identity needs n >= 2")

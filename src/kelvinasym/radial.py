@@ -6,9 +6,8 @@ sum_j g(lambda_j) = theta reduces to the scalar relation
 
     g(u'') + (n - 1) g(u'/r) = theta.
 
-`radial_rhs` solves that relation for u'' through the branch's monotone
-scalar map.  In s = log r the slope lambda = u'/r obeys the autonomous
-scalar equation
+The branch's scalar map is monotone, so the relation fixes u''.  In
+s = log r the slope lambda = u'/r obeys the autonomous scalar equation
 
     d lambda / ds = g^{-1}(theta - (n - 1) g(lambda)) - lambda,
 
@@ -38,7 +37,6 @@ after sample.
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import random
 from typing import NamedTuple, Sequence
@@ -55,8 +53,6 @@ __all__ = [
     "count_nodes",
     "integrate_exterior",
     "kernel_name",
-    "radial_rhs",
-    "read_trajectory",
     "trajectory_samples",
     "write_trajectory",
 ]
@@ -83,7 +79,8 @@ _TRAJECTORY_HEADER = ["r", "u", "du", "error_estimate"]
 
 
 def kernel_name() -> str:
-    """The integration kernel; there is one, written in Python."""
+    """The integration kernel; there is one, written in Python.  Only
+    perfbench/run.py reads it, and both go in one benchmark change."""
     return "python"
 
 
@@ -103,23 +100,6 @@ class RadialState(NamedTuple):
     p: float
     w: float
     error: float
-
-
-def radial_rhs(branch: PhaseBranch, n: int, theta: float, r: float, p: float) -> float:
-    """Solve g(u'') = theta - (n-1) g(p/r) for the admissible root u''.
-
-    The branch's scalar map g is strictly increasing on its admissible
-    ray, so the root is unique; DomainError (with the offending
-    quantity in the message) if p/r leaves the ray or the right-hand
-    side leaves the range of g.
-    """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"radius must be positive, got {r}")
-    t = float(theta) - (n - 1) * branch.g(float(p) / r)
-    return branch.g_inverse(t)
 
 
 def _failure(branch: PhaseBranch, a: float, lam: float, radius: float, trajectory) -> DomainError:
@@ -310,39 +290,13 @@ def write_trajectory(path, states: Sequence[RadialState]) -> None:
     """Write recorded nodes as CSV: r,u,du,error_estimate.
 
     Floats are rendered with repr so equal trajectories give byte-equal
-    files and `read_trajectory` restores the exact values.  Each node is
-    one ``%r,%r,%r,%r`` line ending in CRLF: the bytes `csv.writer`
-    writes, since a finite float's repr never needs quoting.
+    files and ``float`` reads each field back exactly.  Each node is one
+    ``%r,%r,%r,%r`` line ending in CRLF: the bytes `csv.writer` writes,
+    since a finite float's repr never needs quoting.
     """
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_TRAJECTORY_HEADER) + "\r\n")
         fh.writelines("%r,%r,%r,%r\r\n" % (s.r, s.u, s.p, s.error) for s in states)
-
-
-def read_trajectory(path) -> list[tuple[float, float, float, float]]:
-    """Read a trajectory CSV back as (r, u, du, error) tuples.
-
-    The CSV stores no second-derivative column, so the result is plain
-    tuples rather than RadialState records.  ValueError on a malformed
-    header or row.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _TRAJECTORY_HEADER:
-            raise ValueError(
-                f"expected trajectory header {','.join(_TRAJECTORY_HEADER)!r}, "
-                f"got {header!r}"
-            )
-        rows: list[tuple[float, float, float, float]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise ValueError(f"trajectory row {line_no} has {len(row)} fields, expected 4")
-            try:
-                rows.append((float(row[0]), float(row[1]), float(row[2]), float(row[3])))
-            except ValueError as exc:
-                raise ValueError(f"trajectory row {line_no} is not numeric: {exc}") from exc
-    return rows
 
 
 def count_nodes(

@@ -4,10 +4,12 @@ identities behind the linearized transform.
 
 Inputs are read by the package's one exact-scalar rule (`exactalg`'s
 module docstring), so a verification never silently loses exactness.  The
-public sigma functions return Fractions.  The verifiers scale every input
-by the lcm d of its denominators and compare integers: each identity is
-homogeneous in its inputs, so the integer sides equal d^degree times the
-rational ones, and the reports divide them back.
+public sigma functions (`sigma_all`, `sigma`, `sigma_hat`, `sigma_bar_all`,
+`sigma_bar`, `alternating_sums`, `alternating_sums_bar`) return Fractions;
+no subcommand calls them, and the tests use them as oracles.  The
+verifiers scale every input by the lcm d of its denominators and compare
+integers: each identity is homogeneous in its inputs, so the integer sides
+equal d^degree times the rational ones, and the reports divide them back.
 The sigma kernels (`char_sigmas` and the private value-list ones) are
 ring-generic; the verifiers run them over ints, and the residual forms of
 the equations module over polynomials.
@@ -19,8 +21,7 @@ The short ids used throughout the tool chain (reports, command line):
 L31  the t-coefficient of sigma_k(diag(lambda) + t B) equals
      sum_i sigma_{k-1}(spectrum with i removed) * B_ii; checked for every k
      by `verify_linear_coefficient`, whose left side is one `char_sigmas`
-     pass over dual numbers a + t b (t^2 = 0), and per k by
-     `linear_coefficient_sigma`.
+     pass over dual numbers a + t b (t^2 = 0).
 L32  with E = sum_j (-1)^j sigma_{2j} and O = sum_j (-1)^j sigma_{2j+1},
      and hatted sums taken over the spectrum with index i removed:
      E*E_i + O*O_i = prod_{j != i} (1 + lambda_j^2).
@@ -46,7 +47,7 @@ from functools import lru_cache
 from random import Random
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .exactalg import Scalar, _as_fraction, _json_int, parse_rational
+from .exactalg import Scalar, _as_fraction
 
 
 class ArityError(ValueError):
@@ -58,7 +59,7 @@ class MismatchError(ArithmeticError):
 
 
 class Spectrum:
-    """An ordered tuple of exact eigenvalues.  Entry indices are 1-based."""
+    """An ordered tuple of exact eigenvalues."""
 
     __slots__ = ("values",)
 
@@ -86,34 +87,8 @@ class Spectrum:
     def __repr__(self) -> str:
         return f"Spectrum({', '.join(str(v) for v in self.values)})"
 
-    def deleted(self, i: int) -> "Spectrum":
-        """The spectrum with entry ``i`` (1-based) removed."""
-        self._check_index(i)
-        return Spectrum(self.values[: i - 1] + self.values[i:])
-
-    def replaced(self, i: int, value: Scalar) -> "Spectrum":
-        """The spectrum with entry ``i`` (1-based) replaced by ``value``."""
-        self._check_index(i)
-        return Spectrum(self.values[: i - 1] + (_as_fraction(value),) + self.values[i:])
-
-    def _check_index(self, i: int) -> None:
-        if not 1 <= i <= len(self.values):
-            raise IndexError(f"index {i} out of range for spectrum of size {len(self.values)}")
-
     def to_json(self) -> dict:
         return {"n": self.n, "lambda": [str(v) for v in self.values]}
-
-    @classmethod
-    def from_json(cls, data) -> "Spectrum":
-        """Inverse of ``to_json``; ValueError names a malformed record."""
-        try:
-            values = [parse_rational(v) for v in data["lambda"]]
-            n = _json_int(data["n"])
-        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
-            raise ValueError(f"malformed spectrum record: {exc}") from exc
-        if n != len(values):
-            raise ValueError(f"spectrum record claims n={n} but lists {len(values)} values")
-        return cls(values)
 
 
 class _BranchParamsFields(NamedTuple):
@@ -137,14 +112,6 @@ class ExactReport(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     equal: bool
-
-    def to_json(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
-            "equal": self.equal,
-        }
 
 
 SpectrumLike = Union[Spectrum, Sequence[Scalar]]
@@ -421,23 +388,6 @@ def _linear_coefficients_by_deleted_sum(values, diagonal) -> list:
         for k, sig in enumerate(_sigmas(values[:i] + values[i + 1 :], 1)):
             out[k] += sig * d
     return out
-
-
-def linear_coefficient_sigma(k: int, s: SpectrumLike, B: MatrixLike) -> Fraction:
-    """The t-coefficient of sigma_k(diag(lambda) + t B) for a symmetric
-    matrix B of exact rationals (0 outside 1 <= k <= n).
-
-    Computed by `char_sigmas` over dual numbers a + t b (t^2 = 0) and
-    cross-checked against the deleted-spectrum diagonal sum; MismatchError
-    if the routes disagree (they cannot, unless one of them is miscoded --
-    this is a self-checking operation)."""
-    reports = verify_linear_coefficient(s, B)
-    if not 1 <= k <= len(reports):
-        return Fraction(0)
-    report = reports[k - 1]
-    if not report.equal:
-        raise MismatchError(f"linear coefficient routes disagree: {report.lhs} vs {report.rhs}")
-    return report.lhs
 
 
 # ── identity verification ────────────────────────────────────────────────

@@ -20,11 +20,7 @@ import numpy as np
 import pytest
 
 from kelvinasym import radial
-from kelvinasym.equations import (
-    linear_part_defect,
-    residual_scaling_slopes,
-    symbolic_residual,
-)
+from kelvinasym.equations import linear_part_defect, residual_scaling_slopes
 from kelvinasym.exactalg import (
     MultiPoly,
     RadPoly,
@@ -35,7 +31,6 @@ from kelvinasym.expand import (
     ExpansionState,
     fit_expansion,
     leading_correction,
-    next_correction,
 )
 from kelvinasym.kelvin import (
     KelvinFrame,
@@ -50,7 +45,9 @@ from kelvinasym.symfun import (
     verify_identity,
     verify_linear_coefficient,
 )
-from test_exactalg import r_squared
+from test_equations import symbolic_residual
+from test_exactalg import r_squared, rad_laplacian
+from test_expand import model_values, next_correction
 
 THETA3 = 0.75 * math.pi
 
@@ -110,7 +107,7 @@ def _outer_rms(samples, fit, r_lo):
     pts = np.asarray([x for x, _ in samples], dtype=float)
     vals = np.asarray([u for _, u in samples], dtype=float)
     outer = np.linalg.norm(pts, axis=1) >= r_lo
-    return float(np.sqrt(np.mean((vals[outer] - fit.predict(pts[outer])) ** 2)))
+    return float(np.sqrt(np.mean((vals[outer] - model_values(fit, pts[outer])) ** 2)))
 
 
 # ── exact combinatorial identities ───────────────────────────────────────
@@ -197,7 +194,7 @@ def test_06_leading_correction_closed_form(report):
         q2 = leading_correction(v0, s)
         expected_q2 = (v0 * v0) * (Fraction(1, 2) * weighted)
         qbar = (v0 * v0) * (sigma1 * r2 + Fraction(3) * weighted)
-        identity = RadPoly(3, {1: q2}).laplacian() - RadPoly(3, {-1: qbar})
+        identity = rad_laplacian(RadPoly(3, {1: q2})) - RadPoly(3, {-1: qbar})
         ok = ok and q2 == expected_q2 and identity.is_zero
     report(ok, "radial-weight Laplacian maps the 1/2-weighted correction to the 1,3 source exactly (20 trials)")
 
@@ -212,7 +209,7 @@ def test_07_radical_poisson_solver_vs_oracle(report):
             for _ in range(20):
                 h = _random_homogeneous(rng, n, m)
                 sol = solve_radical_poisson(h, n)
-                residual = RadPoly(n, {n - 2: sol}).laplacian() - RadPoly(n, {n - 4: h})
+                residual = rad_laplacian(RadPoly(n, {n - 2: sol})) - RadPoly(n, {n - 4: h})
                 # brute-force route: invert the weighted Laplacian on each
                 # rung of the harmonic ladder separately
                 c_m = (n - 2) * (2 * n - 4 + 2 * m)

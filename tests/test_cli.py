@@ -22,9 +22,10 @@ from hypothesis import given, settings, strategies as st
 from kelvinasym import cli, equations, expand, kelvin, radial, symfun
 from kelvinasym.cli import dispatch
 from kelvinasym.exactalg import MultiPoly, SolveError, solve_radical_poisson
-from kelvinasym.expand import read_fit, read_samples
-from kelvinasym.radial import MAX_SAMPLE_COORDINATES, MAX_SAMPLES, read_trajectory
+from kelvinasym.expand import read_samples
+from kelvinasym.radial import MAX_SAMPLE_COORDINATES, MAX_SAMPLES
 from pinned_reports import EXACT_REPORTS, FLOAT_REPORTS, check
+from test_radial import trajectory_rows
 
 THETA3_FULL = 3 * math.pi / 4
 
@@ -174,7 +175,7 @@ for info in pkgutil.iter_modules(kelvinasym.__path__):
     importlib.import_module("kelvinasym." + info.name)
 from kelvinasym.equations import algebraic_residual, notheta_residual, transformed_residual
 from kelvinasym.exactalg import MultiPoly
-from kelvinasym.kelvin import KelvinFrame, PhaseBranch, identity_parts, kelvin_map, poly_jet
+from kelvinasym.kelvin import KelvinFrame, PhaseBranch, identity_parts, poly_jet
 theta = 3 * math.pi / 4
 branch = PhaseBranch.slag(theta)
 H = [[1.5, 0.25, 0.0], [0.25, 1.0, -0.5], [0.0, -0.5, 0.75]]
@@ -186,7 +187,6 @@ out = [
     notheta_residual(branch, [1.0, 0.5, 2.0], H),
     identity_parts(jet.y, jet.value, jet.grad, jet.hess, sum(c * c for c in jet.y)),
     transformed_residual(jet, frame).total,
-    kelvin_map([[[2.0, 0.0, 1.0], [1.0, -1.0, 3.0]], [[0.5, 2.0, -1.0], [3.0, 1.0, 1.0]]], frame.R),
 ]
 assert sys.modules.get("numpy") is None, "numpy was loaded"
 print(json.dumps(out))
@@ -195,8 +195,8 @@ print(json.dumps(out))
 
 def test_former_numpy_routes_run_without_numpy():
     # every module imports, and the float routes that once ran on arrays
-    # (eigenvalues, jets, the identity's parts, stacked point maps) give
-    # the same values when numpy cannot load, without ever loading it
+    # (eigenvalues, jets, the identity's parts) give the same values when
+    # numpy cannot load, without ever loading it
     runs = {}
     for mode in ("block", "allow"):
         proc = subprocess.run(
@@ -208,10 +208,9 @@ def test_former_numpy_routes_run_without_numpy():
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout.splitlines()[-1])
     assert runs["block"] == runs["allow"]
-    residual, eliminated, parts, total, images = runs["block"]
+    residual, eliminated, parts, total = runs["block"]
     assert abs(residual) > 1e-3 and abs(eliminated) > 1e-3 and math.isfinite(total)
     assert len(parts) == 2 and [len(row) for row in parts[0]] == [3, 3, 3]
-    assert [[len(y) for y in stack] for stack in images] == [[3, 3], [3, 3]]
 
 
 _FLOAT_WITHOUT_NUMPY = """
@@ -654,7 +653,7 @@ def test_radial_quadratic_example_pinned(tmp_path, capsys):
         ]
     )
     assert code == 0
-    rows = read_trajectory(out)
+    rows = trajectory_rows(out)
     dev = max(abs(du - r) for r, _, du, _ in rows)
     # the flag's truncated phase sits 1.9e-10 from the exact value, which
     # tilts the quadratic ray by ~1.3e-10 and costs ~6.4e-9 by r = 50
@@ -689,7 +688,7 @@ def test_radial_full_precision_theta_is_below_1e9(tmp_path, capsys):
         ]
     )
     assert code == 0
-    rows = read_trajectory(out)
+    rows = trajectory_rows(out)
     assert max(abs(du - r) for r, _, du, _ in rows) < 1e-9
     capsys.readouterr()
 
@@ -721,7 +720,7 @@ def test_radial_domain_failure_exits_1_with_partial_csv(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "bound" in err and "r =" in err
-    rows = read_trajectory(out)
+    rows = trajectory_rows(out)
     assert len(rows) >= 1 and rows[0][0] == 1.0
 
 
@@ -924,10 +923,10 @@ def test_radial_samples_feed_fit(tmp_path, capsys):
         ]
     )
     assert code == 0
-    fit = read_fit(fit_json)
-    assert np.max(np.abs(fit.A - np.eye(3))) < 1e-6
-    assert np.max(np.abs(fit.b)) < 1e-6
-    assert fit.d is None
+    fit = json.loads(fit_json.read_text())
+    assert np.max(np.abs(np.asarray(fit["A"]) - np.eye(3))) < 1e-6
+    assert np.max(np.abs(fit["b"])) < 1e-6
+    assert "d" not in fit
     capsys.readouterr()
 
 

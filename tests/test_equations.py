@@ -10,6 +10,7 @@ each other.
 
 import hashlib
 import math
+import time
 from fractions import Fraction
 from random import Random
 from unittest import mock
@@ -27,11 +28,10 @@ from kelvinasym.equations import (
     linear_part_factor,
     notheta_residual,
     residual_scaling_slopes,
-    symbolic_residual,
     transformed_residual,
     transformed_residual_exact,
 )
-from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
+from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction
 from kelvinasym.kelvin import (
     AdmissibilityError,
     Jet2,
@@ -49,6 +49,34 @@ from kelvinasym.symfun import (
     random_spectrum,
     sigma_all,
 )
+from test_exactalg import rad_evaluate, rad_laplacian
+
+
+def symbolic_residual(P: MultiPoly, Q: MultiPoly, s, ceiling: int | None = None) -> RadPoly:
+    """The exact normalized flat-phase residual of v = P + |y|^(n-2) Q in
+    n = P.n_vars >= 3 variables (SLAG's weighted minor sum); for n = 3 that is
+
+        lap(v) + |y| sum_{j<k} (lambda_j + lambda_k) det M_{jk}
+               - |y|^4 (1 - sigma_2(A)) det M.
+
+    P and Q are polynomials in the n ball variables with rational
+    coefficients; the result is a radical polynomial in the same variables
+    and every coefficient is exact; in even n it has no odd slot.
+
+    With a weight ``ceiling`` W, the result is the residual's terms of
+    weight at most W, where |y|^k y^e has weight k + |e| (the full
+    residual's `RadPoly.truncate`): each size of minor is formed only
+    through the weight it contributes to W, and terms above it are never
+    formed.  None computes the whole residual.  This is one
+    `WindowedResidual.add` of v and one `through`; a recursion that grows
+    v keeps the `WindowedResidual` instead, so no window is formed twice."""
+    n = P.n_vars
+    vals = list(map(_as_fraction, s))
+    if n < 3 or Q.n_vars != n or len(vals) != n:
+        raise DimensionError(f"need P, Q and s of one size n >= 3, got {n}, {Q.n_vars}, {len(vals)}")
+    residual = WindowedResidual(vals)
+    residual.add(RadPoly(n, {0: P, n - 2: Q}))
+    return residual.through(ceiling)
 
 
 def fr(a, b=1):
@@ -798,6 +826,40 @@ def test_exact_route_refuses_the_origin():
         transformed_residual_exact(zero, fr(1), zero, [zero] * 3, [1, 2, 3])
 
 
+def _jet_in(n: int):
+    """A rational 2-jet at y = (1/5, 0, ..., 0) and a rational spectrum in
+    n variables, as the exact route takes them, with the float jet and
+    flat-phase frame of the float route."""
+    y = [fr(1, 5)] + [fr(0)] * (n - 1)
+    spectrum = [fr(k + 1, 2) for k in range(n)]
+    grad = [fr(1, k + 2) for k in range(n)]
+    hess = [[fr(1 + min(i, j), 2 + max(i, j)) for j in range(n)] for i in range(n)]
+    jet = Jet2([float(c) for c in y], 1.0, [float(c) for c in grad], [[float(c) for c in row] for row in hess])
+    frame = KelvinFrame(PhaseBranch.slag(0.0), [float(v) for v in spectrum])
+    return (y, fr(1), grad, hess, spectrum), jet, frame
+
+
+def test_residual_routes_take_the_largest_dimension():
+    exact_args, jet, frame = _jet_in(equations.MAX_RESIDUAL_DIMENSION)
+    exact = transformed_residual_exact(*exact_args).nonlinear_term
+    got = transformed_residual(jet, frame).nonlinear_term
+    assert exact != 0 and abs(got - float(exact)) <= 1e-12 * abs(float(exact))
+
+
+def test_residual_routes_refuse_a_dimension_above_the_cap():
+    # one more dimension would cost about three times as much, and nothing
+    # else bounds n: the refusal comes before any minor or weight is formed
+    n = equations.MAX_RESIDUAL_DIMENSION + 1
+    exact_args, jet, frame = _jet_in(n)
+    message = rf"takes n <= {n - 1}, got n = {n}$"
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        transformed_residual_exact(*exact_args)
+    with pytest.raises(ValueError, match=message):
+        transformed_residual(jet, frame)
+    assert time.perf_counter() - start < 0.5
+
+
 def determinant_route_total(jet: Jet2, frame: KelvinFrame) -> float:
     """The normalized float residual the long way, as the float route once
     took it: the theta-free form on H = A + |y|^n R M R (Jacobi eigenvalues,
@@ -986,9 +1048,9 @@ def radical_jet(P: MultiPoly, Q: MultiPoly, y: list) -> Jet2:
     grad = [v.partial(i) for i in range(3)]
     return Jet2(
         y=y,
-        value=float(v.evaluate(y)),
-        grad=[float(g.evaluate(y)) for g in grad],
-        hess=[[float(g.partial(j).evaluate(y)) for j in range(3)] for g in grad],
+        value=float(rad_evaluate(v, y)),
+        grad=[float(rad_evaluate(g, y)) for g in grad],
+        hess=[[float(rad_evaluate(g.partial(j), y)) for j in range(3)] for g in grad],
     )
 
 
@@ -1004,7 +1066,7 @@ def test_symbolic_agrees_with_float_route_at_50_configurations():
         if not 0.25 <= math.hypot(*y) <= 0.85:
             continue
         symbolic = symbolic_residual(P, Q, s)
-        got = float(symbolic.evaluate(y))
+        got = float(rad_evaluate(symbolic, y))
         frame = flat_frame([float(v) for v in s.values])
         split = transformed_residual(radical_jet(P, Q, y), frame)
         assert abs(got - split.total) < 1e-9 * max(1.0, abs(split.total))
@@ -1034,7 +1096,7 @@ def test_residual_is_exactly_cubic_in_the_profile():
     s = random_spectrum(rnd, 3)
     P = random_poly(rnd)
     Q = random_poly(rnd)
-    lap = RadPoly(3, {0: P, 1: Q}).laplacian()
+    lap = rad_laplacian(RadPoly(3, {0: P, 1: Q}))
     r = {c: symbolic_residual(c * P, c * Q, s) for c in (1, 2, 3, 5)}
     u1 = r[1] - lap
     u2 = r[2] - 2 * lap

@@ -1,6 +1,7 @@
-"""Tests for the correction recursion, asymptotic fitting, and recovery."""
+"""Tests for the correction recursion, asymptotic fitting, and sample files."""
 
 import csv
+import json
 import math
 import os
 import random
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
-from kelvinasym.equations import WindowedResidual, _symmetric_eigenvalues, symbolic_residual
+from kelvinasym.equations import WindowedResidual, _symmetric_eigenvalues
 from kelvinasym import expand
 from kelvinasym.expand import (
     MAX_FIT_WORK,
@@ -29,16 +30,27 @@ from kelvinasym.expand import (
     correct_through,
     fit_expansion,
     leading_correction,
-    next_correction,
-    read_fit,
     read_samples,
-    recover_v,
     write_fit,
     write_samples,
 )
-from kelvinasym.kelvin import KelvinFrame, PhaseBranch, u_from_v
+from kelvinasym.kelvin import PhaseBranch
 from kelvinasym.symfun import Spectrum, random_spectrum
-from test_exactalg import r_squared
+from test_equations import symbolic_residual
+from test_exactalg import r_squared, rad_laplacian
+
+
+def next_correction(state: ExpansionState) -> ExpansionState:
+    """One step of the correction recursion (`correct_through`): the state
+    with ``Q`` augmented by the forced correction and the order advanced
+    by one."""
+    return correct_through(state, state.order + 1)[0][0]
+
+
+def model_values(fit: ExpansionFit, points) -> list[float]:
+    """The fitted model x^T A x / 2 + b.x + c (+ the log term in two
+    variables) at exterior points given one per row."""
+    return expand._model_values([tuple(map(float, p)) for p in points], fit.A, fit.b, fit.c, fit.d)
 
 
 def yvar(i: int) -> MultiPoly:
@@ -110,7 +122,7 @@ def test_leading_correction_radial_poisson_identity():
         qbar = (
             r_squared(3) * sigma1 + weighted_square_sum(s.values) * 3
         ) * v0**2
-        lhs = RadPoly(3, {1: q}).laplacian()
+        lhs = rad_laplacian(RadPoly(3, {1: q}))
         assert lhs == RadPoly(3, {-1: qbar})
 
 
@@ -284,7 +296,7 @@ def test_leading_correction_radial_poisson_identity_in_n(n):
     qbar = (r_squared(n) * sum(s.values, Fraction(0)) + weighted * (n * (n - 2))) * (
         (n - 2) ** 2 * v0**2
     )
-    assert RadPoly(n, {n - 2: q}).laplacian() == RadPoly(n, {n - 4: qbar})
+    assert rad_laplacian(RadPoly(n, {n - 2: q})) == RadPoly(n, {n - 4: qbar})
 
 
 def test_even_dimension_recursion_stays_polynomial():
@@ -467,7 +479,7 @@ def test_fit_pure_quadratic_is_exact():
     assert abs(fit.c) < 1e-8
     pts = np.asarray([x for x, _ in samples])
     vals = np.asarray([u for _, u in samples])
-    assert np.abs(vals - fit.predict(pts)).max() < 1e-10
+    assert np.abs(vals - model_values(fit, pts)).max() < 1e-10
     assert fit.d is None
 
 
@@ -636,9 +648,9 @@ def test_fit_log_basis_reduces_outer_rms():
     vals = np.asarray([u for _, u in samples])
     radii = np.linalg.norm(pts, axis=1)
     outer = radii >= with_log.annuli[-1][0]
-    rms_with = float(np.sqrt(np.mean((vals - with_log.predict(pts))[outer] ** 2)))
+    rms_with = float(np.sqrt(np.mean((vals - model_values(with_log, pts))[outer] ** 2)))
     rms_without = float(
-        np.sqrt(np.mean((vals - without_log.predict(pts))[outer] ** 2))
+        np.sqrt(np.mean((vals - model_values(without_log, pts))[outer] ** 2))
     )
     assert rms_without >= 10.0 * rms_with
     assert abs(with_log.d - 0.6) < 1e-6
@@ -740,97 +752,6 @@ def test_fit_refuses_the_log_column_outside_the_plane_before_counting_samples():
         fit_expansion(nine, 3)
 
 
-# ── profile recovery ─────────────────────────────────────────────────────
-
-
-def exact_fit_for(frame):
-    return ExpansionFit(
-        A=np.diag(frame.spectrum),
-        b=np.asarray(frame.linear),
-        c=frame.constant,
-        d=None,
-        decay_slope=-1.0,
-        decay_slope_stderr=0.0,
-        annuli=((1.0, 2.0),),
-    )
-
-
-def test_recover_constant_profile_roundtrip():
-    frame = KelvinFrame(
-        PhaseBranch.slag(2.0), [1.0, -0.5, 2.0], linear=(0.1, -0.2, 0.3), constant=0.7
-    )
-    v0 = 0.8
-    rng = np.random.default_rng(21)
-    samples = sphere_samples(
-        rng, np.geomspace(3, 30, 15), 8, lambda x: u_from_v(frame, lambda y: v0, x)
-    )
-    pairs, estimate = recover_v(samples, exact_fit_for(frame), frame)
-    values = np.asarray([v for _, v in pairs])
-    assert np.abs(values - v0).max() < 1e-10
-    assert abs(estimate - v0) < 1e-10
-
-
-def test_recover_polynomial_profile_roundtrip():
-    frame = KelvinFrame(PhaseBranch.slag(1.0), [0.5, 1.0, 1.5])
-    poly = (
-        MultiPoly.const(3, Fraction(1, 2))
-        + yvar(0) * Fraction(1, 3)
-        + yvar(1) * yvar(2) * Fraction(2, 5)
-    )
-
-    def v(y):
-        return float(poly.evaluate([float(c) for c in y]))
-
-    rng = np.random.default_rng(27)
-    samples = sphere_samples(
-        rng, np.geomspace(4, 40, 12), 6, lambda x: u_from_v(frame, v, x)
-    )
-    pairs, estimate = recover_v(samples, exact_fit_for(frame), frame)
-    for y, val in pairs:
-        assert abs(val - v(y)) < 1e-9
-    assert abs(estimate - 0.5) < 0.05
-
-
-def test_recover_known_inverse_radius_solution():
-    frame = KelvinFrame(PhaseBranch.slag(3 * math.atan(1.0)), [1.0, 1.0, 1.0])
-    assert np.allclose(frame.R, math.sqrt(2.0))
-    rng = np.random.default_rng(31)
-    samples = sphere_samples(
-        rng,
-        np.geomspace(5, 50, 12),
-        6,
-        lambda x: 0.5 * float(x @ x) + 1.0 / np.linalg.norm(x),
-    )
-    fit = ExpansionFit(
-        A=np.eye(3),
-        b=np.zeros(3),
-        c=0.0,
-        d=None,
-        decay_slope=-1.0,
-        decay_slope_stderr=0.0,
-        annuli=((5.0, 50.0),),
-    )
-    pairs, estimate = recover_v(samples, fit, frame)
-    values = np.asarray([v for _, v in pairs])
-    assert np.abs(values - math.sqrt(2.0)).max() < 1e-10
-    assert abs(estimate - math.sqrt(2.0)) < 1e-10
-
-
-def test_recover_rejects_mismatched_dimensions():
-    frame = KelvinFrame(PhaseBranch.slag(2.0), [1.0, 1.0, 1.0])
-    fit = ExpansionFit(
-        A=np.eye(2),
-        b=np.zeros(2),
-        c=0.0,
-        d=0.0,
-        decay_slope=-1.0,
-        decay_slope_stderr=0.0,
-        annuli=(),
-    )
-    with pytest.raises(DimensionError):
-        recover_v([((1.0, 2.0, 3.0), 4.0)], fit, frame)
-
-
 # ── fit records and sample files ─────────────────────────────────────────
 
 
@@ -867,7 +788,7 @@ def test_expansion_fit_guards():
         )
 
 
-def test_fit_json_roundtrip(tmp_path):
+def test_write_fit_writes_every_field(tmp_path):
     fit = ExpansionFit(
         A=np.array([[1.0, 0.25, 0.0], [0.25, 2.0, -0.5], [0.0, -0.5, 3.0]]),
         b=np.array([0.1, -0.2, 0.3]),
@@ -879,14 +800,15 @@ def test_fit_json_roundtrip(tmp_path):
     )
     path = tmp_path / "fit.json"
     write_fit(path, fit)
-    back = read_fit(path)
-    assert np.array_equal(back.A, fit.A)
-    assert np.array_equal(back.b, fit.b)
-    assert back.c == fit.c
-    assert back.d is None
-    assert back.decay_slope == fit.decay_slope
-    assert back.annuli == fit.annuli
-    assert "\"d\"" not in path.read_text()
+    back = json.loads(path.read_text())
+    assert back == {
+        "A": [list(row) for row in fit.A],
+        "b": list(fit.b),
+        "c": fit.c,
+        "decay_slope": fit.decay_slope,
+        "decay_slope_stderr": fit.decay_slope_stderr,
+        "annuli": [list(ring) for ring in fit.annuli],
+    }
 
     fit2 = ExpansionFit(
         A=np.eye(2),
@@ -899,7 +821,7 @@ def test_fit_json_roundtrip(tmp_path):
     )
     path2 = tmp_path / "fit2.json"
     write_fit(path2, fit2)
-    assert read_fit(path2).d == 0.75
+    assert json.loads(path2.read_text())["d"] == 0.75
 
 
 def test_samples_csv_roundtrip(tmp_path):

@@ -1,14 +1,17 @@
 """The package's records are immutable named tuples that keep their
-constructors, validations and equality, and importing the package loads
-no standard-library module it does not use."""
+constructors, validations and equality, importing the package loads no
+standard-library module it does not use, and every public name has a
+consumer."""
 
 import copy
+import importlib
 import json
 import math
 import pickle
 import re
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
@@ -107,11 +110,19 @@ def test_records_normalise_their_fields():
     fit = ExpansionFit([[1, 2], [2 + 1e-13, 1]], [0, 1], 1, 0, -1, 0, [(1, 2)])
     off = 0.5 * (2 + (2 + 1e-13))
     assert fit.A == ((1.0, off), (off, 1.0)) and fit.b == (0.0, 1.0)
-    assert ExpansionFit.from_json(fit.to_json()) == fit
+    assert fit.to_json() == {
+        "A": [[1.0, off], [off, 1.0]],
+        "b": [0.0, 1.0],
+        "c": 1.0,
+        "d": 0.0,
+        "decay_slope": -1.0,
+        "decay_slope_stderr": 0.0,
+        "annuli": [[1.0, 2.0]],
+    }
 
 
 def test_reports_write_records_through_their_json_form():
-    for name in ("ExactReport", "PhaseBranch", "ExpansionFit"):
+    for name in ("PhaseBranch", "ExpansionFit"):
         record = RECORDS[name]()
         assert cli._jsonable({"record": record}) == {"record": cli._jsonable(record.to_json())}
 
@@ -171,3 +182,74 @@ def test_records_refuse_bad_fields_with_their_messages(case):
     build, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+# public names that no other module of the package uses, each with what
+# runs it: a subcommand, the routine of its own module that builds, raises
+# or reads it, a ROADMAP item, or the tests as an oracle
+CONSUMERS = {
+    "cli.dispatch": "the command line and the tests",
+    "cli.main": "the command line (python -m kelvinasym.cli, the kelvinasym script)",
+    "equations.AlgebraicForm": "ROADMAP item 6: residual-scaling for RECIP, ATAN2 and LOG",
+    "equations.ResidualBreakdown": "the split transformed_residual_exact returns (residual-scaling)",
+    "equations.algebraic_residual": "ROADMAP item 6",
+    "equations.notheta_residual": "ROADMAP item 6",
+    "equations.linear_part_factor": "ROADMAP item 6",
+    "equations.transformed_residual": "ROADMAP item 6",
+    "equations.transformed_residual_exact": "residual_scaling_slopes (residual-scaling)",
+    "exactalg.harmonic_decomposition": "ROADMAP items 2 and 11",
+    "expand.ExpansionFit": "the record fit_expansion returns (fit)",
+    "kelvin.HessianReport": "the record hessian_identity_check returns (kelvin-check)",
+    "kelvin.ScalarMaps": "PhaseBranch.maps, which the radial integrator reads",
+    "kelvin.ZeroPointError": "the scaled inversion (kelvin-check)",
+    "kelvin.poly_jet": "ROADMAP item 6",
+    "kelvin.trace_identity_defect": "ROADMAP item 7",
+    "radial.MAX_PLANNED_WORK": "integrate_exterior's work cap (radial)",
+    "radial.MAX_SAMPLES": "check_sample_work's cap (radial)",
+    "radial.MAX_SAMPLE_COORDINATES": "check_sample_work's cap (radial)",
+    "radial.RadialState": "the record integrate_exterior returns (radial)",
+    "radial.kernel_name": "perfbench/run.py; ROADMAP item 1 deletes both",
+    "symfun.ArityError": "the verifiers' argument checks (lemmas)",
+    "symfun.BranchParams": "random_branch_params and the shifted verifiers (lemmas)",
+    "symfun.ExactReport": "the record each verifier returns (lemmas)",
+    "symfun.random_rational": "random_spectrum and random_symmetric_matrix (lemmas, residual-n3)",
+    "symfun.sigma_all": "test oracle",
+    "symfun.sigma": "test oracle",
+    "symfun.sigma_hat": "test oracle",
+    "symfun.sigma_bar_all": "test oracle",
+    "symfun.sigma_bar": "test oracle",
+    "symfun.alternating_sums": "test oracle",
+    "symfun.alternating_sums_bar": "test oracle",
+}
+
+
+def _code_names(path: Path) -> set:
+    """The identifiers a module's code uses; docstrings and comments do not count."""
+    with open(path, "rb") as fh:
+        return {tok.string for tok in tokenize.tokenize(fh.readline) if tok.type == tokenize.NAME}
+
+
+def test_every_public_name_has_a_consumer():
+    # a public name is one in the module's __all__, or, in a module without
+    # one, a top-level name the module defines and does not begin with _
+    modules = {p.stem: _code_names(p) for p in (SRC / "kelvinasym").glob("*.py") if p.stem != "__init__"}
+    unused = []
+    for stem in sorted(modules):
+        module = importlib.import_module(f"kelvinasym.{stem}")
+        public = getattr(module, "__all__", None)
+        if public is None:
+            public = [
+                name
+                for name, value in vars(module).items()
+                if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+            ]
+        for name in public:
+            used = any(name in names for other, names in modules.items() if other != stem)
+            if not used and f"{stem}.{name}" not in CONSUMERS:
+                unused.append(f"{stem}.{name}")
+    assert unused == []
+    # and the table names no consumer for a name that is gone or now used
+    for key in CONSUMERS:
+        stem, name = key.split(".")
+        assert hasattr(importlib.import_module(f"kelvinasym.{stem}"), name), key
+        assert not any(name in names for other, names in modules.items() if other != stem), key
