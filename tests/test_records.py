@@ -1,7 +1,9 @@
 """The package's records are immutable named tuples that keep their
-constructors, validations and equality, importing the package loads no
-standard-library module it does not use, and every public name has a
-consumer."""
+constructors, validations and equality; the constructors that
+command-line values reach refuse bad input by name and raise only
+ValueError or TypeError; the JSON form a report writes rebuilds its
+record; importing the package loads no standard-library module it does
+not use; and every public name has a consumer."""
 
 import copy
 import importlib
@@ -16,12 +18,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kelvinasym import cli
 from kelvinasym.equations import AlgebraicForm, ResidualBreakdown
-from kelvinasym.exactalg import DimensionError, MultiPoly
+from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.expand import ExpansionFit, ExpansionState
-from kelvinasym.kelvin import HessianReport, Jet2, PhaseBranch, PhaseRow
+from kelvinasym.kelvin import AdmissibilityError, HessianReport, Jet2, KelvinFrame, PhaseBranch, PhaseRow
 from kelvinasym.radial import RadialState
 from kelvinasym.symfun import BranchParams, ExactReport, Spectrum
 
@@ -139,6 +142,7 @@ def _state(n=3, spectrum=(1, 2, 3), P=None, Q=None, order=2):
 
 
 _Y = [MultiPoly.variable(3, i) for i in range(3)]
+_TOO_LARGE = "rational '%s' is too large: more than 4000 digits or a decimal exponent beyond +-1000"
 
 # (build, error type, the whole message)
 REFUSALS = {
@@ -174,6 +178,55 @@ REFUSALS = {
         "the logarithmic coefficient exists only in dimension 2",
     ),
     "fit-slope": (lambda: _fit(decay_slope=math.nan), ValueError, "decay slope must be finite"),
+    # the constructors that the command-line values reach; each refuses, by
+    # name, what a JSON record reader used to refuse before it built them
+    "poly-zero-denominator": (
+        lambda: MultiPoly(1, {(1,): "1/0"}),
+        ValueError,
+        "not a rational number: '1/0' (Fraction(1, 0))",
+    ),
+    "poly-infinite-coef": (lambda: MultiPoly(1, {(1,): math.inf}), TypeError, "expected an exact rational, got float inf"),
+    "poly-text-exponent": (lambda: MultiPoly(1, {("a",): 1}), DimensionError, "bad exponent ('a',) for 1 variables"),
+    "poly-fractional-exponent": (lambda: MultiPoly(1, {(1.5,): 1}), DimensionError, "bad exponent (1.5,) for 1 variables"),
+    "poly-negative-exponent": (lambda: MultiPoly(1, {(-1,): 1}), DimensionError, "bad exponent (-1,) for 1 variables"),
+    "poly-exponent-beyond-cap": (lambda: MultiPoly(1, {(1,): "1e300000"}), ValueError, _TOO_LARGE % "1e300000"),
+    # two keys that spell one exponent
+    "poly-repeated-exponent": (
+        lambda: MultiPoly(1, {(1,): 1, range(1, 2): 2}),
+        DimensionError,
+        "exponent (1,) is given twice",
+    ),
+    "poly-float-n-vars": (lambda: MultiPoly(2.9, {(1, 0): 1}), DimensionError, "bad exponent (1, 0) for 2.9 variables"),
+    "poly-no-variables": (lambda: MultiPoly(0), DimensionError, "need at least one variable"),
+    "spectrum-zero-denominator": (lambda: Spectrum(["1/0"]), ValueError, "not a rational number: '1/0' (Fraction(1, 0))"),
+    "spectrum-infinite": (lambda: Spectrum([math.inf]), TypeError, "expected an exact rational, got float inf"),
+    "spectrum-exponent-beyond-cap": (lambda: Spectrum(["2e300000"]), ValueError, _TOO_LARGE % "2e300000"),
+    "spectrum-text": (lambda: Spectrum(["x"]), ValueError, "not a rational number: 'x' (Invalid literal for Fraction: 'x')"),
+    "radpoly-fractional-power": (
+        lambda: RadPoly(3, {0.5: MultiPoly.const(3, 1)}),
+        DimensionError,
+        "slot power 0.5 is not an integer",
+    ),
+    "radpoly-variables": (
+        lambda: RadPoly(3, {0: MultiPoly.const(2, 1)}),
+        DimensionError,
+        "slot polynomial has 2 variables, expected 3",
+    ),
+    "radpoly-no-variables": (lambda: RadPoly(0), DimensionError, "need at least one variable"),
+    "frame-one-eigenvalue": (lambda: KelvinFrame(_branch(), [1.0]), ValueError, "a frame needs dimension n >= 2"),
+    "frame-short-b": (
+        lambda: KelvinFrame(_branch(), [1.0, 2.0], linear=[0.0]),
+        ValueError,
+        "linear coefficient must have length n",
+    ),
+    "frame-inadmissible": (
+        lambda: KelvinFrame(PhaseBranch.recip(-1.0), [-2.0, 0.0]),
+        AdmissibilityError,
+        "eigenvalue -2.0 is not above the RECIP bound -1.0",
+    ),
+    "frame-inf-theta": (lambda: KelvinFrame(PhaseBranch.slag(math.inf), [1.0, 2.0]), ValueError, "phase theta=inf is not finite"),
+    "branch-nan-theta": (lambda: PhaseBranch.make("SLAG", math.nan), ValueError, "phase theta=nan is not finite"),
+    "params-zero-denominator": (lambda: BranchParams("1/0", 1), ValueError, "not a rational number: '1/0' (Fraction(1, 0))"),
 }
 
 
@@ -182,6 +235,152 @@ def test_records_refuse_bad_fields_with_their_messages(case):
     build, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         build()
+
+
+# ── fuzzed constructor arguments ─────────────────────────────────────────
+
+# arbitrary JSON-like values, with rational text beyond the parser's caps
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(),
+    st.sampled_from(["1/0", "1/2", "-3", "2.5", "x", "", "Infinity", "slag", "1e300000", "-1E-1_001", "7" * 4001]),
+    st.text(max_size=4),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8,
+)
+_NUMBERS = st.one_of(_VALUES, st.lists(st.one_of(st.floats(), st.integers(-3, 3), _SCALARS), max_size=4))
+_MATRIX = st.one_of(_VALUES, st.lists(_NUMBERS, max_size=3))
+_KEYS = st.one_of(st.none(), st.booleans(), st.integers(-1, 3), st.floats(), st.text(max_size=2))
+_TERMS = st.one_of(
+    st.none(),
+    st.dictionaries(st.lists(_KEYS, max_size=3).map(tuple), _SCALARS, max_size=3),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), _SCALARS, max_size=3),
+)
+
+# each constructor with a strategy for its arguments; the branch of a frame
+# is a valid one, since the frame reads it without checking its type
+FUZZED = {
+    "MultiPoly": (MultiPoly, st.tuples(st.one_of(st.integers(-1, 3), _SCALARS), _TERMS)),
+    "Spectrum": (Spectrum, st.tuples(_NUMBERS)),
+    "PhaseBranch": (
+        PhaseBranch,
+        st.tuples(
+            st.one_of(st.sampled_from(["SLAG", "RECIP", "ATAN2", "LOG"]), _SCALARS),
+            st.one_of(st.floats(), _SCALARS),
+            st.one_of(st.floats(), _SCALARS),
+        ),
+    ),
+    "KelvinFrame": (
+        KelvinFrame,
+        st.tuples(
+            st.sampled_from([PhaseBranch.slag(0.5), PhaseBranch.recip(-1.0), PhaseBranch.make("LOG", 0.1, tau=0.5)]),
+            _NUMBERS,
+            st.one_of(st.none(), _NUMBERS),
+            st.one_of(st.floats(), _SCALARS),
+        ),
+    ),
+    "ExpansionFit": (
+        ExpansionFit,
+        st.tuples(_MATRIX, _NUMBERS, _SCALARS, _SCALARS, st.one_of(st.floats(), _SCALARS), _SCALARS, _MATRIX),
+    ),
+    "Jet2": (Jet2, st.tuples(_NUMBERS, st.one_of(st.floats(), _SCALARS), _NUMBERS, _MATRIX)),
+    "BranchParams": (BranchParams, st.tuples(_SCALARS, _SCALARS)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+def test_fuzzed_constructor_raises_only_value_or_type_error(name):
+    build, arguments = FUZZED[name]
+
+    @settings(max_examples=150, deadline=None)
+    @given(arguments)
+    def check(args):
+        try:
+            build(*args)
+        except (ValueError, TypeError):
+            pass
+
+    check()
+
+
+# ── the JSON forms reports write ─────────────────────────────────────────
+
+_FRACTIONS = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _poly_from_json(blob):
+    return MultiPoly(blob["n_vars"], {tuple(t["exp"]): t["coef"] for t in blob["terms"]})
+
+
+def _fit_from_json(blob):
+    return ExpansionFit(**{"d": None} | blob)
+
+
+# a record, its JSON form after json.dumps and json.loads, and the record
+# built again from that form: the form must keep every field exactly
+JSON_FORMS = {
+    "MultiPoly": (
+        st.integers(1, 3).flatmap(
+            lambda n: st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), _FRACTIONS, max_size=5).map(
+                lambda terms: MultiPoly(n, terms)
+            )
+        ),
+        _poly_from_json,
+    ),
+    "Spectrum": (st.lists(_FRACTIONS, max_size=6).map(Spectrum), lambda blob: Spectrum(blob["lambda"])),
+    "PhaseBranch": (
+        st.one_of(
+            st.builds(PhaseBranch.slag, _FINITE),
+            st.builds(PhaseBranch.recip, _FINITE),
+            st.builds(lambda t, tau: PhaseBranch.make("ATAN2", t, tau=tau), _FINITE, st.floats(0.79, 1.57)),
+            st.builds(lambda t, tau: PhaseBranch.make("LOG", t, tau=tau), _FINITE, st.floats(0.01, 0.78)),
+        ),
+        lambda blob: PhaseBranch.make(blob["kind"], blob["theta"], tau=blob.get("tau")),
+    ),
+    "ExpansionFit": (
+        st.integers(2, 3).flatmap(
+            lambda n: st.builds(
+                lambda rows, b, c, d, slope, err, annuli: ExpansionFit(
+                    [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)],
+                    b,
+                    c,
+                    d if n == 2 else None,
+                    slope,
+                    err,
+                    annuli,
+                ),
+                st.lists(st.lists(_FINITE, min_size=n, max_size=n), min_size=n, max_size=n),
+                st.lists(_FINITE, min_size=n, max_size=n),
+                _FINITE,
+                st.one_of(st.none(), _FINITE),
+                _FINITE,
+                _FINITE,
+                st.lists(st.tuples(_FINITE, _FINITE), max_size=3),
+            )
+        ),
+        _fit_from_json,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JSON_FORMS))
+def test_json_form_rebuilds_the_record(name):
+    records, rebuild = JSON_FORMS[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(records)
+    def check(record):
+        blob = json.loads(json.dumps(record.to_json()))
+        assert blob == record.to_json()
+        assert rebuild(blob) == record
+
+    check()
 
 
 # public names that no other module of the package uses, each with what
