@@ -37,16 +37,14 @@ cannot be written (synopsis goes to stderr).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from pathlib import Path
 from random import Random
 
-from . import symfun
+from . import exactalg, symfun
 from .exactalg import MultiPoly, SolveError, parse_rational, solve_radical_poisson
 from .equations import linear_part_defect, residual_scaling_slopes
 from .expand import (
@@ -411,25 +409,13 @@ def _run_kelvin_check(merged: dict) -> int:
 # ── subcommand: poisson ──────────────────────────────────────────────────
 
 # Each solve runs the Laplacian ladder and re-verifies its solution exactly.
-# At about 1000 monomials of the top degree one trial per degree takes 0.44 s
-# at n = 3 (degree 43) and 0.08 s at n = 44 (degree 2), start-up included, on
+# At about 1000 monomials of the top degree one trial per degree takes 0.21 s
+# at n = 3 (degree 43) and 0.09 s at n = 44 (degree 2), start-up included, on
 # 2 CPUs.  Every exponent has n entries, so each draw, solve and check costs
 # at least n per term even at degree 1: 0.3 ms per solve in 100 variables
-# and 32 ms in 1000.  So n itself is bounded too.
+# and 22 ms in 1000.  So n itself is bounded too.
 MAX_POISSON_MONOMIALS = 1000
 MAX_POISSON_N = 100
-
-
-@functools.cache
-def _exponents(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
-    """Every exponent tuple of the degree, sorted, so draws over them keep a
-    fixed monomial order; built once per (n, degree), not once per trial."""
-    return tuple(
-        sorted(
-            tuple(picks.count(i) for i in range(n))
-            for picks in combinations_with_replacement(range(n), degree)
-        )
-    )
 
 
 def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
@@ -438,7 +424,7 @@ def _random_homogeneous(rng: Random, n: int, degree: int) -> MultiPoly:
     monomial is drawn (a draw whose every p is 0 gives the zero polynomial)."""
     # p/q as the numerator p (60/q) over 60 = lcm(1, ..., 5)
     terms = {}
-    for exponent in _exponents(n, degree):
+    for exponent in exactalg._basis(n, degree)[0]:
         if rng.random() < 0.5:
             continue
         terms[exponent] = rng.randint(-4, 4) * (60 // rng.randint(1, 5))

@@ -393,6 +393,14 @@ def _minor_weights(row: PhaseRow, vals) -> list:
     return weights
 
 
+@lru_cache(maxsize=64)
+def _flat_minor_weights(vals: tuple[Fraction, ...]) -> list:
+    """`_minor_weights` of the flat row at an exact spectrum, formed once
+    per spectrum; callers read it and do not mutate it.  Only Fractions
+    enter: a float equal to one would hash alike and be served its weights."""
+    return _minor_weights(_FLAT_ROW, vals)
+
+
 def _flat_matrix(y, value, grad, hess, rpow):
     """M = K + (L / |y|^2) y y^T from the 2-jet (value, grad, hess) of v
     at y (`identity_parts`), with rpow(k) = |y|^k in the ring of the jet.
@@ -459,7 +467,7 @@ def transformed_residual_exact(
     gv = list(map(_as_fraction, grad))
     hv = [list(map(_as_fraction, row)) for row in hess]
     gamma = math.prod((1 + v * v for v in vals), start=Fraction(1))
-    return _split(yv, _as_fraction(value), gv, hv, _minor_weights(_FLAT_ROW, vals), lambda k: norm**k, gamma)
+    return _split(yv, _as_fraction(value), gv, hv, _flat_minor_weights(tuple(vals)), lambda k: norm**k, gamma)
 
 
 # ── the fully symbolic residual ──────────────────────────────────────────
@@ -490,7 +498,7 @@ class WindowedResidual:
         n = len(vals)
         if n < 3:
             raise DimensionError(f"the symbolic residual needs n >= 3, got {n}")
-        self.n, self._weights = n, _minor_weights(_FLAT_ROW, vals)
+        self.n, self._weights = n, _flat_minor_weights(tuple(vals))
         self._y = [MultiPoly.variable(n, i) for i in range(n)]
         self._one = MultiPoly.const(n, 1)
         zero = RadPoly.zero(n)

@@ -64,6 +64,7 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 import bisect
 import math
 import numbers
@@ -158,6 +159,15 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 def _check_same_dims(a: "MultiPoly | RadPoly", b: "MultiPoly | RadPoly") -> None:
     if a.n_vars != b.n_vars:
         raise DimensionError(f"operands have {a.n_vars} and {b.n_vars} variables")
+
+
+def _check_n_vars(n_vars: int) -> None:
+    """DimensionError unless the variable count is a Python int (not a
+    bool) of at least 1."""
+    if type(n_vars) is not int:
+        raise DimensionError(f"variable count {n_vars!r:.40} is not an integer")
+    if n_vars < 1:
+        raise DimensionError("need at least one variable")
 
 
 # ── integer maps over one common denominator ────────────────────────────
@@ -269,8 +279,7 @@ class MultiPoly(_RationalMap):
     __slots__ = ()
 
     def __init__(self, n_vars: int, terms: Mapping[Exponent, Scalar] | None = None):
-        if n_vars < 1:
-            raise DimensionError("need at least one variable")
+        _check_n_vars(n_vars)
         clean: dict[Exponent, Fraction] = {}
         for exp, coef in (terms or {}).items():
             key = tuple(exp)
@@ -479,17 +488,6 @@ def _laplacian_num(num: Mapping[Exponent, int]) -> dict[Exponent, int]:
     return {e: c for e, c in out.items() if c}
 
 
-def _add_r2_times(out: dict[Exponent, int], num: Mapping[Exponent, int], n_vars: int) -> dict[Exponent, int]:
-    """``out + |y|^2 num`` on integer maps in ``n_vars`` variables, added
-    into ``out`` and returned; an entry may cancel to 0 and stays."""
-    get = out.get
-    for i in reversed(range(n_vars)):
-        for e, c in num.items():
-            key = e[:i] + (e[i] + 2,) + e[i + 1 :]
-            out[key] = get(key, 0) + c
-    return out
-
-
 def _monomial(e: Exponent) -> str:
     """``*y1^2*y3`` for the exponent (2, 0, 1); empty for the constant."""
     return "".join(f"*y{i + 1}" if k == 1 else f"*y{i + 1}^{k}" for i, k in enumerate(e) if k)
@@ -581,8 +579,7 @@ class RadPoly(_RationalMap):
     def __init__(self, n_vars: int, slots: Mapping[int, MultiPoly] | None = None):
         """The sum of ``|y|^k slots[k]``; ValueError when rewriting the
         slots' powers of ``y_1`` may build more than the cap's entries."""
-        if n_vars < 1:
-            raise DimensionError("need at least one variable")
+        _check_n_vars(n_vars)
         items = []
         for k, p in (slots or {}).items():
             if type(k) is not int:
@@ -738,16 +735,25 @@ class RadPoly(_RationalMap):
 #
 # The pass runs on integers: a_k = A_k / D over the one denominator
 # D = c_0 c_1 ... c_floor(m/2), with A_k = (-1)^k c_(k+1) ... c_floor(m/2), so
-# the rungs are integer maps of h's numerators, U = sum_k A_k |y|^(2k) lap^k
-# h_num, and u = U / (D h_den) is reduced once, at the end.
+# the rungs are integer lists of h's numerators, U = sum_k A_k |y|^(2k)
+# lap^k h_num, and u = U / (D h_den) is reduced once, at the end.
 #
-# The rungs are dense in the variables (|y|^(2k) has C(k+n-1, n-1) terms),
-# so before any |y|^2 product the ladder bounds its output by
-# sum_k C(k+n-1, n-1) |lap^k h| terms, at most the C(m+n-1, n-1) monomials
-# of degree m, each of n entries, and refuses a bound above the cap.  On 2
-# CPUs a solve costs about 0.33 us per bounded entry (h = y1^2 y2^2: 0.18 s
-# at n = 100, 0.63 s at n = 155, the largest n the cap admits for it), so
-# the cap admits about 0.7 s; the CLI's caps stay below 44,000 entries.
+# Each list is dense over the exponents of one degree in ascending order
+# (`_basis`).  The Laplacian rows of a degree (`_laplacian_rows`) and the
+# |y|^2 rows of the degree below (`_r2_rows`) hold, for each monomial, the
+# indices and factors it sends to the neighbouring degree, built once per
+# (n, degree); so a rung and a |y|^2 product are loops over integer lists
+# that build and hash no exponent.  The largest table a solve
+# reads is its top degree's: C(m+n-1, n-1) monomials of n entries each.
+# Past two million entries the ladder refuses, before it builds any table.
+# On 2 shared CPUs a solve at a new (n, m), tables included, costs about
+# 65-300 ns per entry of that table for n >= 20 (1400 variables at degree
+# 1: 0.13 s; 22 at degree 5: 0.34 s), and a repeat about a third of that,
+# so the cap admits well under a second there; fewer variables mean more
+# rungs and longer integers (10 variables at degree 10: 0.68 s, 0.92
+# million entries).  The CLI's caps stay below 44,000 entries.  y1^2 y2^2
+# is refused at once at n = 155 (3,873,766,975 entries; the sparse ladder
+# solved it in 0.38 s) and at n = 1000 (41,917,125,250,000 entries).
 _MAX_LADDER_ENTRIES = 2_000_000
 
 
@@ -770,30 +776,116 @@ def _poisson_block(n_vars: int, degree: int, weight: int) -> tuple[tuple[int, ..
     return tuple(reversed(a)), tail
 
 
+@lru_cache(maxsize=128)
+def _basis(n_vars: int, degree: int) -> tuple[tuple[Exponent, ...], dict[Exponent, int]]:
+    """Every exponent of the degree in ``n_vars`` variables, in ascending
+    order, and the index of each.  The cache shares the index among its
+    callers, which only read it."""
+    # e_i = q_i - q_(i-1) over the partial sums 0 <= q_1 <= ... <= q_(n-1)
+    # <= degree, which come in lexicographic order, and so do the exponents
+    basis = tuple(
+        tuple(map(operator.sub, q + (degree,), (0,) + q))
+        for q in combinations_with_replacement(range(degree + 1), n_vars - 1)
+    )
+    return basis, {e: i for i, e in enumerate(basis)}
+
+
+@lru_cache(maxsize=128)
+def _laplacian_rows(n_vars: int, degree: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Laplacian of each monomial of the degree, in `_basis` order: one
+    pair (index in degree - 2, e(e - 1)) for each exponent entry e >= 2."""
+    index = _basis(n_vars, degree - 2)[1]
+    rows = []
+    for e in _basis(n_vars, degree)[0]:
+        row = []
+        if max(e) >= 2:
+            below = list(e)
+            for i, ei in enumerate(e):
+                if ei >= 2:
+                    below[i] = ei - 2
+                    row.append((index[tuple(below)], ei * ei - ei))
+                    below[i] = ei
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+@lru_cache(maxsize=128)
+def _r2_rows(n_vars: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """The product of each monomial of the degree with |y|^2, in `_basis`
+    order: the indices in degree + 2 of its ``n_vars`` terms, each of
+    coefficient 1.  The Laplacian rows of degree + 2, read by column, list
+    them: ``y^f`` is a term of ``|y|^2 y^(f - 2 delta_i)`` exactly when
+    ``f_i >= 2``."""
+    rows = [[] for _ in _basis(n_vars, degree)[0]]
+    for t, row in enumerate(_laplacian_rows(n_vars, degree + 2)):
+        for s, _ in row:
+            rows[s].append(t)
+    return tuple(map(tuple, rows))
+
+
+def _dense(p: MultiPoly, degree: int) -> list[int]:
+    """The numerators of ``p``, homogeneous of the degree, as a list over
+    `_basis`."""
+    index = _basis(p.n_vars, degree)[1]
+    out = [0] * len(index)
+    for e, c in p._num.items():
+        out[index[e]] = c
+    return out
+
+
+def _dense_laplacian(vec: list[int], n_vars: int, degree: int) -> list[int]:
+    """The Laplacian of a list over the degree's basis, as a list over
+    degree - 2."""
+    out = [0] * len(_basis(n_vars, degree - 2)[0])
+    for c, row in zip(vec, _laplacian_rows(n_vars, degree)):
+        if c:
+            for t, f in row:
+                out[t] += c * f
+    return out
+
+
+def _add_dense_r2_times(out: list[int], vec: list[int], n_vars: int, degree: int) -> list[int]:
+    """``out + |y|^2 vec`` for ``vec`` over the degree's basis and ``out``
+    over degree + 2, added into ``out`` and returned."""
+    for c, row in zip(vec, _r2_rows(n_vars, degree)):
+        if c:
+            for t in row:
+                out[t] += c
+    return out
+
+
 def _ladder(h: MultiPoly, weight: int) -> MultiPoly:
     """``sum_k a_k |y|^(2k) lap^k h`` for nonzero homogeneous ``h``, in one
-    Horner pass over integer maps; ValueError when its size bound passes
-    the cap."""
+    Horner pass over dense integer lists: the rung ``lap^k h_num`` and the
+    partial sum at degree m - 2k are lists over that degree's basis, and
+    ``U = A_k lap^k h_num + |y|^2 U`` climbs one degree pair per step.
+
+    ValueError, before any table is built, when the top degree's table,
+    C(m+n-1, n-1) monomials of n entries, passes two million entries.  No
+    list of the pass is longer than that table, and a first solve costs
+    about 65-300 ns an entry of it at n >= 20, tables included.  So
+    y1^2 y2^2 is refused at n = 155 (3,873,766,975 entries; the sparse
+    ladder solved it in 0.38 s) and at n = 1000 (41,917,125,250,000)."""
     n, m = h.n_vars, h.total_degree()
-    rungs = [h._num]
-    for _ in range(m // 2):
-        lap = _laplacian_num(rungs[-1])
-        if not lap:
-            break
-        rungs.append(lap)
-    terms = sum(math.comb(k + n - 1, n - 1) * len(r) for k, r in enumerate(rungs))
-    bound = min(terms, math.comb(m + n - 1, n - 1)) * n
+    bound = math.comb(m + n - 1, n - 1) * n
     if bound > _MAX_LADDER_ENTRIES:
         raise ValueError(
             f"the Laplacian ladder in n = {n} variables at degree {m} may build "
             f"{bound} exponent entries, more than {_MAX_LADDER_ENTRIES}"
         )
     a, d = _poisson_block(n, m, weight)
-    u: dict[Exponent, int] = {}
-    for k in reversed(range(len(rungs))):
+    rungs = [_dense(h, m)]
+    for k in range(1, m // 2 + 1):
+        rung = _dense_laplacian(rungs[-1], n, m - 2 * k + 2)
+        if not any(rung):
+            break
+        rungs.append(rung)
+    top = len(rungs) - 1
+    u = [a[top] * c for c in rungs[top]]
+    for k in reversed(range(top)):
         ak = a[k]
-        u = _add_r2_times({e: ak * c for e, c in rungs[k].items()}, u, n)
-    return MultiPoly._make(n, u, d * h._den)
+        u = _add_dense_r2_times([ak * c for c in rungs[k]], u, n, m - 2 * k - 2)
+    return MultiPoly._make(n, dict(zip(_basis(n, m)[0], u)), d * h._den)
 
 
 def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
@@ -810,10 +902,11 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
     Raises DimensionError when n <= 2 or the variable counts disagree, and
     ValueError for an inhomogeneous right-hand side or a ladder past its
     size cap.  Before returning, the solution is re-verified by the
-    product rule, as `RadPoly.laplacian` applies it term by term: with
-    ``w = n - 2``, ``lap(|y|^w u) = |y|^(w-2) (w (w + n - 2) u + 2w E u
-    + |y|^2 lap u)``, ``E`` the Euler operator, applied to the returned
-    numerators and divided by their denominator once, must give ``h``.
+    product rule: with ``w = n - 2``, ``lap(|y|^w u) = |y|^(w-2) (w (w +
+    n - 2) u + 2w E u + |y|^2 lap u)``, where the Euler operator ``E`` is
+    the scalar m at degree m.  Applied to the returned numerators as a
+    list over the degree's basis, it must give ``h`` entry by entry once
+    both sides are brought over one denominator.
     """
     if n < 3:
         raise DimensionError("the radial-weight Poisson solve needs n >= 3")
@@ -823,12 +916,14 @@ def solve_radical_poisson(h: MultiPoly, n: int) -> MultiPoly:
         return h
     if not h.is_homogeneous():
         raise ValueError("right-hand side must be homogeneous")
-    w = n - 2
+    w, m = n - 2, h.total_degree()
     u = _ladder(h, w)
-    base = w * (w + n - 2)
-    # E is applied term by term, by each key's own degree
-    lhs = {e: (base + 2 * w * sum(e)) * c for e, c in u._num.items()}
-    if MultiPoly._make(n, _add_r2_times(lhs, _laplacian_num(u._num), n), u._den) != h:
+    u_num = _dense(u, m)
+    lhs = [(w * (w + n - 2) + 2 * w * m) * c for c in u_num]
+    if m >= 2:
+        _add_dense_r2_times(lhs, _dense_laplacian(u_num, n, m), n, m - 2)
+    h_den, u_den = h._den, u._den
+    if any(left * h_den != right * u_den for left, right in zip(lhs, _dense(h, m))):
         raise SolveError("exact solve failed verification")
     return u
 

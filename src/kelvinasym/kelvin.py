@@ -388,8 +388,9 @@ def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
 
     Every branch uses the same rule R_ii = g'(lambda_i)^(-1/2); eigenvalues
     must sit strictly inside the admissible ray, and g'(lambda_i) must be a
-    positive finite float (it underflows to 0 for a huge eigenvalue), else
-    AdmissibilityError names the eigenvalue.
+    positive finite float (it underflows to 0 for a huge eigenvalue, and
+    RECIP's overflows in forming (1 + lambda)^2), else AdmissibilityError
+    names the eigenvalue.
     """
     out = []
     for lam in _lambda_floats(s):
@@ -397,6 +398,8 @@ def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
             slope = branch.g_prime(lam)
         except DomainError as exc:
             raise AdmissibilityError(str(exc)) from None
+        except OverflowError:
+            raise AdmissibilityError(f"eigenvalue {lam} overflows a float in g'(lambda)") from None
         if not (math.isfinite(slope) and slope > 0.0):
             raise AdmissibilityError(
                 f"eigenvalue {lam} gives g'(lambda) = {slope}, not a positive finite float"

@@ -331,6 +331,7 @@ def test_kelvin_check_fails_at_impossible_tolerance(tmp_path, capsys):
         (["--theta", "inf"], "--theta must be finite, got inf"),
         (["--spectrum", "1e400,1,1"], "--spectrum 1e400,1,1 does not fit in floats"),
         (["--spectrum", "1e300,1,1"], "eigenvalue 1e+300"),
+        (["--branch", "recip", "--n", "2", "--spectrum", "0,1e200"], "eigenvalue 1e+200 overflows a float in g'(lambda)"),
     ],
 )
 def test_kelvin_check_unmeasurable_input_exits_2(tmp_path, capsys, flags, named):
@@ -418,17 +419,29 @@ def test_poisson_counts_and_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_poisson_solutions_are_pinned():
-    # the poisson report holds no solution, so pin the solutions of the
-    # CLI's own draws (n = 5, degrees 0..6, 20 each, seed 1) by digest
-    rng = Random(1)
+def _poisson_solutions_digest(seed):
+    """sha256 over the solutions of the CLI's own draws at n = 5, degrees
+    0..6, 20 each, one `to_json` line per solve."""
+    rng = Random(seed)
     hasher = hashlib.sha256()
     for degree in range(7):
         for _ in range(20):
             h = cli._random_homogeneous(rng, 5, degree)
             u = solve_radical_poisson(h, 5)
             hasher.update(json.dumps(u.to_json(), sort_keys=True).encode() + b"\n")
-    assert hasher.hexdigest() == "b2afaf3c8cab68a68edc63076e409d09da4f7b9c850e034f1f7e1ae64254e1dd"
+    return hasher.hexdigest()
+
+
+def test_poisson_solutions_are_pinned():
+    # the poisson report holds no solution, so pin the solutions of the
+    # CLI's own draws by digest (seed 1)
+    assert _poisson_solutions_digest(1) == "b2afaf3c8cab68a68edc63076e409d09da4f7b9c850e034f1f7e1ae64254e1dd"
+
+
+def test_benchmark_poisson_solutions_are_pinned():
+    # the 140 solves of the benchmark's `poisson --n 5 --degree 6 --trials
+    # 20`, at the default seed 0; the report pins only their count
+    assert _poisson_solutions_digest(0) == "f4383d81015fb45d958de4894c011d4f7e64abee7f855da6212a899984088f87"
 
 
 @pytest.mark.parametrize(

@@ -1314,6 +1314,21 @@ def test_scaling_ladder_is_deterministic():
     assert residual_scaling_slopes(3, seed=5) == residual_scaling_slopes(3, seed=5)
 
 
+def test_scaling_ladder_forms_the_minor_weights_once_per_spectrum():
+    equations._flat_minor_weights.cache_clear()
+    formed = []
+    original = equations._minor_weights
+
+    def counting(row, vals):
+        formed.append(vals)
+        return original(row, vals)
+
+    with mock.patch.object(equations, "_minor_weights", counting):
+        first = residual_scaling_slopes(5, seed=0)
+        assert residual_scaling_slopes(5, seed=0) == first
+    assert len(formed) == 1 and all(type(v) is Fraction for v in formed[0])
+
+
 def test_scaling_ladder_rejects_unsupported_dimension():
     with pytest.raises(ValueError):
         residual_scaling_slopes(6)

@@ -31,7 +31,7 @@ def fr(a, b=1):
 
 def r_squared(n_vars):
     """|y|^2 = y_1^2 + ... + y_n^2 from its n monomials, apart from the
-    integer (|y|^2)^j table of the Laplacian ladder."""
+    Laplacian ladder's |y|^2 rows (`exactalg._r2_rows`)."""
     return MultiPoly(n_vars, {tuple(2 * (k == i) for k in range(n_vars)): 1 for i in range(n_vars)})
 
 
@@ -126,6 +126,19 @@ def test_constructor_rejects_bad_exponents():
     # two keys that name one exponent are refused, not summed
     with pytest.raises(DimensionError, match=r"exponent \(0, 1\) is given twice"):
         MultiPoly(2, {range(2): 1, (0, 1): 2})
+
+
+@pytest.mark.parametrize("make", [MultiPoly, RadPoly], ids=["MultiPoly", "RadPoly"])
+def test_constructor_refuses_a_variable_count_that_is_not_an_int(make):
+    # a bool is an int to isinstance, but True variables are refused
+    for n_vars in (True, False, 2.0, "2"):
+        with pytest.raises(DimensionError, match=f"variable count {n_vars!r} is not an integer"):
+            make(n_vars, {})
+    with pytest.raises(DimensionError, match="variable count True"):
+        MultiPoly(True, {(1,): 1})
+    with pytest.raises(DimensionError, match="need at least one variable"):
+        make(0, {})
+    assert make(1, {}).n_vars == 1
 
 
 def test_exact_scalar_rule():
@@ -1116,13 +1129,35 @@ def test_ladder_runs_every_solve_the_cli_admits():
         assert solve_radical_poisson(h, n).is_homogeneous(m)
 
 
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 43), (4, 7), (5, 6), (20, 4), (44, 2), (100, 1), (100, 2)])
+def test_dense_tables_match_the_sparse_laplacian_and_r2_product(n, m):
+    # the ladder and its check read these tables, so each row is compared
+    # with the sparse `_laplacian_num` and with MultiPoly's own product
+    basis, index = exactalg._basis(n, m)
+    assert list(basis) == sorted(basis) and len(basis) == math.comb(m + n - 1, n - 1)
+    assert all(len(e) == n and sum(e) == m and min(e) >= 0 for e in basis)
+    assert index == {e: i for i, e in enumerate(basis)}
+    if m < 2:
+        return
+    below = exactalg._basis(n, m - 2)[0]
+    rng = random.Random(31 * n + m)
+    for _ in range(4):
+        p = MultiPoly(n, {e: rng.randint(-9, 9) for e in basis if rng.random() < 0.3})
+        lap = exactalg._dense_laplacian(exactalg._dense(p, m), n, m)
+        assert {e: c for e, c in zip(below, lap) if c} == exactalg._laplacian_num(p._num)
+        q = MultiPoly(n, {e: rng.randint(-9, 9) for e in below if rng.random() < 0.5})
+        product = exactalg._add_dense_r2_times([0] * len(basis), exactalg._dense(q, m - 2), n, m - 2)
+        assert MultiPoly(n, dict(zip(basis, product))) == q * r_squared(n)
+
+
 @pytest.mark.parametrize("solve", [lambda h: solve_radical_poisson(h, 1000), harmonic_decomposition])
 def test_ladder_refuses_a_dense_solve_at_once(solve):
-    # h = y1^2 y2^2 in 1000 variables would need 500,500 terms of 1000 entries
+    # h = y1^2 y2^2 in 1000 variables would need the degree-4 table,
+    # C(1003, 4) monomials of 1000 entries each
     n = 1000
     h = MultiPoly.variable(n, 0) ** 2 * MultiPoly.variable(n, 1) ** 2
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=r"n = 1000 variables at degree 4 may build 502501000 exponent entries, more than 2000000"):
+    with pytest.raises(ValueError, match=r"n = 1000 variables at degree 4 may build 41917125250000 exponent entries, more than 2000000"):
         solve(h)
     assert time.perf_counter() - start < 1.0
 

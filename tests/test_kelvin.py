@@ -6,6 +6,7 @@ differences of the full transform."""
 
 import hashlib
 import math
+import re
 from random import Random
 from unittest import mock
 
@@ -234,6 +235,15 @@ def test_scaling_matrix_admissibility():
         scaling_matrix(PhaseBranch.slag(1.0), [1e300, 1.0])
     with pytest.raises(AdmissibilityError):
         KelvinFrame(PhaseBranch.slag(1.0), [1e300, 1.0])
+
+    # RECIP's g'(lambda) = sqrt(2) / (1 + lambda)^2 overflows in the square
+    # from about 1.34e154 on, and names the eigenvalue as the underflow does
+    recip = PhaseBranch.recip(-1.0)
+    for lam in (1.3407807929942597e154, 1e200, 1.7976931348623157e308):
+        with pytest.raises(AdmissibilityError, match=re.escape(f"eigenvalue {lam!r} overflows a float in g'")):
+            scaling_matrix(recip, [0.0, lam])
+        with pytest.raises(AdmissibilityError, match=re.escape(f"eigenvalue {lam!r} overflows")):
+            KelvinFrame(recip, [lam, 0.0])
 
 
 # ── point maps ───────────────────────────────────────────────────────────
