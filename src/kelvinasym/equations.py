@@ -1,50 +1,39 @@
-"""Algebraic residual forms of the transformed equations.
+"""The residual of the special Lagrangian equation near infinity.
 
-Each branch's fully nonlinear equation F(D^2 u) = theta is polynomialized
-into two determinant-style forms evaluated on a Hessian matrix H:
+The flat (SLAG) phase of a symmetric matrix H is the sum of arctan mu over
+its eigenvalues, the argument of P(H) = det(I + i H) = E(H) + i O(H), with
+E and O the alternating sums of sigma_0 .. sigma_n of H
+(`symfun._alternating`).  Against the asymptotic model A = diag(lambda)
+the equation becomes the theta-free form
 
-  theta-carrying   zero exactly when the phase of H equals theta;
-  theta-free       zero exactly when the phase of H matches the phase of
-                   the asymptotic model A = diag(lambda), with theta
-                   eliminated through the model.
+    E(A) O(H) - O(A) E(H) = |P(A)| |P(H)| sin(phase(H) - phase(A)),
 
-Both come from one determinant.  Each kind is a row (eps, alpha, beta,
-kappa) of the plane algebra x + u y, u^2 = eps, with
-g(lambda) = kappa arg(alpha + beta lambda); the table of rows is in the
-docstring of `kelvin.PhaseBranch`, and each branch carries its row.
-With P(H) = det(alpha + beta H) = sum_k sigma_k(H) beta^k alpha^(n-k) and
-cross(Z, P) = x_Z y_P - y_Z x_P, the theta-free form is
-s_free cross(P(A), P(H)), the theta-carrying form s_carry cross(Z_theta,
-P(H)), and the linear-part factor gamma = s_free N(P(A)) / kappa with
-N(x + u y) = x^2 - eps y^2.  Exact matrices take the sigma_k from
-`char_sigmas`; spectra and float matrices take P as prod (alpha + beta mu)
-over the eigenvalues, a float matrix's from cyclic Jacobi rotations over
-nested lists (`_symmetric_eigenvalues`).  Integer rows (SLAG, RECIP) keep
-rational input exact.
+zero exactly when the phases match, with theta eliminated through the
+model.  Its linear part along the ball-side Hessian is
+gamma |y|^(n+2) lap(v), gamma = |P(A)|^2 = prod (1 + lambda^2), which
+`linear_part_defect` checks over the jet indeterminates.
 
-On the ball side, H = A + |y|^n R M R with M = K + (L / |y|^2) y y^T
-from the 2-jet of the profile v (`identity_parts`).  Expanding P(H) over
-the principal minors of |y|^n R M R, with cross(z w, z' w) =
-N(w) cross(z, z') and R_l^2 = 1 / g'(lambda_l) = N(z_l) / (kappa
-cross(z_l, beta)), turns the theta-free form divided by gamma |y|^(n+2)
-into one weighted sum of the principal minors of M on every kind:
+On the ball side, H = A + |y|^n R M R with R_l^2 = 1 + lambda_l^2 and
+M = K + (L / |y|^2) y y^T from the 2-jet of the profile v
+(`identity_parts`).  Expanding P(H) over the principal minors of
+|y|^n R M R turns the theta-free form divided by gamma |y|^(n+2) into one
+weighted sum of the principal minors of M:
 
     sum over nonempty S of W_S |y|^(n(|S|-1)-2) det M_S,
-    W_S = kappa^(1-|S|) cross(prod_{l in S} z_l, beta^|S|) / prod_{l in S} cross(z_l, beta),
+    W_S = Im prod_{l in S} (lambda_l + i),
 
-with z_l = alpha + beta lambda_l (`_minor_weights`).  W_S = 1 for
+rational on a rational spectrum (`_flat_minor_weights`); for n = 3 the
+weights are 1, lambda_j + lambda_k and -(1 - sigma_2).  W_S = 1 for
 |S| = 1, so by the trace identity that part is trace(M) / |y|^2 = lap(v),
-and the sizes >= 2 give the superlinearly small remainder.  On SLAG,
-W_S = Im prod_{l in S} (lambda_l + i), rational on a rational spectrum;
-for n = 3 the weights are 1, lambda_j + lambda_k and -(1 - sigma_2).
+and the sizes >= 2 give the superlinearly small remainder.
 
 One body (`_split`) returns lap(v) = trace(hess) and the remainder
-straight from the minors of size >= 2: over floats on any kind
-(`transformed_residual`, on tuples and nested lists) and over rationals on
-SLAG (`transformed_residual_exact`, rational jets and radius).  The same
-sum runs fully symbolically on SLAG, in any n >= 3, in `WindowedResidual`,
-which forms it one weight window at a time while v grows and can stop at
-a weight ceiling.
+straight from the minors of size >= 2, over rationals
+(`transformed_residual_exact`, rational jets and radius).  The same sum
+runs fully symbolically, in any n >= 3, in `WindowedResidual`, which forms
+it one weight window at a time while v grows and can stop at a weight
+ceiling.  The other branch kinds of `kelvin.PhaseBranch` run in the radial
+integrator and the Hessian identity check, not here.
 """
 
 from __future__ import annotations
@@ -56,41 +45,19 @@ from itertools import combinations
 from random import Random
 from typing import NamedTuple, Sequence, Union
 
-from .exactalg import (
-    DimensionError,
-    MultiPoly,
-    RadPoly,
-    _as_fraction,
-    _dot,
-    _is_rational,
-    _rational_sqrt,
-    _sum,
-)
-from .kelvin import (
-    Jet2,
-    KelvinFrame,
-    PhaseBranch,
-    PhaseRow,
-    identity_parts,
-    jet_indeterminates,
-    scaling_matrix,
-)
+from .exactalg import DimensionError, MultiPoly, RadPoly, _as_fraction, _rational_sqrt, _sum
+from .kelvin import identity_parts, jet_indeterminates
 from .symfun import (
-    MismatchError,
+    _alternating,
     _linear_coefficients_by_deleted_sum,
     _principal_minors,
-    char_sigmas,
+    _sigmas,
     random_spectrum,
 )
 
 __all__ = [
-    "AlgebraicForm",
     "ResidualBreakdown",
     "WindowedResidual",
-    "algebraic_residual",
-    "notheta_residual",
-    "linear_part_factor",
-    "transformed_residual",
     "transformed_residual_exact",
     "linear_part_defect",
     "residual_scaling_slopes",
@@ -100,231 +67,7 @@ __all__ = [
 Scalar = Union[float, Fraction]
 
 
-# ── matrix and value plumbing ────────────────────────────────────────────
-
-
-def _rotation(app: float, aqq: float, apq: float) -> tuple[float, float, float]:
-    """(t, cos, sin) of the rotation p, q -> cos p - sin q, sin p + cos q that
-    zeroes apq != 0 in [[app, apq], [apq, aqq]], leaving app - t apq, aqq + t apq."""
-    zeta = (aqq - app) / (2.0 * apq)
-    t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-    cos = 1.0 / math.hypot(1.0, t)
-    return t, cos, cos * t
-
-
-def _symmetric_eigenvalues(rows) -> list[float]:
-    """Eigenvalues of a real symmetric matrix, ascending, by cyclic Jacobi
-    rotations of its lower triangle's rows; ValueError names the first
-    entry that is not a finite float, and refuses a matrix that is not
-    symmetric to 1e-9 of its largest entry (at least 1)."""
-    a = [[float(v) for v in row] for row in rows]
-    n = len(a)
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            if not math.isfinite(v):
-                raise ValueError(f"matrix entry ({i}, {j}) is {v}, not a finite float")
-    largest = max((abs(v) for row in a for v in row), default=0.0)
-    if any(abs(a[i][j] - a[j][i]) > 1e-9 * max(1.0, largest) for i in range(n) for j in range(i)):
-        raise ValueError("floating-point evaluation needs a symmetric matrix")
-    a = [[a[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
-    # sweeps until none rotates: over 3000 random matrices (n = 2..12,
-    # scales 1e-300 to 1e300, half clustered within 1e-12) at most 8 ran
-    for _ in range(50):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= 1e-18 * largest:
-                    continue
-                rotated = True
-                app, aqq = a[p][p], a[q][q]
-                t, cos, sin = _rotation(app, aqq, apq)
-                rp, rq = a[p], a[q]
-                a[p] = [cos * u - sin * w for u, w in zip(rp, rq)]
-                a[q] = [sin * u + cos * w for u, w in zip(rp, rq)]
-                for r in a:
-                    r[p], r[q] = cos * r[p] - sin * r[q], sin * r[p] + cos * r[q]
-                a[p][p], a[q][q] = app - t * apq, aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-        if not rotated:
-            break
-    return sorted(a[i][i] for i in range(n))
-
-
-def _spectrum_values(s) -> list:
-    """Fractions when every value is rational, else floats."""
-    vals = list(s)
-    if all(map(_is_rational, vals)):
-        return list(map(_as_fraction, vals))
-    return [float(v) for v in vals]
-
-
-# ── the two residual forms ───────────────────────────────────────────────
-
-
-def _det_by_sigmas(row: PhaseRow, sig) -> tuple:
-    """P = det(alpha + beta H) = sum_k sigma_k(H) beta^k alpha^(n-k) from
-    sigma_0 .. sigma_n of H in any exact ring (`char_sigmas`)."""
-    alpha_pow, beta_pow = [row.unit], [row.unit]
-    for _ in sig[1:]:
-        alpha_pow.append(row.mul(alpha_pow[-1], row.alpha))
-        beta_pow.append(row.mul(beta_pow[-1], row.beta))
-    x = y = 0 * sig[0]
-    for s, b_pow, a_pow in zip(sig, beta_pow, reversed(alpha_pow)):
-        cx, cy = row.mul(b_pow, a_pow)
-        # a zero part would still cost a ring product (MultiPoly duals)
-        if cx:
-            x = x + s * cx
-        if cy:
-            y = y + s * cy
-    return x, y
-
-
-def _det_by_values(row: PhaseRow, values) -> tuple:
-    """P = prod (alpha + beta v) over the eigenvalues v: the same det, for
-    spectra and floating-point matrices.  Expanding in sigma_k there would
-    round away small factors, such as 1 + lambda near the RECIP bound."""
-    out = row.unit
-    for v in values:
-        out = row.mul(out, (row.alpha[0] + row.beta[0] * v, row.alpha[1] + row.beta[1] * v))
-    return out
-
-
-class AlgebraicForm(NamedTuple):
-    """A polynomialized residual of one branch, scale * cross(Z, P(H)) with
-    P(H) = det(alpha + beta H) in the branch's plane algebra (`branch.row`):
-    Z and scale are fixed at construction, so evaluation is pure
-    determinant algebra.
-
-    `coefficients` carries {x, y, scale}: Z = x + u y is Z_theta for the
-    theta-carrying form and P(A) for the theta-free form.  `linear_part_defect`
-    runs the SLAG theta-free form; the other forms' consumer is the float
-    ``residual-scaling`` for RECIP, ATAN2 and LOG that ROADMAP.md keeps open.
-    """
-
-    branch: PhaseBranch
-    n: int
-    theta_free: bool
-    coefficients: dict
-
-    @classmethod
-    def theta_carrying(cls, branch: PhaseBranch, n: int, theta: float) -> "AlgebraicForm":
-        """The form that vanishes exactly on matrices of phase theta."""
-        row = branch.row
-        x, y = row.carrier(float(theta))
-        coeff = {"x": x, "y": y, "scale": row.s_carry}
-        return cls(branch=branch, n=n, theta_free=False, coefficients=coeff)
-
-    @classmethod
-    def eliminated(cls, branch: PhaseBranch, n: int, s) -> "AlgebraicForm":
-        """The theta-free form, with theta eliminated through the phase of
-        the asymptotic model spectrum s."""
-        row = branch.row
-        vals = _spectrum_values(s)
-        if len(vals) != n:
-            raise ValueError("spectrum size must match the form dimension")
-        x, y = _det_by_values(row, vals)
-        coeff = {"x": x, "y": y, "scale": row.s_free}
-        return cls(branch=branch, n=n, theta_free=True, coefficients=coeff)
-
-    def residual(self, H) -> Scalar:
-        """Evaluate the form on a Hessian matrix.
-
-        Floating-point matrices must be finite and symmetric; exact
-        rational matrices may be arbitrary square (diagonal-similarity
-        images of symmetric matrices are fine) and keep the evaluation
-        exact whenever the stored weights are exact."""
-        rows = [list(line) for line in H]
-        if len(rows) != self.n or any(len(line) != self.n for line in rows):
-            raise ValueError(f"matrix must be {self.n} x {self.n}")
-        row = self.branch.row
-        if all(map(_is_rational, [*(v for line in rows for v in line), *self.coefficients.values()])):
-            sig = char_sigmas([list(map(_as_fraction, line)) for line in rows], Fraction(1))
-            p = _det_by_sigmas(row, sig)
-        else:
-            p = _det_by_values(row, _symmetric_eigenvalues(rows))
-        return self._at_det(p)
-
-    def _at_det(self, p):
-        """The form at P(H) = p: scale * cross(Z, p), in the ring of p."""
-        c = self.coefficients
-        return c["scale"] * self.branch.row.cross((c["x"], c["y"]), p)
-
-
-def algebraic_residual(branch: PhaseBranch, H, theta: float) -> float:
-    """theta-carrying residual of a symmetric matrix; zero (to rounding)
-    exactly when the branch phase of H equals theta, modulo the period of
-    the branch's arctangent form.  No subcommand runs it yet: its consumer
-    is the float ``residual-scaling`` for RECIP, ATAN2 and LOG that
-    ROADMAP.md keeps open."""
-    return float(AlgebraicForm.theta_carrying(branch, len(H), theta).residual(H))
-
-
-def notheta_residual(branch: PhaseBranch, s, H) -> Scalar:
-    """theta-free residual of H against the asymptotic model spectrum s;
-    exact when the branch weights and every entry of H are rational.  No
-    subcommand runs it yet: its consumer is the float ``residual-scaling``
-    for RECIP, ATAN2 and LOG that ROADMAP.md keeps open."""
-    return AlgebraicForm.eliminated(branch, len(H), s).residual(H)
-
-
-# ── the linear-part factor ───────────────────────────────────────────────
-
-# relative bound of the slope self-check in `linear_part_factor`.  Over 3000
-# random admissible spectra per kind (n = 2..12, each eigenvalue's gap to
-# the bound log-uniform in [1e-6, 1e3], for LOG also [1e-9, 1e3], seed 1)
-# the two routes differ by at most 1.2e-15 relative on RECIP, 1.4e-15 on
-# SLAG, 3.4e-14 on ATAN2 and 4.1e-14 on LOG, whose R sums lambda + (a - b)
-# exactly near the bound (`PhaseBranch.g_prime`)
-_FACTOR_RTOL = 1e-9
-
-
-def linear_part_factor(branch: PhaseBranch, s) -> Scalar:
-    """The constant gamma multiplying |y|^(n+2) lap(v) in the linear part
-    of the theta-free residual along H = A + |y|^n N.
-
-    Exact for the flat-phase branch with rational spectrum, floating point
-    otherwise.  Before returning, the row norm s_free N(P(A)) / kappa is
-    checked against the t-slope of the theta-free residual along
-    H(t) = diag(lambda + t c), c = R^2 / 4, the image of a canonical
-    unit-Hessian jet; MismatchError if the two disagree beyond
-    `_FACTOR_RTOL` relative.  No subcommand runs it yet: its consumer is
-    the float ``residual-scaling`` for RECIP, ATAN2 and LOG that ROADMAP.md
-    keeps open."""
-    vals = _spectrum_values(s)
-    n = len(vals)
-    row = branch.row
-    form = AlgebraicForm.eliminated(branch, n, vals)
-    c = form.coefficients
-    gamma = c["scale"] * row.norm((c["x"], c["y"])) / row.kappa  # s_free N(P(A)) / kappa
-
-    # slope route: a jet with hess = I, value 0, gradient 0 at |y|^2 = 1/4
-    # maps to N = R^2 / 4, so the t-slope of the residual equals n gamma / 4.
-    # Along H(t) = diag(lambda + t c) the det P(H(t)) = prod (z_i + t c_i beta),
-    # z_i = alpha + beta lambda_i, has slope sum c_i beta w_i with w_i the
-    # product of the other z_j, and P(A) = z_i w_i.  Since
-    # cross(z w, z' w) = N(w) cross(z, z') in each plane algebra, the slope
-    # of s_free cross(P(A), P(H(t))) is s_free sum c_i N(w_i) cross(z_i, beta):
-    # its terms share one sign, so no two of them cancel
-    floats = [float(v) for v in vals]
-    z = [tuple(a + b * lam for a, b in zip(row.alpha, row.beta)) for lam in floats]
-    norms = [row.norm(z_i) for z_i in z]
-    slope = _sum(
-        0.25 * r * r * math.prod(norms[:i] + norms[i + 1 :]) * row.cross(z_i, row.beta)
-        for i, (z_i, r) in enumerate(zip(z, scaling_matrix(branch, floats)))
-    )
-    slope = float(c["scale"] * slope) / (0.25 * n)
-    if abs(slope - float(gamma)) > _FACTOR_RTOL * abs(float(gamma)):
-        raise MismatchError(
-            f"linear-part factor routes disagree: {gamma} vs path slope {slope}"
-        )
-    return gamma
-
-
 # ── the transformed residual on the ball side ────────────────────────────
-
-# the flat-phase row, whose weights are rational on a rational spectrum
-_FLAT_ROW = PhaseBranch.slag(0.0).row
 
 
 class ResidualBreakdown(NamedTuple):
@@ -339,9 +82,9 @@ class ResidualBreakdown(NamedTuple):
 
 # dimensions the principal-minor residual (`_split`) takes.  Its Laplace
 # expansion meets every minor of M and its weights every index set, so one
-# jet's cost grows about 3x per dimension: on 2 shared CPUs one SLAG jet
-# took 0.009 s (floats) and 0.050 s (rationals) at n = 8, 0.074 and 0.34 s
-# at n = 10, 0.47 and 2.3 s at n = 12, and 1.4 and 5.6 s at n = 13
+# jet's cost grows about 3x per dimension: on 2 shared CPUs one rational
+# jet took 0.050 s at n = 8, 0.34 s at n = 10, 2.3 s at n = 12 and 5.6 s
+# at n = 13
 MAX_RESIDUAL_DIMENSION = 10
 
 
@@ -353,52 +96,27 @@ def _check_dimension(n: int) -> None:
         )
 
 
-def transformed_residual(jet: Jet2, frame: KelvinFrame) -> ResidualBreakdown:
-    """Floating-point residual split at one jet of the ball-side profile,
-    on any branch kind: the weighted principal-minor sum (`_split`) with
-    the weights of the frame's row; gamma is `linear_part_factor`'s.
-    ValueError above MAX_RESIDUAL_DIMENSION (`_check_dimension`).
-    No subcommand runs it yet: its consumer is the float ``residual-scaling``
-    for RECIP, ATAN2 and LOG that ROADMAP.md keeps open."""
-    if jet.n != frame.n:
-        raise ValueError(f"jet dimension {jet.n} does not match frame dimension {frame.n}")
-    _check_dimension(frame.n)
-    norm = _dot(jet.y, jet.y) ** 0.5
-    weights = _minor_weights(frame.branch.row, frame.spectrum)
-    return _split(*jet, weights, lambda k: norm**k, float(linear_part_factor(frame.branch, frame.spectrum)))
-
-
-def _minor_weights(row: PhaseRow, vals) -> list:
-    """The weights W_S of the principal minors of M in the normalized
-    residual, by size: entry k is {S: W_S} over the index tuples S of size
-    k, in the order of `symfun._principal_minors` (entry 0 is empty):
-
-        W_S = kappa^(1-|S|) cross(prod_{l in S} z_l, beta^|S|) / prod_{l in S} cross(z_l, beta)
-
-    with z_l = alpha + beta lambda_l in the row's plane algebra, so W_S = 1
-    for |S| = 1.  The products over S extend those over S less its last
-    index, one size down."""
-    z = [tuple(a + b * lam for a, b in zip(row.alpha, row.beta)) for lam in vals]
-    c = [row.cross(z_l, row.beta) for z_l in z]
-    prods = {(): (row.unit, 1)}
-    weights, beta_pow, kappa_pow = [{}], row.unit, 1
-    for size in range(1, len(z) + 1):
-        beta_pow, group = row.mul(beta_pow, row.beta), {}
-        for S in combinations(range(len(z)), size):
-            z_s, c_s = prods[S[:-1]]
-            prods[S] = z_s, c_s = row.mul(z_s, z[S[-1]]), c_s * c[S[-1]]
-            group[S] = row.cross(z_s, beta_pow) / (kappa_pow * c_s)
-        weights.append(group)
-        kappa_pow = kappa_pow * row.kappa
-    return weights
-
-
 @lru_cache(maxsize=64)
 def _flat_minor_weights(vals: tuple[Fraction, ...]) -> list:
-    """`_minor_weights` of the flat row at an exact spectrum, formed once
-    per spectrum; callers read it and do not mutate it.  Only Fractions
-    enter: a float equal to one would hash alike and be served its weights."""
-    return _minor_weights(_FLAT_ROW, vals)
+    """The weights W_S = Im prod_{l in S} (lambda_l + i) of the principal
+    minors of M in the normalized residual at an exact spectrum, by size:
+    entry k is {S: W_S} over the index tuples S of size k, in the order of
+    `symfun._principal_minors` (entry 0 is empty), so W_S = 1 for |S| = 1.
+    The product over S extends the one over S less its last index.  Formed
+    once per spectrum; callers read it and do not mutate it.  Only
+    Fractions enter: a float equal to one would hash alike and be served
+    its weights."""
+    prods = {(): (Fraction(1), Fraction(0))}
+    weights = [{}]
+    for size in range(1, len(vals) + 1):
+        group = {}
+        for S in combinations(range(len(vals)), size):
+            re, im = prods[S[:-1]]
+            lam = vals[S[-1]]
+            prods[S] = re * lam - im, re + im * lam
+            group[S] = prods[S][1]
+        weights.append(group)
+    return weights
 
 
 def _flat_matrix(y, value, grad, hess, rpow):
@@ -415,7 +133,7 @@ def _flat_matrix(y, value, grad, hess, rpow):
 def _minor_sum(minors, weights, sizes, rpow, zero):
     """sum over the sizes k in ``sizes`` and the S of size k of
     W_S |y|^(n(k-1)-2) det M_S, from the principal minors {S: det M_S}
-    (`symfun._principal_minors`) and the weights (`_minor_weights`)."""
+    (`symfun._principal_minors`) and the weights (`_flat_minor_weights`)."""
     n = len(weights) - 1
     total = zero
     for size in sizes:
@@ -446,12 +164,14 @@ def transformed_residual_exact(
 ) -> ResidualBreakdown:
     """Exact rational residual split for the flat-phase branch.
 
-    Same contract as `transformed_residual` but every input is rational and
-    |y| itself must be rational and nonzero (e.g. points t * unit rational
+    The theta-free form at the 2-jet (value, grad, hess) of v at y,
+    divided by gamma |y|^(n+2) with gamma = prod (1 + lambda^2), and split
+    into lap(v) and the remainder.  Every input is rational, and |y|
+    itself must be rational and nonzero (e.g. points t * unit rational
     vector); ValueError names a point at the origin.  The split is the
-    same weighted principal-minor sum (`_split`), with SLAG's rational
-    weights W_S = Im prod_{l in S} (lambda_l + i), so the irrational
-    scaling R never appears and all arithmetic stays inside the rationals.
+    weighted principal-minor sum (`_split`) with the rational weights
+    W_S = Im prod_{l in S} (lambda_l + i), so the irrational scaling R
+    never appears and all arithmetic stays inside the rationals.
     ValueError above MAX_RESIDUAL_DIMENSION (`_check_dimension`).
     """
     yv = list(map(_as_fraction, y))
@@ -580,8 +300,9 @@ def linear_part_defect(s) -> MultiPoly:
     precisely when the linear part of the residual factors as
     gamma |y|^(n+2) lap(v).
 
-    The form is linear in sigma_0 .. sigma_n of H, and by L31 the w-part
-    of sigma_k is sum_i (|y|^2 M)_ii rho_i sigma_(k-1)(lambda without i),
+    The form E(A) O(H) - O(A) E(H) is linear in sigma_0 .. sigma_n of H
+    (`symfun._alternating`), and by L31 the w-part of sigma_k is
+    sum_i (|y|^2 M)_ii rho_i sigma_(k-1)(lambda without i),
     rho = 1 + lambda^2, so only the diagonal of |y|^2 M enters; it does
     not depend on the spectrum and is built once per n
     (`_linear_part_jet`)."""
@@ -592,8 +313,9 @@ def linear_part_defect(s) -> MultiPoly:
     diagonal, scaled_trace = _linear_part_jet(n)
     rho = [1 + v * v for v in vals]
     linear_sigmas = _linear_coefficients_by_deleted_sum(vals, [d * r for d, r in zip(diagonal, rho)])
-    form = AlgebraicForm.eliminated(PhaseBranch.slag(0.0), n, vals)
-    linear = form._at_det(_det_by_sigmas(form.branch.row, [0 * scaled_trace, *linear_sigmas]))
+    e_a, o_a = _alternating(_sigmas(vals, 1))
+    e_linear, o_linear = _alternating([0 * scaled_trace, *linear_sigmas])
+    linear = e_a * o_linear - o_a * e_linear
     gamma = math.prod(rho, start=Fraction(1))
     return linear - gamma * scaled_trace
 

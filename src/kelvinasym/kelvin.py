@@ -33,7 +33,6 @@ from __future__ import annotations
 import math
 import operator
 import random
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence, Union
 
@@ -44,17 +43,13 @@ __all__ = [
     "AdmissibilityError",
     "DomainError",
     "HessianReport",
-    "Jet2",
     "KelvinFrame",
     "PhaseBranch",
-    "PhaseRow",
     "ScalarMaps",
     "ZeroPointError",
     "hessian_identity_check",
     "identity_parts",
     "jet_indeterminates",
-    "poly_jet",
-    "scaling_matrix",
     "trace_identity_defect",
 ]
 
@@ -97,58 +92,12 @@ _TAU_TOL = 1e-12
 _PINNED_TAU = {"SLAG": _HALF, "RECIP": _QUARTER}
 
 
-class PhaseRow(NamedTuple):
-    """One kind in the plane algebra: g(lambda) = kappa arg(alpha + beta lambda).
-
-    Elements are pairs: (x, y) for eps <= 0, and the null coordinates
-    (x + y, x - y) for eps = +1, whose products are componentwise; in (x, y)
-    LOG near its bound would round det(H + a - b) away against
-    det(H + a + b).  The theta-free form is s_free cross(P(A), P(H)), the
-    theta-carrying one s_carry cross(Z_theta, P(H))."""
-
-    eps: int
-    alpha: tuple
-    beta: tuple
-    kappa: float
-    s_free: Fraction | int
-    s_carry: float
-
-    @property
-    def unit(self) -> tuple:
-        return (1, 1) if self.eps > 0 else (1, 0)
-
-    def mul(self, z, w) -> tuple:
-        if self.eps > 0:
-            return z[0] * w[0], z[1] * w[1]
-        return z[0] * w[0] + self.eps * z[1] * w[1], z[0] * w[1] + z[1] * w[0]
-
-    def cross(self, z, w):
-        """x_z y_w - y_z x_w."""
-        if self.eps > 0:
-            return (z[1] * w[0] - z[0] * w[1]) / 2
-        return z[0] * w[1] - z[1] * w[0]
-
-    def norm(self, z):
-        """N(x + u y) = x^2 - eps y^2."""
-        return z[0] * z[1] if self.eps > 0 else z[0] * z[0] - self.eps * z[1] * z[1]
-
-    def carrier(self, theta: float) -> tuple:
-        """Z_theta of argument phi = theta / kappa: (cos phi, sin phi),
-        (1, phi) or (1 + e^(-2 phi), 1 - e^(-2 phi)) for eps = -1, 0, +1,
-        the last in null coordinates."""
-        phi = theta / self.kappa
-        if self.eps < 0:
-            return math.cos(phi), math.sin(phi)
-        return (1.0, phi) if self.eps == 0 else (2.0, 2.0 * math.exp(-2.0 * phi))
-
-
 class _PhaseBranchFields(NamedTuple):
     kind: str
     tau: float
     theta: float
     a: float
     b: float
-    row: PhaseRow
 
 
 class PhaseBranch(_PhaseBranchFields):
@@ -156,35 +105,22 @@ class PhaseBranch(_PhaseBranchFields):
 
     Each branch applies a strictly increasing map g to every Hessian
     eigenvalue and sums the results; the kinds differ in g and in the
-    admissible eigenvalue ray.  The shift parameters (a, b) and the
-    plane-algebra `row` are derived from (kind, tau) at construction:
+    admissible eigenvalue ray.  The shift parameters (a, b) are derived
+    from (kind, tau) at construction:
 
       LOG    0 < tau < pi/4,    a = cot(tau) > 1,  b = sqrt(a^2 - 1)
       RECIP  tau = pi/4,        a = 1,             b = 0
       ATAN2  pi/4 < tau < pi/2, 0 < a < 1,         b = sqrt(1 - a^2)
       SLAG   tau = pi/2,        a = 0,             b = 1
 
-    Each kind is a row (eps, alpha, beta, kappa) of the plane algebra
-    x + u y, u^2 = eps (complex, dual or split-complex numbers), with
-    g(lambda) = kappa arg(alpha + beta lambda), arg(x + u y) = atan2(y, x),
-    y / x or artanh(y / x) for eps = -1, 0, +1:
+    The radial integrator and the Hessian identity check run every kind;
+    the residual forms of the equations module are SLAG's alone.  `maps`
+    holds g, g_prime and g_inverse in closed form, with their range
+    checks, as plain functions built once per (kind, a, b), for the
+    radial hot path.
 
-      kind   eps  alpha             beta   kappa
-      SLAG   -1   1                 u      1
-      ATAN2  -1   (a+b) + u (a-b)   1 + u  sqrt(a^2 + 1) / b
-      RECIP   0   1 + u             1      -sqrt(2)
-      LOG    +1   a + u b           1      -sqrt(a^2 + 1) / b
-
-    The residual forms of the equations module are cross products
-    x_Z y_P - y_Z x_P with P(H) = det(alpha + beta H)
-    = sum_k sigma_k(H) beta^k alpha^(n-k); the row carries their scales
-    too.  SLAG and RECIP are integer rows with Fraction s_free, so their
-    theta-free forms stay exact.  g, g_prime and g_inverse keep their
-    closed forms and range checks; `maps` holds them as plain functions,
-    built once per (kind, a, b), for the radial hot path.
-
-    Use `PhaseBranch.make` (or the `slag` / `recip` shorthands); the
-    constructor validates that tau sits in the interval of the kind.
+    Use `PhaseBranch.make` (or the `slag` shorthand); the constructor
+    validates that tau sits in the interval of the kind.
     """
 
     __slots__ = ()
@@ -207,19 +143,12 @@ class PhaseBranch(_PhaseBranchFields):
         # (a, b) = (cot tau, sqrt|a^2 - 1|), exact at the two pinned kinds
         if kind == "SLAG":
             a, b = 0.0, 1.0
-            row = PhaseRow(-1, (1, 0), (0, 1), 1, Fraction(1), 1)
         elif kind == "RECIP":
             a, b = 1.0, 0.0
-            row = PhaseRow(0, (1, 1), (1, 0), -math.sqrt(2.0), Fraction(1), -math.sqrt(2.0))
         else:
             a = math.cos(tau) / math.sin(tau)
             b = math.sqrt(abs(a * a - 1.0))
-            kappa = math.sqrt(a * a + 1.0) / b
-            if kind == "ATAN2":
-                row = PhaseRow(-1, (a + b, a - b), (1, 1), kappa, 1, -1)
-            else:  # LOG: alpha = a + u b and beta = 1 in null coordinates
-                row = PhaseRow(1, (a + b, a - b), (1, 1), -kappa, -2, -1)
-        return super().__new__(cls, kind, tau, theta, a, b, row)
+        return super().__new__(cls, kind, tau, theta, a, b)
 
     def __getnewargs__(self) -> tuple:
         # copy and pickle rebuild a branch from the constructor's arguments
@@ -238,10 +167,6 @@ class PhaseBranch(_PhaseBranchFields):
     def slag(cls, theta: float) -> "PhaseBranch":
         return cls.make("SLAG", theta)
 
-    @classmethod
-    def recip(cls, theta: float) -> "PhaseBranch":
-        return cls.make("RECIP", theta)
-
     # scalar eigenvalue maps -------------------------------------------------
 
     @property
@@ -255,24 +180,9 @@ class PhaseBranch(_PhaseBranchFields):
         """Open lower eigenvalue bound (None for the unconstrained kind)."""
         return self.maps.lower
 
-    # g, g_inverse and phase are the closed forms that the tests check
-    # `maps` and the radial integrator against; no subcommand calls them
-
-    def g(self, lam: float) -> float:
-        """The eigenvalue map of this branch."""
-        return self.maps.g(lam)
-
     def g_prime(self, lam: float) -> float:
         """Derivative of the eigenvalue map (always positive)."""
         return self.maps.g_prime(lam)
-
-    def g_inverse(self, t: float) -> float:
-        """Inverse of the eigenvalue map; DomainError outside its range."""
-        return self.maps.g_inverse(t)
-
-    def phase(self, eigenvalues: Sequence[float]) -> float:
-        """Sum of the eigenvalue map over a full set of eigenvalues."""
-        return _sum(self.g(float(v)) for v in eigenvalues)
 
     # serialization ----------------------------------------------------------
 
@@ -371,7 +281,7 @@ def _scalar_maps(kind: str, a: float, b: float) -> ScalarMaps:
             return scale * math.log((lam + a - b) / (lam + a + b))
 
         def g_prime(lam: float) -> float:
-            # summed as the row sums alpha + beta lambda: lambda + (a - b) is exact near the bound
+            # lambda + (a - b) is summed first: it is exact near the bound
             return root / ((lam + a_minus_b) * (lam + a_plus_b))
 
         def g_inverse(t: float) -> float:
@@ -383,7 +293,7 @@ def _scalar_maps(kind: str, a: float, b: float) -> ScalarMaps:
     return ScalarMaps(lower, _above(kind, lower, g), _above(kind, lower, g_prime), g_inverse)
 
 
-def scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
+def _scaling_matrix(branch: PhaseBranch, s: SpectrumLike) -> list[float]:
     """Diagonal entries of the positive scaling matrix R.
 
     Every branch uses the same rule R_ii = g'(lambda_i)^(-1/2); eigenvalues
@@ -440,7 +350,7 @@ class KelvinFrame:
         for v in (*lambdas, *self.linear, self.constant):
             if not math.isfinite(v):
                 raise ValueError(f"frame value {v} is not finite (eigenvalues, b and c must be)")
-        self.R = scaling_matrix(branch, lambdas)
+        self.R = _scaling_matrix(branch, lambdas)
 
     def __repr__(self) -> str:
         return (
@@ -477,48 +387,6 @@ def _u_at(frame: KelvinFrame, v: Callable[[tuple[float, ...]], float], x: list[f
 # ── second-order jets and the Hessian identity ───────────────────────────
 
 
-class _Jet2Fields(NamedTuple):
-    y: tuple[float, ...]
-    value: float
-    grad: tuple[float, ...]
-    hess: tuple[tuple[float, ...], ...]
-
-
-class Jet2(_Jet2Fields):
-    """Second-order data of the ball-side profile at one point of the
-    punctured unit ball: value, gradient, and symmetric Hessian, as a float,
-    a tuple and a tuple of rows; each must be finite.  The float
-    `transformed_residual` takes it; see its docstring for the consumer."""
-
-    __slots__ = ()
-
-    def __new__(cls, y, value, grad, hess) -> "Jet2":
-        y, grad = tuple(map(float, y)), tuple(map(float, grad))
-        value, hess = float(value), tuple(tuple(map(float, row)) for row in hess)
-        n = len(y)
-        if len(grad) != n or len(hess) != n or any(len(row) != n for row in hess):
-            raise ValueError("jet shapes are inconsistent")
-        if not math.isfinite(value):
-            raise ValueError(f"jet value {value} is not finite")
-        for i, g in enumerate(grad):
-            if not math.isfinite(g):
-                raise ValueError(f"jet gradient entry {i} is {g}, not finite")
-        for i, row in enumerate(hess):
-            for j, h in enumerate(row):
-                if not math.isfinite(h):
-                    raise ValueError(f"jet Hessian entry ({i}, {j}) is {h}, not finite")
-        norm = _dot(y, y) ** 0.5
-        if not 0.0 < norm < 1.0:
-            raise ValueError(f"jet base point must lie in the punctured unit ball, |y|={norm}")
-        if any(abs(hess[i][j] - hess[j][i]) > 1e-12 for i in range(n) for j in range(i)):
-            raise ValueError("jet Hessian must be symmetric to 1e-12")
-        return super().__new__(cls, y, value, grad, hess)
-
-    @property
-    def n(self) -> int:
-        return len(self.y)
-
-
 def _jet_evaluator(v: MultiPoly):
     """The function taking a float point y to the 2-jet (value, grad,
     hess) of v there, as a float and lists; v is differentiated once, and
@@ -536,16 +404,6 @@ def _jet_evaluator(v: MultiPoly):
         return value_at(y), [g(y) for g in grad_at], hess
 
     return at
-
-
-def poly_jet(v: MultiPoly, y: Sequence[float]) -> Jet2:
-    """The second-order jet of a polynomial profile at a ball point, as the
-    float `transformed_residual` takes it; see its docstring for the
-    consumer."""
-    yv = [float(c) for c in y]
-    if len(yv) != v.n_vars:
-        raise ValueError(f"point has length {len(yv)}, polynomial has {v.n_vars} variables")
-    return Jet2(yv, *_jet_evaluator(v)(yv))
 
 
 def identity_parts(y, value, grad, hess, ysq):
@@ -646,7 +504,7 @@ def hessian_identity_check(
     `identity_parts`, entry (i, j) as (r_i r_j) (K_ij + (L / |y|^2)
     (y_i y_j)); at each stencil point u is evaluated by `_u_at`, with v's
     `float_evaluator` as the profile.  Every float operation is the one a
-    per-point route (`poly_jet`, that assembly, `_u_at` with
+    per-point route (`_jet_evaluator`, that assembly, `_u_at` with
     ``v.evaluate``) performs, so the report equals that route's.  A
     sample whose deviation is not finite (an overflow, or inf - inf)
     counts as an infinite deviation, so it cannot pass any tolerance.

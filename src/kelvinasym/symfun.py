@@ -54,10 +54,6 @@ class ArityError(ValueError):
     """A verification was called with missing or unusable arguments."""
 
 
-class MismatchError(ArithmeticError):
-    """Two supposedly identical exact routes disagreed."""
-
-
 class Spectrum:
     """An ordered tuple of exact eigenvalues."""
 
@@ -272,8 +268,7 @@ def char_sigmas(mat, one) -> list:
     Berkowitz's division-free recursion.  Only +, * and integer signs
     touch the entries, so it runs over Fraction, MultiPoly, RadPoly or
     `_Dual` entries, and it holds for any square matrix (diagonal similarity
-    transforms may be applied freely first).  Floats take eigenvalues
-    instead (`equations.AlgebraicForm.residual`)."""
+    transforms may be applied freely first)."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ArityError("matrix must be square")

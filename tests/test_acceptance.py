@@ -237,7 +237,7 @@ def test_09_hessian_identity_finite_difference(report):
                                  linear=[0.5, -0.25, 1.0], constant=0.75)),
         ("SLAG n=4", KelvinFrame(PhaseBranch.slag(THETA3), [1.0, -0.3, 0.7, 0.4],
                                  linear=[0.5, 0.0, -0.25, 1.0], constant=-0.5)),
-        ("RECIP n=3", KelvinFrame(PhaseBranch.recip(-2.0), [0.4, -0.2, 1.1])),
+        ("RECIP n=3", KelvinFrame(PhaseBranch.make("RECIP", -2.0), [0.4, -0.2, 1.1])),
         ("ATAN2 n=3", KelvinFrame(PhaseBranch.make("ATAN2", 1.2, tau=1.2), [0.5, 0.0, 2.0])),
         ("LOG n=3", KelvinFrame(PhaseBranch.make("LOG", -3.0, tau=0.6), [1.5, 2.0, 1.1])),
     ]

@@ -167,26 +167,27 @@ def test_exact_subcommands_run_without_numpy(tmp_path):
 
 
 _ROUTES_WITHOUT_NUMPY = """
-import importlib, json, math, pkgutil, sys
+import importlib, json, pkgutil, sys
+from fractions import Fraction as F
 if sys.argv[1] == "block":
     sys.modules["numpy"] = None  # every import of numpy now fails
 import kelvinasym
 for info in pkgutil.iter_modules(kelvinasym.__path__):
     importlib.import_module("kelvinasym." + info.name)
-from kelvinasym.equations import algebraic_residual, notheta_residual, transformed_residual
+from kelvinasym.equations import transformed_residual_exact
 from kelvinasym.exactalg import MultiPoly
-from kelvinasym.kelvin import KelvinFrame, PhaseBranch, identity_parts, poly_jet
-theta = 3 * math.pi / 4
-branch = PhaseBranch.slag(theta)
+from kelvinasym.expand import _symmetric_eigenvalues
+from kelvinasym.kelvin import _jet_evaluator, identity_parts
 H = [[1.5, 0.25, 0.0], [0.25, 1.0, -0.5], [0.0, -0.5, 0.75]]
-frame = KelvinFrame(branch, [1.0, 0.5, 2.0])
 v = MultiPoly.const(3, 1) + MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1) ** 2
-jet = poly_jet(v, [0.3, -0.2, 0.1])
+y = [0.3, -0.2, 0.1]
+point = [F(1, 1000) * c for c in (F(3, 7), F(2, 7), F(6, 7), F(0), F(0))]
+hess = [[F(1 + min(i, j), 2 + max(i, j)) for j in range(5)] for i in range(5)]
+split = transformed_residual_exact(point, 1, [F(1, 4), F(-1, 2), 0, F(1, 3), 1], hess, [1, F(1, 2), 2, F(1, 3), F(3, 2)])
 out = [
-    algebraic_residual(branch, H, theta),
-    notheta_residual(branch, [1.0, 0.5, 2.0], H),
-    identity_parts(jet.y, jet.value, jet.grad, jet.hess, sum(c * c for c in jet.y)),
-    transformed_residual(jet, frame).total,
+    _symmetric_eigenvalues(H),
+    identity_parts(y, *_jet_evaluator(v)(y), sum(c * c for c in y)),
+    str(split.nonlinear_term),
 ]
 assert sys.modules.get("numpy") is None, "numpy was loaded"
 print(json.dumps(out))
@@ -195,8 +196,8 @@ print(json.dumps(out))
 
 def test_former_numpy_routes_run_without_numpy():
     # every module imports, and the float routes that once ran on arrays
-    # (eigenvalues, jets, the identity's parts) give the same values when
-    # numpy cannot load, without ever loading it
+    # (eigenvalues, jets, the identity's parts) and the exact residual give
+    # the same values when numpy cannot load, without ever loading it
     runs = {}
     for mode in ("block", "allow"):
         proc = subprocess.run(
@@ -208,9 +209,10 @@ def test_former_numpy_routes_run_without_numpy():
         assert proc.returncode == 0, proc.stderr
         runs[mode] = json.loads(proc.stdout.splitlines()[-1])
     assert runs["block"] == runs["allow"]
-    residual, eliminated, parts, total = runs["block"]
-    assert abs(residual) > 1e-3 and abs(eliminated) > 1e-3 and math.isfinite(total)
+    eigenvalues, parts, remainder = runs["block"]
+    assert len(eigenvalues) == 3 and all(map(math.isfinite, eigenvalues))
     assert len(parts) == 2 and [len(row) for row in parts[0]] == [3, 3, 3]
+    assert Fraction(remainder) != 0
 
 
 _FLOAT_WITHOUT_NUMPY = """

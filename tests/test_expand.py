@@ -8,6 +8,7 @@ import random
 import statistics
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from kelvinasym import radial
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly, solve_radical_poisson
-from kelvinasym.equations import WindowedResidual, _symmetric_eigenvalues
+from kelvinasym.equations import WindowedResidual
 from kelvinasym import expand
 from kelvinasym.expand import (
     MAX_FIT_WORK,
@@ -26,6 +27,7 @@ from kelvinasym.expand import (
     _householder_qr,
     _median,
     _solve_least_squares,
+    _symmetric_eigenvalues,
     check_fit_work,
     correct_through,
     fit_expansion,
@@ -672,6 +674,148 @@ def test_least_squares_agrees_with_numpy_lstsq():
         columns = np.asarray(R)
         got = np.asarray(_symmetric_eigenvalues((columns @ columns.T).tolist()))
         assert np.max(np.abs(got - singular[::-1] ** 2)) <= 1e-12 * singular[0] ** 2
+
+
+# ── the Jacobi eigenvalue solver, against np.linalg.eigvalsh ─────────────
+
+
+def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def rotated(eigs, q) -> np.ndarray:
+    return q @ np.diag(np.asarray(eigs, dtype=float)) @ q.T
+
+
+def assert_eigenvalues_match(h, rtol=4e-15):
+    got = _symmetric_eigenvalues(h.tolist())
+    want = np.linalg.eigvalsh(h)
+    assert all(isinstance(v, float) for v in got) and got == sorted(got)
+    scale = max(abs(want).max(), 1e-300)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= rtol * scale
+
+
+def test_eigenvalues_of_random_symmetric_matrices():
+    rng = np.random.default_rng(83)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        h = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-6, 6)
+        assert_eigenvalues_match((h + h.T) / 2)
+
+
+def test_eigenvalues_of_clustered_spectra():
+    rng = np.random.default_rng(89)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        eigs = rng.normal() + 1e-12 * rng.normal(size=n)
+        h = rotated(eigs, random_orthogonal(rng, n)) * 10.0 ** rng.uniform(-6, 6)
+        assert_eigenvalues_match((h + h.T) / 2)
+
+
+def test_eigenvalues_of_diagonal_and_zero_matrices_are_exact():
+    for diag in ([3.0, -1.0, 2.0], [1e-300, -1e300], [0.5]):
+        with mock.patch.object(expand, "_rotation", side_effect=AssertionError("rotated")):
+            assert _symmetric_eigenvalues(np.diag(diag).tolist()) == sorted(diag)
+    for n in (1, 2, 5):
+        assert _symmetric_eigenvalues([[0.0] * n for _ in range(n)]) == [0.0] * n
+    assert _symmetric_eigenvalues([]) == []
+
+
+def test_eigenvalues_next_to_the_reciprocal_bound():
+    # eigenvalues a gap of 1e-9 to 3 above -1 agree with eigvalsh to
+    # rounding, and the smallest keeps its gap
+    rng = np.random.default_rng(97)
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        eigs = np.concatenate([[-1.0 + 1e-9], -1.0 + 10.0 ** rng.uniform(-9, 0.5, size=n - 1)])
+        h = rotated(eigs, random_orthogonal(rng, n))
+        h = (h + h.T) / 2
+        got = _symmetric_eigenvalues(h.tolist())
+        want = np.linalg.eigvalsh(h)
+        assert max(abs(g - w) for g, w in zip(got, want)) < 4e-15
+        assert 0.0 < 1.0 + got[0] < 2e-9
+
+
+def test_asymmetric_float_matrix_rejected():
+    with pytest.raises(ValueError, match="needs a symmetric matrix"):
+        _symmetric_eigenvalues([[0.0, 1.0], [0.0, 0.0]])
+
+
+def test_float_matrix_with_a_nan_entry_is_refused():
+    # a NaN passes the symmetry test (nan > tol is False), so it is named
+    # before any rotation runs
+    H = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, math.nan]]
+    with mock.patch.object(expand, "_rotation", side_effect=AssertionError("rotated")):
+        with pytest.raises(ValueError, match=r"entry \(2, 2\) is nan"):
+            _symmetric_eigenvalues(H)
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is nan"):
+        _symmetric_eigenvalues([[math.nan, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_float_matrix_with_an_infinite_entry_is_refused():
+    # an inf entry is named, not rotated into NaN eigenvalues
+    with pytest.raises(ValueError, match=r"entry \(1, 2\) is inf"):
+        _symmetric_eigenvalues([[1.0, 0.0, 0.0], [0.0, 1.0, math.inf], [0.0, math.inf, 1.0]])
+    with pytest.raises(ValueError, match=r"entry \(0, 0\) is -inf"):
+        _symmetric_eigenvalues([[-math.inf, 0.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_eigenvalues_of_a_rational_orthogonal_similarity(n):
+    # a product of rational Householder reflections I - 2 w w^T / w^T w is
+    # orthogonal in the rationals, so H = Q diag(lambda) Q^T has exactly
+    # the eigenvalues lambda; rounding H once to floats moves them by a few
+    # units in the last place of its largest entry
+    rnd = random.Random(151 + n)
+    lam = sorted(Fraction(rnd.randint(-20, 20), rnd.randint(1, 4)) for _ in range(n))
+    H = [[lam[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        w = [Fraction(rnd.randint(-3, 3)) for _ in range(n)]
+        w[rnd.randrange(n)] += 4
+        wsq = sum(c * c for c in w)
+        P = [[(i == j) - 2 * w[i] * w[j] / wsq for j in range(n)] for i in range(n)]
+        PH = [[sum(P[i][k] * H[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        H = [[sum(PH[i][k] * P[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    assert any(H[i][j] for i in range(n) for j in range(n) if i != j)
+    got = _symmetric_eigenvalues([[float(h) for h in row] for row in H])
+    scale = max(abs(float(h)) for row in H for h in row)
+    assert max(abs(g - float(v)) for g, v in zip(got, lam)) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_eigenvalues_keep_the_trace_and_the_frobenius_norm(n):
+    # rotations keep the trace and the sum of squares of the entries, so the
+    # eigenvalues sum to trace(H) and their squares to |H|_F^2, also when
+    # the entries span six decades
+    rnd = random.Random(157 + n)
+    for _ in range(20):
+        h = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                h[i][j] = h[j][i] = rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.uniform(-3, 3)
+        got = _symmetric_eigenvalues(h)
+        frobenius = sum(x * x for row in h for x in row)
+        assert abs(sum(got) - sum(h[i][i] for i in range(n))) <= 1e-14 * n * math.sqrt(frobenius)
+        assert abs(sum(g * g for g in got) - frobenius) <= 1e-14 * n * frobenius
+
+
+def test_rotation_zeroes_the_off_diagonal_entry():
+    # t = tan of the smaller angle that zeroes apq in [[app, apq], [apq,
+    # aqq]]: the new diagonal app - t apq, aqq + t apq is the pair of
+    # eigenvalues of the block, and cos, sin = cos t lie on the unit circle
+    rnd = random.Random(163)
+    for _ in range(1000):
+        app, aqq = rnd.uniform(-5.0, 5.0), rnd.uniform(-5.0, 5.0)
+        apq = rnd.choice((-1, 1)) * 10.0 ** rnd.uniform(-8, 1)
+        t, cos, sin = expand._rotation(app, aqq, apq)
+        scale = max(abs(app), abs(aqq), abs(apq))
+        assert abs(t) <= 1.0 and math.isclose(cos * cos + sin * sin, 1.0, rel_tol=1e-15)
+        assert abs(apq * (cos * cos - sin * sin) + cos * sin * (app - aqq)) <= 4e-15 * scale
+        mean, radius = (app + aqq) / 2, math.hypot((app - aqq) / 2, apq)
+        pair = sorted((app - t * apq, aqq + t * apq))
+        assert abs(pair[0] - (mean - radius)) <= 4e-15 * scale
+        assert abs(pair[1] - (mean + radius)) <= 4e-15 * scale
 
 
 def _exact_normal_solve(rows, rhs):

@@ -42,8 +42,8 @@ def radial_rhs(branch: PhaseBranch, n: int, theta: float, r: float, p: float) ->
     r = float(r)
     if not r > 0.0:
         raise ValueError(f"radius must be positive, got {r}")
-    t = float(theta) - (n - 1) * branch.g(float(p) / r)
-    return branch.g_inverse(t)
+    t = float(theta) - (n - 1) * branch.maps.g(float(p) / r)
+    return branch.maps.g_inverse(t)
 
 
 def trajectory_rows(path) -> list[tuple[float, ...]]:
@@ -60,7 +60,7 @@ def trajectory_rows(path) -> list[tuple[float, ...]]:
 # equation exactly
 BRANCH_ALPHAS = [
     (PhaseBranch.slag(THETA3), 1.0),
-    (PhaseBranch.recip(-1.5), 0.5),
+    (PhaseBranch.make("RECIP", -1.5), 0.5),
     (PhaseBranch.make("ATAN2", 1.0, tau=3 * math.pi / 8), 0.2),
     (PhaseBranch.make("LOG", -2.0, tau=math.pi / 8), 0.3),
 ]
@@ -77,7 +77,7 @@ def test_rhs_slag_unit_slope_gives_unit_curvature():
 
 def test_rhs_recip_flat_start_gives_zero_curvature():
     theta = -3.0 * math.sqrt(2.0)
-    br = PhaseBranch.recip(theta)
+    br = PhaseBranch.make("RECIP", theta)
     assert radial_rhs(br, 3, theta, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -92,17 +92,17 @@ def test_rhs_slag_steep_slope_limit():
 def test_rhs_is_exact_root_of_the_scalar_relation():
     for br, alpha in BRANCH_ALPHAS:
         for n in (2, 3, 4):
-            theta = n * br.g(alpha)
+            theta = n * br.maps.g(alpha)
             for r in (1.0, 3.0, 11.0):
                 w = radial_rhs(br, n, theta, r, 0.9 * alpha * r)
-                res = br.g(w) + (n - 1) * br.g(0.9 * alpha) - theta
+                res = br.maps.g(w) + (n - 1) * br.maps.g(0.9 * alpha) - theta
                 assert abs(res) < 1e-12
 
 
 def test_rhs_quadratic_ray_is_stationary():
     for br, alpha in BRANCH_ALPHAS:
         for n in (2, 3, 4):
-            theta = n * br.g(alpha)
+            theta = n * br.maps.g(alpha)
             for r in (1.0, 5.0, 25.0):
                 assert radial_rhs(br, n, theta, r, alpha * r) == pytest.approx(
                     alpha, abs=1e-12
@@ -116,7 +116,7 @@ def test_rhs_domain_errors_name_the_offending_quantity():
         radial_rhs(br, 3, THETA3, 1.0, -5.0)
 
     theta = -3.0 * math.sqrt(2.0)
-    rec = PhaseBranch.recip(theta)
+    rec = PhaseBranch.make("RECIP", theta)
     # slope admissible but the right-hand side leaves the negative range
     with pytest.raises(DomainError, match="negative"):
         radial_rhs(rec, 3, theta, 1.0, -0.5)
@@ -125,12 +125,12 @@ def test_rhs_domain_errors_name_the_offending_quantity():
         radial_rhs(rec, 3, theta, 1.0, -1.5)
 
     lg = PhaseBranch.make("LOG", -2.0, tau=math.pi / 8)
-    theta = 3 * lg.g(0.3)
+    theta = 3 * lg.maps.g(0.3)
     with pytest.raises(DomainError, match="negative"):
         radial_rhs(lg, 3, theta, 1.0, -0.21)
 
     at = PhaseBranch.make("ATAN2", 1.0, tau=3 * math.pi / 8)
-    theta = 3 * at.g(0.2)
+    theta = 3 * at.maps.g(0.2)
     with pytest.raises(DomainError, match="range"):
         radial_rhs(at, 3, theta, 1.0, -1.3)
 
@@ -161,7 +161,7 @@ def test_slag_quadratic_preserved_to_r50():
 
 def test_quadratic_fixed_points_all_branches():
     for br, alpha in BRANCH_ALPHAS:
-        theta = 3 * br.g(alpha)
+        theta = 3 * br.maps.g(alpha)
         u1, p1 = 0.5 * alpha, alpha
         states = integrate_exterior(br, 3, theta, u1, p1, 50.0, 1e-3, stride=1000)
         dev = max(abs(s.p - alpha * s.r) for s in states)
@@ -223,7 +223,7 @@ def test_stiff_start_converges_to_the_fixed_point():
     # slopes above -1/3 admit a curvature root here; from -0.32 the
     # curvature starts at 16 and the slope climbs to the fixed point 0
     theta = -3.0 * math.sqrt(2.0)
-    br = PhaseBranch.recip(theta)
+    br = PhaseBranch.make("RECIP", theta)
     states = integrate_exterior(br, 3, theta, 0.0, -0.32, 20.0, 1e-3, stride=1000)
     assert states[0].w == pytest.approx(16.0, abs=1e-12)
     assert states[-1].r == 20.0
@@ -236,7 +236,7 @@ def test_domain_failure_carries_radius_and_partial_trajectory():
     # a start just inside the admissible slopes (-1/3, inf) makes the
     # first RK4 stage overshoot the edge at this step
     theta = -3.0 * math.sqrt(2.0)
-    br = PhaseBranch.recip(theta)
+    br = PhaseBranch.make("RECIP", theta)
     with pytest.raises(DomainError) as info:
         integrate_exterior(br, 3, theta, 0.0, -0.333, 20.0, 1e-3)
     err = info.value
@@ -249,7 +249,7 @@ def test_domain_failure_carries_radius_and_partial_trajectory():
 
 def _kind_branch(kind, tau):
     # theta = 3 g(0.3): the quadratic ray of slope 0.3 in n = 3
-    return PhaseBranch.make(kind, 3 * PhaseBranch.make(kind, 0.0, tau=tau).g(0.3), tau=tau)
+    return PhaseBranch.make(kind, 3 * PhaseBranch.make(kind, 0.0, tau=tau).maps.g(0.3), tau=tau)
 
 
 _NEAR_START = "near r = 1.0005000803178425"
@@ -266,12 +266,12 @@ _NEAR_START = "near r = 1.0005000803178425"
             f"u'/r = 0.4122600398388866 {_NEAR_START}",
         ),
         (
-            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -0.3332333333333333,
+            PhaseBranch.make("RECIP", -3.0 * math.sqrt(2.0)), 0.15, -0.3332333333333333,
             "second derivative u'' grew without bound on the RECIP branch at radial slope "
             f"u'/r = -0.3338554020241516 {_NEAR_START}",
         ),
         (
-            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -1.0 / 3.0,
+            PhaseBranch.make("RECIP", -3.0 * math.sqrt(2.0)), 0.15, -1.0 / 3.0,
             f"radial slope u'/r = -397994589.7052741 fell to the RECIP eigenvalue bound -1.0 {_NEAR_START}",
         ),
         (
@@ -296,7 +296,7 @@ _NEAR_START = "near r = 1.0005000803178425"
         ),
         # and at the start itself, below each bound
         (
-            PhaseBranch.recip(-3.0 * math.sqrt(2.0)), 0.15, -1.5,
+            PhaseBranch.make("RECIP", -3.0 * math.sqrt(2.0)), 0.15, -1.5,
             "radial slope u'/r = -1.5 fell to the RECIP eigenvalue bound -1.0 near r = 1.0",
         ),
         (

@@ -21,10 +21,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kelvinasym import cli
-from kelvinasym.equations import AlgebraicForm, ResidualBreakdown
+from kelvinasym.equations import ResidualBreakdown, WindowedResidual
 from kelvinasym.exactalg import DimensionError, MultiPoly, RadPoly
 from kelvinasym.expand import ExpansionFit, ExpansionState
-from kelvinasym.kelvin import AdmissibilityError, HessianReport, Jet2, KelvinFrame, PhaseBranch, PhaseRow
+from kelvinasym.kelvin import AdmissibilityError, HessianReport, KelvinFrame, PhaseBranch
 from kelvinasym.radial import RadialState
 from kelvinasym.symfun import BranchParams, ExactReport, Spectrum
 
@@ -70,11 +70,8 @@ def _branch():
 RECORDS = {
     "BranchParams": lambda: BranchParams(a=Fraction(1, 2), b=3),
     "ExactReport": lambda: ExactReport(lemma="L31", lhs=Fraction(1, 3), rhs=Fraction(1, 3), equal=True),
-    "PhaseRow": lambda: PhaseRow(eps=-1, alpha=(1, 0), beta=(0, 1), kappa=1, s_free=Fraction(1), s_carry=1),
     "PhaseBranch": lambda: PhaseBranch(kind="ATAN2", tau=1.0, theta=0.5),
-    "Jet2": lambda: Jet2(y=(0.1, 0.2), value=1.0, grad=(0.0, 1.0), hess=((1.0, 0.5), (0.5, 2.0))),
     "HessianReport": lambda: HessianReport(max_abs_deviation=0.0, max_rel_deviation=0.0, samples=1, fd_step=1e-4),
-    "AlgebraicForm": lambda: AlgebraicForm(branch=_branch(), n=2, theta_free=False, coefficients={"x": 1.0}),
     "ResidualBreakdown": lambda: ResidualBreakdown(laplace_term=1.0, nonlinear_term=2.0, total=3.0, linear_factor=4.0),
     "ExpansionState": lambda: ExpansionState(
         n=3, spectrum=[1, 2, 3], P=MultiPoly.const(3, 1), Q=MultiPoly.zero(3), order=2
@@ -104,10 +101,9 @@ def test_records_normalise_their_fields():
     params = BranchParams(1, 2)
     assert params == BranchParams(Fraction(1), Fraction(2)) and type(params.a) is Fraction
     branch = PhaseBranch(kind="ATAN2", tau=1.0, theta=0.5)
-    assert math.isclose(branch.a, math.cos(1.0) / math.sin(1.0)) and branch.row.eps == -1
+    assert math.isclose(branch.a, math.cos(1.0) / math.sin(1.0))
     assert _branch() == _branch() and hash(_branch()) == hash(_branch())
     assert _branch() != PhaseBranch.make("SLAG", 0.25)
-    assert Jet2([0.1, 0.2], 1, [0, 1], [[1, 0.5], [0.5, 2]]).grad == (0.0, 1.0)
     state = RECORDS["ExpansionState"]()
     assert state.spectrum == Spectrum([1, 2, 3])
     fit = ExpansionFit([[1, 2], [2 + 1e-13, 1]], [0, 1], 1, 0, -1, 0, [(1, 2)])
@@ -151,12 +147,6 @@ REFUSALS = {
     "branch-tau": (lambda: PhaseBranch("SLAG", 1.0, 0.0), ValueError, "slope parameter tau=1.0 is not in the SLAG interval"),
     "branch-theta": (lambda: PhaseBranch.make("RECIP", math.inf), ValueError, "phase theta=inf is not finite"),
     "branch-no-tau": (lambda: PhaseBranch.make("LOG", 0.0), ValueError, "branch kind 'LOG' needs an explicit tau"),
-    "jet-shape": (lambda: Jet2((0.1, 0.2), 0.0, (0.0,), ((0, 0), (0, 0))), ValueError, "jet shapes are inconsistent"),
-    "jet-value": (lambda: Jet2((0.1,), math.nan, (0,), ((0,),)), ValueError, "jet value nan is not finite"),
-    "jet-grad": (lambda: Jet2((0.1, 0.2), 0, (0, math.inf), ((0, 0), (0, 0))), ValueError, "jet gradient entry 1 is inf, not finite"),
-    "jet-hess": (lambda: Jet2((0.1, 0.2), 0, (0, 0), ((0, math.nan), (0, 0))), ValueError, "jet Hessian entry (0, 1) is nan, not finite"),
-    "jet-ball": (lambda: Jet2((0.0, 0.0), 0, (0, 0), ((0, 0), (0, 0))), ValueError, "jet base point must lie in the punctured unit ball, |y|=0.0"),
-    "jet-symmetric": (lambda: Jet2((0.1, 0.2), 0, (0, 0), ((0, 1), (0, 0))), ValueError, "jet Hessian must be symmetric to 1e-12"),
     "state-spectrum": (lambda: _state(spectrum=(1, 2)), DimensionError, "spectrum has 2 entries, expected 3"),
     "state-variables": (lambda: _state(P=MultiPoly.zero(2)), DimensionError, "profile polynomials must live in n variables"),
     "state-order": (lambda: _state(order=1), ValueError, "expansion order starts at 2 (the quadratic scale)"),
@@ -220,13 +210,20 @@ REFUSALS = {
         "linear coefficient must have length n",
     ),
     "frame-inadmissible": (
-        lambda: KelvinFrame(PhaseBranch.recip(-1.0), [-2.0, 0.0]),
+        lambda: KelvinFrame(PhaseBranch.make("RECIP", -1.0), [-2.0, 0.0]),
         AdmissibilityError,
         "eigenvalue -2.0 is not above the RECIP bound -1.0",
     ),
     "frame-inf-theta": (lambda: KelvinFrame(PhaseBranch.slag(math.inf), [1.0, 2.0]), ValueError, "phase theta=inf is not finite"),
     "branch-nan-theta": (lambda: PhaseBranch.make("SLAG", math.nan), ValueError, "phase theta=nan is not finite"),
     "params-zero-denominator": (lambda: BranchParams("1/0", 1), ValueError, "not a rational number: '1/0' (Fraction(1, 0))"),
+    "windowed-two-variables": (lambda: WindowedResidual([1, 2]), DimensionError, "the symbolic residual needs n >= 3, got 2"),
+    "windowed-float": (lambda: WindowedResidual([1, 0.5, 2]), TypeError, "expected an exact rational, got float 0.5"),
+    "windowed-text": (
+        lambda: WindowedResidual(["1", "x", "2"]),
+        ValueError,
+        "not a rational number: 'x' (Invalid literal for Fraction: 'x')",
+    ),
 }
 
 
@@ -278,7 +275,7 @@ FUZZED = {
     "KelvinFrame": (
         KelvinFrame,
         st.tuples(
-            st.sampled_from([PhaseBranch.slag(0.5), PhaseBranch.recip(-1.0), PhaseBranch.make("LOG", 0.1, tau=0.5)]),
+            st.sampled_from([PhaseBranch.slag(0.5), PhaseBranch.make("RECIP", -1.0), PhaseBranch.make("LOG", 0.1, tau=0.5)]),
             _NUMBERS,
             st.one_of(st.none(), _NUMBERS),
             st.one_of(st.floats(), _SCALARS),
@@ -288,7 +285,6 @@ FUZZED = {
         ExpansionFit,
         st.tuples(_MATRIX, _NUMBERS, _SCALARS, _SCALARS, st.one_of(st.floats(), _SCALARS), _SCALARS, _MATRIX),
     ),
-    "Jet2": (Jet2, st.tuples(_NUMBERS, st.one_of(st.floats(), _SCALARS), _NUMBERS, _MATRIX)),
     "BranchParams": (BranchParams, st.tuples(_SCALARS, _SCALARS)),
 }
 
@@ -337,7 +333,7 @@ JSON_FORMS = {
     "PhaseBranch": (
         st.one_of(
             st.builds(PhaseBranch.slag, _FINITE),
-            st.builds(PhaseBranch.recip, _FINITE),
+            st.builds(lambda t: PhaseBranch.make("RECIP", t), _FINITE),
             st.builds(lambda t, tau: PhaseBranch.make("ATAN2", t, tau=tau), _FINITE, st.floats(0.79, 1.57)),
             st.builds(lambda t, tau: PhaseBranch.make("LOG", t, tau=tau), _FINITE, st.floats(0.01, 0.78)),
         ),
@@ -389,19 +385,13 @@ def test_json_form_rebuilds_the_record(name):
 CONSUMERS = {
     "cli.dispatch": "the command line and the tests",
     "cli.main": "the command line (python -m kelvinasym.cli, the kelvinasym script)",
-    "equations.AlgebraicForm": "ROADMAP item 6: residual-scaling for RECIP, ATAN2 and LOG",
     "equations.ResidualBreakdown": "the split transformed_residual_exact returns (residual-scaling)",
-    "equations.algebraic_residual": "ROADMAP item 6",
-    "equations.notheta_residual": "ROADMAP item 6",
-    "equations.linear_part_factor": "ROADMAP item 6",
-    "equations.transformed_residual": "ROADMAP item 6",
     "equations.transformed_residual_exact": "residual_scaling_slopes (residual-scaling)",
     "exactalg.harmonic_decomposition": "ROADMAP items 2 and 11",
     "expand.ExpansionFit": "the record fit_expansion returns (fit)",
     "kelvin.HessianReport": "the record hessian_identity_check returns (kelvin-check)",
     "kelvin.ScalarMaps": "PhaseBranch.maps, which the radial integrator reads",
     "kelvin.ZeroPointError": "the scaled inversion (kelvin-check)",
-    "kelvin.poly_jet": "ROADMAP item 6",
     "kelvin.trace_identity_defect": "ROADMAP item 7",
     "radial.MAX_PLANNED_WORK": "integrate_exterior's work cap (radial)",
     "radial.MAX_SAMPLES": "check_sample_work's cap (radial)",
@@ -409,6 +399,7 @@ CONSUMERS = {
     "radial.RadialState": "the record integrate_exterior returns (radial)",
     "radial.kernel_name": "perfbench/run.py; ROADMAP item 1 deletes both",
     "symfun.ArityError": "the verifiers' argument checks (lemmas)",
+    "symfun.char_sigmas": "verify_linear_coefficient's left side (lemmas)",
     "symfun.BranchParams": "random_branch_params and the shifted verifiers (lemmas)",
     "symfun.ExactReport": "the record each verifier returns (lemmas)",
     "symfun.random_rational": "random_spectrum and random_symmetric_matrix (lemmas, residual-n3)",
